@@ -68,7 +68,6 @@ from .padic import (
     window_group,
     window_weyl,
     vacuum_profile,
-    representative_slack_check,
     window_reducibility_check,
 )
 from .errors import (

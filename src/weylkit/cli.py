@@ -38,7 +38,7 @@ from .multipliers import (
     check_multiplier,
     is_heisenberg,
 )
-from .padic import representative_slack_check, vacuum_profile, window_group, window_reducibility_check, window_weyl
+from .padic import vacuum_profile, window_group, window_reducibility_check, window_weyl
 from .phases import Phase, as_phase
 from .reports import VerificationReport
 from .vacuum import clifford_basis, descend, normalizer_check, permute_check, sectors
@@ -297,9 +297,8 @@ def run_padic(scenario, args):
     w = window_group(p, k, d)
     prof = vacuum_profile(w, tol=args.tolerance)
     rep: VerificationReport = prof["report"]
-    rep.extend(representative_slack_check(w, seed=args.seed))
     if p == 2 and args.full_report:
-        rep.extend(window_reducibility_check(w, tol=args.tolerance))
+        rep.extend(window_reducibility_check(prof["descended"]))
     summary = {
         "p": p, "k": k, "d": d,
         "dimension": prof["dim"],

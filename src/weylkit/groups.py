@@ -12,7 +12,7 @@ first coordinate varies fastest.  Every deterministic choice in the package
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -206,14 +206,18 @@ def halve(G: FinAbGroup, x: GroupElement) -> GroupElement:
     return G.element(h * c for h, c in zip(halves, x.coords))
 
 
+def _require_prime(p: int):
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise InputError(f"{p} is not prime")
+
+
 def p_regularity(G: FinAbGroup, p: int) -> dict:
     """Flags for multiplication by p on G: divisible / injective / regular.
 
     On a finite group the three notions coincide; all are reported so the
     equivalence stays visible in reports.
     """
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise InputError(f"{p} is not prime")
+    _require_prime(p)
     regular = G.is_p_regular(p)
     return {"divisible": regular, "injective": regular, "regular": regular}
 

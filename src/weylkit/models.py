@@ -222,8 +222,8 @@ class ProjectiveRep:
                              label=self.label + "+override", cache=self._cache)
 
     def is_monomial(self) -> bool:
-        return all(self.operator(g).is_monomial for g in
-                   [self.group.zero()] + self.group.generators())
+        """True when every operator is monomial; builds all of them."""
+        return all(self.operator(x).is_monomial for x in self.group.elements())
 
     def monomial_arrays(self):
         """(SRC, NUM, den): stacked monomial data for every group element, rank order."""
@@ -375,11 +375,6 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     if not is_maximal_isotropic(A, antisymmetrize(m)):
         raise PreconditionError("the inducing subgroup is not maximal isotropic "
                                 "for the antisymmetrized multiplier")
-    for a in A.elements():
-        for b in A.elements():
-            if m(a, b) != m(b, a):
-                raise PreconditionError(
-                    f"multiplier is not symmetric on the subgroup at {(a.coords, b.coords)}")
     if c is None:
         cmap = split_symmetric(m, A)
     else:
@@ -405,9 +400,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
 
     rep = ProjectiveRep(G, m, dim, builder, label=f"induced(|A|={A.order})")
     if check:
-        n = G.order
-        report = check_rep_law(rep) if n <= EXHAUSTIVE_CAP else \
-            check_rep_law(rep, samples=2000)
+        report = check_rep_law(rep, samples=2000)
         if not report.passed:
             raise DefectError("induced model violates the representation law",
                               witness=[c.witness for c in report.checks if not c.passed])
@@ -421,137 +414,80 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
 def check_rep_law(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
                   samples: int = 20_000, seed: int = 0) -> VerificationReport:
     """W(x) W(y) = e(m(x, y)) W(x + y) over all pairs (|G| <= 512) or a seeded sample."""
-    G = W.group
     rep = VerificationReport(f"representation law for {W.label}")
-    n = G.order
-    rep.add("identity", W.operator(G.zero()).distance_to(identity_operator(W.dim)) <= tolerance,
-            tolerance=tolerance)
-
-    monomial = True
-    try:
-        SRC, NUM, den0 = W.monomial_arrays() if n <= EXHAUSTIVE_CAP else (None, None, None)
-        if SRC is None:
-            monomial = False
-    except (InputError, ResourceLimitError):
-        monomial = False
-
-    if monomial and n <= EXHAUSTIVE_CAP:
-        mden, mnum = W.multiplier.num_table()
-        d = lcm(den0, mden)
-        NUMd = NUM * (d // den0)
-        mnumd = mnum * (d // mden)
-        S = G.addition_table()
-        worst = 0.0
-        witness = None
-        for x in range(n):
-            sx, nx = SRC[x], NUMd[x]
-            src_xy = SRC[:, sx]
-            num_xy = nx[None, :] + NUM[:, sx] * (d // den0)
-            idx = S[x]
-            exp_src = SRC[idx]
-            exp_num = NUMd[idx] + mnumd[x][:, None]
-            bad = (src_xy != exp_src).any(axis=1) | (((num_xy - exp_num) % d) != 0).any(axis=1)
-            if bad.any():
-                y = int(np.flatnonzero(bad)[0])
-                wx, wy = G.element_by_rank(x), G.element_by_rank(y)
-                lhs = W.operator(wx).compose(W.operator(wy))
-                rhs = W.operator(wx + wy).scaled(W.multiplier(wx, wy))
-                worst = max(worst, lhs.distance_to(rhs))
-                if witness is None:
-                    witness = (wx.coords, wy.coords)
-        rep.add("law", witness is None and worst <= tolerance, residual=worst,
-                tolerance=tolerance, witness=witness, note=f"exhaustive over {n}^2 pairs")
-        return rep
-
-    # generic path: exhaustive for small groups, sampled otherwise
-    pairs = None
-    if n * n <= samples:
-        pairs = [(x, y) for x in G.elements() for y in G.elements()]
-        note = f"exhaustive over {n}^2 pairs"
-    else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(samples, 2))
-        pairs = [(G.element_by_rank(int(i)), G.element_by_rank(int(j))) for i, j in idx]
-        note = f"sampled {samples} pairs, seed={seed}"
-    worst = 0.0
-    witness = None
-    for x, y in pairs:
-        lhs = W.operator(x).compose(W.operator(y))
-        rhs = W.operator(x + y).scaled(W.multiplier(x, y))
-        dist = lhs.distance_to(rhs)
-        if dist > worst:
-            worst = dist
-            if dist > tolerance:
-                witness = (x.coords, y.coords)
-    rep.add("law", worst <= tolerance, residual=worst, tolerance=tolerance,
-            witness=witness, note=note)
+    rep.add("identity", W.operator(W.group.zero()).distance_to(identity_operator(W.dim))
+            <= tolerance, tolerance=tolerance)
+    _check_pairs(rep, "law", W, W.multiplier, False, tolerance, samples, seed)
     return rep
 
 
 def commutator_scalar_check(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
                             samples: int = 20_000, seed: int = 0) -> VerificationReport:
     """W(x) W(y) = e(m~(x, y)) W(y) W(x): the commutator is the scalar m~(x, y)."""
-    G = W.group
     rep = VerificationReport(f"commutation rule for {W.label}")
+    mt = antisymmetrize(W.multiplier).to_multiplier()
+    _check_pairs(rep, "commutator", W, mt, True, tolerance, samples, seed)
+    return rep
+
+
+def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Multiplier,
+                 swapped: bool, tolerance: float, samples: int, seed: int):
+    """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for pairs x, y of G.
+
+    R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  A monomial model of
+    order <= EXHAUSTIVE_CAP is scanned over all pairs in exact integer
+    arithmetic, and the witness is the first bad pair in rank order.  Any other
+    model is compared pair by pair, over all pairs when |G|^2 <= ``samples``
+    and over a seeded sample otherwise, and the witness is the worst pair.
+    """
+    G = W.group
     n = G.order
-    mt = antisymmetrize(W.multiplier)
 
-    monomial = True
-    try:
-        SRC, NUM, den0 = W.monomial_arrays() if n <= EXHAUSTIVE_CAP else (None, None, None)
-        if SRC is None:
-            monomial = False
-    except (InputError, ResourceLimitError):
-        monomial = False
+    def distance(x, y):
+        lhs = W.operator(x).compose(W.operator(y))
+        rhs = W.operator(y).compose(W.operator(x)) if swapped else W.operator(x + y)
+        return lhs.distance_to(rhs.scaled(phase(x, y)))
 
-    if monomial and n <= EXHAUSTIVE_CAP:
-        X = G.coords_array()
-        d = lcm(den0, mt.den)
-        worst = 0.0
-        witness = None
-        XX = np.repeat(X, n, axis=0)
-        YY = np.tile(X, (n, 1))
-        mtn = mt.pair_nums(XX, YY).reshape(n, n) * (d // mt.den)
-        for x in range(n):
-            sx, nx = SRC[x], NUM[x]
-            src1 = SRC[:, sx]
-            num1 = (nx[None, :] + NUM[:, sx]) * (d // den0)
-            src2 = sx[SRC]
-            num2 = (NUM + nx[SRC]) * (d // den0)
-            bad = (src1 != src2).any(axis=1) | (((num1 - num2 - mtn[x][:, None]) % d) != 0).any(axis=1)
-            if bad.any():
-                y = int(np.flatnonzero(bad)[0])
-                wx, wy = G.element_by_rank(x), G.element_by_rank(y)
-                lhs = W.operator(wx).compose(W.operator(wy))
-                rhs = W.operator(wy).compose(W.operator(wx)).scaled(mt(wx, wy))
-                worst = max(worst, lhs.distance_to(rhs))
-                if witness is None:
-                    witness = (wx.coords, wy.coords)
-        rep.add("commutator", witness is None and worst <= tolerance, residual=worst,
-                tolerance=tolerance, witness=witness, note=f"exhaustive over {n}^2 pairs")
-        return rep
-
-    if n * n <= samples:
-        pairs = [(x, y) for x in G.elements() for y in G.elements()]
-        note = f"exhaustive over {n}^2 pairs"
-    else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(samples, 2))
-        pairs = [(G.element_by_rank(int(i)), G.element_by_rank(int(j))) for i, j in idx]
-        note = f"sampled {samples} pairs, seed={seed}"
     worst = 0.0
     witness = None
-    for x, y in pairs:
-        lhs = W.operator(x).compose(W.operator(y))
-        rhs = W.operator(y).compose(W.operator(x)).scaled(mt(x, y))
-        dist = lhs.distance_to(rhs)
-        if dist > worst:
-            worst = dist
-            if dist > tolerance:
-                witness = (x.coords, y.coords)
-    rep.add("commutator", worst <= tolerance, residual=worst, tolerance=tolerance,
-            witness=witness, note=note)
-    return rep
+    if n <= EXHAUSTIVE_CAP and W.is_monomial():
+        SRC, NUM, den0 = W.monomial_arrays()
+        pden, pnum = phase.num_table()
+        d = lcm(den0, pden)
+        NUM = NUM * (d // den0)
+        pnum = pnum * (d // pden)
+        S = G.addition_table()
+        for x in range(n):
+            sx, nx = SRC[x], NUM[x]
+            # row y of each side: the monomial data of W(x) W(y) and of R(x, y)
+            src1, num1 = SRC[:, sx], nx[None, :] + NUM[:, sx]
+            src2, num2 = (sx[SRC], NUM + nx[SRC]) if swapped else (SRC[S[x]], NUM[S[x]])
+            bad = (src1 != src2).any(axis=1) | \
+                ((num1 - num2 - pnum[x][:, None]) % d != 0).any(axis=1)
+            if bad.any():
+                wx, wy = G.element_by_rank(x), G.element_by_rank(int(np.flatnonzero(bad)[0]))
+                worst = max(worst, distance(wx, wy))
+                if witness is None:
+                    witness = (wx.coords, wy.coords)
+        passed = witness is None and worst <= tolerance
+        note = f"exhaustive over {n}^2 pairs"
+    else:
+        if n * n <= samples:
+            pairs = [(x, y) for x in G.elements() for y in G.elements()]
+            note = f"exhaustive over {n}^2 pairs"
+        else:
+            rng = np.random.default_rng(seed)
+            idx = rng.integers(0, n, size=(samples, 2))
+            pairs = [(G.element_by_rank(int(i)), G.element_by_rank(int(j))) for i, j in idx]
+            note = f"sampled {samples} pairs, seed={seed}"
+        for x, y in pairs:
+            dist = distance(x, y)
+            if dist > worst:
+                worst = dist
+                if dist > tolerance:
+                    witness = (x.coords, y.coords)
+        passed = worst <= tolerance
+    rep.add(name, passed, residual=worst, tolerance=tolerance, witness=witness, note=note)
 
 
 def commutant_d(W: ProjectiveRep, sv_zero: float = SV_ZERO) -> int:
@@ -568,15 +504,7 @@ def commutant_d(W: ProjectiveRep, sv_zero: float = SV_ZERO) -> int:
     if W.dim <= COMMUTANT_SVD_CAP:
         if not gens:
             return W.dim * W.dim
-        d = W.dim
-        eye = np.eye(d)
-        blocks = []
-        for g in gens:
-            M = W.operator(g).matrix
-            blocks.append(np.kron(M.T, eye) - np.kron(eye, M))
-        K = np.vstack(blocks)
-        sv = np.linalg.svd(K, compute_uv=False)
-        return int((sv <= sv_zero).sum()) + (d * d - len(sv))
+        return _commutant_dim([W.operator(g).matrix for g in gens], sv_zero)
     total = 0.0
     for x in W.group.elements():
         t = W.operator(x).trace()
@@ -608,12 +536,7 @@ def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep, sv_zero: float = SV_ZERO) 
         basis = [np.eye(max(n1, n2), dtype=complex)[:n2, :n1]]
         dim = n1 * n2
     else:
-        blocks = []
-        for g in gens:
-            M1 = W1.operator(g).matrix
-            M2 = W2.operator(g).matrix
-            blocks.append(np.kron(M1.T, np.eye(n2)) - np.kron(np.eye(n1), M2))
-        K = np.vstack(blocks)
+        K = _kron_system([(W1.operator(g).matrix, W2.operator(g).matrix) for g in gens])
         _, sv, vh = np.linalg.svd(K)
         nzero = int((sv <= sv_zero).sum())
         null = vh[len(sv) - nzero:]          # zero directions plus any rows beyond rank
@@ -629,3 +552,16 @@ def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep, sv_zero: float = SV_ZERO) 
         out["unitary_defect"] = float(np.abs(That.conj().T @ That - np.eye(n1)).max()) \
             if n1 == n2 else None
     return out
+
+
+def _kron_system(pairs) -> np.ndarray:
+    """Matrix of T |-> (T A - B T) over the (A, B) pairs, acting on T stacked column by column."""
+    n1, n2 = pairs[0][0].shape[0], pairs[0][1].shape[0]
+    return np.vstack([np.kron(A.T, np.eye(n2)) - np.kron(np.eye(n1), B) for A, B in pairs])
+
+
+def _commutant_dim(mats, sv_zero: float = SV_ZERO) -> int:
+    """dim {X : X M = M X for every M in mats}; singular values below ``sv_zero`` count as zero."""
+    K = _kron_system([(M, M) for M in mats])
+    sv = np.linalg.svd(K, compute_uv=False)
+    return int((sv <= sv_zero).sum()) + (K.shape[1] - len(sv))

@@ -71,7 +71,7 @@ class PhaseMap:
 class Bicharacter:
     """Phase-valued bilinear form b(x, y) = sum_ij x_i B_ij y_j on a finite abelian group."""
 
-    __slots__ = ("group", "matrix", "_den", "_cnum", "_alternating")
+    __slots__ = ("group", "matrix", "_den", "_cnum", "_terms", "_pair_bound", "_alternating")
 
     def __init__(self, group: FinAbGroup, matrix):
         self.group = group
@@ -86,9 +86,13 @@ class Bicharacter:
                         "the form is not well defined on the group")
         self.matrix = matrix
         self._den = lcm(*(b.den for row in matrix for b in row)) if r else 1
-        self._cnum = np.array(
-            [[b.numerator_at(self._den) for b in row] for row in matrix], dtype=np.int64
-        ).reshape(r, r)
+        nums = [[b.numerator_at(self._den) for b in row] for row in matrix]
+        self._cnum = np.array(nums, dtype=np.int64).reshape(r, r)
+        # nonzero numerators for exact scalar evaluation, and the largest
+        # |x . B . y| over reduced coordinates, which int64 arrays must hold
+        self._terms = tuple((i, j, c) for i, row in enumerate(nums) for j, c in enumerate(row) if c)
+        n = group.moduli
+        self._pair_bound = sum(c * (n[i] - 1) * (n[j] - 1) for i, j, c in self._terms)
         alt = all(matrix[i][i] == ZERO for i in range(r)) and all(
             matrix[i][j] + matrix[j][i] == ZERO for i in range(r) for j in range(i + 1, r))
         self._alternating = alt
@@ -105,12 +109,15 @@ class Bicharacter:
     def __call__(self, x: GroupElement, y: GroupElement) -> Phase:
         if x.group != self.group or y.group != self.group:
             raise InputError("elements do not belong to the form's group")
-        xv = np.array(x.coords, dtype=np.int64)
-        yv = np.array(y.coords, dtype=np.int64)
-        num = int(xv @ self._cnum @ yv) % self._den
+        xc, yc = x.coords, y.coords
+        num = sum(c * xc[i] * yc[j] for i, j, c in self._terms)
         return Phase(num, self._den)
 
     def pair_nums(self, XC: np.ndarray, YC: np.ndarray) -> np.ndarray:
+        """Numerators of b(x_i, y_i) over den for rows of reduced coordinates."""
+        if self._pair_bound >= 2 ** 63:
+            raise InputError(f"{self!r}: x . B . y can reach {self._pair_bound}, "
+                             "beyond int64 arrays")
         return np.einsum("ij,jk,ik->i", XC, self._cnum, YC) % self._den
 
     @property

@@ -11,28 +11,25 @@ argument by an element of Z_p where chi_p vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
 from .errors import InputError
-from .groups import FinAbGroup, subgroup_span
+from .groups import FinAbGroup, _require_prime, subgroup_span
 from .isotropy import polar
 from .models import DEFAULT_TOL, MonomialPart, Operator, ProjectiveRep, commutant_d
-from .multipliers import Bicharacter, BicharacterMultiplier, is_heisenberg
+from .multipliers import (
+    Bicharacter,
+    BicharacterMultiplier,
+    TableMultiplier,
+    is_heisenberg,
+    split_symmetric,
+    twist,
+)
 from .phases import Phase, ZERO
 from .reports import VerificationReport
-from .vacuum import clifford_basis, descend, sectors
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
+from .vacuum import DescendedRep, clifford_basis, descend, sectors
 
 
 @dataclass
@@ -64,12 +61,10 @@ class PAdicWindow:
 def window_group(p: int, k: int, d: int) -> PAdicWindow:
     """Build the window and verify its structure exactly.
 
-    Checks at construction: the basic-character convention is representative
-    independent, |L|^2 = |G|, and L equals its own polar for the symplectic
-    form.
+    Checks at construction: |L|^2 = |G|, and L equals its own polar for the
+    symplectic form.
     """
-    if not _is_prime(p):
-        raise InputError(f"{p} is not prime")
+    _require_prime(p)
     if k < 1 or d < 1:
         raise InputError("need k >= 1 and d >= 1")
     q = p ** (2 * k)
@@ -82,11 +77,6 @@ def window_group(p: int, k: int, d: int) -> PAdicWindow:
     m = Bicharacter(G, mat).to_multiplier()
     pk = p ** k
     L = subgroup_span(G, [pk * g for g in G.generators()])
-    # representative independence of the character convention
-    for (u, v) in [(1, 1), (2, p), (q - 1, 3)]:
-        base = Phase(u * v, q)
-        if Phase((u + q) * v, q) != base or Phase(u * (v + q), q) != base:
-            raise InputError("character convention is not representative independent")
     if L.order ** 2 != G.order:
         raise InputError("window subgroup has the wrong order")
     if polar(L, m) != L:
@@ -120,35 +110,15 @@ def window_weyl(w: PAdicWindow) -> ProjectiveRep:
                          label=f"window(p={w.p},k={w.k},d={w.d})")
 
 
-def representative_slack_check(w: PAdicWindow, trials: int = 50, seed: int = 0) -> VerificationReport:
-    """Recomputing any operator phase from shifted residues changes nothing."""
-    rep = VerificationReport("window convention slack")
-    q = w.modulus
-    rng = np.random.default_rng(seed)
-    ok = True
-    witness = None
-    for _ in range(trials):
-        s, y1, y2 = (int(x) for x in rng.integers(0, q, size=3))
-        base = Phase(2 * s * y2 + y1 * y2, q)
-        for ds, dy1, dy2 in [(q, 0, 0), (0, q, 0), (0, 0, q), (q, q, q)]:
-            alt = Phase(2 * (s + ds) * (y2 + dy2) + (y1 + dy1) * (y2 + dy2), q)
-            if alt != base:
-                ok = False
-                witness = (s, y1, y2, ds, dy1, dy2)
-    rep.add("representative independence", ok, witness=witness,
-            note=f"{trials} random phase entries, all residue shifts")
-    return rep
-
-
-def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL,
-                   full_sectors: bool | None = None) -> dict:
+def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
     """Run the whole vacuum pipeline on a window and collect the findings.
 
     For p odd the vacuum is a line and every sector is one-dimensional; for
     p = 2 the vacuum has dimension 2^d, the descended group has order 2^{2d},
-    the Clifford generators anticommute within tolerance, and the descended
+    the Clifford generators anticommute within tolerance, the descended
     antisymmetrization matches chi(b1.a2 - b2.a1) under the canonical
-    identification of (L/2)/L with F_2^d x F_2^d.
+    identification of (L/2)/L with F_2^d x F_2^d, and m0 equals chi(b1.a2)
+    up to an explicit twist.
     """
     report = VerificationReport(f"vacuum profile {w!r}")
     out = {"p": w.p, "k": w.k, "d": w.d, "report": report}
@@ -207,39 +177,43 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL,
                 witness = (i, j)
     report.add("descended m~ equals chi(b1.a2 - b2.a1)", ok, witness=witness)
 
-    # literal table match against chi(b1 . a2) over the canonical generators
-    lit = True
-    V2elems = list(D.v2.elements())
-    f2 = FinAbGroup([2] * (2 * w.d))
-    coord_of = {}
-    for t in f2.elements():
+    # m0 against chi(b1 . a2) over the canonical generators: the difference
+    # is symmetric and is split exactly by an explicit twist a, so that
+    # m0(v, u) = chi(b1 . a2) + a(v + u) - a(v) - a(u)
+    V2 = D.v2
+    T = np.zeros((V2.order, 2 * w.d), dtype=np.int64)
+    for t in FinAbGroup([2] * (2 * w.d)).elements():
         amb = w.group.element([p_half * c for c in t.coords])
-        coord_of[D.quotient.project(amb).coords] = t.coords
-    for v in V2elems:
-        for u in V2elems:
-            tv, tu = coord_of[v.coords], coord_of[u.coords]
-            lit_val = Phase(sum(tu[i] * tv[w.d + i] for i in range(w.d)), 2)
-            if D.m0(v, u) != lit_val:
-                lit = False
-                break
-        if not lit:
-            break
-    out["m0_literal_match"] = lit
-    report.add("m0 literally equals chi(b1.a2)", True,
-               note=("exact table match" if lit else
-                     "holds up to equivalence (twist); literal match not achieved"))
+        T[D.quotient.project(amb).rank] = t.coords
+    den = lcm(D.m0.den, 2)
+    lit = (T[:, w.d:] @ T[:, :w.d].T) % 2     # b1 . a2 for v = (a1, b1), u = (a2, b2)
+    diff = (D.m0.num * (den // D.m0.den) - lit * (den // 2)) % den
+    out["m0_literal_match"] = not diff.any()
+    asym = np.argwhere(diff != diff.T)
+    witness = None
+    if asym.size:
+        witness = tuple(V2.coords_of(int(r)) for r in asym[0])
+    else:
+        diff_m = TableMultiplier(V2, den, diff)
+        residual = twist(diff_m, split_symmetric(diff_m)).num
+        if residual.any():
+            witness = tuple(V2.coords_of(int(r)) for r in np.argwhere(residual)[0])
+    report.add("m0 equals chi(b1.a2) up to an explicit twist", witness is None,
+               witness=witness, note="exact table match" if out["m0_literal_match"]
+               else "twist from split_symmetric, verified exactly")
     return out
 
 
-def window_reducibility_check(w: PAdicWindow, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """For p = 2: the full window model is reducible, its descended action is not."""
-    rep = VerificationReport(f"reducibility split {w!r}")
-    if w.p != 2:
+def window_reducibility_check(D: DescendedRep) -> VerificationReport:
+    """For p = 2: the full window model is reducible, its descended action is not.
+
+    ``D`` is the descent of a window model, as ``vacuum_profile`` returns it.
+    """
+    if D.v2.order == 1:
         raise InputError("reducibility split is a p = 2 phenomenon")
-    W = window_weyl(w)
-    cd = commutant_d(W)
+    rep = VerificationReport(f"reducibility split {D.source.label}")
+    cd = commutant_d(D.source)
     rep.add("window model reducible", cd > 1, note=f"commutant={cd}")
-    D = descend(W, w.L, tol)
     cd0 = commutant_d(D.rep0)
     rep.add("descended vacuum action irreducible", cd0 == 1, note=f"commutant={cd0}")
     return rep

@@ -23,6 +23,8 @@ from .models import (
     SV_ZERO,
     Operator,
     ProjectiveRep,
+    _commutant_dim,
+    check_rep_law,
     commutant_d,
 )
 from .multipliers import (
@@ -461,7 +463,6 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
     m0 = TableMultiplier.from_function(V2, m0_phase)
     rep0 = ProjectiveRep(V2, m0, B0.shape[1], lambda v: ops[v.rank], label="descended")
 
-    from .models import check_rep_law
     law = check_rep_law(rep0, tolerance=tol)
     report.extend(law, prefix="W0 ")
     if not law.passed:
@@ -610,18 +611,8 @@ def clifford_basis(D: DescendedRep, tol: float = DEFAULT_TOL) -> CliffordBasis:
             if gram[i][j] != (0 if i == j else 1):
                 raise DefectError("Gram matrix of the found basis is wrong",
                                   witness=(i, j))
-    cdim = _matrix_set_commutant_dim([E.matrix for E in ops])
+    cdim = _commutant_dim([E.matrix for E in ops])
     return CliffordBasis(basis, c, ops, gram, r_sq, r_ac, cdim)
-
-
-def _matrix_set_commutant_dim(mats, sv_zero: float = SV_ZERO) -> int:
-    if not mats:
-        return 0
-    d = mats[0].shape[0]
-    eye = np.eye(d)
-    K = np.vstack([np.kron(M.T, eye) - np.kron(eye, M) for M in mats])
-    sv = np.linalg.svd(K, compute_uv=False)
-    return int((sv <= sv_zero).sum()) + (d * d - len(sv))
 
 
 def coherent_states(W: ProjectiveRep, L: Subgroup,

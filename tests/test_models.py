@@ -16,8 +16,9 @@ from weylkit.models import (
 )
 from weylkit.multipliers import PhaseMap, antisymmetrize, split_symmetric, zero_multiplier
 from weylkit.phases import Phase, ZERO
+from weylkit.vacuum import descend
 
-from conftest import f2_setup
+from conftest import f2_setup, window, window_model, z9_setup
 
 
 def proportional(A, B, tol=1e-9):
@@ -129,6 +130,66 @@ def test_rep_law_fault_injection():
     rep = check_rep_law(bad)
     assert not rep.passed
     assert any(c.witness is not None for c in rep.checks if not c.passed)
+
+
+def _z9_case():
+    """The (Z/9)^2 induced model, overridden at (1, 2)."""
+    G, _, _, W = z9_setup()
+    return W, G.element([1, 2]), 20_000
+
+
+def _descended_case():
+    """The dense descended action of window (2,1,1), overridden at (1, 0)."""
+    R = descend(window_model(2, 1, 1), window(2, 1, 1).L).rep0
+    return R, R.group.element([1, 0]), 20_000
+
+
+def _window_312_case():
+    """Window (3,1,2), |G| = 6561 > 512, overridden at the first sampled element."""
+    W = window_model(3, 1, 2)
+    idx = np.random.default_rng(0).integers(0, W.group.order, size=(4000, 2))
+    x = W.group.element_by_rank(int(idx[0][0]))
+    assert x.coords == (0, 8, 5, 7)
+    return W, x, 4000
+
+
+# (case, dense override, checker, check name, witness, note, residual).  The
+# monomial scan reports the first bad pair in rank order, the pairwise scan
+# the worst pair; a dense override on a small monomial model takes the
+# pairwise scan, and window (3,1,2) is too large for the monomial scan.
+FAULTS = [
+    (_z9_case, False, check_rep_law, "law", ((1, 0), (0, 2)),
+     "exhaustive over 81^2 pairs", 1.0),
+    (_z9_case, False, commutator_scalar_check, "commutator", ((1, 0), (1, 2)),
+     "exhaustive over 81^2 pairs", 1.9696155060244163),
+    (_z9_case, True, check_rep_law, "law", ((1, 0), (0, 2)),
+     "exhaustive over 81^2 pairs", 1.0),
+    (_z9_case, True, commutator_scalar_check, "commutator", ((8, 0), (1, 2)),
+     "exhaustive over 81^2 pairs", 1.9696155060244163),
+    (_descended_case, True, check_rep_law, "law", ((0, 1), (1, 1)),
+     "exhaustive over 4^2 pairs", 1.0),
+    (_descended_case, True, commutator_scalar_check, "commutator", ((1, 0), (0, 1)),
+     "exhaustive over 4^2 pairs", 2.0),
+    (_window_312_case, False, check_rep_law, "law", ((0, 8, 5, 7), (3, 5, 6, 5)),
+     "sampled 4000 pairs, seed=0", 1.0),
+    (_window_312_case, False, commutator_scalar_check, "commutator",
+     ((0, 8, 5, 7), (3, 5, 6, 5)), "sampled 4000 pairs, seed=0", 1.285575219373079),
+]
+
+
+@pytest.mark.parametrize(
+    "case,dense,checker,name,witness,note,residual", FAULTS,
+    ids=[f"{f[0].__name__.strip('_')}-{'dense' if f[1] else 'monomial'}-{f[3]}" for f in FAULTS])
+def test_identity_fault_injection(case, dense, checker, name, witness, note, residual):
+    W, x, samples = case()
+    assert checker(W, samples=samples).passed
+    op = Operator(W.dim, dense=np.eye(W.dim)) if dense else identity_operator(W.dim)
+    rep = checker(W.with_override(x, op), samples=samples)
+    failed = [c for c in rep.checks if not c.passed]
+    assert [c.name for c in failed] == [name]
+    assert failed[0].witness == witness
+    assert failed[0].note == note
+    assert failed[0].residual == pytest.approx(residual, abs=1e-9)
 
 
 def test_scalar_twisted_model_passes(z9):

@@ -1,9 +1,10 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
-from weylkit.errors import PreconditionError, UnsupportedOperationError
+from weylkit.errors import InputError, PreconditionError, UnsupportedOperationError
 from weylkit.groups import FinAbGroup, subgroup_span
 from weylkit.multipliers import (
     Bicharacter,
@@ -53,6 +54,26 @@ def test_bicharacter_is_multiplier():
         G = FinAbGroup([rng.choice([2, 3, 4, 5]), rng.choice([2, 3, 4])])
         b = random_bicharacter(rng, G)
         assert check_multiplier(TableMultiplier.from_multiplier(b.to_multiplier())).passed
+
+
+def test_large_moduli_exact_or_refused():
+    # on (Z/3^21)^2, x . B . y at (n-1, n-1) is about 1.1e20, beyond int64
+    n = 3 ** 21
+    G = FinAbGroup([n, n])
+    b = Bicharacter(G, [[ZERO, Phase(1, n)], [ZERO, ZERO]])
+    top = G.element([n - 1, n - 1])
+    assert b(top, top) == Phase(1, n)
+    XC = np.array([[n - 1, n - 1]], dtype=np.int64)
+    with pytest.raises(InputError, match="int64"):
+        b.pair_nums(XC, XC)
+    with pytest.raises(InputError, match="int64"):
+        check_multiplier(b.to_multiplier())
+    # on (Z/3^19)^2 every x . B . y fits in int64, so arrays are still used
+    small = FinAbGroup([3 ** 19, 3 ** 19])
+    bs = Bicharacter(small, [[ZERO, Phase(1, 3 ** 19)], [ZERO, ZERO]])
+    XS = np.array([[3 ** 19 - 1, 3 ** 19 - 1]], dtype=np.int64)
+    assert bs.pair_nums(XS, XS).tolist() == [1]
+    assert check_multiplier(bs.to_multiplier()).passed
 
 
 def test_corrupted_table_fails_with_witness():

@@ -6,11 +6,11 @@ from weylkit.groups import double_image
 from weylkit.models import check_rep_law
 from weylkit.multipliers import antisymmetrize, is_heisenberg
 from weylkit.padic import (
-    representative_slack_check,
     vacuum_profile,
     window_group,
     window_reducibility_check,
 )
+from weylkit.vacuum import descend
 from conftest import window, window_model
 
 
@@ -52,11 +52,6 @@ def test_window_weyl_law_311_exhaustive():
     rep = check_rep_law(W)
     assert rep.passed
     assert rep.max_residual == 0.0
-
-
-def test_representative_slack():
-    for key in [(2, 1, 1), (3, 1, 1), (2, 2, 1)]:
-        assert representative_slack_check(window(*key)).passed
 
 
 def test_heisenberg_parity():
@@ -109,10 +104,71 @@ def test_vacuum_dim_independent_of_k():
 
 def test_reducibility_split():
     for key in [(2, 1, 1), (2, 1, 2), (2, 2, 1)]:
-        rep = window_reducibility_check(window(*key))
+        rep = window_reducibility_check(descend(window_model(*key), window(*key).L))
         assert rep.passed, str(rep)
     with pytest.raises(InputError):
-        window_reducibility_check(window(3, 1, 1))
+        window_reducibility_check(descend(window_model(3, 1, 1), window(3, 1, 1).L))
+
+
+def test_m0_twist_check_can_fail(monkeypatch):
+    import dataclasses
+
+    from weylkit import padic
+    from weylkit.multipliers import PhaseMap, TableMultiplier
+    name = "m0 equals chi(b1.a2) up to an explicit twist"
+
+    def verdict():
+        prof = vacuum_profile(window(2, 1, 1))
+        (check,) = [c for c in prof["report"].checks if c.name == name]
+        return prof, check
+
+    prof, check = verdict()
+    assert check.passed and not prof["m0_literal_match"]
+
+    # a wrong twist leaves a residual
+    monkeypatch.setattr(padic, "split_symmetric", lambda m: PhaseMap.zero(m.group))
+    _, check = verdict()
+    assert not check.passed and check.witness is not None
+    monkeypatch.undo()
+
+    # an m0 whose antisymmetrization is off by e(v1 u2 / 2) is not symmetric
+    # against chi(b1.a2); the Clifford step still gets the true descent
+    descend, clifford_basis = padic.descend, padic.clifford_basis
+    true = {}
+
+    def corrupt(W, L, tol):
+        D = true["D"] = descend(W, L, tol)
+        X = D.v2.coords_array()
+        skew = np.outer(X[:, 0], X[:, 1]) % 2
+        m0 = TableMultiplier(D.v2, 2 * D.m0.den, 2 * D.m0.num + D.m0.den * skew)
+        return dataclasses.replace(D, m0=m0)
+
+    monkeypatch.setattr(padic, "descend", corrupt)
+    monkeypatch.setattr(padic, "clifford_basis", lambda D, tol: clifford_basis(true["D"], tol))
+    _, check = verdict()
+    assert not check.passed
+    assert check.witness == ((1, 0), (0, 1))
+
+
+def test_full_report_builds_and_descends_once(monkeypatch, capsys):
+    import sys
+    from collections import Counter
+
+    from weylkit import cli, padic
+    calls = Counter()
+    for name in ("descend", "window_weyl"):
+        original = getattr(padic, name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("weylkit") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    assert cli.main(["padic", "--p", "2", "--k", "1", "--d", "1", "--full-report"]) == 0
+    assert '"pass": true' in capsys.readouterr().out
+    assert calls == {"descend": 1, "window_weyl": 1}
 
 
 def test_window_L_is_not_2L_exactly_for_p2():
