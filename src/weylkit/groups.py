@@ -104,13 +104,16 @@ class FinAbGroup:
         if self._coords_cache is None:
             if self.order > ENUMERATION_CAP:
                 raise ResourceLimitError(f"group of order {self.order} is too large to enumerate")
-            cols = []
-            for i, n in enumerate(self.moduli):
-                cols.append((np.arange(self.order, dtype=np.int64) // self._weights[i]) % n)
-            self._coords_cache = (
-                np.stack(cols, axis=1) if cols else np.zeros((1, 0), dtype=np.int64)
-            )
+            self._coords_cache = self.coords_range(0, self.order)
         return self._coords_cache
+
+    def coords_range(self, start: int, stop: int) -> np.ndarray:
+        """((stop - start) x rank) int64 coordinates of the elements of rank start..stop-1."""
+        r = np.arange(start, stop, dtype=np.int64)
+        X = np.empty((len(r), self.rank), dtype=np.int64)
+        for i, (n, w) in enumerate(zip(self.moduli, self._weights)):
+            X[:, i] = (r // w) % n
+        return X
 
     def addition_table(self) -> np.ndarray:
         """(order x order) table of rank(x + y)."""
@@ -283,24 +286,26 @@ class Subgroup:
         return all(other.contains(g) for g in self.generators)
 
     def elements(self):
-        """All elements, sorted by rank (cached)."""
+        """All elements, sorted by rank (cached).
+
+        Enumerated in mixed radix over the decomposition A = (+) Z/d_j * h_j:
+        the coefficient grid of Z/d_1 x Z/d_2 x ... times the generators,
+        reduced mod the moduli, then sorted by rank.  Arithmetic is int64
+        while |G| * |A| * rank < 2^63 bounds every entry, else Python ints.
+        """
         if self._elems is None:
             if self.order > ENUMERATION_CAP:
                 raise ResourceLimitError(f"subgroup of order {self.order} is too large to enumerate")
-            seen = {self.ambient.zero().coords}
-            frontier = [self.ambient.zero()]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = x + g
-                        if y.coords not in seen:
-                            seen.add(y.coords)
-                            nxt.append(y)
-                frontier = nxt
-            elems = sorted((self.ambient.element(c) for c in seen), key=lambda e: e.rank)
-            assert len(elems) == self.order
-            self._elems = elems
+            G = self.ambient
+            gens, orders = self.decomposition()
+            dtype = np.int64 if G.order * self.order * max(G.rank, 1) < 2 ** 63 else object
+            grid = FinAbGroup(orders).coords_array().astype(dtype)
+            H = np.array([g.coords for g in gens], dtype=dtype).reshape(len(gens), G.rank)
+            X = grid @ H % np.array(G.moduli, dtype=dtype)
+            ranks = X @ np.array(G._weights, dtype=dtype)
+            order = np.argsort(ranks, kind="stable")
+            assert len(order) == self.order and (np.diff(ranks[order]) > 0).all()
+            self._elems = [GroupElement(G, tuple(c)) for c in X[order].tolist()]
         return self._elems
 
     def coset_key(self, x: GroupElement) -> tuple:

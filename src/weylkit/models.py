@@ -114,8 +114,7 @@ class Operator:
         self.monomial = monomial
         self._dense = None
         if monomial is not None:
-            if sorted(monomial.src.tolist()) != list(range(dim)):
-                raise InputError("monomial source map is not a permutation")
+            _check_permutations(monomial.src[None, :], dim)
         elif dense is not None:
             dense = np.asarray(dense, dtype=complex)
             if dense.shape != (dim, dim):
@@ -174,10 +173,21 @@ class ProjectiveRep:
 
     Operators are built on demand by ``builder(element) -> Operator`` and
     cached for groups small enough to enumerate comfortably.
+
+    A monomial model that is affine in the coordinates may also pass
+    ``batch=(den, fn)``: ``fn(Y) -> (SRC, NUM)`` evaluates a (c x rank) int64
+    block Y of coordinate rows at once, giving (c x dim) source indices and
+    phase numerators, all over the one denominator ``den``.  Rows must be
+    permutations; ``blocks`` checks every block it takes from ``fn``.  The
+    formula must keep its int64 intermediates below 2^63; the window model's
+    stay below 3 d q^2 for q^d <= DIM_CAP.  Build such a rep with
+    ``from_batch``, whose per-element builder is a one-row block, so both
+    routes state one formula.
     """
 
     def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, builder,
-                 label: str = "", cache: bool | None = None, tol: float = DEFAULT_TOL):
+                 label: str = "", cache: bool | None = None, tol: float = DEFAULT_TOL,
+                 batch=None):
         if multiplier.group != group:
             raise InputError("multiplier lives on a different group")
         if dim > DIM_CAP:
@@ -186,6 +196,7 @@ class ProjectiveRep:
         self.multiplier = multiplier
         self.dim = dim
         self.label = label or f"rep(dim={dim})"
+        self.batch = batch
         self._builder = builder
         self._cache = cache if cache is not None else group.order <= 4096
         self._ops: dict[int, Operator] = {}
@@ -193,6 +204,17 @@ class ProjectiveRep:
         w0 = self.operator(group.zero())
         if w0.distance_to(identity_operator(dim)) > tol:
             raise DefectError("W(0) is not the identity")
+
+    @classmethod
+    def from_batch(cls, group, multiplier, dim: int, den: int, fn, label: str = ""):
+        """Monomial rep given by the block formula ``fn(Y) -> (SRC, NUM)`` over ``den``."""
+        rank = group.rank
+
+        def builder(x):
+            SRC, NUM = fn(np.array(x.coords, dtype=np.int64).reshape(1, rank))
+            return Operator(dim, monomial=MonomialPart(dim, den, SRC[0], NUM[0]))
+
+        return cls(group, multiplier, dim, builder, label=label, batch=(den, fn))
 
     def operator(self, x: GroupElement) -> Operator:
         if x.group != self.group:
@@ -221,22 +243,50 @@ class ProjectiveRep:
         return ProjectiveRep(self.group, self.multiplier, self.dim, builder,
                              label=self.label + "+override", cache=self._cache)
 
+    def blocks(self):
+        """Every operator in rank order, max(1, 2**16 // dim) consecutive elements at a time.
+
+        Yields ``(ops, SRC, NUM, den)`` per block.  With a batch formula the
+        block is one call of it (``ops`` is None); otherwise ``ops`` are the
+        built operators, stacked into SRC and NUM over the lcm of their
+        denominators when all are monomial and left unstacked (SRC, NUM and
+        den None) when one is dense.  Every SRC row is checked to be a
+        permutation, with the ``InputError`` that ``Operator`` raises.
+        """
+        G, dim = self.group, self.dim
+        rows = max(1, 2 ** 16 // dim)
+        for start in range(0, G.order, rows):
+            stop = min(G.order, start + rows)
+            if self.batch is not None:
+                den, fn = self.batch
+                ops = None
+                SRC, NUM = fn(G.coords_range(start, stop))
+            else:
+                ops = [self.operator(G.element_by_rank(r)) for r in range(start, stop)]
+                if any(o.monomial is None for o in ops):
+                    yield ops, None, None, None
+                    continue
+                den = lcm(*(o.monomial.den for o in ops))
+                SRC = np.stack([o.monomial.src for o in ops])
+                NUM = np.stack([o.monomial.rescaled(den).num for o in ops])
+            _check_permutations(SRC, dim)
+            yield ops, SRC, NUM, den
+
     def is_monomial(self) -> bool:
         """True when every operator is monomial; builds all of them."""
-        return all(self.operator(x).is_monomial for x in self.group.elements())
+        return all(SRC is not None for _, SRC, _, _ in self.blocks())
 
     def monomial_arrays(self):
         """(SRC, NUM, den): stacked monomial data for every group element, rank order."""
         if self._arrays is None:
-            n = self.group.order
-            if n > EXHAUSTIVE_CAP:
+            if self.group.order > EXHAUSTIVE_CAP:
                 raise ResourceLimitError("monomial array stack capped at group order 512")
-            ops = [self.operator(x) for x in self.group.elements()]
-            if any(o.monomial is None for o in ops):
+            blocks = list(self.blocks())
+            if any(SRC is None for _, SRC, _, _ in blocks):
                 raise InputError("representation is not monomial")
-            den = lcm(*(o.monomial.den for o in ops))
-            SRC = np.stack([o.monomial.src for o in ops])
-            NUM = np.stack([o.monomial.rescaled(den).num for o in ops])
+            den = lcm(*(d for _, _, _, d in blocks))
+            SRC = np.concatenate([S for _, S, _, _ in blocks])
+            NUM = np.concatenate([N * (den // d) % den for _, _, N, d in blocks])
             self._arrays = (SRC, NUM, den)
         return self._arrays
 
@@ -276,6 +326,17 @@ class ProjectiveRep:
 
     def __repr__(self):
         return f"ProjectiveRep({self.label}, dim={self.dim}, {self.group!r})"
+
+
+def _check_permutations(SRC: np.ndarray, dim: int):
+    """Raise InputError unless every row of the (c x dim) array SRC permutes range(dim)."""
+    c = SRC.shape[0]
+    ok = SRC.shape[1:] == (dim,) and bool(((SRC >= 0) & (SRC < dim)).all())
+    if ok and c:
+        hits = np.bincount((SRC + dim * np.arange(c)[:, None]).ravel(), minlength=c * dim)
+        ok = bool((hits == 1).all())
+    if not ok:
+        raise InputError("monomial source map is not a permutation")
 
 
 def identity_operator(dim: int) -> Operator:
@@ -321,21 +382,21 @@ def schrodinger_model(A: FinAbGroup, pairing: Bicharacter | None = None) -> Proj
                                           for i in range(A.rank)])
     dim = A.order
     T = A.coords_array()
-    moduli = np.array(A.moduli, dtype=np.int64) if A.rank else np.zeros(0, dtype=np.int64)
-    w = np.array(A._weights, dtype=np.int64)
     P = pairing._cnum
     den = pairing.den
     rA = A.rank
 
-    def builder(x):
-        a = np.array(x.coords[:rA], dtype=np.int64)
-        b = np.array(x.coords[rA:], dtype=np.int64)
-        num = (T @ (P.T @ a)) % den if rA else np.zeros(dim, dtype=np.int64)
-        shifted = (T + b) % moduli if rA else T
-        src = (shifted * w).sum(axis=1)
-        return Operator(dim, monomial=MonomialPart(dim, den, src, num))
+    def batch(Y):
+        # row y = (a, b): num[t] = <a, t> = sum_i t_i (sum_j a_j P[j, i]) and src(t) = t + b
+        SRC = np.zeros((len(Y), dim), dtype=np.int64)
+        NUM = np.zeros((len(Y), dim), dtype=np.int64)
+        for i in range(rA):
+            coef = (Y[:, :rA] * P[:, i]).sum(axis=1) % den
+            NUM += coef[:, None] * T[:, i]
+            SRC += ((T[:, i] + Y[:, rA + i, None]) % A.moduli[i]) * A._weights[i]
+        return SRC, NUM % den
 
-    return ProjectiveRep(G, m, dim, builder, label=f"schrodinger({A!r})")
+    return ProjectiveRep.from_batch(G, m, dim, den, batch, label=f"schrodinger({A!r})")
 
 
 def standard_pairing(A: FinAbGroup) -> Bicharacter:
@@ -349,15 +410,16 @@ def regular_rep(G: FinAbGroup) -> ProjectiveRep:
     """The translation representation on functions over G, with trivial multiplier."""
     dim = G.order
     X = G.coords_array()
-    moduli = np.array(G.moduli, dtype=np.int64) if G.rank else np.zeros(0, dtype=np.int64)
-    w = np.array(G._weights, dtype=np.int64)
 
-    def builder(y):
-        yv = np.array(y.coords, dtype=np.int64)
-        src = (((X + yv) % moduli) * w).sum(axis=1) if G.rank else np.zeros(1, dtype=np.int64)
-        return Operator(dim, monomial=MonomialPart(dim, 1, src, np.zeros(dim, dtype=np.int64)))
+    def batch(Y):
+        # row y: src(x) = x + y, no phases
+        SRC = np.zeros((len(Y), dim), dtype=np.int64)
+        for j in range(G.rank):
+            SRC += ((X[:, j] + Y[:, j, None]) % G.moduli[j]) * G._weights[j]
+        return SRC, np.zeros_like(SRC)
 
-    return ProjectiveRep(G, zero_multiplier(G), dim, builder, label=f"regular({G!r})")
+    return ProjectiveRep.from_batch(G, zero_multiplier(G), dim, 1, batch,
+                                    label=f"regular({G!r})")
 
 
 def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
@@ -496,7 +558,10 @@ def commutant_d(W: ProjectiveRep, sv_zero: float = SV_ZERO) -> int:
     Solved as an exact nullspace (singular values below ``sv_zero`` count as
     zero) up to carrier dimension 48; above that the dimension is read off the
     trace of the group-averaged commutant projector, which equals
-    sum_g |tr W(g)|^2 / |G| and agrees with the nullspace count.
+    sum_g |tr W(g)|^2 / |G| and agrees with the nullspace count.  The trace
+    sum runs over ``W.blocks()``: a monomial block exponentiates only its
+    fixed points (SRC[g, i] = i) and sums them per row, so no operator object
+    is built for a batched model; a dense block takes each operator's trace.
     """
     if W.dim > DIM_CAP:
         raise ResourceLimitError(f"carrier dimension {W.dim} exceeds cap {DIM_CAP}")
@@ -506,9 +571,14 @@ def commutant_d(W: ProjectiveRep, sv_zero: float = SV_ZERO) -> int:
             return W.dim * W.dim
         return _commutant_dim([W.operator(g).matrix for g in gens], sv_zero)
     total = 0.0
-    for x in W.group.elements():
-        t = W.operator(x).trace()
-        total += (t * t.conjugate()).real
+    for ops, SRC, NUM, den in W.blocks():
+        if SRC is None:
+            tr = np.array([op.trace() for op in ops])
+        else:
+            g, i = np.nonzero(SRC == np.arange(W.dim))
+            ph = np.exp(2j * np.pi * NUM[g, i] / den)
+            tr = np.bincount(g, ph.real, len(SRC)) + 1j * np.bincount(g, ph.imag, len(SRC))
+        total += float((tr.real ** 2 + tr.imag ** 2).sum())
     val = total / W.group.order
     if abs(val - round(val)) > 1e-6:
         raise DefectError(f"commutant trace {val} is not an integer")

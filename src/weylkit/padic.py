@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .groups import FinAbGroup, _require_prime, subgroup_span
 from .isotropy import polar
-from .models import DEFAULT_TOL, MonomialPart, Operator, ProjectiveRep, commutant_d
+from .models import DEFAULT_TOL, ProjectiveRep, commutant_d
 from .multipliers import (
     Bicharacter,
     BicharacterMultiplier,
@@ -88,26 +88,28 @@ def window_group(p: int, k: int, d: int) -> PAdicWindow:
 def window_weyl(w: PAdicWindow) -> ProjectiveRep:
     """Weyl operators (W(y) f)(s) = chi_p(2 s.y2 + y1.y2) f(s + y1) on the s-window.
 
-    The operators are monomial with denominator p^{2k}; the multiplier is the
-    window symplectic form, verified by the representation-law check.
+    The operators are monomial with denominator q = p^{2k}; the multiplier is
+    the window symplectic form, verified by the representation-law check.
+    Numerators stay below 3 d q^2, far inside int64 for q^d <= DIM_CAP.
     """
     q = w.modulus
     d = w.d
     pt = w.point_group
     dim = pt.order
     S = pt.coords_array()
-    weights = np.array(pt._weights, dtype=np.int64)
-    mod = np.array(pt.moduli, dtype=np.int64)
 
-    def builder(y):
-        y1 = np.array(y.coords[:d], dtype=np.int64)
-        y2 = np.array(y.coords[d:], dtype=np.int64)
-        num = (2 * (S @ y2) + int(y1 @ y2)) % q
-        src = (((S + y1) % mod) * weights).sum(axis=1)
-        return Operator(dim, monomial=MonomialPart(dim, q, src, num))
+    def batch(Y):
+        Y1, Y2 = Y[:, :d], Y[:, d:]
+        SRC = np.zeros((len(Y), dim), dtype=np.int64)
+        NUM = np.zeros((len(Y), dim), dtype=np.int64)
+        NUM += (Y1 * Y2).sum(axis=1)[:, None]
+        for j in range(d):
+            SRC += ((S[:, j] + Y1[:, j, None]) % q) * pt._weights[j]
+            NUM += 2 * Y2[:, j, None] * S[:, j]
+        return SRC, NUM % q
 
-    return ProjectiveRep(w.group, w.m, dim, builder,
-                         label=f"window(p={w.p},k={w.k},d={w.d})")
+    return ProjectiveRep.from_batch(w.group, w.m, dim, q, batch,
+                                    label=f"window(p={w.p},k={w.k},d={w.d})")
 
 
 def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
@@ -129,7 +131,9 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
     report.add("is_heisenberg matches parity", heis == (w.p != 2),
                note=f"is_heisenberg={heis}, p={w.p}")
 
-    S = sectors(W, w.L, tol)
+    # for p = 2 the descent decomposes W|_L; its checks are reported below
+    D = descend(W, w.L, tol) if w.p == 2 else None
+    S = D.sectors if D is not None else sectors(W, w.L, tol)
     out["vacuum_dim"] = S.vacuum_dim
     out["sector_dims"] = {str(k_): v for k_, v in sorted(S.coset_dims().items())} \
         if S.labeled and w.group.order <= 100_000 else None
@@ -145,7 +149,6 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
 
     report.add("vacuum dimension = 2^d", S.vacuum_dim == 2 ** w.d,
                note=f"dim H^L = {S.vacuum_dim}")
-    D = descend(W, w.L, tol)
     out["descended"] = D
     out["v2_order"] = D.v2.order
     report.add("|V2| = 2^(2d)", D.v2.order == 4 ** w.d)

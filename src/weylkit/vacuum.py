@@ -414,6 +414,7 @@ class DescendedRep:
     m0: TableMultiplier
     n: Bicharacter
     report: VerificationReport = field(repr=False, default=None)
+    sectors: SectorDecomposition = field(repr=False, default=None)   # of W|_L
 
     @property
     def section_coords(self):
@@ -487,7 +488,7 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
     report.add("lift of n equals m~ on L/2", lift_ok, witness=witness)
     if not lift_ok:
         raise DefectError("descended form does not lift to m~", witness=witness)
-    return DescendedRep(W, L, q, V2, B0, rep0, m0, n, report)
+    return DescendedRep(W, L, q, V2, B0, rep0, m0, n, report, S)
 
 
 @dataclass

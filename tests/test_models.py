@@ -238,17 +238,52 @@ def test_commutant_trivial_rep():
     assert commutant_d(W) == 1
 
 
-def test_commutant_character_path_agrees(z9):
+COMMUTANT_CASES = {
+    "z9": lambda: z9_setup()[3],
+    "window-2-1-1": lambda: window_model(2, 1, 1),
+    "window-2-1-2": lambda: window_model(2, 1, 2),
+    "window-2-2-1": lambda: window_model(2, 2, 1),
+    "window-3-1-1": lambda: window_model(3, 1, 1),
+    "window-5-1-1": lambda: window_model(5, 1, 1),
+    "schrodinger-2x3": lambda: schrodinger_model(FinAbGroup([2, 3])),
+}
+
+
+@pytest.mark.parametrize("case", list(COMMUTANT_CASES))
+def test_commutant_character_path_agrees(case, monkeypatch):
     from weylkit import models
-    _, _, _, W = z9
+    W = COMMUTANT_CASES[case]()
     via_svd = commutant_d(W)
-    old = models.COMMUTANT_SVD_CAP
-    models.COMMUTANT_SVD_CAP = 0
-    try:
-        via_trace = commutant_d(W)
-    finally:
-        models.COMMUTANT_SVD_CAP = old
-    assert via_svd == via_trace == 1
+    monkeypatch.setattr(models, "COMMUTANT_SVD_CAP", 0)
+    via_trace = commutant_d(W)
+    assert via_svd == via_trace
+    # the window models of p = 2 are the reducible ones
+    assert (via_svd > 1) == case.startswith("window-2")
+
+
+@pytest.mark.parametrize("fault", ["repeated source", "source out of range"])
+def test_batched_permutation_check_can_fail(fault, monkeypatch):
+    from weylkit import models
+    W = window_model(2, 1, 1)
+    den, fn = W.batch
+
+    def broken(Y):
+        SRC, NUM = fn(Y)
+        SRC = SRC.copy()
+        moved = Y.any(axis=1)               # W(0) stays the identity
+        SRC[moved, 0] = SRC[moved, 1] if fault == "repeated source" else W.dim
+        return SRC, NUM
+
+    B = models.ProjectiveRep.from_batch(W.group, W.multiplier, W.dim, den, broken)
+    monkeypatch.setattr(models, "COMMUTANT_SVD_CAP", 0)
+    with pytest.raises(InputError, match="not a permutation"):
+        commutant_d(B)
+    with pytest.raises(InputError, match="not a permutation"):
+        B.is_monomial()
+    with pytest.raises(InputError, match="not a permutation"):
+        B.operator(B.group.element([1, 0]))
+    assert commutant_d(models.ProjectiveRep.from_batch(W.group, W.multiplier, W.dim, den, fn)) \
+        == commutant_d(W)
 
 
 def test_intertwiner_self_is_scalar(z9):

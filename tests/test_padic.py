@@ -166,9 +166,17 @@ def test_full_report_builds_and_descends_once(monkeypatch, capsys):
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("weylkit") and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
+    from weylkit.vacuum import SectorDecomposition
+    init = SectorDecomposition.__init__
+
+    def counted_init(*args, **kwargs):
+        calls["SectorDecomposition"] += 1
+        init(*args, **kwargs)
+
+    monkeypatch.setattr(SectorDecomposition, "__init__", counted_init)
     assert cli.main(["padic", "--p", "2", "--k", "1", "--d", "1", "--full-report"]) == 0
     assert '"pass": true' in capsys.readouterr().out
-    assert calls == {"descend": 1, "window_weyl": 1}
+    assert calls == {"descend": 1, "window_weyl": 1, "SectorDecomposition": 1}
 
 
 def test_window_L_is_not_2L_exactly_for_p2():
@@ -198,8 +206,11 @@ def test_largest_window_fast():
     import time
     t0 = time.time()
     prof = vacuum_profile(window(2, 2, 2))
+    split = window_reducibility_check(prof["descended"])   # the 65 536-operator trace
     elapsed = time.time() - t0
     assert prof["vacuum_dim"] == 4
     assert prof["v2_order"] == 16
     assert prof["report"].passed
+    assert split.passed
+    assert [c.note for c in split.checks] == ["commutant=4", "commutant=1"]
     assert elapsed < 10.0
