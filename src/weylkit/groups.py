@@ -109,7 +109,10 @@ class FinAbGroup:
 
     def coords_range(self, start: int, stop: int) -> np.ndarray:
         """((stop - start) x rank) int64 coordinates of the elements of rank start..stop-1."""
-        r = np.arange(start, stop, dtype=np.int64)
+        return self.coords_at(np.arange(start, stop, dtype=np.int64))
+
+    def coords_at(self, r: np.ndarray) -> np.ndarray:
+        """(len(r) x rank) int64 coordinates of the elements whose ranks are the entries of r."""
         X = np.empty((len(r), self.rank), dtype=np.int64)
         for i, (n, w) in enumerate(zip(self.moduli, self._weights)):
             X[:, i] = (r // w) % n
@@ -228,7 +231,7 @@ def p_regularity(G: FinAbGroup, p: int) -> dict:
 class Subgroup:
     """Subgroup of a FinAbGroup, canonicalised by the column HNF of its preimage lattice."""
 
-    __slots__ = ("ambient", "generators", "basis", "_elems", "_decomp")
+    __slots__ = ("ambient", "generators", "basis", "_elems", "_decomp", "_transversal")
 
     def __init__(self, ambient: FinAbGroup, generators, basis):
         self.ambient = ambient
@@ -236,6 +239,7 @@ class Subgroup:
         self.basis = tuple(tuple(row) for row in basis)
         self._elems = None
         self._decomp = None
+        self._transversal = None
 
     @classmethod
     def span(cls, ambient: FinAbGroup, gens) -> "Subgroup":
@@ -320,22 +324,32 @@ class Subgroup:
         """Rank-minimal element of the coset x + A."""
         return min((x + a for a in self.elements()), key=lambda e: e.rank)
 
+    def box_codes(self, X: np.ndarray) -> np.ndarray:
+        """Coset codes of the (c x rank) int64 coordinate rows X, as a length-c array.
+
+        Each row is box-reduced against the lattice basis, as in ``coset_key``,
+        and the reduced row, with entries in [0, H_ii), is read in mixed radix
+        over diag(H).  The code lies in [0, |G/A|) because prod H_ii = |G/A|,
+        and two rows share a code exactly when they share a coset.
+        """
+        X = np.array(X, dtype=np.int64)
+        H = np.array(self.basis, dtype=np.int64).reshape(len(self.basis), self.ambient.rank)
+        for i in range(len(H)):
+            X[:, i:] -= np.outer(X[:, i] // H[i, i], H[i:, i])
+        diag = np.diag(H)
+        return X @ (np.cumprod(diag) // diag)       # radix prod_{j<i} H_jj
+
     def transversal(self):
-        """Rank-minimal coset representatives, ordered by rank; covers G exactly once."""
-        G = self.ambient
-        if G.order > ENUMERATION_CAP:
-            raise ResourceLimitError("ambient group too large for a transversal scan")
-        if not self.basis:
-            return [G.zero()]
-        X = G.coords_array().copy()
-        H = np.array(self.basis, dtype=np.int64)
-        for i in range(G.rank):
-            q = X[:, i] // H[i, i]
-            X[:, i:] -= np.outer(q, H[i:, i])
-        # X rows are now box-canonical coset keys, in element rank order
-        _, first = np.unique(X, axis=0, return_index=True)
-        first.sort()
-        return [G.element_by_rank(int(i)) for i in first]
+        """Rank-minimal coset representatives, ordered by rank; covers G exactly once (cached)."""
+        if self._transversal is None:
+            G = self.ambient
+            if G.order > ENUMERATION_CAP:
+                raise ResourceLimitError("ambient group too large for a transversal scan")
+            # codes are in element rank order, so the first hit of each is rank-minimal
+            _, first = np.unique(self.box_codes(G.coords_array()), return_index=True)
+            first.sort()
+            self._transversal = [G.element_by_rank(int(i)) for i in first]
+        return self._transversal
 
     def decomposition(self):
         """Independent generators and their orders: A = (+) Z/d_j * h_j, d_1 | d_2 | ...

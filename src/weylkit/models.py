@@ -9,6 +9,7 @@ are materialised only for compressions, commutants and intertwiners.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
 
 import numpy as np
@@ -174,11 +175,11 @@ class ProjectiveRep:
     Operators are built on demand by ``builder(element) -> Operator`` and
     cached for groups small enough to enumerate comfortably.
 
-    A monomial model that is affine in the coordinates may also pass
-    ``batch=(den, fn)``: ``fn(Y) -> (SRC, NUM)`` evaluates a (c x rank) int64
-    block Y of coordinate rows at once, giving (c x dim) source indices and
-    phase numerators, all over the one denominator ``den``.  Rows must be
-    permutations; ``blocks`` checks every block it takes from ``fn``.  The
+    A monomial model may also pass ``batch=(den, fn)``: ``fn(Y) -> (SRC, NUM)``
+    evaluates a (c x rank) int64 block Y of reduced coordinate rows at once,
+    giving (c x dim) source indices and phase numerators, all over the one
+    denominator ``den``.  Rows must be permutations; ``blocks`` and the
+    sampled identity scans check every block they take from ``fn``.  The
     formula must keep its int64 intermediates below 2^63; the window model's
     stay below 3 d q^2 for q^d <= DIM_CAP.  Build such a rep with
     ``from_batch``, whose per-element builder is a one-row block, so both
@@ -430,6 +431,8 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     Functions satisfy the covariance f(x + a) = m(a, x)^{-1} c(a)^{-1} f(x)
     (which reduces to f(x + a) = m(x, a) c(a)^{-1} f(x) when m is an
     alternating bicharacter) and the action is (W(y) f)(x) = m(x, y) f(x + y).
+    The action is one block formula over the transversal (``from_batch``):
+    cosets are found by ``Subgroup.box_codes`` and c by rank among A's elements.
     """
     if m.group != G or A.ambient != G:
         raise InputError("group, multiplier and subgroup do not match")
@@ -443,24 +446,38 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
         cmap = c.c if isinstance(c, SplittingData) else c
         SplittingData(A, cmap).validate(m)
 
-    reps = A.transversal()
-    dim = len(reps)
-    pos = {A.coset_key(r): i for i, r in enumerate(reps)}
+    R = np.array([r.coords for r in A.transversal()], dtype=np.int64)
+    dim = len(R)
     den = lcm(m.den, cmap.den)
+    # transversal position by box code, and c over den by rank among A's elements
+    position = np.full(dim, -1, dtype=np.int64)
+    position[A.box_codes(R)] = np.arange(dim)
+    elems = A.elements()
+    a_ranks = np.array([a.rank for a in elems], dtype=np.int64)
+    c_num = np.array([cmap(a).numerator_at(den) for a in elems], dtype=np.int64)
+    moduli = np.array(G.moduli, dtype=np.int64)
+    weights = np.array(G._weights, dtype=np.int64)
+    scale = den // m.den
 
-    def builder(y):
-        src = np.zeros(dim, dtype=np.int64)
-        num = np.zeros(dim, dtype=np.int64)
-        for i, r in enumerate(reps):
-            z = r + y
-            j = pos[A.coset_key(z)]
-            a = z - reps[j]
-            ph = m(r, y) - m(a, reps[j]) - cmap(a)
-            src[i] = j
-            num[i] = ph.numerator_at(den)
-        return Operator(dim, monomial=MonomialPart(dim, den, src, num))
+    def batch(Y):
+        # row (k, i): z = r_i + y_k = r_j + a with r_j its coset's representative;
+        # num = m(r_i, y_k) - m(a, r_j) - c(a) and src = j
+        c = len(Y)
+        Rk = np.tile(R, (c, 1))
+        Yk = np.repeat(Y, dim, axis=0)
+        Z = (Rk + Yk) % moduli
+        J = position[A.box_codes(Z)]
+        if (J < 0).any():
+            raise InputError("a coset code is missing from the transversal")
+        a = (Z - R[J]) % moduli
+        ar = a @ weights
+        k = np.minimum(np.searchsorted(a_ranks, ar), len(a_ranks) - 1)
+        if (a_ranks[k] != ar).any():
+            raise InputError("a coset difference is missing from the subgroup")
+        NUM = (m.pair_nums(Rk, Yk) - m.pair_nums(a, R[J])) * scale - c_num[k]
+        return J.reshape(c, dim), (NUM % den).reshape(c, dim)
 
-    rep = ProjectiveRep(G, m, dim, builder, label=f"induced(|A|={A.order})")
+    rep = ProjectiveRep.from_batch(G, m, dim, den, batch, label=f"induced(|A|={A.order})")
     if check:
         report = check_rep_law(rep, samples=2000)
         if not report.passed:
@@ -500,7 +517,9 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
     order <= EXHAUSTIVE_CAP is scanned over all pairs in exact integer
     arithmetic, and the witness is the first bad pair in rank order.  Any other
     model is compared pair by pair, over all pairs when |G|^2 <= ``samples``
-    and over a seeded sample otherwise, and the witness is the worst pair.
+    and over a seeded sample otherwise, and the witness is the worst pair.  A
+    batched model's pairs are first compared exactly through its block
+    formula; only the pairs that differ are densified to measure the distance.
     """
     G = W.group
     n = G.order
@@ -535,14 +554,18 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
         note = f"exhaustive over {n}^2 pairs"
     else:
         if n * n <= samples:
-            pairs = [(x, y) for x in G.elements() for y in G.elements()]
+            idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
             note = f"exhaustive over {n}^2 pairs"
         else:
             rng = np.random.default_rng(seed)
             idx = rng.integers(0, n, size=(samples, 2))
-            pairs = [(G.element_by_rank(int(i)), G.element_by_rank(int(j))) for i, j in idx]
             note = f"sampled {samples} pairs, seed={seed}"
-        for x, y in pairs:
+        if W.batch is not None:
+            # pairs that hold exactly have distance 0 and cannot move worst or witness
+            idx = idx[~_batch_pairs_hold(W, phase, swapped, idx)]
+        element = cache(G.element_by_rank)
+        for i, j in idx.tolist():
+            x, y = element(i), element(j)
             dist = distance(x, y)
             if dist > worst:
                 worst = dist
@@ -550,6 +573,38 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
                     witness = (x.coords, y.coords)
         passed = worst <= tolerance
     rep.add(name, passed, residual=worst, tolerance=tolerance, witness=witness, note=note)
+
+
+def _batch_pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool,
+                      idx: np.ndarray) -> np.ndarray:
+    """Mask of the rank pairs (x, y) in ``idx`` where the identity of ``_check_pairs`` holds exactly.
+
+    Evaluates W(x), W(y) and, unless ``swapped``, W(x + y) through the rep's
+    block formula, max(1, 2**16 // dim) pairs at a time, each block checked to
+    be permutations.
+    """
+    G, dim = W.group, W.dim
+    den0, fn = W.batch
+    d = lcm(den0, phase.den)
+    moduli = np.array(G.moduli, dtype=np.int64)
+
+    def rows(Y):
+        SRC, NUM = fn(Y)
+        _check_permutations(SRC, dim)
+        return SRC, NUM * (d // den0)
+
+    step = max(1, 2 ** 16 // dim)
+    out = np.empty(len(idx), dtype=bool)
+    for start in range(0, len(idx), step):
+        X, Y = G.coords_at(idx[start:start + step, 0]), G.coords_at(idx[start:start + step, 1])
+        (SX, NX), (SY, NY) = rows(X), rows(Y)
+        k = np.arange(len(X))[:, None]
+        src1, num1 = SY[k, SX], NX + NY[k, SX]                 # W(x) W(y)
+        src2, num2 = (SX[k, SY], NY + NX[k, SY]) if swapped else rows((X + Y) % moduli)
+        P = phase.pair_nums(X, Y) * (d // phase.den)
+        out[start:start + step] = (src1 == src2).all(axis=1) & \
+            ((num1 - num2 - P[:, None]) % d == 0).all(axis=1)
+    return out
 
 
 def commutant_d(W: ProjectiveRep, sv_zero: float = SV_ZERO) -> int:
@@ -607,9 +662,10 @@ def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep, sv_zero: float = SV_ZERO) 
         dim = n1 * n2
     else:
         K = _kron_system([(W1.operator(g).matrix, W2.operator(g).matrix) for g in gens])
-        _, sv, vh = np.linalg.svd(K)
+        # K has len(gens) * n1 * n2 >= n1 * n2 rows, so the thin SVD keeps all of vh
+        _, sv, vh = np.linalg.svd(K, full_matrices=False)
         nzero = int((sv <= sv_zero).sum())
-        null = vh[len(sv) - nzero:]          # zero directions plus any rows beyond rank
+        null = vh[len(sv) - nzero:]          # right singular vectors of the zero singular values
         vecs = [v.conj() for v in null]
         dim = len(vecs)
         basis = [v.reshape((n2, n1), order="F") for v in vecs]

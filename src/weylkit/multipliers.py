@@ -354,6 +354,18 @@ def check_multiplier(m: Multiplier, *, triples: int = SAMPLED_TRIPLES,
     Exhaustive over all |G|^3 triples when |G| <= TABLE_CAP, by vectorised
     integer arithmetic; above the cap a seeded sample of at least ``triples``
     triples is tested.  On failure the report carries a witness triple.
+
+    The exhaustive check first tests only the rows x in {0} and the
+    generators of G, over all (y, z): (rank + 1) |G|^2 triples, which decide
+    all |G|^3.  The row dm(x, ., .) = 0 says that every X = (s, x) associates
+    with all P, Q in the extension Q/Z x G with product
+    (s, x)(t, y) = (s + t + m(x, y), x + y).  If X and T = (t, g) do, so
+    does XT, which lies over x + g:
+    (XT)(PQ) = X(T(PQ)) = X((TP)Q) = (X(TP))Q = ((XT)P)Q,
+    by associativity for X, for T, for X and for X again.  Sums of
+    generators reach every element of G, so every row vanishes.  Only when
+    that check fails does the full scan over z run, to report the first bad
+    triple in z-major order as the witness.
     """
     G = m.group
     rep = VerificationReport(f"multiplier on {G!r} ({m.backing()})")
@@ -370,8 +382,12 @@ def check_multiplier(m: Multiplier, *, triples: int = SAMPLED_TRIPLES,
         rep.add("normalization", norm_ok, witness=wit)
 
         S = G.addition_table()
+        rows = [G.zero().rank] + [g.rank for g in G.generators()]
+        # dm(x, y, z) = m(x+y, z) + m(x, y) - m(x, y+z) - m(y, z) on the (y, z) grid
+        reduced_ok = all(((num[S[x]] + num[x][:, None] - num[x][S] - num) % den == 0).all()
+                         for x in rows)
         witness = None
-        for z in range(n):
+        for z in range(0 if reduced_ok else n):
             lhs = num[S, z] + num                             # m(x+y, z) + m(x, y)
             rhs = num[:, S[:, z]] + num[:, z][None, :]        # m(x, y+z) + m(y, z)
             bad = np.argwhere((lhs - rhs) % den != 0)

@@ -1,23 +1,39 @@
 """Batched monomial formulas and mixed-radix enumeration against plain oracles.
 
 Every batched row must equal the per-element operator and a dense matrix
-written straight from the model's defining formula; ``Subgroup.elements``
+written straight from the model's defining formula; the induced model must
+equal its scalar formula evaluated one coset at a time; ``Subgroup.elements``
 must equal a breadth-first closure over the generators.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weylkit.groups import FinAbGroup, Subgroup
-from weylkit.multipliers import Bicharacter
-from weylkit.phases import Phase
-from weylkit.models import MonomialPart, regular_rep, schrodinger_model, standard_pairing
+from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
+from weylkit.isotropy import extend_maximal
+from weylkit.multipliers import (
+    Bicharacter,
+    PhaseMap,
+    antisymmetrize,
+    split_symmetric,
+    twist,
+    zero_multiplier,
+)
+from weylkit.phases import Phase, ZERO
+from weylkit.models import (
+    MonomialPart,
+    SplittingData,
+    induced_model,
+    regular_rep,
+    schrodinger_model,
+    standard_pairing,
+)
 
-from conftest import window, window_model
+from conftest import f2_setup, window, window_model, z9_setup
 
 SETTINGS = settings(max_examples=40, deadline=None)
 MODULI = st.lists(st.sampled_from([1, 2, 3, 4, 5, 6]), max_size=3)
@@ -136,6 +152,151 @@ def test_blocks_cover_rank_order(W):
         assert W.operator(x).monomial.equals(MonomialPart(W.dim, den, SRC[x.rank], NUM[x.rank]))
 
 
+# -- induced models ----------------------------------------------------------
+
+def per_coset_operators(G, m, A, c):
+    """Every operator of the induced model, built one coset at a time from the scalar formula.
+
+    (W(y) f)(r_i) = e(m(r_i, y) - m(a, r_j) - c(a)) f(r_j), where r_i + y = r_j + a
+    with r_j the transversal element of its coset and a in A.
+    """
+    reps = A.transversal()
+    pos = {A.coset_key(r): i for i, r in enumerate(reps)}
+    den = lcm(m.den, c.den)
+    ops = []
+    for y in G.elements():
+        src, num = [], []
+        for r in reps:
+            z = r + y
+            j = pos[A.coset_key(z)]
+            a = z - reps[j]
+            src.append(j)
+            num.append((m(r, y) - m(a, reps[j]) - c(a)).numerator_at(den))
+        ops.append(MonomialPart(len(reps), den, src, num))
+    return ops
+
+
+def assert_induced_matches(G, m, A, c=None):
+    """induced_model(G, m, A, c) equals the per-coset oracle on every operator, both routes."""
+    W = induced_model(G, m, A, c)
+    cmap = split_symmetric(m, A) if c is None else c.c if isinstance(c, SplittingData) else c
+    oracle = per_coset_operators(G, m, A, cmap)
+    assert W.batch[0] == oracle[0].den
+    for x, want in zip(G.elements(), oracle):
+        assert W.operator(x).monomial.equals(want)
+    blocks = list(W.blocks())
+    assert all(ops is None and den == W.batch[0] for ops, _, _, den in blocks)
+    SRC = np.concatenate([S for _, S, _, _ in blocks])
+    NUM = np.concatenate([N for _, _, N, _ in blocks])
+    for x, want in enumerate(oracle):
+        assert MonomialPart(W.dim, W.batch[0], SRC[x], NUM[x]).equals(want)
+
+
+def block_form(moduli, units, lower=True):
+    """m(x, y) = sum_i u_i (x_i y_{i+r} - [lower] x_{i+r} y_i) / n_i on (Z/n_1 x .. x Z/n_r)^2.
+
+    Without the lower corner it is the Weyl product form, whose
+    antisymmetrization is nondegenerate for every n_i; with it the form is
+    alternating, nondegenerate for odd n_i only.
+    """
+    r = len(units)
+    G = FinAbGroup(list(moduli) + list(moduli))
+    B = [[ZERO] * (2 * r) for _ in range(2 * r)]
+    for i, (n, u) in enumerate(zip(moduli, units)):
+        B[i][i + r] = Phase(u, n)
+        if lower:
+            B[i + r][i] = Phase(-u, n)
+    return G, Bicharacter(G, B).to_multiplier()
+
+
+def span(G, gens):
+    return subgroup_span(G, [G.element(g) for g in gens])
+
+
+def z9_case():
+    G, m, L, _ = z9_setup()
+    return G, m, L, None
+
+
+def f2_case(gen):
+    G, m = f2_setup(2)
+    return G, m, span(G, [gen]), None
+
+
+def f2_4_case():
+    # the maximal isotropic subgroup carries a nonzero symmetric restriction
+    G, m = f2_setup(4)
+    return G, m, extend_maximal(span(G, []), antisymmetrize(m)), None
+
+
+def case_7373(gens):
+    G, m = block_form([7, 3], [3, 2])
+    return G, m, span(G, gens), None
+
+
+def lagrangian_9595():
+    G, m = block_form([9, 5], [2, 3])
+    return G, m, span(G, [[3, 0, 0, 0], [0, 0, 3, 0], [0, 1, 0, 0]]), None
+
+
+def twisted_table():
+    # a coboundary twist turns the form into a table that is no bicharacter
+    G, m = block_form([4, 3], [1, 2], lower=False)
+    rng = np.random.default_rng(5)
+    a = PhaseMap(G, {x.coords: Phase(int(rng.integers(0, 12)) if not x.is_zero() else 0, 12)
+                     for x in G.elements()})
+    return G, twist(m, a), span(G, [[1, 0, 0, 0], [0, 1, 0, 0]]), None
+
+
+def explicit_splitting():
+    # the canonical splitting shifted by a character of L is another splitting
+    G, m, L, _ = z9_setup()
+    c = split_symmetric(m, L)
+    shifted = {a.coords: c(a) + Phase(L.coordinates_of(a)[-1], L.decomposition()[1][-1])
+               for a in L.elements()}
+    return G, m, L, SplittingData(L, PhaseMap(G, shifted))
+
+
+def full_subgroup():
+    G = FinAbGroup([3, 1, 2])
+    return G, zero_multiplier(G), Subgroup.full(G), None
+
+
+INDUCED_CASES = {
+    "z9": z9_case,
+    "f2-position": lambda: f2_case([1, 0]),
+    "f2-momentum": lambda: f2_case([0, 1]),
+    "f2-4": f2_4_case,
+    "7373-position": lambda: case_7373([[1, 0, 0, 0], [0, 1, 0, 0]]),
+    "7373-momentum": lambda: case_7373([[0, 0, 1, 0], [0, 0, 0, 1]]),
+    "9595-lagrangian": lagrangian_9595,
+    "twisted-table": twisted_table,
+    "explicit-splitting": explicit_splitting,
+    "full-subgroup": full_subgroup,
+}
+
+
+@pytest.mark.parametrize("case", list(INDUCED_CASES), ids=list(INDUCED_CASES))
+def test_induced_matches_per_coset(case):
+    assert_induced_matches(*INDUCED_CASES[case]())
+
+
+@settings(max_examples=15, deadline=None)
+@given(moduli=st.lists(st.sampled_from([2, 3, 4, 5]), min_size=1, max_size=2), data=st.data())
+def test_induced_matches_per_coset_drawn(moduli, data):
+    units = [data.draw(st.sampled_from([u for u in range(1, n) if gcd(u, n) == 1]))
+             for n in moduli]
+    G, m = block_form(moduli, units, lower=False)
+    r = len(moduli)
+    half = data.draw(st.sampled_from([0, r]))
+    A = span(G, [[int(j == half + i) for j in range(2 * r)] for i in range(r)])
+    if G.order <= 512 and data.draw(st.booleans()):
+        vals = {x.coords: Phase(data.draw(st.integers(0, 5)) if not x.is_zero() else 0, 6)
+                for x in G.elements()}
+        m = twist(m, PhaseMap(G, vals))
+    assert_induced_matches(G, m, A)
+
+
 # -- mixed-radix enumeration -------------------------------------------------
 
 def bfs_elements(A: Subgroup):
@@ -181,3 +342,17 @@ def test_elements_match_bfs_examples(moduli, gens):
     A = Subgroup.span(G, [G.element(g) for g in gens])
     assert [x.coords for x in A.elements()] == bfs_elements(A)
     assert len(A.elements()) == A.order
+
+
+@settings(max_examples=100, deadline=None)
+@given(A=subgroups())
+def test_box_codes_label_cosets(A):
+    # one code per coset key, codes fill [0, |G/A|), and the transversal holds
+    # the rank-minimal element of every coset
+    G = A.ambient
+    codes = A.box_codes(G.coords_array()).tolist()
+    keys = [A.coset_key(x) for x in G.elements()]
+    assert len(set(zip(codes, keys))) == len(set(codes)) == len(set(keys)) == A.index
+    assert sorted(set(codes)) == list(range(A.index))
+    assert [x.coords for x in A.transversal()] == sorted(
+        {A.coset_representative(x).coords for x in G.elements()}, key=G.rank_of)

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from weylkit.cli import main
+
+SCENARIOS = sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))
 
 
 def write(tmp_path, name, obj):
@@ -205,3 +210,15 @@ def test_text_format(tmp_path, capsys):
     code, out = run(capsys, ["padic", "--scenario", path, "--format", "text"])
     assert code == 0
     assert "[pass]" in out
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+def test_committed_scenario_passes(path, capsys):
+    task = json.loads(path.read_text())["task"]
+    code, rep = run(capsys, [task, "--scenario", str(path)])
+    assert code == 0
+    assert rep["pass"] is True
+
+
+def test_committed_scenarios_found():
+    assert SCENARIOS

@@ -5,6 +5,7 @@ from weylkit.errors import InputError, PreconditionError
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.models import (
     Operator,
+    ProjectiveRep,
     check_rep_law,
     commutant_d,
     commutator_scalar_check,
@@ -190,6 +191,36 @@ def test_identity_fault_injection(case, dense, checker, name, witness, note, res
     assert failed[0].witness == witness
     assert failed[0].note == note
     assert failed[0].residual == pytest.approx(residual, abs=1e-9)
+
+
+@pytest.mark.parametrize("checker", [check_rep_law, commutator_scalar_check])
+@pytest.mark.parametrize("wrong", [False, True], ids=["own-multiplier", "zero-multiplier"])
+def test_batched_pair_scan_matches_pairwise(checker, wrong):
+    # window (3,1,2) is too large for the monomial scan; its batched sampled
+    # scan must report exactly what the pairwise scan of the same operators does
+    W = window_model(3, 1, 2)
+    m = zero_multiplier(W.group) if wrong else W.multiplier
+    den, fn = W.batch
+    batched = ProjectiveRep.from_batch(W.group, m, W.dim, den, fn)
+    pairwise = ProjectiveRep(W.group, m, W.dim, W.operator)
+    assert pairwise.batch is None
+    got = checker(batched, samples=1000, seed=3)
+    want = checker(pairwise, samples=1000, seed=3)
+    assert [c.to_dict() for c in got.checks] == [c.to_dict() for c in want.checks]
+    assert got.passed == (not wrong)
+
+
+@pytest.mark.parametrize("checker", [check_rep_law, commutator_scalar_check])
+def test_batched_pair_scan_builds_no_operator(checker):
+    # on a correct batched model the block formula settles every sampled pair
+    W = window_model(3, 1, 2)
+
+    def zero_only(x):
+        assert x.is_zero(), f"operator built at {x.coords}"
+        return identity_operator(W.dim)
+
+    strict = ProjectiveRep(W.group, W.multiplier, W.dim, zero_only, batch=W.batch)
+    assert checker(strict, samples=1000, seed=3).passed
 
 
 def test_scalar_twisted_model_passes(z9):

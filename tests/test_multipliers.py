@@ -1,12 +1,15 @@
 import random
-from math import gcd
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weylkit.errors import InputError, PreconditionError, UnsupportedOperationError
 from weylkit.groups import FinAbGroup, subgroup_span
 from weylkit.multipliers import (
+    TABLE_CAP,
     Bicharacter,
     PhaseMap,
     TableMultiplier,
@@ -90,6 +93,80 @@ def test_corrupted_table_fails_with_witness():
     assert wit is not None
     xw = G.coords_of(x0)
     assert any(tuple(w) == xw for w in wit)
+
+
+# -- the exhaustive cocycle check against the full scan ----------------------
+
+def z_major_oracle(G, den, num):
+    """(passed, witness) of the cocycle identity over all |G|^3 triples.
+
+    Scans z in rank order and, for each z, the (x, y) grid row by row, so the
+    witness is the first bad triple in z-major order.
+    """
+    S = G.addition_table()
+    for z in range(G.order):
+        delta = num[S, z] + num - num[:, S[:, z]] - num[:, z][None, :]
+        bad = np.argwhere(delta % den != 0)
+        if bad.size:
+            x, y = map(int, bad[0])
+            return False, (G.coords_of(x), G.coords_of(y), G.coords_of(z))
+    return True, None
+
+
+def drawn_table(G: FinAbGroup, kind: str, rng: np.random.Generator):
+    """(den, num) of a table on G of the given kind.
+
+    ``cocycle``: a random bicharacter plus the coboundary of a with a(0) = 0;
+    ``unnormalized``: the same with a(0) != 0, still a cocycle but not
+    normalized; ``corrupted``: a cocycle with one entry shifted; ``random``:
+    every entry drawn independently.
+    """
+    n = G.order
+    if kind == "random":
+        den = int(rng.integers(1, 13))
+        return den, rng.integers(0, den, size=(n, n))
+    mat = [[Phase(int(rng.integers(0, gcd(a, b))), gcd(a, b)) for b in G.moduli]
+           for a in G.moduli]
+    bden, bnum = Bicharacter(G, mat).to_multiplier().num_table()
+    aden = int(rng.integers(2, 13))
+    av = rng.integers(0, aden, size=n)
+    av[0] = int(rng.integers(1, aden)) if kind == "unnormalized" else 0
+    den = lcm(bden, aden)
+    S = G.addition_table()
+    num = bnum * (den // bden) + (av[:, None] + av[None, :] - av[S]) * (den // aden)
+    if kind == "corrupted":
+        x, y = rng.integers(0, n, size=2)
+        num[x, y] += int(rng.integers(1, den))
+    return den, num % den
+
+
+@settings(max_examples=60, deadline=None)
+@given(moduli=st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8]), max_size=3)
+       .filter(lambda ms: prod(ms) <= 96),
+       kind=st.sampled_from(["cocycle", "unnormalized", "corrupted", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(moduli=[], kind="cocycle", seed=0)
+@example(moduli=[], kind="unnormalized", seed=1)
+@example(moduli=[1], kind="random", seed=2)
+@example(moduli=[1, 1], kind="corrupted", seed=3)
+@example(moduli=[8, 1, 8, 8], kind="cocycle", seed=4)
+@example(moduli=[2, 16, 16], kind="corrupted", seed=5)
+@example(moduli=[4, 3, 1, 6], kind="unnormalized", seed=6)
+@example(moduli=[6, 1, 5, 17], kind="random", seed=7)
+def test_cocycle_check_matches_full_scan(moduli, kind, seed):
+    G = FinAbGroup(moduli)
+    assert G.order <= TABLE_CAP
+    den, num = drawn_table(G, kind, np.random.default_rng(seed))
+    rep = check_multiplier(TableMultiplier(G, den, num))
+    norm, cocycle = rep.checks
+    assert cocycle.name == "cocycle"
+    assert (cocycle.passed, cocycle.witness) == z_major_oracle(G, den, num)
+    assert cocycle.note == f"exhaustive over {G.order}^3 triples"
+    assert norm.passed == (not num[0].any() and not num[:, 0].any())
+    if kind in ("cocycle", "unnormalized"):
+        assert cocycle.passed
+    if kind == "unnormalized" and G.order > 1:
+        assert not norm.passed
 
 
 def test_antisymmetrize_weyl_product():
