@@ -1,7 +1,8 @@
 """Scenario-driven command line front end.
 
 Scenarios are JSON files; reports are JSON (default) or text.  Exit codes:
-0 all checks pass, 1 at least one check fails, 2 invalid input.  Reports are
+0 all checks pass, 1 at least one check fails, 2 invalid input or a tripped
+size budget (``errors.ENUMERATION_CAP``, ``TABLE_CAP``, ``DIM_CAP``).  Reports are
 byte-identical across runs for a fixed scenario and seed: timings are only
 included on request.
 """
@@ -16,7 +17,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import DefectError, InputError, PreconditionError, ResourceLimitError, UnsupportedOperationError
+from .errors import (DIM_CAP, DefectError, InputError, PreconditionError, ResourceLimitError,
+                     UnsupportedOperationError)
 from .groups import FinAbGroup, Subgroup, subgroup_span
 from .isotropy import is_maximal_isotropic, polar, polar_tilde
 from .models import (
@@ -124,11 +126,11 @@ def load_scenario(path: str) -> dict:
 
 def _check_dim(dim: int, args):
     if dim > args.max_dim:
-        raise ResourceLimitError(
-            f"carrier dimension {dim} exceeds --max-dim {args.max_dim}")
+        raise ResourceLimitError("carrier dimension", dim, "--max-dim", args.max_dim)
 
 
-def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args) -> ProjectiveRep:
+def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args,
+                check: bool = True) -> ProjectiveRep:
     model = scenario.get("model")
     if model is None:
         raise SchemaError("scenario needs a 'model' entry for this task")
@@ -138,7 +140,7 @@ def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args) -> Projectiv
         A = parse_subgroup(model["subgroup"], G)
         _check_dim(G.order // A.order, args)
         c = parse_splitting(model["splitting"], G) if "splitting" in model else None
-        return induced_model(G, m, A, c)
+        return induced_model(G, m, A, c, check=check)
     if kind == "window":
         p, k, d = int(model["p"]), int(model["k"]), int(model["d"])
         _check_dim(p ** (2 * k * d), args)
@@ -194,18 +196,20 @@ def run_model(scenario, args):
                  {"subgroup", "splitting", "model", "tolerance", "seed"})
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
+    # an induced model is law-checked on construction unless the report checks it
+    law = args.check_law or not (args.commutant or args.dump_matrices)
     if "model" in scenario:
-        W = build_model(scenario, G, m, args)
+        W = build_model(scenario, G, m, args, check=not law)
     else:
         if "subgroup" not in scenario:
             raise SchemaError("model task needs a subgroup or a model entry")
         A = parse_subgroup(scenario["subgroup"], G)
         _check_dim(G.order // A.order, args)
         c = parse_splitting(scenario["splitting"], G) if "splitting" in scenario else None
-        W = induced_model(G, m, A, c)
+        W = induced_model(G, m, A, c, check=not law)
     rep = VerificationReport(f"model {W.label}")
     summary = {"dimension": W.dim}
-    if args.check_law or not (args.commutant or args.dump_matrices):
+    if law:
         rep.extend(check_rep_law(W, tolerance=args.tolerance, seed=args.seed))
         rep.extend(commutator_scalar_check(W, tolerance=args.tolerance, seed=args.seed))
     if args.commutant:
@@ -370,7 +374,7 @@ def build_parser():
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--tolerance", type=float, default=1e-9)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-dim", type=int, default=4096)
+    ap.add_argument("--max-dim", type=int, default=DIM_CAP)
     ap.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-identical reports)")
     ap.add_argument("--check-law", action="store_true", help="model task: run the law checks")

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and the size budgets shared by all modules."""
+
+# The size budgets.  Each bounds one kind of work, and exceeding it raises
+# ResourceLimitError, which exits the CLI with code 2.
+ENUMERATION_CAP = 200_000   # elements listed or scanned one at a time
+TABLE_CAP = 512             # group order for |G| x |G| tables and exhaustive pair or triple scans
+DIM_CAP = 4096              # carrier dimension of a model; the default of --max-dim
 
 
 class WeylkitError(Exception):
@@ -26,4 +32,8 @@ class DefectError(WeylkitError):
 
 
 class ResourceLimitError(WeylkitError):
-    """A size cap (dimension, enumeration budget) was exceeded."""
+    """A size budget was exceeded: names the budget, its limit and the size that tripped it."""
+
+    def __init__(self, what: str, size: int, budget: str, limit: int):
+        super().__init__(f"{what} {size} exceeds {budget} = {limit}")
+        self.budget, self.limit, self.size = budget, limit, size

@@ -16,7 +16,7 @@ from math import isqrt, lcm, prod
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError, UnsupportedOperationError
+from .errors import ENUMERATION_CAP, InputError, ResourceLimitError, UnsupportedOperationError
 from .intmat import (
     box_reduce,
     column_hnf,
@@ -28,8 +28,6 @@ from .intmat import (
     smith_decompose,
     solve_lower_triangular,
 )
-
-ENUMERATION_CAP = 200_000
 
 
 class FinAbGroup:
@@ -103,7 +101,7 @@ class FinAbGroup:
         """(order x rank) int64 array of all coordinate vectors, in rank order."""
         if self._coords_cache is None:
             if self.order > ENUMERATION_CAP:
-                raise ResourceLimitError(f"group of order {self.order} is too large to enumerate")
+                raise ResourceLimitError("group order", self.order, "ENUMERATION_CAP", ENUMERATION_CAP)
             self._coords_cache = self.coords_range(0, self.order)
         return self._coords_cache
 
@@ -299,7 +297,8 @@ class Subgroup:
         """
         if self._elems is None:
             if self.order > ENUMERATION_CAP:
-                raise ResourceLimitError(f"subgroup of order {self.order} is too large to enumerate")
+                raise ResourceLimitError("subgroup order", self.order,
+                                         "ENUMERATION_CAP", ENUMERATION_CAP)
             G = self.ambient
             gens, orders = self.decomposition()
             dtype = np.int64 if G.order * self.order * max(G.rank, 1) < 2 ** 63 else object
@@ -344,7 +343,8 @@ class Subgroup:
         if self._transversal is None:
             G = self.ambient
             if G.order > ENUMERATION_CAP:
-                raise ResourceLimitError("ambient group too large for a transversal scan")
+                raise ResourceLimitError("ambient group order", G.order,
+                                         "ENUMERATION_CAP", ENUMERATION_CAP)
             # codes are in element rank order, so the first hit of each is rank-minimal
             _, first = np.unique(self.box_codes(G.coords_array()), return_index=True)
             first.sort()
@@ -536,7 +536,7 @@ def quotient(G: FinAbGroup, A: Subgroup) -> Quotient:
     if A.ambient != G:
         raise InputError("subgroup does not live in G")
     if G.order > ENUMERATION_CAP:
-        raise ResourceLimitError("group too large for quotient section scan")
+        raise ResourceLimitError("group order", G.order, "ENUMERATION_CAP", ENUMERATION_CAP)
     return _lattice_quotient(G, G, None, A, G.elements())
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DefectError, InputError, PreconditionError, ResourceLimitError
+from .errors import ENUMERATION_CAP, DefectError, InputError, PreconditionError, ResourceLimitError
 from .groups import Subgroup, double_preimage, subgroup_span
 from .multipliers import (
     Bicharacter,
@@ -19,8 +19,6 @@ from .multipliers import (
     antisymmetrize,
     congruence_solution_subgroup,
 )
-
-ENUM_CAP = 100_000
 
 
 def _as_form(m):
@@ -47,11 +45,9 @@ def polar(A: Subgroup, m) -> Subgroup:
             h = np.array([H[i][j] for i in range(r)], dtype=np.int64)
             rows.append(list(map(int, C @ h)))
         return congruence_solution_subgroup(G, rows, form.den)
-    # table backing: scan the defining condition
+    # table backing (|G| <= TABLE_CAP): scan the defining condition
     if not isinstance(m, Multiplier) or m.group != G:
         raise InputError("multiplier and subgroup live in different groups")
-    if G.order * A.order > ENUM_CAP * 10 or G.order > ENUM_CAP:
-        raise ResourceLimitError("polar enumeration budget exceeded")
     members = [x for x in G.elements() if all(not m(x, a) for a in A.elements())]
     return subgroup_span(G, members)
 
@@ -84,8 +80,8 @@ def extend_maximal(A: Subgroup, m) -> Subgroup:
     G = A.ambient
     if not is_isotropic(A, m):
         raise PreconditionError("seed subgroup is not isotropic")
-    if G.order > ENUM_CAP:
-        raise ResourceLimitError("greedy extension enumerates the group")
+    if G.order > ENUMERATION_CAP:
+        raise ResourceLimitError("group order", G.order, "ENUMERATION_CAP", ENUMERATION_CAP)
     current = A
     while True:
         extended = False

@@ -14,7 +14,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import DefectError, InputError, PreconditionError, ResourceLimitError
+from .errors import DIM_CAP, TABLE_CAP, DefectError, InputError, PreconditionError, ResourceLimitError
 from .groups import FinAbGroup, GroupElement, Subgroup
 from .multipliers import (
     Bicharacter,
@@ -32,9 +32,7 @@ from .reports import VerificationReport
 
 DEFAULT_TOL = 1e-9
 SV_ZERO = 1e-8
-EXHAUSTIVE_CAP = 512     # exhaustive pair scans up to this group order
-COMMUTANT_SVD_CAP = 48   # nullspace path up to this carrier dimension
-DIM_CAP = 4096
+BLOCK_ENTRIES = 2 ** 16   # a block of monomial data holds max(1, BLOCK_ENTRIES // dim) rows
 
 
 class MonomialPart:
@@ -94,9 +92,6 @@ class MonomialPart:
         if not fixed.any():
             return 0j
         return complex(np.exp(2j * np.pi * self.num[fixed] / self.den).sum())
-
-    def is_identity(self) -> bool:
-        return bool((self.src == np.arange(self.dim)).all() and not (self.num % self.den).any())
 
     def equals(self, other: "MonomialPart") -> bool:
         d = lcm(self.den, other.den)
@@ -187,23 +182,22 @@ class ProjectiveRep:
     """
 
     def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, builder,
-                 label: str = "", cache: bool | None = None, tol: float = DEFAULT_TOL,
-                 batch=None):
+                 label: str = "", batch=None):
         if multiplier.group != group:
             raise InputError("multiplier lives on a different group")
         if dim > DIM_CAP:
-            raise ResourceLimitError(f"carrier dimension {dim} exceeds cap {DIM_CAP}")
+            raise ResourceLimitError("carrier dimension", dim, "DIM_CAP", DIM_CAP)
         self.group = group
         self.multiplier = multiplier
         self.dim = dim
         self.label = label or f"rep(dim={dim})"
         self.batch = batch
         self._builder = builder
-        self._cache = cache if cache is not None else group.order <= 4096
+        self._cache = group.order <= 4096
         self._ops: dict[int, Operator] = {}
         self._arrays = None
         w0 = self.operator(group.zero())
-        if w0.distance_to(identity_operator(dim)) > tol:
+        if w0.distance_to(identity_operator(dim)) > DEFAULT_TOL:
             raise DefectError("W(0) is not the identity")
 
     @classmethod
@@ -228,11 +222,6 @@ class ProjectiveRep:
                 self._ops[r] = op
         return op
 
-    @classmethod
-    def from_operators(cls, group, multiplier, ops: dict, dim: int, label: str = ""):
-        table = dict(ops)
-        return cls(group, multiplier, dim, lambda x: table[x.rank], label=label)
-
     def with_override(self, x: GroupElement, op: Operator) -> "ProjectiveRep":
         """Copy of the rep with one operator replaced (fault injection in tests)."""
         base = self._builder
@@ -242,10 +231,10 @@ class ProjectiveRep:
             return op if y.rank == rank else base(y)
 
         return ProjectiveRep(self.group, self.multiplier, self.dim, builder,
-                             label=self.label + "+override", cache=self._cache)
+                             label=self.label + "+override")
 
     def blocks(self):
-        """Every operator in rank order, max(1, 2**16 // dim) consecutive elements at a time.
+        """Every operator in rank order, max(1, BLOCK_ENTRIES // dim) consecutive elements at a time.
 
         Yields ``(ops, SRC, NUM, den)`` per block.  With a batch formula the
         block is one call of it (``ops`` is None); otherwise ``ops`` are the
@@ -255,7 +244,7 @@ class ProjectiveRep:
         permutation, with the ``InputError`` that ``Operator`` raises.
         """
         G, dim = self.group, self.dim
-        rows = max(1, 2 ** 16 // dim)
+        rows = max(1, BLOCK_ENTRIES // dim)
         for start in range(0, G.order, rows):
             stop = min(G.order, start + rows)
             if self.batch is not None:
@@ -280,8 +269,8 @@ class ProjectiveRep:
     def monomial_arrays(self):
         """(SRC, NUM, den): stacked monomial data for every group element, rank order."""
         if self._arrays is None:
-            if self.group.order > EXHAUSTIVE_CAP:
-                raise ResourceLimitError("monomial array stack capped at group order 512")
+            if self.group.order > TABLE_CAP:
+                raise ResourceLimitError("group order", self.group.order, "TABLE_CAP", TABLE_CAP)
             blocks = list(self.blocks())
             if any(SRC is None for _, SRC, _, _ in blocks):
                 raise InputError("representation is not monomial")
@@ -514,7 +503,7 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
     """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for pairs x, y of G.
 
     R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  A monomial model of
-    order <= EXHAUSTIVE_CAP is scanned over all pairs in exact integer
+    order <= TABLE_CAP is scanned over all pairs in exact integer
     arithmetic, and the witness is the first bad pair in rank order.  Any other
     model is compared pair by pair, over all pairs when |G|^2 <= ``samples``
     and over a seeded sample otherwise, and the witness is the worst pair.  A
@@ -531,7 +520,7 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
 
     worst = 0.0
     witness = None
-    if n <= EXHAUSTIVE_CAP and W.is_monomial():
+    if n <= TABLE_CAP and W.is_monomial():
         SRC, NUM, den0 = W.monomial_arrays()
         pden, pnum = phase.num_table()
         d = lcm(den0, pden)
@@ -580,7 +569,7 @@ def _batch_pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool,
     """Mask of the rank pairs (x, y) in ``idx`` where the identity of ``_check_pairs`` holds exactly.
 
     Evaluates W(x), W(y) and, unless ``swapped``, W(x + y) through the rep's
-    block formula, max(1, 2**16 // dim) pairs at a time, each block checked to
+    block formula, max(1, BLOCK_ENTRIES // dim) pairs at a time, each block checked to
     be permutations.
     """
     G, dim = W.group, W.dim
@@ -593,7 +582,7 @@ def _batch_pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool,
         _check_permutations(SRC, dim)
         return SRC, NUM * (d // den0)
 
-    step = max(1, 2 ** 16 // dim)
+    step = max(1, BLOCK_ENTRIES // dim)
     out = np.empty(len(idx), dtype=bool)
     for start in range(0, len(idx), step):
         X, Y = G.coords_at(idx[start:start + step, 0]), G.coords_at(idx[start:start + step, 1])
@@ -607,24 +596,15 @@ def _batch_pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool,
     return out
 
 
-def commutant_d(W: ProjectiveRep, sv_zero: float = SV_ZERO) -> int:
-    """Complex dimension of {X : X W(g) = W(g) X for the group generators}.
+def commutant_d(W: ProjectiveRep) -> int:
+    """Complex dimension of {X : X W(g) = W(g) X for every g in G}.
 
-    Solved as an exact nullspace (singular values below ``sv_zero`` count as
-    zero) up to carrier dimension 48; above that the dimension is read off the
-    trace of the group-averaged commutant projector, which equals
-    sum_g |tr W(g)|^2 / |G| and agrees with the nullspace count.  The trace
-    sum runs over ``W.blocks()``: a monomial block exponentiates only its
+    Read off the trace of the group-averaged commutant projector
+    X |-> sum_g W(g) X W(g)^* / |G|, which is sum_g |tr W(g)|^2 / |G|.  The
+    trace sum runs over ``W.blocks()``: a monomial block exponentiates only its
     fixed points (SRC[g, i] = i) and sums them per row, so no operator object
     is built for a batched model; a dense block takes each operator's trace.
     """
-    if W.dim > DIM_CAP:
-        raise ResourceLimitError(f"carrier dimension {W.dim} exceeds cap {DIM_CAP}")
-    gens = W.group.generators()
-    if W.dim <= COMMUTANT_SVD_CAP:
-        if not gens:
-            return W.dim * W.dim
-        return _commutant_dim([W.operator(g).matrix for g in gens], sv_zero)
     total = 0.0
     for ops, SRC, NUM, den in W.blocks():
         if SRC is None:
@@ -640,7 +620,7 @@ def commutant_d(W: ProjectiveRep, sv_zero: float = SV_ZERO) -> int:
     return int(round(val))
 
 
-def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep, sv_zero: float = SV_ZERO) -> dict:
+def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep) -> dict:
     """Basis of {T : T W1(g) = W2(g) T}; multipliers must agree exactly.
 
     For two irreducible models of one Heisenberg multiplier the space is
@@ -656,15 +636,17 @@ def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep, sv_zero: float = SV_ZERO) 
     gens = W1.group.generators()
     n1, n2 = W1.dim, W2.dim
     if n1 * n2 > DIM_CAP:
-        raise ResourceLimitError("intertwiner system too large")
+        raise ResourceLimitError("intertwiner unknowns", n1 * n2, "DIM_CAP", DIM_CAP)
     if not gens:
         basis = [np.eye(max(n1, n2), dtype=complex)[:n2, :n1]]
         dim = n1 * n2
     else:
-        K = _kron_system([(W1.operator(g).matrix, W2.operator(g).matrix) for g in gens])
+        # T |-> (T W1(g) - W2(g) T) over the generators, acting on T stacked column by column
+        K = np.vstack([np.kron(W1.operator(g).matrix.T, np.eye(n2))
+                       - np.kron(np.eye(n1), W2.operator(g).matrix) for g in gens])
         # K has len(gens) * n1 * n2 >= n1 * n2 rows, so the thin SVD keeps all of vh
         _, sv, vh = np.linalg.svd(K, full_matrices=False)
-        nzero = int((sv <= sv_zero).sum())
+        nzero = int((sv <= SV_ZERO).sum())
         null = vh[len(sv) - nzero:]          # right singular vectors of the zero singular values
         vecs = [v.conj() for v in null]
         dim = len(vecs)
@@ -678,16 +660,3 @@ def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep, sv_zero: float = SV_ZERO) 
         out["unitary_defect"] = float(np.abs(That.conj().T @ That - np.eye(n1)).max()) \
             if n1 == n2 else None
     return out
-
-
-def _kron_system(pairs) -> np.ndarray:
-    """Matrix of T |-> (T A - B T) over the (A, B) pairs, acting on T stacked column by column."""
-    n1, n2 = pairs[0][0].shape[0], pairs[0][1].shape[0]
-    return np.vstack([np.kron(A.T, np.eye(n2)) - np.kron(np.eye(n1), B) for A, B in pairs])
-
-
-def _commutant_dim(mats, sv_zero: float = SV_ZERO) -> int:
-    """dim {X : X M = M X for every M in mats}; singular values below ``sv_zero`` count as zero."""
-    K = _kron_system([(M, M) for M in mats])
-    sv = np.linalg.svd(K, compute_uv=False)
-    return int((sv <= sv_zero).sum()) + (K.shape[1] - len(sv))

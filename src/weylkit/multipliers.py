@@ -19,14 +19,13 @@ from math import lcm
 
 import numpy as np
 
-from .errors import DefectError, InputError, PreconditionError, ResourceLimitError, UnsupportedOperationError
+from .errors import (ENUMERATION_CAP, TABLE_CAP, DefectError, InputError, PreconditionError,
+                     ResourceLimitError, UnsupportedOperationError)
 from .groups import FinAbGroup, GroupElement, Subgroup
 from .intmat import diagonal_of, smith_decompose
 from .phases import Phase, ZERO
 from .reports import VerificationReport
 
-TABLE_CAP = 512          # exhaustive cocycle verification up to this group order
-TWIST_CAP = 1024         # twisting materialises a table
 SAMPLED_TRIPLES = 100_000
 
 
@@ -41,8 +40,8 @@ class PhaseMap:
 
     @classmethod
     def from_callable(cls, group: FinAbGroup, fn) -> "PhaseMap":
-        if group.order > TWIST_CAP:
-            raise ResourceLimitError("group too large to materialise a phase map")
+        if group.order > ENUMERATION_CAP:
+            raise ResourceLimitError("group order", group.order, "ENUMERATION_CAP", ENUMERATION_CAP)
         return cls(group, {x.coords: fn(x) for x in group.elements()})
 
     @classmethod
@@ -56,16 +55,9 @@ class PhaseMap:
         except KeyError:
             raise InputError(f"phase map is undefined at {key}") from None
 
-    def __contains__(self, x):
-        key = x.coords if isinstance(x, GroupElement) else tuple(x)
-        return key in self.values
-
     @property
     def den(self) -> int:
         return lcm(*(v.den for v in self.values.values())) if self.values else 1
-
-    def items_by_rank(self):
-        return sorted(self.values.items(), key=lambda kv: self.group.rank_of(kv[0]))
 
 
 class Bicharacter:
@@ -197,6 +189,7 @@ class Multiplier:
         self.group = group
         self._verified = None
         self._table = None
+        self._antisym = None
 
     # -- evaluation ------------------------------------------------------
     @property
@@ -218,7 +211,7 @@ class Multiplier:
         if self._table is None:
             n = self.group.order
             if n > TABLE_CAP:
-                raise ResourceLimitError(f"no full table for a group of order {n}")
+                raise ResourceLimitError("group order", n, "TABLE_CAP", TABLE_CAP)
             X = self.group.coords_array()
             XX = np.repeat(X, n, axis=0)
             YY = np.tile(X, (n, 1))
@@ -301,7 +294,7 @@ class TableMultiplier(Multiplier):
         super().__init__(group)
         n = group.order
         if n > TABLE_CAP:
-            raise ResourceLimitError(f"table multiplier capped at group order {TABLE_CAP}")
+            raise ResourceLimitError("group order", n, "TABLE_CAP", TABLE_CAP)
         num = np.asarray(num, dtype=np.int64) % den
         if num.shape != (n, n):
             raise InputError(f"table must be {n} x {n}")
@@ -432,7 +425,10 @@ def antisymmetrize(m: Multiplier) -> Bicharacter:
 
     The matrix form is recovered on basis pairs and then checked pointwise
     against the definition (exhaustively for small groups, sampled above).
+    Computed once per multiplier and kept on it.
     """
+    if m._antisym is not None:
+        return m._antisym
     m.ensure_verified()
     G = m.group
     gens = [G.element([1 if j == i else 0 for j in range(G.rank)]) for i in range(G.rank)]
@@ -468,19 +464,18 @@ def antisymmetrize(m: Multiplier) -> Bicharacter:
         bt = b.pair_nums(X, Y) * (d // b.den)
         if (mt % d != bt % d).any():
             raise DefectError("matrix form disagrees with m(x,y) - m(y,x) (sampled)")
+    m._antisym = b
     return b
 
 
 def twist(m: Multiplier, a) -> Multiplier:
     """The equivalent multiplier m'(x,y) = m(x,y) + a(x) + a(y) - a(x+y)."""
     G = m.group
-    if G.order > TWIST_CAP:
-        raise ResourceLimitError("twist materialises a table; group too large")
+    den0, num0 = m.num_table()
     amap = a if isinstance(a, PhaseMap) else PhaseMap.from_callable(G, a) if callable(a) \
         else PhaseMap(G, a)
     if amap(G.zero()) != ZERO:
         raise InputError("twist function must vanish at 0")
-    den0, num0 = m.num_table()
     aden = amap.den
     d = lcm(den0, aden)
     avec = np.array([amap(x).numerator_at(d) for x in G.elements()], dtype=np.int64)
@@ -527,7 +522,7 @@ def split_symmetric(m: Multiplier, A: Subgroup | None = None) -> PhaseMap:
     m.ensure_verified()
     elems = A.elements()
     if len(elems) > TABLE_CAP:
-        raise ResourceLimitError("splitting capped at subgroup order 512")
+        raise ResourceLimitError("subgroup order", len(elems), "TABLE_CAP", TABLE_CAP)
     D = 1
     for i, a in enumerate(elems):
         for b in elems[i:]:

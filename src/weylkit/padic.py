@@ -122,6 +122,9 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
     identification of (L/2)/L with F_2^d x F_2^d, and m0 equals chi(b1.a2)
     up to an explicit twist.
     """
+    # the sector labels need the coset transversal; reading it first trips the
+    # enumeration budget before any operator is built
+    w.L.transversal()
     report = VerificationReport(f"vacuum profile {w!r}")
     out = {"p": w.p, "k": w.k, "d": w.d, "report": report}
     W = window_weyl(w)
@@ -136,7 +139,7 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
     S = D.sectors if D is not None else sectors(W, w.L, tol)
     out["vacuum_dim"] = S.vacuum_dim
     out["sector_dims"] = {str(k_): v for k_, v in sorted(S.coset_dims().items())} \
-        if S.labeled and w.group.order <= 100_000 else None
+        if S.labeled else None
     total = sum(S.dims.values())
     report.add("sector completeness", total == W.dim,
                note=f"sum={total}, dim={W.dim}")

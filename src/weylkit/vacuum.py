@@ -15,7 +15,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import DefectError, InputError, PreconditionError
+from .errors import ENUMERATION_CAP, DefectError, InputError, PreconditionError
 from .groups import FinAbGroup, GroupElement, Quotient, Subgroup, double_image, double_preimage, subquotient
 from .isotropy import is_isotropic, polar
 from .models import (
@@ -23,7 +23,6 @@ from .models import (
     SV_ZERO,
     Operator,
     ProjectiveRep,
-    _commutant_dim,
     check_rep_law,
     commutant_d,
 )
@@ -324,7 +323,7 @@ def normalizer_check(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL,
         idx = rng.choice(len(elems), size=cap, replace=False)
         return [elems[i] for i in idx]
 
-    inside = pick(L2.elements(), samples) if L2.order <= 100_000 else \
+    inside = pick(L2.elements(), samples) if L2.order <= ENUMERATION_CAP else \
         [t for t in L2.generators]
     worst_in = 0.0
     for x in inside:
@@ -355,7 +354,7 @@ def normalizer_check(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL,
         rep.add("outside L/2 moves vacuum", True, note="L/2 = G; vacuously true")
 
     worst_per = 0.0
-    for x in pick(L2.elements(), samples) if L2.order <= 100_000 else L2.generators:
+    for x in pick(L2.elements(), samples) if L2.order <= ENUMERATION_CAP else L2.generators:
         Wx = W.operator(x).apply(B0)
         for a in pick(twoL.elements(), samples):
             Wxa = W.operator(x + a).apply(B0)
@@ -475,16 +474,10 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
                           witness=[g.coords for g in n.radical().generators])
     report.add("n nondegenerate", True)
 
-    lift_ok = True
-    witness = None
-    for x in L2.elements() if L2.order <= 64 else L2.generators:
-        for y in L2.elements() if L2.order <= 64 else L2.generators:
-            if n(q.project(x), q.project(y)) != mt(x, y):
-                lift_ok = False
-                witness = (x.coords, y.coords)
-                break
-        if not lift_ok:
-            break
+    # both sides are bicharacters on L/2, so generator pairs decide it
+    witness = next(((x.coords, y.coords) for x in L2.generators for y in L2.generators
+                    if n(q.project(x), q.project(y)) != mt(x, y)), None)
+    lift_ok = witness is None
     report.add("lift of n equals m~ on L/2", lift_ok, witness=witness)
     if not lift_ok:
         raise DefectError("descended form does not lift to m~", witness=witness)
@@ -612,7 +605,8 @@ def clifford_basis(D: DescendedRep, tol: float = DEFAULT_TOL) -> CliffordBasis:
             if gram[i][j] != (0 if i == j else 1):
                 raise DefectError("Gram matrix of the found basis is wrong",
                                   witness=(i, j))
-    cdim = _commutant_dim([E.matrix for E in ops])
+    # each E_i is a scalar times W0(e_i) and the e_i generate V2: same commutant
+    cdim = commutant_d(D.rep0)
     return CliffordBasis(basis, c, ops, gram, r_sq, r_ac, cdim)
 
 

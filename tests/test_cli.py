@@ -222,3 +222,24 @@ def test_committed_scenario_passes(path, capsys):
 
 def test_committed_scenarios_found():
     assert SCENARIOS
+
+
+def test_model_check_law_scans_each_identity_once(tmp_path, capsys, monkeypatch):
+    from weylkit import models
+    calls = []
+    check_pairs = models._check_pairs
+
+    def counted(rep, name, *args):
+        calls.append(name)
+        check_pairs(rep, name, *args)
+
+    monkeypatch.setattr(models, "_check_pairs", counted)
+    sc = {
+        "task": "model",
+        "group": {"moduli": [9, 9]},
+        "multiplier": {"type": "bicharacter", "B": [["0", "1/9"], ["-1/9", "0"]]},
+        "subgroup": {"generators": [[1, 0]]},
+    }
+    code, rep = run(capsys, ["model", "--scenario", write(tmp_path, "m.json", sc), "--check-law"])
+    assert code == 0 and rep["pass"] is True
+    assert calls == ["law", "commutator"]

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from weylkit.errors import InputError, ResourceLimitError, UnsupportedOperationError
@@ -14,6 +15,8 @@ from weylkit.groups import (
     subgroup_span,
     subquotient,
 )
+from weylkit.models import regular_rep
+from weylkit.multipliers import TableMultiplier
 
 
 def random_group(rng, max_order=10_000, max_rank=4):
@@ -202,7 +205,19 @@ def test_trivial_group():
     assert q.group.order == 1
 
 
-def test_enumeration_caps():
-    G = FinAbGroup([1024, 1024])
-    with pytest.raises(ResourceLimitError):
-        G.coords_array()
+BUDGET_CASES = {
+    "ENUMERATION_CAP": (lambda: FinAbGroup([1024, 1024]).coords_array(), 200_000, 1024 ** 2),
+    "TABLE_CAP": (lambda: TableMultiplier(FinAbGroup([1024]), 1, np.zeros((1024, 1024))),
+                  512, 1024),
+    "DIM_CAP": (lambda: regular_rep(FinAbGroup([4097])), 4096, 4097),
+}
+
+
+@pytest.mark.parametrize("budget", list(BUDGET_CASES))
+def test_enumeration_caps(budget):
+    trip, limit, size = BUDGET_CASES[budget]
+    with pytest.raises(ResourceLimitError) as exc:
+        trip()
+    assert (exc.value.budget, exc.value.limit, exc.value.size) == (budget, limit, size)
+    assert budget in str(exc.value) and str(limit) in str(exc.value) \
+        and str(size) in str(exc.value)

@@ -269,8 +269,22 @@ def test_commutant_trivial_rep():
     assert commutant_d(W) == 1
 
 
+def kron_commutant_dim(W):
+    """Oracle: dim {X : X W(g) = W(g) X for the generators}, as the nullspace of a Kronecker system."""
+    n = W.dim
+    mats = [W.operator(g).matrix for g in W.group.generators()]
+    if not mats:
+        return n * n
+    K = np.vstack([np.kron(M.T, np.eye(n)) - np.kron(np.eye(n), M) for M in mats])
+    sv = np.linalg.svd(K, compute_uv=False)
+    return int((sv <= 1e-8).sum()) + (K.shape[1] - len(sv))
+
+
 COMMUTANT_CASES = {
     "z9": lambda: z9_setup()[3],
+    "z9-direct-sum": lambda: z9_setup()[3].direct_sum(z9_setup()[3]),
+    "descended-2-1-2": lambda: descend(window_model(2, 1, 2), window(2, 1, 2).L).rep0,
+    "trivial-group": lambda: regular_rep(FinAbGroup([])),
     "window-2-1-1": lambda: window_model(2, 1, 1),
     "window-2-1-2": lambda: window_model(2, 1, 2),
     "window-2-2-1": lambda: window_model(2, 2, 1),
@@ -281,19 +295,16 @@ COMMUTANT_CASES = {
 
 
 @pytest.mark.parametrize("case", list(COMMUTANT_CASES))
-def test_commutant_character_path_agrees(case, monkeypatch):
-    from weylkit import models
+def test_commutant_character_path_agrees(case):
     W = COMMUTANT_CASES[case]()
-    via_svd = commutant_d(W)
-    monkeypatch.setattr(models, "COMMUTANT_SVD_CAP", 0)
-    via_trace = commutant_d(W)
-    assert via_svd == via_trace
-    # the window models of p = 2 are the reducible ones
-    assert (via_svd > 1) == case.startswith("window-2")
+    cd = commutant_d(W)
+    assert cd == kron_commutant_dim(W)
+    # the window models of p = 2 and the direct sum are the reducible ones
+    assert (cd > 1) == case.startswith(("window-2", "z9-direct-sum"))
 
 
 @pytest.mark.parametrize("fault", ["repeated source", "source out of range"])
-def test_batched_permutation_check_can_fail(fault, monkeypatch):
+def test_batched_permutation_check_can_fail(fault):
     from weylkit import models
     W = window_model(2, 1, 1)
     den, fn = W.batch
@@ -306,7 +317,6 @@ def test_batched_permutation_check_can_fail(fault, monkeypatch):
         return SRC, NUM
 
     B = models.ProjectiveRep.from_batch(W.group, W.multiplier, W.dim, den, broken)
-    monkeypatch.setattr(models, "COMMUTANT_SVD_CAP", 0)
     with pytest.raises(InputError, match="not a permutation"):
         commutant_d(B)
     with pytest.raises(InputError, match="not a permutation"):

@@ -184,6 +184,12 @@ def test_antisymmetrize_weyl_product():
     assert b.is_nondegenerate
 
 
+def test_antisymmetrize_once_per_multiplier():
+    G = FinAbGroup([3, 3])
+    m = WeylProductMultiplier(G, 1, [[Phase(1, 3)]])
+    assert antisymmetrize(m) is antisymmetrize(m)
+
+
 def test_antisymmetrize_symmetric_is_zero():
     G = FinAbGroup([5])
     sym = Bicharacter(G, [[Phase(2, 5)]]).to_multiplier()

@@ -214,3 +214,16 @@ def test_largest_window_fast():
     assert split.passed
     assert [c.note for c in split.checks] == ["commutant=4", "commutant=1"]
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("p, k, d", [(2, 2, 3), (5, 1, 2)])
+def test_window_over_enumeration_budget_exits_2_before_descent(p, k, d, monkeypatch, capsys):
+    from weylkit import cli, padic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("descend called before the enumeration budget was read")
+
+    monkeypatch.setattr(padic, "descend", refuse)
+    assert cli.main(["padic", "--p", str(p), "--k", str(k), "--d", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert f"ambient group order {p ** (4 * k * d)} exceeds ENUMERATION_CAP = 200000" in err
