@@ -14,7 +14,6 @@ from .groups import (
     double_image,
     double_preimage,
     halve,
-    p_regularity,
 )
 from .intmat import smith_decompose
 from .multipliers import (

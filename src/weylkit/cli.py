@@ -414,16 +414,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DefectError as exc:
-        report = {"task": args.task, "pass": False,
+        report = {**_provenance(args), "pass": False,
                   "defect": str(exc), "witness": getattr(exc, "witness", None)}
         _emit(report, args)
         return 1
 
     report = {
-        "task": args.task,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "versions": {"weylkit": __version__, "numpy": np.__version__},
+        **_provenance(args),
         "summary": summary,
         "checks": [c.to_dict() for c in rep.checks],
         "pass": rep.passed,
@@ -431,6 +428,12 @@ def main(argv=None) -> int:
     }
     _emit(report, args, text=str(rep) if args.format == "text" else None)
     return 0 if rep.passed else 1
+
+
+def _provenance(args) -> dict:
+    """The leading fields of every JSON report: task, seed, tolerance and versions."""
+    return {"task": args.task, "seed": args.seed, "tolerance": args.tolerance,
+            "versions": {"weylkit": __version__, "numpy": np.__version__}}
 
 
 def _emit(report: dict, args, text: str | None = None):

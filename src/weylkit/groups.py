@@ -215,17 +215,6 @@ def _require_prime(p: int):
         raise InputError(f"{p} is not prime")
 
 
-def p_regularity(G: FinAbGroup, p: int) -> dict:
-    """Flags for multiplication by p on G: divisible / injective / regular.
-
-    On a finite group the three notions coincide; all are reported so the
-    equivalence stays visible in reports.
-    """
-    _require_prime(p)
-    regular = G.is_p_regular(p)
-    return {"divisible": regular, "injective": regular, "regular": regular}
-
-
 class Subgroup:
     """Subgroup of a FinAbGroup, canonicalised by the column HNF of its preimage lattice."""
 

@@ -1,9 +1,10 @@
 """Concrete unitary-matrix models of projective representations.
 
 Operators are monomial wherever possible: a permutation plus a vector of
-exact phase numerators over a common denominator.  Products and the
-representation law then reduce to integer arithmetic; dense complex matrices
-are materialised only for compressions, commutants and intertwiners.
+exact phase numerators over a common denominator.  Products, the
+representation law, commutants and intertwiners then reduce to integer
+arithmetic; dense complex matrices are materialised only for compressions and
+for a normalised intertwiner.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from math import lcm
 
 import numpy as np
 
-from .errors import DIM_CAP, TABLE_CAP, DefectError, InputError, PreconditionError, ResourceLimitError
+from .errors import (DIM_CAP, ENUMERATION_CAP, TABLE_CAP, DefectError, InputError, PreconditionError,
+                     ResourceLimitError)
 from .groups import FinAbGroup, GroupElement, Subgroup
 from .multipliers import (
     Bicharacter,
@@ -31,7 +33,6 @@ from .phases import Phase, ZERO
 from .reports import VerificationReport
 
 DEFAULT_TOL = 1e-9
-SV_ZERO = 1e-8
 BLOCK_ENTRIES = 2 ** 16   # a block of monomial data holds max(1, BLOCK_ENTRIES // dim) rows
 
 
@@ -283,10 +284,7 @@ class ProjectiveRep:
     def direct_sum(self, other: "ProjectiveRep") -> "ProjectiveRep":
         if other.group != self.group:
             raise InputError("direct sum needs a common group")
-        den, num = self.multiplier.num_table()
-        deno, numo = other.multiplier.num_table()
-        d = lcm(den, deno)
-        if ((num * (d // den) - numo * (d // deno)) % d).any():
+        if not _same_multiplier(self.multiplier, other.multiplier):
             raise InputError("direct sum needs equal multipliers")
         d1, d2 = self.dim, other.dim
 
@@ -596,66 +594,144 @@ def _batch_pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool,
     return out
 
 
+def _generator_rows(W: ProjectiveRep):
+    """(SRC, NUM, den): W's monomial data at the generators of G, one row each.
+
+    A batched rep evaluates its block formula once; any other rep reads
+    ``operator(g).monomial``, and None means one of those operators is dense.
+    Every row is checked to be a permutation.
+    """
+    gens = W.group.generators()
+    if not gens:
+        return np.empty((0, W.dim), dtype=np.intp), np.empty((0, W.dim), dtype=np.int64), 1
+    if W.batch is not None:
+        den, fn = W.batch
+        SRC, NUM = fn(np.array([g.coords for g in gens], dtype=np.int64))
+    else:
+        parts = [W.operator(g).monomial for g in gens]
+        if any(part is None for part in parts):
+            return None
+        den = lcm(*(part.den for part in parts))
+        SRC = np.stack([part.src for part in parts])
+        NUM = np.stack([part.rescaled(den).num for part in parts])
+    _check_permutations(SRC, W.dim)
+    return SRC, NUM % den, den
+
+
+def _intertwining_orbits(G: FinAbGroup, rows1, rows2):
+    """Exact solution of T W1(g) = W2(g) T over the generators g of G.
+
+    ``rows1`` and ``rows2`` are the ``_generator_rows`` of W1 and W2.  Entry
+    p = i n1 + j of the (n2 x n1) matrix T obeys T[p] = e(c(p)) T[phi(p)] with
+    phi(p) = SRC2[i] n1 + SRC1[j] and c(p) = NUM2[i] - NUM1[j] for each
+    generator.  Every orbit of the pairs is labelled by its least pair, one
+    generator at a time: G is abelian, so phi permutes the orbits found so far,
+    and the cycles of that map, of length dividing the generator's order, are
+    walked by doubling.  Each pair carries its exact Q/Z potential to the
+    label.  Then every generator edge is tested.  Returns ``(label, pot, den,
+    good)``: T[p] = e(pot[p] / den) T[label[p]], and ``good`` lists the labels
+    of the orbits whose edges all hold.  The intertwiners are the combinations
+    of the patterns e(pot / den) on those orbits, so their dimension is
+    len(good).
+    """
+    (S1, N1, den1), (S2, N2, den2) = rows1, rows2
+    n1, n2 = S1.shape[1], S2.shape[1]
+    size = n1 * n2
+    if size > ENUMERATION_CAP:
+        raise ResourceLimitError("index pairs", size, "ENUMERATION_CAP", ENUMERATION_CAP)
+    den = lcm(den1, den2)
+    edges = [((S2[k][:, None] * n1 + S1[k]).ravel(),
+              ((N2[k] * (den // den2))[:, None] - N1[k] * (den // den1)).ravel() % den)
+             for k in range(len(S1))]
+    orders = [n for n in G.moduli if n > 1]
+    label = np.arange(size)
+    pot = np.zeros(size, dtype=np.int64)
+    index = np.empty(size, dtype=np.intp)
+    for (phi, c), order in zip(edges, orders):
+        roots = np.flatnonzero(label == np.arange(size))
+        index[roots] = np.arange(len(roots))
+        # root r is tied to the root of phi(r): T[r] = e(spot[r]) T[roots[step[r]]]
+        step = index[label[phi[roots]]]
+        spot = (c[roots] + pot[phi[roots]]) % den
+        # best[r]: the least root among r, step(r), ..., step^(2^t - 1)(r)
+        best = np.arange(len(roots))
+        bpot = np.zeros(len(roots), dtype=np.int64)
+        for _ in range((order - 1).bit_length()):
+            take = best[step] < best
+            best, bpot = np.where(take, best[step], best), np.where(take, spot + bpot[step], bpot)
+            bpot %= den
+            spot, step = (spot + spot[step]) % den, step[step]
+        k = index[label]
+        label, pot = roots[best[k]], (pot + bpot[k]) % den
+    bad = np.zeros(size, dtype=bool)
+    for phi, c in edges:
+        split = np.flatnonzero(label[phi] != label)
+        if split.size:
+            raise DefectError("generator permutations do not commute",
+                              witness=divmod(int(split[0]), n1))
+        bad[label[(c + pot[phi] - pot) % den != 0]] = True
+    roots = np.flatnonzero(label == np.arange(size))
+    return label, pot, den, roots[~bad[roots]]
+
+
 def commutant_d(W: ProjectiveRep) -> int:
     """Complex dimension of {X : X W(g) = W(g) X for every g in G}.
 
-    Read off the trace of the group-averaged commutant projector
-    X |-> sum_g W(g) X W(g)^* / |G|, which is sum_g |tr W(g)|^2 / |G|.  The
-    trace sum runs over ``W.blocks()``: a monomial block exponentiates only its
-    fixed points (SRC[g, i] = i) and sums them per row, so no operator object
-    is built for a batched model; a dense block takes each operator's trace.
+    With monomial generator operators it is the exact orbit count of
+    ``_intertwining_orbits`` for W1 = W2, read from the generator rows alone.
+    A rep with a dense generator operator takes the trace of the
+    group-averaged commutant projector X |-> sum_g W(g) X W(g)^* / |G|, which
+    is sum_g |tr W(g)|^2 / |G|, over all of its operators.
     """
-    total = 0.0
-    for ops, SRC, NUM, den in W.blocks():
-        if SRC is None:
-            tr = np.array([op.trace() for op in ops])
-        else:
-            g, i = np.nonzero(SRC == np.arange(W.dim))
-            ph = np.exp(2j * np.pi * NUM[g, i] / den)
-            tr = np.bincount(g, ph.real, len(SRC)) + 1j * np.bincount(g, ph.imag, len(SRC))
-        total += float((tr.real ** 2 + tr.imag ** 2).sum())
-    val = total / W.group.order
+    rows = _generator_rows(W)
+    if rows is not None:
+        return len(_intertwining_orbits(W.group, rows, rows)[3])
+    val = sum(abs(W.operator(x).trace()) ** 2 for x in W.group.elements()) / W.group.order
     if abs(val - round(val)) > 1e-6:
         raise DefectError(f"commutant trace {val} is not an integer")
     return int(round(val))
 
 
-def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep) -> dict:
-    """Basis of {T : T W1(g) = W2(g) T}; multipliers must agree exactly.
+def _same_multiplier(m1: Multiplier, m2: Multiplier) -> bool:
+    """m1 = m2 exactly: on generator pairs when both are bilinear, else on their tables."""
+    b1, b2 = getattr(m1, "bichar", None), getattr(m2, "bichar", None)
+    if b1 is not None and b2 is not None:
+        gens = m1.group.generators()
+        return all(b1(x, y) == b2(x, y) for x in gens for y in gens)
+    den1, num1 = m1.num_table()
+    den2, num2 = m2.num_table()
+    d = lcm(den1, den2)
+    return not ((num1 * (d // den1) - num2 * (d // den2)) % d).any()
 
-    For two irreducible models of one Heisenberg multiplier the space is
-    one-dimensional and its normalised element is unitary.
+
+def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep) -> dict:
+    """Exact basis of {T : T W1(g) = W2(g) T}; multipliers must agree exactly.
+
+    Both reps need monomial generator operators; ``_intertwining_orbits``
+    solves the space.  Returns the ``dimension``, ``orbit`` (n2 x n1: the
+    index k < dimension of each entry's solution orbit, -1 off them) and
+    ``phases`` over ``den``: basis element k is e(phases / den) where
+    orbit == k and 0 elsewhere.  For two irreducible models of one Heisenberg
+    multiplier the space is one-dimensional; then ``normalized`` is its
+    element scaled to be unitary and ``unitary_defect`` measures that.
     """
     if W1.group != W2.group:
         raise InputError("intertwiner needs a common group")
-    den1, num1 = W1.multiplier.num_table()
-    den2, num2 = W2.multiplier.num_table()
-    dd = lcm(den1, den2)
-    if ((num1 * (dd // den1) - num2 * (dd // den2)) % dd).any():
+    if not _same_multiplier(W1.multiplier, W2.multiplier):
         raise InputError("multipliers differ; align them with a twist first")
-    gens = W1.group.generators()
+    rows1, rows2 = _generator_rows(W1), _generator_rows(W2)
+    if rows1 is None or rows2 is None:
+        raise InputError("intertwiner needs monomial generator operators")
+    label, pot, den, good = _intertwining_orbits(W1.group, rows1, rows2)
     n1, n2 = W1.dim, W2.dim
-    if n1 * n2 > DIM_CAP:
-        raise ResourceLimitError("intertwiner unknowns", n1 * n2, "DIM_CAP", DIM_CAP)
-    if not gens:
-        basis = [np.eye(max(n1, n2), dtype=complex)[:n2, :n1]]
-        dim = n1 * n2
-    else:
-        # T |-> (T W1(g) - W2(g) T) over the generators, acting on T stacked column by column
-        K = np.vstack([np.kron(W1.operator(g).matrix.T, np.eye(n2))
-                       - np.kron(np.eye(n1), W2.operator(g).matrix) for g in gens])
-        # K has len(gens) * n1 * n2 >= n1 * n2 rows, so the thin SVD keeps all of vh
-        _, sv, vh = np.linalg.svd(K, full_matrices=False)
-        nzero = int((sv <= SV_ZERO).sum())
-        null = vh[len(sv) - nzero:]          # right singular vectors of the zero singular values
-        vecs = [v.conj() for v in null]
-        dim = len(vecs)
-        basis = [v.reshape((n2, n1), order="F") for v in vecs]
-    out = {"dimension": dim, "basis": basis}
-    if dim == 1 and basis:
-        T = basis[0]
-        nrm = np.sqrt(np.trace(T.conj().T @ T).real / min(n1, n2))
-        That = T / nrm
+    which = np.full(n1 * n2, -1, dtype=np.int64)
+    which[good] = np.arange(len(good))
+    orbit = which[label].reshape(n2, n1)
+    out = {"dimension": len(good), "orbit": orbit, "phases": pot.reshape(n2, n1), "den": den}
+    if len(good) == 1:
+        support = orbit == 0
+        T = np.where(support, np.exp(2j * np.pi * out["phases"] / den), 0)
+        That = T / np.sqrt(support.sum() / min(n1, n2))
         out["normalized"] = That
         out["unitary_defect"] = float(np.abs(That.conj().T @ That - np.eye(n1)).max()) \
             if n1 == n2 else None

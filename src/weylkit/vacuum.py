@@ -20,7 +20,6 @@ from .groups import FinAbGroup, GroupElement, Quotient, Subgroup, double_image, 
 from .isotropy import is_isotropic, polar
 from .models import (
     DEFAULT_TOL,
-    SV_ZERO,
     Operator,
     ProjectiveRep,
     check_rep_law,
@@ -36,6 +35,8 @@ from .multipliers import (
 )
 from .phases import HALF, Phase, ZERO
 from .reports import VerificationReport
+
+SV_ZERO = 1e-8     # norms and singular values at or below this count as zero
 
 
 def _orthonormal_range(P: np.ndarray, tol: float = SV_ZERO) -> np.ndarray:
@@ -94,6 +95,7 @@ class SectorDecomposition:
         self._tcoords = np.array([L.coordinates_of(a) for a in self.elems],
                                  dtype=np.int64).reshape(len(self.elems), len(self.orders))
         self._ops = [rep.operator(a) for a in self.elems]
+        self._entries = None          # stacked (src, phases) of the monomial _ops
         self._bases: dict[tuple, np.ndarray] = {}
         self.dims = {}
         self._compute_dims()
@@ -188,12 +190,25 @@ class SectorDecomposition:
                 f"sector dimensions sum to {total}, expected {self.rep.dim}")
 
     def projector(self, u) -> np.ndarray:
+        """sum_a conj(chi_u(a)) W(a) / |L| over the elements a of L, in element order.
+
+        Monomial operators are summed by one scatter of their stacked entries
+        W(a)[i, src_a[i]]; with a dense operator they are summed one at a time.
+        """
         nums = self.char_nums(u)
         coeff = np.exp(-2j * np.pi * nums / self.char_exp) / len(self.elems)
-        P = np.zeros((self.rep.dim, self.rep.dim), dtype=complex)
-        eye = np.eye(self.rep.dim, dtype=complex)
-        for c, op in zip(coeff, self._ops):
-            P += c * op.apply(eye)
+        dim = self.rep.dim
+        P = np.zeros((dim, dim), dtype=complex)
+        if any(op.monomial is None for op in self._ops):
+            eye = np.eye(dim, dtype=complex)
+            for c, op in zip(coeff, self._ops):
+                P += c * op.apply(eye)
+            return P
+        if self._entries is None:
+            self._entries = (np.stack([op.monomial.src for op in self._ops]),
+                             np.stack([op.monomial.phases_complex() for op in self._ops]))
+        SRC, PH = self._entries
+        np.add.at(P, (np.broadcast_to(np.arange(dim), SRC.shape), SRC), coeff[:, None] * PH)
         return P
 
     def basis_of(self, u) -> np.ndarray:

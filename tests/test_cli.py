@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from weylkit import __version__
 from weylkit.cli import main
+from weylkit.errors import DefectError
 
 SCENARIOS = sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))
 
@@ -243,3 +249,46 @@ def test_model_check_law_scans_each_identity_once(tmp_path, capsys, monkeypatch)
     code, rep = run(capsys, ["model", "--scenario", write(tmp_path, "m.json", sc), "--check-law"])
     assert code == 0 and rep["pass"] is True
     assert calls == ["law", "commutator"]
+
+
+def test_svn_beyond_table_cap(tmp_path, capsys):
+    # (Z/9)^4 has order 6561 > TABLE_CAP; both models have dimension 81
+    B = [["0"] * 4 for _ in range(4)]
+    for i in range(2):
+        B[i][i + 2], B[i + 2][i] = "1/9", "-1/9"
+    sc = {
+        "task": "svn",
+        "group": {"moduli": [9, 9, 9, 9]},
+        "multiplier": {"type": "bicharacter", "B": B},
+        "subgroups": [{"generators": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+                      {"generators": [[0, 0, 1, 0], [0, 0, 0, 1]]}],
+    }
+    code, rep = run(capsys, ["svn", "--scenario", write(tmp_path, "s.json", sc)])
+    assert code == 0 and rep["pass"] is True
+    assert rep["summary"]["dimensions"] == [81, 81]
+    assert rep["summary"]["intertwiner_dimension"] == 1
+
+
+def test_defect_report_carries_provenance(tmp_path, capsys, monkeypatch):
+    from weylkit import cli
+
+    def defect(scenario, args):
+        raise DefectError("forced defect", witness=(1, 2))
+
+    monkeypatch.setitem(cli.RUNNERS, "padic", defect)
+    code, rep = run(capsys, ["padic", "--p", "3", "--k", "1", "--d", "1",
+                             "--seed", "7", "--tolerance", "1e-7"])
+    assert code == 1
+    assert rep == {"task": "padic", "seed": 7, "tolerance": 1e-7,
+                   "versions": {"weylkit": __version__, "numpy": np.__version__},
+                   "pass": False, "defect": "forced defect", "witness": [1, 2]}
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = "import sys, weylkit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "False"

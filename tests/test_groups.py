@@ -10,7 +10,6 @@ from weylkit.groups import (
     double_image,
     double_preimage,
     halve,
-    p_regularity,
     quotient,
     subgroup_span,
     subquotient,
@@ -165,16 +164,6 @@ def test_double_maps_inclusions():
         if G.is_p_regular(2):
             assert double_image(G, up) == A
             assert double_preimage(G, down) == A
-
-
-def test_p_regularity():
-    assert p_regularity(FinAbGroup([9]), 2)["regular"]
-    assert not p_regularity(FinAbGroup([4]), 2)["regular"]
-    assert not p_regularity(FinAbGroup([4, 9]), 3)["regular"]
-    flags = p_regularity(FinAbGroup([9]), 2)
-    assert flags["divisible"] == flags["injective"] == flags["regular"]
-    with pytest.raises(InputError):
-        p_regularity(FinAbGroup([9]), 4)
 
 
 def test_halve():

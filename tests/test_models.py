@@ -1,9 +1,15 @@
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylkit.errors import InputError, PreconditionError
+from weylkit.errors import DefectError, InputError, PreconditionError, ResourceLimitError
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
+from weylkit.isotropy import extend_maximal
 from weylkit.models import (
+    MonomialPart,
     Operator,
     ProjectiveRep,
     check_rep_law,
@@ -15,7 +21,8 @@ from weylkit.models import (
     regular_rep,
     schrodinger_model,
 )
-from weylkit.multipliers import PhaseMap, antisymmetrize, split_symmetric, zero_multiplier
+from weylkit.multipliers import (Bicharacter, PhaseMap, antisymmetrize, split_symmetric,
+                                 zero_multiplier)
 from weylkit.phases import Phase, ZERO
 from weylkit.vacuum import descend
 
@@ -269,15 +276,35 @@ def test_commutant_trivial_rep():
     assert commutant_d(W) == 1
 
 
-def kron_commutant_dim(W):
-    """Oracle: dim {X : X W(g) = W(g) X for the generators}, as the nullspace of a Kronecker system."""
-    n = W.dim
-    mats = [W.operator(g).matrix for g in W.group.generators()]
-    if not mats:
-        return n * n
-    K = np.vstack([np.kron(M.T, np.eye(n)) - np.kron(np.eye(n), M) for M in mats])
+def kron_intertwiner_dim(W1, W2):
+    """Oracle: dim {T : T W1(g) = W2(g) T for the generators}, by a Kronecker-system SVD."""
+    n1, n2 = W1.dim, W2.dim
+    gens = W1.group.generators()
+    if not gens:
+        return n1 * n2
+    # T |-> T W1(g) - W2(g) T, acting on T stacked column by column
+    K = np.vstack([np.kron(W1.operator(g).matrix.T, np.eye(n2))
+                   - np.kron(np.eye(n1), W2.operator(g).matrix) for g in gens])
     sv = np.linalg.svd(K, compute_uv=False)
     return int((sv <= 1e-8).sum()) + (K.shape[1] - len(sv))
+
+
+def kron_commutant_dim(W):
+    """Oracle: dim {X : X W(g) = W(g) X for the generators}."""
+    return kron_intertwiner_dim(W, W)
+
+
+def trace_commutant_dim(W):
+    """Oracle: the trace pass sum_g |tr W(g)|^2 / |G| over every operator."""
+    val = sum(abs(np.trace(W.operator(x).matrix)) ** 2 for x in W.group.elements()) / W.group.order
+    assert abs(val - round(val)) < 1e-6
+    return round(val)
+
+
+def intertwiner_basis(res):
+    """The dense basis element of each solution orbit of an ``intertwiner`` result."""
+    pattern = np.exp(2j * np.pi * res["phases"] / res["den"])
+    return [np.where(res["orbit"] == k, pattern, 0) for k in range(res["dimension"])]
 
 
 COMMUTANT_CASES = {
@@ -298,7 +325,7 @@ COMMUTANT_CASES = {
 def test_commutant_character_path_agrees(case):
     W = COMMUTANT_CASES[case]()
     cd = commutant_d(W)
-    assert cd == kron_commutant_dim(W)
+    assert cd == kron_commutant_dim(W) == trace_commutant_dim(W)
     # the window models of p = 2 and the direct sum are the reducible ones
     assert (cd > 1) == case.startswith(("window-2", "z9-direct-sum"))
 
@@ -325,6 +352,133 @@ def test_batched_permutation_check_can_fail(fault):
         B.operator(B.group.element([1, 0]))
     assert commutant_d(models.ProjectiveRep.from_batch(W.group, W.multiplier, W.dim, den, fn)) \
         == commutant_d(W)
+
+
+def _symplectic_family(draw):
+    """Two induced models of a block-symplectic form on (Z/n_1 x .. x Z/n_r)^2."""
+    moduli = draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=2))
+    r = len(moduli)
+    G = FinAbGroup(moduli + moduli)
+    mat = [[ZERO] * (2 * r) for _ in range(2 * r)]
+    for i, n in enumerate(moduli):
+        u = draw(st.sampled_from([v for v in range(1, n) if gcd(v, n) == 1] or [0]))
+        mat[i][i + r], mat[i + r][i] = Phase(u, n), Phase(-u, n)
+    m = Bicharacter(G, mat).to_multiplier()
+    mt = antisymmetrize(m)
+    seed = G.element([draw(st.integers(0, n - 1)) for n in G.moduli])
+    return [induced_model(G, m, extend_maximal(subgroup_span(G, []), mt)),
+            induced_model(G, m, extend_maximal(subgroup_span(G, [seed]), mt))]
+
+
+@st.composite
+def same_multiplier_pairs(draw):
+    """(W1, W2) of one multiplier: windows, Schrodinger, regular and induced models,
+    direct sums and twists, including the trivial group and moduli of 1."""
+    kind = draw(st.sampled_from(["window", "schrodinger", "regular", "induced"]))
+    if kind == "window":
+        family = [window_model(*draw(st.sampled_from([(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)])))]
+    elif kind == "schrodinger":
+        W = schrodinger_model(FinAbGroup(draw(st.lists(st.sampled_from([1, 2, 3, 4]), max_size=2))))
+        line = extend_maximal(subgroup_span(W.group, []), antisymmetrize(W.multiplier))
+        family = [W, induced_model(W.group, W.multiplier, line)]
+    elif kind == "regular":
+        G = FinAbGroup(draw(st.lists(st.sampled_from([1, 2, 3, 4]), max_size=2)))
+        family = [regular_rep(G), induced_model(G, zero_multiplier(G), Subgroup.full(G))]
+    else:
+        family = _symplectic_family(draw)
+    W1, W2 = draw(st.sampled_from(family)), draw(st.sampled_from(family))
+    extra = draw(st.sampled_from(family))
+    if draw(st.booleans()) and W1.dim + extra.dim <= 20:
+        W1 = W1.direct_sum(extra)
+    if draw(st.booleans()) and W1.group.order <= 256:
+        G = W1.group
+        den = draw(st.sampled_from([2, 3, 4]))
+        values = {x.coords: Phase(draw(st.integers(0, den - 1)) if x.rank else 0, den)
+                  for x in G.elements()}
+        a = PhaseMap(G, values)
+        W1, W2 = W1.twisted(a), W2.twisted(a)
+    return W1, W2
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=same_multiplier_pairs())
+def test_orbit_commutant_matches_oracles(pair):
+    for W in pair:
+        assert commutant_d(W) == kron_commutant_dim(W) == trace_commutant_dim(W)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=same_multiplier_pairs())
+def test_orbit_intertwiner_matches_oracle(pair):
+    W1, W2 = pair
+    res = intertwiner(W1, W2)
+    assert res["dimension"] == kron_intertwiner_dim(W1, W2)
+    basis = intertwiner_basis(res)
+    for T in basis:
+        assert np.abs(T).max() == 1.0
+        for g in W1.group.generators():
+            assert np.abs(T @ W1.operator(g).matrix - W2.operator(g).matrix @ T).max() < 1e-9
+    if basis:
+        # distinct orbits have disjoint supports, so the basis is independent
+        assert np.linalg.matrix_rank(np.array([T.ravel() for T in basis])) == len(basis)
+
+
+def _phase_fault(W):
+    """W with the phase of its first generator shifted by 1/den on index 0."""
+    g = W.group.generators()[0]
+    mono = W.operator(g).monomial
+    num = mono.num.copy()
+    num[0] += 1
+    return W.with_override(g, Operator(W.dim, monomial=MonomialPart(W.dim, mono.den, mono.src, num)))
+
+
+def test_orbit_check_catches_phase_fault(z9):
+    # the shifted phase gives every cycle through index 0 of one copy a nonzero
+    # phase sum: the copies of W (+) W no longer intertwine, and W' no longer meets W
+    _, _, _, W = z9
+    WW = W.direct_sum(W)
+    faulty = _phase_fault(WW)
+    assert commutant_d(WW) == 4
+    assert commutant_d(faulty) == kron_commutant_dim(faulty) == 2
+    bad = _phase_fault(W)
+    assert intertwiner(W, W)["dimension"] == 1
+    assert intertwiner(bad, W)["dimension"] == kron_intertwiner_dim(bad, W) == 0
+
+
+def test_orbit_solver_refuses_noncommuting_permutations(z9):
+    _, _, _, W = z9
+    g = W.group.generators()[0]
+    mono = W.operator(g).monomial
+    src = mono.src.copy()
+    src[[0, 1]] = src[[1, 0]]
+    broken = W.with_override(g, Operator(W.dim, monomial=MonomialPart(W.dim, mono.den, src, mono.num)))
+    with pytest.raises(DefectError, match="do not commute"):
+        commutant_d(broken)
+
+
+def test_orbit_solver_pair_budget():
+    # 448^2 index pairs exceed ENUMERATION_CAP
+    with pytest.raises(ResourceLimitError) as exc:
+        commutant_d(regular_rep(FinAbGroup([448])))
+    assert (exc.value.budget, exc.value.size) == ("ENUMERATION_CAP", 448 ** 2)
+
+
+def test_intertwiner_of_bicharacters_beyond_table_cap():
+    # (Z/9)^4 has order 6561 > TABLE_CAP: the bicharacters are compared on generator pairs
+    G = FinAbGroup([9, 9, 9, 9])
+    mat = [[ZERO] * 4 for _ in range(4)]
+    for i in range(2):
+        mat[i][i + 2], mat[i + 2][i] = Phase(1, 9), Phase(-1, 9)
+    m = Bicharacter(G, mat).to_multiplier()
+    e = [G.element([int(i == j) for j in range(4)]) for i in range(4)]
+    W1 = induced_model(G, m, subgroup_span(G, e[:2]), check=False)
+    W2 = induced_model(G, m, subgroup_span(G, e[2:]), check=False)
+    res = intertwiner(W1, W2)
+    assert res["dimension"] == 1 and res["unitary_defect"] <= 1e-9
+    other = Bicharacter(G, [[-b for b in row] for row in mat]).to_multiplier()
+    W3 = induced_model(G, other, subgroup_span(G, e[:2]), check=False)
+    with pytest.raises(InputError, match="multipliers differ"):
+        intertwiner(W1, W3)
 
 
 def test_intertwiner_self_is_scalar(z9):

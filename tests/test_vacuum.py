@@ -3,7 +3,7 @@ import pytest
 
 from weylkit.errors import PreconditionError
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
-from weylkit.models import check_rep_law, regular_rep
+from weylkit.models import Operator, ProjectiveRep, check_rep_law, regular_rep
 from weylkit.multipliers import antisymmetrize
 from weylkit.phases import HALF, ZERO
 from weylkit.vacuum import (
@@ -52,6 +52,36 @@ def test_sectors_regular_rep_full_group():
     assert sorted(S.dims.values()) == [1, 1, 1]
     assert not S.labeled
     assert S.eigen_check().passed
+
+
+def per_operator_projector(S, u):
+    """Reference: the character-weighted sum of W(a) applied to the identity, one a at a time."""
+    nums = S.char_nums(u)
+    coeff = np.exp(-2j * np.pi * nums / S.char_exp) / len(S.elems)
+    eye = np.eye(S.rep.dim, dtype=complex)
+    P = np.zeros((S.rep.dim, S.rep.dim), dtype=complex)
+    for c, a in zip(coeff, S.elems):
+        P += c * S.rep.operator(a).apply(eye)
+    return P
+
+
+@pytest.mark.parametrize("key", [(2, 1, 3), (2, 3, 1), (3, 1, 2), (2, 2, 2)])
+def test_scatter_projector_bitwise(key):
+    S = sectors(window_model(*key), window(*key).L)
+    for u in sorted(S.dims)[:2]:
+        assert S.projector(u).tobytes() == per_operator_projector(S, u).tobytes()
+
+
+def test_projector_of_dense_operators():
+    # a dense operator keeps the per-operator sum; it agrees with the scatter
+    W = window_model(2, 1, 2)
+    D = ProjectiveRep(W.group, W.multiplier, W.dim,
+                      lambda x: Operator(W.dim, dense=W.operator(x).matrix))
+    L = window(2, 1, 2).L
+    S, SD = sectors(W, L), sectors(D, L)
+    assert SD.dims == S.dims
+    for u in S.dims:
+        assert np.abs(SD.projector(u) - S.projector(u)).max() < 1e-12
 
 
 def test_sectors_match_bruteforce_eigenspaces():
