@@ -2,9 +2,10 @@
 
 Operators are monomial wherever possible: a permutation plus a vector of
 exact phase numerators over a common denominator.  Products, the
-representation law, commutants and intertwiners then reduce to integer
-arithmetic; dense complex matrices are materialised only for compressions and
-for a normalised intertwiner.
+representation law, commutants, intertwiners and the sectors of a restriction
+to an isotropic subgroup then reduce to integer arithmetic; dense complex
+matrices are materialised only for compressions, for a normalised intertwiner
+and for sector bases.
 """
 
 from __future__ import annotations
@@ -594,14 +595,13 @@ def _batch_pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool,
     return out
 
 
-def _generator_rows(W: ProjectiveRep):
-    """(SRC, NUM, den): W's monomial data at the generators of G, one row each.
+def _generator_rows(W: ProjectiveRep, gens):
+    """(SRC, NUM, den): W's monomial data at the elements ``gens``, one row each.
 
     A batched rep evaluates its block formula once; any other rep reads
     ``operator(g).monomial``, and None means one of those operators is dense.
     Every row is checked to be a permutation.
     """
-    gens = W.group.generators()
     if not gens:
         return np.empty((0, W.dim), dtype=np.intp), np.empty((0, W.dim), dtype=np.int64), 1
     if W.batch is not None:
@@ -618,21 +618,23 @@ def _generator_rows(W: ProjectiveRep):
     return SRC, NUM % den, den
 
 
-def _intertwining_orbits(G: FinAbGroup, rows1, rows2):
-    """Exact solution of T W1(g) = W2(g) T over the generators g of G.
+def _intertwining_orbits(orders, rows1, rows2):
+    """Exact solution of T W1(g) = W2(g) T over the generators g of an abelian group.
 
-    ``rows1`` and ``rows2`` are the ``_generator_rows`` of W1 and W2.  Entry
-    p = i n1 + j of the (n2 x n1) matrix T obeys T[p] = e(c(p)) T[phi(p)] with
-    phi(p) = SRC2[i] n1 + SRC1[j] and c(p) = NUM2[i] - NUM1[j] for each
-    generator.  Every orbit of the pairs is labelled by its least pair, one
-    generator at a time: G is abelian, so phi permutes the orbits found so far,
-    and the cycles of that map, of length dividing the generator's order, are
-    walked by doubling.  Each pair carries its exact Q/Z potential to the
-    label.  Then every generator edge is tested.  Returns ``(label, pot, den,
-    good)``: T[p] = e(pot[p] / den) T[label[p]], and ``good`` lists the labels
-    of the orbits whose edges all hold.  The intertwiners are the combinations
-    of the patterns e(pot / den) on those orbits, so their dimension is
-    len(good).
+    ``rows1`` and ``rows2`` are the (SRC, NUM, den) rows of W1 and W2 at the
+    generators, as ``_generator_rows`` reads them, and ``orders`` are the
+    generators' orders.  Entry p = i n1 + j of the (n2 x n1) matrix T obeys
+    T[p] = e(c(p)) T[phi(p)] with phi(p) = SRC2[i] n1 + SRC1[j] and
+    c(p) = NUM2[i] - NUM1[j] for each generator.  Every orbit of the pairs is
+    labelled by its least pair, one generator at a time: the group is abelian,
+    so phi permutes the orbits found so far, and the cycles of that map, of
+    length dividing the generator's order, are walked by doubling; a longer
+    cycle raises ``DefectError``.  Each pair carries its exact Q/Z potential
+    to the label.  Then every generator edge is tested.  Returns ``(label,
+    pot, den, good)``: T[p] = e(pot[p] / den) T[label[p]], and ``good`` lists
+    the labels of the orbits whose edges all hold.  The intertwiners are the
+    combinations of the patterns e(pot / den) on those orbits, so their
+    dimension is len(good).
     """
     (S1, N1, den1), (S2, N2, den2) = rows1, rows2
     n1, n2 = S1.shape[1], S2.shape[1]
@@ -643,7 +645,6 @@ def _intertwining_orbits(G: FinAbGroup, rows1, rows2):
     edges = [((S2[k][:, None] * n1 + S1[k]).ravel(),
               ((N2[k] * (den // den2))[:, None] - N1[k] * (den // den1)).ravel() % den)
              for k in range(len(S1))]
-    orders = [n for n in G.moduli if n > 1]
     label = np.arange(size)
     pot = np.zeros(size, dtype=np.int64)
     index = np.empty(size, dtype=np.intp)
@@ -663,6 +664,11 @@ def _intertwining_orbits(G: FinAbGroup, rows1, rows2):
             spot, step = (spot + spot[step]) % den, step[step]
         k = index[label]
         label, pot = roots[best[k]], (pot + bpot[k]) % den
+        # a cycle longer than the order was not walked round, and its labels are not roots
+        stray = np.flatnonzero(label[label] != label)
+        if stray.size:
+            raise DefectError("a generator permutation has a cycle longer than the "
+                              "generator's order", witness=divmod(int(stray[0]), n1))
     bad = np.zeros(size, dtype=bool)
     for phi, c in edges:
         split = np.flatnonzero(label[phi] != label)
@@ -683,9 +689,10 @@ def commutant_d(W: ProjectiveRep) -> int:
     group-averaged commutant projector X |-> sum_g W(g) X W(g)^* / |G|, which
     is sum_g |tr W(g)|^2 / |G|, over all of its operators.
     """
-    rows = _generator_rows(W)
+    G = W.group
+    rows = _generator_rows(W, G.generators())
     if rows is not None:
-        return len(_intertwining_orbits(W.group, rows, rows)[3])
+        return len(_intertwining_orbits([n for n in G.moduli if n > 1], rows, rows)[3])
     val = sum(abs(W.operator(x).trace()) ** 2 for x in W.group.elements()) / W.group.order
     if abs(val - round(val)) > 1e-6:
         raise DefectError(f"commutant trace {val} is not an integer")
@@ -719,10 +726,11 @@ def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep) -> dict:
         raise InputError("intertwiner needs a common group")
     if not _same_multiplier(W1.multiplier, W2.multiplier):
         raise InputError("multipliers differ; align them with a twist first")
-    rows1, rows2 = _generator_rows(W1), _generator_rows(W2)
+    G = W1.group
+    rows1, rows2 = _generator_rows(W1, G.generators()), _generator_rows(W2, G.generators())
     if rows1 is None or rows2 is None:
         raise InputError("intertwiner needs monomial generator operators")
-    label, pot, den, good = _intertwining_orbits(W1.group, rows1, rows2)
+    label, pot, den, good = _intertwining_orbits([n for n in G.moduli if n > 1], rows1, rows2)
     n1, n2 = W1.dim, W2.dim
     which = np.full(n1 * n2, -1, dtype=np.int64)
     which[good] = np.arange(len(good))

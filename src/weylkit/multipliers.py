@@ -240,6 +240,9 @@ class BicharacterMultiplier(Multiplier):
     def __init__(self, bichar: Bicharacter):
         super().__init__(bichar.group)
         self.bichar = bichar
+        # the constructor of Bicharacter checked every entry against the moduli,
+        # so the form is a normalized cocycle identically: ensure_verified has nothing to do
+        self._verified = True
 
     @property
     def den(self) -> int:

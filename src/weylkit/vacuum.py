@@ -11,6 +11,7 @@ descent to (L/2)/L, anticommuting generators) is what this module computes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -22,12 +23,13 @@ from .models import (
     DEFAULT_TOL,
     Operator,
     ProjectiveRep,
+    _generator_rows,
+    _intertwining_orbits,
     check_rep_law,
     commutant_d,
 )
 from .multipliers import (
     Bicharacter,
-    Multiplier,
     PhaseMap,
     TableMultiplier,
     antisymmetrize,
@@ -37,27 +39,6 @@ from .phases import HALF, Phase, ZERO
 from .reports import VerificationReport
 
 SV_ZERO = 1e-8     # norms and singular values at or below this count as zero
-
-
-def _orthonormal_range(P: np.ndarray, tol: float = SV_ZERO) -> np.ndarray:
-    """Canonical orthonormal basis of the range of a projector.
-
-    Modified Gram-Schmidt over the columns of P in index order, so the basis
-    is deterministic and, for monomial projectors, aligned with the natural
-    coordinates.
-    """
-    dim = P.shape[0]
-    basis = []
-    for j in range(P.shape[1]):
-        v = P[:, j].astype(complex)
-        for b in basis:
-            v = v - b * (b.conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > tol:
-            basis.append(v / nrm)
-    if not basis:
-        return np.zeros((dim, 0), dtype=complex)
-    return np.stack(basis, axis=1)
 
 
 def _orthonormal_columns(M: np.ndarray, tol: float = SV_ZERO) -> np.ndarray:
@@ -74,8 +55,12 @@ class SectorDecomposition:
 
     ``dims`` maps a character index tuple u (coordinates against the
     invariant-factor generators of L) to the multiplicity of that character.
-    When L is maximal isotropic and |L|^2 = |G| the characters are in
-    bijection with cosets of G/L and ``coset_label`` translates.
+    A sector is the space of intertwiners from its character into W|_L, so
+    all of them are one exact call of ``models._intertwining_orbits``: W1 is
+    the diagonal rep of the |L| characters, W2 is W at L's generators, and
+    each solution orbit lies in one character's column.  The sector's basis
+    has one vector per orbit, e(pot / den) / sqrt(|orbit|) on the orbit and
+    positive at its least index.  W needs monomial generator operators.
     """
 
     def __init__(self, rep: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL):
@@ -88,17 +73,26 @@ class SectorDecomposition:
         self.rep = rep
         self.L = L
         self.tol = tol
-        self.elems = L.elements()
         self.gens, self.orders = L.decomposition()
         self.char_exp = lcm(*self.orders) if self.orders else 1
-        # character value numerators over char_exp: row a, column j
-        self._tcoords = np.array([L.coordinates_of(a) for a in self.elems],
-                                 dtype=np.int64).reshape(len(self.elems), len(self.orders))
-        self._ops = [rep.operator(a) for a in self.elems]
-        self._entries = None          # stacked (src, phases) of the monomial _ops
+        rows = _generator_rows(rep, self.gens)
+        if rows is None:
+            raise InputError("sectors need monomial generator operators")
+        # (+)_chi chi, characters in rank order: generator k fixes every index
+        # and gives column chi the phase chi(h_k)
+        chars = FinAbGroup(self.orders).coords_array()
+        n = len(chars)
+        scale = np.array([self.char_exp // d for d in self.orders], dtype=np.int64)
+        diagonal = (np.broadcast_to(np.arange(n), (len(self.orders), n)),
+                    (chars * scale).T, self.char_exp)
+        self._label, self._pot, self._den, self._good = \
+            _intertwining_orbits(self.orders, diagonal, rows)
+        counts = np.bincount(self._good % n, minlength=n)
+        self.dims = {tuple(chars[j].tolist()): int(counts[j]) for j in np.flatnonzero(counts)}
+        total = sum(self.dims.values())
+        if total != rep.dim:
+            raise DefectError(f"sector dimensions sum to {total}, expected {rep.dim}")
         self._bases: dict[tuple, np.ndarray] = {}
-        self.dims = {}
-        self._compute_dims()
         self._labeled = None
 
     @property
@@ -125,7 +119,7 @@ class SectorDecomposition:
                         break
                     if not bilinear:
                         # the label must actually be a character of L
-                        for a in self.elems:
+                        for a in self.L.elements():
                             val = ZERO
                             for uj, tj, d in zip(u, self.L.coordinates_of(a), self.orders):
                                 val = val + Phase(uj * tj, d)
@@ -140,16 +134,18 @@ class SectorDecomposition:
         return self._labeled
 
     # -- characters -------------------------------------------------------
-    def characters(self):
-        """All character index tuples u, in rank order of the dual group."""
-        dual = FinAbGroup(self.orders)
-        return [u.coords for u in dual.elements()]
+    @cached_property
+    def _tcoords(self) -> np.ndarray:
+        """Coordinates of the elements of L (element order) against its decomposition."""
+        elems = self.L.elements()
+        return np.array([self.L.coordinates_of(a) for a in elems],
+                        dtype=np.int64).reshape(len(elems), len(self.orders))
 
     def char_nums(self, u) -> np.ndarray:
         """Numerators of chi_u(a) over char_exp for every a in L (element order)."""
         E = self.char_exp
         if not self.orders:
-            return np.zeros(len(self.elems), dtype=np.int64)
+            return np.zeros(self.L.order, dtype=np.int64)
         w = np.array([ui * (E // d) for ui, d in zip(u, self.orders)], dtype=np.int64)
         return (self._tcoords @ w) % E
 
@@ -162,66 +158,20 @@ class SectorDecomposition:
             u.append(ph.numerator_at(d) % d)
         return tuple(u)
 
-    def coset_label(self, u) -> GroupElement | None:
-        """A coset representative y with chi_u = m(., y), if the labeling applies."""
-        if not self.labeled:
-            return None
-        for y in self.L.transversal():
-            if self.char_of_coset(y) == tuple(u):
-                return y
-        return None
-
     # -- sectors ----------------------------------------------------------
-    def _compute_dims(self):
-        traces = np.array([op.trace() for op in self._ops])
-        nL = len(self.elems)
-        total = 0
-        for u in self.characters():
-            nums = self.char_nums(u)
-            val = (np.exp(-2j * np.pi * nums / self.char_exp) * traces).sum().real / nL
-            d = int(round(val))
-            if abs(val - d) > 1e-6:
-                raise DefectError(f"sector dimension {val} is not an integer (char {u})")
-            if d:
-                self.dims[tuple(u)] = d
-            total += d
-        if total != self.rep.dim:
-            raise DefectError(
-                f"sector dimensions sum to {total}, expected {self.rep.dim}")
-
-    def projector(self, u) -> np.ndarray:
-        """sum_a conj(chi_u(a)) W(a) / |L| over the elements a of L, in element order.
-
-        Monomial operators are summed by one scatter of their stacked entries
-        W(a)[i, src_a[i]]; with a dense operator they are summed one at a time.
-        """
-        nums = self.char_nums(u)
-        coeff = np.exp(-2j * np.pi * nums / self.char_exp) / len(self.elems)
-        dim = self.rep.dim
-        P = np.zeros((dim, dim), dtype=complex)
-        if any(op.monomial is None for op in self._ops):
-            eye = np.eye(dim, dtype=complex)
-            for c, op in zip(coeff, self._ops):
-                P += c * op.apply(eye)
-            return P
-        if self._entries is None:
-            self._entries = (np.stack([op.monomial.src for op in self._ops]),
-                             np.stack([op.monomial.phases_complex() for op in self._ops]))
-        SRC, PH = self._entries
-        np.add.at(P, (np.broadcast_to(np.arange(dim), SRC.shape), SRC), coeff[:, None] * PH)
-        return P
-
     def basis_of(self, u) -> np.ndarray:
+        """Orthonormal basis of the sector of chi_u: one column per solution orbit, by least index."""
         u = tuple(u)
         if u not in self._bases:
-            if u not in self.dims:
-                self._bases[u] = np.zeros((self.rep.dim, 0), dtype=complex)
-            else:
-                B = _orthonormal_range(self.projector(u))
-                if B.shape[1] != self.dims[u]:
-                    raise DefectError(
-                        f"sector basis rank {B.shape[1]} != trace dimension {self.dims[u]}")
-                self._bases[u] = B
+            n = self.L.order
+            j = FinAbGroup(self.orders).rank_of(u)
+            column = self._label[j::n]                      # orbit labels of the pairs (i, chi_u)
+            roots = self._good[self._good % n == j]
+            on = np.flatnonzero(np.isin(column, roots))
+            k = np.searchsorted(roots, column[on])
+            B = np.zeros((self.rep.dim, len(roots)), dtype=complex)
+            B[on, k] = np.exp(2j * np.pi * self._pot[j::n][on] / self._den)
+            self._bases[u] = B / np.sqrt(np.bincount(k, minlength=len(roots)))
         return self._bases[u]
 
     def vacuum_basis(self) -> np.ndarray:
@@ -242,8 +192,9 @@ class SectorDecomposition:
         return out
 
     def eigen_check(self, max_sectors: int | None = None) -> VerificationReport:
-        """|| W(a) psi - e(chi(a)) psi || <= tol for every sector basis vector."""
+        """|| W(a) psi - e(chi(a)) psi || <= tol for every a in L and every sector basis vector."""
         rep = VerificationReport("sector eigen-characterization")
+        ops = [self.rep.operator(a) for a in self.L.elements()]
         worst = 0.0
         tested = 0
         for u in sorted(self.dims):
@@ -251,7 +202,7 @@ class SectorDecomposition:
                 break
             B = self.basis_of(u)
             nums = self.char_nums(u)
-            for k, (a, op) in enumerate(zip(self.elems, self._ops)):
+            for k, op in enumerate(ops):
                 lam = np.exp(2j * np.pi * nums[k] / self.char_exp)
                 worst = max(worst, float(np.abs(op.apply(B) - lam * B).max()))
             tested += 1
@@ -261,7 +212,7 @@ class SectorDecomposition:
 
 
 def sectors(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> SectorDecomposition:
-    """Decompose W|_L into character eigenspaces via group-averaged projectors."""
+    """Decompose W|_L into character eigenspaces, exactly, from W at L's generators."""
     return SectorDecomposition(W, L, tol)
 
 

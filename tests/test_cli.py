@@ -251,6 +251,22 @@ def test_model_check_law_scans_each_identity_once(tmp_path, capsys, monkeypatch)
     assert calls == ["law", "commutator"]
 
 
+def test_padic_checks_no_bicharacter_cocycle(capsys, monkeypatch):
+    # a bicharacter is a normalized cocycle by construction; only tables are checked
+    from weylkit import multipliers
+    checked = []
+    check = multipliers.check_multiplier
+
+    def counted(m, **kwargs):
+        checked.append(m)
+        return check(m, **kwargs)
+
+    monkeypatch.setattr(multipliers, "check_multiplier", counted)
+    code, rep = run(capsys, ["padic", "--p", "2", "--k", "2", "--d", "2", "--full-report"])
+    assert code == 0 and rep["pass"] is True
+    assert checked and not any(isinstance(m, multipliers.BicharacterMultiplier) for m in checked)
+
+
 def test_svn_beyond_table_cap(tmp_path, capsys):
     # (Z/9)^4 has order 6561 > TABLE_CAP; both models have dimension 81
     B = [["0"] * 4 for _ in range(4)]

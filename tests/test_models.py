@@ -1,9 +1,6 @@
-from math import gcd
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from weylkit.errors import DefectError, InputError, PreconditionError, ResourceLimitError
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
@@ -26,7 +23,7 @@ from weylkit.multipliers import (Bicharacter, PhaseMap, antisymmetrize, split_sy
 from weylkit.phases import Phase, ZERO
 from weylkit.vacuum import descend
 
-from conftest import f2_setup, window, window_model, z9_setup
+from conftest import f2_setup, same_multiplier_pairs, window, window_model, z9_setup
 
 
 def proportional(A, B, tol=1e-9):
@@ -354,52 +351,6 @@ def test_batched_permutation_check_can_fail(fault):
         == commutant_d(W)
 
 
-def _symplectic_family(draw):
-    """Two induced models of a block-symplectic form on (Z/n_1 x .. x Z/n_r)^2."""
-    moduli = draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=2))
-    r = len(moduli)
-    G = FinAbGroup(moduli + moduli)
-    mat = [[ZERO] * (2 * r) for _ in range(2 * r)]
-    for i, n in enumerate(moduli):
-        u = draw(st.sampled_from([v for v in range(1, n) if gcd(v, n) == 1] or [0]))
-        mat[i][i + r], mat[i + r][i] = Phase(u, n), Phase(-u, n)
-    m = Bicharacter(G, mat).to_multiplier()
-    mt = antisymmetrize(m)
-    seed = G.element([draw(st.integers(0, n - 1)) for n in G.moduli])
-    return [induced_model(G, m, extend_maximal(subgroup_span(G, []), mt)),
-            induced_model(G, m, extend_maximal(subgroup_span(G, [seed]), mt))]
-
-
-@st.composite
-def same_multiplier_pairs(draw):
-    """(W1, W2) of one multiplier: windows, Schrodinger, regular and induced models,
-    direct sums and twists, including the trivial group and moduli of 1."""
-    kind = draw(st.sampled_from(["window", "schrodinger", "regular", "induced"]))
-    if kind == "window":
-        family = [window_model(*draw(st.sampled_from([(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)])))]
-    elif kind == "schrodinger":
-        W = schrodinger_model(FinAbGroup(draw(st.lists(st.sampled_from([1, 2, 3, 4]), max_size=2))))
-        line = extend_maximal(subgroup_span(W.group, []), antisymmetrize(W.multiplier))
-        family = [W, induced_model(W.group, W.multiplier, line)]
-    elif kind == "regular":
-        G = FinAbGroup(draw(st.lists(st.sampled_from([1, 2, 3, 4]), max_size=2)))
-        family = [regular_rep(G), induced_model(G, zero_multiplier(G), Subgroup.full(G))]
-    else:
-        family = _symplectic_family(draw)
-    W1, W2 = draw(st.sampled_from(family)), draw(st.sampled_from(family))
-    extra = draw(st.sampled_from(family))
-    if draw(st.booleans()) and W1.dim + extra.dim <= 20:
-        W1 = W1.direct_sum(extra)
-    if draw(st.booleans()) and W1.group.order <= 256:
-        G = W1.group
-        den = draw(st.sampled_from([2, 3, 4]))
-        values = {x.coords: Phase(draw(st.integers(0, den - 1)) if x.rank else 0, den)
-                  for x in G.elements()}
-        a = PhaseMap(G, values)
-        W1, W2 = W1.twisted(a), W2.twisted(a)
-    return W1, W2
-
-
 @settings(max_examples=40, deadline=None)
 @given(pair=same_multiplier_pairs())
 def test_orbit_commutant_matches_oracles(pair):
@@ -453,6 +404,18 @@ def test_orbit_solver_refuses_noncommuting_permutations(z9):
     src[[0, 1]] = src[[1, 0]]
     broken = W.with_override(g, Operator(W.dim, monomial=MonomialPart(W.dim, mono.den, src, mono.num)))
     with pytest.raises(DefectError, match="do not commute"):
+        commutant_d(broken)
+
+
+def test_orbit_solver_refuses_cycle_beyond_generator_order():
+    # translation by (1, 0) on Z/2 x Z/2 with indices 1 and 2 swapped is a 4-cycle
+    G = FinAbGroup([2, 2])
+    W = regular_rep(G)
+    g = G.generators()[0]
+    src = W.operator(g).monomial.src.copy()
+    src[[1, 2]] = src[[2, 1]]
+    broken = W.with_override(g, Operator(W.dim, monomial=MonomialPart(W.dim, 1, src, np.zeros(4))))
+    with pytest.raises(DefectError, match="longer than the generator's order"):
         commutant_d(broken)
 
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylkit.errors import PreconditionError
+from weylkit.errors import DefectError, InputError, PreconditionError, ResourceLimitError
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
-from weylkit.models import Operator, ProjectiveRep, check_rep_law, regular_rep
+from weylkit.isotropy import is_isotropic
+from weylkit.models import MonomialPart, Operator, ProjectiveRep, check_rep_law, regular_rep
+from weylkit.padic import window_weyl
 from weylkit.multipliers import antisymmetrize
 from weylkit.phases import HALF, ZERO
 from weylkit.vacuum import (
@@ -17,7 +21,7 @@ from weylkit.vacuum import (
     vacuum,
 )
 
-from conftest import window, window_model
+from conftest import same_multiplier_pairs, window, window_model
 
 
 # -- sector decomposition ----------------------------------------------------
@@ -54,34 +58,138 @@ def test_sectors_regular_rep_full_group():
     assert S.eigen_check().passed
 
 
-def per_operator_projector(S, u):
-    """Reference: the character-weighted sum of W(a) applied to the identity, one a at a time."""
+def projector(S, u):
+    """Oracle: the group-averaged projector sum_a conj(chi_u(a)) W(a) / |L|, one a at a time."""
+    elems = S.L.elements()
     nums = S.char_nums(u)
-    coeff = np.exp(-2j * np.pi * nums / S.char_exp) / len(S.elems)
+    coeff = np.exp(-2j * np.pi * nums / S.char_exp) / len(elems)
     eye = np.eye(S.rep.dim, dtype=complex)
     P = np.zeros((S.rep.dim, S.rep.dim), dtype=complex)
-    for c, a in zip(coeff, S.elems):
+    for c, a in zip(coeff, elems):
         P += c * S.rep.operator(a).apply(eye)
     return P
 
 
-@pytest.mark.parametrize("key", [(2, 1, 3), (2, 3, 1), (3, 1, 2), (2, 2, 2)])
-def test_scatter_projector_bitwise(key):
+def gram_schmidt(P, tol=1e-8):
+    """Oracle: modified Gram-Schmidt over the columns of P in index order."""
+    basis = []
+    for j in range(P.shape[1]):
+        v = P[:, j].astype(complex)
+        for b in basis:
+            v = v - b * (b.conj() @ v)
+        nrm = np.linalg.norm(v)
+        if nrm > tol:
+            basis.append(v / nrm)
+    return np.stack(basis, axis=1) if basis else np.zeros((P.shape[0], 0), dtype=complex)
+
+
+@st.composite
+def reps_with_isotropic_subgroups(draw):
+    """(W, L): a window with its L, or a rep of ``same_multiplier_pairs`` and a subgroup
+    on which its multiplier vanishes, grown from drawn elements and, on small groups,
+    sometimes from all of them in rank order (L = G for the regular reps)."""
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from([(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)]))
+        return window_model(*key), window(*key).L
+    W = draw(same_multiplier_pairs())[0]
+    G, m = W.group, W.multiplier
+    L = subgroup_span(G, [])
+    ranks = draw(st.lists(st.integers(0, G.order - 1), max_size=8))
+    if G.order <= 81 and draw(st.booleans()):
+        ranks += range(G.order)
+    for r in ranks:
+        grown = subgroup_span(G, list(L.generators) + [G.element_by_rank(r)])
+        if is_isotropic(grown, m):
+            L = grown
+    return W, L
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=reps_with_isotropic_subgroups())
+def test_exact_sectors_match_projector_oracle(case):
+    W, L = case
+    S = sectors(W, L)
+    assert sum(S.dims.values()) == W.dim
+    for u in (x.coords for x in FinAbGroup(S.orders).elements()):
+        P = projector(S, u)
+        B = S.basis_of(u)
+        assert S.dims.get(u, 0) == B.shape[1] == round(np.trace(P).real)
+        assert np.allclose(B.conj().T @ B, np.eye(B.shape[1]), rtol=0, atol=1e-9)
+        assert np.allclose(B @ B.conj().T, P, rtol=0, atol=1e-9)     # span = range of P
+        for h, uk, d in zip(S.gens, u, S.orders):
+            assert np.allclose(W.operator(h).apply(B), np.exp(2j * np.pi * uk / d) * B,
+                               rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 1, 3), (2, 3, 1), (2, 2, 2)])
+def test_vacuum_basis_is_gram_schmidt_bitwise(key):
     S = sectors(window_model(*key), window(*key).L)
-    for u in sorted(S.dims)[:2]:
-        assert S.projector(u).tobytes() == per_operator_projector(S, u).tobytes()
+    assert S.vacuum_basis().tobytes() == gram_schmidt(projector(S, (0,) * len(S.orders))).tobytes()
 
 
-def test_projector_of_dense_operators():
-    # a dense operator keeps the per-operator sum; it agrees with the scatter
+def test_sectors_refuse_dense_operators():
     W = window_model(2, 1, 2)
     D = ProjectiveRep(W.group, W.multiplier, W.dim,
                       lambda x: Operator(W.dim, dense=W.operator(x).matrix))
-    L = window(2, 1, 2).L
-    S, SD = sectors(W, L), sectors(D, L)
-    assert SD.dims == S.dims
-    for u in S.dims:
-        assert np.abs(SD.projector(u) - S.projector(u)).max() < 1e-12
+    with pytest.raises(InputError, match="monomial"):
+        sectors(D, window(2, 1, 2).L)
+
+
+def _override_first_generator(W, L, src=None, shift=0):
+    """W with the operator at L's first decomposition generator replaced by a faulty monomial."""
+    h = L.decomposition()[0][0]
+    mono = W.operator(h).monomial
+    src = mono.src if src is None else src(mono.src.copy())
+    num = mono.num.copy()
+    num[0] += shift
+    return W.with_override(h, Operator(W.dim, monomial=MonomialPart(W.dim, mono.den, src, num)))
+
+
+def test_sectors_refuse_noncommuting_generators():
+    # on Z/2 x Z/2, translation by (1, 0) with indices 0 and 1 swapped back is
+    # the transposition (2 3), which does not commute with translation by (0, 1)
+    G = FinAbGroup([2, 2])
+    L = Subgroup.full(G)
+
+    def swap(src):
+        src[[0, 1]] = src[[1, 0]]
+        return src
+
+    with pytest.raises(DefectError, match="do not commute"):
+        sectors(_override_first_generator(regular_rep(G), L, src=swap), L)
+
+
+def test_sectors_phase_fault_breaks_dimension_sum(z9):
+    # the shifted phase leaves the cycle through index 0 with no character of L
+    _, _, L, W = z9
+    with pytest.raises(DefectError, match="sector dimensions sum to"):
+        sectors(_override_first_generator(W, L, shift=1), L)
+
+
+def test_sectors_pair_budget():
+    # 448 indices x 448 characters exceed ENUMERATION_CAP
+    G = FinAbGroup([448])
+    with pytest.raises(ResourceLimitError) as exc:
+        sectors(regular_rep(G), Subgroup.full(G))
+    assert (exc.value.budget, exc.value.size) == ("ENUMERATION_CAP", 448 ** 2)
+
+
+def test_sectors_build_only_generator_operators(monkeypatch):
+    w = window(2, 2, 1)
+    gens = {h.coords for h in w.L.decomposition()[0]}
+    W = window_model(2, 2, 1)
+    built = []
+    R = ProjectiveRep(W.group, W.multiplier, W.dim, lambda x: built.append(x.coords) or W.operator(x))
+    built.clear()
+    S = sectors(R, w.L)
+    assert set(built) <= gens and S.vacuum_dim == 2
+    # a batched model reads its generator rows from the block formula, building nothing
+    B = window_weyl(w)
+    calls = []
+    operator = ProjectiveRep.operator
+    monkeypatch.setattr(ProjectiveRep, "operator", lambda self, x: calls.append(x) or operator(self, x))
+    sectors(B, w.L)
+    assert calls == []
 
 
 def test_sectors_match_bruteforce_eigenspaces():
@@ -95,7 +203,7 @@ def test_sectors_match_bruteforce_eigenspaces():
         # dimension of the joint eigenspace by rank of the averaged projector,
         # rebuilt here directly from eigen-decompositions
         P = np.eye(W.dim, dtype=complex)
-        for k, a in enumerate(S.elems):
+        for k, a in enumerate(S.L.elements()):
             M = W.operator(a).matrix
             lam = np.exp(2j * np.pi * nums[k] / S.char_exp)
             vals, vecs = np.linalg.eig(M)
