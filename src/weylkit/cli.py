@@ -219,16 +219,9 @@ def run_model(scenario, args):
     if args.dump_matrices:
         dump = []
         for x in W.group.elements():
-            op = W.operator(x)
-            if op.monomial is not None:
-                dump.append({"element": list(x.coords),
-                             "permutation": op.monomial.src.tolist(),
-                             "phases": [str(Phase(int(n), op.monomial.den))
-                                        for n in op.monomial.num]})
-            else:
-                dump.append({"element": list(x.coords),
-                             "matrix": [[f"{z.real:.12g}{z.imag:+.12g}j" for z in row]
-                                        for row in op.matrix]})
+            mono = W.operator(x).monomial
+            dump.append({"element": list(x.coords), "permutation": mono.src.tolist(),
+                         "phases": [str(Phase(int(n), mono.den)) for n in mono.num]})
         summary["matrices"] = dump
     return rep, summary
 

@@ -1,11 +1,11 @@
 """Concrete unitary-matrix models of projective representations.
 
-Operators are monomial wherever possible: a permutation plus a vector of
-exact phase numerators over a common denominator.  Products, the
-representation law, commutants, intertwiners and the sectors of a restriction
-to an isotropic subgroup then reduce to integer arithmetic; dense complex
-matrices are materialised only for compressions, for a normalised intertwiner
-and for sector bases.
+Every operator is monomial: a permutation plus a vector of exact phase
+numerators over a common denominator.  Products, the representation law,
+commutants, intertwiners, the sectors of a restriction to an isotropic
+subgroup and the descended vacuum action then reduce to integer arithmetic;
+dense complex matrices are materialised only for a normalised intertwiner,
+for sector bases and for the float distance of an identity that fails.
 """
 
 from __future__ import annotations
@@ -102,27 +102,15 @@ class MonomialPart:
 
 
 class Operator:
-    """A unitary operator: monomial (exact) or dense (checked to 1e-9 on construction)."""
+    """A unitary operator, given by its exact monomial data; ``matrix`` renders it densely."""
 
     __slots__ = ("dim", "monomial", "_dense")
 
-    def __init__(self, dim: int, monomial: MonomialPart | None = None,
-                 dense: np.ndarray | None = None, tol: float = DEFAULT_TOL):
+    def __init__(self, dim: int, monomial: MonomialPart):
+        _check_permutations(monomial.src[None, :], dim)
         self.dim = dim
         self.monomial = monomial
         self._dense = None
-        if monomial is not None:
-            _check_permutations(monomial.src[None, :], dim)
-        elif dense is not None:
-            dense = np.asarray(dense, dtype=complex)
-            if dense.shape != (dim, dim):
-                raise InputError("dense operator has wrong shape")
-            defect = np.abs(dense.conj().T @ dense - np.eye(dim)).max()
-            if defect > tol:
-                raise InputError(f"operator is not unitary (defect {defect:.3g})")
-            self._dense = dense
-        else:
-            raise InputError("operator needs monomial or dense data")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -130,38 +118,24 @@ class Operator:
             self._dense = self.monomial.to_dense()
         return self._dense
 
-    @property
-    def is_monomial(self) -> bool:
-        return self.monomial is not None
-
     def compose(self, other: "Operator") -> "Operator":
-        if self.monomial is not None and other.monomial is not None:
-            return Operator(self.dim, monomial=self.monomial.compose(other.monomial))
-        return Operator(self.dim, dense=self.matrix @ other.matrix)
+        return Operator(self.dim, monomial=self.monomial.compose(other.monomial))
 
     def adjoint(self) -> "Operator":
-        if self.monomial is not None:
-            return Operator(self.dim, monomial=self.monomial.adjoint())
-        return Operator(self.dim, dense=self.matrix.conj().T)
+        return Operator(self.dim, monomial=self.monomial.adjoint())
 
     def scaled(self, ph: Phase) -> "Operator":
-        if self.monomial is not None:
-            return Operator(self.dim, monomial=self.monomial.scaled(ph))
-        return Operator(self.dim, dense=ph.complex() * self.matrix)
+        return Operator(self.dim, monomial=self.monomial.scaled(ph))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        if self.monomial is not None:
-            return self.monomial.apply(X)
-        return self.matrix @ X
+        return self.monomial.apply(X)
 
     def trace(self) -> complex:
-        if self.monomial is not None:
-            return self.monomial.trace()
-        return complex(np.trace(self.matrix))
+        return self.monomial.trace()
 
     def distance_to(self, other: "Operator") -> float:
-        if self.monomial is not None and other.monomial is not None \
-                and self.monomial.equals(other.monomial):
+        """0.0 when the two are exactly equal, else the largest entry of their dense difference."""
+        if self.monomial.equals(other.monomial):
             return 0.0
         return float(np.abs(self.matrix - other.matrix).max())
 
@@ -172,7 +146,7 @@ class ProjectiveRep:
     Operators are built on demand by ``builder(element) -> Operator`` and
     cached for groups small enough to enumerate comfortably.
 
-    A monomial model may also pass ``batch=(den, fn)``: ``fn(Y) -> (SRC, NUM)``
+    A model may also pass ``batch=(den, fn)``: ``fn(Y) -> (SRC, NUM)``
     evaluates a (c x rank) int64 block Y of reduced coordinate rows at once,
     giving (c x dim) source indices and phase numerators, all over the one
     denominator ``den``.  Rows must be permutations; ``blocks`` and the
@@ -236,14 +210,12 @@ class ProjectiveRep:
                              label=self.label + "+override")
 
     def blocks(self):
-        """Every operator in rank order, max(1, BLOCK_ENTRIES // dim) consecutive elements at a time.
+        """Every operator's monomial data in rank order, max(1, BLOCK_ENTRIES // dim) elements at a time.
 
-        Yields ``(ops, SRC, NUM, den)`` per block.  With a batch formula the
-        block is one call of it (``ops`` is None); otherwise ``ops`` are the
-        built operators, stacked into SRC and NUM over the lcm of their
-        denominators when all are monomial and left unstacked (SRC, NUM and
-        den None) when one is dense.  Every SRC row is checked to be a
-        permutation, with the ``InputError`` that ``Operator`` raises.
+        Yields ``(SRC, NUM, den)`` per block: one call of the batch formula,
+        or else the built operators stacked over the lcm of their
+        denominators.  Every SRC row is checked to be a permutation, with the
+        ``InputError`` that ``Operator`` raises.
         """
         G, dim = self.group, self.dim
         rows = max(1, BLOCK_ENTRIES // dim)
@@ -251,22 +223,14 @@ class ProjectiveRep:
             stop = min(G.order, start + rows)
             if self.batch is not None:
                 den, fn = self.batch
-                ops = None
                 SRC, NUM = fn(G.coords_range(start, stop))
             else:
-                ops = [self.operator(G.element_by_rank(r)) for r in range(start, stop)]
-                if any(o.monomial is None for o in ops):
-                    yield ops, None, None, None
-                    continue
-                den = lcm(*(o.monomial.den for o in ops))
-                SRC = np.stack([o.monomial.src for o in ops])
-                NUM = np.stack([o.monomial.rescaled(den).num for o in ops])
+                parts = [self.operator(G.element_by_rank(r)).monomial for r in range(start, stop)]
+                den = lcm(*(part.den for part in parts))
+                SRC = np.stack([part.src for part in parts])
+                NUM = np.stack([part.rescaled(den).num for part in parts])
             _check_permutations(SRC, dim)
-            yield ops, SRC, NUM, den
-
-    def is_monomial(self) -> bool:
-        """True when every operator is monomial; builds all of them."""
-        return all(SRC is not None for _, SRC, _, _ in self.blocks())
+            yield SRC, NUM, den
 
     def monomial_arrays(self):
         """(SRC, NUM, den): stacked monomial data for every group element, rank order."""
@@ -274,11 +238,9 @@ class ProjectiveRep:
             if self.group.order > TABLE_CAP:
                 raise ResourceLimitError("group order", self.group.order, "TABLE_CAP", TABLE_CAP)
             blocks = list(self.blocks())
-            if any(SRC is None for _, SRC, _, _ in blocks):
-                raise InputError("representation is not monomial")
-            den = lcm(*(d for _, _, _, d in blocks))
-            SRC = np.concatenate([S for _, S, _, _ in blocks])
-            NUM = np.concatenate([N * (den // d) % den for _, _, N, d in blocks])
+            den = lcm(*(d for _, _, d in blocks))
+            SRC = np.concatenate([S for S, _, _ in blocks])
+            NUM = np.concatenate([N * (den // d) % den for _, N, d in blocks])
             self._arrays = (SRC, NUM, den)
         return self._arrays
 
@@ -290,17 +252,11 @@ class ProjectiveRep:
         d1, d2 = self.dim, other.dim
 
         def builder(x):
-            a, b = self.operator(x), other.operator(x)
-            if a.monomial is not None and b.monomial is not None:
-                dd = lcm(a.monomial.den, b.monomial.den)
-                am, bm = a.monomial.rescaled(dd), b.monomial.rescaled(dd)
-                src = np.concatenate([am.src, bm.src + d1])
-                numv = np.concatenate([am.num, bm.num])
-                return Operator(d1 + d2, monomial=MonomialPart(d1 + d2, dd, src, numv))
-            M = np.zeros((d1 + d2, d1 + d2), dtype=complex)
-            M[:d1, :d1] = a.matrix
-            M[d1:, d1:] = b.matrix
-            return Operator(d1 + d2, dense=M)
+            a, b = self.operator(x).monomial, other.operator(x).monomial
+            dd = lcm(a.den, b.den)
+            a, b = a.rescaled(dd), b.rescaled(dd)
+            return Operator(d1 + d2, monomial=MonomialPart(
+                d1 + d2, dd, np.concatenate([a.src, b.src + d1]), np.concatenate([a.num, b.num])))
 
         return ProjectiveRep(self.group, self.multiplier, d1 + d2, builder,
                              label=f"{self.label} (+) {other.label}")
@@ -501,13 +457,13 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
                  swapped: bool, tolerance: float, samples: int, seed: int):
     """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for pairs x, y of G.
 
-    R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  A monomial model of
-    order <= TABLE_CAP is scanned over all pairs in exact integer
-    arithmetic, and the witness is the first bad pair in rank order.  Any other
-    model is compared pair by pair, over all pairs when |G|^2 <= ``samples``
-    and over a seeded sample otherwise, and the witness is the worst pair.  A
-    batched model's pairs are first compared exactly through its block
-    formula; only the pairs that differ are densified to measure the distance.
+    R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  A model of order
+    <= TABLE_CAP is scanned over all pairs in exact integer arithmetic, and
+    the witness is the first bad pair in rank order.  A larger model is
+    compared pair by pair, over all pairs when |G|^2 <= ``samples`` and over a
+    seeded sample otherwise, and the witness is the worst pair.  A batched
+    model's pairs are first compared exactly through its block formula.  Only
+    the pairs that differ are densified to measure the distance.
     """
     G = W.group
     n = G.order
@@ -519,7 +475,7 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
 
     worst = 0.0
     witness = None
-    if n <= TABLE_CAP and W.is_monomial():
+    if n <= TABLE_CAP:
         SRC, NUM, den0 = W.monomial_arrays()
         pden, pnum = phase.num_table()
         d = lcm(den0, pden)
@@ -599,8 +555,7 @@ def _generator_rows(W: ProjectiveRep, gens):
     """(SRC, NUM, den): W's monomial data at the elements ``gens``, one row each.
 
     A batched rep evaluates its block formula once; any other rep reads
-    ``operator(g).monomial``, and None means one of those operators is dense.
-    Every row is checked to be a permutation.
+    ``operator(g).monomial``.  Every row is checked to be a permutation.
     """
     if not gens:
         return np.empty((0, W.dim), dtype=np.intp), np.empty((0, W.dim), dtype=np.int64), 1
@@ -609,8 +564,6 @@ def _generator_rows(W: ProjectiveRep, gens):
         SRC, NUM = fn(np.array([g.coords for g in gens], dtype=np.int64))
     else:
         parts = [W.operator(g).monomial for g in gens]
-        if any(part is None for part in parts):
-            return None
         den = lcm(*(part.den for part in parts))
         SRC = np.stack([part.src for part in parts])
         NUM = np.stack([part.rescaled(den).num for part in parts])
@@ -683,20 +636,12 @@ def _intertwining_orbits(orders, rows1, rows2):
 def commutant_d(W: ProjectiveRep) -> int:
     """Complex dimension of {X : X W(g) = W(g) X for every g in G}.
 
-    With monomial generator operators it is the exact orbit count of
-    ``_intertwining_orbits`` for W1 = W2, read from the generator rows alone.
-    A rep with a dense generator operator takes the trace of the
-    group-averaged commutant projector X |-> sum_g W(g) X W(g)^* / |G|, which
-    is sum_g |tr W(g)|^2 / |G|, over all of its operators.
+    It is the exact orbit count of ``_intertwining_orbits`` for W1 = W2, read
+    from W's rows at the generators of G alone.
     """
     G = W.group
     rows = _generator_rows(W, G.generators())
-    if rows is not None:
-        return len(_intertwining_orbits([n for n in G.moduli if n > 1], rows, rows)[3])
-    val = sum(abs(W.operator(x).trace()) ** 2 for x in W.group.elements()) / W.group.order
-    if abs(val - round(val)) > 1e-6:
-        raise DefectError(f"commutant trace {val} is not an integer")
-    return int(round(val))
+    return len(_intertwining_orbits([n for n in G.moduli if n > 1], rows, rows)[3])
 
 
 def _same_multiplier(m1: Multiplier, m2: Multiplier) -> bool:
@@ -714,8 +659,8 @@ def _same_multiplier(m1: Multiplier, m2: Multiplier) -> bool:
 def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep) -> dict:
     """Exact basis of {T : T W1(g) = W2(g) T}; multipliers must agree exactly.
 
-    Both reps need monomial generator operators; ``_intertwining_orbits``
-    solves the space.  Returns the ``dimension``, ``orbit`` (n2 x n1: the
+    ``_intertwining_orbits`` solves the space from both reps' rows at the
+    generators of G.  Returns the ``dimension``, ``orbit`` (n2 x n1: the
     index k < dimension of each entry's solution orbit, -1 off them) and
     ``phases`` over ``den``: basis element k is e(phases / den) where
     orbit == k and 0 elsewhere.  For two irreducible models of one Heisenberg
@@ -728,8 +673,6 @@ def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep) -> dict:
         raise InputError("multipliers differ; align them with a twist first")
     G = W1.group
     rows1, rows2 = _generator_rows(W1, G.generators()), _generator_rows(W2, G.generators())
-    if rows1 is None or rows2 is None:
-        raise InputError("intertwiner needs monomial generator operators")
     label, pot, den, good = _intertwining_orbits([n for n in G.moduli if n > 1], rows1, rows2)
     n1, n2 = W1.dim, W2.dim
     which = np.full(n1 * n2, -1, dtype=np.int64)

@@ -142,11 +142,11 @@ def test_regular_rows_match_formula(moduli, data):
     regular_rep(FinAbGroup([5, 4])),
 ], ids=["window-2-1-2", "schrodinger-3x1x2", "regular-5x4"])
 def test_blocks_cover_rank_order(W):
+    assert W.batch is not None
     blocks = list(W.blocks())
-    assert all(ops is None for ops, _, _, _ in blocks)
-    SRC = np.concatenate([S for _, S, _, _ in blocks])
-    NUM = np.concatenate([N for _, _, N, _ in blocks])
-    (den,) = {d for _, _, _, d in blocks}
+    SRC = np.concatenate([S for S, _, _ in blocks])
+    NUM = np.concatenate([N for _, N, _ in blocks])
+    (den,) = {d for _, _, d in blocks}
     assert len(SRC) == W.group.order
     for x in W.group.elements():
         assert W.operator(x).monomial.equals(MonomialPart(W.dim, den, SRC[x.rank], NUM[x.rank]))
@@ -185,9 +185,9 @@ def assert_induced_matches(G, m, A, c=None):
     for x, want in zip(G.elements(), oracle):
         assert W.operator(x).monomial.equals(want)
     blocks = list(W.blocks())
-    assert all(ops is None and den == W.batch[0] for ops, _, _, den in blocks)
-    SRC = np.concatenate([S for _, S, _, _ in blocks])
-    NUM = np.concatenate([N for _, _, N, _ in blocks])
+    assert all(den == W.batch[0] for _, _, den in blocks)
+    SRC = np.concatenate([S for S, _, _ in blocks])
+    NUM = np.concatenate([N for _, N, _ in blocks])
     for x, want in enumerate(oracle):
         assert MonomialPart(W.dim, W.batch[0], SRC[x], NUM[x]).equals(want)
 

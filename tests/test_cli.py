@@ -300,6 +300,42 @@ def test_defect_report_carries_provenance(tmp_path, capsys, monkeypatch):
                    "pass": False, "defect": "forced defect", "witness": [1, 2]}
 
 
+# vacuum scenarios on [64, 64, 2] (order 8192 > 4096) where L/2 = G: the
+# complement of L/2 is empty, so "outside L/2 moves vacuum" must hold vacuously
+# rather than sample forever.  With the one-sided form B[0][1] = 1/64 no
+# L/2 comparison is made; with its alternating version m~ = 2B is degenerate,
+# its polar of L is all of G, and that differs from the double preimage of L.
+NORMALIZER_IS_G = {
+    "one-sided": ([["0", "1/64", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+                  [[1, 0, 0], [0, 0, 1]], 0),
+    "alternating": ([["0", "1/64", "0"], ["-1/64", "0", "0"], ["0", "0", "0"]],
+                    [[1, 0, 0], [0, 32, 0], [0, 0, 1]], 1),
+}
+
+
+@pytest.mark.parametrize("case", list(NORMALIZER_IS_G))
+def test_vacuum_normalizer_equal_to_g_returns(tmp_path, case):
+    B, model_gens, want = NORMALIZER_IS_G[case]
+    path = write(tmp_path, "v.json", {
+        "task": "vacuum", "group": {"moduli": [64, 64, 2]},
+        "multiplier": {"type": "bicharacter", "B": B},
+        "subgroup": {"generators": [[0, 0, 1]]},
+        "model": {"type": "induced", "subgroup": {"generators": model_gens}}})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-m", "weylkit", "vacuum", "--scenario", path],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == want
+    checks = {c["name"]: c for c in json.loads(out.stdout)["checks"]}
+    assert checks["outside L/2 moves vacuum"]["pass"]
+    assert checks["outside L/2 moves vacuum"]["note"] == "L/2 = G; vacuously true"
+    if want:
+        assert [n for n, c in checks.items() if not c["pass"]] == ["normalizer equals L/2"]
+    else:
+        assert "normalizer equals L/2" not in checks
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -144,7 +144,7 @@ def _z9_case():
 
 
 def _descended_case():
-    """The dense descended action of window (2,1,1), overridden at (1, 0)."""
+    """The descended action of window (2,1,1), overridden at (1, 0)."""
     R = descend(window_model(2, 1, 1), window(2, 1, 1).L).rep0
     return R, R.group.element([1, 0]), 20_000
 
@@ -158,38 +158,33 @@ def _window_312_case():
     return W, x, 4000
 
 
-# (case, dense override, checker, check name, witness, note, residual).  The
-# monomial scan reports the first bad pair in rank order, the pairwise scan
-# the worst pair; a dense override on a small monomial model takes the
-# pairwise scan, and window (3,1,2) is too large for the monomial scan.
+# (case, checker, check name, witness, note, residual), each with the identity
+# operator, a monomial one, as the override.  The exact scan (|G| <= 512)
+# reports the first bad pair in rank order, the sampled pairwise scan the
+# worst pair; window (3,1,2) is too large for the exact scan.
 FAULTS = [
-    (_z9_case, False, check_rep_law, "law", ((1, 0), (0, 2)),
+    (_z9_case, check_rep_law, "law", ((1, 0), (0, 2)),
      "exhaustive over 81^2 pairs", 1.0),
-    (_z9_case, False, commutator_scalar_check, "commutator", ((1, 0), (1, 2)),
+    (_z9_case, commutator_scalar_check, "commutator", ((1, 0), (1, 2)),
      "exhaustive over 81^2 pairs", 1.9696155060244163),
-    (_z9_case, True, check_rep_law, "law", ((1, 0), (0, 2)),
-     "exhaustive over 81^2 pairs", 1.0),
-    (_z9_case, True, commutator_scalar_check, "commutator", ((8, 0), (1, 2)),
-     "exhaustive over 81^2 pairs", 1.9696155060244163),
-    (_descended_case, True, check_rep_law, "law", ((0, 1), (1, 1)),
+    (_descended_case, check_rep_law, "law", ((1, 0), (0, 1)),
      "exhaustive over 4^2 pairs", 1.0),
-    (_descended_case, True, commutator_scalar_check, "commutator", ((1, 0), (0, 1)),
+    (_descended_case, commutator_scalar_check, "commutator", ((1, 0), (0, 1)),
      "exhaustive over 4^2 pairs", 2.0),
-    (_window_312_case, False, check_rep_law, "law", ((0, 8, 5, 7), (3, 5, 6, 5)),
+    (_window_312_case, check_rep_law, "law", ((0, 8, 5, 7), (3, 5, 6, 5)),
      "sampled 4000 pairs, seed=0", 1.0),
-    (_window_312_case, False, commutator_scalar_check, "commutator",
+    (_window_312_case, commutator_scalar_check, "commutator",
      ((0, 8, 5, 7), (3, 5, 6, 5)), "sampled 4000 pairs, seed=0", 1.285575219373079),
 ]
 
 
 @pytest.mark.parametrize(
-    "case,dense,checker,name,witness,note,residual", FAULTS,
-    ids=[f"{f[0].__name__.strip('_')}-{'dense' if f[1] else 'monomial'}-{f[3]}" for f in FAULTS])
-def test_identity_fault_injection(case, dense, checker, name, witness, note, residual):
+    "case,checker,name,witness,note,residual", FAULTS,
+    ids=[f"{f[0].__name__.strip('_')}-monomial-{f[2]}" for f in FAULTS])
+def test_identity_fault_injection(case, checker, name, witness, note, residual):
     W, x, samples = case()
     assert checker(W, samples=samples).passed
-    op = Operator(W.dim, dense=np.eye(W.dim)) if dense else identity_operator(W.dim)
-    rep = checker(W.with_override(x, op), samples=samples)
+    rep = checker(W.with_override(x, identity_operator(W.dim)), samples=samples)
     failed = [c for c in rep.checks if not c.passed]
     assert [c.name for c in failed] == [name]
     assert failed[0].witness == witness
@@ -344,7 +339,7 @@ def test_batched_permutation_check_can_fail(fault):
     with pytest.raises(InputError, match="not a permutation"):
         commutant_d(B)
     with pytest.raises(InputError, match="not a permutation"):
-        B.is_monomial()
+        B.monomial_arrays()
     with pytest.raises(InputError, match="not a permutation"):
         B.operator(B.group.element([1, 0]))
     assert commutant_d(models.ProjectiveRep.from_batch(W.group, W.multiplier, W.dim, den, fn)) \
@@ -505,11 +500,6 @@ def test_monomial_dense_agreement(z9):
         exact = W.operator(x).compose(W.operator(y)).matrix
         dense = W.operator(x).matrix @ W.operator(y).matrix
         assert np.abs(exact - dense).max() < 1e-12
-
-
-def test_operator_unitarity_enforced():
-    with pytest.raises(InputError):
-        Operator(2, dense=np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_monomial_arrays_cache(f2):

@@ -1,14 +1,20 @@
+import json
+from math import lcm
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.errors import DefectError, InputError, PreconditionError, ResourceLimitError
+from weylkit.errors import DefectError, PreconditionError, ResourceLimitError
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.isotropy import is_isotropic
-from weylkit.models import MonomialPart, Operator, ProjectiveRep, check_rep_law, regular_rep
+from weylkit.cli import build_model, build_parser, parse_group, parse_multiplier, parse_subgroup
+from weylkit.models import (MonomialPart, Operator, ProjectiveRep, check_rep_law, induced_model,
+                            regular_rep)
 from weylkit.padic import window_weyl
-from weylkit.multipliers import antisymmetrize
+from weylkit.multipliers import TableMultiplier, antisymmetrize
 from weylkit.phases import HALF, ZERO
 from weylkit.vacuum import (
     clifford_basis,
@@ -125,14 +131,6 @@ def test_exact_sectors_match_projector_oracle(case):
 def test_vacuum_basis_is_gram_schmidt_bitwise(key):
     S = sectors(window_model(*key), window(*key).L)
     assert S.vacuum_basis().tobytes() == gram_schmidt(projector(S, (0,) * len(S.orders))).tobytes()
-
-
-def test_sectors_refuse_dense_operators():
-    W = window_model(2, 1, 2)
-    D = ProjectiveRep(W.group, W.multiplier, W.dim,
-                      lambda x: Operator(W.dim, dense=W.operator(x).matrix))
-    with pytest.raises(InputError, match="monomial"):
-        sectors(D, window(2, 1, 2).L)
 
 
 def _override_first_generator(W, L, src=None, shift=0):
@@ -367,6 +365,107 @@ def test_descend_p2_d2():
     assert D.v2.order == 16
     assert D.rep0.dim == 4
     assert check_rep_law(D.rep0).passed
+
+
+def dense_descent(W, D):
+    """Oracle: the compressions B0^* W(s(v)) B0 at the section elements, v of V2 in rank order."""
+    B0 = D.vacuum_basis
+    return [B0.conj().T @ W.operator(s).apply(B0) for _, s in D.quotient.section_list]
+
+
+def scalar_m0(W, D):
+    """Oracle: m0(v, w) = m(s_v, s_w) + m(s_v + s_w - s_{v+w}, s_{v+w}), one pair at a time."""
+    q, m = D.quotient, W.multiplier
+
+    def m0(v, w):
+        sv, sw, svw = q.section(v), q.section(w), q.section(v + w)
+        return m(sv, sw) + m(sv + sw - svw, svw)
+
+    return TableMultiplier.from_function(D.v2, m0)
+
+
+def _scenario_descent_case():
+    path = str(Path(__file__).parent.parent / "scenarios" / "fermion_window_2_1_1.json")
+    sc = json.loads(Path(path).read_text())
+    G = parse_group(sc["group"])
+    args = build_parser().parse_args(["fermion", "--scenario", path])
+    return build_model(sc, G, parse_multiplier(sc["multiplier"], G), args), \
+        parse_subgroup(sc["subgroup"], G)
+
+
+def _induced_descent_case(k, d):
+    """The induced model of window (2, k, d) on <e_i, 2^(2k-1) e_(d+i)>, with the window's L."""
+    w = window(2, k, d)
+    G, h = w.group, 2 ** (2 * k - 1)
+    A = subgroup_span(G, [G.element([int(j == i) for j in range(2 * d)]) for i in range(d)]
+                      + [G.element([h * (j == d + i) for j in range(2 * d)]) for i in range(d)])
+    return induced_model(G, w.m, A), w.L
+
+
+def _gauged_descent_case(k, d):
+    """Window (2, k, d) conjugated by a seeded diagonal phase: same multiplier, but the
+    vacuum orbit sums carry nonzero potentials."""
+    W = window_model(2, k, d)
+    den = W.batch[0]
+    phi = np.random.default_rng(k * 10 + d).integers(0, den, W.dim)
+    D = Operator(W.dim, monomial=MonomialPart(W.dim, den, np.arange(W.dim), phi))
+    return ProjectiveRep(W.group, W.multiplier, W.dim,
+                         lambda x: D.compose(W.operator(x)).compose(D.adjoint())), window(2, k, d).L
+
+
+DESCENT_CASES = {
+    **{f"window-{p}-{k}-{d}": (lambda key=(p, k, d): (window_model(*key), window(*key).L))
+       for p, k, d in [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 1, 3), (2, 3, 1), (2, 2, 2)]},
+    "scenario-fermion-2-1-1": _scenario_descent_case,
+    "induced-2-1-1": lambda: _induced_descent_case(1, 1),
+    "induced-2-1-2": lambda: _induced_descent_case(1, 2),
+    "induced-2-2-1": lambda: _induced_descent_case(2, 1),
+    "gauged-2-2-1": lambda: _gauged_descent_case(2, 1),
+    "gauged-2-1-2": lambda: _gauged_descent_case(1, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(DESCENT_CASES))
+def test_monomial_descent_matches_dense_oracle(case):
+    W, L = DESCENT_CASES[case]()
+    D = descend(W, L)
+    assert D.report.passed
+    dense = dense_descent(W, D)
+    for v, M in zip(D.v2.elements(), dense):
+        assert np.abs(M.conj().T @ M - np.eye(D.rep0.dim)).max() < 1e-12
+        assert np.abs(D.rep0.operator(v).matrix - M).max() < 1e-12
+    want = scalar_m0(W, D)
+    den = lcm(want.den, D.m0.den)
+    assert not ((want.num * (den // want.den) - D.m0.num * (den // D.m0.den)) % den).any()
+    law = [c for c in D.report.checks if c.name == "W0 law"]
+    assert law[0].residual == 0.0 and law[0].note == f"exhaustive over {D.v2.order}^2 pairs"
+
+
+@pytest.mark.parametrize("fault", ["phase", "index", "orbit"])
+def test_descend_refuses_leaking_section_operator(fault):
+    # window (2,2,1): 16 carrier indices, a vacuum of two orbit sums over 4 indices each
+    W, L = window_model(2, 2, 1), window(2, 2, 1).L
+    D = descend(W, L)
+    s = D.quotient.section_list[1][1]
+    orbits = [np.flatnonzero(D.vacuum_basis[:, k]) for k in range(D.rep0.dim)]
+    vac = np.concatenate(orbits)
+    mono = W.operator(s).monomial
+    src, num = mono.src.copy(), mono.num.copy()
+    if fault == "phase":
+        # row i gains a sign: W(s) no longer carries its orbit sum whole
+        num[orbits[0][1]] += mono.den // 2
+    elif fault == "index":
+        # row i reads from a non-vacuum index
+        i, j = orbits[0][1], np.setdiff1d(np.arange(W.dim), vac)[0]
+        src[[i, j]] = src[[j, i]]
+    else:
+        # rows of two image orbits trade sources, away from the orbits' least indices
+        i, j = orbits[0][1], orbits[1][1]
+        src[[i, j]] = src[[j, i]]
+    leaky = W.with_override(s, Operator(W.dim, monomial=MonomialPart(W.dim, mono.den, src, num)))
+    with pytest.raises(DefectError, match="does not preserve the vacuum space") as exc:
+        descend(leaky, L)
+    assert exc.value.witness == (s.coords, int(orbits[0][1]))
 
 
 def test_descend_section_is_canonical():
