@@ -264,7 +264,7 @@ def run_fermion(scenario, args):
     L = parse_subgroup(scenario["subgroup"], G)
     W = build_model(scenario, G, m, args) if "model" in scenario else induced_model(G, m, L)
     D = descend(W, L, tol=args.tolerance)
-    C = clifford_basis(D, tol=args.tolerance)
+    C = clifford_basis(D)
     rep = VerificationReport("fermionic structure")
     rep.extend(D.report)
     rep.add("clifford residual", C.max_residual <= args.tolerance,

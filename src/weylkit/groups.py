@@ -218,13 +218,14 @@ def _require_prime(p: int):
 class Subgroup:
     """Subgroup of a FinAbGroup, canonicalised by the column HNF of its preimage lattice."""
 
-    __slots__ = ("ambient", "generators", "basis", "_elems", "_decomp", "_transversal")
+    __slots__ = ("ambient", "generators", "basis", "_elems", "_grid", "_decomp", "_transversal")
 
     def __init__(self, ambient: FinAbGroup, generators, basis):
         self.ambient = ambient
         self.generators = tuple(generators)
         self.basis = tuple(tuple(row) for row in basis)
         self._elems = None
+        self._grid = None
         self._decomp = None
         self._transversal = None
 
@@ -298,7 +299,13 @@ class Subgroup:
             order = np.argsort(ranks, kind="stable")
             assert len(order) == self.order and (np.diff(ranks[order]) > 0).all()
             self._elems = [GroupElement(G, tuple(c)) for c in X[order].tolist()]
+            self._grid = order
         return self._elems
+
+    def grid_order(self) -> np.ndarray:
+        """Rank in the coefficient grid of ``decomposition()`` of each element of ``elements()``."""
+        self.elements()
+        return self._grid
 
     def coset_key(self, x: GroupElement) -> tuple:
         """Canonical label of the coset x + A (box reduction against the lattice basis)."""

@@ -512,10 +512,15 @@ def split_symmetric(m: Multiplier, A: Subgroup | None = None) -> PhaseMap:
     """Solve m(a, b) = c(a+b) - c(a) - c(b) on a subgroup where m is symmetric.
 
     Returns the canonical solution: among all solutions (they differ by a
-    character of A) the one whose numerator vector over the common denominator
-    D' = D * exponent(A) is lexicographically least, elements in rank order.
-    The residual is re-verified exactly; a nonzero residual is a defect, never
-    a data condition.
+    character of A) the one whose value vector, elements in rank order, is
+    lexicographically least.  One pass over the numerator table of m on A,
+    indexed by A's decomposition grid Z/d_1 x Z/d_2 x ...: the cyclic tower
+    extends c one generator at a time, the residual is re-verified exactly
+    through the grid's addition table (a nonzero residual is a defect, never
+    a data condition), and one lexsort over the |A| x |A| table of character
+    shifts picks the canonical one.  Every value is a numerator over
+    D = den * exponent(A), reduced mod D at each step; a D whose running sums
+    could leave int64 is refused with ``InputError``.
     """
     G = m.group
     if A is None:
@@ -524,68 +529,49 @@ def split_symmetric(m: Multiplier, A: Subgroup | None = None) -> PhaseMap:
         raise InputError("subgroup does not live in the multiplier's group")
     m.ensure_verified()
     elems = A.elements()
-    if len(elems) > TABLE_CAP:
-        raise ResourceLimitError("subgroup order", len(elems), "TABLE_CAP", TABLE_CAP)
-    D = 1
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            vab = m(a, b)
-            if vab != m(b, a):
-                raise PreconditionError(
-                    f"multiplier is not symmetric on the subgroup at {(a.coords, b.coords)}")
-            D = lcm(D, vab.den)
+    n = len(elems)
+    if n > TABLE_CAP:
+        raise ResourceLimitError("subgroup order", n, "TABLE_CAP", TABLE_CAP)
+    _, orders = A.decomposition()
+    E = A.exponent
+    D = m.den * E
+    # the cumulative sums of the tower reach E * D before they are reduced
+    if D * (E + 2) >= 2 ** 63 or max(G.moduli, default=1) >= 2 ** 63:
+        raise InputError(f"splitting over denominator {D} on {A!r} is beyond int64 arrays")
+    grid = FinAbGroup(orders)
+    pos = A.grid_order()                        # element i of A is grid point pos[i]
+    X = np.empty((n, G.rank), dtype=np.int64)
+    X[pos] = np.array([a.coords for a in elems], dtype=np.int64).reshape(n, G.rank)
+    N = m.pair_nums(np.repeat(X, n, axis=0), np.tile(X, (n, 1))).reshape(n, n) % m.den * E
+    Ne = N[np.ix_(pos, pos)]
+    asym = np.argwhere(np.triu(Ne != Ne.T))
+    if asym.size:
+        i, j = asym[0]
+        raise PreconditionError(
+            f"multiplier is not symmetric on the subgroup at {(elems[i].coords, elems[j].coords)}")
 
-    gens, orders = A.decomposition()
-    c = {G.zero().coords: ZERO}
-    for g, d in zip(gens, orders):
-        # splitting on the cyclic factor <g>
-        msum = ZERO
-        partial = [ZERO]
-        for s in range(d):
-            term = m(s * g, g)
-            msum = msum + term
-            partial.append(partial[-1] + term)
-        x = Phase(-msum.num, msum.den * d)          # d * x = -msum
-        sigma = [t * x + partial[t] for t in range(d)]
-        new_c = {}
-        for coords, cb in c.items():
-            b = G.element(coords)
-            for t in range(d):
-                e = b + t * g
-                new_c[e.coords] = cb + sigma[t] + m(b, t * g)
-        c = new_c
-    if len(c) != A.order:
-        raise DefectError("generator tower did not cover the subgroup")
+    # splitting on the cyclic factor <g> of order d at grid weight w, then
+    # c(b + t g) = c(b) + sigma(t) + m(b, t g) for the b already covered
+    c = np.zeros(n, dtype=np.int64)
+    for w, d in zip(grid._weights, orders):
+        tg = np.arange(d) * w
+        steps = N[tg, w]                                    # m(s g, g), s < d
+        x = -(steps.sum() % D // d)                         # d * x = -sum_s m(s g, g)
+        sigma = np.concatenate(([0], np.cumsum((x + steps[:-1]) % D))) % D
+        c[:d * w] = ((c[None, :w] + sigma[:, None] + N[:w, tg].T) % D).ravel()
 
-    for a in elems:
-        for b in elems:
-            if m(a, b) != c[(a + b).coords] - c[a.coords] - c[b.coords]:
-                raise DefectError("splitting residual is nonzero",
-                                  witness=(a.coords, b.coords))
+    bad = (c[grid.addition_table()] - c[:, None] - c[None, :] - N) % D != 0
+    if bad.any():
+        i, j = np.argwhere(bad[np.ix_(pos, pos)])[0]
+        raise DefectError("splitting residual is nonzero",
+                          witness=(elems[i].coords, elems[j].coords))
 
-    # canonical representative among character shifts
-    Dp = D * A.exponent
-    order_elems = sorted(elems, key=lambda e: e.rank)
-    tcoords = {a.coords: A.coordinates_of(a) for a in elems}
-    best = None
-    best_vals = None
-    for u_rank in range(A.order):
-        u = []
-        rest = u_rank
-        for d in orders:
-            rest, ui = divmod(rest, d)
-            u.append(ui)
-        shifted = {}
-        for a in order_elems:
-            chi = ZERO
-            for ui, ti, d in zip(u, tcoords[a.coords], orders):
-                chi = chi + Phase(ui * ti, d)
-            shifted[a.coords] = c[a.coords] + chi
-        vec = tuple(shifted[a.coords].numerator_at(Dp) for a in order_elems)
-        if best is None or vec < best:
-            best = vec
-            best_vals = shifted
-    return PhaseMap(G, best_vals)
+    # canonical representative among the shifts by characters u of A
+    T = grid.coords_array()
+    scale = np.array([E // d for d in orders], dtype=np.int64)
+    shifts = (c[pos] + (T * scale) @ T[pos].T % E * m.den) % D
+    best = shifts[np.lexsort(shifts.T[::-1])[0]]
+    return PhaseMap(G, {a.coords: Phase(int(v), D) for a, v in zip(elems, best)})
 
 
 def is_heisenberg(m: Multiplier) -> bool:

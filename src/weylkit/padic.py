@@ -157,7 +157,7 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
     report.add("|V2| = 2^(2d)", D.v2.order == 4 ** w.d)
     report.extend(D.report)
 
-    C = clifford_basis(D, tol)
+    C = clifford_basis(D)
     out["clifford"] = C
     out["clifford_residual_max"] = C.max_residual
     out["clifford_gram"] = C.gram

@@ -28,13 +28,7 @@ from .models import (
     commutant_d,
     identity_operator,
 )
-from .multipliers import (
-    Bicharacter,
-    PhaseMap,
-    TableMultiplier,
-    antisymmetrize,
-    split_symmetric,
-)
+from .multipliers import Bicharacter, TableMultiplier, antisymmetrize
 from .phases import HALF, Phase, ZERO
 from .reports import VerificationReport
 
@@ -483,7 +477,6 @@ class CliffordBasis:
     """Anticommuting involutions generating the descended vacuum action."""
 
     elements: list
-    twist: PhaseMap
     operators: list
     gram: list
     residual_squares: float
@@ -495,113 +488,68 @@ class CliffordBasis:
         return max(self.residual_squares, self.residual_anticommute)
 
 
-def _find_gram_basis(V2: FinAbGroup, n: Bicharacter, twod: int):
-    """Basis e_1..e_{2d} of V2 with n(e_i, e_j) = 1/2 exactly for i != j."""
-    elems = [e for e in V2.elements() if not e.is_zero()]
+def _jordan_wigner(n: Bicharacter) -> list:
+    """gamma_1..gamma_2d in n's F2 group with n(gamma_i, gamma_j) = 1/2 for every i != j.
 
-    def reduce_vec(v, rows):
-        w = list(v)
-        for r, p in rows:
-            if w[p]:
-                w = [(a + b) % 2 for a, b in zip(w, r)]
-        return w
-
-    def dfs(chosen, rows):
-        if len(chosen) == twod:
-            return chosen
-        for e in elems:
-            if any(e == c for c in chosen):
-                continue
-            if any(n(c, e) != HALF for c in chosen):
-                continue
-            red = reduce_vec(e.coords, rows)
-            if not any(red):
-                continue
-            p = next(i for i, a in enumerate(red) if a)
-            out = dfs(chosen + [e], rows + [(red, p)])
-            if out is not None:
-                return out
-        return None
-
-    return dfs([], [])
+    Symplectic Gram-Schmidt over F2 takes the pairs (a_i, b_i) greedily from
+    the unit vectors in rank order: a_i is the first vector left, b_i the
+    first one paired with it, and the rest are made n-orthogonal to both.
+    Then gamma_{2i-1} = a_i + S_i and gamma_{2i} = b_i + S_i with
+    S_i = sum_{j<i} (a_j + b_j).  ``DefectError`` with the radical's
+    generators as witness when n is degenerate.
+    """
+    V2 = n.group
+    F = np.array([[b.numerator_at(2) for b in row] for row in n.matrix],
+                 dtype=np.int64).reshape(V2.rank, V2.rank)
+    rest = list(np.eye(V2.rank, dtype=np.int64))
+    S = np.zeros(V2.rank, dtype=np.int64)
+    gammas = []
+    while rest:
+        a = rest.pop(0)
+        j = next((j for j, v in enumerate(rest) if a @ F @ v % 2), None)
+        if j is None:
+            raise DefectError("descended form is degenerate; no symplectic partner",
+                              witness=[g.coords for g in n.radical().generators])
+        b = rest.pop(j)
+        rest = [(v + (v @ F @ b) * a + (v @ F @ a) * b) % 2 for v in rest]
+        gammas += [V2.element(a + S), V2.element(b + S)]
+        S = (S + a + b) % 2
+    return gammas
 
 
-def clifford_basis(D: DescendedRep, tol: float = DEFAULT_TOL) -> CliffordBasis:
+def clifford_basis(D: DescendedRep) -> CliffordBasis:
     """Extract 2d anticommuting involutions from the descended representation.
 
-    Finds a basis with the all-ones-off-diagonal Gram for n, twists the
-    multiplier onto the strict-lower-triangular form over that basis, and
-    returns the twisted operators E_i.  E_i^2 = 1 and E_i E_j = -E_j E_i are
-    checked exactly by monomial composition; the residuals are 0.0 when they
-    hold and the float distance of the worst failing pair otherwise.
+    The elements gamma_i come from a symplectic F2 basis of n by
+    Jordan-Wigner (``_jordan_wigner``), and E_i = e(c_i) W0(gamma_i) with
+    c_i the root of 2 c_i = -m0(gamma_i, gamma_i) in [0, 1/2), so that
+    E_i^2 = 1.  E_i^2 = 1 and E_i E_j = -E_j E_i are checked exactly by
+    monomial composition; the residuals are 0.0 when they hold and the float
+    distance of the worst failing pair otherwise.
     """
     V2 = D.v2
     if any(d != 2 for d in V2.moduli):
         raise PreconditionError("descended group is not an elementary 2-group")
-    twod = V2.rank
-    if twod % 2:
+    if V2.rank % 2:
         raise DefectError("descended group has odd F2-dimension")
-    if twod == 0:
-        return CliffordBasis([], PhaseMap(V2, {(): ZERO} if V2.rank == 0 else {}),
-                             [], [], 0.0, 0.0, 1 if D.rep0.dim == 1 else D.rep0.dim ** 2)
-
-    basis = _find_gram_basis(V2, D.n, twod)
-    if basis is None:
-        raise DefectError("no basis with the required Gram exists (search exhausted)")
-
-    # coordinates over the found basis, by F2 linear algebra
-    B = np.array([e.coords for e in basis], dtype=np.int64).T % 2
-
-    def f2_solve(vec):
-        A = np.concatenate([B.copy(), np.array(vec, dtype=np.int64).reshape(-1, 1)], axis=1) % 2
-        rows, cols = A.shape
-        r = 0
-        piv = []
-        for c in range(cols - 1):
-            pr = next((i for i in range(r, rows) if A[i, c]), None)
-            if pr is None:
-                continue
-            A[[r, pr]] = A[[pr, r]]
-            for i in range(rows):
-                if i != r and A[i, c]:
-                    A[i] = (A[i] + A[r]) % 2
-            piv.append(c)
-            r += 1
-        t = np.zeros(cols - 1, dtype=np.int64)
-        for i, c in enumerate(piv):
-            t[c] = A[i, -1]
-        return t
-
-    tcoords = {v.coords: f2_solve(v.coords) for v in V2.elements()}
-
-    def m1_phase(v, w):
-        tv, tw = tcoords[v.coords], tcoords[w.coords]
-        s = sum(int(tv[i]) * int(tw[j]) for i in range(twod) for j in range(i))
-        return Phase(s, 2)
-
-    m1 = TableMultiplier.from_function(V2, m1_phase)
-    dden = lcm(D.m0.den, 2)
-    diff = (D.m0.num * (dden // D.m0.den) - m1.num * (dden // 2)) % dden
-    if (diff != diff.T).any():
-        raise DefectError("difference of m0 and the triangular form is not symmetric")
-    diff_m = TableMultiplier(V2, dden, diff)
-    c = split_symmetric(diff_m)
+    basis = _jordan_wigner(D.n)
+    den = D.m0.den
+    ops = [D.rep0.operator(e).scaled(Phase(-int(D.m0.num[e.rank, e.rank]) % den, 2 * den))
+           for e in basis]
 
     # exact monomial identities; distance_to densifies only an identity that fails
-    ops = [D.rep0.operator(e).scaled(c(e)) for e in basis]
     one = identity_operator(D.rep0.dim)
-    r_sq = max(E.compose(E).distance_to(one) for E in ops)
-    r_ac = max(ops[i].compose(ops[j]).distance_to(ops[j].compose(ops[i]).scaled(HALF))
-               for i in range(twod) for j in range(i + 1, twod))
+    r_sq = max((E.compose(E).distance_to(one) for E in ops), default=0.0)
+    r_ac = max((ops[i].compose(ops[j]).distance_to(ops[j].compose(ops[i]).scaled(HALF))
+                for i in range(len(ops)) for j in range(i + 1, len(ops))), default=0.0)
     gram = [[1 if D.n(a, b) == HALF else 0 for b in basis] for a in basis]
-    for i in range(twod):
-        for j in range(twod):
-            if gram[i][j] != (0 if i == j else 1):
+    for i, row in enumerate(gram):
+        for j, g in enumerate(row):
+            if g != (0 if i == j else 1):
                 raise DefectError("Gram matrix of the found basis is wrong",
                                   witness=(i, j))
-    # each E_i is a scalar times W0(e_i) and the e_i generate V2: same commutant
-    cdim = commutant_d(D.rep0)
-    return CliffordBasis(basis, c, ops, gram, r_sq, r_ac, cdim)
+    # each E_i is a scalar times W0(gamma_i) and the gamma_i generate V2: same commutant
+    return CliffordBasis(basis, ops, gram, r_sq, r_ac, commutant_d(D.rep0))
 
 
 def coherent_states(W: ProjectiveRep, L: Subgroup,

@@ -89,7 +89,7 @@ def test_criterion_03_fermionic_relations():
     for k, d in itertools.product((1, 2), (1, 2)):
         w = window(2, k, d)
         D = descend(window_model(2, k, d), w.L, tol=TOL)
-        C = clifford_basis(D, tol=TOL)
+        C = clifford_basis(D)
         worst = max(worst, C.max_residual)
         ok &= C.max_residual <= TOL
         ok &= len(C.elements) == 2 * d

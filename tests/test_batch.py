@@ -329,6 +329,14 @@ def test_elements_match_bfs(A):
     assert [x.coords for x in A.elements()] == bfs_elements(A)
 
 
+@settings(max_examples=100, deadline=None)
+@given(A=subgroups())
+def test_grid_order_matches_coordinates(A):
+    _, orders = A.decomposition()
+    T = FinAbGroup(orders).coords_array()[A.grid_order()]
+    assert [tuple(row) for row in T.tolist()] == [A.coordinates_of(a) for a in A.elements()]
+
+
 @pytest.mark.parametrize("moduli,gens", [
     ([], []),                                   # trivial ambient group
     ([4, 6], []),                               # trivial subgroup

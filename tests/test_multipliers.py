@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit.errors import InputError, PreconditionError, UnsupportedOperationError
-from weylkit.groups import FinAbGroup, subgroup_span
+from weylkit.errors import DefectError, InputError, PreconditionError, UnsupportedOperationError
+from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.multipliers import (
     TABLE_CAP,
     Bicharacter,
@@ -375,6 +375,180 @@ def test_split_symmetric_on_subgroup():
     for a in A.elements():
         for b in A.elements():
             assert m(a, b) == c(a + b) - c(a) - c(b)
+
+
+def split_symmetric_loop(m, A=None):
+    """The scalar oracle for ``split_symmetric``: the same tower and canonical shift in ``Phase``."""
+    G = m.group
+    if A is None:
+        A = Subgroup.full(G)
+    elems = A.elements()
+    D = 1
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
+            vab = m(a, b)
+            if vab != m(b, a):
+                raise PreconditionError(
+                    f"multiplier is not symmetric on the subgroup at {(a.coords, b.coords)}")
+            D = lcm(D, vab.den)
+
+    gens, orders = A.decomposition()
+    c = {G.zero().coords: ZERO}
+    for g, d in zip(gens, orders):
+        # splitting on the cyclic factor <g>
+        msum = ZERO
+        partial = [ZERO]
+        for s in range(d):
+            term = m(s * g, g)
+            msum = msum + term
+            partial.append(partial[-1] + term)
+        x = Phase(-msum.num, msum.den * d)          # d * x = -msum
+        sigma = [t * x + partial[t] for t in range(d)]
+        new_c = {}
+        for coords, cb in c.items():
+            b = G.element(coords)
+            for t in range(d):
+                e = b + t * g
+                new_c[e.coords] = cb + sigma[t] + m(b, t * g)
+        c = new_c
+    if len(c) != A.order:
+        raise DefectError("generator tower did not cover the subgroup")
+
+    for a in elems:
+        for b in elems:
+            if m(a, b) != c[(a + b).coords] - c[a.coords] - c[b.coords]:
+                raise DefectError("splitting residual is nonzero",
+                                  witness=(a.coords, b.coords))
+
+    # canonical representative among character shifts
+    Dp = D * A.exponent
+    order_elems = sorted(elems, key=lambda e: e.rank)
+    tcoords = {a.coords: A.coordinates_of(a) for a in elems}
+    best = None
+    best_vals = None
+    for u_rank in range(A.order):
+        u = []
+        rest = u_rank
+        for d in orders:
+            rest, ui = divmod(rest, d)
+            u.append(ui)
+        shifted = {}
+        for a in order_elems:
+            chi = ZERO
+            for ui, ti, d in zip(u, tcoords[a.coords], orders):
+                chi = chi + Phase(ui * ti, d)
+            shifted[a.coords] = c[a.coords] + chi
+        vec = tuple(shifted[a.coords].numerator_at(Dp) for a in order_elems)
+        if best is None or vec < best:
+            best = vec
+            best_vals = shifted
+    return PhaseMap(G, best_vals)
+
+
+def split_outcome(split, m, A):
+    """The values of ``split(m, A)`` in key order, or its precondition failure."""
+    try:
+        return list(split(m, A).values.items())
+    except PreconditionError as exc:
+        return ("PreconditionError", str(exc))
+
+
+@st.composite
+def split_inputs(draw):
+    """(m, A, symmetric): a bicharacter plus a random coboundary, and a subgroup A.
+
+    With ``symmetric`` the bicharacter is symmetric, so m is symmetric on all
+    of G; otherwise B[i][j] - B[j][i] is nonzero wherever the moduli allow,
+    and m may or may not be symmetric on A.
+    """
+    symmetric = draw(st.booleans())
+    moduli = draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 1]), min_size=1 if symmetric else 2,
+                           max_size=3).filter(lambda ms: prod(ms) <= 48))
+    G = FinAbGroup(moduli)
+    r = G.rank
+    mat = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            g = gcd(G.moduli[i], G.moduli[j])
+            if j < i:       # the skew part is nonzero wherever it can be
+                skew = 0 if symmetric or g == 1 else draw(st.integers(1, g - 1))
+                mat[i][j] = mat[j][i] + Phase(skew, g)
+            else:
+                mat[i][j] = Phase(draw(st.integers(0, g - 1)), g)
+    b = Bicharacter(G, mat)
+    if draw(st.booleans()):
+        cmap = random_phase_map(random.Random(draw(st.integers(0, 2 ** 32))), G,
+                                max_den=draw(st.sampled_from([1, 2, 6, 12])))
+        m = TableMultiplier.from_function(G, lambda x, y: b(x, y) + cmap(x) + cmap(y) - cmap(x + y))
+    else:
+        m = b.to_multiplier()
+    if draw(st.booleans()):
+        A = Subgroup.full(G)
+    else:
+        gens = draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in moduli]),
+                            min_size=1, max_size=2))
+        A = Subgroup.span(G, [G.element(g) for g in gens])
+    return m, A, symmetric
+
+
+def edge_case(moduli, gens=None):
+    """(m, A, True) with m = a diagonal symmetric form plus a seeded coboundary, for @example."""
+    G = FinAbGroup(moduli)
+    r = G.rank
+    b = Bicharacter(G, [[Phase(1, 2) if i == j and G.moduli[i] % 2 == 0 else ZERO
+                         for j in range(r)] for i in range(r)])
+    cmap = random_phase_map(random.Random(7), G, max_den=12)
+    m = TableMultiplier.from_function(G, lambda x, y: b(x, y) + cmap(x) + cmap(y) - cmap(x + y))
+    A = Subgroup.full(G) if gens is None else subgroup_span(G, [G.element(g) for g in gens])
+    return m, A, True
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=split_inputs())
+@example(case=edge_case([]))                        # trivial group
+@example(case=edge_case([1]))                       # moduli of 1
+@example(case=edge_case([1, 4, 1]))
+@example(case=edge_case([4, 6], []))                # trivial subgroup
+@example(case=edge_case([1, 8, 2], [[0, 2, 1]]))
+@example(case=edge_case([4, 4], [[2, 0], [0, 2]]))
+def test_split_symmetric_matches_loop_oracle(case):
+    m, A, symmetric = case
+    got = split_outcome(split_symmetric, m, A)
+    assert got == split_outcome(split_symmetric_loop, m, A)
+    if symmetric:
+        assert got[0] != "PreconditionError" and len(got) == A.order
+
+
+def test_split_symmetric_large_moduli_exact_or_refused():
+    # a coboundary table over den: every value is held over D = den * exponent(A)
+    # and D * (exponent + 2) must stay below 2^63, so on Z/4 2^58 is the
+    # largest power of 2 that is split exactly
+    G = FinAbGroup([4])
+    S = G.addition_table()
+    for den, exact in [(2 ** 58, True), (2 ** 59, False)]:
+        c = [0] + [random.Random(den + x).randrange(den) for x in range(1, 4)]
+        num = np.array([[(c[x] + c[y] - c[int(S[x, y])]) % den for y in range(4)]
+                        for x in range(4)], dtype=np.int64)
+        m = TableMultiplier(G, den, num)
+        if exact:
+            assert split_outcome(split_symmetric, m, None) == \
+                split_outcome(split_symmetric_loop, m, None)
+        else:
+            with pytest.raises(InputError, match="int64"):
+                split_symmetric(m)
+    # a bicharacter whose x . B . y over the whole group leaves int64 is
+    # refused by pair_nums, even on a subgroup of order 3
+    n = 3 ** 21
+    G = FinAbGroup([n, n])
+    b = Bicharacter(G, [[ZERO, Phase(1, n)], [ZERO, ZERO]]).to_multiplier()
+    A = subgroup_span(G, [G.element([3 ** 20, 0])])
+    with pytest.raises(InputError, match="int64"):
+        split_symmetric(b, A)
+    # coordinates past int64 are refused before any array is built
+    G = FinAbGroup([2 ** 64])
+    A = subgroup_span(G, [G.element([2 ** 63])])
+    with pytest.raises(InputError, match="int64"):
+        split_symmetric(zero_multiplier(G), A)
 
 
 def test_is_heisenberg():

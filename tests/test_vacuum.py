@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from collections import Counter
 from math import lcm
 from pathlib import Path
 
@@ -14,9 +16,10 @@ from weylkit.cli import build_model, build_parser, parse_group, parse_multiplier
 from weylkit.models import (MonomialPart, Operator, ProjectiveRep, check_rep_law, induced_model,
                             regular_rep)
 from weylkit.padic import window_weyl
-from weylkit.multipliers import TableMultiplier, antisymmetrize
-from weylkit.phases import HALF, ZERO
+from weylkit.multipliers import Bicharacter, TableMultiplier, antisymmetrize
+from weylkit.phases import HALF, Phase, ZERO
 from weylkit.vacuum import (
+    _jordan_wigner,
     clifford_basis,
     coherent_states,
     descend,
@@ -520,6 +523,74 @@ def test_clifford_trivial(z9):
     C = clifford_basis(D)
     assert C.elements == []
     assert C.commutant_dim == 1
+
+
+def test_clifford_degenerate_form_names_the_radical():
+    D = descend(window_model(2, 1, 2), window(2, 1, 2).L)
+    with pytest.raises(DefectError, match="degenerate") as exc:
+        clifford_basis(dataclasses.replace(D, n=Bicharacter.zero(D.v2)))
+    # the zero form's radical is all of V2
+    assert subgroup_span(D.v2, [D.v2.element(c) for c in exc.value.witness]) == \
+        Subgroup.full(D.v2)
+
+
+def test_clifford_basis_neither_splits_nor_tabulates(monkeypatch):
+    import importlib
+    modules = [importlib.import_module(f"weylkit.{name}") for name in ("multipliers", "vacuum")]
+    D = descend(window_model(2, 1, 2), window(2, 1, 2).L)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in modules:
+        if hasattr(module, "split_symmetric"):
+            monkeypatch.setattr(module, "split_symmetric",
+                                counted("split_symmetric", module.split_symmetric))
+    monkeypatch.setattr(TableMultiplier, "from_function",
+                        classmethod(counted("from_function", TableMultiplier.from_function.__func__)))
+    C = clifford_basis(D)
+    assert len(C.elements) == 4 and C.max_residual == 0.0
+    assert calls == Counter()
+
+
+def f2_rank(M: np.ndarray) -> int:
+    M = M.copy() % 2
+    rank = 0
+    for col in range(M.shape[1]):
+        pivot = next((r for r in range(rank, M.shape[0]) if M[r, col]), None)
+        if pivot is None:
+            continue
+        M[[rank, pivot]] = M[[pivot, rank]]
+        for r in range(M.shape[0]):
+            if r != rank and M[r, col]:
+                M[r] ^= M[rank]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_jordan_wigner_on_random_symplectic_forms(d, seed):
+    # n = P^T J P for the standard symplectic J over F2 and a random invertible P
+    rng = np.random.default_rng(seed)
+    J = np.kron(np.array([[0, 1], [1, 0]]), np.eye(d, dtype=np.int64))
+    P = rng.integers(0, 2, (2 * d, 2 * d))
+    while f2_rank(P) < 2 * d:
+        P = rng.integers(0, 2, (2 * d, 2 * d))
+    F = P.T @ J @ P % 2
+    V = FinAbGroup([2] * (2 * d))
+    n = Bicharacter(V, [[Phase(int(F[i, j]), 2) for j in range(2 * d)] for i in range(2 * d)])
+    gammas = _jordan_wigner(n)
+    assert len(gammas) == 2 * d
+    for i, a in enumerate(gammas):
+        for j, b in enumerate(gammas):
+            assert n(a, b) == (ZERO if i == j else HALF)
+    assert f2_rank(np.array([g.coords for g in gammas], dtype=np.int64).reshape(2 * d, 2 * d)) \
+        == 2 * d
 
 
 # -- coherent states -------------------------------------------------------------
