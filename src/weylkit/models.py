@@ -458,42 +458,29 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
     """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for pairs x, y of G.
 
     R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  A model of order
-    <= TABLE_CAP is scanned over all pairs in exact integer arithmetic, and
-    the witness is the first bad pair in rank order.  A larger model is
-    compared pair by pair, over all pairs when |G|^2 <= ``samples`` and over a
-    seeded sample otherwise, and the witness is the worst pair.  A batched
-    model's pairs are first compared exactly through its block formula.  Only
-    the pairs that differ are densified to measure the distance.
+    <= TABLE_CAP is decided over all pairs exactly, first from the pairs
+    (x, g) with g in {0} and the generators.  Law, for a verified cocycle m:
+    if it holds at every (x, y) and (x, g), then with
+    W(y + g) = e(-m(y, g)) W(y) W(g) it holds at (x, y + g), the cocycle
+    identity turning m(x, y) + m(x + y, g) - m(y, g) into m(x, y + g); sums
+    of generators reach every y.  Commutator, for a bicharacter phase: once
+    W's own law holds, W(x) W(y) = e(m(x, y) - m(y, x)) W(y) W(x), and that
+    phase is bimultiplicative too, so agreeing at every (x, g) it agrees
+    everywhere.  Only when these pairs fail does the full scan run, and its
+    witness is the first bad pair in rank order.  A larger model is compared
+    pair by pair, over all pairs when |G|^2 <= ``samples`` and over a seeded
+    sample otherwise, and the witness is the worst pair.  A batched model's
+    pairs are first compared exactly through its block formula.  Only the
+    pairs that differ are densified to measure the distance.
     """
     G = W.group
     n = G.order
-
-    def distance(x, y):
-        lhs = W.operator(x).compose(W.operator(y))
-        rhs = W.operator(y).compose(W.operator(x)) if swapped else W.operator(x + y)
-        return lhs.distance_to(rhs.scaled(phase(x, y)))
-
     worst = 0.0
     witness = None
     if n <= TABLE_CAP:
-        SRC, NUM, den0 = W.monomial_arrays()
-        pden, pnum = phase.num_table()
-        d = lcm(den0, pden)
-        NUM = NUM * (d // den0)
-        pnum = pnum * (d // pden)
-        S = G.addition_table()
-        for x in range(n):
-            sx, nx = SRC[x], NUM[x]
-            # row y of each side: the monomial data of W(x) W(y) and of R(x, y)
-            src1, num1 = SRC[:, sx], nx[None, :] + NUM[:, sx]
-            src2, num2 = (sx[SRC], NUM + nx[SRC]) if swapped else (SRC[S[x]], NUM[S[x]])
-            bad = (src1 != src2).any(axis=1) | \
-                ((num1 - num2 - pnum[x][:, None]) % d != 0).any(axis=1)
-            if bad.any():
-                wx, wy = G.element_by_rank(x), G.element_by_rank(int(np.flatnonzero(bad)[0]))
-                worst = max(worst, distance(wx, wy))
-                if witness is None:
-                    witness = (wx.coords, wy.coords)
+        arrays = W.monomial_arrays()
+        if not _generators_decide(W, phase, swapped, *arrays):
+            witness, worst = _scan_pairs(W, phase, swapped, *arrays)
         passed = witness is None and worst <= tolerance
         note = f"exhaustive over {n}^2 pairs"
     else:
@@ -510,13 +497,72 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
         element = cache(G.element_by_rank)
         for i, j in idx.tolist():
             x, y = element(i), element(j)
-            dist = distance(x, y)
+            dist = _pair_distance(W, phase, swapped, x, y)
             if dist > worst:
                 worst = dist
                 if dist > tolerance:
                     witness = (x.coords, y.coords)
         passed = worst <= tolerance
     rep.add(name, passed, residual=worst, tolerance=tolerance, witness=witness, note=note)
+
+
+def _pair_distance(W: ProjectiveRep, phase: Multiplier, swapped: bool, x, y) -> float:
+    lhs = W.operator(x).compose(W.operator(y))
+    rhs = W.operator(y).compose(W.operator(x)) if swapped else W.operator(x + y)
+    return lhs.distance_to(rhs.scaled(phase(x, y)))
+
+
+def _generators_decide(W: ProjectiveRep, phase: Multiplier, swapped: bool, SRC, NUM, den0) -> bool:
+    """Whether the pairs (x, g) of ``_check_pairs`` hold and decide every pair, from
+    W's ``monomial_arrays`` (SRC, NUM, den0): |G| rows per g, no |G| x |G| table."""
+    G = W.group
+    m = W.multiplier if swapped else phase
+    if not m.is_verified() or (swapped and getattr(phase, "bichar", None) is None):
+        return False
+    X = G.coords_array()
+    moduli, weights = (np.array(t, dtype=np.int64) for t in (G.moduli, G._weights))
+    d = lcm(den0, m.den, phase.den)
+    NUM = NUM * (d // den0)
+
+    def holds(g, p, swap):
+        Y = np.broadcast_to(np.array(g.coords, dtype=np.int64), X.shape)
+        sg, ng = SRC[g.rank], NUM[g.rank]
+        src1, num1 = sg[SRC], NUM + ng[SRC]                        # W(x) W(g)
+        if swap:
+            src2, num2 = SRC[:, sg], ng[None, :] + NUM[:, sg]      # W(g) W(x)
+        else:
+            xg = (X + Y) % moduli @ weights
+            src2, num2 = SRC[xg], NUM[xg]                          # W(x + g)
+        P = p.pair_nums(X, Y) * (d // p.den)
+        return bool((src1 == src2).all() and ((num1 - num2 - P[:, None]) % d == 0).all())
+
+    gens = [G.zero()] + G.generators()
+    return all(holds(g, m, False) for g in gens) and \
+        (not swapped or all(holds(g, phase, True) for g in gens[1:]))
+
+
+def _scan_pairs(W: ProjectiveRep, phase: Multiplier, swapped: bool, SRC, NUM, den0):
+    """(witness, worst) of ``_check_pairs`` over all |G|^2 pairs, one row x at a time."""
+    G = W.group
+    pden, pnum = phase.num_table()
+    d = lcm(den0, pden)
+    NUM = NUM * (d // den0)
+    pnum = pnum * (d // pden)
+    S = G.addition_table()
+    worst, witness = 0.0, None
+    for x in range(G.order):
+        sx, nx = SRC[x], NUM[x]
+        # row y of each side: the monomial data of W(x) W(y) and of R(x, y)
+        src1, num1 = SRC[:, sx], nx[None, :] + NUM[:, sx]
+        src2, num2 = (sx[SRC], NUM + nx[SRC]) if swapped else (SRC[S[x]], NUM[S[x]])
+        bad = (src1 != src2).any(axis=1) | \
+            ((num1 - num2 - pnum[x][:, None]) % d != 0).any(axis=1)
+        if bad.any():
+            wx, wy = G.element_by_rank(x), G.element_by_rank(int(np.flatnonzero(bad)[0]))
+            worst = max(worst, _pair_distance(W, phase, swapped, wx, wy))
+            if witness is None:
+                witness = (wx.coords, wy.coords)
+    return witness, worst
 
 
 def _batch_pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool,

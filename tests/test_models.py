@@ -1,8 +1,13 @@
+import importlib
+from math import lcm
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from weylkit.errors import DefectError, InputError, PreconditionError, ResourceLimitError
+from weylkit.errors import (TABLE_CAP, DefectError, InputError, PreconditionError,
+                            ResourceLimitError)
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.isotropy import extend_maximal
 from weylkit.models import (
@@ -18,12 +23,16 @@ from weylkit.models import (
     regular_rep,
     schrodinger_model,
 )
-from weylkit.multipliers import (Bicharacter, PhaseMap, antisymmetrize, split_symmetric,
-                                 zero_multiplier)
+from weylkit.multipliers import (Bicharacter, Multiplier, PhaseMap, TableMultiplier, antisymmetrize,
+                                 split_symmetric, zero_multiplier)
 from weylkit.phases import Phase, ZERO
+from weylkit.reports import VerificationReport
 from weylkit.vacuum import descend
 
 from conftest import f2_setup, same_multiplier_pairs, window, window_model, z9_setup
+
+# the module, not a name that ``weylkit/__init__.py`` might rebind
+models = importlib.import_module("weylkit.models")
 
 
 def proportional(A, B, tol=1e-9):
@@ -220,6 +229,138 @@ def test_batched_pair_scan_builds_no_operator(checker):
 
     strict = ProjectiveRep(W.group, W.multiplier, W.dim, zero_only, batch=W.batch)
     assert checker(strict, samples=1000, seed=3).passed
+
+
+def full_scan_oracle(W, name, phase, swapped, tolerance=1e-9):
+    """The check ``name`` as the exhaustive scan over all |G|^2 pairs reports it (|G| <= 512).
+
+    Row x at a time, the monomial data of W(x) W(y) and of R(x, y) are
+    compared for every y; the witness is the first bad pair in rank order and
+    the residual the largest distance at the first bad y of each row.
+    """
+    G = W.group
+    n = G.order
+    SRC, NUM, den0 = W.monomial_arrays()
+    pden, pnum = phase.num_table()
+    d = lcm(den0, pden)
+    NUM, pnum = NUM * (d // den0), pnum * (d // pden)
+    S = G.addition_table()
+    worst, witness = 0.0, None
+    for x in range(n):
+        sx, nx = SRC[x], NUM[x]
+        src1, num1 = SRC[:, sx], nx[None, :] + NUM[:, sx]
+        src2, num2 = (sx[SRC], NUM + nx[SRC]) if swapped else (SRC[S[x]], NUM[S[x]])
+        bad = (src1 != src2).any(axis=1) | ((num1 - num2 - pnum[x][:, None]) % d != 0).any(axis=1)
+        if bad.any():
+            wx, wy = G.element_by_rank(x), G.element_by_rank(int(np.flatnonzero(bad)[0]))
+            lhs = W.operator(wx).compose(W.operator(wy))
+            rhs = W.operator(wy).compose(W.operator(wx)) if swapped else W.operator(wx + wy)
+            worst = max(worst, lhs.distance_to(rhs.scaled(phase(wx, wy))))
+            witness = witness or (wx.coords, wy.coords)
+    rep = VerificationReport("oracle")
+    rep.add(name, witness is None and worst <= tolerance, residual=worst, tolerance=tolerance,
+            witness=witness, note=f"exhaustive over {n}^2 pairs")
+    return rep.checks[0].to_dict()
+
+
+def assert_checks_match_oracle(W):
+    law = check_rep_law(W)
+    assert law.checks[-1].to_dict() == full_scan_oracle(W, "law", W.multiplier, False)
+    comm = commutator_scalar_check(W)
+    mt = antisymmetrize(W.multiplier).to_multiplier()
+    assert [c.to_dict() for c in comm.checks] == [full_scan_oracle(W, "commutator", mt, True)]
+    return law, comm
+
+
+@st.composite
+def faulted_reps(draw):
+    """A rep of order <= 512, and maybe a fault: one operator replaced by a random
+    monomial one, or one phase of one operator shifted."""
+    if draw(st.booleans()):
+        W = draw(same_multiplier_pairs())[0]
+    else:
+        sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=2).filter(
+            lambda ms: np.prod(ms) ** 2 <= TABLE_CAP))
+        W = schrodinger_model(FinAbGroup(sizes))
+    assume(W.group.order <= TABLE_CAP)
+    fault = draw(st.sampled_from(["none", "operator", "phase"]))
+    if fault == "none" or W.group.order == 1:
+        return W, "none"
+    x = W.group.element_by_rank(draw(st.integers(1, W.group.order - 1)))
+    mono = W.operator(x).monomial
+    den = 2 * mono.den                   # so that a shift by 1 .. den - 1 always moves the phase
+    if fault == "operator":
+        src = np.array(draw(st.permutations(range(W.dim))))
+        num = np.array(draw(st.lists(st.integers(0, den - 1), min_size=W.dim, max_size=W.dim)))
+    else:
+        src, num = mono.src, 2 * mono.num
+        num[draw(st.integers(0, W.dim - 1))] += draw(st.integers(1, den - 1))
+    op = Operator(W.dim, monomial=MonomialPart(W.dim, den, src, num))
+    return W.with_override(x, op), fault
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=faulted_reps())
+def test_generator_decision_matches_full_scan(case):
+    # the law and commutator reports equal the full scan's, faulted or not
+    W, fault = case
+    law, comm = assert_checks_match_oracle(W)
+    if fault == "none":
+        assert law.passed and comm.passed
+
+
+def test_generator_decision_needs_a_cocycle():
+    # m vanishes on the columns of 0 and the generators, so the regular rep
+    # passes at every pair (x, g); m is no cocycle, so the full scan must run
+    G = FinAbGroup([4, 3])
+    R = regular_rep(G)
+    num = np.zeros((G.order, G.order), dtype=np.int64)
+    num[5:, 7] = 1
+    num[3, 11] = 1
+    m = TableMultiplier(G, 2, num)
+    W = ProjectiveRep.from_batch(G, m, R.dim, *R.batch)
+    assert not m.is_verified()
+    law = check_rep_law(W)
+    assert law.checks[-1].to_dict() == full_scan_oracle(W, "law", m, False)
+    assert not law.passed and law.checks[-1].witness == ((3, 0), (3, 2))
+    # with the precondition forged, the pairs (x, g) alone would pass this rep
+    forged = TableMultiplier(G, 2, num)
+    forged._verified = True
+    assert models._generators_decide(W, forged, False, *W.monomial_arrays())
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["law", "commutator"])
+def test_generator_decision_with_a_wrong_bicharacter(z9, swapped):
+    # the phase is a cocycle and a bicharacter but not W's own: the pairs
+    # (x, g) fail, and the full scan reports what the oracle does
+    _, _, _, W = z9
+    wrong = Bicharacter(W.group, [[ZERO, Phase(1, 9)], [ZERO, ZERO]]).to_multiplier()
+    rep = VerificationReport("wrong phase")
+    models._check_pairs(rep, "check", W, wrong, swapped, 1e-9, 20_000, 0)
+    assert not rep.passed
+    assert rep.checks[0].to_dict() == full_scan_oracle(W, "check", wrong, swapped)
+
+
+def test_correct_model_never_scans_pairs(monkeypatch):
+    # the generator pairs decide a correct bicharacter model: no per-x scan,
+    # no |G| x |G| multiplier table and no addition table
+    G = FinAbGroup([7, 3, 7, 3])
+    mat = [[ZERO] * 4 for _ in range(4)]
+    for i, (n, u) in enumerate([(7, 3), (3, 2)]):
+        mat[i][i + 2], mat[i + 2][i] = Phase(u, n), Phase(-u, n)
+    m = Bicharacter(G, mat).to_multiplier()
+    W = induced_model(G, m, subgroup_span(G, [G.element([1, 0, 0, 0]), G.element([0, 1, 0, 0])]),
+                      check=False)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached a |G|^2 scan or table")
+
+    monkeypatch.setattr(models, "_scan_pairs", refuse)
+    monkeypatch.setattr(Multiplier, "num_table", refuse)
+    monkeypatch.setattr(FinAbGroup, "addition_table", refuse)
+    assert check_rep_law(W).passed
+    assert commutator_scalar_check(W).passed
+    assert check_rep_law(W.direct_sum(W)).passed
 
 
 def test_scalar_twisted_model_passes(z9):

@@ -24,6 +24,9 @@ from weylkit.multipliers import (
     zero_multiplier,
 )
 from weylkit.phases import HALF, Phase, ZERO
+from weylkit.vacuum import descend
+
+from conftest import window, window_model
 
 
 def random_bicharacter(rng, G):
@@ -207,6 +210,84 @@ def test_antisymmetrize_alternating_properties_randomized():
             y = G.element([rng.randrange(0, n) for n in G.moduli])
             assert mt(x, y) + mt(y, x) == ZERO
             assert mt(x, x) == ZERO
+
+
+def antisym_pointwise_oracle(m, b):
+    """The first pair where b(x, y) != m(x, y) - m(y, x), or None.
+
+    The pointwise check ``antisymmetrize`` ran on its matrix form: over all
+    |G|^2 pairs in rank order when |G| <= TABLE_CAP, else over 20 000 pairs
+    drawn with seed 1 (the witness is then the first bad drawn pair).
+    """
+    G = m.group
+    n = G.order
+    if n <= TABLE_CAP:
+        den, num = m.num_table()
+        d = lcm(den, b.den)
+        mt = (num - num.T) % den * (d // den)
+        X = G.coords_array()
+        XX, YY = np.repeat(X, n, axis=0), np.tile(X, (n, 1))
+        bt = b.pair_nums(XX, YY).reshape(n, n) * (d // b.den)
+        bad = np.argwhere(mt % d != bt % d)
+        return None if not bad.size else (G.coords_of(int(bad[0][0])), G.coords_of(int(bad[0][1])))
+    rng = np.random.default_rng(1)
+    moduli = np.array(G.moduli, dtype=np.int64)
+    X = rng.integers(0, moduli, size=(20_000, G.rank), dtype=np.int64)
+    Y = rng.integers(0, moduli, size=(20_000, G.rank), dtype=np.int64)
+    d = lcm(m.den, b.den)
+    mt = (m.pair_nums(X, Y) - m.pair_nums(Y, X)) % m.den * (d // m.den)
+    bad = np.flatnonzero(mt % d != b.pair_nums(X, Y) * (d // b.den) % d)
+    return None if not bad.size else (tuple(X[bad[0]]), tuple(Y[bad[0]]))
+
+
+def _antisym_cases():
+    rng = random.Random(5)
+    G = FinAbGroup([4, 6, 3])
+    bichar = random_bicharacter(rng, G).to_multiplier()
+    weyl = WeylProductMultiplier(FinAbGroup([3, 9, 9, 3]), 2,
+                                 [[Phase(1, 3), ZERO], [Phase(2, 9), Phase(1, 3)]])
+    twisted = twist(random_bicharacter(rng, G).to_multiplier(), random_phase_map(rng, G))
+    m0 = descend(window_model(2, 1, 2), window(2, 1, 2).L).m0
+    big = window_model(3, 1, 2).multiplier          # |G| = 6561: the sampled branch
+    return {"bicharacter": bichar, "weyl_product": weyl, "twisted-table": twisted,
+            "m0-2-1-2": m0, "window-3-1-2": big}
+
+
+@pytest.mark.parametrize("case", ["bicharacter", "weyl_product", "twisted-table", "m0-2-1-2",
+                                  "window-3-1-2"])
+def test_antisymmetrize_matches_pointwise_oracle(case):
+    # the matrix form read on basis pairs agrees with m(x, y) - m(y, x) at every
+    # pair; the oracle is not vacuous: it finds a form that is off on one pair
+    m = _antisym_cases()[case]
+    b = antisymmetrize(m)
+    assert b.is_alternating
+    assert antisym_pointwise_oracle(m, b) is None
+    if m.group.order > 1:
+        assert antisym_pointwise_oracle(m, b + _bump(b)) is not None
+
+
+def _bump(b):
+    """A bicharacter that is nonzero at the first basis pair with a modulus above 1."""
+    G = b.group
+    i = next(k for k, n in enumerate(G.moduli) if n > 1)
+    mat = [[ZERO] * G.rank for _ in range(G.rank)]
+    mat[i][i] = Phase(1, G.moduli[i])
+    return Bicharacter(G, mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moduli=st.lists(st.integers(1, 12), max_size=3), data=st.data())
+def test_pair_nums_matches_scalar_call(moduli, data):
+    G = FinAbGroup(moduli)
+    b = Bicharacter(G, [[Phase(data.draw(st.integers(0, gcd(a, c) - 1)), gcd(a, c)) for c in moduli]
+                        for a in moduli])
+    rows = st.lists(st.tuples(*(st.integers(0, n - 1) for n in moduli)), min_size=1, max_size=8)
+    X = data.draw(rows)
+    Y = [data.draw(st.tuples(*(st.integers(0, n - 1) for n in moduli))) for _ in X]
+    got = b.pair_nums(np.array(X, dtype=np.int64).reshape(len(X), G.rank),
+                      np.array(Y, dtype=np.int64).reshape(len(X), G.rank))
+    assert [Phase(int(v), b.den) for v in got] == [b(G.element(x), G.element(y))
+                                                    for x, y in zip(X, Y)]
 
 
 def test_twist_identity_and_composition():
