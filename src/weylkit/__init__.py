@@ -53,7 +53,6 @@ from .vacuum import (
     DescendedRep,
     CliffordBasis,
     sectors,
-    vacuum,
     vacuum_normalizer,
     permute_check,
     normalizer_check,

@@ -238,12 +238,10 @@ def run_vacuum(scenario, args):
     else:
         _check_dim(G.order // L.order, args)
         W = induced_model(G, m, L)
-    S = sectors(W, L, tol=args.tolerance)
+    S = sectors(W, L)
     rep = VerificationReport("vacuum structure")
-    rep.add("sector completeness", sum(S.dims.values()) == W.dim,
-            note=f"{len(S.dims)} occupied sectors")
     rep.extend(S.eigen_check())
-    rep.extend(normalizer_check(W, L, tol=args.tolerance, seed=args.seed))
+    rep.extend(normalizer_check(S))
     for g in G.generators():
         rep.extend(permute_check(S, g), prefix=f"x={g.coords} ")
     summary = {

@@ -136,7 +136,7 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
 
     # for p = 2 the descent decomposes W|_L; its checks are reported below
     D = descend(W, w.L, tol) if w.p == 2 else None
-    S = D.sectors if D is not None else sectors(W, w.L, tol)
+    S = D.sectors if D is not None else sectors(W, w.L)
     out["vacuum_dim"] = S.vacuum_dim
     out["sector_dims"] = {str(k_): v for k_, v in sorted(S.coset_dims().items())} \
         if S.labeled else None

@@ -6,6 +6,10 @@ eigenspaces, one per character of L.  When L is maximal isotropic the
 characters that occur are labelled by cosets [y] through a |-> m(a, y).  The
 trivial character gives the vacuum space; its fine structure (normalizer,
 descent to (L/2)/L, anticommuting generators) is what this module computes.
+
+The sector, permutation and normalizer checks are exact and exhaustive: they
+read W's monomial rows on the sectors' orbit bases, ``eigen_check`` at every
+element of L, ``permute_check(S, x)`` at x, ``normalizer_check`` at every x in G.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from math import lcm
 
 import numpy as np
 
-from .errors import ENUMERATION_CAP, DefectError, InputError, PreconditionError
+from .errors import DefectError, InputError, PreconditionError
 from .groups import FinAbGroup, GroupElement, Quotient, Subgroup, double_image, double_preimage, subquotient
 from .isotropy import is_isotropic, polar
 from .models import (
+    BLOCK_ENTRIES,
     DEFAULT_TOL,
     ProjectiveRep,
     _generator_rows,
@@ -57,7 +62,7 @@ class SectorDecomposition:
     positive at its least index.
     """
 
-    def __init__(self, rep: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL):
+    def __init__(self, rep: ProjectiveRep, L: Subgroup):
         G = rep.group
         if L.ambient != G:
             raise InputError("subgroup does not live in the representation's group")
@@ -66,17 +71,15 @@ class SectorDecomposition:
             raise PreconditionError("the multiplier does not vanish on L x L")
         self.rep = rep
         self.L = L
-        self.tol = tol
         self.gens, self.orders = L.decomposition()
         self.char_exp = lcm(*self.orders) if self.orders else 1
         rows = _generator_rows(rep, self.gens)
         # (+)_chi chi, characters in rank order: generator k fixes every index
         # and gives column chi the phase chi(h_k)
-        chars = FinAbGroup(self.orders).coords_array()
+        self._chars = chars = FinAbGroup(self.orders).coords_array()
         n = len(chars)
-        scale = np.array([self.char_exp // d for d in self.orders], dtype=np.int64)
-        diagonal = (np.broadcast_to(np.arange(n), (len(self.orders), n)),
-                    (chars * scale).T, self.char_exp)
+        self._chi = chars * np.array([self.char_exp // d for d in self.orders], dtype=np.int64)
+        diagonal = (np.broadcast_to(np.arange(n), (len(self.orders), n)), self._chi.T, self.char_exp)
         self._label, self._pot, self._den, self._good = \
             _intertwining_orbits(self.orders, diagonal, rows)
         counts = np.bincount(self._good % n, minlength=n)
@@ -109,17 +112,11 @@ class SectorDecomposition:
                     except ValueError:
                         ok = False
                         break
-                    if not bilinear:
-                        # the label must actually be a character of L
-                        for a in self.L.elements():
-                            val = ZERO
-                            for uj, tj, d in zip(u, self.L.coordinates_of(a), self.orders):
-                                val = val + Phase(uj * tj, d)
-                            if m(a, y) != val:
-                                ok = False
-                                break
-                        if not ok:
-                            break
+                    # the label must actually be a character of L
+                    if not bilinear and any(m(a, y) != Phase(int(v), self.char_exp) for a, v in
+                                            zip(self.L.elements(), self.char_nums(u))):
+                        ok = False
+                        break
                     labels.add(u)
                 ok = ok and len(labels) == self.L.index
             self._labeled = bool(ok)
@@ -129,41 +126,28 @@ class SectorDecomposition:
     @cached_property
     def _tcoords(self) -> np.ndarray:
         """Coordinates of the elements of L (element order) against its decomposition."""
-        elems = self.L.elements()
-        return np.array([self.L.coordinates_of(a) for a in elems],
-                        dtype=np.int64).reshape(len(elems), len(self.orders))
+        return FinAbGroup(self.orders).coords_at(self.L.grid_order())
 
     def char_nums(self, u) -> np.ndarray:
         """Numerators of chi_u(a) over char_exp for every a in L (element order)."""
-        E = self.char_exp
-        if not self.orders:
-            return np.zeros(self.L.order, dtype=np.int64)
-        w = np.array([ui * (E // d) for ui, d in zip(u, self.orders)], dtype=np.int64)
-        return (self._tcoords @ w) % E
+        return self._tcoords @ self._chi[FinAbGroup(self.orders).rank_of(u)] % self.char_exp
 
     def char_of_coset(self, y: GroupElement) -> tuple:
         """The character a |-> m(a, y) as an index tuple."""
         m = self.rep.multiplier
-        u = []
-        for h, d in zip(self.gens, self.orders):
-            ph = m(h, y)
-            u.append(ph.numerator_at(d) % d)
-        return tuple(u)
+        return tuple(m(h, y).numerator_at(d) % d for h, d in zip(self.gens, self.orders))
 
     # -- sectors ----------------------------------------------------------
     def basis_of(self, u) -> np.ndarray:
         """Orthonormal basis of the sector of chi_u: one column per solution orbit, by least index."""
         u = tuple(u)
         if u not in self._bases:
-            n = self.L.order
-            j = FinAbGroup(self.orders).rank_of(u)
-            column = self._label[j::n]                      # orbit labels of the pairs (i, chi_u)
-            roots = self._good[self._good % n == j]
-            on = np.flatnonzero(np.isin(column, roots))
-            k = np.searchsorted(roots, column[on])
-            B = np.zeros((self.rep.dim, len(roots)), dtype=complex)
-            B[on, k] = np.exp(2j * np.pi * self._pot[j::n][on] / self._den)
-            self._bases[u] = B / np.sqrt(np.bincount(k, minlength=len(roots)))
+            n, j = self.L.order, FinAbGroup(self.orders).rank_of(u)
+            k = self._vector[j::n]                          # basis vector through each index
+            on = np.flatnonzero(k >= 0)
+            B = np.zeros((self.rep.dim, self.dims.get(u, 0)), dtype=complex)
+            B[on, k[on]] = np.exp(2j * np.pi * self._pot[j::n][on] / self._den)
+            self._bases[u] = B / np.sqrt(np.bincount(k[on], minlength=B.shape[1]))
         return self._bases[u]
 
     def vacuum_basis(self) -> np.ndarray:
@@ -177,64 +161,100 @@ class SectorDecomposition:
         """Sector dimensions keyed by coset representative coordinates (labeled case)."""
         if not self.labeled:
             raise InputError("sectors are not labeled by cosets here")
-        out = {}
-        for y in self.L.transversal():
-            u = self.char_of_coset(y)
-            out[y.coords] = self.dims.get(u, 0)
-        return out
+        return {y.coords: self.dims.get(self.char_of_coset(y), 0) for y in self.L.transversal()}
 
-    def eigen_check(self, max_sectors: int | None = None) -> VerificationReport:
-        """|| W(a) psi - e(chi(a)) psi || <= tol for every a in L and every sector basis vector."""
+    @cached_property
+    def _vector(self) -> np.ndarray:
+        """For each pair i n + j: the index in sector j's basis of the vector through i, -1 off it."""
+        root = np.zeros(self._label.size, dtype=bool)
+        root[self._good] = True
+        root = root.reshape(self.rep.dim, self.L.order)
+        return np.where(root, np.cumsum(root, axis=0) - 1, -1).ravel()[self._label]
+
+    def _transport(self, rows, pairs, source=None):
+        """W's monomial rows at c elements, read exactly on the sector bases.
+
+        ``rows`` = (SRC, NUM, den) as ``_generator_rows`` reads them.
+        ``pairs`` (ascending) are pairs p = i n + t, n = |L|, with carrier
+        index i on a basis vector of the target column t, which reads from
+        the source column ``source[t]`` (t itself by default).  Row i of W(x)
+        reads index SRC[i]; at row i, W(x) maps the source vector through
+        SRC[i] to e(num / d) times the target vector through i.  Returns
+        ``(src, num, d, bad)``, each (c x len(pairs)): that source vector's
+        basis index (-1 when no source vector passes through SRC[i]), num,
+        and ``bad`` where src or num differ from those at the least index of
+        i's orbit.  With no bad row and equal source and target columns, W(x)
+        preserves the sector, and src, num at the orbits' least indices are
+        its monomial matrix on the basis.
+        """
+        SRC, NUM, den = rows
+        n = self.L.order
+        i, t = np.divmod(pairs, n)
+        q = SRC[:, i] * n + (t if source is None else source[t])
+        d = lcm(den, self._den)
+        src = self._vector[q]
+        num = (NUM[:, i] * (d // den) + (self._pot[q] - self._pot[pairs]) * (d // self._den)) % d
+        at = np.searchsorted(pairs, self._label[pairs])
+        return src, num, d, (src < 0) | (src != src[:, at]) | (num != num[:, at])
+
+    def _pairs(self, column=None) -> np.ndarray:
+        """The pairs on sector basis vectors, of one character column or of all."""
+        pairs = np.flatnonzero(self._vector >= 0)
+        return pairs if column is None else pairs[pairs % self.L.order == column]
+
+    def eigen_check(self) -> VerificationReport:
+        """W(a) psi = chi(a) psi for every a in L and every sector basis vector psi, exactly.
+
+        W's rows at every element of L are read on every sector's basis
+        (``_transport``), a block of elements at a time; the witness is the
+        first element and carrier index where W(a) does not map the vector
+        through it to chi(a) times itself.
+        """
         rep = VerificationReport("sector eigen-characterization")
-        ops = [self.rep.operator(a) for a in self.L.elements()]
-        worst = 0.0
-        tested = 0
-        for u in sorted(self.dims):
-            if max_sectors is not None and tested >= max_sectors:
+        n, E = self.L.order, self.char_exp
+        pairs = self._pairs()
+        own, t = self._vector[pairs], pairs % n
+        elems = self.L.elements()
+        step = max(1, BLOCK_ENTRIES // max(len(pairs), self.rep.dim))
+        witness = None
+        for start in range(0, n, step):
+            part = elems[start:start + step]
+            src, num, d, bad = self._transport(_generator_rows(self.rep, part), pairs)
+            D = lcm(d, E)
+            chi = (self._tcoords[start:start + step] @ self._chi.T)[:, t]
+            bad |= (src != own) | ((num * (D // d) - chi * (D // E)) % D != 0)
+            witness = _witness([a.coords for a in part], bad, pairs // n)
+            if witness is not None:
                 break
-            B = self.basis_of(u)
-            nums = self.char_nums(u)
-            for k, op in enumerate(ops):
-                lam = np.exp(2j * np.pi * nums[k] / self.char_exp)
-                worst = max(worst, float(np.abs(op.apply(B) - lam * B).max()))
-            tested += 1
-        rep.add("eigenvalue", worst <= self.tol, residual=worst, tolerance=self.tol,
-                note=f"{tested} sectors")
+        rep.add("eigenvalue", witness is None, witness=witness,
+                note=f"exhaustive over {n} elements of L and {len(self.dims)} sectors")
         return rep
 
 
-def sectors(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> SectorDecomposition:
+def sectors(W: ProjectiveRep, L: Subgroup) -> SectorDecomposition:
     """Decompose W|_L into character eigenspaces, exactly, from W at L's generators."""
-    return SectorDecomposition(W, L, tol)
+    return SectorDecomposition(W, L)
 
 
-def vacuum(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the L-fixed subspace."""
-    return sectors(W, L, tol).vacuum_basis()
+def permute_check(S: SectorDecomposition, x: GroupElement) -> VerificationReport:
+    """W(x) maps the sector of chi onto the sector of chi + m~(., x), exactly, for every chi.
 
-
-def permute_check(S: SectorDecomposition, x: GroupElement,
-                  tol: float | None = None) -> VerificationReport:
-    """W(x) maps the sector of chi to the sector of chi + m~(., x)."""
-    tol = tol if tol is not None else S.tol
+    W's row at x is read on every sector's basis, each column from the
+    column m~(., x) before it (``_transport``); the witness is the first
+    carrier index where W(x) does not carry a source basis vector whole.
+    """
     rep = VerificationReport(f"sector permutation by {x.coords}")
     mt = antisymmetrize(S.rep.multiplier)
-    Wx = S.rep.operator(x)
-    worst = 0.0
-    ok_dims = True
-    for u in sorted(S.dims):
-        target = tuple((ui + mt(h, x).numerator_at(d)) % d
-                       for ui, h, d in zip(u, S.gens, S.orders))
-        B = S.basis_of(u)
-        Bt = S.basis_of(target)
-        if S.dims.get(target, 0) != S.dims[u]:
-            ok_dims = False
-        img = Wx.apply(B)
-        resid = float(np.abs(img - Bt @ (Bt.conj().T @ img)).max()) if Bt.size else \
-            float(np.abs(img).max())
-        worst = max(worst, resid)
-    rep.add("image containment", worst <= tol, residual=worst, tolerance=tol)
-    rep.add("dimension transport", ok_dims)
+    shift = np.array([mt(h, x).numerator_at(d) for h, d in zip(S.gens, S.orders)], dtype=np.int64)
+    C = FinAbGroup(S.orders)
+    dest = (S._chars + shift) % np.array(C.moduli, dtype=np.int64) @ np.array(C._weights, dtype=np.int64)
+    pairs = S._pairs()
+    bad = S._transport(_generator_rows(S.rep, [x]), pairs, np.argsort(dest))[3]
+    witness = _witness([x.coords], bad, pairs // C.order)
+    rep.add("image containment", witness is None, witness=witness,
+            note=f"exhaustive over {len(S.dims)} sectors")
+    counts = np.bincount(S._good % C.order, minlength=C.order)
+    rep.add("dimension transport", bool((counts[dest] == counts).all()))
     return rep
 
 
@@ -246,22 +266,24 @@ def vacuum_normalizer(W: ProjectiveRep, L: Subgroup) -> Subgroup:
     bicharacter multiplier this is L/2 (the polar relation), which is the
     form the statement usually takes.
     """
-    from .isotropy import polar
     return polar(L, antisymmetrize(W.multiplier))
 
 
-def normalizer_check(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL,
-                     samples: int = 64, seed: int = 0) -> VerificationReport:
+def normalizer_check(S: SectorDecomposition) -> VerificationReport:
     """L/2 normalizes the vacuum space; nothing else does; W on it is 2L-periodic.
 
     The normalizer is computed as the m~-polar of L, which equals the double
     preimage L/2 whenever the multiplier is an alternating bicharacter (the
-    setting of the statement); the coincidence is asserted there.
+    setting of the statement); the coincidence is asserted there.  One pass
+    of ``W.blocks()`` reads W's rows at every x in G on the vacuum basis
+    (``_transport``): every x in L/2 must preserve the vacuum space, every x
+    outside it must not, and the vacuum rows of every x in L/2 must equal
+    those of the least element of x + 2L, which covers every pair of
+    L/2 x 2L.  Witnesses are (element, carrier index).
     """
+    W, L = S.rep, S.L
     G = W.group
-    S = sectors(W, L, tol)
-    B0 = S.vacuum_basis()
-    if B0.shape[1] == 0:
+    if S.vacuum_dim == 0:
         raise PreconditionError("vacuum space is zero")
     rep = VerificationReport("vacuum normalizer")
     L2 = vacuum_normalizer(W, L)
@@ -269,52 +291,45 @@ def normalizer_check(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL,
     if form is not None and form.is_alternating:
         rep.add("normalizer equals L/2", L2 == double_preimage(G, L))
     twoL = double_image(G, L)
-    P0 = B0 @ B0.conj().T
-
-    rng = np.random.default_rng(seed)
-
-    def pick(elems, cap):
-        elems = list(elems)
-        if len(elems) <= cap:
-            return elems
-        idx = rng.choice(len(elems), size=cap, replace=False)
-        return [elems[i] for i in idx]
-
-    inside = pick(L2.elements(), samples) if L2.order <= ENUMERATION_CAP else \
-        [t for t in L2.generators]
-    worst_in = 0.0
-    for x in inside:
-        img = W.operator(x).apply(B0)
-        worst_in = max(worst_in, float(np.abs(img - P0 @ img).max()))
-    rep.add("L/2 preserves vacuum", worst_in <= tol, residual=worst_in, tolerance=tol,
-            note=f"{len(inside)} elements")
-
+    X = G.coords_array()
+    inL2 = L2.box_codes(X) == 0
+    pairs = S._pairs(0)
+    carriers = pairs // L.order
+    stay = move = None
+    maps, start = [], 0
+    for rows in W.blocks():
+        src, num, d, bad = S._transport(rows, pairs)
+        Y, keep = X[start:start + len(bad)], inL2[start:start + len(bad)]
+        start += len(bad)
+        stay = stay or _witness(Y[keep], bad[keep], carriers)
+        move = move or _witness(Y[~keep], ~bad[~keep].any(axis=1, keepdims=True), carriers)
+        maps.append((src[keep], num[keep], d))
+    rep.add("L/2 preserves vacuum", stay is None, witness=stay,
+            note=f"exhaustive over {L2.order} elements of L/2")
     if L2.order == G.order:
         rep.add("outside L/2 moves vacuum", True, note="L/2 = G; vacuously true")
     else:
-        if G.order <= 4096:
-            outside = pick((x for x in G.elements() if not L2.contains(x)), samples)
-        else:
-            # sample the complement, which holds at least half of G
-            outside = []
-            moduli = np.array(G.moduli, dtype=np.int64)
-            while len(outside) < samples:
-                cand = G.element(rng.integers(0, moduli))
-                if not L2.contains(cand):
-                    outside.append(cand)
-        min_defect = min(float(np.abs(img - P0 @ img).max())
-                         for img in (W.operator(x).apply(B0) for x in outside))
-        rep.add("outside L/2 moves vacuum", min_defect > tol, residual=min_defect,
-                tolerance=tol, note=f"{len(outside)} elements, defect must exceed tol")
+        rep.add("outside L/2 moves vacuum", move is None, witness=move,
+                note=f"exhaustive over {G.order - L2.order} elements outside L/2")
 
-    worst_per = 0.0
-    for x in pick(L2.elements(), samples) if L2.order <= ENUMERATION_CAP else L2.generators:
-        Wx = W.operator(x).apply(B0)
-        for a in pick(twoL.elements(), samples):
-            Wxa = W.operator(x + a).apply(B0)
-            worst_per = max(worst_per, float(np.abs(Wxa - Wx).max()))
-    rep.add("2L-periodicity on vacuum", worst_per <= tol, residual=worst_per, tolerance=tol)
+    # the vacuum map of each x in L/2 against that of the least element of x + 2L
+    d = lcm(*(d for _, _, d in maps))
+    src = np.concatenate([v for v, _, _ in maps])
+    num = np.concatenate([v * (d // dv) % d for _, v, dv in maps])
+    _, least, coset = np.unique(twoL.box_codes(X[inL2]), return_index=True, return_inverse=True)
+    coset = least[coset.ravel()]
+    period = _witness(X[inL2], (src != src[coset]) | (src >= 0) & (num != num[coset]), carriers)
+    rep.add("2L-periodicity on vacuum", period is None, witness=period,
+            note=f"exhaustive over {L2.order} x {twoL.order} pairs of L/2 x 2L")
     return rep
+
+
+def _witness(coords, bad, carriers):
+    """(element coords, carrier index) at the first True of the (c x k) mask ``bad``, or None."""
+    if not bad.any():
+        return None
+    r, k = np.argwhere(bad)[0]
+    return tuple(int(c) for c in coords[r]), int(carriers[k])
 
 
 def generated_subspace(W: ProjectiveRep, L: Subgroup, K: np.ndarray,
@@ -326,12 +341,8 @@ def generated_subspace(W: ProjectiveRep, L: Subgroup, K: np.ndarray,
     basis of span{ W(x) K }, x over coset representatives of G/L.
     """
     G = W.group
-    B0 = vacuum(W, L, tol)
-    K = np.asarray(K, dtype=complex).reshape(W.dim, -1)
-    if K.shape[1]:
-        Kb = _orthonormal_columns(K)
-    else:
-        Kb = K
+    B0 = sectors(W, L).vacuum_basis()
+    Kb = _orthonormal_columns(np.asarray(K, dtype=complex).reshape(W.dim, -1))
     P0 = B0 @ B0.conj().T
     if Kb.size and float(np.abs(Kb - P0 @ Kb).max()) > tol:
         raise PreconditionError("K is not contained in the vacuum space")
@@ -380,14 +391,16 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
     W0(v) = W(s(v))|_{H^L} for the rank-minimal section s.  W(s) commutes with
     W(L), so it maps each vacuum basis vector, an orbit sum, to a phase times
     another: W0 is monomial, and its row at an image vector is read exactly
-    at that orbit's least index (``_vacuum_rows``).  The multiplier of W0 is
+    at that orbit's least index (``SectorDecomposition._transport``), with
+    ``DefectError`` unless W(s) preserves the vacuum space as a monomial map
+    of its basis.  The multiplier of W0 is
     m0(v, w) = m(s(v), s(w)) + m(a, s(v+w)) with a = s(v) + s(w) - s(v+w) in
     L, computed from m alone, and the law of W0 is checked exactly against
     it.  Its antisymmetrization must descend from m~ and be nondegenerate on V2.
     """
     G = W.group
     m = W.multiplier
-    S = sectors(W, L, tol)
+    S = sectors(W, L)
     B0 = S.vacuum_basis()
     if B0.shape[1] == 0:
         raise PreconditionError("vacuum space is zero; nothing to descend")
@@ -403,7 +416,13 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
     report = VerificationReport("descent to (L/2)/L")
     sections = [s for _, s in q.section_list]
     m0 = _descended_multiplier(m, V2, sections)
-    SRC0, NUM0, den0 = _vacuum_rows(S, sections)
+    pairs = S._pairs(0)
+    src, num, den0, bad = S._transport(_generator_rows(W, sections), pairs)
+    witness = _witness([s.coords for s in sections], bad, pairs // L.order)
+    if witness is not None:
+        raise DefectError(f"W({witness[0]}) does not preserve the vacuum space", witness=witness)
+    roots = pairs == S._label[pairs]
+    SRC0, NUM0 = src[:, roots], num[:, roots]
     weights = np.array(V2._weights, dtype=np.int64)
     rep0 = ProjectiveRep.from_batch(V2, m0, B0.shape[1], den0,
                                     lambda Y: (SRC0[Y @ weights], NUM0[Y @ weights]),
@@ -428,38 +447,6 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
     if not lift_ok:
         raise DefectError("descended form does not lift to m~", witness=witness)
     return DescendedRep(W, L, q, V2, B0, rep0, m0, n, report, S)
-
-
-def _vacuum_rows(S: SectorDecomposition, sections):
-    """(SRC0, NUM0, den): W at each of ``sections`` on the vacuum basis, one monomial row each.
-
-    Vacuum basis vector k is the orbit sum of e(pot / den) over the k-th good
-    orbit of the trivial character, from its least index r_k.  W(s) maps the
-    vector of the orbit through SRC_s[r] to e(NUM_s[r] + pot[SRC_s[r]]) times
-    the vector of the orbit of r.  ``DefectError`` unless, at every vacuum
-    index, SRC_s leads to a vacuum index and that orbit and phase agree with
-    those at the orbit's least index: exactly when W(s) preserves the vacuum
-    space as a monomial map of its basis.
-    """
-    n = S.L.order                                   # the trivial character is column 0
-    roots = S._good[S._good % n == 0] // n
-    label, pot = S._label[::n] // n, S._pot[::n]
-    column = np.full(S.rep.dim, -1, dtype=np.int64)
-    column[roots] = np.arange(len(roots))
-    column = column[label]                          # basis vector of each index, -1 off the vacuum
-    vac = np.flatnonzero(column >= 0)
-    SRC, NUM, den = _generator_rows(S.rep, sections)
-    d = lcm(den, S._den)
-    src = column[SRC[:, vac]]
-    num = (NUM[:, vac] * (d // den) + (pot[SRC[:, vac]] - pot[vac]) * (d // S._den)) % d
-    at_root = np.searchsorted(vac, label[vac])
-    bad = (src < 0) | (src != src[:, at_root]) | (num != num[:, at_root])
-    if bad.any():
-        r, i = np.argwhere(bad)[0]
-        raise DefectError(f"W({sections[r].coords}) does not preserve the vacuum space",
-                          witness=(sections[r].coords, int(vac[i])))
-    on_roots = np.searchsorted(vac, roots)
-    return src[:, on_roots], num[:, on_roots], d
 
 
 def _descended_multiplier(m, V2: FinAbGroup, sections) -> TableMultiplier:
@@ -552,8 +539,7 @@ def clifford_basis(D: DescendedRep) -> CliffordBasis:
     return CliffordBasis(basis, ops, gram, r_sq, r_ac, commutant_d(D.rep0))
 
 
-def coherent_states(W: ProjectiveRep, L: Subgroup,
-                    tol: float = DEFAULT_TOL) -> tuple[VerificationReport, np.ndarray | None]:
+def coherent_states(W: ProjectiveRep, L: Subgroup) -> tuple[VerificationReport, np.ndarray | None]:
     """Sector structure when L = 2L: irreducibility is equivalent to a vacuum line.
 
     Verifies the equivalence commutant_d(W) = 1  <=>  dim H^L = 1 (and then
@@ -562,11 +548,10 @@ def coherent_states(W: ProjectiveRep, L: Subgroup,
     G = W.group
     if double_image(G, L) != L:
         raise PreconditionError("L != 2L here; use the descent / fermionic path instead")
-    S = sectors(W, L, tol)
+    S = sectors(W, L)
     rep = VerificationReport("coherent state structure")
     cd = commutant_d(W)
     vdim = S.vacuum_dim
-    rep.add("L = 2L", True)
     rep.add("irreducible iff vacuum line", (cd == 1) == (vdim == 1),
             note=f"commutant={cd}, vacuum_dim={vdim}")
     basis = None

@@ -35,7 +35,6 @@ from weylkit import (
     sqrt_bicharacter,
     subgroup_span,
     twist,
-    vacuum,
 )
 from weylkit.phases import HALF, Phase, ZERO
 
@@ -336,26 +335,26 @@ def test_criterion_08_sector_structure():
     ok = True
     details = []
     for name, W, L in _suite_models():
-        S = sectors(W, L, tol=TOL)
+        S = sectors(W, L)
         ok &= sum(S.dims.values()) == W.dim
         ok &= S.eigen_check().passed
         G = W.group
         xs = G.generators()[:2]
         for x in xs:
-            ok &= permute_check(S, x, tol=TOL).passed
-        ok &= normalizer_check(W, L, tol=TOL).passed
+            ok &= permute_check(S, x).passed
+        ok &= normalizer_check(S).passed
         B0 = S.vacuum_basis()
         span = generated_subspace(W, L, B0, tol=TOL)
         details.append(f"{name}: ok")
     # the largest window: completeness and the vacuum eigen-characterization
     w = window(2, 2, 2)
-    S = sectors(window_model(2, 2, 2), w.L, tol=TOL)
+    S = sectors(window_model(2, 2, 2), w.L)
     ok &= sum(S.dims.values()) == 256
-    ok &= S.eigen_check(max_sectors=1).passed
+    ok &= S.eigen_check().passed
     # orthogonality preservation needs a reducible model
     G9, m9, L9, W9 = z9_setup()
     WW = W9.direct_sum(W9)
-    B0 = vacuum(WW, L9)
+    B0 = sectors(WW, L9).vacuum_basis()
     S1 = generated_subspace(WW, L9, B0[:, :1], tol=TOL)
     S2 = generated_subspace(WW, L9, B0[:, 1:], tol=TOL)
     ok &= float(np.abs(S1.conj().T @ S2).max()) <= TOL

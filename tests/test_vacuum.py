@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylkit.errors import DefectError, PreconditionError, ResourceLimitError
-from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
+from weylkit.groups import FinAbGroup, Subgroup, double_image, double_preimage, subgroup_span
 from weylkit.isotropy import is_isotropic
 from weylkit.cli import build_model, build_parser, parse_group, parse_multiplier, parse_subgroup
-from weylkit.models import (MonomialPart, Operator, ProjectiveRep, check_rep_law, induced_model,
-                            regular_rep)
+from weylkit.models import (MonomialPart, Operator, ProjectiveRep, check_rep_law, identity_operator,
+                            induced_model, regular_rep)
 from weylkit.padic import window_weyl
 from weylkit.multipliers import Bicharacter, TableMultiplier, antisymmetrize
 from weylkit.phases import HALF, Phase, ZERO
@@ -27,7 +27,7 @@ from weylkit.vacuum import (
     normalizer_check,
     permute_check,
     sectors,
-    vacuum,
+    vacuum_normalizer,
 )
 
 from conftest import same_multiplier_pairs, window, window_model
@@ -230,7 +230,7 @@ def test_sectors_require_isotropy(z9):
 ])
 def test_vacuum_dims(p, k, d, expected):
     W = window_model(p, k, d)
-    B = vacuum(W, window(p, k, d).L)
+    B = sectors(W, window(p, k, d).L).vacuum_basis()
     assert B.shape[1] == expected
 
 
@@ -265,14 +265,14 @@ def test_permute_p2_window_stays_put():
 
 def test_normalizer_z9(z9):
     G, m, L, W = z9
-    rep = normalizer_check(W, L)
+    rep = normalizer_check(sectors(W, L))
     assert rep.passed
 
 
 def test_normalizer_p2_k1_all_preserve():
     W = window_model(2, 1, 1)
     w = window(2, 1, 1)
-    rep = normalizer_check(W, w.L)
+    rep = normalizer_check(sectors(W, w.L))
     assert rep.passed
     vacuous = [c for c in rep.checks if c.name == "outside L/2 moves vacuum"]
     assert vacuous and "vacuously" in vacuous[0].note
@@ -281,17 +281,163 @@ def test_normalizer_p2_k1_all_preserve():
 def test_normalizer_p2_k2_outside_moves():
     W = window_model(2, 2, 1)
     w = window(2, 2, 1)
-    rep = normalizer_check(W, w.L)
+    rep = normalizer_check(sectors(W, w.L))
     assert rep.passed
     moved = [c for c in rep.checks if c.name == "outside L/2 moves vacuum"]
     assert moved and moved[0].passed
+
+
+def verdicts(rep):
+    return {c.name: c.passed for c in rep.checks}
+
+
+def eigen_oracle(S, tol=1e-9):
+    """Oracle: || W(a) psi - chi(a) psi || <= tol, densely, for every a in L and sector basis vector."""
+    worst = 0.0
+    for u in S.dims:
+        B, nums = S.basis_of(u), S.char_nums(u)
+        for k, a in enumerate(S.L.elements()):
+            lam = np.exp(2j * np.pi * nums[k] / S.char_exp)
+            worst = max(worst, float(np.abs(S.rep.operator(a).apply(B) - lam * B).max()))
+    return worst <= tol
+
+
+def permute_oracle(S, x, tol=1e-9):
+    """Oracle: W(x) B_u projects back into the sector of u + m~(., x) whole, with equal dims."""
+    mt = antisymmetrize(S.rep.multiplier)
+    contained = transported = True
+    for u in S.dims:
+        t = tuple((ui + mt(h, x).numerator_at(d)) % d for ui, h, d in zip(u, S.gens, S.orders))
+        Bt, img = S.basis_of(t), S.rep.operator(x).apply(S.basis_of(u))
+        contained &= float(np.abs(img - Bt @ (Bt.conj().T @ img)).max()) <= tol
+        transported &= S.dims.get(t, 0) == S.dims[u]
+    return {"image containment": contained, "dimension transport": transported}
+
+
+def normalizer_oracle(W, L, tol=1e-9):
+    """Oracle: the dense-projection normalizer check over every element, not a sample."""
+    G = W.group
+    B0 = sectors(W, L).vacuum_basis()
+    if B0.shape[1] == 0:
+        raise PreconditionError("vacuum space is zero")
+    P0 = B0 @ B0.conj().T
+    L2 = vacuum_normalizer(W, L)
+    out = {}
+    form = getattr(W.multiplier, "bichar", None)
+    if form is not None and form.is_alternating:
+        out["normalizer equals L/2"] = L2 == double_preimage(G, L)
+
+    def image(x):
+        return W.operator(x).apply(B0)
+
+    def defect(x):
+        return float(np.abs(image(x) - P0 @ image(x)).max())
+
+    out["L/2 preserves vacuum"] = all(defect(x) <= tol for x in L2.elements())
+    out["outside L/2 moves vacuum"] = all(defect(x) > tol for x in G.elements()
+                                          if not L2.contains(x))
+    out["2L-periodicity on vacuum"] = all(
+        float(np.abs(image(x + a) - image(x)).max()) <= tol
+        for x in L2.elements() for a in double_image(G, L).elements())
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=reps_with_isotropic_subgroups(), fault=st.integers(0, 2 ** 30))
+def test_exact_vacuum_checks_match_dense_oracles(case, fault):
+    """Exact verdicts equal the dense oracles' on the drawn reps, and on the reps with one
+    nonzero element's operator, or one row of it, changed in sign."""
+    W, L = case
+    kind, r, i = fault % 3, fault // 3 % W.group.order, fault // 3 // W.group.order % W.dim
+    if kind and r:
+        W = _faulty(W, W.group.element_by_rank(r), **({"phase": HALF} if kind == 1 else {"row": i}))
+    try:
+        S = sectors(W, L)
+    except DefectError:
+        return      # a faulty generator of L can leave no consistent sectors
+    assert S.eigen_check().passed == eigen_oracle(S)
+    for x in W.group.generators():
+        assert verdicts(permute_check(S, x)) == permute_oracle(S, x)
+    if S.vacuum_dim == 0:
+        with pytest.raises(PreconditionError):
+            normalizer_check(S)
+    else:
+        assert verdicts(normalizer_check(S)) == normalizer_oracle(W, L)
+
+
+# -- fault injection on the (2,2,1) window: L = 4Z^2 < L/2 = 2Z^2 < G = (Z/16)^2 --
+
+def _faulty(W, x, row=None, phase=None):
+    """W with W(x) replaced: a sign flip on one row, or a global phase (None: the identity)."""
+    if row is None and phase is None:
+        return W.with_override(x, identity_operator(W.dim))
+    op = W.operator(x)
+    if phase is not None:
+        return W.with_override(x, op.scaled(phase))
+    mono = op.monomial
+    num = mono.num.copy()
+    num[row] += mono.den // 2
+    return W.with_override(x, Operator(W.dim, monomial=MonomialPart(W.dim, mono.den, mono.src, num)))
+
+
+def _window_221():
+    """(W, L, i0, i1): the (2,2,1) window and its L, with the vacuum's least index i0 and
+    the second index i1 of the orbit through it, an index that no orbit starts at."""
+    W, L = window_model(2, 2, 1), window(2, 2, 1).L
+    orbit = np.flatnonzero(sectors(W, L).vacuum_basis()[:, 0])
+    return W, L, int(orbit[0]), int(orbit[1])
+
+
+def _check(rep, name):
+    return next(c for c in rep.checks if c.name == name)
+
+
+def test_eigen_check_fault_at_non_generator_of_L():
+    W, L, _, i = _window_221()
+    a = sum(L.decomposition()[0], W.group.zero())
+    assert a.coords not in {h.coords for h in L.decomposition()[0]}
+    assert sectors(W, L).eigen_check().passed
+    rep = sectors(_faulty(W, a, row=i), L).eigen_check()
+    assert not rep.passed and _check(rep, "eigenvalue").witness == (a.coords, i)
+
+
+def test_permute_check_fault():
+    W, L, _, i = _window_221()
+    x = W.group.generators()[0]
+    assert permute_check(sectors(W, L), x).passed
+    check = _check(permute_check(sectors(_faulty(W, x, row=i), L), x), "image containment")
+    assert not check.passed and check.witness == (x.coords, i)
+
+
+@pytest.mark.parametrize("kind", ["inside", "outside", "period"])
+def test_normalizer_check_faults(kind):
+    W, L, i0, i = _window_221()
+    G = W.group
+    L2, twoL = double_preimage(G, L), double_image(G, L)
+    assert L2 == vacuum_normalizer(W, L) and L.order < L2.order < G.order
+    assert normalizer_check(sectors(W, L)).passed
+    if kind == "inside":
+        # a sign on one vacuum row of an element of L/2 \ L
+        x = next(x for x in L2.elements() if not L.contains(x))
+        name, F, want = "L/2 preserves vacuum", _faulty(W, x, row=i), i
+    elif kind == "outside":
+        # an element outside L/2 that acts as the identity keeps the vacuum
+        x = next(x for x in G.elements() if not L2.contains(x))
+        name, F, want = "outside L/2 moves vacuum", _faulty(W, x), i0
+    else:
+        # x + a, a in 2L, whose vacuum map is the negative of that of x
+        x0 = next(x for x in L2.elements() if not L.contains(x))
+        x = max((x0 + a for a in twoL.elements()), key=lambda y: y.rank)
+        name, F, want = "2L-periodicity on vacuum", _faulty(W, x, phase=HALF), i0
+    check = _check(normalizer_check(sectors(F, L)), name)
+    assert not check.passed and check.witness == (x.coords, want)
 
 
 # -- generated subspaces -------------------------------------------------------
 
 def test_generated_fills_space_z9(z9):
     G, m, L, W = z9
-    B0 = vacuum(W, L)
+    B0 = sectors(W, L).vacuum_basis()
     span = generated_subspace(W, L, B0)
     assert span.shape[1] == W.dim
 
@@ -299,7 +445,7 @@ def test_generated_fills_space_z9(z9):
 def test_generated_gap_p2_k1():
     W = window_model(2, 1, 1)
     w = window(2, 1, 1)
-    B0 = vacuum(W, w.L)
+    B0 = sectors(W, w.L).vacuum_basis()
     span = generated_subspace(W, w.L, B0)
     assert span.shape[1] == B0.shape[1] == 2  # generation stalls on the vacuum
 
@@ -315,7 +461,7 @@ def test_generated_zero():
 def test_generated_orthogonality_preserved(z9):
     G, m, L, W = z9
     WW = W.direct_sum(W)
-    B0 = vacuum(WW, L)
+    B0 = sectors(WW, L).vacuum_basis()
     assert B0.shape[1] == 2
     K1 = B0[:, :1]
     K2 = B0[:, 1:]
@@ -327,7 +473,7 @@ def test_generated_orthogonality_preserved(z9):
 def test_generated_rejects_noninvariant():
     W = window_model(2, 2, 1)
     w = window(2, 2, 1)
-    B0 = vacuum(W, w.L)
+    B0 = sectors(W, w.L).vacuum_basis()
     K = B0[:, :1]  # a single vacuum line is moved around by W(L/2) here
     with pytest.raises(PreconditionError):
         generated_subspace(W, w.L, K)
