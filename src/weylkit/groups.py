@@ -315,10 +315,6 @@ class Subgroup:
             return ()
         return box_reduce([list(r) for r in self.basis], list(x.coords))
 
-    def coset_representative(self, x: GroupElement) -> GroupElement:
-        """Rank-minimal element of the coset x + A."""
-        return min((x + a for a in self.elements()), key=lambda e: e.rank)
-
     def box_codes(self, X: np.ndarray) -> np.ndarray:
         """Coset codes of the (c x rank) int64 coordinate rows X, as a length-c array.
 
@@ -334,18 +330,32 @@ class Subgroup:
         diag = np.diag(H)
         return X @ (np.cumprod(diag) // diag)       # radix prod_{j<i} H_jj
 
-    def transversal(self):
-        """Rank-minimal coset representatives, ordered by rank; covers G exactly once (cached)."""
+    def transversal_coords(self) -> np.ndarray:
+        """(|G/A| x rank) int64 coordinates of the rank-minimal coset representatives (cached).
+
+        Rank compares the last coordinate first.  So take the column HNF H' of
+        A's lattice in reversed coordinate order: box reduction against H'
+        brings the last coordinate to its least value in the coset, in
+        [0, H'_00), then, with it fixed, the one before it, and so on.  The
+        reduced element is the coset's rank-minimal one, and the box
+        prod [0, H'_ii) holds exactly one element per coset.  Listed in mixed
+        radix, the box is in rank order: |G/A| steps, whatever |G| is.
+        ``box_codes`` keeps the forward HNF.
+        """
         if self._transversal is None:
-            G = self.ambient
-            if G.order > ENUMERATION_CAP:
-                raise ResourceLimitError("ambient group order", G.order,
+            if self.index > ENUMERATION_CAP:
+                raise ResourceLimitError("subgroup index", self.index,
                                          "ENUMERATION_CAP", ENUMERATION_CAP)
-            # codes are in element rank order, so the first hit of each is rank-minimal
-            _, first = np.unique(self.box_codes(G.coords_array()), return_index=True)
-            first.sort()
-            self._transversal = [G.element_by_rank(int(i)) for i in first]
+            r = self.ambient.rank
+            H = column_hnf(self.basis[::-1]) if r else []
+            box = FinAbGroup([H[r - 1 - i][r - 1 - i] for i in range(r)])
+            self._transversal = box.coords_array()
         return self._transversal
+
+    def transversal(self):
+        """Rank-minimal coset representatives, ordered by rank; covers G exactly once."""
+        G = self.ambient
+        return [GroupElement(G, tuple(c)) for c in self.transversal_coords().tolist()]
 
     def decomposition(self):
         """Independent generators and their orders: A = (+) Z/d_j * h_j, d_1 | d_2 | ...

@@ -390,7 +390,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
         cmap = c.c if isinstance(c, SplittingData) else c
         SplittingData(A, cmap).validate(m)
 
-    R = np.array([r.coords for r in A.transversal()], dtype=np.int64)
+    R = A.transversal_coords()
     dim = len(R)
     den = lcm(m.den, cmap.den)
     # transversal position by box code, and c over den by rank among A's elements
@@ -617,6 +617,53 @@ def _generator_rows(W: ProjectiveRep, gens):
     return SRC, NUM % den, den
 
 
+def _orbit_walk(size: int, orders, edges, mods, width: int = 1):
+    """Orbits of the points 0..size-1 under commuting permutations, with path potentials.
+
+    ``edges`` holds one (phi, c) per generator, of the order in ``orders``:
+    the generator steps point p to phi[p] and adds c[p] to its potential,
+    reduced by ``mods``: one modulus, or one per column of c.  Every orbit is
+    labelled by its least point, one generator at a time: the group is
+    abelian, so phi permutes the orbits found so far, and the cycles of that
+    map, of length dividing the generator's order, are walked by doubling; a
+    longer cycle raises ``DefectError``, and so does an edge that leaves its
+    orbit.  Returns ``(label, pot)``: the path from p to label[p] adds up to
+    pot[p].  Witnesses are points p written as divmod(p, width).
+    """
+    mods = np.asarray(mods, dtype=np.int64)
+    label = np.arange(size)
+    pot = np.zeros((size, *mods.shape), dtype=np.int64)
+    index = np.empty(size, dtype=np.intp)
+    for (phi, c), order in zip(edges, orders):
+        roots = np.flatnonzero(label == np.arange(size))
+        index[roots] = np.arange(len(roots))
+        # root r is tied to the root of phi(r) by the potential spot[r]
+        step = index[label[phi[roots]]]
+        spot = (c[roots] + pot[phi[roots]]) % mods
+        # best[r]: the least root among r, step(r), ..., step^(2^t - 1)(r)
+        best = np.arange(len(roots))
+        bpot = np.zeros((len(roots), *mods.shape), dtype=np.int64)
+        for _ in range((order - 1).bit_length()):
+            take = best[step] < best
+            best = np.where(take, best[step], best)
+            bpot = np.where(take.reshape((-1,) + (1,) * mods.ndim), spot + bpot[step], bpot)
+            bpot %= mods
+            spot, step = (spot + spot[step]) % mods, step[step]
+        k = index[label]
+        label, pot = roots[best[k]], (pot + bpot[k]) % mods
+        # a cycle longer than the order was not walked round, and its labels are not roots
+        stray = np.flatnonzero(label[label] != label)
+        if stray.size:
+            raise DefectError("a generator permutation has a cycle longer than the "
+                              "generator's order", witness=divmod(int(stray[0]), width))
+    for phi, _ in edges:
+        split = np.flatnonzero(label[phi] != label)
+        if split.size:
+            raise DefectError("generator permutations do not commute",
+                              witness=divmod(int(split[0]), width))
+    return label, pot
+
+
 def _intertwining_orbits(orders, rows1, rows2):
     """Exact solution of T W1(g) = W2(g) T over the generators g of an abelian group.
 
@@ -624,16 +671,13 @@ def _intertwining_orbits(orders, rows1, rows2):
     generators, as ``_generator_rows`` reads them, and ``orders`` are the
     generators' orders.  Entry p = i n1 + j of the (n2 x n1) matrix T obeys
     T[p] = e(c(p)) T[phi(p)] with phi(p) = SRC2[i] n1 + SRC1[j] and
-    c(p) = NUM2[i] - NUM1[j] for each generator.  Every orbit of the pairs is
-    labelled by its least pair, one generator at a time: the group is abelian,
-    so phi permutes the orbits found so far, and the cycles of that map, of
-    length dividing the generator's order, are walked by doubling; a longer
-    cycle raises ``DefectError``.  Each pair carries its exact Q/Z potential
-    to the label.  Then every generator edge is tested.  Returns ``(label,
-    pot, den, good)``: T[p] = e(pot[p] / den) T[label[p]], and ``good`` lists
-    the labels of the orbits whose edges all hold.  The intertwiners are the
-    combinations of the patterns e(pot / den) on those orbits, so their
-    dimension is len(good).
+    c(p) = NUM2[i] - NUM1[j] for each generator.  ``_orbit_walk`` labels
+    every orbit of the pairs by its least pair and carries each pair's exact
+    Q/Z potential to the label.  Then every generator edge is tested.
+    Returns ``(label, pot, den, good)``: T[p] = e(pot[p] / den) T[label[p]],
+    and ``good`` lists the labels of the orbits whose edges all hold.  The
+    intertwiners are the combinations of the patterns e(pot / den) on those
+    orbits, so their dimension is len(good).
     """
     (S1, N1, den1), (S2, N2, den2) = rows1, rows2
     n1, n2 = S1.shape[1], S2.shape[1]
@@ -644,36 +688,9 @@ def _intertwining_orbits(orders, rows1, rows2):
     edges = [((S2[k][:, None] * n1 + S1[k]).ravel(),
               ((N2[k] * (den // den2))[:, None] - N1[k] * (den // den1)).ravel() % den)
              for k in range(len(S1))]
-    label = np.arange(size)
-    pot = np.zeros(size, dtype=np.int64)
-    index = np.empty(size, dtype=np.intp)
-    for (phi, c), order in zip(edges, orders):
-        roots = np.flatnonzero(label == np.arange(size))
-        index[roots] = np.arange(len(roots))
-        # root r is tied to the root of phi(r): T[r] = e(spot[r]) T[roots[step[r]]]
-        step = index[label[phi[roots]]]
-        spot = (c[roots] + pot[phi[roots]]) % den
-        # best[r]: the least root among r, step(r), ..., step^(2^t - 1)(r)
-        best = np.arange(len(roots))
-        bpot = np.zeros(len(roots), dtype=np.int64)
-        for _ in range((order - 1).bit_length()):
-            take = best[step] < best
-            best, bpot = np.where(take, best[step], best), np.where(take, spot + bpot[step], bpot)
-            bpot %= den
-            spot, step = (spot + spot[step]) % den, step[step]
-        k = index[label]
-        label, pot = roots[best[k]], (pot + bpot[k]) % den
-        # a cycle longer than the order was not walked round, and its labels are not roots
-        stray = np.flatnonzero(label[label] != label)
-        if stray.size:
-            raise DefectError("a generator permutation has a cycle longer than the "
-                              "generator's order", witness=divmod(int(stray[0]), n1))
+    label, pot = _orbit_walk(size, orders, edges, den, n1)
     bad = np.zeros(size, dtype=bool)
     for phi, c in edges:
-        split = np.flatnonzero(label[phi] != label)
-        if split.size:
-            raise DefectError("generator permutations do not commute",
-                              witness=divmod(int(split[0]), n1))
         bad[label[(c + pot[phi] - pot) % den != 0]] = True
     roots = np.flatnonzero(label == np.arange(size))
     return label, pot, den, roots[~bad[roots]]

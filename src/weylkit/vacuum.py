@@ -28,7 +28,7 @@ from .models import (
     DEFAULT_TOL,
     ProjectiveRep,
     _generator_rows,
-    _intertwining_orbits,
+    _orbit_walk,
     check_rep_law,
     commutant_d,
     identity_operator,
@@ -53,13 +53,18 @@ class SectorDecomposition:
     """Joint eigenspace decomposition of W|_L, indexed by characters of L.
 
     ``dims`` maps a character index tuple u (coordinates against the
-    invariant-factor generators of L) to the multiplicity of that character.
-    A sector is the space of intertwiners from its character into W|_L, so
-    all of them are one exact call of ``models._intertwining_orbits``: W1 is
-    the diagonal rep of the |L| characters, W2 is W at L's generators, and
-    each solution orbit lies in one character's column.  The sector's basis
-    has one vector per orbit, e(pot / den) / sqrt(|orbit|) on the orbit and
-    positive at its least index.
+    invariant-factor generators h_k of L, of orders d_k) to the multiplicity
+    of that character.  One walk over the n carrier indices against the
+    trivial character (``models._orbit_walk``) labels every L-orbit O by its
+    least index R and gives each index i the potential P(i) and the element
+    a_i of L along its path to R.  W at the h_k must be a representation of
+    L: the W(h_k) commute exactly and W(h_k)^d_k = 1.  Else the sector
+    dimensions sum to less than n, and ``DefectError`` says so.  Each
+    character chi on O (``_orbit_characters``) gives one basis vector of its
+    sector, e((P(i) - chi(a_i)) / den) / sqrt(|O|) at i in O, so nothing has
+    n |L| entries.  Pairs p = i |L| + j of a carrier index and a character
+    rank are read on demand (``_label``, ``_vector``, ``_pot``); sector
+    bases order their vectors by least index.
     """
 
     def __init__(self, rep: ProjectiveRep, L: Subgroup):
@@ -73,20 +78,40 @@ class SectorDecomposition:
         self.L = L
         self.gens, self.orders = L.decomposition()
         self.char_exp = lcm(*self.orders) if self.orders else 1
+        C = FinAbGroup(self.orders)
+        d = np.array(self.orders, dtype=np.int64)
+        self._chars = C.coords_array()
+        self._chi = self._chars * (self.char_exp // d)
+        self._char_weights = np.array(C._weights, dtype=np.int64)
         rows = _generator_rows(rep, self.gens)
-        # (+)_chi chi, characters in rank order: generator k fixes every index
-        # and gives column chi the phase chi(h_k)
-        self._chars = chars = FinAbGroup(self.orders).coords_array()
-        n = len(chars)
-        self._chi = chars * np.array([self.char_exp // d for d in self.orders], dtype=np.int64)
-        diagonal = (np.broadcast_to(np.arange(n), (len(self.orders), n)), self._chi.T, self.char_exp)
-        self._label, self._pot, self._den, self._good = \
-            _intertwining_orbits(self.orders, diagonal, rows)
-        counts = np.bincount(self._good % n, minlength=n)
-        self.dims = {tuple(chars[j].tolist()): int(counts[j]) for j in np.flatnonzero(counts)}
-        total = sum(self.dims.values())
-        if total != rep.dim:
-            raise DefectError(f"sector dimensions sum to {total}, expected {rep.dim}")
+        SRC, NUM, den = rows
+        self._den = D = lcm(den, self.char_exp)
+        n, r = rep.dim, len(d)
+        # potential columns: the phase over den, then the path's steps along each h_k
+        unit = np.eye(r, dtype=np.int64)
+        edges = [(SRC[k], np.column_stack([NUM[k], np.broadcast_to(unit[k], (n, r))]))
+                 for k in range(r)]
+        self._root, pot = _orbit_walk(n, self.orders, edges, [den, *self.orders])
+        witness = _relation_witness(rows, self.orders)
+        if witness is not None:
+            raise DefectError(f"sector dimensions sum to less than {n}: W at the generators "
+                              "of L is not a representation of L",
+                              witness=(self.gens[witness[0]].coords, witness[1]))
+        self._ipot, self._path = pot[:, 0] * (D // den), pot[:, 1:]
+        roots = np.flatnonzero(self._root == np.arange(n))
+        orbit, U = _orbit_characters(rows, self.orders, roots, pot)
+        j = U @ self._char_weights
+        nL = len(self._chars)
+        key = roots[orbit] * nL + j
+        self._counts = np.bincount(j, minlength=nL)
+        # a vector's index in its sector: its rank among the vectors of its character
+        by_char = np.lexsort((key, j))
+        rank = np.empty_like(key)
+        rank[by_char] = np.arange(len(key)) - (np.cumsum(self._counts) - self._counts)[j[by_char]]
+        order = np.argsort(key)
+        self._good, self._col = key[order], rank[order]     # by least pair of each vector
+        occur = np.flatnonzero(self._counts)
+        self.dims = dict(zip(map(tuple, self._chars[occur].tolist()), self._counts[occur].tolist()))
         self._bases: dict[tuple, np.ndarray] = {}
         self._labeled = None
 
@@ -97,28 +122,24 @@ class SectorDecomposition:
         Requires |L|^2 = |G| and injectivity of the labeling, which is checked
         directly: for an alternating bicharacter it is equivalent to L being
         maximal isotropic, but a one-sided polar condition is not enough for
-        general multipliers.
+        general multipliers.  One ``pair_nums`` pass over the transversal
+        gives the labels; for a multiplier that is not bilinear, one more over
+        L x transversal checks that each label is the map a |-> m(a, y).
         """
         if self._labeled is None:
-            G = self.rep.group
-            m = self.rep.multiplier
+            G, m = self.rep.group, self.rep.multiplier
             ok = self.L.order ** 2 == G.order and polar(self.L, m) == self.L
-            if ok:
-                bilinear = getattr(m, "bichar", None) is not None
-                labels = set()
-                for y in self.L.transversal():
-                    try:
-                        u = self.char_of_coset(y)
-                    except ValueError:
-                        ok = False
-                        break
-                    # the label must actually be a character of L
-                    if not bilinear and any(m(a, y) != Phase(int(v), self.char_exp) for a, v in
-                                            zip(self.L.elements(), self.char_nums(u))):
-                        ok = False
-                        break
-                    labels.add(u)
-                ok = ok and len(labels) == self.L.index
+            codes = self._coset_chars if ok else None
+            ok = codes is not None and np.count_nonzero(
+                np.bincount(codes, minlength=len(self._chars))) == self.L.index
+            if ok and getattr(m, "bichar", None) is None:
+                A = np.array([a.coords for a in self.L.elements()], dtype=np.int64)
+                A = A.reshape(self.L.order, G.rank)
+                Y = self.L.transversal_coords()
+                nums = m.pair_nums(np.repeat(A, len(Y), axis=0), np.tile(Y, (len(A), 1)))
+                E = self.char_exp
+                chi = self._tcoords @ self._chi[codes].T % E
+                ok = not ((nums.reshape(chi.shape) * E - chi * m.den) % (m.den * E)).any()
             self._labeled = bool(ok)
         return self._labeled
 
@@ -132,10 +153,16 @@ class SectorDecomposition:
         """Numerators of chi_u(a) over char_exp for every a in L (element order)."""
         return self._tcoords @ self._chi[FinAbGroup(self.orders).rank_of(u)] % self.char_exp
 
-    def char_of_coset(self, y: GroupElement) -> tuple:
-        """The character a |-> m(a, y) as an index tuple."""
-        m = self.rep.multiplier
-        return tuple(m(h, y).numerator_at(d) % d for h, d in zip(self.gens, self.orders))
+    @cached_property
+    def _coset_chars(self):
+        """Rank of the character a |-> m(a, y) for each transversal element y, from one
+        ``pair_nums`` pass; None when some m(h_k, y) is not a multiple of 1/d_k."""
+        m, r = self.rep.multiplier, len(self.orders)
+        Y = self.L.transversal_coords()
+        H = np.array([h.coords for h in self.gens], dtype=np.int64).reshape(r, self.rep.group.rank)
+        nums = m.pair_nums(np.tile(H, (len(Y), 1)), np.repeat(Y, r, axis=0)).reshape(len(Y), r)
+        nums = nums * np.array(self.orders, dtype=np.int64)
+        return None if (nums % m.den).any() else (nums // m.den) @ self._char_weights
 
     # -- sectors ----------------------------------------------------------
     def basis_of(self, u) -> np.ndarray:
@@ -143,10 +170,11 @@ class SectorDecomposition:
         u = tuple(u)
         if u not in self._bases:
             n, j = self.L.order, FinAbGroup(self.orders).rank_of(u)
-            k = self._vector[j::n]                          # basis vector through each index
+            pairs = np.arange(self.rep.dim) * n + j
+            k = self._vector(pairs)                         # basis vector through each index
             on = np.flatnonzero(k >= 0)
             B = np.zeros((self.rep.dim, self.dims.get(u, 0)), dtype=complex)
-            B[on, k[on]] = np.exp(2j * np.pi * self._pot[j::n][on] / self._den)
+            B[on, k[on]] = np.exp(2j * np.pi * self._pot(pairs[on]) / self._den)
             self._bases[u] = B / np.sqrt(np.bincount(k[on], minlength=B.shape[1]))
         return self._bases[u]
 
@@ -161,15 +189,25 @@ class SectorDecomposition:
         """Sector dimensions keyed by coset representative coordinates (labeled case)."""
         if not self.labeled:
             raise InputError("sectors are not labeled by cosets here")
-        return {y.coords: self.dims.get(self.char_of_coset(y), 0) for y in self.L.transversal()}
+        dims = self._counts[self._coset_chars]
+        return dict(zip(map(tuple, self.L.transversal_coords().tolist()), dims.tolist()))
 
-    @cached_property
-    def _vector(self) -> np.ndarray:
+    def _label(self, pairs) -> np.ndarray:
+        """The least pair of each pair's orbit: the least index of its L-orbit, same column."""
+        i, j = np.divmod(pairs, self.L.order)
+        return self._root[i] * self.L.order + j
+
+    def _vector(self, pairs) -> np.ndarray:
         """For each pair i n + j: the index in sector j's basis of the vector through i, -1 off it."""
-        root = np.zeros(self._label.size, dtype=bool)
-        root[self._good] = True
-        root = root.reshape(self.rep.dim, self.L.order)
-        return np.where(root, np.cumsum(root, axis=0) - 1, -1).ravel()[self._label]
+        label = self._label(pairs)
+        at = np.minimum(np.searchsorted(self._good, label), len(self._good) - 1)
+        return np.where(self._good[at] == label, self._col[at], -1)
+
+    def _pot(self, pairs) -> np.ndarray:
+        """For each pair i n + j: P(i) - chi_j(a_i) over _den, the phase of the vector through i."""
+        i, j = np.divmod(pairs, self.L.order)
+        chi = np.einsum("...k,...k->...", self._path[i], self._chi[j])
+        return (self._ipot[i] - chi * (self._den // self.char_exp)) % self._den
 
     def _transport(self, rows, pairs, source=None):
         """W's monomial rows at c elements, read exactly on the sector bases.
@@ -192,15 +230,20 @@ class SectorDecomposition:
         i, t = np.divmod(pairs, n)
         q = SRC[:, i] * n + (t if source is None else source[t])
         d = lcm(den, self._den)
-        src = self._vector[q]
-        num = (NUM[:, i] * (d // den) + (self._pot[q] - self._pot[pairs]) * (d // self._den)) % d
-        at = np.searchsorted(pairs, self._label[pairs])
+        src = self._vector(q)
+        num = (NUM[:, i] * (d // den) + (self._pot(q) - self._pot(pairs)) * (d // self._den)) % d
+        at = np.searchsorted(pairs, self._label(pairs))
         return src, num, d, (src < 0) | (src != src[:, at]) | (num != num[:, at])
 
     def _pairs(self, column=None) -> np.ndarray:
-        """The pairs on sector basis vectors, of one character column or of all."""
-        pairs = np.flatnonzero(self._vector >= 0)
-        return pairs if column is None else pairs[pairs % self.L.order == column]
+        """The pairs on sector basis vectors, of one character column or of all, ascending."""
+        n = self.L.order
+        good = self._good if column is None else self._good[self._good % n == column]
+        root = good // n
+        lo = np.searchsorted(root, self._root)
+        count = np.searchsorted(root, self._root, side="right") - lo
+        at = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+        return np.repeat(np.arange(self.rep.dim), count) * n + good[at] % n
 
     def eigen_check(self) -> VerificationReport:
         """W(a) psi = chi(a) psi for every a in L and every sector basis vector psi, exactly.
@@ -213,7 +256,7 @@ class SectorDecomposition:
         rep = VerificationReport("sector eigen-characterization")
         n, E = self.L.order, self.char_exp
         pairs = self._pairs()
-        own, t = self._vector[pairs], pairs % n
+        own, t = self._vector(pairs), pairs % n
         elems = self.L.elements()
         step = max(1, BLOCK_ENTRIES // max(len(pairs), self.rep.dim))
         witness = None
@@ -229,6 +272,63 @@ class SectorDecomposition:
         rep.add("eigenvalue", witness is None, witness=witness,
                 note=f"exhaustive over {n} elements of L and {len(self.dims)} sectors")
         return rep
+
+
+def _orbit_characters(rows, orders, roots, pot):
+    """(orbit, U): every character u of L on every orbit, as rows of U with their orbit's
+    position in ``roots``, from the walk's potentials ``pot`` (phase over den, then the
+    path's element of L).
+
+    The stabilizer of the orbit of R is generated by g_k = h_k + a_s, s the
+    index that W(h_k) reads at R, and acts at R by psi(g_k) = NUM_k[R] + P(s).
+    g_k is triangular: its k-th entry is the length l_k of h_k's cycle on the
+    orbits of h_1..h_{k-1}, and l_k divides d_k.  The span of the orbit is
+    Ind_St^L psi, so the characters on it are the |O| = prod l_k extensions
+    of psi to L, each once (Frobenius reciprocity).  They are solved one
+    generator at a time: l_k u_k / d_k = psi(g_k) - sum_{j<k} g_kj u_j / d_j
+    has l_k solutions u_k, so the rows grow to sum |O| = n.  The rows must be
+    a representation of L (``_relation_witness``) for psi to be a character.
+    """
+    SRC, NUM, den = rows
+    d = np.array(orders, dtype=np.int64)
+    D = lcm(den, *orders)
+    orbit, U = np.arange(len(roots)), np.zeros((len(roots), 0), dtype=np.int64)
+    for k in range(len(d)):
+        s = SRC[k][roots]
+        g = pot[s, 1:]
+        g[:, k] += 1                # a_s[k] = l_k - 1 < d_k steps, so g_kk = l_k
+        ell = g[orbit, k]
+        tau = ((NUM[k][roots] + pot[s, 0])[orbit] * (D // den)
+               - (g[orbit, :k] * U * (D // d[:k])).sum(axis=1)) % D
+        base = tau * d[k] // D // ell
+        start = np.repeat(np.cumsum(ell) - ell, ell)
+        t = np.arange(len(start)) - start
+        U = np.column_stack([np.repeat(U, ell, axis=0),
+                             np.repeat(base, ell) + t * np.repeat(d[k] // ell, ell)])
+        orbit = np.repeat(orbit, ell)
+    return orbit, U
+
+
+def _relation_witness(rows, orders):
+    """(k, i): the first generator k and carrier index i where the monomial rows at the
+    generators break W(h_k) W(h_l) = W(h_l) W(h_k) for some l < k, or W(h_k)^d_k = 1;
+    None when they hold, that is when the rows define a representation of (+) Z/d_k."""
+    SRC, NUM, den = rows
+    n = SRC.shape[1]
+    one = np.arange(n)
+    for k, e in enumerate(orders):
+        src, num, bs, bn = one, np.zeros(n, dtype=np.int64), SRC[k], NUM[k]
+        while e:            # W(h_k)^d_k by squaring
+            if e & 1:
+                src, num = bs[src], (num + bn[src]) % den
+            bs, bn, e = bs[bs], (bn + bn[bs]) % den, e >> 1
+        bad = (src != one) | (num != 0)
+        for l in range(k):
+            bad |= (SRC[l][SRC[k]] != SRC[k][SRC[l]]) | \
+                ((NUM[k] + NUM[l][SRC[k]] - NUM[l] - NUM[k][SRC[l]]) % den != 0)
+        if bad.any():
+            return k, int(np.flatnonzero(bad)[0])
+    return None
 
 
 def sectors(W: ProjectiveRep, L: Subgroup) -> SectorDecomposition:
@@ -253,8 +353,7 @@ def permute_check(S: SectorDecomposition, x: GroupElement) -> VerificationReport
     witness = _witness([x.coords], bad, pairs // C.order)
     rep.add("image containment", witness is None, witness=witness,
             note=f"exhaustive over {len(S.dims)} sectors")
-    counts = np.bincount(S._good % C.order, minlength=C.order)
-    rep.add("dimension transport", bool((counts[dest] == counts).all()))
+    rep.add("dimension transport", bool((S._counts[dest] == S._counts).all()))
     return rep
 
 
@@ -421,7 +520,7 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
     witness = _witness([s.coords for s in sections], bad, pairs // L.order)
     if witness is not None:
         raise DefectError(f"W({witness[0]}) does not preserve the vacuum space", witness=witness)
-    roots = pairs == S._label[pairs]
+    roots = pairs == S._label(pairs)
     SRC0, NUM0 = src[:, roots], num[:, roots]
     weights = np.array(V2._weights, dtype=np.int64)
     rep0 = ProjectiveRep.from_batch(V2, m0, B0.shape[1], den0,

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from weylkit.errors import ResourceLimitError
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.isotropy import extend_maximal
 from weylkit.multipliers import (
@@ -363,4 +364,46 @@ def test_box_codes_label_cosets(A):
     assert len(set(zip(codes, keys))) == len(set(codes)) == len(set(keys)) == A.index
     assert sorted(set(codes)) == list(range(A.index))
     assert [x.coords for x in A.transversal()] == sorted(
-        {A.coset_representative(x).coords for x in G.elements()}, key=G.rank_of)
+        {coset_minimum(A, x).coords for x in G.elements()}, key=G.rank_of)
+
+
+def coset_minimum(A, x):
+    """Oracle: the rank-minimal element of x + A, over all of A."""
+    return min((x + a for a in A.elements()), key=lambda y: y.rank)
+
+
+def scan_transversal(A):
+    """Oracle: box codes of every element of G in rank order; the first hit of each code."""
+    G = A.ambient
+    _, first = np.unique(A.box_codes(G.coords_array()), return_index=True)
+    return G.coords_array()[np.sort(first)]
+
+
+def _span(moduli, gens):
+    G = FinAbGroup(moduli)
+    return Subgroup.span(G, [G.element(g) for g in gens])
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=subgroups())
+@example(A=_span([], []))                                  # rank 0
+@example(A=_span([1, 4, 1], [[0, 2, 0]]))                  # moduli of 1
+@example(A=_span([1, 1], []))                              # only moduli of 1
+@example(A=_span([4, 6], []))                              # A trivial
+@example(A=_span([4, 6], [[1, 0], [0, 1]]))                # A = G
+@example(A=_span([8, 4, 6], [[2, 2, 0], [4, 0, 3], [0, 2, 2]]))
+def test_transversal_matches_g_scan(A):
+    # the reversed-HNF box equals the first element of each coset in a scan of G
+    got = A.transversal_coords()
+    assert got.dtype == np.int64 and got.shape == (A.index, A.ambient.rank)
+    assert got.tolist() == scan_transversal(A).tolist()
+
+
+def test_transversal_counts_cosets_not_elements():
+    # |G| = 10^6 is past ENUMERATION_CAP; the 10 x 10 box of G/A is not
+    G = FinAbGroup([1000, 1000])
+    A = Subgroup.span(G, [G.element([10, 0]), G.element([0, 10])])
+    assert A.transversal_coords().tolist() == [[a, b] for b in range(10) for a in range(10)]
+    with pytest.raises(ResourceLimitError) as exc:
+        Subgroup.trivial(G).transversal_coords()
+    assert (exc.value.budget, exc.value.size) == ("ENUMERATION_CAP", 10 ** 6)

@@ -1,3 +1,7 @@
+import json
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -217,14 +221,40 @@ def test_largest_window_fast():
     assert elapsed < 10.0
 
 
-@pytest.mark.parametrize("p, k, d", [(2, 2, 3), (5, 1, 2)])
-def test_window_over_enumeration_budget_exits_2_before_descent(p, k, d, monkeypatch, capsys):
-    from weylkit import cli, padic
+def _main(argv, capsys):
+    """(exit code, seconds, captured output) of one in-process ``weylkit`` run."""
+    from weylkit import cli
+    t0 = time.perf_counter()
+    code = cli.main(argv)
+    return code, time.perf_counter() - t0, capsys.readouterr()
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("descend called before the enumeration budget was read")
 
-    monkeypatch.setattr(padic, "descend", refuse)
-    assert cli.main(["padic", "--p", str(p), "--k", str(k), "--d", str(d)]) == 2
-    err = capsys.readouterr().err
-    assert f"ambient group order {p ** (4 * k * d)} exceeds ENUMERATION_CAP = 200000" in err
+@pytest.mark.parametrize("p, k, d", [(5, 1, 2), (3, 1, 3), (7, 1, 2)])
+def test_odd_windows_past_listing_g_pass_the_benchmark_gate(p, k, d, capsys, monkeypatch):
+    # |G| = p^(4kd) is past ENUMERATION_CAP, but sectors walk n = p^(2kd) indices and
+    # the transversal lists |G/L| = p^(2kd) cosets
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    from workloads import verdict_errors
+    argv = ["padic", "--p", str(p), "--k", str(k), "--d", str(d)]
+    code, elapsed, out = _main(argv, capsys)
+    assert code == 0
+    report = json.loads(out.out)
+    assert report["pass"] and verdict_errors("padic", argv, report) == []
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+        ("is_heisenberg matches parity", True), ("vacuum is a line", True),
+        ("all sectors one-dimensional", True)]
+    assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("p, k, d, size", [(2, 2, 3, 8 ** 6), (2, 1, 5, 4 ** 10)])
+def test_p2_windows_past_the_descent_budget_exit_2(p, k, d, size, capsys):
+    # the descent lists L/2, of order 2^(2(k+1)d) here
+    code, elapsed, out = _main(["padic", "--p", str(p), "--k", str(k), "--d", str(d)], capsys)
+    assert code == 2 and elapsed < 5.0
+    assert f"subgroup order {size} exceeds ENUMERATION_CAP = 200000" in out.err
+
+
+def test_window_past_dim_cap_exits_2(capsys):
+    code, _, out = _main(["padic", "--p", "3", "--k", "2", "--d", "2"], capsys)
+    assert code == 2
+    assert "carrier dimension 6561 exceeds --max-dim = 4096" in out.err

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.errors import DefectError, PreconditionError, ResourceLimitError
+from weylkit.errors import DefectError, PreconditionError
 from weylkit.groups import FinAbGroup, Subgroup, double_image, double_preimage, subgroup_span
-from weylkit.isotropy import is_isotropic
+from weylkit.isotropy import is_isotropic, polar
 from weylkit.cli import build_model, build_parser, parse_group, parse_multiplier, parse_subgroup
-from weylkit.models import (MonomialPart, Operator, ProjectiveRep, check_rep_law, identity_operator,
-                            induced_model, regular_rep)
+from weylkit.models import (MonomialPart, Operator, ProjectiveRep, _generator_rows,
+                            _intertwining_orbits, check_rep_law, identity_operator, induced_model,
+                            regular_rep)
 from weylkit.padic import window_weyl
 from weylkit.multipliers import Bicharacter, TableMultiplier, antisymmetrize
 from weylkit.phases import HALF, Phase, ZERO
@@ -130,6 +131,114 @@ def test_exact_sectors_match_projector_oracle(case):
                                rtol=0, atol=1e-9)
 
 
+class PairSolve:
+    """Oracle: the n |L| pair solve of the sectors, one ``_intertwining_orbits`` call from
+    the diagonal rep of L's |L| characters into W at L's generators, with its per-pair
+    label, potential and basis index arrays."""
+
+    def __init__(self, W, L):
+        gens, self.orders = L.decomposition()
+        E = lcm(*self.orders) if self.orders else 1
+        chars = FinAbGroup(self.orders).coords_array()
+        chi = chars * np.array([E // d for d in self.orders], dtype=np.int64)
+        self.dim, n = W.dim, L.order
+        diagonal = (np.broadcast_to(np.arange(n), (len(self.orders), n)), chi.T, E)
+        self.label, self.pot, self.den, good = \
+            _intertwining_orbits(self.orders, diagonal, _generator_rows(W, gens))
+        counts = np.bincount(good % n, minlength=n)
+        self.dims = {tuple(chars[j].tolist()): int(counts[j]) for j in np.flatnonzero(counts)}
+        root = np.zeros(self.label.size, dtype=bool)
+        root[good] = True
+        root = root.reshape(W.dim, n)
+        self.vector = np.where(root, np.cumsum(root, axis=0) - 1, -1).ravel()[self.label]
+
+    def basis_of(self, u):
+        n = len(self.vector) // self.dim
+        j = FinAbGroup(self.orders).rank_of(u)
+        k = self.vector[j::n]
+        on = np.flatnonzero(k >= 0)
+        B = np.zeros((self.dim, self.dims.get(tuple(u), 0)), dtype=complex)
+        B[on, k[on]] = np.exp(2j * np.pi * self.pot[j::n][on] / self.den)
+        return B / np.sqrt(np.bincount(k[on], minlength=B.shape[1]))
+
+    def pairs(self, column=None):
+        pairs = np.flatnonzero(self.vector >= 0)
+        return pairs if column is None else pairs[pairs % (len(self.vector) // self.dim) == column]
+
+    def transport(self, rows, pairs, source=None):
+        SRC, NUM, den = rows
+        n = len(self.vector) // self.dim
+        i, t = np.divmod(pairs, n)
+        q = SRC[:, i] * n + (t if source is None else source[t])
+        d = lcm(den, self.den)
+        src = self.vector[q]
+        num = (NUM[:, i] * (d // den) + (self.pot[q] - self.pot[pairs]) * (d // self.den)) % d
+        at = np.searchsorted(pairs, self.label[pairs])
+        return src, num, d, (src < 0) | (src != src[:, at]) | (num != num[:, at])
+
+
+def labeled_oracle(S):
+    """Oracle: the coset labeling one transversal element at a time in Phase arithmetic,
+    as (labeled, coset dims or None), checking m(a, y) = chi_u(a) at every a in L."""
+    G, m = S.rep.group, S.rep.multiplier
+    if S.L.order ** 2 != G.order or polar(S.L, m) != S.L:
+        return False, None
+    labels = {}
+    for y in S.L.transversal():
+        try:
+            u = tuple(m(h, y).numerator_at(d) % d for h, d in zip(S.gens, S.orders))
+        except ValueError:
+            return False, None
+        if any(m(a, y) != Phase(int(v), S.char_exp) for a, v in zip(S.L.elements(), S.char_nums(u))):
+            return False, None
+        labels[y.coords] = u
+    if len(set(labels.values())) != S.L.index:
+        return False, None
+    return True, {y: S.dims.get(u, 0) for y, u in labels.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=reps_with_isotropic_subgroups(), data=st.data())
+def test_one_sided_sectors_match_pair_solve(case, data):
+    """Dims, bitwise bases, per-pair data and ``_transport`` equal the pair solve's; with
+    one generator of L faulted, sectors refuse exactly when the pair solve's dims fall short."""
+    W, L = case
+    gens = L.decomposition()[0]
+    if gens and data.draw(st.booleans()):
+        h, i = data.draw(st.sampled_from(gens)), data.draw(st.integers(0, W.dim - 1))
+        W = _faulty(W, h, **data.draw(st.sampled_from([{"row": i}, {"phase": HALF}, {}])))
+    try:
+        old = PairSolve(W, L)
+    except DefectError:
+        old = None
+    if old is None or sum(old.dims.values()) < W.dim:
+        with pytest.raises(DefectError):
+            sectors(W, L)
+        return
+    S = sectors(W, L)
+    assert list(S.dims.items()) == list(old.dims.items())
+    assert S._den == old.den
+    everything = np.arange(W.dim * L.order)
+    assert (S._label(everything) == old.label).all()
+    assert (S._vector(everything) == old.vector).all()
+    assert (S._pot(everything) == old.pot).all()
+    for u in FinAbGroup(S.orders).elements():
+        assert S.basis_of(u.coords).tobytes() == old.basis_of(u.coords).tobytes()
+    labeled, dims = labeled_oracle(S)
+    assert S.labeled == labeled
+    assert (list(S.coset_dims().items()) if labeled else None) == (list(dims.items()) if labeled else None)
+    G = W.group
+    ranks = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    elems = L.elements() + G.generators() + [G.element_by_rank(r) for r in ranks]
+    rows = _generator_rows(W, elems)
+    shift = np.array(data.draw(st.permutations(range(L.order))), dtype=np.int64)
+    for column, source in [(None, None), (0, None), (None, shift)]:
+        pairs = S._pairs(column)
+        assert pairs.tolist() == old.pairs(column).tolist()
+        for new, want in zip(S._transport(rows, pairs, source), old.transport(rows, pairs, source)):
+            assert np.array_equal(new, want)
+
+
 @pytest.mark.parametrize("key", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 1, 3), (2, 3, 1), (2, 2, 2)])
 def test_vacuum_basis_is_gram_schmidt_bitwise(key):
     S = sectors(window_model(*key), window(*key).L)
@@ -167,12 +276,13 @@ def test_sectors_phase_fault_breaks_dimension_sum(z9):
         sectors(_override_first_generator(W, L, shift=1), L)
 
 
-def test_sectors_pair_budget():
-    # 448 indices x 448 characters exceed ENUMERATION_CAP
+def test_sectors_of_regular_rep_beyond_pair_budget():
+    # 448 indices x 448 characters exceed ENUMERATION_CAP, but the walk visits 448 indices
     G = FinAbGroup([448])
-    with pytest.raises(ResourceLimitError) as exc:
-        sectors(regular_rep(G), Subgroup.full(G))
-    assert (exc.value.budget, exc.value.size) == ("ENUMERATION_CAP", 448 ** 2)
+    S = sectors(regular_rep(G), Subgroup.full(G))
+    assert S.dims == {(u,): 1 for u in range(448)}
+    B = np.concatenate([S.basis_of((u,)) for u in range(448)], axis=1)
+    assert np.allclose(B.conj().T @ B, np.eye(448), rtol=0, atol=1e-9)
 
 
 def test_sectors_build_only_generator_operators(monkeypatch):
