@@ -218,7 +218,8 @@ def _require_prime(p: int):
 class Subgroup:
     """Subgroup of a FinAbGroup, canonicalised by the column HNF of its preimage lattice."""
 
-    __slots__ = ("ambient", "generators", "basis", "_elems", "_grid", "_decomp", "_transversal")
+    __slots__ = ("ambient", "generators", "basis", "_elems", "_grid", "_decomp", "_transversal",
+                 "_rhnf")
 
     def __init__(self, ambient: FinAbGroup, generators, basis):
         self.ambient = ambient
@@ -228,6 +229,7 @@ class Subgroup:
         self._grid = None
         self._decomp = None
         self._transversal = None
+        self._rhnf = None
 
     @classmethod
     def span(cls, ambient: FinAbGroup, gens) -> "Subgroup":
@@ -323,12 +325,17 @@ class Subgroup:
         over diag(H).  The code lies in [0, |G/A|) because prod H_ii = |G/A|,
         and two rows share a code exactly when they share a coset.
         """
-        X = np.array(X, dtype=np.int64)
         H = np.array(self.basis, dtype=np.int64).reshape(len(self.basis), self.ambient.rank)
-        for i in range(len(H)):
-            X[:, i:] -= np.outer(X[:, i] // H[i, i], H[i:, i])
         diag = np.diag(H)
-        return X @ (np.cumprod(diag) // diag)       # radix prod_{j<i} H_jj
+        return _box_reduce(X, H) @ (np.cumprod(diag) // diag)       # radix prod_{j<i} H_jj
+
+    def _reversed_hnf(self) -> np.ndarray:
+        """Column HNF of A's lattice with the coordinates in reversed order (cached)."""
+        if self._rhnf is None:
+            r = self.ambient.rank
+            self._rhnf = np.array(column_hnf(self.basis[::-1]) if r else [],
+                                  dtype=np.int64).reshape(r, r)
+        return self._rhnf
 
     def transversal_coords(self) -> np.ndarray:
         """(|G/A| x rank) int64 coordinates of the rank-minimal coset representatives (cached).
@@ -346,11 +353,21 @@ class Subgroup:
             if self.index > ENUMERATION_CAP:
                 raise ResourceLimitError("subgroup index", self.index,
                                          "ENUMERATION_CAP", ENUMERATION_CAP)
-            r = self.ambient.rank
-            H = column_hnf(self.basis[::-1]) if r else []
-            box = FinAbGroup([H[r - 1 - i][r - 1 - i] for i in range(r)])
+            box = FinAbGroup(np.diag(self._reversed_hnf())[::-1].tolist())
             self._transversal = box.coords_array()
         return self._transversal
+
+    def coset_index(self, X) -> np.ndarray:
+        """Position in ``transversal_coords()`` of the coset of each (c x rank) row of X.
+
+        Box reduction against the reversed HNF takes each row to its coset's
+        rank-minimal element, read in the transversal's mixed radix: no table
+        over G or over the transversal.
+        """
+        H = self._reversed_hnf()
+        R = _box_reduce(np.asarray(X)[:, ::-1], H)[:, ::-1]
+        box = np.diag(H)[::-1]
+        return R @ (np.cumprod(box) // box)
 
     def transversal(self):
         """Rank-minimal coset representatives, ordered by rank; covers G exactly once."""
@@ -360,39 +377,19 @@ class Subgroup:
     def decomposition(self):
         """Independent generators and their orders: A = (+) Z/d_j * h_j, d_1 | d_2 | ...
 
-        Returns ``(gens, orders)`` with trivial factors dropped.
+        Returns ``(gens, orders)`` with trivial factors dropped.  Read off the
+        quotient A/0: its projection is x |-> U t with U the Smith transform,
+        so the generators are the columns of H U^{-1} with d_j > 1.
         """
-        self._ensure_decomp()
-        gens, orders, _, _ = self._decomp
-        return gens, orders
-
-    def _ensure_decomp(self):
-        if self._decomp is not None:
-            return
-        r = self.ambient.rank
-        if r == 0 or self.order == 1:
-            self._decomp = ([], [], None, None)
-            return
-        H = [list(row) for row in self.basis]
-        # express the relation lattice N = diag(n) in the basis of the subgroup lattice
-        C = []
-        for i in range(r):
-            col = [self.ambient.moduli[j] if j == i else 0 for j in range(r)]
-            t = solve_lower_triangular(H, col)
-            assert t is not None
-            C.append(t)
-        C = columns_to_matrix(C, r)
-        U, D, _ = smith_decompose(C)
-        Uinv = inverse_unimodular(U)
-        # new lattice basis B' = H @ Uinv; subgroup = (+) Z/d_i generated by columns of B'
-        gens, orders = [], []
-        for i in range(r):
-            d = D[i][i]
-            if d > 1:
-                col = [sum(H[a][b] * Uinv[b][i] for b in range(r)) for a in range(r)]
-                gens.append(self.ambient.element(col))
-                orders.append(d)
-        self._decomp = (gens, orders, U, D)
+        if self._decomp is None:
+            G = self.ambient
+            q = Quotient(self, Subgroup.trivial(G))
+            r, orders = G.rank, list(q.group.moduli)
+            H = np.array(self.basis, dtype=object).reshape(r, r)
+            Uinv = np.array(inverse_unimodular(q._U), dtype=object).reshape(r, r)
+            gens = [G.element(col) for col in (H @ Uinv[:, r - len(orders):]).T.tolist()]
+            self._decomp = (gens, orders, q)
+        return self._decomp[:2]
 
     @property
     def exponent(self) -> int:
@@ -401,25 +398,8 @@ class Subgroup:
 
     def coordinates_of(self, x: GroupElement):
         """Coordinates of x in the decomposition generators (orders as moduli)."""
-        self._ensure_decomp()
-        gens, orders, U, D = self._decomp
-        if not gens:
-            if not self.contains(x):
-                raise InputError("element not in subgroup")
-            return ()
-        r = self.ambient.rank
-        H = [list(row) for row in self.basis]
-        t = solve_lower_triangular(H, list(x.coords))
-        if t is None:
-            raise InputError("element not in subgroup")
-        # the decomposition basis is B' = H @ U^{-1}, so coordinates are U @ t mod d
-        y = mat_vec(U, t)
-        out = []
-        for i in range(r):
-            d = D[i][i]
-            if d > 1:
-                out.append(y[i] % d)
-        return tuple(out)
+        self.decomposition()
+        return self._decomp[2].project(x).coords
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and other.ambient == self.ambient
@@ -430,6 +410,14 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.ambient!r})"
+
+
+def _box_reduce(X, H: np.ndarray) -> np.ndarray:
+    """Copy of the int64 rows X box-reduced against the lower-triangular H: x_i in [0, H_ii)."""
+    X = np.array(X, dtype=np.int64)
+    for i in range(len(H)):
+        X[:, i:] -= np.outer(X[:, i] // H[i, i], H[i:, i])
+    return X
 
 
 def subgroup_span(G: FinAbGroup, gens) -> Subgroup:
@@ -464,93 +452,103 @@ def double_preimage(G: FinAbGroup, A: Subgroup) -> Subgroup:
 
 
 class Quotient:
-    """Quotient of a group (or of a subgroup pair) with exact project/section maps."""
+    """B/A for subgroups A <= B of one ambient group, in invariant-factor form.
 
-    __slots__ = ("numerator", "denominator", "group", "_Hnum", "_U", "_dfull",
-                 "_section_list", "_section_map")
+    With H the lattice basis of B and U C V = diag(d_1, d_2, ...) the Smith
+    form of A's lattice C in that basis, x in B projects to U t mod d_i,
+    H t = x, over the d_i > 1: a homomorphism onto ``group`` with kernel A.
+    The section maps each class to its rank-minimal element of B.
+    """
 
-    def __init__(self, numerator, denominator: Subgroup, group, Hnum, U, dfull,
-                 section_list):
-        self.numerator = numerator
-        self.denominator = denominator
-        self.group = group
-        self._Hnum = Hnum
-        self._U = U
-        self._dfull = dfull
-        self._section_list = section_list
-        self._section_map = {q.coords: s for q, s in section_list}
+    __slots__ = ("numerator", "denominator", "group", "_H", "_U", "_sections")
+
+    def __init__(self, numerator: Subgroup, denominator: Subgroup):
+        r = numerator.ambient.rank
+        H = [list(row) for row in numerator.basis]
+        C = columns_to_matrix([solve_lower_triangular(H, [row[j] for row in denominator.basis])
+                               for j in range(r)], r)
+        self._U, D, _ = smith_decompose(C)
+        self.numerator, self.denominator = numerator, denominator
+        self.group = FinAbGroup([D[i][i] for i in range(r) if D[i][i] > 1])
+        self._H = np.array(H, dtype=object).reshape(r, r)
+        self._sections = None
+
+    def project_coords(self, X) -> np.ndarray:
+        """(c x rank of the quotient) int64 coordinates of the images of the (c x r) rows X.
+
+        Rows are reduced mod the moduli, which changes neither membership in
+        B nor the image.  One lower-triangular solve H t = x runs over all
+        rows, then U t mod d_i over U's last rows, those with d_i > 1, with t
+        and U reduced mod the exponent E of G (each d_i divides E).  |t| < E 2^r,
+        so every running sum is below (r + 1) 2^r E^2: int64 while that is
+        below 2^63, else Python ints.  ``InputError`` for a row outside B.
+        """
+        G = self.denominator.ambient
+        r, E = G.rank, G.exponent
+        dtype = np.int64 if (r + 1) * 2 ** r * E * E < 2 ** 63 else object
+        X = np.array(X, dtype=dtype)
+        X = X.reshape(len(X), r) % np.array(G.moduli, dtype=dtype)
+        H = self._H.astype(dtype)
+        T = np.zeros_like(X)
+        for i in range(r):
+            s = X[:, i] - T[:, :i] @ H[i, :i]
+            if (s % H[i, i] != 0).any():
+                raise InputError("element is not in the numerator subgroup")
+            T[:, i] = s // H[i, i]
+        U = np.array(self._U, dtype=object).reshape(r, r)[r - self.group.rank:] % E
+        Y = (T % E) @ U.astype(dtype).T
+        return (Y % np.array(self.group.moduli, dtype=dtype)).astype(np.int64)
 
     def project(self, x: GroupElement) -> GroupElement:
-        ambient = self.denominator.ambient
-        if x.group != ambient:
+        if x.group != self.denominator.ambient:
             raise InputError("element does not belong to the ambient group")
-        t = (list(x.coords) if self._Hnum is None
-             else solve_lower_triangular(self._Hnum, list(x.coords)))
-        if t is None:
-            raise InputError("element is not in the numerator subgroup")
-        y = mat_vec(self._U, t)
-        coords = [y[i] % d for i, d in enumerate(self._dfull) if d > 1]
-        return self.group.element(coords)
+        return GroupElement(self.group, tuple(self.project_coords([x.coords])[0].tolist()))
+
+    def _section_rows(self) -> np.ndarray:
+        """(|B/A| x r) rank-minimal representatives, in quotient rank order (cached).
+
+        A's transversal holds the rank-minimal element of every A-coset of G,
+        and those with B-box code 0 are the cosets in B: one ``project_coords``
+        pass places them.  |G/A| steps, bounded by ``ENUMERATION_CAP``; B is
+        never listed.
+        """
+        if self._sections is None:
+            T = self.denominator.transversal_coords()
+            T = T[self.numerator.box_codes(T) == 0]
+            self._sections = np.empty_like(T)
+            ranks = self.project_coords(T) @ np.array(self.group._weights, dtype=np.int64)
+            self._sections[ranks] = T
+        return self._sections
 
     def section(self, q: GroupElement) -> GroupElement:
         if q.group != self.group:
             raise InputError("element does not belong to the quotient group")
-        return self._section_map[q.coords]
+        return GroupElement(self.denominator.ambient, tuple(self._section_rows()[q.rank].tolist()))
 
     @property
     def section_list(self):
         """Pairs (quotient element, rank-minimal representative), in quotient rank order."""
-        return list(self._section_list)
-
-
-def _lattice_quotient(ambient: FinAbGroup, numerator, Hnum, den: Subgroup, num_elements):
-    r = ambient.rank
-    Hden = [list(row) for row in den.basis]
-    if r == 0:
-        Q = FinAbGroup(())
-        zero = ambient.zero()
-        return Quotient(numerator, den, Q, Hnum, [], [], [(Q.zero(), zero)])
-    # express the denominator lattice in the numerator basis
-    C = []
-    for j in range(r):
-        col = [Hden[i][j] for i in range(r)]
-        t = list(col) if Hnum is None else solve_lower_triangular(Hnum, col)
-        if t is None:
-            raise InputError("denominator is not contained in the numerator")
-        C.append(t)
-    C = columns_to_matrix(C, r)
-    U, D, _ = smith_decompose(C)
-    dfull = [abs(D[i][i]) for i in range(r)]
-    Q = FinAbGroup([d for d in dfull if d > 1])
-    quo = Quotient(numerator, den, Q, Hnum, U, dfull, [])
-    # section: first (rank-minimal) representative reached per class
-    seen = {}
-    for x in num_elements:
-        q = quo.project(x)
-        if q.coords not in seen:
-            seen[q.coords] = (q, x)
-            if len(seen) == Q.order:
-                break
-    section_list = sorted(seen.values(), key=lambda pair: pair[0].rank)
-    quo._section_list = section_list
-    quo._section_map = {q.coords: s for q, s in section_list}
-    return quo
+        Q, G = self.group, self.denominator.ambient
+        return [(Q.element_by_rank(i), GroupElement(G, tuple(s)))
+                for i, s in enumerate(self._section_rows().tolist())]
 
 
 def quotient(G: FinAbGroup, A: Subgroup) -> Quotient:
-    """G/A in invariant-factor form, with a homomorphic projection and a rank-minimal section."""
+    """G/A; see ``subquotient``."""
     if A.ambient != G:
         raise InputError("subgroup does not live in G")
-    if G.order > ENUMERATION_CAP:
-        raise ResourceLimitError("group order", G.order, "ENUMERATION_CAP", ENUMERATION_CAP)
-    return _lattice_quotient(G, G, None, A, G.elements())
+    return subquotient(Subgroup.full(G), A)
 
 
 def subquotient(B: Subgroup, A: Subgroup) -> Quotient:
-    """B/A for nested subgroups A <= B of a common ambient group."""
+    """B/A for nested subgroups A <= B of one ambient group, with its section read.
+
+    The section costs |G/A| steps, whatever |B| is (``Quotient._section_rows``).
+    """
     if B.ambient != A.ambient:
         raise InputError("subgroups of different ambient groups")
     if not A.is_subset_of(B):
         raise InputError("A is not contained in B")
-    Hnum = [list(row) for row in B.basis]
-    return _lattice_quotient(B.ambient, B, Hnum, A, B.elements())
+    q = Quotient(B, A)
+    q._section_rows()
+    return q

@@ -376,7 +376,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     (which reduces to f(x + a) = m(x, a) c(a)^{-1} f(x) when m is an
     alternating bicharacter) and the action is (W(y) f)(x) = m(x, y) f(x + y).
     The action is one block formula over the transversal (``from_batch``):
-    cosets are found by ``Subgroup.box_codes`` and c by rank among A's elements.
+    cosets are found by ``Subgroup.coset_index`` and c by rank among A's elements.
     """
     if m.group != G or A.ambient != G:
         raise InputError("group, multiplier and subgroup do not match")
@@ -393,9 +393,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     R = A.transversal_coords()
     dim = len(R)
     den = lcm(m.den, cmap.den)
-    # transversal position by box code, and c over den by rank among A's elements
-    position = np.full(dim, -1, dtype=np.int64)
-    position[A.box_codes(R)] = np.arange(dim)
+    # c over den by rank among A's elements
     elems = A.elements()
     a_ranks = np.array([a.rank for a in elems], dtype=np.int64)
     c_num = np.array([cmap(a).numerator_at(den) for a in elems], dtype=np.int64)
@@ -410,9 +408,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
         Rk = np.tile(R, (c, 1))
         Yk = np.repeat(Y, dim, axis=0)
         Z = (Rk + Yk) % moduli
-        J = position[A.box_codes(Z)]
-        if (J < 0).any():
-            raise InputError("a coset code is missing from the transversal")
+        J = A.coset_index(Z)
         a = (Z - R[J]) % moduli
         ar = a @ weights
         k = np.minimum(np.searchsorted(a_ranks, ar), len(a_ranks) - 1)

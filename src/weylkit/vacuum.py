@@ -20,7 +20,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import DefectError, InputError, PreconditionError
+from .errors import TABLE_CAP, DefectError, InputError, PreconditionError, ResourceLimitError
 from .groups import FinAbGroup, GroupElement, Quotient, Subgroup, double_image, double_preimage, subquotient
 from .isotropy import is_isotropic, polar
 from .models import (
@@ -415,8 +415,10 @@ def normalizer_check(S: SectorDecomposition) -> VerificationReport:
     d = lcm(*(d for _, _, d in maps))
     src = np.concatenate([v for v, _, _ in maps])
     num = np.concatenate([v * (d // dv) % d for _, v, dv in maps])
-    _, least, coset = np.unique(twoL.box_codes(X[inL2]), return_index=True, return_inverse=True)
-    coset = least[coset.ravel()]
+    # the least element of x + 2L, which lies in L/2 as 2L <= L, as a row position in X[inL2]
+    least = twoL.transversal_coords()[twoL.coset_index(X[inL2])]
+    least = least @ np.array(G._weights, dtype=np.int64)
+    coset = np.searchsorted(np.flatnonzero(inL2), least)
     period = _witness(X[inL2], (src != src[coset]) | (src >= 0) & (num != num[coset]), carriers)
     rep.add("2L-periodicity on vacuum", period is None, witness=period,
             note=f"exhaustive over {L2.order} x {twoL.order} pairs of L/2 x 2L")
@@ -539,8 +541,10 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
     report.add("n nondegenerate", True)
 
     # both sides are bicharacters on L/2, so generator pairs decide it
-    witness = next(((x.coords, y.coords) for x in L2.generators for y in L2.generators
-                    if n(q.project(x), q.project(y)) != mt(x, y)), None)
+    gens = L2.generators
+    proj = [V2.element(c) for c in q.project_coords([x.coords for x in gens]).tolist()]
+    witness = next(((x.coords, y.coords) for x, px in zip(gens, proj) for y, py in zip(gens, proj)
+                    if n(px, py) != mt(x, y)), None)
     lift_ok = witness is None
     report.add("lift of n equals m~ on L/2", lift_ok, witness=witness)
     if not lift_ok:
@@ -551,6 +555,8 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
 def _descended_multiplier(m, V2: FinAbGroup, sections) -> TableMultiplier:
     """m0(v, w) = m(s_v, s_w) + m(s_v + s_w - s_{v+w}, s_{v+w}) over all pairs, in one pass."""
     k = V2.order
+    if k > TABLE_CAP:
+        raise ResourceLimitError("group order", k, "TABLE_CAP", TABLE_CAP)
     Sc = np.array([s.coords for s in sections], dtype=np.int64).reshape(k, -1)
     X, Y = np.repeat(Sc, k, axis=0), np.tile(Sc, (k, 1))
     Z = Sc[V2.addition_table().ravel()]

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from weylkit.errors import InputError, ResourceLimitError, UnsupportedOperationError
 from weylkit.groups import (
@@ -14,6 +16,7 @@ from weylkit.groups import (
     subgroup_span,
     subquotient,
 )
+from weylkit.intmat import columns_to_matrix, mat_vec, smith_decompose, solve_lower_triangular
 from weylkit.models import regular_rep
 from weylkit.multipliers import TableMultiplier
 
@@ -210,3 +213,156 @@ def test_enumeration_caps(budget):
     assert (exc.value.budget, exc.value.limit, exc.value.size) == (budget, limit, size)
     assert budget in str(exc.value) and str(limit) in str(exc.value) \
         and str(size) in str(exc.value)
+
+
+def scalar_projection(B, A):
+    """Oracle: (quotient moduli, projection of one coordinate tuple) of B/A in Python ints.
+
+    The same Smith form of A's lattice in B's basis; each x goes through its
+    own triangular solve and U t mod d_i.
+    """
+    r = B.ambient.rank
+    H = [list(row) for row in B.basis]
+    C = columns_to_matrix([solve_lower_triangular(H, [row[j] for row in A.basis])
+                           for j in range(r)], r)
+    U, D, _ = smith_decompose(C)
+    d = [D[i][i] for i in range(r)]
+
+    def project(x):
+        y = mat_vec(U, solve_lower_triangular(H, list(x)))
+        return tuple(y[i] % d[i] for i in range(r) if d[i] > 1)
+
+    return tuple(v for v in d if v > 1), project
+
+
+def scan_subquotient(B, A):
+    """Oracle: B/A by projecting every element of B one at a time.
+
+    The first element of B (in rank order) that reaches a class is that
+    class's section.  Returns (quotient moduli, projection, section pairs
+    (class coords, representative coords) in quotient rank order).
+    """
+    moduli, project = scalar_projection(B, A)
+    seen = {}
+    for x in B.elements():
+        seen.setdefault(project(x.coords), x.coords)
+    rank = FinAbGroup(moduli).rank_of
+    return moduli, project, sorted(seen.items(), key=lambda kv: rank(kv[0]))
+
+
+@st.composite
+def nested_pairs(draw):
+    """(B, A) with A <= B <= G, G of rank <= 3 with moduli of 1 allowed."""
+    G = FinAbGroup(draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9]), max_size=3)))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in G.moduli]), max_size=3))
+    B = Subgroup.span(G, [G.element(g) for g in gens])
+    sub = draw(st.lists(st.sampled_from(B.elements()), max_size=3))
+    return B, Subgroup.span(G, sub)
+
+
+def _pair(moduli, b_gens, a_gens):
+    G = FinAbGroup(moduli)
+    return (Subgroup.span(G, [G.element(g) for g in b_gens]),
+            Subgroup.span(G, [G.element(g) for g in a_gens]))
+
+
+def _rows(S):
+    return np.array([x.coords for x in S.elements()], dtype=np.int64).reshape(S.order, -1)
+
+
+NESTED_EXAMPLES = [
+    _pair([], [], []),                                       # rank 0
+    _pair([1, 4, 1], [[0, 1, 0]], [[0, 2, 0]]),              # moduli of 1
+    _pair([4, 6], [[2, 3]], [[2, 3]]),                       # A = B
+    _pair([8, 4, 6], [[2, 2, 0], [0, 1, 3]], []),            # A trivial
+    _pair([4, 4], [[1, 0], [0, 1]], [[2, 0], [0, 2]]),       # B = G
+    _pair([16, 16], [[2, 0], [0, 2]], [[4, 0], [0, 4]]),     # (L/2)/L of a p = 2 window
+]
+
+
+def _with_examples(test):
+    for pair in NESTED_EXAMPLES:
+        test = example(pair=pair)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=nested_pairs())
+@_with_examples
+def test_subquotient_matches_per_element_scan(pair):
+    B, A = pair
+    moduli, project, section = scan_subquotient(B, A)
+    q = subquotient(B, A)
+    assert q.group.moduli == moduli
+    assert [(qe.coords, s.coords) for qe, s in q.section_list] == section
+    assert all(q.section(qe) == s for qe, s in q.section_list)
+    X = _rows(B)
+    P = q.project_coords(X)
+    assert P.dtype == np.int64 and P.shape == (B.order, q.group.rank)
+    assert [tuple(row) for row in P.tolist()] == [project(x) for x in X.tolist()]
+    assert [q.project(x).coords for x in B.elements()] == [project(x) for x in X.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=nested_pairs())
+@_with_examples
+def test_project_coords_is_a_homomorphism_with_kernel_A(pair):
+    B, A = pair
+    q = subquotient(B, A)
+    moduli = np.array(q.group.moduli, dtype=np.int64)
+    X = _rows(B)
+    P = q.project_coords(X)
+    for shift in (1, 5):
+        Y = np.roll(X, shift, axis=0)
+        assert ((q.project_coords(X + Y) - P - q.project_coords(Y)) % moduli == 0).all()
+    assert ((P == 0).all(axis=1) == (A.box_codes(X) == 0)).all()
+    assert len({tuple(row) for row in P.tolist()}) == q.group.order
+    # unreduced rows project as their reductions
+    assert (q.project_coords(X + 3 * np.array(B.ambient.moduli, dtype=np.int64)) == P).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=nested_pairs())
+@_with_examples
+def test_project_coords_refuses_a_row_outside_B(pair):
+    B, A = pair
+    G = B.ambient
+    outside = next((x for x in G.elements() if not B.contains(x)), None)
+    assume(outside is not None)
+    q = subquotient(B, A)
+    with pytest.raises(InputError):
+        q.project_coords(np.vstack([_rows(B), [outside.coords]]))
+    with pytest.raises(InputError):
+        q.project(outside)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=nested_pairs())
+@_with_examples
+def test_coset_index_finds_the_least_element_of_each_coset(pair):
+    _, A = pair
+    G = A.ambient
+    X = G.coords_array()
+    T = A.transversal_coords()
+    least = [min((x + a for a in A.elements()), key=lambda y: y.rank).coords for x in G.elements()]
+    index = A.coset_index(X)
+    assert [tuple(T[i]) for i in index.tolist()] == least
+    assert (A.coset_index(T) == np.arange(A.index)).all()
+    assert (A.coset_index(X - 2 * np.array(G.moduli, dtype=np.int64)) == index).all()
+
+
+def test_project_coords_is_exact_past_int64():
+    # E^2 > 2^63 here, so the solve and U t run on Python ints: in int64,
+    # U t wraps mod 2^64 and the odd part of G/A = Z/24 comes out wrong
+    G = FinAbGroup([3 * 2 ** 40, 6 * 2 ** 30])
+    A = subgroup_span(G, [G.element([8, 7]), G.element([8, 4])])
+    q = quotient(G, A)
+    moduli, project = scalar_projection(Subgroup.full(G), A)
+    X = [[158489480679, 3741058122], [2045967862969, 4002250473], [G.moduli[0] - 1, 1], [0, 0]]
+    assert q.group.moduli == moduli == (24,)
+    assert [tuple(row) for row in q.project_coords(X).tolist()] == [project(x) for x in X]
+    assert len(q.section_list) == 24
+    assert all(q.project(s) == qe for qe, s in q.section_list)
+    B = subgroup_span(G, [G.element([2, 0]), G.element([0, 1])])
+    with pytest.raises(InputError):
+        subquotient(B, A).project_coords([[1, 0]])

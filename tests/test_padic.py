@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylkit.errors import InputError
+from weylkit.errors import DefectError, InputError
 from weylkit.groups import double_image
 from weylkit.models import check_rep_law
 from weylkit.multipliers import antisymmetrize, is_heisenberg
@@ -119,7 +119,7 @@ def test_m0_twist_check_can_fail(monkeypatch):
     import dataclasses
 
     from weylkit import padic
-    from weylkit.multipliers import PhaseMap, TableMultiplier
+    from weylkit.multipliers import TableMultiplier
     name = "m0 equals chi(b1.a2) up to an explicit twist"
 
     def verdict():
@@ -130,10 +130,14 @@ def test_m0_twist_check_can_fail(monkeypatch):
     prof, check = verdict()
     assert check.passed and not prof["m0_literal_match"]
 
-    # a wrong twist leaves a residual
-    monkeypatch.setattr(padic, "split_symmetric", lambda m: PhaseMap.zero(m.group))
-    _, check = verdict()
-    assert not check.passed and check.witness is not None
+    # a twist that leaves a residual is a defect of split_symmetric, which
+    # re-verifies its residual exactly, not a failed check
+    def leaves_a_residual(m):
+        raise DefectError("splitting residual is nonzero")
+
+    monkeypatch.setattr(padic, "split_symmetric", leaves_a_residual)
+    with pytest.raises(DefectError):
+        verdict()
     monkeypatch.undo()
 
     # an m0 whose antisymmetrization is off by e(v1 u2 / 2) is not symmetric
@@ -246,12 +250,31 @@ def test_odd_windows_past_listing_g_pass_the_benchmark_gate(p, k, d, capsys, mon
     assert elapsed < 5.0
 
 
-@pytest.mark.parametrize("p, k, d, size", [(2, 2, 3, 8 ** 6), (2, 1, 5, 4 ** 10)])
-def test_p2_windows_past_the_descent_budget_exit_2(p, k, d, size, capsys):
-    # the descent lists L/2, of order 2^(2(k+1)d) here
-    code, elapsed, out = _main(["padic", "--p", str(p), "--k", str(k), "--d", str(d)], capsys)
-    assert code == 2 and elapsed < 5.0
-    assert f"subgroup order {size} exceeds ENUMERATION_CAP = 200000" in out.err
+def test_p2_window_223_passes_the_benchmark_gate(capsys, monkeypatch):
+    # |L/2| = 8^6 is past ENUMERATION_CAP, but the descent counts the |G/L| = 4096 cosets of L
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    from workloads import verdict_errors
+    argv = ["padic", "--p", "2", "--k", "2", "--d", "3"]
+    code, elapsed, out = _main(argv, capsys)
+    assert code == 0
+    report = json.loads(out.out)
+    assert report["pass"] and verdict_errors("padic", argv, report) == []
+    assert (report["summary"]["vacuum_dim"], report["summary"]["v2_order"]) == (8, 64)
+    assert elapsed < 5.0
+
+
+def test_p2_window_223_full_report_exits_2(capsys):
+    # the reducibility trace of the dim-4096 window model is past the budget
+    code, _, out = _main(["padic", "--p", "2", "--k", "2", "--d", "3", "--full-report"], capsys)
+    assert code == 2
+    assert "index pairs 16777216 exceeds ENUMERATION_CAP = 200000" in out.err
+
+
+def test_p2_window_215_exits_2_before_the_m0_table(capsys):
+    # |V2| = 4^5 is past TABLE_CAP, refused before the |V2|^2 m0 table is built
+    code, elapsed, out = _main(["padic", "--p", "2", "--k", "1", "--d", "5"], capsys)
+    assert code == 2 and elapsed < 1.0
+    assert "group order 1024 exceeds TABLE_CAP = 512" in out.err
 
 
 def test_window_past_dim_cap_exits_2(capsys):

@@ -735,6 +735,23 @@ def test_descend_section_is_canonical():
     assert set(D.section_coords) == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
+def test_descent_never_lists_L2_nor_projects_one_element_at_a_time(monkeypatch):
+    # the section comes from the 64 cosets of L, not from the 4096 elements of L/2,
+    # and every projection is one project_coords call over a whole array
+    from weylkit.groups import Quotient
+    from weylkit.padic import vacuum_profile
+    w = window(2, 1, 3)
+    L2 = double_preimage(w.group, w.L)
+    listed, projected = [], []
+    elements, project = Subgroup.elements, Quotient.project
+    monkeypatch.setattr(Subgroup, "elements", lambda self: listed.append(self) or elements(self))
+    monkeypatch.setattr(Quotient, "project", lambda self, x: projected.append(x) or project(self, x))
+    D = descend(window_model(2, 1, 3), w.L)
+    assert D.v2.order == 64 and L2 not in listed
+    assert vacuum_profile(w)["report"].passed
+    assert L2 not in listed and projected == []
+
+
 # -- clifford extraction --------------------------------------------------------
 
 def test_clifford_d1_base_case(f2):
