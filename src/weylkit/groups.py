@@ -16,7 +16,8 @@ from math import isqrt, lcm, prod
 
 import numpy as np
 
-from .errors import ENUMERATION_CAP, InputError, ResourceLimitError, UnsupportedOperationError
+from .errors import (ENUMERATION_CAP, TABLE_CAP, InputError, ResourceLimitError,
+                     UnsupportedOperationError)
 from .intmat import (
     box_reduce,
     column_hnf,
@@ -33,7 +34,7 @@ from .intmat import (
 class FinAbGroup:
     """Product of Z/n_i, n_i >= 1, in the given (not necessarily canonical) coordinates."""
 
-    __slots__ = ("moduli", "_weights", "_coords_cache")
+    __slots__ = ("moduli", "_weights", "_coords_cache", "_addition_cache")
 
     def __init__(self, moduli):
         moduli = tuple(int(n) for n in moduli)
@@ -46,7 +47,7 @@ class FinAbGroup:
             w.append(acc)
             acc *= n
         self._weights = tuple(w)
-        self._coords_cache = None
+        self._coords_cache = self._addition_cache = None
 
     @property
     def rank(self) -> int:
@@ -117,12 +118,24 @@ class FinAbGroup:
         return X
 
     def addition_table(self) -> np.ndarray:
-        """(order x order) table of rank(x + y)."""
-        X = self.coords_array()
-        s = X[:, None, :] + X[None, :, :]
-        s %= np.array(self.moduli, dtype=np.int64)
-        w = np.array(self._weights, dtype=np.int64)
-        return (s * w).sum(axis=2)
+        """(order x order) read-only table of rank(x + y), built once and kept.
+
+        Built one coordinate at a time; an order above TABLE_CAP raises
+        ``ResourceLimitError``.
+        """
+        if self._addition_cache is None:
+            if self.order > TABLE_CAP:
+                raise ResourceLimitError("group order", self.order, "TABLE_CAP", TABLE_CAP)
+            X = self.coords_array()
+            S = np.zeros((self.order, self.order), dtype=np.int64)
+            for i, (n, w) in enumerate(zip(self.moduli, self._weights)):
+                t = np.add.outer(X[:, i], X[:, i])
+                t %= n
+                t *= w
+                S += t
+            S.flags.writeable = False
+            self._addition_cache = S
+        return self._addition_cache
 
     def invariant_factors(self):
         """Invariant factors d_1 | d_2 | ... (trivial factors dropped)."""

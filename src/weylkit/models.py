@@ -215,8 +215,12 @@ class ProjectiveRep:
         Yields ``(SRC, NUM, den)`` per block: one call of the batch formula,
         or else the built operators stacked over the lcm of their
         denominators.  Every SRC row is checked to be a permutation, with the
-        ``InputError`` that ``Operator`` raises.
+        ``InputError`` that ``Operator`` raises.  Once ``monomial_arrays`` has
+        kept every row, they are yielded as one block and nothing is evaluated.
         """
+        if self._arrays is not None:
+            yield self._arrays
+            return
         G, dim = self.group, self.dim
         rows = max(1, BLOCK_ENTRIES // dim)
         for start in range(0, G.order, rows):
@@ -232,11 +236,22 @@ class ProjectiveRep:
             _check_permutations(SRC, dim)
             yield SRC, NUM, den
 
+    def fits_arrays(self) -> bool:
+        """Whether ``monomial_arrays`` fits: |G| <= TABLE_CAP or |G| dim <= ENUMERATION_CAP."""
+        return self.group.order <= TABLE_CAP or self.group.order * self.dim <= ENUMERATION_CAP
+
     def monomial_arrays(self):
-        """(SRC, NUM, den): stacked monomial data for every group element, rank order."""
+        """(SRC, NUM, den): stacked monomial data for every group element, rank order.
+
+        Read in one pass of ``blocks()`` and kept, so later checks and
+        ``blocks()`` itself reuse the rows.  Within the budget of
+        ``fits_arrays``, else ``ResourceLimitError`` naming ENUMERATION_CAP
+        and the |G| dim entries.
+        """
         if self._arrays is None:
-            if self.group.order > TABLE_CAP:
-                raise ResourceLimitError("group order", self.group.order, "TABLE_CAP", TABLE_CAP)
+            if not self.fits_arrays():
+                raise ResourceLimitError("monomial entries", self.group.order * self.dim,
+                                         "ENUMERATION_CAP", ENUMERATION_CAP)
             blocks = list(self.blocks())
             den = lcm(*(d for _, _, d in blocks))
             SRC = np.concatenate([S for S, _, _ in blocks])
@@ -432,7 +447,11 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
 
 def check_rep_law(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
                   samples: int = 20_000, seed: int = 0) -> VerificationReport:
-    """W(x) W(y) = e(m(x, y)) W(x + y) over all pairs (|G| <= 512) or a seeded sample."""
+    """W(x) W(y) = e(m(x, y)) W(x + y): exactly over all pairs, or over a seeded sample.
+
+    Exact whenever W's ``monomial_arrays`` fit their budget and the pairs
+    (x, g), g in {0} and the generators, decide it (see ``_check_pairs``).
+    """
     rep = VerificationReport(f"representation law for {W.label}")
     rep.add("identity", W.operator(W.group.zero()).distance_to(identity_operator(W.dim))
             <= tolerance, tolerance=tolerance)
@@ -453,53 +472,66 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
                  swapped: bool, tolerance: float, samples: int, seed: int):
     """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for pairs x, y of G.
 
-    R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  A model of order
-    <= TABLE_CAP is decided over all pairs exactly, first from the pairs
-    (x, g) with g in {0} and the generators.  Law, for a verified cocycle m:
-    if it holds at every (x, y) and (x, g), then with
+    R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  When W's
+    ``monomial_arrays`` fit their budget (|G| <= TABLE_CAP or
+    |G| dim <= ENUMERATION_CAP), the pairs (x, g) with g in {0} and the
+    generators are read from them first (``_generators_decide``).  Law, for
+    a proved cocycle m: if it holds at every (x, y) and (x, g), then with
     W(y + g) = e(-m(y, g)) W(y) W(g) it holds at (x, y + g), the cocycle
     identity turning m(x, y) + m(x + y, g) - m(y, g) into m(x, y + g); sums
     of generators reach every y.  Commutator, for a bicharacter phase: once
     W's own law holds, W(x) W(y) = e(m(x, y) - m(y, x)) W(y) W(x), and that
     phase is bimultiplicative too, so agreeing at every (x, g) it agrees
-    everywhere.  Only when these pairs fail does the full scan run, and its
-    witness is the first bad pair in rank order.  A larger model is compared
-    pair by pair, over all pairs when |G|^2 <= ``samples`` and over a seeded
-    sample otherwise, and the witness is the worst pair.  A batched model's
-    pairs are first compared exactly through its block formula.  Only the
-    pairs that differ are densified to measure the distance.
+    everywhere.  A pair (x, g) where the identity fails is a witness, and
+    its distance the residual.  For |G| <= TABLE_CAP the full scan runs
+    instead whenever the pairs (x, g) do not prove a pass, and its witness
+    is the first bad pair in rank order.  Where the pairs cannot decide --
+    above the budget, for an unverified m, or for the commutator when W's
+    own law fails -- pairs are compared one by one, over all pairs when
+    |G|^2 <= ``samples`` and over a seeded sample otherwise, and the witness
+    is the worst pair.  A batched model's pairs are first compared exactly
+    through its block formula.  Only the pairs that differ are densified to
+    measure the distance.
     """
     G = W.group
     n = G.order
     worst = 0.0
     witness = None
-    if n <= TABLE_CAP:
+    exact = False
+    if W.fits_arrays():
         arrays = W.monomial_arrays()
-        if not _generators_decide(W, phase, swapped, *arrays):
+        bad, exact = _generators_decide(W, phase, swapped, *arrays)
+        if n <= TABLE_CAP and not exact:
             witness, worst = _scan_pairs(W, phase, swapped, *arrays)
-        passed = witness is None and worst <= tolerance
+            exact = True
+        elif bad is not None:
+            x, y = map(G.element_by_rank, bad)
+            witness, worst = (x.coords, y.coords), _pair_distance(W, phase, swapped, x, y)
+            exact = True
+    if exact:
+        rep.add(name, witness is None and worst <= tolerance, residual=worst, tolerance=tolerance,
+                witness=witness, note=f"exhaustive over {n}^2 pairs")
+        return
+    if n * n <= samples:
+        idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
         note = f"exhaustive over {n}^2 pairs"
     else:
-        if n * n <= samples:
-            idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
-            note = f"exhaustive over {n}^2 pairs"
-        else:
-            rng = np.random.default_rng(seed)
-            idx = rng.integers(0, n, size=(samples, 2))
-            note = f"sampled {samples} pairs, seed={seed}"
-        if W.batch is not None:
-            # pairs that hold exactly have distance 0 and cannot move worst or witness
-            idx = idx[~_batch_pairs_hold(W, phase, swapped, idx)]
-        element = cache(G.element_by_rank)
-        for i, j in idx.tolist():
-            x, y = element(i), element(j)
-            dist = _pair_distance(W, phase, swapped, x, y)
-            if dist > worst:
-                worst = dist
-                if dist > tolerance:
-                    witness = (x.coords, y.coords)
-        passed = worst <= tolerance
-    rep.add(name, passed, residual=worst, tolerance=tolerance, witness=witness, note=note)
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, n, size=(samples, 2))
+        note = f"sampled {samples} pairs, seed={seed}"
+    if W.batch is not None:
+        # pairs that hold exactly have distance 0 and cannot move worst or witness
+        idx = idx[~_batch_pairs_hold(W, phase, swapped, idx)]
+    element = cache(G.element_by_rank)
+    for i, j in idx.tolist():
+        x, y = element(i), element(j)
+        dist = _pair_distance(W, phase, swapped, x, y)
+        if dist > worst:
+            worst = dist
+            if dist > tolerance:
+                witness = (x.coords, y.coords)
+    rep.add(name, worst <= tolerance, residual=worst, tolerance=tolerance, witness=witness,
+            note=note)
 
 
 def _pair_distance(W: ProjectiveRep, phase: Multiplier, swapped: bool, x, y) -> float:
@@ -508,19 +540,26 @@ def _pair_distance(W: ProjectiveRep, phase: Multiplier, swapped: bool, x, y) -> 
     return lhs.distance_to(rhs.scaled(phase(x, y)))
 
 
-def _generators_decide(W: ProjectiveRep, phase: Multiplier, swapped: bool, SRC, NUM, den0) -> bool:
-    """Whether the pairs (x, g) of ``_check_pairs`` hold and decide every pair, from
-    W's ``monomial_arrays`` (SRC, NUM, den0): |G| rows per g, no |G| x |G| table."""
+def _generators_decide(W: ProjectiveRep, phase: Multiplier, swapped: bool, SRC, NUM, den0):
+    """(bad, holds): the pairs (x, g) of ``_check_pairs`` read from W's
+    ``monomial_arrays`` (SRC, NUM, den0), |G| rows per g and no |G| x |G| table.
+
+    ``bad`` is the first pair (rank of x, rank of g), g in generator order
+    and then x in rank order, where the checked identity fails, else None.
+    ``holds`` is True when every pair (x, g) holds and they decide every
+    pair: m is a proved cocycle (a bicharacter, or verified exhaustively
+    when |G| <= TABLE_CAP) and, for the commutator, the phase is a
+    bicharacter and W's own law holds at every (x, g).
+    """
     G = W.group
     m = W.multiplier if swapped else phase
-    if not m.is_verified() or (swapped and getattr(phase, "bichar", None) is None):
-        return False
     X = G.coords_array()
     moduli, weights = (np.array(t, dtype=np.int64) for t in (G.moduli, G._weights))
     d = lcm(den0, m.den, phase.den)
     NUM = NUM * (d // den0)
 
-    def holds(g, p, swap):
+    def fails(g, p, swap):
+        """Mask over x of the pairs (x, g) where the identity with phase p fails."""
         Y = np.broadcast_to(np.array(g.coords, dtype=np.int64), X.shape)
         sg, ng = SRC[g.rank], NUM[g.rank]
         src1, num1 = sg[SRC], NUM + ng[SRC]                        # W(x) W(g)
@@ -530,11 +569,18 @@ def _generators_decide(W: ProjectiveRep, phase: Multiplier, swapped: bool, SRC, 
             xg = (X + Y) % moduli @ weights
             src2, num2 = SRC[xg], NUM[xg]                          # W(x + g)
         P = p.pair_nums(X, Y) * (d // p.den)
-        return bool((src1 == src2).all() and ((num1 - num2 - P[:, None]) % d == 0).all())
+        return (src1 != src2).any(axis=1) | ((num1 - num2 - P[:, None]) % d != 0).any(axis=1)
 
     gens = [G.zero()] + G.generators()
-    return all(holds(g, m, False) for g in gens) and \
-        (not swapped or all(holds(g, phase, True) for g in gens[1:]))
+    for g in gens[1:] if swapped else gens:
+        rows = np.flatnonzero(fails(g, phase, swapped))
+        if rows.size:
+            return (int(rows[0]), g.rank), False
+    holds = getattr(m, "bichar", None) is not None or (G.order <= TABLE_CAP and m.is_verified())
+    if swapped:
+        holds = holds and getattr(phase, "bichar", None) is not None and \
+            not any(fails(g, m, False).any() for g in gens)
+    return None, holds
 
 
 def _scan_pairs(W: ProjectiveRep, phase: Multiplier, swapped: bool, SRC, NUM, den0):

@@ -375,10 +375,11 @@ def normalizer_check(S: SectorDecomposition) -> VerificationReport:
     preimage L/2 whenever the multiplier is an alternating bicharacter (the
     setting of the statement); the coincidence is asserted there.  One pass
     of ``W.blocks()`` reads W's rows at every x in G on the vacuum basis
-    (``_transport``): every x in L/2 must preserve the vacuum space, every x
-    outside it must not, and the vacuum rows of every x in L/2 must equal
-    those of the least element of x + 2L, which covers every pair of
-    L/2 x 2L.  Witnesses are (element, carrier index).
+    (``_transport``), or the rows the law check kept if it read them: every
+    x in L/2 must preserve the vacuum space, every x outside it must not,
+    and the vacuum rows of every x in L/2 must equal those of the least
+    element of x + 2L, which covers every pair of L/2 x 2L.  Witnesses are
+    (element, carrier index).
     """
     W, L = S.rep, S.L
     G = W.group

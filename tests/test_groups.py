@@ -215,6 +215,22 @@ def test_enumeration_caps(budget):
         and str(size) in str(exc.value)
 
 
+@pytest.mark.parametrize("moduli", [[4, 3, 5], [8, 8], [1, 2, 1], [], [512]])
+def test_addition_table_kept_and_matches_formula(moduli):
+    G = FinAbGroup(moduli)
+    X = G.coords_array()
+    s = (X[:, None, :] + X[None, :, :]) % np.array(G.moduli, dtype=np.int64)
+    S = G.addition_table()
+    assert (S == (s * np.array(G._weights, dtype=np.int64)).sum(axis=2)).all()
+    assert G.addition_table() is S and not S.flags.writeable
+
+
+def test_addition_table_budget():
+    with pytest.raises(ResourceLimitError) as exc:
+        FinAbGroup([513]).addition_table()
+    assert (exc.value.budget, exc.value.limit, exc.value.size) == ("TABLE_CAP", 512, 513)
+
+
 def scalar_projection(B, A):
     """Oracle: (quotient moduli, projection of one coordinate tuple) of B/A in Python ints.
 

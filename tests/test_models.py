@@ -1,3 +1,4 @@
+import functools
 import importlib
 from math import lcm
 
@@ -326,7 +327,7 @@ def test_generator_decision_needs_a_cocycle():
     # with the precondition forged, the pairs (x, g) alone would pass this rep
     forged = TableMultiplier(G, 2, num)
     forged._verified = True
-    assert models._generators_decide(W, forged, False, *W.monomial_arrays())
+    assert models._generators_decide(W, forged, False, *W.monomial_arrays()) == (None, True)
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["law", "commutator"])
@@ -341,26 +342,151 @@ def test_generator_decision_with_a_wrong_bicharacter(z9, swapped):
     assert rep.checks[0].to_dict() == full_scan_oracle(W, "check", wrong, swapped)
 
 
+@functools.cache
+def block_symplectic_model(moduli, units, gens):
+    """The unchecked induced model of sum_i u_i (x_i y_{i+r} - x_{i+r} y_i) / n_i
+    on G = Z/moduli, r = len(units), over the subgroup spanned by ``gens``."""
+    G = FinAbGroup(moduli)
+    r = len(units)
+    mat = [[ZERO] * len(moduli) for _ in moduli]
+    for i, u in enumerate(units):
+        mat[i][i + r], mat[i + r][i] = Phase(u, moduli[i]), Phase(-u, moduli[i])
+    m = Bicharacter(G, mat).to_multiplier()
+    return induced_model(G, m, subgroup_span(G, [G.element(g) for g in gens]), check=False)
+
+
+def refuse_pair_scans(monkeypatch, *extra):
+    """Make every |G|^2 scan or table, and the attributes ``extra`` of models, raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached a |G|^2 scan, table or pair sample")
+
+    for name in ("_scan_pairs",) + extra:
+        monkeypatch.setattr(models, name, refuse)
+    monkeypatch.setattr(Multiplier, "num_table", refuse)
+    monkeypatch.setattr(FinAbGroup, "addition_table", refuse)
+
+
+# the vacuum-9595 model of the benchmark at seed 3: |G| = 2025 > TABLE_CAP, dimension 45
+VACUUM_9595 = ((9, 5, 9, 5), (7, 4), ((3, 0, 0, 0), (0, 0, 3, 0), (0, 1, 0, 0)))
+
+
 def test_correct_model_never_scans_pairs(monkeypatch):
     # the generator pairs decide a correct bicharacter model: no per-x scan,
     # no |G| x |G| multiplier table and no addition table
-    G = FinAbGroup([7, 3, 7, 3])
-    mat = [[ZERO] * 4 for _ in range(4)]
-    for i, (n, u) in enumerate([(7, 3), (3, 2)]):
-        mat[i][i + 2], mat[i + 2][i] = Phase(u, n), Phase(-u, n)
-    m = Bicharacter(G, mat).to_multiplier()
-    W = induced_model(G, m, subgroup_span(G, [G.element([1, 0, 0, 0]), G.element([0, 1, 0, 0])]),
-                      check=False)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("reached a |G|^2 scan or table")
-
-    monkeypatch.setattr(models, "_scan_pairs", refuse)
-    monkeypatch.setattr(Multiplier, "num_table", refuse)
-    monkeypatch.setattr(FinAbGroup, "addition_table", refuse)
+    W = block_symplectic_model((7, 3, 7, 3), (3, 2), ((1, 0, 0, 0), (0, 1, 0, 0)))
+    refuse_pair_scans(monkeypatch)
     assert check_rep_law(W).passed
     assert commutator_scalar_check(W).passed
     assert check_rep_law(W.direct_sum(W)).passed
+
+
+def test_correct_model_beyond_table_cap_never_scans_pairs(monkeypatch):
+    # 2025 x 45 monomial entries fit ENUMERATION_CAP: the generator pairs decide
+    # both checks exactly, with no sampled pair, per-x scan or |G| x |G| table
+    W = block_symplectic_model(*VACUUM_9595)
+    refuse_pair_scans(monkeypatch, "_batch_pairs_hold")
+    for checker in (check_rep_law, commutator_scalar_check):
+        rep = checker(W, samples=2000)
+        assert rep.passed
+        assert rep.checks[-1].note == "exhaustive over 2025^2 pairs"
+
+
+def test_fault_beyond_table_cap_fails_at_a_generator_pair():
+    # the seed-0 sample of 2000 pairs misses every pair at which scaling
+    # W(3, 2, 0, 0) breaks the law, so a sampled check passes it; the pairs (x, g) do not
+    W = block_symplectic_model(*VACUUM_9595)
+    G = W.group
+    x0 = G.element([3, 2, 0, 0])
+    gens = {g.coords for g in [G.zero()] + G.generators()}
+
+    def assert_fails(check):
+        assert not check.passed and check.residual > check.tolerance
+        assert check.witness[1] in gens
+        assert check.note == "exhaustive over 2025^2 pairs"
+
+    scaled = W.with_override(x0, W.operator(x0).scaled(Phase(1, 3)))
+    assert_fails(check_rep_law(scaled, samples=2000).checks[-1])
+    # a scalar cannot move a commutator, so that identity holds at every pair
+    assert commutator_scalar_check(scaled, samples=2000).passed
+    # one shifted phase is no scalar, and both identities fail at a pair (x, g)
+    mono = W.operator(x0).monomial
+    num = 3 * mono.num
+    num[0] += 1
+    shifted = W.with_override(x0, Operator(W.dim, MonomialPart(W.dim, 3 * mono.den, mono.src, num)))
+    for checker in (check_rep_law, commutator_scalar_check):
+        assert_fails(checker(shifted, samples=2000).checks[-1])
+
+
+def lookup_rep(W, SRC, NUM, den):
+    """A batched rep whose block formula reads the rows (SRC, NUM) over den, in rank order."""
+    weights = np.array(W.group._weights, dtype=np.int64)
+    return ProjectiveRep.from_batch(W.group, W.multiplier, W.dim, den,
+                                    lambda Y: (SRC[Y @ weights], NUM[Y @ weights]))
+
+
+def assert_verdicts_match_all_pairs(W):
+    """Law and commutator verdicts equal ``_batch_pairs_hold`` over all |G|^2 pairs.
+
+    A failing check's witness is a failing pair (x, g), g in {0} and the
+    generators.  Only the commutator of a rep whose own law fails may be
+    sampled.
+    """
+    G = W.group
+    n = G.order
+    idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
+    gens = {g.coords for g in [G.zero()] + G.generators()}
+    mt = antisymmetrize(W.multiplier).to_multiplier()
+    law_holds = models._batch_pairs_hold(W, W.multiplier, False, idx).reshape(n, n)
+    comm_holds = models._batch_pairs_hold(W, mt, True, idx).reshape(n, n)
+    for checker, holds in ((check_rep_law, law_holds), (commutator_scalar_check, comm_holds)):
+        check = checker(W).checks[-1]
+        assert check.passed == holds.all()
+        if not check.passed:
+            x, g = check.witness
+            assert g in gens and not holds[G.rank_of(x), G.rank_of(g)]
+        sampled = checker is commutator_scalar_check and holds.all() and not law_holds.all()
+        assert (check.note == f"exhaustive over {n}^2 pairs") != sampled
+    return law_holds.all(), comm_holds.all()
+
+
+# |G| = 625 > TABLE_CAP, dimension 25
+MODEL_5555 = ((5, 5, 5, 5), (1, 2), ((1, 0, 0, 0), (0, 1, 0, 0)))
+
+
+def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs():
+    W = block_symplectic_model(*MODEL_5555)
+    assert W.fits_arrays() and W.group.order > TABLE_CAP
+    assert assert_verdicts_match_all_pairs(lookup_rep(W, *W.monomial_arrays())) == (True, True)
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs_under_faults(data):
+    # one operator replaced by a random monomial one, one phase shifted, or a scalar applied
+    W = block_symplectic_model(*MODEL_5555)
+    SRC, NUM, den0 = W.monomial_arrays()
+    den = 2 * den0
+    SRC, NUM = SRC.copy(), 2 * NUM
+    x = data.draw(st.integers(1, W.group.order - 1))
+    fault = data.draw(st.sampled_from(["operator", "phase", "scalar"]))
+    if fault == "operator":
+        SRC[x] = data.draw(st.permutations(range(W.dim)))
+        NUM[x] = data.draw(st.lists(st.integers(0, den - 1), min_size=W.dim, max_size=W.dim))
+    elif fault == "phase":
+        NUM[x, data.draw(st.integers(0, W.dim - 1))] += data.draw(st.integers(1, den - 1))
+    else:
+        NUM[x] += data.draw(st.integers(1, den - 1))
+    law, comm = assert_verdicts_match_all_pairs(lookup_rep(W, SRC, NUM % den, den))
+    assert not law and comm == (fault == "scalar")
+
+
+def test_monomial_arrays_budget():
+    # window (3,1,2): 6561 elements x dimension 81 = 531 441 entries
+    W = window_model(3, 1, 2)
+    assert not W.fits_arrays()
+    with pytest.raises(ResourceLimitError) as exc:
+        W.monomial_arrays()
+    assert (exc.value.budget, exc.value.size) == ("ENUMERATION_CAP", 531_441)
 
 
 def test_scalar_twisted_model_passes(z9):
@@ -649,3 +775,5 @@ def test_monomial_arrays_cache(f2):
     SRC, NUM, den = W.monomial_arrays()
     assert SRC.shape == (4, 2)
     assert NUM.shape == (4, 2)
+    # blocks() hands out the kept rows as one block, without the batch formula
+    assert all(a is b for a, b in zip(next(W.blocks()), (SRC, NUM, den)))
