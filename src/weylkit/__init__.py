@@ -35,7 +35,6 @@ from .multipliers import (
 from .isotropy import polar, is_isotropic, is_maximal_isotropic, extend_maximal, polar_tilde
 from .models import (
     Operator,
-    MonomialPart,
     ProjectiveRep,
     SplittingData,
     schrodinger_model,

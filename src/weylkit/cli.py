@@ -217,12 +217,11 @@ def run_model(scenario, args):
         summary["commutant_dimension"] = cd
         rep.add("commutant computed", True, note=f"dimension {cd}")
     if args.dump_matrices:
-        dump = []
-        for x in W.group.elements():
-            mono = W.operator(x).monomial
-            dump.append({"element": list(x.coords), "permutation": mono.src.tolist(),
-                         "phases": [str(Phase(int(n), mono.den)) for n in mono.num]})
-        summary["matrices"] = dump
+        rows = ((src, num, den) for SRC, NUM, den in W.blocks() for src, num in zip(SRC, NUM))
+        summary["matrices"] = [
+            {"element": list(x.coords), "permutation": src.tolist(),
+             "phases": [str(Phase(int(n), den)) for n in num]}
+            for x, (src, num, den) in zip(W.group.elements(), rows)]
     return rep, summary
 
 

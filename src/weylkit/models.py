@@ -1,11 +1,13 @@
 """Concrete unitary-matrix models of projective representations.
 
 Every operator is monomial: a permutation plus a vector of exact phase
-numerators over a common denominator.  Products, the representation law,
-commutants, intertwiners, the sectors of a restriction to an isotropic
-subgroup and the descended vacuum action then reduce to integer arithmetic;
-dense complex matrices are materialised only for a normalised intertwiner,
-for sector bases and for the float distance of an identity that fails.
+numerators over a common denominator, and every model is one block formula
+that gives those rows for a block of group elements at once.  Products, the
+representation law, commutants, intertwiners, the sectors of a restriction
+to an isotropic subgroup and the descended vacuum action then reduce to
+integer arithmetic; dense complex matrices are materialised only for a
+normalised intertwiner, for sector bases and for the float distance of an
+identity that fails.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ DEFAULT_TOL = 1e-9
 BLOCK_ENTRIES = 2 ** 16   # a block of monomial data holds max(1, BLOCK_ENTRIES // dim) rows
 
 
-class MonomialPart:
-    """(W f)[i] = exp(2 pi i num[i]/den) * f[src[i]] with src a permutation."""
+class Operator:
+    """The unitary (W f)[i] = e(num[i] / den) f[src[i]], src a permutation of range(dim).
 
-    __slots__ = ("dim", "den", "src", "num")
+    Products, scalars and equality are exact; ``matrix`` renders it densely.
+    """
+
+    __slots__ = ("dim", "den", "src", "num", "_dense")
 
     def __init__(self, dim: int, den: int, src, num):
         self.dim = dim
@@ -49,116 +54,59 @@ class MonomialPart:
         self.num = np.asarray(num, dtype=np.int64) % den
         if self.src.shape != (dim,) or self.num.shape != (dim,):
             raise InputError("monomial data has wrong shape")
-
-    def rescaled(self, den: int) -> "MonomialPart":
-        if den == self.den:
-            return self
-        if den % self.den:
-            raise InputError("denominators are incompatible")
-        return MonomialPart(self.dim, den, self.src, self.num * (den // self.den))
-
-    def compose(self, other: "MonomialPart") -> "MonomialPart":
-        d = lcm(self.den, other.den)
-        a, b = self.rescaled(d), other.rescaled(d)
-        return MonomialPart(self.dim, d, b.src[a.src], a.num + b.num[a.src])
-
-    def adjoint(self) -> "MonomialPart":
-        inv = np.empty_like(self.src)
-        inv[self.src] = np.arange(self.dim, dtype=np.intp)
-        num = np.empty_like(self.num)
-        num[self.src] = -self.num
-        return MonomialPart(self.dim, self.den, inv, num)
-
-    def scaled(self, ph: Phase) -> "MonomialPart":
-        d = lcm(self.den, ph.den)
-        a = self.rescaled(d)
-        return MonomialPart(self.dim, d, a.src, a.num + ph.numerator_at(d))
-
-    def phases_complex(self) -> np.ndarray:
-        return np.exp(2j * np.pi * self.num / self.den)
-
-    def to_dense(self) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim), dtype=complex)
-        M[np.arange(self.dim), self.src] = self.phases_complex()
-        return M
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Matrix-vector / matrix-matrix product W @ X without densifying."""
-        ph = self.phases_complex()
-        if X.ndim == 1:
-            return ph * X[self.src]
-        return ph[:, None] * X[self.src, :]
-
-    def trace(self) -> complex:
-        fixed = self.src == np.arange(self.dim)
-        if not fixed.any():
-            return 0j
-        return complex(np.exp(2j * np.pi * self.num[fixed] / self.den).sum())
-
-    def equals(self, other: "MonomialPart") -> bool:
-        d = lcm(self.den, other.den)
-        a, b = self.rescaled(d), other.rescaled(d)
-        return bool((a.src == b.src).all() and ((a.num - b.num) % d == 0).all())
-
-
-class Operator:
-    """A unitary operator, given by its exact monomial data; ``matrix`` renders it densely."""
-
-    __slots__ = ("dim", "monomial", "_dense")
-
-    def __init__(self, dim: int, monomial: MonomialPart):
-        _check_permutations(monomial.src[None, :], dim)
-        self.dim = dim
-        self.monomial = monomial
+        _check_permutations(self.src[None, :], dim)
         self._dense = None
+
+    def _num_at(self, den: int) -> np.ndarray:
+        """num over ``den``, a multiple of self.den."""
+        return self.num * (den // self.den)
 
     @property
     def matrix(self) -> np.ndarray:
         if self._dense is None:
-            self._dense = self.monomial.to_dense()
+            self._dense = np.zeros((self.dim, self.dim), dtype=complex)
+            self._dense[np.arange(self.dim), self.src] = np.exp(2j * np.pi * self.num / self.den)
         return self._dense
 
     def compose(self, other: "Operator") -> "Operator":
-        return Operator(self.dim, monomial=self.monomial.compose(other.monomial))
-
-    def adjoint(self) -> "Operator":
-        return Operator(self.dim, monomial=self.monomial.adjoint())
+        d = lcm(self.den, other.den)
+        return Operator(self.dim, d, other.src[self.src], self._num_at(d) + other._num_at(d)[self.src])
 
     def scaled(self, ph: Phase) -> "Operator":
-        return Operator(self.dim, monomial=self.monomial.scaled(ph))
+        d = lcm(self.den, ph.den)
+        return Operator(self.dim, d, self.src, self._num_at(d) + ph.numerator_at(d))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return self.monomial.apply(X)
+        """Matrix-vector / matrix-matrix product W @ X without densifying."""
+        ph = np.exp(2j * np.pi * self.num / self.den)
+        return ph * X[self.src] if X.ndim == 1 else ph[:, None] * X[self.src, :]
 
-    def trace(self) -> complex:
-        return self.monomial.trace()
+    def equals(self, other: "Operator") -> bool:
+        d = lcm(self.den, other.den)
+        return bool((self.src == other.src).all() and
+                    ((self._num_at(d) - other._num_at(d)) % d == 0).all())
 
     def distance_to(self, other: "Operator") -> float:
         """0.0 when the two are exactly equal, else the largest entry of their dense difference."""
-        if self.monomial.equals(other.monomial):
+        if self.equals(other):
             return 0.0
         return float(np.abs(self.matrix - other.matrix).max())
 
 
 class ProjectiveRep:
-    """Map from group elements to unitaries, carrying its multiplier.
+    """Map from group elements to monomial unitaries, carrying its multiplier.
 
-    Operators are built on demand by ``builder(element) -> Operator`` and
-    cached for groups small enough to enumerate comfortably.
-
-    A model may also pass ``batch=(den, fn)``: ``fn(Y) -> (SRC, NUM)``
-    evaluates a (c x rank) int64 block Y of reduced coordinate rows at once,
-    giving (c x dim) source indices and phase numerators, all over the one
-    denominator ``den``.  Rows must be permutations; ``blocks`` and the
-    sampled identity scans check every block they take from ``fn``.  The
-    formula must keep its int64 intermediates below 2^63; the window model's
-    stay below 3 d q^2 for q^d <= DIM_CAP.  Build such a rep with
-    ``from_batch``, whose per-element builder is a one-row block, so both
-    routes state one formula.
+    The rep is its block formula: ``fn(Y) -> (SRC, NUM)`` evaluates a
+    (c x rank) int64 block Y of reduced coordinate rows at once, giving
+    (c x dim) source indices and phase numerators, all over the one
+    denominator ``den``.  ``rows`` checks every row it takes from ``fn`` to
+    be a permutation, and ``operator(x)`` is one such row.  The formula must
+    keep its int64 intermediates below 2^63; the window model's stay below
+    3 d q^2 for q^d <= DIM_CAP.
     """
 
-    def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, builder,
-                 label: str = "", batch=None):
+    def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, fn, den: int,
+                 label: str = ""):
         if multiplier.group != group:
             raise InputError("multiplier lives on a different group")
         if dim > DIM_CAP:
@@ -166,75 +114,60 @@ class ProjectiveRep:
         self.group = group
         self.multiplier = multiplier
         self.dim = dim
+        self.fn = fn
+        self.den = den
         self.label = label or f"rep(dim={dim})"
-        self.batch = batch
-        self._builder = builder
-        self._cache = group.order <= 4096
-        self._ops: dict[int, Operator] = {}
         self._arrays = None
-        w0 = self.operator(group.zero())
-        if w0.distance_to(identity_operator(dim)) > DEFAULT_TOL:
+        if self.operator(group.zero()).distance_to(identity_operator(dim)) > DEFAULT_TOL:
             raise DefectError("W(0) is not the identity")
 
-    @classmethod
-    def from_batch(cls, group, multiplier, dim: int, den: int, fn, label: str = ""):
-        """Monomial rep given by the block formula ``fn(Y) -> (SRC, NUM)`` over ``den``."""
-        rank = group.rank
+    def rows(self, Y):
+        """(SRC, NUM, den): ``fn`` at the coordinate rows Y (or at a list of elements), NUM mod den.
 
-        def builder(x):
-            SRC, NUM = fn(np.array(x.coords, dtype=np.int64).reshape(1, rank))
-            return Operator(dim, monomial=MonomialPart(dim, den, SRC[0], NUM[0]))
-
-        return cls(group, multiplier, dim, builder, label=label, batch=(den, fn))
+        Every SRC row is checked to be a permutation, with the ``InputError``
+        that ``Operator`` raises.
+        """
+        if not isinstance(Y, np.ndarray):
+            Y = np.array([y.coords for y in Y], dtype=np.int64).reshape(len(Y), self.group.rank)
+        SRC, NUM = self.fn(Y)
+        _check_permutations(SRC, self.dim)
+        return SRC, NUM % self.den, self.den
 
     def operator(self, x: GroupElement) -> Operator:
         if x.group != self.group:
             raise InputError("element does not belong to the representation's group")
-        r = x.rank
-        op = self._ops.get(r)
-        if op is None:
-            op = self._builder(x)
-            if self._cache:
-                self._ops[r] = op
-        return op
+        SRC, NUM = self.fn(np.array([x.coords], dtype=np.int64).reshape(1, self.group.rank))
+        return Operator(self.dim, self.den, SRC[0], NUM[0])     # which checks the row
+
+    def _ranks(self, Y) -> np.ndarray:
+        return Y @ np.array(self.group._weights, dtype=np.int64)
 
     def with_override(self, x: GroupElement, op: Operator) -> "ProjectiveRep":
-        """Copy of the rep with one operator replaced (fault injection in tests)."""
-        base = self._builder
-        rank = x.rank
+        """Copy of the rep with W(x) replaced by ``op`` (fault injection in tests)."""
+        den = lcm(self.den, op.den)
 
-        def builder(y):
-            return op if y.rank == rank else base(y)
+        def patched(Y):
+            SRC, NUM = self.fn(Y)
+            at = (self._ranks(Y) == x.rank)[:, None]
+            return np.where(at, op.src, SRC), np.where(at, op._num_at(den), NUM * (den // self.den))
 
-        return ProjectiveRep(self.group, self.multiplier, self.dim, builder,
+        return ProjectiveRep(self.group, self.multiplier, self.dim, patched, den,
                              label=self.label + "+override")
 
     def blocks(self):
-        """Every operator's monomial data in rank order, max(1, BLOCK_ENTRIES // dim) elements at a time.
+        """Every operator's rows in rank order, max(1, BLOCK_ENTRIES // dim) elements at a time.
 
-        Yields ``(SRC, NUM, den)`` per block: one call of the batch formula,
-        or else the built operators stacked over the lcm of their
-        denominators.  Every SRC row is checked to be a permutation, with the
-        ``InputError`` that ``Operator`` raises.  Once ``monomial_arrays`` has
-        kept every row, they are yielded as one block and nothing is evaluated.
+        Yields ``rows`` of each block: one checked call of the formula.  Once
+        ``monomial_arrays`` has kept every row, they are yielded as one block
+        and nothing is evaluated.
         """
         if self._arrays is not None:
             yield self._arrays
             return
-        G, dim = self.group, self.dim
-        rows = max(1, BLOCK_ENTRIES // dim)
-        for start in range(0, G.order, rows):
-            stop = min(G.order, start + rows)
-            if self.batch is not None:
-                den, fn = self.batch
-                SRC, NUM = fn(G.coords_range(start, stop))
-            else:
-                parts = [self.operator(G.element_by_rank(r)).monomial for r in range(start, stop)]
-                den = lcm(*(part.den for part in parts))
-                SRC = np.stack([part.src for part in parts])
-                NUM = np.stack([part.rescaled(den).num for part in parts])
-            _check_permutations(SRC, dim)
-            yield SRC, NUM, den
+        G = self.group
+        step = max(1, BLOCK_ENTRIES // self.dim)
+        for start in range(0, G.order, step):
+            yield self.rows(G.coords_range(start, min(G.order, start + step)))
 
     def fits_arrays(self) -> bool:
         """Whether ``monomial_arrays`` fits: |G| <= TABLE_CAP or |G| dim <= ENUMERATION_CAP."""
@@ -253,10 +186,8 @@ class ProjectiveRep:
                 raise ResourceLimitError("monomial entries", self.group.order * self.dim,
                                          "ENUMERATION_CAP", ENUMERATION_CAP)
             blocks = list(self.blocks())
-            den = lcm(*(d for _, _, d in blocks))
-            SRC = np.concatenate([S for S, _, _ in blocks])
-            NUM = np.concatenate([N * (den // d) % den for _, N, d in blocks])
-            self._arrays = (SRC, NUM, den)
+            self._arrays = (np.concatenate([S for S, _, _ in blocks]),
+                            np.concatenate([N for _, N, _ in blocks]), self.den)
         return self._arrays
 
     def direct_sum(self, other: "ProjectiveRep") -> "ProjectiveRep":
@@ -264,25 +195,28 @@ class ProjectiveRep:
             raise InputError("direct sum needs a common group")
         if not _same_multiplier(self.multiplier, other.multiplier):
             raise InputError("direct sum needs equal multipliers")
-        d1, d2 = self.dim, other.dim
+        den = lcm(self.den, other.den)
 
-        def builder(x):
-            a, b = self.operator(x).monomial, other.operator(x).monomial
-            dd = lcm(a.den, b.den)
-            a, b = a.rescaled(dd), b.rescaled(dd)
-            return Operator(d1 + d2, monomial=MonomialPart(
-                d1 + d2, dd, np.concatenate([a.src, b.src + d1]), np.concatenate([a.num, b.num])))
+        def summed(Y):
+            (S1, N1), (S2, N2) = self.fn(Y), other.fn(Y)
+            return (np.hstack([S1, S2 + self.dim]),
+                    np.hstack([N1 * (den // self.den), N2 * (den // other.den)]))
 
-        return ProjectiveRep(self.group, self.multiplier, d1 + d2, builder,
+        return ProjectiveRep(self.group, self.multiplier, self.dim + other.dim, summed, den,
                              label=f"{self.label} (+) {other.label}")
 
     def twisted(self, a) -> "ProjectiveRep":
         """Scalar twist: operators gain e(a(x)); the multiplier is twisted consistently."""
         amap = a if isinstance(a, PhaseMap) else PhaseMap.from_callable(self.group, a)
         m2 = twist(self.multiplier, amap)
-        return ProjectiveRep(self.group, m2, self.dim,
-                             lambda x: self.operator(x).scaled(amap(x)),
-                             label=self.label + "~twist")
+        den = lcm(self.den, amap.den)
+        anum = np.array([amap(x).numerator_at(den) for x in self.group.elements()], dtype=np.int64)
+
+        def shifted(Y):
+            SRC, NUM = self.fn(Y)
+            return SRC, NUM * (den // self.den) + anum[self._ranks(Y)][:, None]
+
+        return ProjectiveRep(self.group, m2, self.dim, shifted, den, label=self.label + "~twist")
 
     def __repr__(self):
         return f"ProjectiveRep({self.label}, dim={self.dim}, {self.group!r})"
@@ -300,7 +234,7 @@ def _check_permutations(SRC: np.ndarray, dim: int):
 
 
 def identity_operator(dim: int) -> Operator:
-    return Operator(dim, monomial=MonomialPart(dim, 1, np.arange(dim), np.zeros(dim, dtype=np.int64)))
+    return Operator(dim, 1, np.arange(dim), np.zeros(dim, dtype=np.int64))
 
 
 @dataclass
@@ -346,7 +280,7 @@ def schrodinger_model(A: FinAbGroup, pairing: Bicharacter | None = None) -> Proj
     den = pairing.den
     rA = A.rank
 
-    def batch(Y):
+    def fn(Y):
         # row y = (a, b): num[t] = <a, t> = sum_i t_i (sum_j a_j P[j, i]) and src(t) = t + b
         SRC = np.zeros((len(Y), dim), dtype=np.int64)
         NUM = np.zeros((len(Y), dim), dtype=np.int64)
@@ -356,7 +290,7 @@ def schrodinger_model(A: FinAbGroup, pairing: Bicharacter | None = None) -> Proj
             SRC += ((T[:, i] + Y[:, rA + i, None]) % A.moduli[i]) * A._weights[i]
         return SRC, NUM % den
 
-    return ProjectiveRep.from_batch(G, m, dim, den, batch, label=f"schrodinger({A!r})")
+    return ProjectiveRep(G, m, dim, fn, den, label=f"schrodinger({A!r})")
 
 
 def standard_pairing(A: FinAbGroup) -> Bicharacter:
@@ -371,15 +305,14 @@ def regular_rep(G: FinAbGroup) -> ProjectiveRep:
     dim = G.order
     X = G.coords_array()
 
-    def batch(Y):
+    def fn(Y):
         # row y: src(x) = x + y, no phases
         SRC = np.zeros((len(Y), dim), dtype=np.int64)
         for j in range(G.rank):
             SRC += ((X[:, j] + Y[:, j, None]) % G.moduli[j]) * G._weights[j]
         return SRC, np.zeros_like(SRC)
 
-    return ProjectiveRep.from_batch(G, zero_multiplier(G), dim, 1, batch,
-                                    label=f"regular({G!r})")
+    return ProjectiveRep(G, zero_multiplier(G), dim, fn, 1, label=f"regular({G!r})")
 
 
 def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
@@ -390,7 +323,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     Functions satisfy the covariance f(x + a) = m(a, x)^{-1} c(a)^{-1} f(x)
     (which reduces to f(x + a) = m(x, a) c(a)^{-1} f(x) when m is an
     alternating bicharacter) and the action is (W(y) f)(x) = m(x, y) f(x + y).
-    The action is one block formula over the transversal (``from_batch``):
+    The action is one block formula over the transversal:
     cosets are found by ``Subgroup.coset_index`` and c by rank among A's elements.
     """
     if m.group != G or A.ambient != G:
@@ -416,7 +349,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     weights = np.array(G._weights, dtype=np.int64)
     scale = den // m.den
 
-    def batch(Y):
+    def fn(Y):
         # row (k, i): z = r_i + y_k = r_j + a with r_j its coset's representative;
         # num = m(r_i, y_k) - m(a, r_j) - c(a) and src = j
         c = len(Y)
@@ -432,7 +365,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
         NUM = (m.pair_nums(Rk, Yk) - m.pair_nums(a, R[J])) * scale - c_num[k]
         return J.reshape(c, dim), (NUM % den).reshape(c, dim)
 
-    rep = ProjectiveRep.from_batch(G, m, dim, den, batch, label=f"induced(|A|={A.order})")
+    rep = ProjectiveRep(G, m, dim, fn, den, label=f"induced(|A|={A.order})")
     if check:
         report = check_rep_law(rep, samples=2000)
         if not report.passed:
@@ -489,8 +422,8 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
     above the budget, for an unverified m, or for the commutator when W's
     own law fails -- pairs are compared one by one, over all pairs when
     |G|^2 <= ``samples`` and over a seeded sample otherwise, and the witness
-    is the worst pair.  A batched model's pairs are first compared exactly
-    through its block formula.  Only the pairs that differ are densified to
+    is the worst pair.  The pairs are first compared exactly through W's
+    block formula.  Only the pairs that differ are densified to
     measure the distance.
     """
     G = W.group
@@ -519,9 +452,8 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, n, size=(samples, 2))
         note = f"sampled {samples} pairs, seed={seed}"
-    if W.batch is not None:
-        # pairs that hold exactly have distance 0 and cannot move worst or witness
-        idx = idx[~_batch_pairs_hold(W, phase, swapped, idx)]
+    # pairs that hold exactly have distance 0 and cannot move worst or witness
+    idx = idx[~_batch_pairs_hold(W, phase, swapped, idx)]
     element = cache(G.element_by_rank)
     for i, j in idx.tolist():
         x, y = element(i), element(j)
@@ -611,52 +543,24 @@ def _batch_pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool,
                       idx: np.ndarray) -> np.ndarray:
     """Mask of the rank pairs (x, y) in ``idx`` where the identity of ``_check_pairs`` holds exactly.
 
-    Evaluates W(x), W(y) and, unless ``swapped``, W(x + y) through the rep's
-    block formula, max(1, BLOCK_ENTRIES // dim) pairs at a time, each block checked to
-    be permutations.
+    Reads the ``rows`` of W(x), W(y) and, unless ``swapped``, W(x + y),
+    max(1, BLOCK_ENTRIES // dim) pairs at a time.
     """
-    G, dim = W.group, W.dim
-    den0, fn = W.batch
-    d = lcm(den0, phase.den)
+    G = W.group
+    d = lcm(W.den, phase.den)
     moduli = np.array(G.moduli, dtype=np.int64)
-
-    def rows(Y):
-        SRC, NUM = fn(Y)
-        _check_permutations(SRC, dim)
-        return SRC, NUM * (d // den0)
-
-    step = max(1, BLOCK_ENTRIES // dim)
+    step = max(1, BLOCK_ENTRIES // W.dim)
     out = np.empty(len(idx), dtype=bool)
     for start in range(0, len(idx), step):
         X, Y = G.coords_at(idx[start:start + step, 0]), G.coords_at(idx[start:start + step, 1])
-        (SX, NX), (SY, NY) = rows(X), rows(Y)
+        (SX, NX, _), (SY, NY, _) = W.rows(X), W.rows(Y)
         k = np.arange(len(X))[:, None]
         src1, num1 = SY[k, SX], NX + NY[k, SX]                 # W(x) W(y)
-        src2, num2 = (SX[k, SY], NY + NX[k, SY]) if swapped else rows((X + Y) % moduli)
+        src2, num2 = (SX[k, SY], NY + NX[k, SY]) if swapped else W.rows((X + Y) % moduli)[:2]
         P = phase.pair_nums(X, Y) * (d // phase.den)
         out[start:start + step] = (src1 == src2).all(axis=1) & \
-            ((num1 - num2 - P[:, None]) % d == 0).all(axis=1)
+            (((num1 - num2) * (d // W.den) - P[:, None]) % d == 0).all(axis=1)
     return out
-
-
-def _generator_rows(W: ProjectiveRep, gens):
-    """(SRC, NUM, den): W's monomial data at the elements ``gens``, one row each.
-
-    A batched rep evaluates its block formula once; any other rep reads
-    ``operator(g).monomial``.  Every row is checked to be a permutation.
-    """
-    if not gens:
-        return np.empty((0, W.dim), dtype=np.intp), np.empty((0, W.dim), dtype=np.int64), 1
-    if W.batch is not None:
-        den, fn = W.batch
-        SRC, NUM = fn(np.array([g.coords for g in gens], dtype=np.int64))
-    else:
-        parts = [W.operator(g).monomial for g in gens]
-        den = lcm(*(part.den for part in parts))
-        SRC = np.stack([part.src for part in parts])
-        NUM = np.stack([part.rescaled(den).num for part in parts])
-    _check_permutations(SRC, W.dim)
-    return SRC, NUM % den, den
 
 
 def _orbit_walk(size: int, orders, edges, mods, width: int = 1):
@@ -710,7 +614,7 @@ def _intertwining_orbits(orders, rows1, rows2):
     """Exact solution of T W1(g) = W2(g) T over the generators g of an abelian group.
 
     ``rows1`` and ``rows2`` are the (SRC, NUM, den) rows of W1 and W2 at the
-    generators, as ``_generator_rows`` reads them, and ``orders`` are the
+    generators, as ``ProjectiveRep.rows`` reads them, and ``orders`` are the
     generators' orders.  Entry p = i n1 + j of the (n2 x n1) matrix T obeys
     T[p] = e(c(p)) T[phi(p)] with phi(p) = SRC2[i] n1 + SRC1[j] and
     c(p) = NUM2[i] - NUM1[j] for each generator.  ``_orbit_walk`` labels
@@ -745,7 +649,7 @@ def commutant_d(W: ProjectiveRep) -> int:
     from W's rows at the generators of G alone.
     """
     G = W.group
-    rows = _generator_rows(W, G.generators())
+    rows = W.rows(G.generators())
     return len(_intertwining_orbits([n for n in G.moduli if n > 1], rows, rows)[3])
 
 
@@ -777,7 +681,7 @@ def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep) -> dict:
     if not _same_multiplier(W1.multiplier, W2.multiplier):
         raise InputError("multipliers differ; align them with a twist first")
     G = W1.group
-    rows1, rows2 = _generator_rows(W1, G.generators()), _generator_rows(W2, G.generators())
+    rows1, rows2 = W1.rows(G.generators()), W2.rows(G.generators())
     label, pot, den, good = _intertwining_orbits([n for n in G.moduli if n > 1], rows1, rows2)
     n1, n2 = W1.dim, W2.dim
     which = np.full(n1 * n2, -1, dtype=np.int64)

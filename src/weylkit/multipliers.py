@@ -283,7 +283,6 @@ class WeylProductMultiplier(BicharacterMultiplier):
                 mat[left_rank + i][j] = pairing[j][i]
         super().__init__(Bicharacter(group, mat))
         self.left_rank = left_rank
-        self.pairing = tuple(tuple(row) for row in pairing)
 
     def backing(self):
         return "weyl_product"

@@ -97,7 +97,7 @@ def window_weyl(w: PAdicWindow) -> ProjectiveRep:
     dim = pt.order
     S = pt.coords_array()
 
-    def batch(Y):
+    def fn(Y):
         Y1, Y2 = Y[:, :d], Y[:, d:]
         SRC = np.zeros((len(Y), dim), dtype=np.int64)
         NUM = np.zeros((len(Y), dim), dtype=np.int64)
@@ -107,8 +107,7 @@ def window_weyl(w: PAdicWindow) -> ProjectiveRep:
             NUM += 2 * Y2[:, j, None] * S[:, j]
         return SRC, NUM % q
 
-    return ProjectiveRep.from_batch(w.group, w.m, dim, q, batch,
-                                    label=f"window(p={w.p},k={w.k},d={w.d})")
+    return ProjectiveRep(w.group, w.m, dim, fn, q, label=f"window(p={w.p},k={w.k},d={w.d})")
 
 
 def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:

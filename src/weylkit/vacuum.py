@@ -27,7 +27,6 @@ from .models import (
     BLOCK_ENTRIES,
     DEFAULT_TOL,
     ProjectiveRep,
-    _generator_rows,
     _orbit_walk,
     check_rep_law,
     commutant_d,
@@ -83,7 +82,7 @@ class SectorDecomposition:
         self._chars = C.coords_array()
         self._chi = self._chars * (self.char_exp // d)
         self._char_weights = np.array(C._weights, dtype=np.int64)
-        rows = _generator_rows(rep, self.gens)
+        rows = rep.rows(self.gens)
         SRC, NUM, den = rows
         self._den = D = lcm(den, self.char_exp)
         n, r = rep.dim, len(d)
@@ -212,7 +211,7 @@ class SectorDecomposition:
     def _transport(self, rows, pairs, source=None):
         """W's monomial rows at c elements, read exactly on the sector bases.
 
-        ``rows`` = (SRC, NUM, den) as ``_generator_rows`` reads them.
+        ``rows`` = (SRC, NUM, den) as ``ProjectiveRep.rows`` reads them.
         ``pairs`` (ascending) are pairs p = i n + t, n = |L|, with carrier
         index i on a basis vector of the target column t, which reads from
         the source column ``source[t]`` (t itself by default).  Row i of W(x)
@@ -262,7 +261,7 @@ class SectorDecomposition:
         witness = None
         for start in range(0, n, step):
             part = elems[start:start + step]
-            src, num, d, bad = self._transport(_generator_rows(self.rep, part), pairs)
+            src, num, d, bad = self._transport(self.rep.rows(part), pairs)
             D = lcm(d, E)
             chi = (self._tcoords[start:start + step] @ self._chi.T)[:, t]
             bad |= (src != own) | ((num * (D // d) - chi * (D // E)) % D != 0)
@@ -349,7 +348,7 @@ def permute_check(S: SectorDecomposition, x: GroupElement) -> VerificationReport
     C = FinAbGroup(S.orders)
     dest = (S._chars + shift) % np.array(C.moduli, dtype=np.int64) @ np.array(C._weights, dtype=np.int64)
     pairs = S._pairs()
-    bad = S._transport(_generator_rows(S.rep, [x]), pairs, np.argsort(dest))[3]
+    bad = S._transport(S.rep.rows([x]), pairs, np.argsort(dest))[3]
     witness = _witness([x.coords], bad, pairs // C.order)
     rep.add("image containment", witness is None, witness=witness,
             note=f"exhaustive over {len(S.dims)} sectors")
@@ -519,16 +518,15 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
     sections = [s for _, s in q.section_list]
     m0 = _descended_multiplier(m, V2, sections)
     pairs = S._pairs(0)
-    src, num, den0, bad = S._transport(_generator_rows(W, sections), pairs)
+    src, num, den0, bad = S._transport(W.rows(sections), pairs)
     witness = _witness([s.coords for s in sections], bad, pairs // L.order)
     if witness is not None:
         raise DefectError(f"W({witness[0]}) does not preserve the vacuum space", witness=witness)
     roots = pairs == S._label(pairs)
     SRC0, NUM0 = src[:, roots], num[:, roots]
     weights = np.array(V2._weights, dtype=np.int64)
-    rep0 = ProjectiveRep.from_batch(V2, m0, B0.shape[1], den0,
-                                    lambda Y: (SRC0[Y @ weights], NUM0[Y @ weights]),
-                                    label="descended")
+    rep0 = ProjectiveRep(V2, m0, B0.shape[1], lambda Y: (SRC0[Y @ weights], NUM0[Y @ weights]),
+                         den0, label="descended")
 
     law = check_rep_law(rep0, tolerance=tol)
     report.extend(law, prefix="W0 ")

@@ -26,7 +26,7 @@ from weylkit.multipliers import (
 )
 from weylkit.phases import Phase, ZERO
 from weylkit.models import (
-    MonomialPart,
+    Operator,
     SplittingData,
     induced_model,
     regular_rep,
@@ -53,14 +53,12 @@ def rows_of(G: FinAbGroup, data):
 
 def assert_rows(W, Y, dense_of):
     """Batched rows of W on Y equal W.operator(y) and the dense oracle dense_of(y)."""
-    den, fn = W.batch
-    SRC, NUM = fn(Y)
+    SRC, NUM = W.fn(Y)
     assert SRC.shape == NUM.shape == (len(Y), W.dim)
     for y, src, num in zip(Y.tolist(), SRC, NUM):
-        row = MonomialPart(W.dim, den, src, num)
-        op = W.operator(W.group.element(y))
-        assert op.monomial.equals(row)
-        assert np.allclose(row.to_dense(), dense_of(y))
+        row = Operator(W.dim, W.den, src, num)
+        assert W.operator(W.group.element(y)).equals(row)
+        assert np.allclose(row.matrix, dense_of(y))
 
 
 @SETTINGS
@@ -143,14 +141,13 @@ def test_regular_rows_match_formula(moduli, data):
     regular_rep(FinAbGroup([5, 4])),
 ], ids=["window-2-1-2", "schrodinger-3x1x2", "regular-5x4"])
 def test_blocks_cover_rank_order(W):
-    assert W.batch is not None
     blocks = list(W.blocks())
     SRC = np.concatenate([S for S, _, _ in blocks])
     NUM = np.concatenate([N for _, N, _ in blocks])
     (den,) = {d for _, _, d in blocks}
     assert len(SRC) == W.group.order
     for x in W.group.elements():
-        assert W.operator(x).monomial.equals(MonomialPart(W.dim, den, SRC[x.rank], NUM[x.rank]))
+        assert W.operator(x).equals(Operator(W.dim, den, SRC[x.rank], NUM[x.rank]))
 
 
 # -- induced models ----------------------------------------------------------
@@ -173,7 +170,7 @@ def per_coset_operators(G, m, A, c):
             a = z - reps[j]
             src.append(j)
             num.append((m(r, y) - m(a, reps[j]) - c(a)).numerator_at(den))
-        ops.append(MonomialPart(len(reps), den, src, num))
+        ops.append(Operator(len(reps), den, src, num))
     return ops
 
 
@@ -182,15 +179,15 @@ def assert_induced_matches(G, m, A, c=None):
     W = induced_model(G, m, A, c)
     cmap = split_symmetric(m, A) if c is None else c.c if isinstance(c, SplittingData) else c
     oracle = per_coset_operators(G, m, A, cmap)
-    assert W.batch[0] == oracle[0].den
+    assert W.den == oracle[0].den
     for x, want in zip(G.elements(), oracle):
-        assert W.operator(x).monomial.equals(want)
+        assert W.operator(x).equals(want)
     blocks = list(W.blocks())
-    assert all(den == W.batch[0] for _, _, den in blocks)
+    assert all(den == W.den for _, _, den in blocks)
     SRC = np.concatenate([S for S, _, _ in blocks])
     NUM = np.concatenate([N for _, N, _ in blocks])
     for x, want in enumerate(oracle):
-        assert MonomialPart(W.dim, W.batch[0], SRC[x], NUM[x]).equals(want)
+        assert Operator(W.dim, W.den, SRC[x], NUM[x]).equals(want)
 
 
 def block_form(moduli, units, lower=True):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from weylkit import __version__
-from weylkit.cli import main
+from weylkit.cli import main, parse_group, parse_multiplier, parse_subgroup
 from weylkit.errors import DefectError
+from weylkit.models import induced_model
+from weylkit.phases import Phase
 
 SCENARIOS = sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))
 
@@ -105,7 +107,13 @@ def test_model_task_with_dump(tmp_path, capsys):
     assert rep["summary"]["commutant_dimension"] == 1
     dump = rep["summary"]["matrices"]
     assert len(dump) == 4
-    assert all("permutation" in entry for entry in dump)
+    # every dumped operator, in rank order, is the model's own W(x)
+    G = parse_group(sc["group"])
+    W = induced_model(G, parse_multiplier(sc["multiplier"], G), parse_subgroup(sc["subgroup"], G))
+    for x, entry in zip(G.elements(), dump):
+        op = W.operator(x)
+        assert entry == {"element": list(x.coords), "permutation": op.src.tolist(),
+                         "phases": [str(Phase(int(n), op.den)) for n in op.num]}
 
 
 def test_vacuum_task(tmp_path, capsys):

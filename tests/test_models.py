@@ -12,7 +12,6 @@ from weylkit.errors import (TABLE_CAP, DefectError, InputError, PreconditionErro
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.isotropy import extend_maximal
 from weylkit.models import (
-    MonomialPart,
     Operator,
     ProjectiveRep,
     check_rep_law,
@@ -209,27 +208,48 @@ def test_batched_pair_scan_matches_pairwise(checker, wrong):
     # scan must report exactly what the pairwise scan of the same operators does
     W = window_model(3, 1, 2)
     m = zero_multiplier(W.group) if wrong else W.multiplier
-    den, fn = W.batch
-    batched = ProjectiveRep.from_batch(W.group, m, W.dim, den, fn)
-    pairwise = ProjectiveRep(W.group, m, W.dim, W.operator)
-    assert pairwise.batch is None
-    got = checker(batched, samples=1000, seed=3)
-    want = checker(pairwise, samples=1000, seed=3)
-    assert [c.to_dict() for c in got.checks] == [c.to_dict() for c in want.checks]
+    rep = ProjectiveRep(W.group, m, W.dim, W.fn, W.den)
+    got = checker(rep, samples=1000, seed=3)
+    swapped = checker is commutator_scalar_check
+    phase = antisymmetrize(m).to_multiplier() if swapped else m
+    assert got.checks[-1].to_dict() == sampled_pair_oracle(
+        rep, got.checks[-1].name, phase, swapped, samples=1000, seed=3)
     assert got.passed == (not wrong)
+
+
+def sampled_pair_oracle(W, name, phase, swapped, samples, seed, tolerance=1e-9):
+    """The sampled check ``name`` as a per-pair scan reports it: every seeded pair is
+    composed from its operators, and the witness is the worst pair."""
+    G = W.group
+    worst, witness = 0.0, None
+    for i, j in np.random.default_rng(seed).integers(0, G.order, size=(samples, 2)).tolist():
+        x, y = G.element_by_rank(i), G.element_by_rank(j)
+        dist = models._pair_distance(W, phase, swapped, x, y)
+        if dist > worst:
+            worst = dist
+            if dist > tolerance:
+                witness = (x.coords, y.coords)
+    rep = VerificationReport("oracle")
+    rep.add(name, worst <= tolerance, residual=worst, tolerance=tolerance, witness=witness,
+            note=f"sampled {samples} pairs, seed={seed}")
+    return rep.checks[0].to_dict()
 
 
 @pytest.mark.parametrize("checker", [check_rep_law, commutator_scalar_check])
 def test_batched_pair_scan_builds_no_operator(checker):
     # on a correct batched model the block formula settles every sampled pair
     W = window_model(3, 1, 2)
+    seen = []
 
-    def zero_only(x):
-        assert x.is_zero(), f"operator built at {x.coords}"
-        return identity_operator(W.dim)
+    def counted(Y):
+        seen.append(Y.copy())
+        return W.fn(Y)
 
-    strict = ProjectiveRep(W.group, W.multiplier, W.dim, zero_only, batch=W.batch)
+    strict = ProjectiveRep(W.group, W.multiplier, W.dim, counted, W.den)
     assert checker(strict, samples=1000, seed=3).passed
+    # one-row calls (operators) only at 0; the sampled pairs are read in whole blocks
+    assert all(not Y.any() for Y in seen if len(Y) == 1)
+    assert 0 < sum(len(Y) for Y in seen if len(Y) > 1) <= 3 * 1000
 
 
 def full_scan_oracle(W, name, phase, swapped, tolerance=1e-9):
@@ -288,16 +308,15 @@ def faulted_reps(draw):
     if fault == "none" or W.group.order == 1:
         return W, "none"
     x = W.group.element_by_rank(draw(st.integers(1, W.group.order - 1)))
-    mono = W.operator(x).monomial
-    den = 2 * mono.den                   # so that a shift by 1 .. den - 1 always moves the phase
+    op = W.operator(x)
+    den = 2 * op.den                     # so that a shift by 1 .. den - 1 always moves the phase
     if fault == "operator":
         src = np.array(draw(st.permutations(range(W.dim))))
         num = np.array(draw(st.lists(st.integers(0, den - 1), min_size=W.dim, max_size=W.dim)))
     else:
-        src, num = mono.src, 2 * mono.num
+        src, num = op.src, 2 * op.num
         num[draw(st.integers(0, W.dim - 1))] += draw(st.integers(1, den - 1))
-    op = Operator(W.dim, monomial=MonomialPart(W.dim, den, src, num))
-    return W.with_override(x, op), fault
+    return W.with_override(x, Operator(W.dim, den, src, num)), fault
 
 
 @settings(max_examples=60, deadline=None)
@@ -319,7 +338,7 @@ def test_generator_decision_needs_a_cocycle():
     num[5:, 7] = 1
     num[3, 11] = 1
     m = TableMultiplier(G, 2, num)
-    W = ProjectiveRep.from_batch(G, m, R.dim, *R.batch)
+    W = ProjectiveRep(G, m, R.dim, R.fn, R.den)
     assert not m.is_verified()
     law = check_rep_law(W)
     assert law.checks[-1].to_dict() == full_scan_oracle(W, "law", m, False)
@@ -409,19 +428,38 @@ def test_fault_beyond_table_cap_fails_at_a_generator_pair():
     # a scalar cannot move a commutator, so that identity holds at every pair
     assert commutator_scalar_check(scaled, samples=2000).passed
     # one shifted phase is no scalar, and both identities fail at a pair (x, g)
-    mono = W.operator(x0).monomial
-    num = 3 * mono.num
+    op = W.operator(x0)
+    num = 3 * op.num
     num[0] += 1
-    shifted = W.with_override(x0, Operator(W.dim, MonomialPart(W.dim, 3 * mono.den, mono.src, num)))
+    shifted = W.with_override(x0, Operator(W.dim, 3 * op.den, op.src, num))
     for checker in (check_rep_law, commutator_scalar_check):
         assert_fails(checker(shifted, samples=2000).checks[-1])
+
+
+def test_override_law_check_reads_whole_blocks():
+    # the override patches the parent's formula, so the exact law check reads G in
+    # whole blocks once; only W(0) and the witness pair's three operators are one-row calls
+    W = block_symplectic_model(*VACUUM_9595)
+    G = W.group
+    x0 = G.element([3, 2, 0, 0])
+    scaled = W.with_override(x0, W.operator(x0).scaled(Phase(1, 3)))
+    calls, fn = [], scaled.fn
+    scaled.fn = lambda Y: calls.append(len(Y)) or fn(Y)
+    check = check_rep_law(scaled).checks[-1]
+    assert (check.passed, check.witness, check.note) == \
+        (False, ((2, 2, 0, 0), (1, 0, 0, 0)), "exhaustive over 2025^2 pairs")
+    assert check.residual == pytest.approx(3 ** 0.5, abs=1e-12)
+    blocks = [n for n in calls if n > 1]
+    assert sum(blocks) == G.order
+    assert len(blocks) <= -(-G.order // (models.BLOCK_ENTRIES // W.dim))
+    assert calls.count(1) == 1 + 3
 
 
 def lookup_rep(W, SRC, NUM, den):
     """A batched rep whose block formula reads the rows (SRC, NUM) over den, in rank order."""
     weights = np.array(W.group._weights, dtype=np.int64)
-    return ProjectiveRep.from_batch(W.group, W.multiplier, W.dim, den,
-                                    lambda Y: (SRC[Y @ weights], NUM[Y @ weights]))
+    return ProjectiveRep(W.group, W.multiplier, W.dim, lambda Y: (SRC[Y @ weights], NUM[Y @ weights]),
+                         den)
 
 
 def assert_verdicts_match_all_pairs(W):
@@ -593,7 +631,7 @@ def test_commutant_character_path_agrees(case):
 def test_batched_permutation_check_can_fail(fault):
     from weylkit import models
     W = window_model(2, 1, 1)
-    den, fn = W.batch
+    fn = W.fn
 
     def broken(Y):
         SRC, NUM = fn(Y)
@@ -602,14 +640,14 @@ def test_batched_permutation_check_can_fail(fault):
         SRC[moved, 0] = SRC[moved, 1] if fault == "repeated source" else W.dim
         return SRC, NUM
 
-    B = models.ProjectiveRep.from_batch(W.group, W.multiplier, W.dim, den, broken)
+    B = models.ProjectiveRep(W.group, W.multiplier, W.dim, broken, W.den)
     with pytest.raises(InputError, match="not a permutation"):
         commutant_d(B)
     with pytest.raises(InputError, match="not a permutation"):
         B.monomial_arrays()
     with pytest.raises(InputError, match="not a permutation"):
         B.operator(B.group.element([1, 0]))
-    assert commutant_d(models.ProjectiveRep.from_batch(W.group, W.multiplier, W.dim, den, fn)) \
+    assert commutant_d(models.ProjectiveRep(W.group, W.multiplier, W.dim, fn, W.den)) \
         == commutant_d(W)
 
 
@@ -639,10 +677,10 @@ def test_orbit_intertwiner_matches_oracle(pair):
 def _phase_fault(W):
     """W with the phase of its first generator shifted by 1/den on index 0."""
     g = W.group.generators()[0]
-    mono = W.operator(g).monomial
-    num = mono.num.copy()
+    op = W.operator(g)
+    num = op.num.copy()
     num[0] += 1
-    return W.with_override(g, Operator(W.dim, monomial=MonomialPart(W.dim, mono.den, mono.src, num)))
+    return W.with_override(g, Operator(W.dim, op.den, op.src, num))
 
 
 def test_orbit_check_catches_phase_fault(z9):
@@ -661,10 +699,10 @@ def test_orbit_check_catches_phase_fault(z9):
 def test_orbit_solver_refuses_noncommuting_permutations(z9):
     _, _, _, W = z9
     g = W.group.generators()[0]
-    mono = W.operator(g).monomial
-    src = mono.src.copy()
+    op = W.operator(g)
+    src = op.src.copy()
     src[[0, 1]] = src[[1, 0]]
-    broken = W.with_override(g, Operator(W.dim, monomial=MonomialPart(W.dim, mono.den, src, mono.num)))
+    broken = W.with_override(g, Operator(W.dim, op.den, src, op.num))
     with pytest.raises(DefectError, match="do not commute"):
         commutant_d(broken)
 
@@ -674,9 +712,9 @@ def test_orbit_solver_refuses_cycle_beyond_generator_order():
     G = FinAbGroup([2, 2])
     W = regular_rep(G)
     g = G.generators()[0]
-    src = W.operator(g).monomial.src.copy()
+    src = W.operator(g).src.copy()
     src[[1, 2]] = src[[2, 1]]
-    broken = W.with_override(g, Operator(W.dim, monomial=MonomialPart(W.dim, 1, src, np.zeros(4))))
+    broken = W.with_override(g, Operator(W.dim, 1, src, np.zeros(4)))
     with pytest.raises(DefectError, match="longer than the generator's order"):
         commutant_d(broken)
 

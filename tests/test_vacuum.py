@@ -13,9 +13,8 @@ from weylkit.errors import DefectError, PreconditionError
 from weylkit.groups import FinAbGroup, Subgroup, double_image, double_preimage, subgroup_span
 from weylkit.isotropy import is_isotropic, polar
 from weylkit.cli import build_model, build_parser, parse_group, parse_multiplier, parse_subgroup
-from weylkit.models import (MonomialPart, Operator, ProjectiveRep, _generator_rows,
-                            _intertwining_orbits, check_rep_law, identity_operator, induced_model,
-                            regular_rep)
+from weylkit.models import (Operator, ProjectiveRep, _intertwining_orbits, check_rep_law,
+                            identity_operator, induced_model, regular_rep)
 from weylkit.padic import window_weyl
 from weylkit.multipliers import Bicharacter, TableMultiplier, antisymmetrize
 from weylkit.phases import HALF, Phase, ZERO
@@ -144,7 +143,7 @@ class PairSolve:
         self.dim, n = W.dim, L.order
         diagonal = (np.broadcast_to(np.arange(n), (len(self.orders), n)), chi.T, E)
         self.label, self.pot, self.den, good = \
-            _intertwining_orbits(self.orders, diagonal, _generator_rows(W, gens))
+            _intertwining_orbits(self.orders, diagonal, W.rows(gens))
         counts = np.bincount(good % n, minlength=n)
         self.dims = {tuple(chars[j].tolist()): int(counts[j]) for j in np.flatnonzero(counts)}
         root = np.zeros(self.label.size, dtype=bool)
@@ -230,7 +229,7 @@ def test_one_sided_sectors_match_pair_solve(case, data):
     G = W.group
     ranks = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
     elems = L.elements() + G.generators() + [G.element_by_rank(r) for r in ranks]
-    rows = _generator_rows(W, elems)
+    rows = W.rows(elems)
     shift = np.array(data.draw(st.permutations(range(L.order))), dtype=np.int64)
     for column, source in [(None, None), (0, None), (None, shift)]:
         pairs = S._pairs(column)
@@ -248,11 +247,11 @@ def test_vacuum_basis_is_gram_schmidt_bitwise(key):
 def _override_first_generator(W, L, src=None, shift=0):
     """W with the operator at L's first decomposition generator replaced by a faulty monomial."""
     h = L.decomposition()[0][0]
-    mono = W.operator(h).monomial
-    src = mono.src if src is None else src(mono.src.copy())
-    num = mono.num.copy()
+    op = W.operator(h)
+    src = op.src if src is None else src(op.src.copy())
+    num = op.num.copy()
     num[0] += shift
-    return W.with_override(h, Operator(W.dim, monomial=MonomialPart(W.dim, mono.den, src, num)))
+    return W.with_override(h, Operator(W.dim, op.den, src, num))
 
 
 def test_sectors_refuse_noncommuting_generators():
@@ -290,11 +289,12 @@ def test_sectors_build_only_generator_operators(monkeypatch):
     gens = {h.coords for h in w.L.decomposition()[0]}
     W = window_model(2, 2, 1)
     built = []
-    R = ProjectiveRep(W.group, W.multiplier, W.dim, lambda x: built.append(x.coords) or W.operator(x))
+    R = ProjectiveRep(W.group, W.multiplier, W.dim,
+                      lambda Y: built.extend(map(tuple, Y.tolist())) or W.fn(Y), W.den)
     built.clear()
     S = sectors(R, w.L)
     assert set(built) <= gens and S.vacuum_dim == 2
-    # a batched model reads its generator rows from the block formula, building nothing
+    # the generator rows come from one call of the formula, not from operator()
     B = window_weyl(w)
     calls = []
     operator = ProjectiveRep.operator
@@ -484,10 +484,9 @@ def _faulty(W, x, row=None, phase=None):
     op = W.operator(x)
     if phase is not None:
         return W.with_override(x, op.scaled(phase))
-    mono = op.monomial
-    num = mono.num.copy()
-    num[row] += mono.den // 2
-    return W.with_override(x, Operator(W.dim, monomial=MonomialPart(W.dim, mono.den, mono.src, num)))
+    num = op.num.copy()
+    num[row] += op.den // 2
+    return W.with_override(x, Operator(W.dim, op.den, op.src, num))
 
 
 def _window_221():
@@ -665,11 +664,14 @@ def _gauged_descent_case(k, d):
     """Window (2, k, d) conjugated by a seeded diagonal phase: same multiplier, but the
     vacuum orbit sums carry nonzero potentials."""
     W = window_model(2, k, d)
-    den = W.batch[0]
-    phi = np.random.default_rng(k * 10 + d).integers(0, den, W.dim)
-    D = Operator(W.dim, monomial=MonomialPart(W.dim, den, np.arange(W.dim), phi))
-    return ProjectiveRep(W.group, W.multiplier, W.dim,
-                         lambda x: D.compose(W.operator(x)).compose(D.adjoint())), window(2, k, d).L
+    phi = np.random.default_rng(k * 10 + d).integers(0, W.den, W.dim)
+
+    def gauged(Y):
+        # D W(y) D^-1 for D = diag e(phi / den): same sources, row i gains phi[i] - phi[src[i]]
+        SRC, NUM = W.fn(Y)
+        return SRC, NUM + phi - phi[SRC]
+
+    return ProjectiveRep(W.group, W.multiplier, W.dim, gauged, W.den), window(2, k, d).L
 
 
 DESCENT_CASES = {
@@ -708,11 +710,11 @@ def test_descend_refuses_leaking_section_operator(fault):
     s = D.quotient.section_list[1][1]
     orbits = [np.flatnonzero(D.vacuum_basis[:, k]) for k in range(D.rep0.dim)]
     vac = np.concatenate(orbits)
-    mono = W.operator(s).monomial
-    src, num = mono.src.copy(), mono.num.copy()
+    op = W.operator(s)
+    src, num = op.src.copy(), op.num.copy()
     if fault == "phase":
         # row i gains a sign: W(s) no longer carries its orbit sum whole
-        num[orbits[0][1]] += mono.den // 2
+        num[orbits[0][1]] += op.den // 2
     elif fault == "index":
         # row i reads from a non-vacuum index
         i, j = orbits[0][1], np.setdiff1d(np.arange(W.dim), vac)[0]
@@ -721,7 +723,7 @@ def test_descend_refuses_leaking_section_operator(fault):
         # rows of two image orbits trade sources, away from the orbits' least indices
         i, j = orbits[0][1], orbits[1][1]
         src[[i, j]] = src[[j, i]]
-    leaky = W.with_override(s, Operator(W.dim, monomial=MonomialPart(W.dim, mono.den, src, num)))
+    leaky = W.with_override(s, Operator(W.dim, op.den, src, num))
     with pytest.raises(DefectError, match="does not preserve the vacuum space") as exc:
         descend(leaky, L)
     assert exc.value.witness == (s.coords, int(orbits[0][1]))
