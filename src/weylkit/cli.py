@@ -1,8 +1,9 @@
 """Scenario-driven command line front end.
 
 Scenarios are JSON files; reports are JSON (default) or text.  Exit codes:
-0 all checks pass, 1 at least one check fails, 2 invalid input or a tripped
-size budget (``errors.ENUMERATION_CAP``, ``TABLE_CAP``, ``DIM_CAP``).  Reports are
+0 all checks pass, 1 at least one check fails, 2 invalid input, a carrier
+dimension above ``--max-dim`` (default ``errors.MAX_DIM_DEFAULT``) or more
+materialised entries than ``errors.ENTRY_BUDGET``.  Reports are
 byte-identical across runs for a fixed scenario and seed: timings are only
 included on request.
 """
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (DIM_CAP, DefectError, InputError, PreconditionError, ResourceLimitError,
+from .errors import (MAX_DIM_DEFAULT, DefectError, InputError, PreconditionError, ResourceLimitError,
                      UnsupportedOperationError)
 from .groups import FinAbGroup, Subgroup, subgroup_span
 from .isotropy import is_maximal_isotropic, polar, polar_tilde
@@ -364,7 +365,7 @@ def build_parser():
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--tolerance", type=float, default=1e-9)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-dim", type=int, default=DIM_CAP)
+    ap.add_argument("--max-dim", type=int, default=MAX_DIM_DEFAULT)
     ap.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-identical reports)")
     ap.add_argument("--check-law", action="store_true", help="model task: run the law checks")

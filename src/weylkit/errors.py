@@ -1,10 +1,17 @@
-"""Exception hierarchy and the size budgets shared by all modules."""
+"""Exception hierarchy and the one size budget shared by all modules."""
 
-# The size budgets.  Each bounds one kind of work, and exceeding it raises
-# ResourceLimitError, which exits the CLI with code 2.
-ENUMERATION_CAP = 200_000   # elements listed or scanned one at a time
-TABLE_CAP = 512             # group order for |G| x |G| tables and exhaustive pair or triple scans
-DIM_CAP = 4096              # carrier dimension of a model; the default of --max-dim
+# Every materialised array of group data counts its entries against one
+# budget: |G| listed elements, a |G| x |G| table or exhaustive pair scan,
+# |G| x dim kept monomial rows, n1 x n2 index pairs, one operator row of dim
+# entries, a dim x dim dense rendering.  2^18 = 512^2.
+ENTRY_BUDGET = 2 ** 18
+MAX_DIM_DEFAULT = 4096      # the default of the CLI's --max-dim; no library code reads it
+
+
+def check_budget(what: str, size: int):
+    """Raise ``ResourceLimitError`` unless ``size`` entries fit ``ENTRY_BUDGET``."""
+    if size > ENTRY_BUDGET:
+        raise ResourceLimitError(what, size, "ENTRY_BUDGET", ENTRY_BUDGET)
 
 
 class WeylkitError(Exception):

@@ -16,8 +16,7 @@ from math import isqrt, lcm, prod
 
 import numpy as np
 
-from .errors import (ENUMERATION_CAP, TABLE_CAP, InputError, ResourceLimitError,
-                     UnsupportedOperationError)
+from .errors import InputError, UnsupportedOperationError, check_budget
 from .intmat import (
     box_reduce,
     column_hnf,
@@ -101,8 +100,7 @@ class FinAbGroup:
     def coords_array(self) -> np.ndarray:
         """(order x rank) int64 array of all coordinate vectors, in rank order."""
         if self._coords_cache is None:
-            if self.order > ENUMERATION_CAP:
-                raise ResourceLimitError("group order", self.order, "ENUMERATION_CAP", ENUMERATION_CAP)
+            check_budget("group order", self.order)
             self._coords_cache = self.coords_range(0, self.order)
         return self._coords_cache
 
@@ -120,12 +118,11 @@ class FinAbGroup:
     def addition_table(self) -> np.ndarray:
         """(order x order) read-only table of rank(x + y), built once and kept.
 
-        Built one coordinate at a time; an order above TABLE_CAP raises
-        ``ResourceLimitError``.
+        Built one coordinate at a time; its |G|^2 entries count against
+        ``ENTRY_BUDGET``.
         """
         if self._addition_cache is None:
-            if self.order > TABLE_CAP:
-                raise ResourceLimitError("group order", self.order, "TABLE_CAP", TABLE_CAP)
+            check_budget("table entries", self.order ** 2)
             X = self.coords_array()
             S = np.zeros((self.order, self.order), dtype=np.int64)
             for i, (n, w) in enumerate(zip(self.moduli, self._weights)):
@@ -301,9 +298,7 @@ class Subgroup:
         while |G| * |A| * rank < 2^63 bounds every entry, else Python ints.
         """
         if self._elems is None:
-            if self.order > ENUMERATION_CAP:
-                raise ResourceLimitError("subgroup order", self.order,
-                                         "ENUMERATION_CAP", ENUMERATION_CAP)
+            check_budget("subgroup order", self.order)
             G = self.ambient
             gens, orders = self.decomposition()
             dtype = np.int64 if G.order * self.order * max(G.rank, 1) < 2 ** 63 else object
@@ -363,9 +358,7 @@ class Subgroup:
         ``box_codes`` keeps the forward HNF.
         """
         if self._transversal is None:
-            if self.index > ENUMERATION_CAP:
-                raise ResourceLimitError("subgroup index", self.index,
-                                         "ENUMERATION_CAP", ENUMERATION_CAP)
+            check_budget("subgroup index", self.index)
             box = FinAbGroup(np.diag(self._reversed_hnf())[::-1].tolist())
             self._transversal = box.coords_array()
         return self._transversal
@@ -522,7 +515,7 @@ class Quotient:
 
         A's transversal holds the rank-minimal element of every A-coset of G,
         and those with B-box code 0 are the cosets in B: one ``project_coords``
-        pass places them.  |G/A| steps, bounded by ``ENUMERATION_CAP``; B is
+        pass places them.  |G/A| steps, counted against ``ENTRY_BUDGET``; B is
         never listed.
         """
         if self._sections is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ENUMERATION_CAP, DefectError, InputError, PreconditionError, ResourceLimitError
+from .errors import DefectError, InputError, PreconditionError, check_budget
 from .groups import Subgroup, double_preimage, subgroup_span
 from .multipliers import (
     Bicharacter,
@@ -45,7 +45,7 @@ def polar(A: Subgroup, m) -> Subgroup:
             h = np.array([H[i][j] for i in range(r)], dtype=np.int64)
             rows.append(list(map(int, C @ h)))
         return congruence_solution_subgroup(G, rows, form.den)
-    # table backing (|G| <= TABLE_CAP): scan the defining condition
+    # table backing (|G|^2 within ENTRY_BUDGET): scan the defining condition
     if not isinstance(m, Multiplier) or m.group != G:
         raise InputError("multiplier and subgroup live in different groups")
     members = [x for x in G.elements() if all(not m(x, a) for a in A.elements())]
@@ -80,8 +80,7 @@ def extend_maximal(A: Subgroup, m) -> Subgroup:
     G = A.ambient
     if not is_isotropic(A, m):
         raise PreconditionError("seed subgroup is not isotropic")
-    if G.order > ENUMERATION_CAP:
-        raise ResourceLimitError("group order", G.order, "ENUMERATION_CAP", ENUMERATION_CAP)
+    check_budget("group order", G.order)
     current = A
     while True:
         extended = False

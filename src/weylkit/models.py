@@ -6,8 +6,7 @@ that gives those rows for a block of group elements at once.  Products, the
 representation law, commutants, intertwiners, the sectors of a restriction
 to an isotropic subgroup and the descended vacuum action then reduce to
 integer arithmetic; dense complex matrices are materialised only for a
-normalised intertwiner, for sector bases and for the float distance of an
-identity that fails.
+normalised intertwiner, for sector bases and on request (``Operator.matrix``).
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import (DIM_CAP, ENUMERATION_CAP, TABLE_CAP, DefectError, InputError, PreconditionError,
-                     ResourceLimitError)
+from .errors import ENTRY_BUDGET, DefectError, InputError, PreconditionError, check_budget
 from .groups import FinAbGroup, GroupElement, Subgroup
 from .multipliers import (
     Bicharacter,
@@ -45,7 +43,7 @@ class Operator:
     Products, scalars and equality are exact; ``matrix`` renders it densely.
     """
 
-    __slots__ = ("dim", "den", "src", "num", "_dense")
+    __slots__ = ("dim", "den", "src", "num")
 
     def __init__(self, dim: int, den: int, src, num):
         self.dim = dim
@@ -55,18 +53,20 @@ class Operator:
         if self.src.shape != (dim,) or self.num.shape != (dim,):
             raise InputError("monomial data has wrong shape")
         _check_permutations(self.src[None, :], dim)
-        self._dense = None
 
     def _num_at(self, den: int) -> np.ndarray:
         """num over ``den``, a multiple of self.den."""
         return self.num * (den // self.den)
 
+    def _phases(self) -> np.ndarray:
+        return np.exp(2j * np.pi * self.num / self.den)
+
     @property
     def matrix(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = np.zeros((self.dim, self.dim), dtype=complex)
-            self._dense[np.arange(self.dim), self.src] = np.exp(2j * np.pi * self.num / self.den)
-        return self._dense
+        check_budget("dense entries", self.dim ** 2)
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        M[np.arange(self.dim), self.src] = self._phases()
+        return M
 
     def compose(self, other: "Operator") -> "Operator":
         d = lcm(self.den, other.den)
@@ -78,7 +78,7 @@ class Operator:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Matrix-vector / matrix-matrix product W @ X without densifying."""
-        ph = np.exp(2j * np.pi * self.num / self.den)
+        ph = self._phases()
         return ph * X[self.src] if X.ndim == 1 else ph[:, None] * X[self.src, :]
 
     def equals(self, other: "Operator") -> bool:
@@ -87,10 +87,16 @@ class Operator:
                     ((self._num_at(d) - other._num_at(d)) % d == 0).all())
 
     def distance_to(self, other: "Operator") -> float:
-        """0.0 when the two are exactly equal, else the largest entry of their dense difference."""
+        """0.0 when the two are exactly equal, else the largest entry of their dense difference.
+
+        Row i of the difference is e(a) - e(b) in one column where the sources
+        agree, else e(a) and -e(b) in two columns.
+        """
         if self.equals(other):
             return 0.0
-        return float(np.abs(self.matrix - other.matrix).max())
+        a, b = self._phases(), other._phases()
+        return float(np.where(self.src == other.src, np.abs(a - b),
+                              np.maximum(np.abs(a), np.abs(b))).max())
 
 
 class ProjectiveRep:
@@ -102,15 +108,14 @@ class ProjectiveRep:
     denominator ``den``.  ``rows`` checks every row it takes from ``fn`` to
     be a permutation, and ``operator(x)`` is one such row.  The formula must
     keep its int64 intermediates below 2^63; the window model's stay below
-    3 d q^2 for q^d <= DIM_CAP.
+    3 d q^2 for an operator row of q^d entries within ``ENTRY_BUDGET``.
     """
 
     def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, fn, den: int,
                  label: str = ""):
         if multiplier.group != group:
             raise InputError("multiplier lives on a different group")
-        if dim > DIM_CAP:
-            raise ResourceLimitError("carrier dimension", dim, "DIM_CAP", DIM_CAP)
+        check_budget("operator row", dim)
         self.group = group
         self.multiplier = multiplier
         self.dim = dim
@@ -170,21 +175,20 @@ class ProjectiveRep:
             yield self.rows(G.coords_range(start, min(G.order, start + step)))
 
     def fits_arrays(self) -> bool:
-        """Whether ``monomial_arrays`` fits: |G| <= TABLE_CAP or |G| dim <= ENUMERATION_CAP."""
-        return self.group.order <= TABLE_CAP or self.group.order * self.dim <= ENUMERATION_CAP
+        """Whether ``monomial_arrays`` fits: |G|^2 or |G| dim within ``ENTRY_BUDGET``."""
+        return self.group.order * min(self.group.order, self.dim) <= ENTRY_BUDGET
 
     def monomial_arrays(self):
         """(SRC, NUM, den): stacked monomial data for every group element, rank order.
 
         Read in one pass of ``blocks()`` and kept, so later checks and
         ``blocks()`` itself reuse the rows.  Within the budget of
-        ``fits_arrays``, else ``ResourceLimitError`` naming ENUMERATION_CAP
+        ``fits_arrays``, else ``ResourceLimitError`` naming ENTRY_BUDGET
         and the |G| dim entries.
         """
         if self._arrays is None:
-            if not self.fits_arrays():
-                raise ResourceLimitError("monomial entries", self.group.order * self.dim,
-                                         "ENUMERATION_CAP", ENUMERATION_CAP)
+            if not self.fits_arrays():      # then |G| dim is past the budget too
+                check_budget("monomial entries", self.group.order * self.dim)
             blocks = list(self.blocks())
             self._arrays = (np.concatenate([S for S, _, _ in blocks]),
                             np.concatenate([N for _, N, _ in blocks]), self.den)
@@ -406,25 +410,24 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
     """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for pairs x, y of G.
 
     R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  When W's
-    ``monomial_arrays`` fit their budget (|G| <= TABLE_CAP or
-    |G| dim <= ENUMERATION_CAP), the pairs (x, g) with g in {0} and the
-    generators are read from them first (``_generators_decide``).  Law, for
-    a proved cocycle m: if it holds at every (x, y) and (x, g), then with
-    W(y + g) = e(-m(y, g)) W(y) W(g) it holds at (x, y + g), the cocycle
-    identity turning m(x, y) + m(x + y, g) - m(y, g) into m(x, y + g); sums
-    of generators reach every y.  Commutator, for a bicharacter phase: once
+    ``monomial_arrays`` fit ``ENTRY_BUDGET`` (|G|^2 or |G| dim entries), the
+    pairs (x, g) with g in {0} and the generators are read from them first
+    (``_generators_decide``).  Law, for a proved cocycle m: if it holds at
+    every (x, y) and (x, g), then with W(y + g) = e(-m(y, g)) W(y) W(g) it
+    holds at (x, y + g), the cocycle identity turning
+    m(x, y) + m(x + y, g) - m(y, g) into m(x, y + g); sums of generators
+    reach every y.  Commutator, for a bicharacter phase: once
     W's own law holds, W(x) W(y) = e(m(x, y) - m(y, x)) W(y) W(x), and that
     phase is bimultiplicative too, so agreeing at every (x, g) it agrees
     everywhere.  A pair (x, g) where the identity fails is a witness, and
-    its distance the residual.  For |G| <= TABLE_CAP the full scan runs
+    its distance the residual.  When |G|^2 fits the budget the full scan runs
     instead whenever the pairs (x, g) do not prove a pass, and its witness
     is the first bad pair in rank order.  Where the pairs cannot decide --
     above the budget, for an unverified m, or for the commutator when W's
     own law fails -- pairs are compared one by one, over all pairs when
     |G|^2 <= ``samples`` and over a seeded sample otherwise, and the witness
     is the worst pair.  The pairs are first compared exactly through W's
-    block formula.  Only the pairs that differ are densified to
-    measure the distance.
+    block formula, and only the pairs that differ are measured.
     """
     G = W.group
     n = G.order
@@ -434,7 +437,7 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
     if W.fits_arrays():
         arrays = W.monomial_arrays()
         bad, exact = _generators_decide(W, phase, swapped, *arrays)
-        if n <= TABLE_CAP and not exact:
+        if n * n <= ENTRY_BUDGET and not exact:
             witness, worst = _scan_pairs(W, phase, swapped, *arrays)
             exact = True
         elif bad is not None:
@@ -480,7 +483,7 @@ def _generators_decide(W: ProjectiveRep, phase: Multiplier, swapped: bool, SRC, 
     and then x in rank order, where the checked identity fails, else None.
     ``holds`` is True when every pair (x, g) holds and they decide every
     pair: m is a proved cocycle (a bicharacter, or verified exhaustively
-    when |G| <= TABLE_CAP) and, for the commutator, the phase is a
+    when |G|^2 fits ``ENTRY_BUDGET``) and, for the commutator, the phase is a
     bicharacter and W's own law holds at every (x, g).
     """
     G = W.group
@@ -508,7 +511,8 @@ def _generators_decide(W: ProjectiveRep, phase: Multiplier, swapped: bool, SRC, 
         rows = np.flatnonzero(fails(g, phase, swapped))
         if rows.size:
             return (int(rows[0]), g.rank), False
-    holds = getattr(m, "bichar", None) is not None or (G.order <= TABLE_CAP and m.is_verified())
+    holds = getattr(m, "bichar", None) is not None or \
+        (G.order ** 2 <= ENTRY_BUDGET and m.is_verified())
     if swapped:
         holds = holds and getattr(phase, "bichar", None) is not None and \
             not any(fails(g, m, False).any() for g in gens)
@@ -628,8 +632,7 @@ def _intertwining_orbits(orders, rows1, rows2):
     (S1, N1, den1), (S2, N2, den2) = rows1, rows2
     n1, n2 = S1.shape[1], S2.shape[1]
     size = n1 * n2
-    if size > ENUMERATION_CAP:
-        raise ResourceLimitError("index pairs", size, "ENUMERATION_CAP", ENUMERATION_CAP)
+    check_budget("index pairs", size)
     den = lcm(den1, den2)
     edges = [((S2[k][:, None] * n1 + S1[k]).ravel(),
               ((N2[k] * (den // den2))[:, None] - N1[k] * (den // den1)).ravel() % den)

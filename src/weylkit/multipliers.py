@@ -19,8 +19,8 @@ from math import lcm
 
 import numpy as np
 
-from .errors import (ENUMERATION_CAP, TABLE_CAP, DefectError, InputError, PreconditionError,
-                     ResourceLimitError, UnsupportedOperationError)
+from .errors import (ENTRY_BUDGET, DefectError, InputError, PreconditionError,
+                     UnsupportedOperationError, check_budget)
 from .groups import FinAbGroup, GroupElement, Subgroup
 from .intmat import diagonal_of, smith_decompose
 from .phases import Phase, ZERO
@@ -40,8 +40,7 @@ class PhaseMap:
 
     @classmethod
     def from_callable(cls, group: FinAbGroup, fn) -> "PhaseMap":
-        if group.order > ENUMERATION_CAP:
-            raise ResourceLimitError("group order", group.order, "ENUMERATION_CAP", ENUMERATION_CAP)
+        check_budget("group order", group.order)
         return cls(group, {x.coords: fn(x) for x in group.elements()})
 
     @classmethod
@@ -208,11 +207,10 @@ class Multiplier:
         raise NotImplementedError
 
     def num_table(self):
-        """(den, order x order int64 array); only for groups of order <= TABLE_CAP."""
+        """(den, order x order int64 array), its order^2 entries within ``ENTRY_BUDGET``."""
         if self._table is None:
             n = self.group.order
-            if n > TABLE_CAP:
-                raise ResourceLimitError("group order", n, "TABLE_CAP", TABLE_CAP)
+            check_budget("table entries", n * n)
             X = self.group.coords_array()
             XX = np.repeat(X, n, axis=0)
             YY = np.tile(X, (n, 1))
@@ -297,8 +295,7 @@ class TableMultiplier(Multiplier):
     def __init__(self, group: FinAbGroup, den: int, num: np.ndarray):
         super().__init__(group)
         n = group.order
-        if n > TABLE_CAP:
-            raise ResourceLimitError("group order", n, "TABLE_CAP", TABLE_CAP)
+        check_budget("table entries", n * n)
         num = np.asarray(num, dtype=np.int64) % den
         if num.shape != (n, n):
             raise InputError(f"table must be {n} x {n}")
@@ -348,8 +345,8 @@ def check_multiplier(m: Multiplier, *, triples: int = SAMPLED_TRIPLES,
                      seed: int = 0) -> VerificationReport:
     """Verify normalization and the cocycle identity, exactly.
 
-    Exhaustive over all |G|^3 triples when |G| <= TABLE_CAP, by vectorised
-    integer arithmetic; above the cap a seeded sample of at least ``triples``
+    Exhaustive over all |G|^3 triples when the |G|^2 table fits ``ENTRY_BUDGET``,
+    by vectorised integer arithmetic; above it a seeded sample of at least ``triples``
     triples is tested.  On failure the report carries a witness triple.
 
     The exhaustive check first tests only the rows x in {0} and the
@@ -367,7 +364,7 @@ def check_multiplier(m: Multiplier, *, triples: int = SAMPLED_TRIPLES,
     G = m.group
     rep = VerificationReport(f"multiplier on {G!r} ({m.backing()})")
     n = G.order
-    if n <= TABLE_CAP:
+    if n * n <= ENTRY_BUDGET:
         den, num = m.num_table()
         zr = G.zero().rank
         norm_ok = not num[zr, :].any() and not num[:, zr].any()
@@ -502,8 +499,7 @@ def split_symmetric(m: Multiplier, A: Subgroup | None = None) -> PhaseMap:
     m.ensure_verified()
     elems = A.elements()
     n = len(elems)
-    if n > TABLE_CAP:
-        raise ResourceLimitError("subgroup order", n, "TABLE_CAP", TABLE_CAP)
+    check_budget("table entries", n * n)
     _, orders = A.decomposition()
     E = A.exponent
     D = m.den * E

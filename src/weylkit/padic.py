@@ -89,7 +89,8 @@ def window_weyl(w: PAdicWindow) -> ProjectiveRep:
 
     The operators are monomial with denominator q = p^{2k}; the multiplier is
     the window symplectic form, verified by the representation-law check.
-    Numerators stay below 3 d q^2, far inside int64 for q^d <= DIM_CAP.
+    Numerators stay below 3 d q^2, far inside int64 for an operator row of
+    q^d <= ENTRY_BUDGET entries.
     """
     q = w.modulus
     d = w.d

@@ -76,9 +76,6 @@ class Phase:
         """Additive order in Q/Z."""
         return self.den
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
     def complex(self) -> complex:
         """exp(2*pi*i*q) as a complex double."""
         return cmath.exp(2j * cmath.pi * self.num / self.den)

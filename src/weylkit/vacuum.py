@@ -20,7 +20,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import TABLE_CAP, DefectError, InputError, PreconditionError, ResourceLimitError
+from .errors import DefectError, InputError, PreconditionError, check_budget
 from .groups import FinAbGroup, GroupElement, Quotient, Subgroup, double_image, double_preimage, subquotient
 from .isotropy import is_isotropic, polar
 from .models import (
@@ -442,6 +442,7 @@ def generated_subspace(W: ProjectiveRep, L: Subgroup, K: np.ndarray,
     basis of span{ W(x) K }, x over coset representatives of G/L.
     """
     G = W.group
+    check_budget("dense entries", W.dim ** 2)          # the dim x dim projectors
     B0 = sectors(W, L).vacuum_basis()
     Kb = _orthonormal_columns(np.asarray(K, dtype=complex).reshape(W.dim, -1))
     P0 = B0 @ B0.conj().T
@@ -554,8 +555,7 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
 def _descended_multiplier(m, V2: FinAbGroup, sections) -> TableMultiplier:
     """m0(v, w) = m(s_v, s_w) + m(s_v + s_w - s_{v+w}, s_{v+w}) over all pairs, in one pass."""
     k = V2.order
-    if k > TABLE_CAP:
-        raise ResourceLimitError("group order", k, "TABLE_CAP", TABLE_CAP)
+    check_budget("table entries", k * k)
     Sc = np.array([s.coords for s in sections], dtype=np.int64).reshape(k, -1)
     X, Y = np.repeat(Sc, k, axis=0), np.tile(Sc, (k, 1))
     Z = Sc[V2.addition_table().ravel()]

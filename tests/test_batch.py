@@ -397,10 +397,10 @@ def test_transversal_matches_g_scan(A):
 
 
 def test_transversal_counts_cosets_not_elements():
-    # |G| = 10^6 is past ENUMERATION_CAP; the 10 x 10 box of G/A is not
+    # |G| = 10^6 is past ENTRY_BUDGET; the 10 x 10 box of G/A is not
     G = FinAbGroup([1000, 1000])
     A = Subgroup.span(G, [G.element([10, 0]), G.element([0, 10])])
     assert A.transversal_coords().tolist() == [[a, b] for b in range(10) for a in range(10)]
     with pytest.raises(ResourceLimitError) as exc:
         Subgroup.trivial(G).transversal_coords()
-    assert (exc.value.budget, exc.value.size) == ("ENUMERATION_CAP", 10 ** 6)
+    assert (exc.value.budget, exc.value.size) == ("ENTRY_BUDGET", 10 ** 6)

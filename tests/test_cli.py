@@ -276,7 +276,7 @@ def test_padic_checks_no_bicharacter_cocycle(capsys, monkeypatch):
 
 
 def test_svn_beyond_table_cap(tmp_path, capsys):
-    # (Z/9)^4 has order 6561 > TABLE_CAP; both models have dimension 81
+    # (Z/9)^4 has order 6561, its |G|^2 table past ENTRY_BUDGET; both models have dimension 81
     B = [["0"] * 4 for _ in range(4)]
     for i in range(2):
         B[i][i + 2], B[i + 2][i] = "1/9", "-1/9"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weylkit.errors import InputError, ResourceLimitError, UnsupportedOperationError
+from weylkit.errors import ENTRY_BUDGET, InputError, ResourceLimitError, UnsupportedOperationError
 from weylkit.groups import (
     FinAbGroup,
     Subgroup,
@@ -17,8 +17,8 @@ from weylkit.groups import (
     subquotient,
 )
 from weylkit.intmat import columns_to_matrix, mat_vec, smith_decompose, solve_lower_triangular
-from weylkit.models import regular_rep
-from weylkit.multipliers import TableMultiplier
+from weylkit.models import Operator, ProjectiveRep, commutant_d, regular_rep
+from weylkit.multipliers import TableMultiplier, zero_multiplier
 
 
 def random_group(rng, max_order=10_000, max_rank=4):
@@ -197,22 +197,32 @@ def test_trivial_group():
     assert q.group.order == 1
 
 
+# one case per kind of count against ENTRY_BUDGET: the call and the entries it asks for
 BUDGET_CASES = {
-    "ENUMERATION_CAP": (lambda: FinAbGroup([1024, 1024]).coords_array(), 200_000, 1024 ** 2),
-    "TABLE_CAP": (lambda: TableMultiplier(FinAbGroup([1024]), 1, np.zeros((1024, 1024))),
-                  512, 1024),
-    "DIM_CAP": (lambda: regular_rep(FinAbGroup([4097])), 4096, 4097),
+    "elements": (lambda: FinAbGroup([1024, 1024]).coords_array(), 1024 ** 2),
+    "table": (lambda: TableMultiplier(FinAbGroup([1024]), 1, np.zeros((1024, 1024))), 1024 ** 2),
+    "kept_rows": (lambda: regular_rep(FinAbGroup([513])).monomial_arrays(), 513 ** 2),
+    "index_pairs": (lambda: commutant_d(regular_rep(FinAbGroup([513]))), 513 ** 2),
+    "operator_row": (lambda: ProjectiveRep(FinAbGroup([]), zero_multiplier(FinAbGroup([])),
+                                           2 ** 18 + 1, None, 1), 2 ** 18 + 1),
+    "dense": (lambda: Operator(513, 1, np.arange(513), np.zeros(513)).matrix, 513 ** 2),
 }
 
 
-@pytest.mark.parametrize("budget", list(BUDGET_CASES))
-def test_enumeration_caps(budget):
-    trip, limit, size = BUDGET_CASES[budget]
+@pytest.mark.parametrize("kind", list(BUDGET_CASES))
+def test_enumeration_caps(kind):
+    trip, size = BUDGET_CASES[kind]
     with pytest.raises(ResourceLimitError) as exc:
         trip()
-    assert (exc.value.budget, exc.value.limit, exc.value.size) == (budget, limit, size)
-    assert budget in str(exc.value) and str(limit) in str(exc.value) \
-        and str(size) in str(exc.value)
+    assert (exc.value.budget, exc.value.limit, exc.value.size) == ("ENTRY_BUDGET", 2 ** 18, size)
+    assert ENTRY_BUDGET == 2 ** 18
+    assert f"{size} exceeds ENTRY_BUDGET = {2 ** 18}" in str(exc.value)
+
+
+def test_operator_row_within_budget_builds():
+    # a carrier dimension above --max-dim's default is not refused below the CLI
+    W = regular_rep(FinAbGroup([4097]))
+    assert W.dim == 4097 and W.operator(W.group.element([1])).src[0] == 1
 
 
 @pytest.mark.parametrize("moduli", [[4, 3, 5], [8, 8], [1, 2, 1], [], [512]])
@@ -228,7 +238,8 @@ def test_addition_table_kept_and_matches_formula(moduli):
 def test_addition_table_budget():
     with pytest.raises(ResourceLimitError) as exc:
         FinAbGroup([513]).addition_table()
-    assert (exc.value.budget, exc.value.limit, exc.value.size) == ("TABLE_CAP", 512, 513)
+    assert (exc.value.budget, exc.value.limit, exc.value.size) == \
+        ("ENTRY_BUDGET", 2 ** 18, 513 ** 2)
 
 
 def scalar_projection(B, A):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weylkit.errors import (TABLE_CAP, DefectError, InputError, PreconditionError,
+from weylkit.errors import (ENTRY_BUDGET, DefectError, InputError, PreconditionError,
                             ResourceLimitError)
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.isotropy import extend_maximal
@@ -301,9 +301,9 @@ def faulted_reps(draw):
         W = draw(same_multiplier_pairs())[0]
     else:
         sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=2).filter(
-            lambda ms: np.prod(ms) ** 2 <= TABLE_CAP))
+            lambda ms: np.prod(ms) ** 4 <= ENTRY_BUDGET))
         W = schrodinger_model(FinAbGroup(sizes))
-    assume(W.group.order <= TABLE_CAP)
+    assume(W.group.order ** 2 <= ENTRY_BUDGET)
     fault = draw(st.sampled_from(["none", "operator", "phase"]))
     if fault == "none" or W.group.order == 1:
         return W, "none"
@@ -385,7 +385,7 @@ def refuse_pair_scans(monkeypatch, *extra):
     monkeypatch.setattr(FinAbGroup, "addition_table", refuse)
 
 
-# the vacuum-9595 model of the benchmark at seed 3: |G| = 2025 > TABLE_CAP, dimension 45
+# the vacuum-9595 model of the benchmark at seed 3: |G| = 2025, |G|^2 past ENTRY_BUDGET, dimension 45
 VACUUM_9595 = ((9, 5, 9, 5), (7, 4), ((3, 0, 0, 0), (0, 0, 3, 0), (0, 1, 0, 0)))
 
 
@@ -400,7 +400,7 @@ def test_correct_model_never_scans_pairs(monkeypatch):
 
 
 def test_correct_model_beyond_table_cap_never_scans_pairs(monkeypatch):
-    # 2025 x 45 monomial entries fit ENUMERATION_CAP: the generator pairs decide
+    # 2025 x 45 monomial entries fit ENTRY_BUDGET: the generator pairs decide
     # both checks exactly, with no sampled pair, per-x scan or |G| x |G| table
     W = block_symplectic_model(*VACUUM_9595)
     refuse_pair_scans(monkeypatch, "_batch_pairs_hold")
@@ -487,13 +487,13 @@ def assert_verdicts_match_all_pairs(W):
     return law_holds.all(), comm_holds.all()
 
 
-# |G| = 625 > TABLE_CAP, dimension 25
+# |G|^2 = 625^2 is past ENTRY_BUDGET, dimension 25
 MODEL_5555 = ((5, 5, 5, 5), (1, 2), ((1, 0, 0, 0), (0, 1, 0, 0)))
 
 
 def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs():
     W = block_symplectic_model(*MODEL_5555)
-    assert W.fits_arrays() and W.group.order > TABLE_CAP
+    assert W.fits_arrays() and W.group.order ** 2 > ENTRY_BUDGET
     assert assert_verdicts_match_all_pairs(lookup_rep(W, *W.monomial_arrays())) == (True, True)
 
 
@@ -524,7 +524,7 @@ def test_monomial_arrays_budget():
     assert not W.fits_arrays()
     with pytest.raises(ResourceLimitError) as exc:
         W.monomial_arrays()
-    assert (exc.value.budget, exc.value.size) == ("ENUMERATION_CAP", 531_441)
+    assert (exc.value.budget, exc.value.size) == ("ENTRY_BUDGET", 531_441)
 
 
 def test_scalar_twisted_model_passes(z9):
@@ -720,14 +720,15 @@ def test_orbit_solver_refuses_cycle_beyond_generator_order():
 
 
 def test_orbit_solver_pair_budget():
-    # 448^2 index pairs exceed ENUMERATION_CAP
+    # 513^2 index pairs exceed ENTRY_BUDGET = 512^2
     with pytest.raises(ResourceLimitError) as exc:
-        commutant_d(regular_rep(FinAbGroup([448])))
-    assert (exc.value.budget, exc.value.size) == ("ENUMERATION_CAP", 448 ** 2)
+        commutant_d(regular_rep(FinAbGroup([513])))
+    assert (exc.value.budget, exc.value.size) == ("ENTRY_BUDGET", 513 ** 2)
 
 
 def test_intertwiner_of_bicharacters_beyond_table_cap():
-    # (Z/9)^4 has order 6561 > TABLE_CAP: the bicharacters are compared on generator pairs
+    # (Z/9)^4 has order 6561, its |G|^2 table past ENTRY_BUDGET: the bicharacters are
+    # compared on generator pairs
     G = FinAbGroup([9, 9, 9, 9])
     mat = [[ZERO] * 4 for _ in range(4)]
     for i in range(2):
@@ -805,6 +806,18 @@ def test_monomial_dense_agreement(z9):
         exact = W.operator(x).compose(W.operator(y)).matrix
         dense = W.operator(x).matrix @ W.operator(y).matrix
         assert np.abs(exact - dense).max() < 1e-12
+
+
+def test_distance_to_equals_dense_difference():
+    # read off the monomial rows, the distance is the dense oracle's float exactly
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        dim, den = int(rng.integers(1, 9)), int(rng.choice([1, 2, 3, 12, 36]))
+        a, b = (Operator(dim, den, rng.permutation(dim), rng.integers(0, den, size=dim))
+                for _ in range(2))
+        if rng.random() < 0.3:
+            b = Operator(dim, den, a.src, b.num)
+        assert a.distance_to(b) == float(np.abs(a.matrix - b.matrix).max())
 
 
 def test_monomial_arrays_cache(f2):

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit.errors import DefectError, InputError, PreconditionError, UnsupportedOperationError
+from weylkit.errors import ENTRY_BUDGET, DefectError, InputError, PreconditionError, UnsupportedOperationError
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.multipliers import (
-    TABLE_CAP,
     Bicharacter,
     PhaseMap,
     TableMultiplier,
@@ -158,7 +157,7 @@ def drawn_table(G: FinAbGroup, kind: str, rng: np.random.Generator):
 @example(moduli=[6, 1, 5, 17], kind="random", seed=7)
 def test_cocycle_check_matches_full_scan(moduli, kind, seed):
     G = FinAbGroup(moduli)
-    assert G.order <= TABLE_CAP
+    assert G.order ** 2 <= ENTRY_BUDGET
     den, num = drawn_table(G, kind, np.random.default_rng(seed))
     rep = check_multiplier(TableMultiplier(G, den, num))
     norm, cocycle = rep.checks
@@ -216,12 +215,12 @@ def antisym_pointwise_oracle(m, b):
     """The first pair where b(x, y) != m(x, y) - m(y, x), or None.
 
     The pointwise check ``antisymmetrize`` ran on its matrix form: over all
-    |G|^2 pairs in rank order when |G| <= TABLE_CAP, else over 20 000 pairs
+    |G|^2 pairs in rank order when they fit ENTRY_BUDGET, else over 20 000 pairs
     drawn with seed 1 (the witness is then the first bad drawn pair).
     """
     G = m.group
     n = G.order
-    if n <= TABLE_CAP:
+    if n * n <= ENTRY_BUDGET:
         den, num = m.num_table()
         d = lcm(den, b.den)
         mt = (num - num.T) % den * (d // den)

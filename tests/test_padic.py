@@ -235,7 +235,7 @@ def _main(argv, capsys):
 
 @pytest.mark.parametrize("p, k, d", [(5, 1, 2), (3, 1, 3), (7, 1, 2)])
 def test_odd_windows_past_listing_g_pass_the_benchmark_gate(p, k, d, capsys, monkeypatch):
-    # |G| = p^(4kd) is past ENUMERATION_CAP, but sectors walk n = p^(2kd) indices and
+    # |G| = p^(4kd) is past ENTRY_BUDGET, but sectors walk n = p^(2kd) indices and
     # the transversal lists |G/L| = p^(2kd) cosets
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
     from workloads import verdict_errors
@@ -251,7 +251,7 @@ def test_odd_windows_past_listing_g_pass_the_benchmark_gate(p, k, d, capsys, mon
 
 
 def test_p2_window_223_passes_the_benchmark_gate(capsys, monkeypatch):
-    # |L/2| = 8^6 is past ENUMERATION_CAP, but the descent counts the |G/L| = 4096 cosets of L
+    # |L/2| = 8^6 is past ENTRY_BUDGET, but the descent counts the |G/L| = 4096 cosets of L
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
     from workloads import verdict_errors
     argv = ["padic", "--p", "2", "--k", "2", "--d", "3"]
@@ -267,17 +267,31 @@ def test_p2_window_223_full_report_exits_2(capsys):
     # the reducibility trace of the dim-4096 window model is past the budget
     code, _, out = _main(["padic", "--p", "2", "--k", "2", "--d", "3", "--full-report"], capsys)
     assert code == 2
-    assert "index pairs 16777216 exceeds ENUMERATION_CAP = 200000" in out.err
+    assert "index pairs 16777216 exceeds ENTRY_BUDGET = 262144" in out.err
 
 
 def test_p2_window_215_exits_2_before_the_m0_table(capsys):
-    # |V2| = 4^5 is past TABLE_CAP, refused before the |V2|^2 m0 table is built
+    # the |V2|^2 = 1024^2 entries of the m0 table are past ENTRY_BUDGET, refused before it is built
     code, elapsed, out = _main(["padic", "--p", "2", "--k", "1", "--d", "5"], capsys)
     assert code == 2 and elapsed < 1.0
-    assert "group order 1024 exceeds TABLE_CAP = 512" in out.err
+    assert "table entries 1048576 exceeds ENTRY_BUDGET = 262144" in out.err
 
 
 def test_window_past_dim_cap_exits_2(capsys):
     code, _, out = _main(["padic", "--p", "3", "--k", "2", "--d", "2"], capsys)
     assert code == 2
     assert "carrier dimension 6561 exceeds --max-dim = 4096" in out.err
+
+
+@pytest.mark.parametrize("p, k, d, dim", [(3, 2, 2, 6561), (11, 1, 2, 14641)])
+def test_odd_windows_past_max_dim_default_run_with_the_flag(p, k, d, dim, capsys):
+    # --max-dim is the only dimension limit: raised, the window runs and every check passes
+    argv = ["padic", "--p", str(p), "--k", str(k), "--d", str(d)]
+    code, _, out = _main(argv + ["--max-dim", "20000"], capsys)
+    assert code == 0
+    report = json.loads(out.out)
+    assert report["pass"] and report["summary"]["dimension"] == dim
+    assert report["checks"] and all(c["pass"] for c in report["checks"])
+    code, _, out = _main(argv, capsys)
+    assert code == 2
+    assert f"carrier dimension {dim} exceeds --max-dim = 4096" in out.err

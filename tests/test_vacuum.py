@@ -276,7 +276,7 @@ def test_sectors_phase_fault_breaks_dimension_sum(z9):
 
 
 def test_sectors_of_regular_rep_beyond_pair_budget():
-    # 448 indices x 448 characters exceed ENUMERATION_CAP, but the walk visits 448 indices
+    # the walk visits 448 indices, never the 448 x 448 pairs of indices and characters
     G = FinAbGroup([448])
     S = sectors(regular_rep(G), Subgroup.full(G))
     assert S.dims == {(u,): 1 for u in range(448)}
