@@ -233,11 +233,9 @@ def run_vacuum(scenario, args):
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
     L = parse_subgroup(scenario["subgroup"], G)
-    if "model" in scenario:
-        W = build_model(scenario, G, m, args)
-    else:
+    if "model" not in scenario:
         _check_dim(G.order // L.order, args)
-        W = induced_model(G, m, L)
+    W = build_model(scenario, G, m, args) if "model" in scenario else induced_model(G, m, L)
     S = sectors(W, L)
     rep = VerificationReport("vacuum structure")
     rep.extend(S.eigen_check())
@@ -260,6 +258,8 @@ def run_fermion(scenario, args):
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
     L = parse_subgroup(scenario["subgroup"], G)
+    if "model" not in scenario:
+        _check_dim(G.order // L.order, args)
     W = build_model(scenario, G, m, args) if "model" in scenario else induced_model(G, m, L)
     D = descend(W, L, tol=args.tolerance)
     C = clifford_basis(D)

@@ -1,9 +1,9 @@
 """Exception hierarchy and the one size budget shared by all modules."""
 
-# Every materialised array of group data counts its entries against one
-# budget: |G| listed elements, a |G| x |G| table or exhaustive pair scan,
-# |G| x dim kept monomial rows, n1 x n2 index pairs, one operator row of dim
-# entries, a dim x dim dense rendering.  2^18 = 512^2.
+# These materialised arrays count their entries against one budget: |G|
+# listed elements, a |G| x |G| table or exhaustive pair scan, |G| x dim kept
+# monomial rows, n1 x n2 index pairs, one operator row of dim entries, a
+# dim x dim dense rendering.  2^18 = 512^2.
 ENTRY_BUDGET = 2 ** 18
 MAX_DIM_DEFAULT = 4096      # the default of the CLI's --max-dim; no library code reads it
 

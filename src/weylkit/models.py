@@ -175,8 +175,8 @@ class ProjectiveRep:
             yield self.rows(G.coords_range(start, min(G.order, start + step)))
 
     def fits_arrays(self) -> bool:
-        """Whether ``monomial_arrays`` fits: |G|^2 or |G| dim within ``ENTRY_BUDGET``."""
-        return self.group.order * min(self.group.order, self.dim) <= ENTRY_BUDGET
+        """Whether ``monomial_arrays`` fits: |G| dim within ``ENTRY_BUDGET``."""
+        return self.group.order * self.dim <= ENTRY_BUDGET
 
     def monomial_arrays(self):
         """(SRC, NUM, den): stacked monomial data for every group element, rank order.
@@ -187,8 +187,7 @@ class ProjectiveRep:
         and the |G| dim entries.
         """
         if self._arrays is None:
-            if not self.fits_arrays():      # then |G| dim is past the budget too
-                check_budget("monomial entries", self.group.order * self.dim)
+            check_budget("monomial entries", self.group.order * self.dim)
             blocks = list(self.blocks())
             self._arrays = (np.concatenate([S for S, _, _ in blocks]),
                             np.concatenate([N for _, N, _ in blocks]), self.den)
@@ -410,7 +409,7 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
     """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for pairs x, y of G.
 
     R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  When W's
-    ``monomial_arrays`` fit ``ENTRY_BUDGET`` (|G|^2 or |G| dim entries), the
+    ``monomial_arrays`` fit ``ENTRY_BUDGET`` (|G| dim entries), the
     pairs (x, g) with g in {0} and the generators are read from them first
     (``_generators_decide``).  Law, for a proved cocycle m: if it holds at
     every (x, y) and (x, g), then with W(y + g) = e(-m(y, g)) W(y) W(g) it

@@ -628,7 +628,7 @@ def clifford_basis(D: DescendedRep) -> CliffordBasis:
     ops = [D.rep0.operator(e).scaled(Phase(-int(D.m0.num[e.rank, e.rank]) % den, 2 * den))
            for e in basis]
 
-    # exact monomial identities; distance_to densifies only an identity that fails
+    # exact monomial identities, measured on the monomial rows
     one = identity_operator(D.rep0.dim)
     r_sq = max((E.compose(E).distance_to(one) for E in ops), default=0.0)
     r_ac = max((ops[i].compose(ops[j]).distance_to(ops[j].compose(ops[i]).scaled(HALF))

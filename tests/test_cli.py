@@ -144,6 +144,21 @@ def test_fermion_task(tmp_path, capsys):
     assert rep["summary"]["clifford_gram"] == [[0, 1], [1, 0]]
 
 
+def test_fermion_induced_model_past_max_dim_exits_2(tmp_path, capsys, monkeypatch):
+    # with no 'model' entry the induced model on G/L, dimension 128^2 / 2, is checked
+    # against --max-dim before it is built
+    monkeypatch.setattr("weylkit.cli.induced_model", lambda *a: pytest.fail("model built"))
+    sc = {
+        "task": "fermion",
+        "group": {"moduli": [128, 128]},
+        "multiplier": {"type": "bicharacter", "B": [["0", "1/128"], ["-1/128", "0"]]},
+        "subgroup": {"generators": [[64, 0]]},
+    }
+    code = main(["fermion", "--scenario", write(tmp_path, "f.json", sc)])
+    assert code == 2
+    assert "carrier dimension 8192 exceeds --max-dim = 4096" in capsys.readouterr().err
+
+
 def test_svn_task_f2(tmp_path, capsys):
     sc = {
         "task": "svn",

@@ -276,12 +276,12 @@ def test_sectors_phase_fault_breaks_dimension_sum(z9):
 
 
 def test_sectors_of_regular_rep_beyond_pair_budget():
-    # the walk visits 448 indices, never the 448 x 448 pairs of indices and characters
-    G = FinAbGroup([448])
+    # 513 indices x 513 characters exceed ENTRY_BUDGET, but the walk visits 513 indices
+    G = FinAbGroup([513])
     S = sectors(regular_rep(G), Subgroup.full(G))
-    assert S.dims == {(u,): 1 for u in range(448)}
-    B = np.concatenate([S.basis_of((u,)) for u in range(448)], axis=1)
-    assert np.allclose(B.conj().T @ B, np.eye(448), rtol=0, atol=1e-9)
+    assert S.dims == {(u,): 1 for u in range(513)}
+    B = np.concatenate([S.basis_of((u,)) for u in range(513)], axis=1)
+    assert np.allclose(B.conj().T @ B, np.eye(513), rtol=0, atol=1e-9)
 
 
 def test_sectors_build_only_generator_operators(monkeypatch):
