@@ -74,8 +74,7 @@ def parse_phase_matrix(rows):
 
 
 def parse_multiplier(obj, G: FinAbGroup) -> Multiplier:
-    _expect_keys(obj, "multiplier", {"type"},
-                 {"B", "values", "den", "pairing", "left_rank"})
+    _expect_keys(obj, "multiplier", {"type"}, {"B", "values", "pairing", "left_rank"})
     kind = obj["type"]
     if kind == "bicharacter":
         if "B" not in obj:
@@ -132,12 +131,19 @@ def _check_dim(dim: int, args):
 
 def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args,
                 check: bool = True) -> ProjectiveRep:
+    """The scenario's ``model`` entry, else the model induced over its ``subgroup`` and
+    ``splitting``; the dimension is checked against ``--max-dim`` before the model is built."""
     model = scenario.get("model")
     if model is None:
-        raise SchemaError("scenario needs a 'model' entry for this task")
+        model = {"type": "induced",
+                 **{key: scenario[key] for key in ("subgroup", "splitting") if key in scenario}}
+    elif "splitting" in scenario:
+        raise SchemaError("scenario: with a 'model' entry the splitting belongs in it")
     _expect_keys(model, "model", {"type"}, {"subgroup", "splitting", "p", "k", "d"})
     kind = model["type"]
     if kind == "induced":
+        if "subgroup" not in model:
+            raise SchemaError("an induced model needs a subgroup")
         A = parse_subgroup(model["subgroup"], G)
         _check_dim(G.order // A.order, args)
         c = parse_splitting(model["splitting"], G) if "splitting" in model else None
@@ -199,15 +205,7 @@ def run_model(scenario, args):
     m = parse_multiplier(scenario["multiplier"], G)
     # an induced model is law-checked on construction unless the report checks it
     law = args.check_law or not (args.commutant or args.dump_matrices)
-    if "model" in scenario:
-        W = build_model(scenario, G, m, args, check=not law)
-    else:
-        if "subgroup" not in scenario:
-            raise SchemaError("model task needs a subgroup or a model entry")
-        A = parse_subgroup(scenario["subgroup"], G)
-        _check_dim(G.order // A.order, args)
-        c = parse_splitting(scenario["splitting"], G) if "splitting" in scenario else None
-        W = induced_model(G, m, A, c, check=not law)
+    W = build_model(scenario, G, m, args, check=not law)
     rep = VerificationReport(f"model {W.label}")
     summary = {"dimension": W.dim}
     if law:
@@ -232,11 +230,8 @@ def run_vacuum(scenario, args):
                  {"model", "splitting", "tolerance", "seed"})
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
-    L = parse_subgroup(scenario["subgroup"], G)
-    if "model" not in scenario:
-        _check_dim(G.order // L.order, args)
-    W = build_model(scenario, G, m, args) if "model" in scenario else induced_model(G, m, L)
-    S = sectors(W, L)
+    W = build_model(scenario, G, m, args)
+    S = sectors(W, parse_subgroup(scenario["subgroup"], G))
     rep = VerificationReport("vacuum structure")
     rep.extend(S.eigen_check())
     rep.extend(normalizer_check(S))
@@ -254,14 +249,11 @@ def run_vacuum(scenario, args):
 def run_fermion(scenario, args):
     _expect_keys(scenario, "scenario",
                  {"task", "group", "multiplier", "subgroup"},
-                 {"model", "tolerance", "seed"})
+                 {"model", "splitting", "tolerance", "seed"})
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
-    L = parse_subgroup(scenario["subgroup"], G)
-    if "model" not in scenario:
-        _check_dim(G.order // L.order, args)
-    W = build_model(scenario, G, m, args) if "model" in scenario else induced_model(G, m, L)
-    D = descend(W, L, tol=args.tolerance)
+    W = build_model(scenario, G, m, args)
+    D = descend(W, parse_subgroup(scenario["subgroup"], G), tol=args.tolerance)
     C = clifford_basis(D)
     rep = VerificationReport("fermionic structure")
     rep.extend(D.report)
@@ -301,7 +293,7 @@ def run_padic(scenario, args):
         "vacuum_dim": prof["vacuum_dim"],
         "v2_order": prof["v2_order"],
     }
-    if prof.get("sector_dims") is not None and len(prof["sector_dims"]) <= 128:
+    if prof["sector_dims"] is not None:
         summary["sector_dims"] = prof["sector_dims"]
     if p == 2:
         summary["clifford_residual_max"] = prof["clifford_residual_max"]

@@ -408,64 +408,74 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
                  swapped: bool, tolerance: float, samples: int, seed: int):
     """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for pairs x, y of G.
 
-    R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  When W's
-    ``monomial_arrays`` fit ``ENTRY_BUDGET`` (|G| dim entries), the
-    pairs (x, g) with g in {0} and the generators are read from them first
-    (``_generators_decide``).  Law, for a proved cocycle m: if it holds at
-    every (x, y) and (x, g), then with W(y + g) = e(-m(y, g)) W(y) W(g) it
-    holds at (x, y + g), the cocycle identity turning
-    m(x, y) + m(x + y, g) - m(y, g) into m(x, y + g); sums of generators
-    reach every y.  Commutator, for a bicharacter phase: once
-    W's own law holds, W(x) W(y) = e(m(x, y) - m(y, x)) W(y) W(x), and that
-    phase is bimultiplicative too, so agreeing at every (x, g) it agrees
-    everywhere.  A pair (x, g) where the identity fails is a witness, and
-    its distance the residual.  When |G|^2 fits the budget the full scan runs
-    instead whenever the pairs (x, g) do not prove a pass, and its witness
-    is the first bad pair in rank order.  Where the pairs cannot decide --
-    above the budget, for an unverified m, or for the commutator when W's
-    own law fails -- pairs are compared one by one, over all pairs when
-    |G|^2 <= ``samples`` and over a seeded sample otherwise, and the witness
-    is the worst pair.  The pairs are first compared exactly through W's
-    block formula, and only the pairs that differ are measured.
+    R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  One kernel,
+    ``_pairs_hold``, decides each pair set below exactly; only failing pairs
+    are measured, by ``_pair_distance``.
+    1. The generator pairs (x, g), g in {0} and the generators, when W's
+       ``monomial_arrays`` (|G| dim entries) fit ``ENTRY_BUDGET``.  They decide
+       the law for a proved cocycle m: with W(y + g) = e(-m(y, g)) W(y) W(g),
+       the law at (x, y) and (x, g) gives it at (x, y + g), as
+       m(x, y) + m(x + y, g) - m(y, g) = m(x, y + g), and sums of generators
+       reach every y.  They decide the commutator for a bicharacter phase
+       once W's own law holds at every (x, g): then W(x) W(y) =
+       e(m(x, y) - m(y, x)) W(y) W(x), and two bimultiplicative phases that
+       agree at every (x, g) agree everywhere.
+       Witness: the first failing (x, g), g in generator order, x in rank order.
+    2. All |G|^2 pairs, one row x at a time, when these prove no pass and
+       |G|^2 fits the budget.  Witness: the first bad pair in rank order;
+       residual: the largest distance at the first bad y of each x.
+    3. Otherwise -- above the budget, for an unverified m, or for the
+       commutator when W's own law fails -- all |G|^2 pairs when at most
+       ``samples``, else a seeded sample.  Witness: the worst pair.
     """
     G = W.group
     n = G.order
-    worst = 0.0
-    witness = None
-    exact = False
-    if W.fits_arrays():
-        arrays = W.monomial_arrays()
-        bad, exact = _generators_decide(W, phase, swapped, *arrays)
-        if n * n <= ENTRY_BUDGET and not exact:
-            witness, worst = _scan_pairs(W, phase, swapped, *arrays)
-            exact = True
+    worst, witness, note = 0.0, None, f"exhaustive over {n}^2 pairs"
+    decided = W.fits_arrays()
+    if decided:
+        W.monomial_arrays()     # kept, so _pairs_hold reads the rows by rank
+        X = G.coords_array()
+        gens = [G.zero()] + G.generators()
+        bad = None
+        for g in gens[1:] if swapped else gens:
+            xs = np.flatnonzero(~_pairs_hold(W, phase, swapped, X, X[g.rank:g.rank + 1]))
+            if xs.size:
+                bad = (G.element_by_rank(int(xs[0])), g)
+                break
+        m = W.multiplier if swapped else phase
+        proved = bad is None and \
+            (getattr(m, "bichar", None) is not None or (n * n <= ENTRY_BUDGET and m.is_verified()))
+        if swapped:
+            proved = proved and getattr(phase, "bichar", None) is not None and \
+                all(_pairs_hold(W, m, False, X, X[g.rank:g.rank + 1]).all() for g in gens)
+        if n * n <= ENTRY_BUDGET and not proved:
+            for x in range(n):
+                ys = np.flatnonzero(~_pairs_hold(W, phase, swapped, X[x:x + 1], X))
+                if ys.size:
+                    wx, wy = G.element_by_rank(x), G.element_by_rank(int(ys[0]))
+                    worst = max(worst, _pair_distance(W, phase, swapped, wx, wy))
+                    witness = witness or (wx.coords, wy.coords)
         elif bad is not None:
-            x, y = map(G.element_by_rank, bad)
-            witness, worst = (x.coords, y.coords), _pair_distance(W, phase, swapped, x, y)
-            exact = True
-    if exact:
-        rep.add(name, witness is None and worst <= tolerance, residual=worst, tolerance=tolerance,
-                witness=witness, note=f"exhaustive over {n}^2 pairs")
-        return
-    if n * n <= samples:
-        idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
-        note = f"exhaustive over {n}^2 pairs"
-    else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(samples, 2))
-        note = f"sampled {samples} pairs, seed={seed}"
-    # pairs that hold exactly have distance 0 and cannot move worst or witness
-    idx = idx[~_batch_pairs_hold(W, phase, swapped, idx)]
-    element = cache(G.element_by_rank)
-    for i, j in idx.tolist():
-        x, y = element(i), element(j)
-        dist = _pair_distance(W, phase, swapped, x, y)
-        if dist > worst:
-            worst = dist
-            if dist > tolerance:
-                witness = (x.coords, y.coords)
-    rep.add(name, worst <= tolerance, residual=worst, tolerance=tolerance, witness=witness,
-            note=note)
+            witness, worst = tuple(e.coords for e in bad), _pair_distance(W, phase, swapped, *bad)
+        else:
+            decided = proved
+    if not decided:
+        if n * n <= samples:
+            idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
+        else:
+            idx = np.random.default_rng(seed).integers(0, n, size=(samples, 2))
+            note = f"sampled {samples} pairs, seed={seed}"
+        idx = idx[~_pairs_hold(W, phase, swapped, G.coords_at(idx[:, 0]), G.coords_at(idx[:, 1]))]
+        element = cache(G.element_by_rank)
+        for i, j in idx.tolist():
+            x, y = element(i), element(j)
+            dist = _pair_distance(W, phase, swapped, x, y)
+            if dist > worst:
+                worst = dist
+                if dist > tolerance:
+                    witness = (x.coords, y.coords)
+    rep.add(name, witness is None and worst <= tolerance, residual=worst, tolerance=tolerance,
+            witness=witness, note=note)
 
 
 def _pair_distance(W: ProjectiveRep, phase: Multiplier, swapped: bool, x, y) -> float:
@@ -474,95 +484,48 @@ def _pair_distance(W: ProjectiveRep, phase: Multiplier, swapped: bool, x, y) -> 
     return lhs.distance_to(rhs.scaled(phase(x, y)))
 
 
-def _generators_decide(W: ProjectiveRep, phase: Multiplier, swapped: bool, SRC, NUM, den0):
-    """(bad, holds): the pairs (x, g) of ``_check_pairs`` read from W's
-    ``monomial_arrays`` (SRC, NUM, den0), |G| rows per g and no |G| x |G| table.
+def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarray,
+                Y: np.ndarray) -> np.ndarray:
+    """Mask over the pairs (X[i], Y[i]) of coordinate rows where the identity of
+    ``_check_pairs`` holds exactly; either side may be one row, paired with every row of the other.
 
-    ``bad`` is the first pair (rank of x, rank of g), g in generator order
-    and then x in rank order, where the checked identity fails, else None.
-    ``holds`` is True when every pair (x, g) holds and they decide every
-    pair: m is a proved cocycle (a bicharacter, or verified exhaustively
-    when |G|^2 fits ``ENTRY_BUDGET``) and, for the commutator, the phase is a
-    bicharacter and W's own law holds at every (x, g).
+    Rows are read by rank from W's kept ``monomial_arrays`` when it has
+    them, else from ``W.rows``, max(1, BLOCK_ENTRIES // dim) pairs at a
+    time.  Each product is one row-wise gather; a single row is never
+    copied to the other side's length.
     """
     G = W.group
-    m = W.multiplier if swapped else phase
-    X = G.coords_array()
     moduli, weights = (np.array(t, dtype=np.int64) for t in (G.moduli, G._weights))
-    d = lcm(den0, m.den, phase.den)
-    NUM = NUM * (d // den0)
-
-    def fails(g, p, swap):
-        """Mask over x of the pairs (x, g) where the identity with phase p fails."""
-        Y = np.broadcast_to(np.array(g.coords, dtype=np.int64), X.shape)
-        sg, ng = SRC[g.rank], NUM[g.rank]
-        src1, num1 = sg[SRC], NUM + ng[SRC]                        # W(x) W(g)
-        if swap:
-            src2, num2 = SRC[:, sg], ng[None, :] + NUM[:, sg]      # W(g) W(x)
-        else:
-            xg = (X + Y) % moduli @ weights
-            src2, num2 = SRC[xg], NUM[xg]                          # W(x + g)
-        P = p.pair_nums(X, Y) * (d // p.den)
-        return (src1 != src2).any(axis=1) | ((num1 - num2 - P[:, None]) % d != 0).any(axis=1)
-
-    gens = [G.zero()] + G.generators()
-    for g in gens[1:] if swapped else gens:
-        rows = np.flatnonzero(fails(g, phase, swapped))
-        if rows.size:
-            return (int(rows[0]), g.rank), False
-    holds = getattr(m, "bichar", None) is not None or \
-        (G.order ** 2 <= ENTRY_BUDGET and m.is_verified())
-    if swapped:
-        holds = holds and getattr(phase, "bichar", None) is not None and \
-            not any(fails(g, m, False).any() for g in gens)
-    return None, holds
-
-
-def _scan_pairs(W: ProjectiveRep, phase: Multiplier, swapped: bool, SRC, NUM, den0):
-    """(witness, worst) of ``_check_pairs`` over all |G|^2 pairs, one row x at a time."""
-    G = W.group
-    pden, pnum = phase.num_table()
-    d = lcm(den0, pden)
-    NUM = NUM * (d // den0)
-    pnum = pnum * (d // pden)
-    S = G.addition_table()
-    worst, witness = 0.0, None
-    for x in range(G.order):
-        sx, nx = SRC[x], NUM[x]
-        # row y of each side: the monomial data of W(x) W(y) and of R(x, y)
-        src1, num1 = SRC[:, sx], nx[None, :] + NUM[:, sx]
-        src2, num2 = (sx[SRC], NUM + nx[SRC]) if swapped else (SRC[S[x]], NUM[S[x]])
-        bad = (src1 != src2).any(axis=1) | \
-            ((num1 - num2 - pnum[x][:, None]) % d != 0).any(axis=1)
-        if bad.any():
-            wx, wy = G.element_by_rank(x), G.element_by_rank(int(np.flatnonzero(bad)[0]))
-            worst = max(worst, _pair_distance(W, phase, swapped, wx, wy))
-            if witness is None:
-                witness = (wx.coords, wy.coords)
-    return witness, worst
-
-
-def _batch_pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool,
-                      idx: np.ndarray) -> np.ndarray:
-    """Mask of the rank pairs (x, y) in ``idx`` where the identity of ``_check_pairs`` holds exactly.
-
-    Reads the ``rows`` of W(x), W(y) and, unless ``swapped``, W(x + y),
-    max(1, BLOCK_ENTRIES // dim) pairs at a time.
-    """
-    G = W.group
     d = lcm(W.den, phase.den)
-    moduli = np.array(G.moduli, dtype=np.int64)
+
+    def read(Z):
+        if W._arrays is None:
+            return W.rows(Z)[:2]
+        r = Z @ weights
+        return W._arrays[0].take(r, axis=0), W._arrays[1].take(r, axis=0)
+
+    def gather(A, I):
+        # row-wise A[k][I[k]]; a single row is read with one 1-D gather, not broadcast
+        if len(A) == 1:
+            return A[0][I]
+        return A[:, I[0]] if len(I) == 1 else np.take_along_axis(A, I, 1)
+
+    def compose(S1, N1, S2, N2):
+        # the rows of W1 W2: (W1 W2 f)[i] = e(N1[i] + N2[S1[i]]) f[S2[S1[i]]]
+        return gather(S2, S1), N1 + gather(N2, S1)
+
+    c = max(len(X), len(Y))
     step = max(1, BLOCK_ENTRIES // W.dim)
-    out = np.empty(len(idx), dtype=bool)
-    for start in range(0, len(idx), step):
-        X, Y = G.coords_at(idx[start:start + step, 0]), G.coords_at(idx[start:start + step, 1])
-        (SX, NX, _), (SY, NY, _) = W.rows(X), W.rows(Y)
-        k = np.arange(len(X))[:, None]
-        src1, num1 = SY[k, SX], NX + NY[k, SX]                 # W(x) W(y)
-        src2, num2 = (SX[k, SY], NY + NX[k, SY]) if swapped else W.rows((X + Y) % moduli)[:2]
-        P = phase.pair_nums(X, Y) * (d // phase.den)
-        out[start:start + step] = (src1 == src2).all(axis=1) & \
-            (((num1 - num2) * (d // W.den) - P[:, None]) % d == 0).all(axis=1)
+    out = np.empty(c, dtype=bool)
+    for start in range(0, c, step):
+        Xb, Yb = (Z if len(Z) == 1 else Z[start:start + step] for Z in (X, Y))
+        (SX, NX), (SY, NY) = read(Xb), read(Yb)
+        src1, num1 = compose(SX, NX, SY, NY)
+        src2, num2 = compose(SY, NY, SX, NX) if swapped else read((Xb + Yb) % moduli)
+        num1 -= num2
+        num1 *= d // W.den
+        num1 -= (phase.pair_nums(Xb, Yb) * (d // phase.den))[:, None]
+        out[start:start + step] = (src1 == src2).all(axis=1) & (num1 % d == 0).all(axis=1)
     return out
 
 

@@ -105,7 +105,7 @@ class Bicharacter:
         return Phase(num, self._den)
 
     def pair_nums(self, XC: np.ndarray, YC: np.ndarray) -> np.ndarray:
-        """Numerators of b(x_i, y_i) over den for rows of reduced coordinates."""
+        """Numerators of b(x_i, y_i) over den for rows of reduced coordinates; one row broadcasts."""
         if self._pair_bound >= 2 ** 63:
             raise InputError(f"{self!r}: x . B . y can reach {self._pair_bound}, "
                              "beyond int64 arrays")
@@ -203,7 +203,7 @@ class Multiplier:
         return self.phase(x, y)
 
     def pair_nums(self, XC: np.ndarray, YC: np.ndarray) -> np.ndarray:
-        """Numerators of m(x_i, y_i) over self.den for coordinate arrays."""
+        """Numerators of m(x_i, y_i) over self.den for coordinate arrays; one row broadcasts."""
         raise NotImplementedError
 
     def num_table(self):

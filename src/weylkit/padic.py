@@ -30,6 +30,8 @@ from .phases import Phase, ZERO
 from .reports import VerificationReport
 from .vacuum import DescendedRep, clifford_basis, descend, sectors
 
+SECTOR_DIMS_LISTED = 128   # vacuum_profile lists the sector dimensions of at most this many cosets
+
 
 @dataclass
 class PAdicWindow:
@@ -119,7 +121,9 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
     the Clifford generators anticommute within tolerance, the descended
     antisymmetrization matches chi(b1.a2 - b2.a1) under the canonical
     identification of (L/2)/L with F_2^d x F_2^d, and m0 equals chi(b1.a2)
-    up to an explicit twist.
+    up to an explicit twist.  ``sector_dims`` maps each coset of L to its
+    sector's dimension when the sectors are labeled by cosets and there are
+    at most ``SECTOR_DIMS_LISTED`` cosets, and is None otherwise.
     """
     report = VerificationReport(f"vacuum profile {w!r}")
     out = {"p": w.p, "k": w.k, "d": w.d, "report": report}
@@ -135,7 +139,7 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
     S = D.sectors if D is not None else sectors(W, w.L)
     out["vacuum_dim"] = S.vacuum_dim
     out["sector_dims"] = {str(k_): v for k_, v in sorted(S.coset_dims().items())} \
-        if S.labeled else None
+        if w.group.order // w.L.order <= SECTOR_DIMS_LISTED and S.labeled else None
 
     if w.p != 2:
         report.add("vacuum is a line", S.vacuum_dim == 1)

@@ -129,6 +129,45 @@ def test_vacuum_task(tmp_path, capsys):
     assert rep["summary"]["labeled_by_cosets"] is True
 
 
+@pytest.mark.parametrize("c, code", [(lambda i, j: i, 0), (lambda i, j: int((i, j) == (1, 0)), 2)],
+                         ids=["character", "no-splitting"])
+def test_vacuum_honours_the_splitting(tmp_path, capsys, c, code):
+    # m vanishes on L = 3 (Z/9)^2, so a splitting of it is a character of L:
+    # c(3i, 3j) = i/3 is one, and c = 1/3 at (3, 0) alone is refused
+    values = [{"element": [3 * i, 3 * j], "phase": f"{c(i, j)}/3"} for i in range(3) for j in range(3)]
+    sc = {
+        "task": "vacuum",
+        "group": {"moduli": [9, 9]},
+        "multiplier": {"type": "bicharacter", "B": [["0", "1/9"], ["-1/9", "0"]]},
+        "subgroup": {"generators": [[3, 0], [0, 3]]},
+        "splitting": {"values": values},
+    }
+    assert main(["vacuum", "--scenario", write(tmp_path, "v.json", sc)]) == code
+    assert ("splitting fails" in capsys.readouterr().err) == (code == 2)
+
+
+UNREAD_FIELDS = {
+    # a table's denominator is read off its values
+    "den": ({"task": "verify", "group": {"moduli": [2]},
+             "multiplier": {"type": "table", "values": [["0", "0"], ["0", "1/2"]], "den": 2}},
+            "multiplier: unknown fields ['den']"),
+    # a model entry is built as it stands
+    "splitting": ({"task": "vacuum", "group": {"moduli": [4, 4]},
+                   "multiplier": {"type": "bicharacter", "B": [["0", "1/4"], ["-1/4", "0"]]},
+                   "subgroup": {"generators": [[2, 0], [0, 2]]},
+                   "model": {"type": "window", "p": 2, "k": 1, "d": 1},
+                   "splitting": {"values": []}},
+                  "with a 'model' entry the splitting belongs in it"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(UNREAD_FIELDS))
+def test_unread_fields_are_refused(tmp_path, capsys, field):
+    sc, message = UNREAD_FIELDS[field]
+    assert main([sc["task"], "--scenario", write(tmp_path, "s.json", sc)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_fermion_task(tmp_path, capsys):
     sc = {
         "task": "fermion",

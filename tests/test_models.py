@@ -343,10 +343,12 @@ def test_generator_decision_needs_a_cocycle():
     law = check_rep_law(W)
     assert law.checks[-1].to_dict() == full_scan_oracle(W, "law", m, False)
     assert not law.passed and law.checks[-1].witness == ((3, 0), (3, 2))
-    # with the precondition forged, the pairs (x, g) alone would pass this rep
+    # with the precondition forged, the pairs (x, g) alone pass this rep
     forged = TableMultiplier(G, 2, num)
     forged._verified = True
-    assert models._generators_decide(W, forged, False, *W.monomial_arrays()) == (None, True)
+    rep = VerificationReport("forged cocycle")
+    models._check_pairs(rep, "law", W, forged, False, 1e-9, 20_000, 0)
+    assert rep.passed and rep.checks[0].note == "exhaustive over 12^2 pairs"
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["law", "commutator"])
@@ -374,15 +376,33 @@ def block_symplectic_model(moduli, units, gens):
     return induced_model(G, m, subgroup_span(G, [G.element(g) for g in gens]), check=False)
 
 
-def refuse_pair_scans(monkeypatch, *extra):
-    """Make every |G|^2 scan or table, and the attributes ``extra`` of models, raise."""
+def count_pairs(monkeypatch) -> list:
+    """Make every |G| x |G| table raise; returns the list that gets the number
+    of pairs of each call of ``models._pairs_hold``."""
     def refuse(*args, **kwargs):
-        raise AssertionError("reached a |G|^2 scan, table or pair sample")
+        raise AssertionError("reached a |G| x |G| table")
 
-    for name in ("_scan_pairs",) + extra:
-        monkeypatch.setattr(models, name, refuse)
     monkeypatch.setattr(Multiplier, "num_table", refuse)
     monkeypatch.setattr(FinAbGroup, "addition_table", refuse)
+    pairs = []
+    kernel = models._pairs_hold
+
+    def counted(W, phase, swapped, X, Y):
+        pairs.append(max(len(X), len(Y)))
+        return kernel(W, phase, swapped, X, Y)
+
+    monkeypatch.setattr(models, "_pairs_hold", counted)
+    return pairs
+
+
+def assert_generator_pairs_only(checker, W, pairs):
+    # one pass of |G| pairs (x, g) per g in {0} and the generators, two sets of passes
+    # for the commutator (its own and W's law): far below the |G|^2 of a full scan
+    pairs.clear()
+    rep = checker(W)
+    assert rep.passed
+    assert rep.checks[-1].note == f"exhaustive over {W.group.order}^2 pairs"
+    assert 0 < sum(pairs) <= W.group.order * (W.group.rank + 1) * 2
 
 
 # the vacuum-9595 model of the benchmark at seed 3: |G| = 2025, |G|^2 past ENTRY_BUDGET, dimension 45
@@ -390,24 +410,22 @@ VACUUM_9595 = ((9, 5, 9, 5), (7, 4), ((3, 0, 0, 0), (0, 0, 3, 0), (0, 1, 0, 0)))
 
 
 def test_correct_model_never_scans_pairs(monkeypatch):
-    # the generator pairs decide a correct bicharacter model: no per-x scan,
+    # the generator pairs decide a correct bicharacter model: no |G|^2 scan,
     # no |G| x |G| multiplier table and no addition table
     W = block_symplectic_model((7, 3, 7, 3), (3, 2), ((1, 0, 0, 0), (0, 1, 0, 0)))
-    refuse_pair_scans(monkeypatch)
-    assert check_rep_law(W).passed
-    assert commutator_scalar_check(W).passed
-    assert check_rep_law(W.direct_sum(W)).passed
+    pairs = count_pairs(monkeypatch)
+    assert_generator_pairs_only(check_rep_law, W, pairs)
+    assert_generator_pairs_only(commutator_scalar_check, W, pairs)
+    assert_generator_pairs_only(check_rep_law, W.direct_sum(W), pairs)
 
 
 def test_correct_model_beyond_table_cap_never_scans_pairs(monkeypatch):
     # 2025 x 45 monomial entries fit ENTRY_BUDGET: the generator pairs decide
-    # both checks exactly, with no sampled pair, per-x scan or |G| x |G| table
+    # both checks exactly, with no sample of 20 000 pairs, |G|^2 scan or |G| x |G| table
     W = block_symplectic_model(*VACUUM_9595)
-    refuse_pair_scans(monkeypatch, "_batch_pairs_hold")
+    pairs = count_pairs(monkeypatch)
     for checker in (check_rep_law, commutator_scalar_check):
-        rep = checker(W, samples=2000)
-        assert rep.passed
-        assert rep.checks[-1].note == "exhaustive over 2025^2 pairs"
+        assert_generator_pairs_only(checker, W, pairs)
 
 
 def test_fault_beyond_table_cap_fails_at_a_generator_pair():
@@ -425,8 +443,10 @@ def test_fault_beyond_table_cap_fails_at_a_generator_pair():
 
     scaled = W.with_override(x0, W.operator(x0).scaled(Phase(1, 3)))
     assert_fails(check_rep_law(scaled, samples=2000).checks[-1])
-    # a scalar cannot move a commutator, so that identity holds at every pair
-    assert commutator_scalar_check(scaled, samples=2000).passed
+    # a scalar cannot move a commutator, so that identity holds at every pair; W's
+    # own law fails, so the pairs (x, g) prove nothing and the pairs are sampled
+    comm = commutator_scalar_check(scaled, samples=2000).checks[-1]
+    assert comm.passed and comm.note == "sampled 2000 pairs, seed=0"
     # one shifted phase is no scalar, and both identities fail at a pair (x, g)
     op = W.operator(x0)
     num = 3 * op.num
@@ -462,8 +482,35 @@ def lookup_rep(W, SRC, NUM, den):
                          den)
 
 
+def all_pairs_hold(W, phase, swapped):
+    """(|G| x |G|) mask of the pairs (x, y) where W(x) W(y) = e(phase(x, y)) R(x, y)
+    holds exactly, R(x, y) = W(y) W(x) when ``swapped``, else W(x + y).
+
+    Row x at a time from W's kept monomial rows, with no |G| x |G| table.
+    """
+    G = W.group
+    n = G.order
+    SRC, NUM, den0 = W.monomial_arrays()
+    X = G.coords_array()
+    moduli, weights = np.array(G.moduli), np.array(G._weights)
+    d = lcm(den0, phase.den)
+    NUM = NUM * (d // den0)
+    holds = np.empty((n, n), dtype=bool)
+    for x in range(n):
+        sx, nx = SRC[x], NUM[x]
+        src1, num1 = SRC[:, sx], nx[None, :] + NUM[:, sx]
+        if swapped:
+            src2, num2 = sx[SRC], NUM + nx[SRC]
+        else:
+            xy = (X[x] + X) % moduli @ weights
+            src2, num2 = SRC[xy], NUM[xy]
+        P = phase.pair_nums(np.repeat(X[x:x + 1], n, axis=0), X) * (d // phase.den)
+        holds[x] = (src1 == src2).all(axis=1) & ((num1 - num2 - P[:, None]) % d == 0).all(axis=1)
+    return holds
+
+
 def assert_verdicts_match_all_pairs(W):
-    """Law and commutator verdicts equal ``_batch_pairs_hold`` over all |G|^2 pairs.
+    """Law and commutator verdicts equal ``all_pairs_hold`` over all |G|^2 pairs.
 
     A failing check's witness is a failing pair (x, g), g in {0} and the
     generators.  Only the commutator of a rep whose own law fails may be
@@ -471,11 +518,10 @@ def assert_verdicts_match_all_pairs(W):
     """
     G = W.group
     n = G.order
-    idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
     gens = {g.coords for g in [G.zero()] + G.generators()}
     mt = antisymmetrize(W.multiplier).to_multiplier()
-    law_holds = models._batch_pairs_hold(W, W.multiplier, False, idx).reshape(n, n)
-    comm_holds = models._batch_pairs_hold(W, mt, True, idx).reshape(n, n)
+    law_holds = all_pairs_hold(W, W.multiplier, False)
+    comm_holds = all_pairs_hold(W, mt, True)
     for checker, holds in ((check_rep_law, law_holds), (commutator_scalar_check, comm_holds)):
         check = checker(W).checks[-1]
         assert check.passed == holds.all()
