@@ -24,6 +24,7 @@ from .groups import FinAbGroup, Subgroup, subgroup_span
 from .isotropy import is_maximal_isotropic, polar, polar_tilde
 from .models import (
     ProjectiveRep,
+    _same_multiplier,
     check_rep_law,
     commutant_d,
     commutator_scalar_check,
@@ -139,8 +140,21 @@ def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args,
                  **{key: scenario[key] for key in ("subgroup", "splitting") if key in scenario}}
     elif "splitting" in scenario:
         raise SchemaError("scenario: with a 'model' entry the splitting belongs in it")
-    _expect_keys(model, "model", {"type"}, {"subgroup", "splitting", "p", "k", "d"})
-    kind = model["type"]
+    kind = model.get("type") if isinstance(model, dict) else None
+    if kind == "window":
+        # the window fixes its own group and multiplier: the scenario's must be the same
+        _expect_keys(model, "model", {"type", "p", "k", "d"})
+        p, k, d = int(model["p"]), int(model["k"]), int(model["d"])
+        _check_dim(p ** (2 * k * d), args)
+        w = window_group(p, k, d)
+        if G.moduli != w.group.moduli:
+            raise SchemaError(f"model: the window (p={p}, k={k}, d={d}) lives on the moduli "
+                              f"{list(w.group.moduli)}, not the scenario's {list(G.moduli)}")
+        if not _same_multiplier(m, w.m):
+            raise SchemaError(f"model: the scenario's multiplier is not the symplectic form of "
+                              f"the window (p={p}, k={k}, d={d})")
+        return window_weyl(w)
+    _expect_keys(model, "model", {"type"}, {"subgroup", "splitting"})
     if kind == "induced":
         if "subgroup" not in model:
             raise SchemaError("an induced model needs a subgroup")
@@ -148,11 +162,6 @@ def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args,
         _check_dim(G.order // A.order, args)
         c = parse_splitting(model["splitting"], G) if "splitting" in model else None
         return induced_model(G, m, A, c, check=check)
-    if kind == "window":
-        p, k, d = int(model["p"]), int(model["k"]), int(model["d"])
-        _check_dim(p ** (2 * k * d), args)
-        w = window_group(p, k, d)
-        return window_weyl(w)
     raise SchemaError(f"model: unknown type {kind!r}")
 
 
@@ -284,8 +293,12 @@ def run_padic(scenario, args):
     w = window_group(p, k, d)
     prof = vacuum_profile(w, tol=args.tolerance)
     rep: VerificationReport = prof["report"]
-    if p == 2 and args.full_report:
+    if args.full_report and p == 2:
         rep.extend(window_reducibility_check(prof["descended"]))
+    elif args.full_report:
+        # odd p: the radical of the window's commutator form is 0, and the count is (dim / p^{2kd})^2
+        cd = commutant_d(prof["model"])
+        rep.add("window model irreducible", cd == 1, note=f"commutant={cd}")
     summary = {
         "p": p, "k": k, "d": d,
         "dimension": prof["dim"],
@@ -368,7 +381,8 @@ def build_parser():
     ap.add_argument("--k", type=int, help="padic task: precision")
     ap.add_argument("--d", type=int, help="padic task: degrees of freedom")
     ap.add_argument("--full-report", action="store_true",
-                    help="padic task: include the reducibility split")
+                    help="padic task: include the window commutant (p = 2: the reducibility "
+                         "split; odd p: irreducibility)")
     return ap
 
 

@@ -7,8 +7,6 @@ subgroup lattices, quotients and polar computations.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DefectError, InputError
 
 
@@ -192,27 +190,38 @@ def box_reduce(H, x):
 
 
 def inverse_unimodular(Umat):
-    """Exact inverse of an integer matrix with determinant +-1."""
+    """Exact inverse of an integer matrix with determinant +-1.
+
+    Integer row reduction of [U | I]: Euclid's steps down each column leave
+    the gcd of its remaining entries on the diagonal, which is +-1 exactly
+    when det U = +-1, and back substitution then clears above it.
+    """
     n = len(Umat)
-    aug = [[Fraction(Umat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    A = [[int(v) for v in Umat[i]] + [int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
-        p = next((r for r in range(col, n) if aug[r][col]), None)
-        if p is None:
-            raise InputError("matrix is singular")
-        aug[col], aug[p] = aug[p], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for v in row:
-            if v.denominator != 1:
-                raise DefectError("inverse of unimodular matrix is not integral")
-    return [[int(v) for v in row] for row in out]
+        while True:
+            rows = [r for r in range(col, n) if A[r][col]]
+            if not rows:
+                raise InputError("matrix is singular")
+            p = min(rows, key=lambda r: abs(A[r][col]))
+            A[col], A[p] = A[p], A[col]
+            piv = A[col]
+            for r in rows:
+                if r != col and A[r][col]:
+                    q = A[r][col] // piv[col]
+                    A[r] = [a - q * b for a, b in zip(A[r], piv)]
+            if not any(A[r][col] for r in range(col + 1, n)):
+                break
+        if abs(A[col][col]) != 1:
+            raise DefectError("inverse of unimodular matrix is not integral")
+        if A[col][col] < 0:
+            A[col] = [-a for a in A[col]]
+    for col in reversed(range(n)):
+        for r in range(col):
+            f = A[r][col]
+            if f:
+                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
+    return [row[n:] for row in A]
 
 
 def kernel_mod(M, p):

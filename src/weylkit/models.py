@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .multipliers import (
     PhaseMap,
     WeylProductMultiplier,
     antisymmetrize,
+    congruence_solution_subgroup,
     split_symmetric,
     twist,
     zero_multiplier,
@@ -576,6 +577,104 @@ def _orbit_walk(size: int, orders, edges, mods, width: int = 1):
     return label, pot
 
 
+def _character_walk(rows, orders):
+    """``_orbit_walk`` of the carrier indices under the monomial rows (SRC, NUM, den) at
+    the generators h_k of (+) Z/d_k, ``orders`` the d_k: the potential columns are the phase
+    over den, then the path's steps along each h_k, as ``_orbit_characters`` reads them."""
+    SRC, NUM, den = rows
+    n, r = SRC.shape[1], len(orders)
+    unit = np.eye(r, dtype=np.int64)
+    edges = [(SRC[k], np.column_stack([NUM[k], np.broadcast_to(unit[k], (n, r))]))
+             for k in range(r)]
+    return _orbit_walk(n, orders, edges, [den, *orders])
+
+
+def _orbit_characters(rows, orders, roots, pot):
+    """(orbit, U): every character u of L on every orbit, as rows of U with their orbit's
+    position in ``roots``, from the walk's potentials ``pot`` (phase over den, then the
+    path's element of L), as ``_character_walk`` gives them.
+
+    The stabilizer of the orbit of R is generated by g_k = h_k + a_s, s the
+    index that W(h_k) reads at R, and acts at R by psi(g_k) = NUM_k[R] + P(s).
+    g_k is triangular: its k-th entry is the length l_k of h_k's cycle on the
+    orbits of h_1..h_{k-1}, and l_k divides d_k.  The span of the orbit is
+    Ind_St^L psi, so the characters on it are the |O| = prod l_k extensions
+    of psi to L, each once (Frobenius reciprocity).  They are solved one
+    generator at a time: l_k u_k / d_k = psi(g_k) - sum_{j<k} g_kj u_j / d_j
+    has l_k solutions u_k, so the rows grow to sum |O| = n.  The rows must be
+    a representation of L (``_relation_scalars``, every scalar 0) for psi to
+    be a character.
+    """
+    SRC, NUM, den = rows
+    d = np.array(orders, dtype=np.int64)
+    D = lcm(den, *orders)
+    orbit, U = np.arange(len(roots)), np.zeros((len(roots), 0), dtype=np.int64)
+    for k in range(len(d)):
+        s = SRC[k][roots]
+        g = pot[s, 1:]
+        g[:, k] += 1                # a_s[k] = l_k - 1 < d_k steps, so g_kk = l_k
+        ell = g[orbit, k]
+        tau = ((NUM[k][roots] + pot[s, 0])[orbit] * (D // den)
+               - (g[orbit, :k] * U * (D // d[:k])).sum(axis=1)) % D
+        base = tau * d[k] // D // ell
+        start = np.repeat(np.cumsum(ell) - ell, ell)
+        t = np.arange(len(start)) - start
+        U = np.column_stack([np.repeat(U, ell, axis=0),
+                             np.repeat(base, ell) + t * np.repeat(d[k] // ell, ell)])
+        orbit = np.repeat(orbit, ell)
+    return orbit, U
+
+
+def _row_powers(S, N, e, den):
+    """The rows (src, num) of A_k^{e_k} for the monomial rows A_k = (S[k], N[k]) and the
+    exponents e_k >= 0, each by squaring."""
+    n = S.shape[1]
+    PS, PN = np.empty_like(S), np.empty_like(N)
+    for k, ek in enumerate(np.asarray(e).tolist()):
+        src, num, bs, bn = np.arange(n), np.zeros(n, dtype=np.int64), S[k], N[k]
+        while ek:
+            if ek & 1:
+                src, num = bs[src], (num + bn[src]) % den
+            bs, bn, ek = bs[bs], (bn + bn[bs]) % den, ek >> 1
+        PS[k], PN[k] = src, num
+    return PS, PN
+
+
+def _relation_scalars(rows, orders):
+    """The generator relations of the monomial rows (SRC, NUM, den) at h_1..h_s, of orders
+    d_k, up to scalars: W(h_k)^d_k = e(c_kk / den) and W(h_k) W(h_l) = e(c_kl / den) W(h_l) W(h_k).
+
+    Returns ``(c, witness)``: c the (s x s) numerators, diagonal and lower
+    triangle, and witness None when every relation holds with a scalar; else
+    (k, l, i), the first relation in generator order (l = k for the power,
+    then l < k for the commutators) and the first carrier index i where its
+    two sides differ by more than a scalar.  The rows are a representation
+    of (+) Z/d_k exactly when the witness is None and c is 0.  The products
+    are read for a block of generators k at a time, each against every l.
+    """
+    SRC, NUM, den = rows
+    s, n = SRC.shape
+    one = np.arange(n)
+    PS, PN = _row_powers(SRC, NUM, orders, den)
+    c = np.zeros((s, s), dtype=np.int64)
+    step = max(1, BLOCK_ENTRIES // max(1, s * n))
+    for k0 in range(0, s, step):
+        K = slice(k0, min(s, k0 + step))
+        # [k, l, i]: W(h_k) W(h_l) against W(h_l) W(h_k), in column 1 + l; the power in column 0
+        N = NUM[K][:, None] + NUM[:, SRC[K]].swapaxes(0, 1) - NUM[None] - NUM[K][:, SRC]
+        N = np.concatenate([PN[K][:, None], N % den], axis=1)
+        bad = np.concatenate([(PS[K] != one)[:, None], SRC[:, SRC[K]].swapaxes(0, 1) != SRC[K][:, SRC]],
+                             axis=1)
+        bad |= N != N[:, :, :1]
+        bad[:, 1:] &= (np.arange(s) < np.arange(k0, K.stop)[:, None])[:, :, None]
+        if bad.any():
+            k, j, i = np.argwhere(bad)[0].tolist()
+            return c, (k0 + k, k0 + k if j == 0 else j - 1, i)
+        c[K] = N[:, 1:, 0]
+        c[np.arange(k0, K.stop), np.arange(k0, K.stop)] = PN[K, 0]
+    return np.tril(c), None
+
+
 def _intertwining_orbits(orders, rows1, rows2):
     """Exact solution of T W1(g) = W2(g) T over the generators g of an abelian group.
 
@@ -608,14 +707,58 @@ def _intertwining_orbits(orders, rows1, rows2):
 
 
 def commutant_d(W: ProjectiveRep) -> int:
-    """Complex dimension of {X : X W(g) = W(g) X for every g in G}.
+    """Complex dimension of {X : X W(g) = W(g) X for every g in G}, counted from W's rows at
+    the generators g_i of G (orders n_i) by Stone-von Neumann over the radical.
 
-    It is the exact orbit count of ``_intertwining_orbits`` for W1 = W2, read
-    from W's rows at the generators of G alone.
+    The count rests on the generator relations, checked exactly by
+    ``_relation_scalars``: W(g_i) W(g_j) = e(c_ij) W(g_j) W(g_i) and
+    W(g_i)^{n_i} = e(c_ii) with every c a scalar; else ``DefectError`` with
+    witness (i, j, carrier index), j = i for the power.  They hold exactly
+    when x |-> prod_i W(g_i)^{x_i} is a projective representation of G, which
+    has W's commutant on the generators; neither W's multiplier nor its law
+    is read.  Its commutator form b(g_i, g_j) = c_ij has a radical R, and the
+    rescaled W(r_k) at R's generators r_k of order d_k, W(r_k)^{d_k} = 1,
+    give the eigenspaces H_psi of W(R).  Each H_psi is r = sqrt[G:R] copies
+    of the one irreducible with central character psi, so the dimension is
+    sum_psi (dim H_psi / r)^2, which is (n / r)^2 when R = 0.  ``DefectError``
+    when [G:R] is not a square or r does not divide some dim H_psi.
     """
     G = W.group
+    axes = [i for i, n in enumerate(G.moduli) if n > 1]
     rows = W.rows(G.generators())
-    return len(_intertwining_orbits([n for n in G.moduli if n > 1], rows, rows)[3])
+    SRC, NUM, den = rows
+    c, witness = _relation_scalars(rows, [G.moduli[i] for i in axes])
+    if witness is not None:
+        raise DefectError("W at the generators of G is not a projective representation: "
+                          "a generator power or commutator is not a scalar", witness=witness)
+    # the radical of b(g_i, g_j) = c_ij / den, as ``Bicharacter.radical`` solves it
+    B = np.zeros((G.rank, G.rank), dtype=np.int64)
+    B[np.ix_(axes, axes)] = np.tril(c, -1) - np.tril(c, -1).T
+    R = congruence_solution_subgroup(G, B.tolist(), den)
+    r = isqrt(R.index)
+    if r * r != R.index:
+        raise DefectError(f"the radical of the commutator form has index {R.index}, not a square")
+    dims = np.array([W.dim])
+    if R.order > 1:
+        hs, ds = R.decomposition()
+        # W(h_j) = W(g_1)^{H_j1} ... W(g_s)^{H_js}, the powers in one pass, then the products
+        H = np.array([[h.coords[a] for a in axes] for h in hs], dtype=np.int64)
+        J, K = np.nonzero(H)
+        PS, PN = _row_powers(SRC[K], NUM[K], H[J, K], den)
+        S = np.tile(np.arange(W.dim), (len(hs), 1))
+        N = np.zeros_like(S, dtype=np.int64)
+        for q, j in enumerate(J.tolist()):
+            S[j], N[j] = PS[q][S[j]], (N[j] + PN[q][S[j]]) % den
+        # over den E, divided by a d-th root of the scalar W(h)^d, so that W(h)^d = 1
+        E = lcm(*ds)
+        lam = _row_powers(S, N, ds, den)[1][:, :1]
+        rowsR = (S, (N * E - lam * (E // np.array(ds)[:, None])) % (den * E), den * E)
+        label, pot = _character_walk(rowsR, ds)
+        _, U = _orbit_characters(rowsR, ds, np.flatnonzero(label == np.arange(W.dim)), pot)
+        dims = np.bincount(U @ np.array(FinAbGroup(ds)._weights, dtype=np.int64))
+    if (dims % r).any():
+        raise DefectError(f"an eigenspace of W on the radical has a dimension not divisible by {r}")
+    return int(((dims // r) ** 2).sum())
 
 
 def _same_multiplier(m1: Multiplier, m2: Multiplier) -> bool:

@@ -128,6 +128,7 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
     report = VerificationReport(f"vacuum profile {w!r}")
     out = {"p": w.p, "k": w.k, "d": w.d, "report": report}
     W = window_weyl(w)
+    out["model"] = W
     out["dim"] = W.dim
     heis = is_heisenberg(w.m)
     out["is_heisenberg"] = heis
@@ -206,6 +207,10 @@ def window_reducibility_check(D: DescendedRep) -> VerificationReport:
     """For p = 2: the full window model is reducible, its descended action is not.
 
     ``D`` is the descent of a window model, as ``vacuum_profile`` returns it.
+    Both counts are ``commutant_d``'s, from the generator relations of
+    ``D.source`` and of ``D.rep0``, which it checks.  The window's is 2^d:
+    the radical of its commutator form, the 2^{2k-1}-multiples of G, has 2^d
+    eigenspaces of dimension r = 2^{d(2k-1)}.  The descended action's is 1.
     """
     if D.v2.order == 1:
         raise InputError("reducibility split is a p = 2 phenomenon")

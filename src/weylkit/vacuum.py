@@ -27,7 +27,9 @@ from .models import (
     BLOCK_ENTRIES,
     DEFAULT_TOL,
     ProjectiveRep,
-    _orbit_walk,
+    _character_walk,
+    _orbit_characters,
+    _relation_scalars,
     check_rep_law,
     commutant_d,
     identity_operator,
@@ -54,7 +56,7 @@ class SectorDecomposition:
     ``dims`` maps a character index tuple u (coordinates against the
     invariant-factor generators h_k of L, of orders d_k) to the multiplicity
     of that character.  One walk over the n carrier indices against the
-    trivial character (``models._orbit_walk``) labels every L-orbit O by its
+    trivial character (``models._character_walk``) labels every L-orbit O by its
     least index R and gives each index i the potential P(i) and the element
     a_i of L along its path to R.  W at the h_k must be a representation of
     L: the W(h_k) commute exactly and W(h_k)^d_k = 1.  Else the sector
@@ -83,19 +85,17 @@ class SectorDecomposition:
         self._chi = self._chars * (self.char_exp // d)
         self._char_weights = np.array(C._weights, dtype=np.int64)
         rows = rep.rows(self.gens)
-        SRC, NUM, den = rows
+        den = rows[2]
         self._den = D = lcm(den, self.char_exp)
-        n, r = rep.dim, len(d)
-        # potential columns: the phase over den, then the path's steps along each h_k
-        unit = np.eye(r, dtype=np.int64)
-        edges = [(SRC[k], np.column_stack([NUM[k], np.broadcast_to(unit[k], (n, r))]))
-                 for k in range(r)]
-        self._root, pot = _orbit_walk(n, self.orders, edges, [den, *self.orders])
-        witness = _relation_witness(rows, self.orders)
+        n = rep.dim
+        self._root, pot = _character_walk(rows, self.orders)
+        c, witness = _relation_scalars(rows, self.orders)
+        if witness is None and c.any():
+            witness = (*np.argwhere(c)[0], 0)
         if witness is not None:
             raise DefectError(f"sector dimensions sum to less than {n}: W at the generators "
                               "of L is not a representation of L",
-                              witness=(self.gens[witness[0]].coords, witness[1]))
+                              witness=(self.gens[witness[0]].coords, witness[2]))
         self._ipot, self._path = pot[:, 0] * (D // den), pot[:, 1:]
         roots = np.flatnonzero(self._root == np.arange(n))
         orbit, U = _orbit_characters(rows, self.orders, roots, pot)
@@ -271,63 +271,6 @@ class SectorDecomposition:
         rep.add("eigenvalue", witness is None, witness=witness,
                 note=f"exhaustive over {n} elements of L and {len(self.dims)} sectors")
         return rep
-
-
-def _orbit_characters(rows, orders, roots, pot):
-    """(orbit, U): every character u of L on every orbit, as rows of U with their orbit's
-    position in ``roots``, from the walk's potentials ``pot`` (phase over den, then the
-    path's element of L).
-
-    The stabilizer of the orbit of R is generated by g_k = h_k + a_s, s the
-    index that W(h_k) reads at R, and acts at R by psi(g_k) = NUM_k[R] + P(s).
-    g_k is triangular: its k-th entry is the length l_k of h_k's cycle on the
-    orbits of h_1..h_{k-1}, and l_k divides d_k.  The span of the orbit is
-    Ind_St^L psi, so the characters on it are the |O| = prod l_k extensions
-    of psi to L, each once (Frobenius reciprocity).  They are solved one
-    generator at a time: l_k u_k / d_k = psi(g_k) - sum_{j<k} g_kj u_j / d_j
-    has l_k solutions u_k, so the rows grow to sum |O| = n.  The rows must be
-    a representation of L (``_relation_witness``) for psi to be a character.
-    """
-    SRC, NUM, den = rows
-    d = np.array(orders, dtype=np.int64)
-    D = lcm(den, *orders)
-    orbit, U = np.arange(len(roots)), np.zeros((len(roots), 0), dtype=np.int64)
-    for k in range(len(d)):
-        s = SRC[k][roots]
-        g = pot[s, 1:]
-        g[:, k] += 1                # a_s[k] = l_k - 1 < d_k steps, so g_kk = l_k
-        ell = g[orbit, k]
-        tau = ((NUM[k][roots] + pot[s, 0])[orbit] * (D // den)
-               - (g[orbit, :k] * U * (D // d[:k])).sum(axis=1)) % D
-        base = tau * d[k] // D // ell
-        start = np.repeat(np.cumsum(ell) - ell, ell)
-        t = np.arange(len(start)) - start
-        U = np.column_stack([np.repeat(U, ell, axis=0),
-                             np.repeat(base, ell) + t * np.repeat(d[k] // ell, ell)])
-        orbit = np.repeat(orbit, ell)
-    return orbit, U
-
-
-def _relation_witness(rows, orders):
-    """(k, i): the first generator k and carrier index i where the monomial rows at the
-    generators break W(h_k) W(h_l) = W(h_l) W(h_k) for some l < k, or W(h_k)^d_k = 1;
-    None when they hold, that is when the rows define a representation of (+) Z/d_k."""
-    SRC, NUM, den = rows
-    n = SRC.shape[1]
-    one = np.arange(n)
-    for k, e in enumerate(orders):
-        src, num, bs, bn = one, np.zeros(n, dtype=np.int64), SRC[k], NUM[k]
-        while e:            # W(h_k)^d_k by squaring
-            if e & 1:
-                src, num = bs[src], (num + bn[src]) % den
-            bs, bn, e = bs[bs], (bn + bn[bs]) % den, e >> 1
-        bad = (src != one) | (num != 0)
-        for l in range(k):
-            bad |= (SRC[l][SRC[k]] != SRC[k][SRC[l]]) | \
-                ((NUM[k] + NUM[l][SRC[k]] - NUM[l] - NUM[k][SRC[l]]) % den != 0)
-        if bad.any():
-            return k, int(np.flatnonzero(bad)[0])
-    return None
 
 
 def sectors(W: ProjectiveRep, L: Subgroup) -> SectorDecomposition:
@@ -648,6 +591,9 @@ def coherent_states(W: ProjectiveRep, L: Subgroup) -> tuple[VerificationReport, 
 
     Verifies the equivalence commutant_d(W) = 1  <=>  dim H^L = 1 (and then
     all sectors are one-dimensional coherent states, returned as a basis).
+    ``commutant_d`` counts from W's generator relations, which it checks
+    exactly: W(g_i) W(g_j) = e(c_ij) W(g_j) W(g_i) and W(g_i)^{n_i} = e(c_ii)
+    with scalars c, else ``DefectError``; W's law is not read.
     """
     G = W.group
     if double_image(G, L) != L:

@@ -158,7 +158,34 @@ UNREAD_FIELDS = {
                    "model": {"type": "window", "p": 2, "k": 1, "d": 1},
                    "splitting": {"values": []}},
                   "with a 'model' entry the splitting belongs in it"),
+    # a window model is built on its own group, so a subgroup in its entry has no reader
+    "window-subgroup": ({"task": "vacuum", "group": {"moduli": [4, 4]},
+                         "multiplier": {"type": "bicharacter", "B": [["0", "1/4"], ["-1/4", "0"]]},
+                         "subgroup": {"generators": [[2, 0], [0, 2]]},
+                         "model": {"type": "window", "p": 2, "k": 1, "d": 1,
+                                   "subgroup": {"generators": [[2, 0], [0, 2]]}}},
+                        "model: unknown fields ['subgroup']"),
 }
+
+
+WINDOW_ENTRY_FAULTS = {
+    "missing-d": ([4, 4], [["0", "1/4"], ["-1/4", "0"]], {"p": 2, "k": 1},
+                  "model: missing fields ['d']"),
+    "group": ([3], [["0"]], {"p": 2, "k": 1, "d": 1},
+              "model: the window (p=2, k=1, d=1) lives on the moduli [4, 4], not the scenario's [3]"),
+    "multiplier": ([4, 4], [["0", "1/4"], ["1/4", "0"]], {"p": 2, "k": 1, "d": 1},
+                   "model: the scenario's multiplier is not the symplectic form of the window"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(WINDOW_ENTRY_FAULTS))
+def test_window_model_entry_is_checked(tmp_path, capsys, fault):
+    moduli, B, entry, message = WINDOW_ENTRY_FAULTS[fault]
+    sc = {"task": "model", "group": {"moduli": moduli},
+          "multiplier": {"type": "bicharacter", "B": B},
+          "model": {"type": "window", **entry}}
+    assert main(["model", "--scenario", write(tmp_path, "s.json", sc), "--commutant"]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", sorted(UNREAD_FIELDS))

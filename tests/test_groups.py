@@ -17,7 +17,7 @@ from weylkit.groups import (
     subquotient,
 )
 from weylkit.intmat import columns_to_matrix, mat_vec, smith_decompose, solve_lower_triangular
-from weylkit.models import Operator, ProjectiveRep, commutant_d, regular_rep
+from weylkit.models import Operator, ProjectiveRep, intertwiner, regular_rep
 from weylkit.multipliers import TableMultiplier, zero_multiplier
 
 
@@ -202,7 +202,8 @@ BUDGET_CASES = {
     "elements": (lambda: FinAbGroup([1024, 1024]).coords_array(), 1024 ** 2),
     "table": (lambda: TableMultiplier(FinAbGroup([1024]), 1, np.zeros((1024, 1024))), 1024 ** 2),
     "kept_rows": (lambda: regular_rep(FinAbGroup([513])).monomial_arrays(), 513 ** 2),
-    "index_pairs": (lambda: commutant_d(regular_rep(FinAbGroup([513]))), 513 ** 2),
+    "index_pairs": (lambda: intertwiner(regular_rep(FinAbGroup([513])), regular_rep(FinAbGroup([513]))),
+                    513 ** 2),
     "operator_row": (lambda: ProjectiveRep(FinAbGroup([]), zero_multiplier(FinAbGroup([])),
                                            2 ** 18 + 1, None, 1), 2 ** 18 + 1),
     "dense": (lambda: Operator(513, 1, np.arange(513), np.zeros(513)).matrix, 513 ** 2),

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from weylkit.errors import DefectError, InputError
 from weylkit.intmat import (
     box_reduce,
     column_hnf,
+    identity_matrix,
     inverse_unimodular,
     kernel_mod,
     mat_mul,
@@ -115,6 +117,15 @@ def test_inverse_unimodular():
     U = [[1, 2], [1, 3]]
     Uinv = inverse_unimodular(U)
     assert mat_mul(U, Uinv) == [[1, 0], [0, 1]]
+    # a product of elementary matrices, with a zero on the diagonal and a negative determinant
+    V = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    V = mat_mul(V, [[1, 5, -3], [0, 1, 7], [0, 0, 1]])
+    V = mat_mul(V, [[1, 0, 0], [4, 1, 0], [-2, 9, 1]])
+    assert mat_mul(V, inverse_unimodular(V)) == identity_matrix(3)
+    with pytest.raises(DefectError):
+        inverse_unimodular([[2, 0], [0, 1]])
+    with pytest.raises(InputError):
+        inverse_unimodular([[1, 2], [2, 4]])
 
 
 def test_kernel_mod():

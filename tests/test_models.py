@@ -12,6 +12,7 @@ from weylkit.errors import (ENTRY_BUDGET, DefectError, InputError, PreconditionE
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.isotropy import extend_maximal
 from weylkit.models import (
+    _intertwining_orbits,
     Operator,
     ProjectiveRep,
     check_rep_law,
@@ -661,16 +662,51 @@ COMMUTANT_CASES = {
     "window-3-1-1": lambda: window_model(3, 1, 1),
     "window-5-1-1": lambda: window_model(5, 1, 1),
     "schrodinger-2x3": lambda: schrodinger_model(FinAbGroup([2, 3])),
+    # zero multiplier: the radical is all of G and every eigenspace is a line
+    "regular-4x2": lambda: regular_rep(FinAbGroup([4, 2])),
+    # a seeded twist is nonzero on the radical 2G x 2G: W(r)^2 is a scalar other than 1
+    "window-2-1-2-twisted": lambda: window_model(2, 1, 2).twisted(_random_twist(FinAbGroup([4] * 4))),
+    # the eigenspaces of the radical carry multiplicities 2 x 2
+    "window-2-1-2-direct-sum": lambda: window_model(2, 1, 2).direct_sum(window_model(2, 1, 2)),
+    # W(h_1)^2 = W(h_2)^2 = -1 on an orbit where h_2 acts as h_1: the count is 5 only once
+    # both are rescaled to square to 1
+    "line-plus-swap-twisted": lambda: _line_plus_swap().twisted(
+        PhaseMap(FinAbGroup([2, 2]), {(0, 0): ZERO, (1, 0): Phase(1, 4), (0, 1): Phase(1, 4),
+                                      (1, 1): ZERO})),
 }
+
+
+def _line_plus_swap():
+    """The trivial line (+) the swap X^(x1 + x2) of two points, a rep of Z/2 x Z/2."""
+    G = FinAbGroup([2, 2])
+
+    def fn(Y):
+        s = (Y[:, 0] + Y[:, 1]) % 2
+        SRC = np.column_stack([np.zeros(len(Y), dtype=np.int64), 1 + s, 2 - s])
+        return SRC, np.zeros_like(SRC)
+
+    return ProjectiveRep(G, zero_multiplier(G), 3, fn, 1, label="line+swap")
+
+
+def _random_twist(G, seed=5, den=8):
+    """A seeded phase map on G with a(0) = 0."""
+    nums = np.random.default_rng(seed).integers(0, den, size=G.order)
+    return PhaseMap(G, {x.coords: Phase(int(nums[x.rank]) if x.rank else 0, den) for x in G.elements()})
+
+
+def _orbit_dim(W):
+    """Oracle: the commutant as the n^2 pair solve of ``_intertwining_orbits``."""
+    rows = W.rows(W.group.generators())
+    return len(_intertwining_orbits([n for n in W.group.moduli if n > 1], rows, rows)[3])
 
 
 @pytest.mark.parametrize("case", list(COMMUTANT_CASES))
 def test_commutant_character_path_agrees(case):
     W = COMMUTANT_CASES[case]()
     cd = commutant_d(W)
-    assert cd == kron_commutant_dim(W) == trace_commutant_dim(W)
-    # the window models of p = 2 and the direct sum are the reducible ones
-    assert (cd > 1) == case.startswith(("window-2", "z9-direct-sum"))
+    assert cd == kron_commutant_dim(W) == trace_commutant_dim(W) == _orbit_dim(W)
+    # the window models of p = 2, the direct sums and the reps of a zero multiplier are reducible
+    assert (cd > 1) == case.startswith(("window-2", "z9-direct-sum", "regular", "line"))
 
 
 @pytest.mark.parametrize("fault", ["repeated source", "source out of range"])
@@ -701,7 +737,7 @@ def test_batched_permutation_check_can_fail(fault):
 @given(pair=same_multiplier_pairs())
 def test_orbit_commutant_matches_oracles(pair):
     for W in pair:
-        assert commutant_d(W) == kron_commutant_dim(W) == trace_commutant_dim(W)
+        assert commutant_d(W) == kron_commutant_dim(W) == trace_commutant_dim(W) == _orbit_dim(W)
 
 
 @settings(max_examples=40, deadline=None)
@@ -736,7 +772,11 @@ def test_orbit_check_catches_phase_fault(z9):
     WW = W.direct_sum(W)
     faulty = _phase_fault(WW)
     assert commutant_d(WW) == 4
-    assert commutant_d(faulty) == kron_commutant_dim(faulty) == 2
+    assert intertwiner(faulty, faulty)["dimension"] == kron_commutant_dim(faulty) == 2
+    # the fault makes W(g)^9 on the first copy a phase other than a scalar
+    with pytest.raises(DefectError, match="not a projective representation") as exc:
+        commutant_d(faulty)
+    assert exc.value.witness is not None
     bad = _phase_fault(W)
     assert intertwiner(W, W)["dimension"] == 1
     assert intertwiner(bad, W)["dimension"] == kron_intertwiner_dim(bad, W) == 0
@@ -750,7 +790,10 @@ def test_orbit_solver_refuses_noncommuting_permutations(z9):
     src[[0, 1]] = src[[1, 0]]
     broken = W.with_override(g, Operator(W.dim, op.den, src, op.num))
     with pytest.raises(DefectError, match="do not commute"):
+        intertwiner(broken, broken)
+    with pytest.raises(DefectError, match="not a projective representation") as exc:
         commutant_d(broken)
+    assert exc.value.witness is not None
 
 
 def test_orbit_solver_refuses_cycle_beyond_generator_order():
@@ -762,13 +805,17 @@ def test_orbit_solver_refuses_cycle_beyond_generator_order():
     src[[1, 2]] = src[[2, 1]]
     broken = W.with_override(g, Operator(W.dim, 1, src, np.zeros(4)))
     with pytest.raises(DefectError, match="longer than the generator's order"):
+        intertwiner(broken, broken)
+    # the square of the 4-cycle is not a scalar: the relation W(g)^2 = c fails at index 0
+    with pytest.raises(DefectError, match="not a projective representation") as exc:
         commutant_d(broken)
+    assert exc.value.witness == (0, 0, 0)
 
 
 def test_orbit_solver_pair_budget():
     # 513^2 index pairs exceed ENTRY_BUDGET = 512^2
     with pytest.raises(ResourceLimitError) as exc:
-        commutant_d(regular_rep(FinAbGroup([513])))
+        intertwiner(regular_rep(FinAbGroup([513])), regular_rep(FinAbGroup([513])))
     assert (exc.value.budget, exc.value.size) == ("ENTRY_BUDGET", 513 ** 2)
 
 

@@ -263,11 +263,29 @@ def test_p2_window_223_passes_the_benchmark_gate(capsys, monkeypatch):
     assert elapsed < 5.0
 
 
-def test_p2_window_223_full_report_exits_2(capsys):
-    # the reducibility trace of the dim-4096 window model is past the budget
-    code, _, out = _main(["padic", "--p", "2", "--k", "2", "--d", "3", "--full-report"], capsys)
-    assert code == 2
-    assert "index pairs 16777216 exceeds ENTRY_BUDGET = 262144" in out.err
+@pytest.mark.parametrize("k, d, cd", [(2, 3, 8), (3, 2, 4)])
+def test_p2_window_full_report_counts_the_commutant(k, d, cd, capsys):
+    # the window commutants of dimension 4096 are counted over the radical, not over 4096^2 pairs
+    code, elapsed, out = _main(["padic", "--p", "2", "--k", str(k), "--d", str(d), "--full-report"],
+                               capsys)
+    assert code == 0
+    report = json.loads(out.out)
+    assert report["pass"]
+    assert [c["note"] for c in report["checks"][-2:]] == [f"commutant={cd}", "commutant=1"]
+    assert cd == 2 ** d and elapsed < 5.0
+
+
+def test_odd_window_full_report_proves_irreducibility(capsys):
+    # odd p: the full report adds the commutant of the window model, the scalars alone
+    argv = ["padic", "--p", "3", "--k", "1", "--d", "2"]
+    code, _, out = _main(argv + ["--full-report"], capsys)
+    assert code == 0
+    full = json.loads(out.out)
+    assert full["pass"]
+    assert full["checks"][-1] == {"name": "window model irreducible", "pass": True, "note": "commutant=1"}
+    code, _, out = _main(argv, capsys)
+    assert code == 0
+    assert json.loads(out.out)["checks"] == full["checks"][:-1]
 
 
 def test_p2_window_215_exits_2_before_the_m0_table(capsys):
