@@ -19,8 +19,6 @@ from .intmat import smith_decompose
 from .multipliers import (
     Bicharacter,
     Multiplier,
-    BicharacterMultiplier,
-    WeylProductMultiplier,
     TableMultiplier,
     PhaseMap,
     check_multiplier,

@@ -33,11 +33,9 @@ from .models import (
 )
 from .multipliers import (
     Bicharacter,
-    BicharacterMultiplier,
     Multiplier,
     PhaseMap,
     TableMultiplier,
-    WeylProductMultiplier,
     antisymmetrize,
     check_multiplier,
     is_heisenberg,
@@ -80,12 +78,12 @@ def parse_multiplier(obj, G: FinAbGroup) -> Multiplier:
     if kind == "bicharacter":
         if "B" not in obj:
             raise SchemaError("multiplier: bicharacter needs B")
-        return BicharacterMultiplier(Bicharacter(G, parse_phase_matrix(obj["B"])))
+        return Bicharacter(G, parse_phase_matrix(obj["B"]))
     if kind == "weyl_product":
         if "pairing" not in obj or "left_rank" not in obj:
             raise SchemaError("multiplier: weyl_product needs pairing and left_rank")
-        return WeylProductMultiplier(G, int(obj["left_rank"]),
-                                     parse_phase_matrix(obj["pairing"]))
+        return Bicharacter.weyl_product(G, int(obj["left_rank"]),
+                                        parse_phase_matrix(obj["pairing"]))
     if kind == "table":
         if "values" not in obj:
             raise SchemaError("multiplier: table needs values")
@@ -195,8 +193,7 @@ def run_isotropy(scenario, args):
             else "A differs from its polar")
     summary = {"polar_order": P.order, "polar_generators": [list(g.coords) for g in P.generators],
                "maximal": maximal}
-    form = getattr(m, "bichar", None)
-    if form is not None and form.is_alternating:
+    if m.bichar is not None and m.bichar.is_alternating:
         try:
             lhs, rhs = polar_tilde(A, m)
             rep.add("polar relation for m~", True, note=f"both sides have order {lhs.order}")

@@ -12,31 +12,16 @@ import numpy as np
 
 from .errors import DefectError, InputError, PreconditionError, check_budget
 from .groups import Subgroup, double_preimage, subgroup_span
-from .multipliers import (
-    Bicharacter,
-    BicharacterMultiplier,
-    Multiplier,
-    antisymmetrize,
-    congruence_solution_subgroup,
-)
-
-
-def _as_form(m):
-    """Peel a Multiplier down to its bicharacter if it has one."""
-    if isinstance(m, Bicharacter):
-        return m
-    if isinstance(m, BicharacterMultiplier):
-        return m.bichar
-    return None
+from .multipliers import antisymmetrize, congruence_solution_subgroup
 
 
 def polar(A: Subgroup, m) -> Subgroup:
     """A'_m = {x in G : m(x, a) = 0 for all a in A}."""
     G = A.ambient
-    form = _as_form(m)
+    if m.group != G:
+        raise InputError("multiplier and subgroup live in different groups")
+    form = m.bichar
     if form is not None:
-        if form.group != G:
-            raise InputError("form and subgroup live in different groups")
         r = G.rank
         H = A.basis
         C = form._cnum
@@ -46,15 +31,13 @@ def polar(A: Subgroup, m) -> Subgroup:
             rows.append(list(map(int, C @ h)))
         return congruence_solution_subgroup(G, rows, form.den)
     # table backing (|G|^2 within ENTRY_BUDGET): scan the defining condition
-    if not isinstance(m, Multiplier) or m.group != G:
-        raise InputError("multiplier and subgroup live in different groups")
     members = [x for x in G.elements() if all(not m(x, a) for a in A.elements())]
     return subgroup_span(G, members)
 
 
 def is_isotropic(A: Subgroup, m) -> bool:
     """m vanishes on A x A."""
-    form = _as_form(m)
+    form = m.bichar
     if form is not None:
         H = A.basis
         r = A.ambient.rank
@@ -105,12 +88,10 @@ def polar_tilde(A: Subgroup, m) -> tuple[Subgroup, Subgroup]:
     Returns (polar of A under m~, double preimage of the polar of A under m);
     the two must coincide, and a mismatch is a defect reported with a witness.
     """
-    form = _as_form(m)
-    if form is None or not form.is_alternating:
+    if m.bichar is None or not m.bichar.is_alternating:
         raise PreconditionError("the polar relation needs an alternating bicharacter")
     G = A.ambient
-    mt = antisymmetrize(m if isinstance(m, Multiplier) else m.to_multiplier())
-    lhs = polar(A, mt)
+    lhs = polar(A, antisymmetrize(m))
     rhs = double_preimage(G, polar(A, m))
     if lhs != rhs:
         witness = next(

@@ -23,7 +23,6 @@ from .multipliers import (
     Bicharacter,
     Multiplier,
     PhaseMap,
-    WeylProductMultiplier,
     antisymmetrize,
     congruence_solution_subgroup,
     split_symmetric,
@@ -124,7 +123,7 @@ class ProjectiveRep:
         self.den = den
         self.label = label or f"rep(dim={dim})"
         self._arrays = None
-        if self.operator(group.zero()).distance_to(identity_operator(dim)) > DEFAULT_TOL:
+        if not self.operator(group.zero()).equals(identity_operator(dim)):
             raise DefectError("W(0) is not the identity")
 
     def rows(self, Y):
@@ -276,8 +275,7 @@ def schrodinger_model(A: FinAbGroup, pairing: Bicharacter | None = None) -> Proj
     if not pairing.is_nondegenerate:
         raise InputError("pairing is degenerate")
     G = FinAbGroup(A.moduli + A.moduli)
-    m = WeylProductMultiplier(G, A.rank, [[pairing.matrix[i][j] for j in range(A.rank)]
-                                          for i in range(A.rank)])
+    m = Bicharacter.weyl_product(G, A.rank, pairing.matrix)
     dim = A.order
     T = A.coords_array()
     P = pairing._cnum
@@ -390,8 +388,8 @@ def check_rep_law(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
     (x, g), g in {0} and the generators, decide it (see ``_check_pairs``).
     """
     rep = VerificationReport(f"representation law for {W.label}")
-    rep.add("identity", W.operator(W.group.zero()).distance_to(identity_operator(W.dim))
-            <= tolerance, tolerance=tolerance)
+    rep.add("identity", W.operator(W.group.zero()).equals(identity_operator(W.dim)),
+            tolerance=tolerance)
     _check_pairs(rep, "law", W, W.multiplier, False, tolerance, samples, seed)
     return rep
 
@@ -400,8 +398,7 @@ def commutator_scalar_check(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
                             samples: int = 20_000, seed: int = 0) -> VerificationReport:
     """W(x) W(y) = e(m~(x, y)) W(y) W(x): the commutator is the scalar m~(x, y)."""
     rep = VerificationReport(f"commutation rule for {W.label}")
-    mt = antisymmetrize(W.multiplier).to_multiplier()
-    _check_pairs(rep, "commutator", W, mt, True, tolerance, samples, seed)
+    _check_pairs(rep, "commutator", W, antisymmetrize(W.multiplier), True, tolerance, samples, seed)
     return rep
 
 
@@ -428,6 +425,8 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
     3. Otherwise -- above the budget, for an unverified m, or for the
        commutator when W's own law fails -- all |G|^2 pairs when at most
        ``samples``, else a seeded sample.  Witness: the worst pair.
+    Every tier fails on any pair that ``_pairs_hold`` rejects, however close
+    its float distance.
     """
     G = W.group
     n = G.order
@@ -445,9 +444,9 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
                 break
         m = W.multiplier if swapped else phase
         proved = bad is None and \
-            (getattr(m, "bichar", None) is not None or (n * n <= ENTRY_BUDGET and m.is_verified()))
+            (m.bichar is not None or (n * n <= ENTRY_BUDGET and m.is_verified()))
         if swapped:
-            proved = proved and getattr(phase, "bichar", None) is not None and \
+            proved = proved and phase.bichar is not None and \
                 all(_pairs_hold(W, m, False, X, X[g.rank:g.rank + 1]).all() for g in gens)
         if n * n <= ENTRY_BUDGET and not proved:
             for x in range(n):
@@ -471,12 +470,10 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
         for i, j in idx.tolist():
             x, y = element(i), element(j)
             dist = _pair_distance(W, phase, swapped, x, y)
-            if dist > worst:
-                worst = dist
-                if dist > tolerance:
-                    witness = (x.coords, y.coords)
-    rep.add(name, witness is None and worst <= tolerance, residual=worst, tolerance=tolerance,
-            witness=witness, note=note)
+            if witness is None or dist > worst:
+                worst, witness = dist, (x.coords, y.coords)
+    rep.add(name, witness is None, residual=worst, tolerance=tolerance, witness=witness,
+            note=note)
 
 
 def _pair_distance(W: ProjectiveRep, phase: Multiplier, swapped: bool, x, y) -> float:
@@ -762,11 +759,9 @@ def commutant_d(W: ProjectiveRep) -> int:
 
 
 def _same_multiplier(m1: Multiplier, m2: Multiplier) -> bool:
-    """m1 = m2 exactly: on generator pairs when both are bilinear, else on their tables."""
-    b1, b2 = getattr(m1, "bichar", None), getattr(m2, "bichar", None)
-    if b1 is not None and b2 is not None:
-        gens = m1.group.generators()
-        return all(b1(x, y) == b2(x, y) for x in gens for y in gens)
+    """m1 = m2 exactly: as forms when both are bilinear, else on their tables."""
+    if m1.bichar is not None and m2.bichar is not None:
+        return m1 == m2
     den1, num1 = m1.num_table()
     den2, num2 = m2.num_table()
     d = lcm(den1, den2)

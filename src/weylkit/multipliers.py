@@ -1,13 +1,17 @@
 """Multipliers (normalized 2-cocycles valued in Q/Z) and bicharacters.
 
-Three multiplier backings exist:
+Two multiplier classes exist, with three backings:
 
-* ``BicharacterMultiplier`` -- m(x, y) = x . B . y for a phase matrix B;
-* ``WeylProductMultiplier`` -- m((a,b), (a',b')) = <a', b> for a pairing of
-  the two halves of a product group (a bilinear form, stored with its split);
-* ``TableMultiplier``       -- a full table of integer numerators over a
-  common denominator.  Tables are the oracle; the structured backings are the
-  fast path and must agree with their own tables.
+* ``Bicharacter``     -- m(x, y) = x . B . y for a phase matrix B, a normalized
+  cocycle by construction (backing "bicharacter");
+  ``Bicharacter.weyl_product`` builds m((a,b), (a',b')) = <a', b> for a pairing
+  of the two halves of a product group (backing "weyl_product");
+* ``TableMultiplier`` -- a full table of integer numerators over a common
+  denominator.  Tables are the oracle; the bilinear backings are the fast
+  path and must agree with their own tables.
+
+``m.bichar`` is the one test for bilinearity: the form itself for a
+``Bicharacter``, None for every other multiplier.
 
 All verification is exact: tables are integer arrays reduced mod a common
 denominator, so the cocycle identity is decided without tolerance.
@@ -59,103 +63,6 @@ class PhaseMap:
         return lcm(*(v.den for v in self.values.values())) if self.values else 1
 
 
-class Bicharacter:
-    """Phase-valued bilinear form b(x, y) = sum_ij x_i B_ij y_j on a finite abelian group."""
-
-    __slots__ = ("group", "matrix", "_den", "_cnum", "_terms", "_pair_bound", "_alternating")
-
-    def __init__(self, group: FinAbGroup, matrix):
-        self.group = group
-        r = group.rank
-        matrix = tuple(tuple(matrix[i][j] for j in range(r)) for i in range(r))
-        for i in range(r):
-            for j in range(r):
-                b = matrix[i][j]
-                if (group.moduli[i] * b) or (group.moduli[j] * b):
-                    raise InputError(
-                        f"entry B[{i}][{j}]={b} is not killed by the moduli; "
-                        "the form is not well defined on the group")
-        self.matrix = matrix
-        self._den = lcm(*(b.den for row in matrix for b in row)) if r else 1
-        nums = [[b.numerator_at(self._den) for b in row] for row in matrix]
-        self._cnum = np.array(nums, dtype=np.int64).reshape(r, r)
-        # nonzero numerators for exact scalar evaluation, and the largest
-        # |x . B . y| over reduced coordinates, which int64 arrays must hold
-        self._terms = tuple((i, j, c) for i, row in enumerate(nums) for j, c in enumerate(row) if c)
-        n = group.moduli
-        self._pair_bound = sum(c * (n[i] - 1) * (n[j] - 1) for i, j, c in self._terms)
-        alt = all(matrix[i][i] == ZERO for i in range(r)) and all(
-            matrix[i][j] + matrix[j][i] == ZERO for i in range(r) for j in range(i + 1, r))
-        self._alternating = alt
-
-    @classmethod
-    def zero(cls, group: FinAbGroup) -> "Bicharacter":
-        z = [[ZERO] * group.rank for _ in range(group.rank)]
-        return cls(group, z)
-
-    @property
-    def den(self) -> int:
-        return self._den
-
-    def __call__(self, x: GroupElement, y: GroupElement) -> Phase:
-        if x.group != self.group or y.group != self.group:
-            raise InputError("elements do not belong to the form's group")
-        xc, yc = x.coords, y.coords
-        num = sum(c * xc[i] * yc[j] for i, j, c in self._terms)
-        return Phase(num, self._den)
-
-    def pair_nums(self, XC: np.ndarray, YC: np.ndarray) -> np.ndarray:
-        """Numerators of b(x_i, y_i) over den for rows of reduced coordinates; one row broadcasts."""
-        if self._pair_bound >= 2 ** 63:
-            raise InputError(f"{self!r}: x . B . y can reach {self._pair_bound}, "
-                             "beyond int64 arrays")
-        # every term is >= 0, so no partial sum passes the bound
-        return np.einsum("ij,ij->i", XC @ self._cnum, YC) % self._den
-
-    @property
-    def is_alternating(self) -> bool:
-        return self._alternating
-
-    def radical(self) -> Subgroup:
-        """{x : b(x, y) = 0 for every y}, computed by integer linear algebra."""
-        rows = [list(self._cnum[:, j]) for j in range(self.group.rank)]
-        return congruence_solution_subgroup(self.group, rows, self._den)
-
-    @property
-    def is_nondegenerate(self) -> bool:
-        return self.radical().order == 1
-
-    @property
-    def is_symplectic(self) -> bool:
-        return self._alternating and self.is_nondegenerate
-
-    def scale(self, k: int) -> "Bicharacter":
-        return Bicharacter(self.group, [[k * b for b in row] for row in self.matrix])
-
-    def __add__(self, other: "Bicharacter") -> "Bicharacter":
-        if other.group != self.group:
-            raise InputError("forms on different groups")
-        return Bicharacter(self.group,
-                           [[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.matrix, other.matrix)])
-
-    def __sub__(self, other: "Bicharacter") -> "Bicharacter":
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return (isinstance(other, Bicharacter) and other.group == self.group
-                and other.matrix == self.matrix)
-
-    def __hash__(self):
-        return hash((self.group, self.matrix))
-
-    def to_multiplier(self) -> "BicharacterMultiplier":
-        return BicharacterMultiplier(self)
-
-    def __repr__(self):
-        return f"Bicharacter({self.group!r}, den={self._den})"
-
-
 def congruence_solution_subgroup(G: FinAbGroup, rows, modulus: int) -> Subgroup:
     """The subgroup {x in G : row . x == 0 (mod modulus) for every row}."""
     r = G.rank
@@ -184,6 +91,7 @@ class Multiplier:
     """Base class; subclasses provide exact evaluation and vectorised numerators."""
 
     group: FinAbGroup
+    bichar = None       # the form itself for a ``Bicharacter``
 
     def __init__(self, group: FinAbGroup):
         self.group = group
@@ -234,59 +142,129 @@ class Multiplier:
             raise PreconditionError(self._failure)
 
 
-class BicharacterMultiplier(Multiplier):
-    """Multiplier backed by a bicharacter; the cocycle identity holds identically."""
+class Bicharacter(Multiplier):
+    """Phase-valued bilinear form b(x, y) = sum_ij x_i B_ij y_j on a finite abelian group.
 
-    def __init__(self, bichar: Bicharacter):
-        super().__init__(bichar.group)
-        self.bichar = bichar
-        # the constructor of Bicharacter checked every entry against the moduli,
-        # so the form is a normalized cocycle identically: ensure_verified has nothing to do
-        self._verified = True
-
-    @property
-    def den(self) -> int:
-        return self.bichar.den
-
-    def phase(self, x, y):
-        return self.bichar(x, y)
-
-    def pair_nums(self, XC, YC):
-        return self.bichar.pair_nums(XC, YC)
-
-    def backing(self):
-        return "bicharacter"
-
-    def __repr__(self):
-        return f"BicharacterMultiplier({self.group!r})"
-
-
-class WeylProductMultiplier(BicharacterMultiplier):
-    """m((a,b), (a',b')) = <a', b> on G = A x B for a pairing A x B -> Q/Z.
-
-    Stored as the bilinear form with the pairing transposed into the corner
-    block, so it shares the bicharacter fast path.
+    A bilinear form is a normalized cocycle identically, and the constructor
+    checks every entry against the moduli, so it is a verified multiplier by
+    construction: ``ensure_verified`` has nothing to do.
     """
 
-    def __init__(self, group: FinAbGroup, left_rank: int, pairing):
+    _backing = "bicharacter"
+
+    def __init__(self, group: FinAbGroup, matrix):
+        super().__init__(group)
+        self._verified = True
+        r = group.rank
+        matrix = tuple(tuple(matrix[i][j] for j in range(r)) for i in range(r))
+        for i in range(r):
+            for j in range(r):
+                b = matrix[i][j]
+                if (group.moduli[i] * b) or (group.moduli[j] * b):
+                    raise InputError(
+                        f"entry B[{i}][{j}]={b} is not killed by the moduli; "
+                        "the form is not well defined on the group")
+        self.matrix = matrix
+        self._den = lcm(*(b.den for row in matrix for b in row)) if r else 1
+        nums = [[b.numerator_at(self._den) for b in row] for row in matrix]
+        self._cnum = np.array(nums, dtype=np.int64).reshape(r, r)
+        # nonzero numerators for exact scalar evaluation, and the largest
+        # |x . B . y| over reduced coordinates, which int64 arrays must hold
+        self._terms = tuple((i, j, c) for i, row in enumerate(nums) for j, c in enumerate(row) if c)
+        n = group.moduli
+        self._pair_bound = sum(c * (n[i] - 1) * (n[j] - 1) for i, j, c in self._terms)
+        alt = all(matrix[i][i] == ZERO for i in range(r)) and all(
+            matrix[i][j] + matrix[j][i] == ZERO for i in range(r) for j in range(i + 1, r))
+        self._alternating = alt
+
+    @classmethod
+    def zero(cls, group: FinAbGroup) -> "Bicharacter":
+        z = [[ZERO] * group.rank for _ in range(group.rank)]
+        return cls(group, z)
+
+    @classmethod
+    def weyl_product(cls, group: FinAbGroup, left_rank: int, pairing) -> "Bicharacter":
+        """m((a,b), (a',b')) = <a', b> on G = A x B for a pairing A x B -> Q/Z, A the first
+        ``left_rank`` coordinates: the pairing transposed into the corner block."""
         r = group.rank
         if not (0 <= left_rank <= r):
             raise InputError("left_rank out of range")
-        rb = r - left_rank
-        pairing = [[pairing[i][j] for j in range(rb)] for i in range(left_rank)]
         mat = [[ZERO] * r for _ in range(r)]
         # m(x, y) = <y_A, x_B> = sum_j sum_i y_j P[j][i] x_{left_rank + i}
         for j in range(left_rank):
-            for i in range(rb):
+            for i in range(r - left_rank):
                 mat[left_rank + i][j] = pairing[j][i]
-        super().__init__(Bicharacter(group, mat))
-        self.left_rank = left_rank
+        form = cls(group, mat)
+        form._backing = "weyl_product"
+        return form
+
+    @property
+    def bichar(self) -> "Bicharacter":
+        return self
+
+    @property
+    def den(self) -> int:
+        return self._den
+
+    def __call__(self, x: GroupElement, y: GroupElement) -> Phase:
+        if x.group != self.group or y.group != self.group:
+            raise InputError("elements do not belong to the form's group")
+        xc, yc = x.coords, y.coords
+        num = sum(c * xc[i] * yc[j] for i, j, c in self._terms)
+        return Phase(num, self._den)
+
+    phase = __call__
+
+    def pair_nums(self, XC: np.ndarray, YC: np.ndarray) -> np.ndarray:
+        """Numerators of b(x_i, y_i) over den for rows of reduced coordinates; one row broadcasts."""
+        if self._pair_bound >= 2 ** 63:
+            raise InputError(f"{self!r}: x . B . y can reach {self._pair_bound}, "
+                             "beyond int64 arrays")
+        # every term is >= 0, so no partial sum passes the bound
+        return np.einsum("ij,ij->i", XC @ self._cnum, YC) % self._den
+
+    @property
+    def is_alternating(self) -> bool:
+        return self._alternating
+
+    def radical(self) -> Subgroup:
+        """{x : b(x, y) = 0 for every y}, computed by integer linear algebra."""
+        rows = [list(self._cnum[:, j]) for j in range(self.group.rank)]
+        return congruence_solution_subgroup(self.group, rows, self._den)
+
+    @property
+    def is_nondegenerate(self) -> bool:
+        return self.radical().order == 1
+
+    @property
+    def is_symplectic(self) -> bool:
+        return self._alternating and self.is_nondegenerate
+
+    def scale(self, k: int) -> "Bicharacter":
+        return Bicharacter(self.group, [[k * b for b in row] for row in self.matrix])
+
+    def __add__(self, other: "Bicharacter") -> "Bicharacter":
+        if other.group != self.group:
+            raise InputError("forms on different groups")
+        return Bicharacter(self.group,
+                           [[a + b for a, b in zip(ra, rb)]
+                            for ra, rb in zip(self.matrix, other.matrix)])
+
+    def __sub__(self, other: "Bicharacter") -> "Bicharacter":
+        return self + other.scale(-1)
+
+    def __eq__(self, other):
+        return (isinstance(other, Bicharacter) and other.group == self.group
+                and other.matrix == self.matrix)
+
+    def __hash__(self):
+        return hash((self.group, self.matrix))
 
     def backing(self):
-        return "weyl_product"
+        return self._backing
 
     def __repr__(self):
-        return f"WeylProductMultiplier({self.group!r}, left_rank={self.left_rank})"
+        return f"Bicharacter({self.group!r}, den={self._den})"
 
 
 class TableMultiplier(Multiplier):
@@ -547,5 +525,5 @@ def is_heisenberg(m: Multiplier) -> bool:
     return antisymmetrize(m).is_nondegenerate
 
 
-def zero_multiplier(G: FinAbGroup) -> BicharacterMultiplier:
-    return Bicharacter.zero(G).to_multiplier()
+def zero_multiplier(G: FinAbGroup) -> Bicharacter:
+    return Bicharacter.zero(G)

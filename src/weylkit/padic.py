@@ -19,13 +19,7 @@ from .errors import InputError
 from .groups import FinAbGroup, _require_prime, subgroup_span
 from .isotropy import polar
 from .models import DEFAULT_TOL, ProjectiveRep, commutant_d
-from .multipliers import (
-    Bicharacter,
-    BicharacterMultiplier,
-    TableMultiplier,
-    is_heisenberg,
-    split_symmetric,
-)
+from .multipliers import Bicharacter, TableMultiplier, is_heisenberg, split_symmetric
 from .phases import Phase, ZERO
 from .reports import VerificationReport
 from .vacuum import DescendedRep, clifford_basis, descend, sectors
@@ -48,7 +42,7 @@ class PAdicWindow:
     d: int
     group: FinAbGroup
     L: Subgroup
-    m: BicharacterMultiplier
+    m: Bicharacter
     point_group: FinAbGroup   # the s-window (Z/p^{2k})^d carrying the model
 
     @property
@@ -75,7 +69,7 @@ def window_group(p: int, k: int, d: int) -> PAdicWindow:
     for i in range(d):
         mat[i][d + i] = ph
         mat[d + i][i] = -ph
-    m = Bicharacter(G, mat).to_multiplier()
+    m = Bicharacter(G, mat)
     pk = p ** k
     L = subgroup_span(G, [pk * g for g in G.generators()])
     if L.order ** 2 != G.order:
@@ -208,7 +202,8 @@ def window_reducibility_check(D: DescendedRep) -> VerificationReport:
 
     ``D`` is the descent of a window model, as ``vacuum_profile`` returns it.
     Both counts are ``commutant_d``'s, from the generator relations of
-    ``D.source`` and of ``D.rep0``, which it checks.  The window's is 2^d:
+    ``D.source`` and of ``D.rep0``, which it checks; the latter is
+    ``D.commutant_dim``, counted once per descent.  The window's is 2^d:
     the radical of its commutator form, the 2^{2k-1}-multiples of G, has 2^d
     eigenspaces of dimension r = 2^{d(2k-1)}.  The descended action's is 1.
     """
@@ -217,6 +212,6 @@ def window_reducibility_check(D: DescendedRep) -> VerificationReport:
     rep = VerificationReport(f"reducibility split {D.source.label}")
     cd = commutant_d(D.source)
     rep.add("window model reducible", cd > 1, note=f"commutant={cd}")
-    cd0 = commutant_d(D.rep0)
+    cd0 = D.commutant_dim
     rep.add("descended vacuum action irreducible", cd0 == 1, note=f"commutant={cd0}")
     return rep

@@ -131,7 +131,7 @@ class SectorDecomposition:
             codes = self._coset_chars if ok else None
             ok = codes is not None and np.count_nonzero(
                 np.bincount(codes, minlength=len(self._chars))) == self.L.index
-            if ok and getattr(m, "bichar", None) is None:
+            if ok and m.bichar is None:
                 A = np.array([a.coords for a in self.L.elements()], dtype=np.int64)
                 A = A.reshape(self.L.order, G.rank)
                 Y = self.L.transversal_coords()
@@ -329,7 +329,7 @@ def normalizer_check(S: SectorDecomposition) -> VerificationReport:
         raise PreconditionError("vacuum space is zero")
     rep = VerificationReport("vacuum normalizer")
     L2 = vacuum_normalizer(W, L)
-    form = getattr(W.multiplier, "bichar", None)
+    form = W.multiplier.bichar
     if form is not None and form.is_alternating:
         rep.add("normalizer equals L/2", L2 == double_preimage(G, L))
     twoL = double_image(G, L)
@@ -428,6 +428,11 @@ class DescendedRep:
     @property
     def section_coords(self):
         return [s.coords for _, s in self.quotient.section_list]
+
+    @cached_property
+    def commutant_dim(self) -> int:
+        """``commutant_d`` of the descended action ``rep0``, counted once."""
+        return commutant_d(self.rep0)
 
 
 def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> DescendedRep:
@@ -583,7 +588,7 @@ def clifford_basis(D: DescendedRep) -> CliffordBasis:
                 raise DefectError("Gram matrix of the found basis is wrong",
                                   witness=(i, j))
     # each E_i is a scalar times W0(gamma_i) and the gamma_i generate V2: same commutant
-    return CliffordBasis(basis, ops, gram, r_sq, r_ac, commutant_d(D.rep0))
+    return CliffordBasis(basis, ops, gram, r_sq, r_ac, D.commutant_dim)
 
 
 def coherent_states(W: ProjectiveRep, L: Subgroup) -> tuple[VerificationReport, np.ndarray | None]:

@@ -37,7 +37,7 @@ def window_model(p, k, d):
 def z9_setup():
     """(Z/9)^2 with the symplectic form, L = 3Z x 3Z, and its induced model."""
     G = FinAbGroup([9, 9])
-    m = Bicharacter(G, [[ZERO, Phase(1, 9)], [Phase(-1, 9), ZERO]]).to_multiplier()
+    m = Bicharacter(G, [[ZERO, Phase(1, 9)], [Phase(-1, 9), ZERO]])
     L = subgroup_span(G, [G.element([3, 0]), G.element([0, 3])])
     W = induced_model(G, m, L)
     return G, m, L, W
@@ -48,7 +48,7 @@ def f2_setup(two_d=2):
     """F_2^{2d} with the strict-lower-triangular multiplier (a bicharacter)."""
     G = FinAbGroup([2] * two_d)
     mat = [[Phase(1, 2) if i > j else ZERO for j in range(two_d)] for i in range(two_d)]
-    m = Bicharacter(G, mat).to_multiplier()
+    m = Bicharacter(G, mat)
     return G, m
 
 
@@ -71,7 +71,7 @@ def _symplectic_family(draw):
     for i, n in enumerate(moduli):
         u = draw(st.sampled_from([v for v in range(1, n) if gcd(v, n) == 1] or [0]))
         mat[i][i + r], mat[i + r][i] = Phase(u, n), Phase(-u, n)
-    m = Bicharacter(G, mat).to_multiplier()
+    m = Bicharacter(G, mat)
     mt = antisymmetrize(m)
     seed = G.element([draw(st.integers(0, n - 1)) for n in G.moduli])
     return [induced_model(G, m, extend_maximal(subgroup_span(G, []), mt)),

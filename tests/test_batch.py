@@ -204,7 +204,7 @@ def block_form(moduli, units, lower=True):
         B[i][i + r] = Phase(u, n)
         if lower:
             B[i + r][i] = Phase(-u, n)
-    return G, Bicharacter(G, B).to_multiplier()
+    return G, Bicharacter(G, B)
 
 
 def span(G, gens):

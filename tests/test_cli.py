@@ -353,7 +353,7 @@ def test_padic_checks_no_bicharacter_cocycle(capsys, monkeypatch):
     monkeypatch.setattr(multipliers, "check_multiplier", counted)
     code, rep = run(capsys, ["padic", "--p", "2", "--k", "2", "--d", "2", "--full-report"])
     assert code == 0 and rep["pass"] is True
-    assert checked and not any(isinstance(m, multipliers.BicharacterMultiplier) for m in checked)
+    assert checked and not any(isinstance(m, multipliers.Bicharacter) for m in checked)
 
 
 def test_svn_beyond_table_cap(tmp_path, capsys):

@@ -202,6 +202,40 @@ def test_identity_fault_injection(case, checker, name, witness, note, residual):
     assert failed[0].residual == pytest.approx(residual, abs=1e-9)
 
 
+def test_w0_must_be_the_identity_exactly():
+    # e(1/10^10) is within DEFAULT_TOL of 1 as a float, but it is not 1
+    G = FinAbGroup([3])
+    near = identity_operator(3).scaled(Phase(1, 10 ** 10))
+    with pytest.raises(DefectError, match=r"W\(0\) is not the identity"):
+        regular_rep(G).with_override(G.zero(), near)
+
+
+def _window_311_case():
+    """Window (3,1,1), |G| = 81, small enough for the exhaustive tier."""
+    W = window_model(3, 1, 1)
+    return W, W.group.element([2, 5]), 4000
+
+
+@pytest.mark.parametrize("case,note", [
+    (_window_312_case, "sampled 4000 pairs, seed=0"),
+    (_window_311_case, "exhaustive over 81^2 pairs"),
+], ids=["3-1-2-sampled", "3-1-1-exhaustive"])
+def test_near_scalar_fault_fails_every_tier(case, note):
+    # W(x) scaled by e(1/10^10): every pair through x is off by a distance of
+    # 2 pi 10^-10, below the tolerance, and every tier must still fail it
+    W, x, samples = case()
+    faulty = W.with_override(x, W.operator(x).scaled(Phase(1, 10 ** 10)))
+    law = check_rep_law(faulty, samples=samples)
+    assert [c.name for c in law.checks if not c.passed] == ["law"]
+    bad = law.checks[-1]
+    assert bad.note == note
+    assert bad.residual == pytest.approx(2 * np.pi * 1e-10, rel=1e-3)
+    wx, wy = (W.group.element(c) for c in bad.witness)
+    assert x in (wx, wy, wx + wy)
+    # a scalar fault leaves every commutator as it was
+    assert commutator_scalar_check(faulty, samples=samples).passed
+
+
 @pytest.mark.parametrize("checker", [check_rep_law, commutator_scalar_check])
 @pytest.mark.parametrize("wrong", [False, True], ids=["own-multiplier", "zero-multiplier"])
 def test_batched_pair_scan_matches_pairwise(checker, wrong):
@@ -212,7 +246,7 @@ def test_batched_pair_scan_matches_pairwise(checker, wrong):
     rep = ProjectiveRep(W.group, m, W.dim, W.fn, W.den)
     got = checker(rep, samples=1000, seed=3)
     swapped = checker is commutator_scalar_check
-    phase = antisymmetrize(m).to_multiplier() if swapped else m
+    phase = antisymmetrize(m) if swapped else m
     assert got.checks[-1].to_dict() == sampled_pair_oracle(
         rep, got.checks[-1].name, phase, swapped, samples=1000, seed=3)
     assert got.passed == (not wrong)
@@ -289,7 +323,7 @@ def assert_checks_match_oracle(W):
     law = check_rep_law(W)
     assert law.checks[-1].to_dict() == full_scan_oracle(W, "law", W.multiplier, False)
     comm = commutator_scalar_check(W)
-    mt = antisymmetrize(W.multiplier).to_multiplier()
+    mt = antisymmetrize(W.multiplier)
     assert [c.to_dict() for c in comm.checks] == [full_scan_oracle(W, "commutator", mt, True)]
     return law, comm
 
@@ -357,7 +391,7 @@ def test_generator_decision_with_a_wrong_bicharacter(z9, swapped):
     # the phase is a cocycle and a bicharacter but not W's own: the pairs
     # (x, g) fail, and the full scan reports what the oracle does
     _, _, _, W = z9
-    wrong = Bicharacter(W.group, [[ZERO, Phase(1, 9)], [ZERO, ZERO]]).to_multiplier()
+    wrong = Bicharacter(W.group, [[ZERO, Phase(1, 9)], [ZERO, ZERO]])
     rep = VerificationReport("wrong phase")
     models._check_pairs(rep, "check", W, wrong, swapped, 1e-9, 20_000, 0)
     assert not rep.passed
@@ -373,7 +407,7 @@ def block_symplectic_model(moduli, units, gens):
     mat = [[ZERO] * len(moduli) for _ in moduli]
     for i, u in enumerate(units):
         mat[i][i + r], mat[i + r][i] = Phase(u, moduli[i]), Phase(-u, moduli[i])
-    m = Bicharacter(G, mat).to_multiplier()
+    m = Bicharacter(G, mat)
     return induced_model(G, m, subgroup_span(G, [G.element(g) for g in gens]), check=False)
 
 
@@ -520,7 +554,7 @@ def assert_verdicts_match_all_pairs(W):
     G = W.group
     n = G.order
     gens = {g.coords for g in [G.zero()] + G.generators()}
-    mt = antisymmetrize(W.multiplier).to_multiplier()
+    mt = antisymmetrize(W.multiplier)
     law_holds = all_pairs_hold(W, W.multiplier, False)
     comm_holds = all_pairs_hold(W, mt, True)
     for checker, holds in ((check_rep_law, law_holds), (commutator_scalar_check, comm_holds)):
@@ -826,13 +860,13 @@ def test_intertwiner_of_bicharacters_beyond_table_cap():
     mat = [[ZERO] * 4 for _ in range(4)]
     for i in range(2):
         mat[i][i + 2], mat[i + 2][i] = Phase(1, 9), Phase(-1, 9)
-    m = Bicharacter(G, mat).to_multiplier()
+    m = Bicharacter(G, mat)
     e = [G.element([int(i == j) for j in range(4)]) for i in range(4)]
     W1 = induced_model(G, m, subgroup_span(G, e[:2]), check=False)
     W2 = induced_model(G, m, subgroup_span(G, e[2:]), check=False)
     res = intertwiner(W1, W2)
     assert res["dimension"] == 1 and res["unitary_defect"] <= 1e-9
-    other = Bicharacter(G, [[-b for b in row] for row in mat]).to_multiplier()
+    other = Bicharacter(G, [[-b for b in row] for row in mat])
     W3 = induced_model(G, other, subgroup_span(G, e[:2]), check=False)
     with pytest.raises(InputError, match="multipliers differ"):
         intertwiner(W1, W3)

@@ -10,9 +10,9 @@ from weylkit.errors import ENTRY_BUDGET, DefectError, InputError, PreconditionEr
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.multipliers import (
     Bicharacter,
+    Multiplier,
     PhaseMap,
     TableMultiplier,
-    WeylProductMultiplier,
     antisymmetrize,
     check_multiplier,
     equivalent,
@@ -49,7 +49,9 @@ def random_phase_map(rng, G, max_den=12):
 
 def test_trivial_multiplier_passes():
     G = FinAbGroup([3, 3])
-    rep = check_multiplier(zero_multiplier(G))
+    z = zero_multiplier(G)
+    assert isinstance(z, Bicharacter) and z.backing() == "bicharacter"
+    rep = check_multiplier(z)
     assert rep.passed
 
 
@@ -58,7 +60,10 @@ def test_bicharacter_is_multiplier():
     for _ in range(10):
         G = FinAbGroup([rng.choice([2, 3, 4, 5]), rng.choice([2, 3, 4])])
         b = random_bicharacter(rng, G)
-        assert check_multiplier(TableMultiplier.from_multiplier(b.to_multiplier())).passed
+        assert isinstance(b, Multiplier) and b.bichar is b and b.is_verified()
+        table = TableMultiplier.from_multiplier(b)
+        assert table.bichar is None
+        assert check_multiplier(table).passed
 
 
 def test_large_moduli_exact_or_refused():
@@ -72,18 +77,18 @@ def test_large_moduli_exact_or_refused():
     with pytest.raises(InputError, match="int64"):
         b.pair_nums(XC, XC)
     with pytest.raises(InputError, match="int64"):
-        check_multiplier(b.to_multiplier())
+        check_multiplier(b)
     # on (Z/3^19)^2 every x . B . y fits in int64, so arrays are still used
     small = FinAbGroup([3 ** 19, 3 ** 19])
     bs = Bicharacter(small, [[ZERO, Phase(1, 3 ** 19)], [ZERO, ZERO]])
     XS = np.array([[3 ** 19 - 1, 3 ** 19 - 1]], dtype=np.int64)
     assert bs.pair_nums(XS, XS).tolist() == [1]
-    assert check_multiplier(bs.to_multiplier()).passed
+    assert check_multiplier(bs).passed
 
 
 def test_corrupted_table_fails_with_witness():
     G = FinAbGroup([3, 3])
-    m = WeylProductMultiplier(G, 1, [[Phase(1, 3)]])
+    m = Bicharacter.weyl_product(G, 1, [[Phase(1, 3)]])
     x0, y0 = 4, 5
     den, num = m.num_table()
     num = num.copy() * 2
@@ -129,7 +134,7 @@ def drawn_table(G: FinAbGroup, kind: str, rng: np.random.Generator):
         return den, rng.integers(0, den, size=(n, n))
     mat = [[Phase(int(rng.integers(0, gcd(a, b))), gcd(a, b)) for b in G.moduli]
            for a in G.moduli]
-    bden, bnum = Bicharacter(G, mat).to_multiplier().num_table()
+    bden, bnum = Bicharacter(G, mat).num_table()
     aden = int(rng.integers(2, 13))
     av = rng.integers(0, aden, size=n)
     av[0] = int(rng.integers(1, aden)) if kind == "unnormalized" else 0
@@ -173,7 +178,7 @@ def test_cocycle_check_matches_full_scan(moduli, kind, seed):
 
 def test_antisymmetrize_weyl_product():
     G = FinAbGroup([3, 3])
-    m = WeylProductMultiplier(G, 1, [[Phase(1, 3)]])
+    m = Bicharacter.weyl_product(G, 1, [[Phase(1, 3)]])
     b = antisymmetrize(m)
     for a in range(3):
         for bb in range(3):
@@ -186,15 +191,27 @@ def test_antisymmetrize_weyl_product():
     assert b.is_nondegenerate
 
 
+def test_weyl_product_is_a_tagged_bicharacter():
+    G = FinAbGroup([3, 3])
+    m = Bicharacter.weyl_product(G, 1, [[Phase(1, 3)]])
+    assert m.backing() == "weyl_product" and m.bichar is m
+    assert m.matrix == ((ZERO, ZERO), (Phase(1, 3), ZERO))
+    plain = Bicharacter(G, [[ZERO, ZERO], [Phase(1, 3), ZERO]])
+    assert m == plain and plain.backing() == "bicharacter"
+    for left_rank in (-1, 3):
+        with pytest.raises(InputError, match="left_rank"):
+            Bicharacter.weyl_product(G, left_rank, [[Phase(1, 3)]])
+
+
 def test_antisymmetrize_once_per_multiplier():
     G = FinAbGroup([3, 3])
-    m = WeylProductMultiplier(G, 1, [[Phase(1, 3)]])
+    m = Bicharacter.weyl_product(G, 1, [[Phase(1, 3)]])
     assert antisymmetrize(m) is antisymmetrize(m)
 
 
 def test_antisymmetrize_symmetric_is_zero():
     G = FinAbGroup([5])
-    sym = Bicharacter(G, [[Phase(2, 5)]]).to_multiplier()
+    sym = Bicharacter(G, [[Phase(2, 5)]])
     assert antisymmetrize(sym) == Bicharacter.zero(G)
 
 
@@ -202,7 +219,7 @@ def test_antisymmetrize_alternating_properties_randomized():
     rng = random.Random(77)
     for _ in range(30):
         G = FinAbGroup([rng.choice([2, 3, 4, 6]), rng.choice([2, 3, 4])])
-        m = random_bicharacter(rng, G).to_multiplier()
+        m = random_bicharacter(rng, G)
         mt = antisymmetrize(m)
         for _ in range(10):
             x = G.element([rng.randrange(0, n) for n in G.moduli])
@@ -242,10 +259,10 @@ def antisym_pointwise_oracle(m, b):
 def _antisym_cases():
     rng = random.Random(5)
     G = FinAbGroup([4, 6, 3])
-    bichar = random_bicharacter(rng, G).to_multiplier()
-    weyl = WeylProductMultiplier(FinAbGroup([3, 9, 9, 3]), 2,
+    bichar = random_bicharacter(rng, G)
+    weyl = Bicharacter.weyl_product(FinAbGroup([3, 9, 9, 3]), 2,
                                  [[Phase(1, 3), ZERO], [Phase(2, 9), Phase(1, 3)]])
-    twisted = twist(random_bicharacter(rng, G).to_multiplier(), random_phase_map(rng, G))
+    twisted = twist(random_bicharacter(rng, G), random_phase_map(rng, G))
     m0 = descend(window_model(2, 1, 2), window(2, 1, 2).L).m0
     big = window_model(3, 1, 2).multiplier          # |G| = 6561: the sampled branch
     return {"bicharacter": bichar, "weyl_product": weyl, "twisted-table": twisted,
@@ -291,7 +308,7 @@ def test_pair_nums_matches_scalar_call(moduli, data):
 
 def test_twist_identity_and_composition():
     G = FinAbGroup([3, 3])
-    m = WeylProductMultiplier(G, 1, [[Phase(1, 3)]])
+    m = Bicharacter.weyl_product(G, 1, [[Phase(1, 3)]])
     t0 = twist(m, PhaseMap.zero(G))
     den, num = m.num_table()
     den0, num0 = t0.num_table()
@@ -314,7 +331,7 @@ def test_twist_to_alternating_partner():
     # twisting the product pairing on (Z/3)^2 by c(a,b) = 2ab/3 yields the
     # alternating multiplier (2a'b - 2ab')/3
     G = FinAbGroup([3, 3])
-    m = WeylProductMultiplier(G, 1, [[Phase(1, 3)]])
+    m = Bicharacter.weyl_product(G, 1, [[Phase(1, 3)]])
     c = PhaseMap.from_callable(G, lambda e: Phase(2 * e.coords[0] * e.coords[1], 3))
     alt = twist(m, c)
     for x in G.elements():
@@ -330,13 +347,13 @@ def test_twist_to_alternating_partner():
 def test_equivalent_examples():
     rng = random.Random(8)
     G = FinAbGroup([3, 3])
-    m = WeylProductMultiplier(G, 1, [[Phase(1, 3)]])
+    m = Bicharacter.weyl_product(G, 1, [[Phase(1, 3)]])
     assert equivalent(m, twist(m, random_phase_map(rng, G)))
 
     G9 = FinAbGroup([9, 9])
     b1 = Bicharacter(G9, [[ZERO, Phase(1, 9)], [Phase(-1, 9), ZERO]])
     b2 = b1.scale(2)
-    assert not equivalent(b1.to_multiplier(), b2.to_multiplier())
+    assert not equivalent(b1, b2)
 
 
 @pytest.mark.parametrize("n,entry", [(9, 1), (3, 2), (15, 7)])
@@ -385,7 +402,7 @@ def test_split_symmetric_zero():
 def test_split_symmetric_z3_quadratic_oracle():
     # the quadratic form 2a^2/3 splits ab/3; the canonical solution must too
     G = FinAbGroup([3])
-    m = Bicharacter(G, [[Phase(1, 3)]]).to_multiplier()
+    m = Bicharacter(G, [[Phase(1, 3)]])
     c = split_symmetric(m)
     for a in G.elements():
         for b in G.elements():
@@ -398,7 +415,7 @@ def test_split_symmetric_z3_quadratic_oracle():
 
 def test_split_symmetric_rejects_asymmetric():
     G = FinAbGroup([3, 3])
-    m = WeylProductMultiplier(G, 1, [[Phase(1, 3)]])
+    m = Bicharacter.weyl_product(G, 1, [[Phase(1, 3)]])
     with pytest.raises(PreconditionError):
         split_symmetric(m)
 
@@ -449,7 +466,7 @@ def test_split_symmetric_randomized_exact():
 
 def test_split_symmetric_on_subgroup():
     G, = (FinAbGroup([9, 9]),)
-    m = Bicharacter(G, [[ZERO, Phase(1, 9)], [Phase(-1, 9), ZERO]]).to_multiplier()
+    m = Bicharacter(G, [[ZERO, Phase(1, 9)], [Phase(-1, 9), ZERO]])
     A = subgroup_span(G, [G.element([3, 0]), G.element([0, 3])])
     c = split_symmetric(m, A)
     for a in A.elements():
@@ -561,7 +578,7 @@ def split_inputs(draw):
                                 max_den=draw(st.sampled_from([1, 2, 6, 12])))
         m = TableMultiplier.from_function(G, lambda x, y: b(x, y) + cmap(x) + cmap(y) - cmap(x + y))
     else:
-        m = b.to_multiplier()
+        m = b
     if draw(st.booleans()):
         A = Subgroup.full(G)
     else:
@@ -620,7 +637,7 @@ def test_split_symmetric_large_moduli_exact_or_refused():
     # refused by pair_nums, even on a subgroup of order 3
     n = 3 ** 21
     G = FinAbGroup([n, n])
-    b = Bicharacter(G, [[ZERO, Phase(1, n)], [ZERO, ZERO]]).to_multiplier()
+    b = Bicharacter(G, [[ZERO, Phase(1, n)], [ZERO, ZERO]])
     A = subgroup_span(G, [G.element([3 ** 20, 0])])
     with pytest.raises(InputError, match="int64"):
         split_symmetric(b, A)
@@ -633,12 +650,12 @@ def test_split_symmetric_large_moduli_exact_or_refused():
 
 def test_is_heisenberg():
     G = FinAbGroup([3, 3])
-    m = WeylProductMultiplier(G, 1, [[Phase(1, 3)]])
+    m = Bicharacter.weyl_product(G, 1, [[Phase(1, 3)]])
     assert is_heisenberg(m)
     assert not is_heisenberg(zero_multiplier(FinAbGroup([2, 2])))
     # mod-4 window: the form is nondegenerate but its antisymmetrization is not
     G4 = FinAbGroup([4, 4])
-    mw = Bicharacter(G4, [[ZERO, Phase(1, 4)], [Phase(-1, 4), ZERO]]).to_multiplier()
+    mw = Bicharacter(G4, [[ZERO, Phase(1, 4)], [Phase(-1, 4), ZERO]])
     assert mw.bichar.is_nondegenerate
     assert not is_heisenberg(mw)
     rad = antisymmetrize(mw).radical()

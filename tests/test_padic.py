@@ -159,13 +159,27 @@ def test_m0_twist_check_can_fail(monkeypatch):
     assert check.witness == ((1, 0), (0, 1))
 
 
+def test_p2_full_report_check_names(capsys):
+    from weylkit import cli
+    assert cli.main(["padic", "--p", "2", "--k", "1", "--d", "1", "--full-report"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"]] == [
+        "is_heisenberg matches parity", "vacuum dimension = 2^d", "|V2| = 2^(2d)",
+        "W0 identity", "W0 law", "n nondegenerate", "lift of n equals m~ on L/2",
+        "clifford residual", "clifford commutant is scalar",
+        "descended m~ equals chi(b1.a2 - b2.a1)",
+        "m0 equals chi(b1.a2) up to an explicit twist", "window model reducible",
+        "descended vacuum action irreducible"]
+    assert report["summary"]["m0_literal_match"] is False
+
+
 def test_full_report_builds_and_descends_once(monkeypatch, capsys):
     import sys
     from collections import Counter
 
     from weylkit import cli, padic
     calls = Counter()
-    for name in ("descend", "window_weyl"):
+    for name in ("descend", "window_weyl", "commutant_d"):
         original = getattr(padic, name)
 
         def counted(*args, _fn=original, _name=name, **kwargs):
@@ -185,7 +199,8 @@ def test_full_report_builds_and_descends_once(monkeypatch, capsys):
     monkeypatch.setattr(SectorDecomposition, "__init__", counted_init)
     assert cli.main(["padic", "--p", "2", "--k", "1", "--d", "1", "--full-report"]) == 0
     assert '"pass": true' in capsys.readouterr().out
-    assert calls == {"descend": 1, "window_weyl": 1, "SectorDecomposition": 1}
+    # commutant_d counts the window model and the descended action once each
+    assert calls == {"descend": 1, "window_weyl": 1, "commutant_d": 2, "SectorDecomposition": 1}
 
 
 def test_window_L_is_not_2L_exactly_for_p2():

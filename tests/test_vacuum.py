@@ -433,7 +433,7 @@ def normalizer_oracle(W, L, tol=1e-9):
     P0 = B0 @ B0.conj().T
     L2 = vacuum_normalizer(W, L)
     out = {}
-    form = getattr(W.multiplier, "bichar", None)
+    form = W.multiplier.bichar
     if form is not None and form.is_alternating:
         out["normalizer equals L/2"] = L2 == double_preimage(G, L)
 
