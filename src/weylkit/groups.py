@@ -422,7 +422,7 @@ def _box_reduce(X, H: np.ndarray) -> np.ndarray:
     """Copy of the int64 rows X box-reduced against the lower-triangular H: x_i in [0, H_ii)."""
     X = np.array(X, dtype=np.int64)
     for i in range(len(H)):
-        X[:, i:] -= np.outer(X[:, i] // H[i, i], H[i:, i])
+        X[:, i:] -= (X[:, i] // H[i, i])[:, None] * H[i:, i]
     return X
 
 

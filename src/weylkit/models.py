@@ -106,7 +106,8 @@ class ProjectiveRep:
     (c x rank) int64 block Y of reduced coordinate rows at once, giving
     (c x dim) source indices and phase numerators, all over the one
     denominator ``den``.  ``rows`` checks every row it takes from ``fn`` to
-    be a permutation, and ``operator(x)`` is one such row.  The formula must
+    be a permutation, and ``operator(x)`` is one such row, read from the kept
+    ``monomial_arrays`` once they exist.  The formula must
     keep its int64 intermediates below 2^63; the window model's stay below
     3 d q^2 for an operator row of q^d entries within ``ENTRY_BUDGET``.
     """
@@ -141,6 +142,9 @@ class ProjectiveRep:
     def operator(self, x: GroupElement) -> Operator:
         if x.group != self.group:
             raise InputError("element does not belong to the representation's group")
+        if self._arrays is not None:
+            SRC, NUM, _ = self._arrays
+            return Operator(self.dim, self.den, SRC[x.rank], NUM[x.rank])
         SRC, NUM = self.fn(np.array([x.coords], dtype=np.int64).reshape(1, self.group.rank))
         return Operator(self.dim, self.den, SRC[0], NUM[0])     # which checks the row
 
@@ -325,8 +329,25 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     Functions satisfy the covariance f(x + a) = m(a, x)^{-1} c(a)^{-1} f(x)
     (which reduces to f(x + a) = m(x, a) c(a)^{-1} f(x) when m is an
     alternating bicharacter) and the action is (W(y) f)(x) = m(x, y) f(x + y).
-    The action is one block formula over the transversal:
-    cosets are found by ``Subgroup.coset_index`` and c by rank among A's elements.
+    On the transversal r_0, r_1, ... (``Subgroup.transversal_coords``), W(y)
+    reads f at r_j, where r_i + y = r_j + a with a in A, with the phase
+    m(r_i, y) - m(a, r_j) - c(a).
+
+    The block formula finds the coset of each row y once, y = b + r_k with b
+    in A, and composes W(y) = e(-m(b, r_k)) W(b) W(r_k).  W(r_k), from
+    r_i + r_k = r_j + a', is read on a grid over the block's distinct cosets
+    k only (at most min(c, dim) x dim entries for c rows); W(b) is diagonal,
+    e(m(r_i, b) - m(b, r_i) - c(b)) at r_i, so it only adds to the phases.
+    With a = a' + b this is the phase above by the cocycle identity at
+    (r_i, r_k, b) and (r_j, a', b), the splitting
+    c(a' + b) = c(a') + c(b) + m(a', b) and the bilinearity of
+    m~(x, y) = m(x, y) - m(y, x), which vanishes on A x A as c splits m there:
+    it holds for every verified multiplier.  A call materialises coset
+    indices and c (by rank among A's elements) for the c rows and the grid,
+    m on the grid, the c x dim grids m(r_i, b) and m(b, r_i)
+    (``Multiplier.pair_grid``) and m(b, r_k); each entry then costs a gather
+    and adds, with no coset reduction or multiplier call per entry.  It never
+    lists G or A x A.
     """
     if m.group != G or A.ambient != G:
         raise InputError("group, multiplier and subgroup do not match")
@@ -341,7 +362,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
         SplittingData(A, cmap).validate(m)
 
     R = A.transversal_coords()
-    dim = len(R)
+    dim, rank = R.shape
     den = lcm(m.den, cmap.den)
     # c over den by rank among A's elements
     elems = A.elements()
@@ -352,20 +373,28 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     scale = den // m.den
 
     def fn(Y):
-        # row (k, i): z = r_i + y_k = r_j + a with r_j its coset's representative;
-        # num = m(r_i, y_k) - m(a, r_j) - c(a) and src = j
-        c = len(Y)
-        Rk = np.tile(R, (c, 1))
-        Yk = np.repeat(Y, dim, axis=0)
-        Z = (Rk + Yk) % moduli
+        # y = b + r_k with b in A, and W(y) = e(-m(b, r_k)) W(b) W(r_k)
+        k = A.coset_index(Y)
+        b = (Y - R[k]) % moduli
+        seen = np.zeros(dim, dtype=bool)
+        seen[k] = True
+        K = np.flatnonzero(seen)
+        row = (np.cumsum(seen) - 1)[k]
+        # W(r_k) at the distinct k: r_i + r_k = r_j + a', num = m(r_i, r_k) - m(a', r_j) - c(a')
+        Z = (R[K][:, None, :] + R).reshape(len(K) * dim, rank) % moduli
         J = A.coset_index(Z)
         a = (Z - R[J]) % moduli
-        ar = a @ weights
-        k = np.minimum(np.searchsorted(a_ranks, ar), len(a_ranks) - 1)
-        if (a_ranks[k] != ar).any():
+        # c at the grid's a' and at the rows' b
+        ar = np.concatenate([a, b]) @ weights
+        at = np.minimum(np.searchsorted(a_ranks, ar), len(a_ranks) - 1)
+        if (a_ranks[at] != ar).any():
             raise InputError("a coset difference is missing from the subgroup")
-        NUM = (m.pair_nums(Rk, Yk) - m.pair_nums(a, R[J])) * scale - c_num[k]
-        return J.reshape(c, dim), (NUM % den).reshape(c, dim)
+        ca, cb = np.split(c_num[at], [len(a)])
+        NK = ((m.pair_grid(R, R[K]).T.ravel() - m.pair_nums(a, R[J])) * scale - ca) % den
+        # W(b) is diagonal, e(m(r_i, b) - m(b, r_i) - c(b)) at i; the scalar -m(b, r_k) joins it
+        shift = (cb + m.pair_nums(b, R[k]) * scale) % den
+        NB = (m.pair_grid(R, b).T - m.pair_grid(b, R)) * scale - shift[:, None]
+        return J.reshape(len(K), dim)[row], (NK.reshape(len(K), dim)[row] + NB) % den
 
     rep = ProjectiveRep(G, m, dim, fn, den, label=f"induced(|A|={A.order})")
     if check:

@@ -114,15 +114,19 @@ class Multiplier:
         """Numerators of m(x_i, y_i) over self.den for coordinate arrays; one row broadcasts."""
         raise NotImplementedError
 
+    def pair_grid(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """(len(X) x len(Y)) numerators of m(x_i, y_j) over self.den: every pair of the two
+        row sets of reduced coordinates."""
+        nx, ny = len(X), len(Y)
+        return self.pair_nums(np.repeat(X, ny, axis=0), np.tile(Y, (nx, 1))).reshape(nx, ny)
+
     def num_table(self):
         """(den, order x order int64 array), its order^2 entries within ``ENTRY_BUDGET``."""
         if self._table is None:
             n = self.group.order
             check_budget("table entries", n * n)
             X = self.group.coords_array()
-            XX = np.repeat(X, n, axis=0)
-            YY = np.tile(X, (n, 1))
-            self._table = self.pair_nums(XX, YY).reshape(n, n)
+            self._table = self.pair_grid(X, X)
         return self.den, self._table
 
     def backing(self) -> str:
@@ -215,13 +219,20 @@ class Bicharacter(Multiplier):
 
     phase = __call__
 
-    def pair_nums(self, XC: np.ndarray, YC: np.ndarray) -> np.ndarray:
-        """Numerators of b(x_i, y_i) over den for rows of reduced coordinates; one row broadcasts."""
+    def _int64_safe(self):
+        # every term of x . B . y is >= 0 on reduced coordinates, so no partial sum passes the bound
         if self._pair_bound >= 2 ** 63:
             raise InputError(f"{self!r}: x . B . y can reach {self._pair_bound}, "
                              "beyond int64 arrays")
-        # every term is >= 0, so no partial sum passes the bound
+
+    def pair_nums(self, XC: np.ndarray, YC: np.ndarray) -> np.ndarray:
+        """Numerators of b(x_i, y_i) over den for rows of reduced coordinates; one row broadcasts."""
+        self._int64_safe()
         return np.einsum("ij,ij->i", XC @ self._cnum, YC) % self._den
+
+    def pair_grid(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        self._int64_safe()
+        return (X @ self._cnum) @ Y.T % self._den
 
     @property
     def is_alternating(self) -> bool:
@@ -302,11 +313,14 @@ class TableMultiplier(Multiplier):
             raise InputError("elements do not belong to the multiplier's group")
         return Phase(int(self.num[x.rank, y.rank]), self._den)
 
+    def _ranks(self, XC) -> np.ndarray:
+        return XC @ np.array(self.group._weights, dtype=np.int64)
+
     def pair_nums(self, XC, YC):
-        w = np.array(self.group._weights, dtype=np.int64)
-        xr = (XC * w).sum(axis=1)
-        yr = (YC * w).sum(axis=1)
-        return self.num[xr, yr]
+        return self.num[self._ranks(XC), self._ranks(YC)]
+
+    def pair_grid(self, X, Y):
+        return self.num[np.ix_(self._ranks(X), self._ranks(Y))]
 
     def backing(self):
         return "table"
@@ -488,7 +502,7 @@ def split_symmetric(m: Multiplier, A: Subgroup | None = None) -> PhaseMap:
     pos = A.grid_order()                        # element i of A is grid point pos[i]
     X = np.empty((n, G.rank), dtype=np.int64)
     X[pos] = np.array([a.coords for a in elems], dtype=np.int64).reshape(n, G.rank)
-    N = m.pair_nums(np.repeat(X, n, axis=0), np.tile(X, (n, 1))).reshape(n, n) % m.den * E
+    N = m.pair_grid(X, X) % m.den * E
     Ne = N[np.ix_(pos, pos)]
     asym = np.argwhere(np.triu(Ne != Ne.T))
     if asym.size:

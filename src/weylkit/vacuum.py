@@ -135,10 +135,10 @@ class SectorDecomposition:
                 A = np.array([a.coords for a in self.L.elements()], dtype=np.int64)
                 A = A.reshape(self.L.order, G.rank)
                 Y = self.L.transversal_coords()
-                nums = m.pair_nums(np.repeat(A, len(Y), axis=0), np.tile(Y, (len(A), 1)))
+                nums = m.pair_grid(A, Y)
                 E = self.char_exp
                 chi = self._tcoords @ self._chi[codes].T % E
-                ok = not ((nums.reshape(chi.shape) * E - chi * m.den) % (m.den * E)).any()
+                ok = not ((nums * E - chi * m.den) % (m.den * E)).any()
             self._labeled = bool(ok)
         return self._labeled
 
@@ -159,8 +159,7 @@ class SectorDecomposition:
         m, r = self.rep.multiplier, len(self.orders)
         Y = self.L.transversal_coords()
         H = np.array([h.coords for h in self.gens], dtype=np.int64).reshape(r, self.rep.group.rank)
-        nums = m.pair_nums(np.tile(H, (len(Y), 1)), np.repeat(Y, r, axis=0)).reshape(len(Y), r)
-        nums = nums * np.array(self.orders, dtype=np.int64)
+        nums = m.pair_grid(H, Y).T * np.array(self.orders, dtype=np.int64)
         return None if (nums % m.den).any() else (nums // m.den) @ self._char_weights
 
     # -- sectors ----------------------------------------------------------
@@ -504,11 +503,12 @@ def _descended_multiplier(m, V2: FinAbGroup, sections) -> TableMultiplier:
     """m0(v, w) = m(s_v, s_w) + m(s_v + s_w - s_{v+w}, s_{v+w}) over all pairs, in one pass."""
     k = V2.order
     check_budget("table entries", k * k)
-    Sc = np.array([s.coords for s in sections], dtype=np.int64).reshape(k, -1)
-    X, Y = np.repeat(Sc, k, axis=0), np.tile(Sc, (k, 1))
-    Z = Sc[V2.addition_table().ravel()]
-    A = (X + Y - Z) % np.array(m.group.moduli, dtype=np.int64)
-    return TableMultiplier(V2, m.den, (m.pair_nums(X, Y) + m.pair_nums(A, Z)).reshape(k, k))
+    r = m.group.rank
+    Sc = np.array([s.coords for s in sections], dtype=np.int64).reshape(k, r)
+    Z = Sc[V2.addition_table()]
+    A = (Sc[:, None] + Sc - Z) % np.array(m.group.moduli, dtype=np.int64)
+    corr = m.pair_nums(A.reshape(k * k, r), Z.reshape(k * k, r)).reshape(k, k)
+    return TableMultiplier(V2, m.den, m.pair_grid(Sc, Sc) + corr)
 
 
 @dataclass

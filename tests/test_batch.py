@@ -175,7 +175,9 @@ def per_coset_operators(G, m, A, c):
 
 
 def assert_induced_matches(G, m, A, c=None):
-    """induced_model(G, m, A, c) equals the per-coset oracle on every operator, both routes."""
+    """induced_model(G, m, A, c) equals the per-coset oracle on every operator, both routes,
+    and ``W.rows`` equals it on a shuffled block, on a block that repeats one coset and on
+    a single row."""
     W = induced_model(G, m, A, c)
     cmap = split_symmetric(m, A) if c is None else c.c if isinstance(c, SplittingData) else c
     oracle = per_coset_operators(G, m, A, cmap)
@@ -188,6 +190,14 @@ def assert_induced_matches(G, m, A, c=None):
     NUM = np.concatenate([N for _, N, _ in blocks])
     for x, want in enumerate(oracle):
         assert Operator(W.dim, W.den, SRC[x], NUM[x]).equals(want)
+    X = G.coords_array()
+    shuffled = np.random.default_rng(G.order).permutation(G.order)
+    coset = np.flatnonzero(A.coset_index(X) == A.coset_index(X[shuffled[:1]])[0])
+    for ranks in (shuffled, np.resize(coset, 3 * len(coset)), shuffled[:1]):
+        SRC, NUM, den = W.rows(X[ranks])
+        assert den == W.den and SRC.shape == NUM.shape == (len(ranks), W.dim)
+        for x, src, num in zip(ranks.tolist(), SRC, NUM):
+            assert Operator(W.dim, den, src, num).equals(oracle[x])
 
 
 def block_form(moduli, units, lower=True):
@@ -260,6 +270,11 @@ def full_subgroup():
     return G, zero_multiplier(G), Subgroup.full(G), None
 
 
+def rank_zero():
+    G = FinAbGroup([])
+    return G, zero_multiplier(G), Subgroup.full(G), None
+
+
 INDUCED_CASES = {
     "z9": z9_case,
     "f2-position": lambda: f2_case([1, 0]),
@@ -271,6 +286,7 @@ INDUCED_CASES = {
     "twisted-table": twisted_table,
     "explicit-splitting": explicit_splitting,
     "full-subgroup": full_subgroup,
+    "rank-zero": rank_zero,
 }
 
 

@@ -493,7 +493,8 @@ def test_fault_beyond_table_cap_fails_at_a_generator_pair():
 
 def test_override_law_check_reads_whole_blocks():
     # the override patches the parent's formula, so the exact law check reads G in
-    # whole blocks once; only W(0) and the witness pair's three operators are one-row calls
+    # whole blocks once; only W(0) is a one-row call, as the witness pair's three
+    # operators are read from the kept rows
     W = block_symplectic_model(*VACUUM_9595)
     G = W.group
     x0 = G.element([3, 2, 0, 0])
@@ -507,7 +508,7 @@ def test_override_law_check_reads_whole_blocks():
     blocks = [n for n in calls if n > 1]
     assert sum(blocks) == G.order
     assert len(blocks) <= -(-G.order // (models.BLOCK_ENTRIES // W.dim))
-    assert calls.count(1) == 1 + 3
+    assert calls.count(1) == 1
 
 
 def lookup_rep(W, SRC, NUM, den):
@@ -955,3 +956,16 @@ def test_monomial_arrays_cache(f2):
     assert NUM.shape == (4, 2)
     # blocks() hands out the kept rows as one block, without the batch formula
     assert all(a is b for a, b in zip(next(W.blocks()), (SRC, NUM, den)))
+
+
+def test_operator_reads_kept_rows():
+    # once monomial_arrays keeps every row, operator(x) is row x.rank, checked as an Operator
+    W = schrodinger_model(FinAbGroup([3, 2]))
+    G = W.group
+    want = [W.operator(x) for x in G.elements()]
+    SRC, NUM, _ = W.monomial_arrays()
+    W.fn = None                             # the formula is not called again
+    assert all(W.operator(x).equals(w) for x, w in zip(G.elements(), want))
+    SRC[5, 0] = SRC[5, 1]
+    with pytest.raises(InputError, match="not a permutation"):
+        W.operator(G.element_by_rank(5))

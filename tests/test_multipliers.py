@@ -77,12 +77,15 @@ def test_large_moduli_exact_or_refused():
     with pytest.raises(InputError, match="int64"):
         b.pair_nums(XC, XC)
     with pytest.raises(InputError, match="int64"):
+        b.pair_grid(XC, XC)
+    with pytest.raises(InputError, match="int64"):
         check_multiplier(b)
     # on (Z/3^19)^2 every x . B . y fits in int64, so arrays are still used
     small = FinAbGroup([3 ** 19, 3 ** 19])
     bs = Bicharacter(small, [[ZERO, Phase(1, 3 ** 19)], [ZERO, ZERO]])
     XS = np.array([[3 ** 19 - 1, 3 ** 19 - 1]], dtype=np.int64)
     assert bs.pair_nums(XS, XS).tolist() == [1]
+    assert bs.pair_grid(XS, XS).tolist() == [[1]]
     assert check_multiplier(bs).passed
 
 
@@ -304,6 +307,65 @@ def test_pair_nums_matches_scalar_call(moduli, data):
                       np.array(Y, dtype=np.int64).reshape(len(X), G.rank))
     assert [Phase(int(v), b.den) for v in got] == [b(G.element(x), G.element(y))
                                                     for x, y in zip(X, Y)]
+
+
+def _drawn_multiplier(kind, G, data):
+    """A bicharacter, a Weyl product, its table or a coboundary-twisted table on G."""
+    def phase(a, b):
+        g = gcd(a, b)
+        return Phase(data.draw(st.integers(0, g - 1)), g)
+    n, r = G.moduli, G.rank
+    if kind == "weyl_product":
+        left = data.draw(st.integers(0, r))
+        return Bicharacter.weyl_product(G, left, [[phase(n[j], n[left + i]) for i in range(r - left)]
+                                                  for j in range(left)])
+    b = Bicharacter(G, [[phase(a, c) for c in n] for a in n])
+    if kind == "table":
+        return TableMultiplier.from_multiplier(b)
+    if kind == "twisted-table":
+        vals = {x.coords: Phase(data.draw(st.integers(0, 5)) if not x.is_zero() else 0, 6)
+                for x in G.elements()}
+        return twist(b, PhaseMap(G, vals))
+    return b
+
+
+def _grid_oracle(m, X, Y):
+    """m(x_i, y_j) for every pair: pair_nums over the repeat/tile copies of the rows."""
+    return m.pair_nums(np.repeat(X, len(Y), axis=0), np.tile(Y, (len(X), 1))).tolist()
+
+
+GRID_KINDS = ["bicharacter", "weyl_product", "table", "twisted-table"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(moduli=st.lists(st.integers(1, 6), max_size=3), kind=st.sampled_from(GRID_KINDS),
+       data=st.data())
+def test_pair_grid_matches_pair_nums(moduli, kind, data):
+    G = FinAbGroup(moduli)
+    m = _drawn_multiplier(kind, G, data)
+    rows = st.lists(st.tuples(*(st.integers(0, k - 1) for k in moduli)), max_size=6)
+    X, Y = (np.array(R, dtype=np.int64).reshape(len(R), G.rank)
+            for R in (data.draw(rows), data.draw(rows)))
+    got = m.pair_grid(X, Y)
+    assert got.shape == (len(X), len(Y))
+    assert got.ravel().tolist() == _grid_oracle(m, X, Y)
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+@pytest.mark.parametrize("moduli", [[], [1], [3, 2]])
+def test_pair_grid_empty_sides_and_rank_zero(moduli, kind):
+    G = FinAbGroup(moduli)
+    m = {"bicharacter": random_bicharacter(random.Random(2), G),
+         "weyl_product": Bicharacter.weyl_product(G, 0, []),
+         "table": TableMultiplier.from_multiplier(random_bicharacter(random.Random(2), G)),
+         "twisted-table": twist(random_bicharacter(random.Random(2), G),
+                                random_phase_map(random.Random(3), G))}[kind]
+    X = G.coords_array()
+    none = X[:0]
+    for P, Q in ((X, X), (X, none), (none, X), (none, none)):
+        got = m.pair_grid(P, Q)
+        assert got.shape == (len(P), len(Q))
+        assert got.ravel().tolist() == _grid_oracle(m, P, Q)
 
 
 def test_twist_identity_and_composition():
