@@ -93,8 +93,8 @@ def parse_multiplier(obj, G: FinAbGroup) -> Multiplier:
         for row in vals:
             for v in row:
                 den = lcm(den, v.den)
-        num = np.array([[v.numerator_at(den) for v in row] for row in vals], dtype=np.int64)
-        return TableMultiplier(G, den, num)
+        # Python ints, which TableMultiplier bounds before it makes an int64 array
+        return TableMultiplier(G, den, [[v.numerator_at(den) for v in row] for row in vals])
     raise SchemaError(f"multiplier: unknown type {kind!r}")
 
 

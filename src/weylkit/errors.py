@@ -14,6 +14,13 @@ def check_budget(what: str, size: int):
         raise ResourceLimitError(what, size, "ENTRY_BUDGET", ENTRY_BUDGET)
 
 
+def check_int64(what: str, bound: int):
+    """Raise ``InputError`` unless ``bound``, the largest magnitude that ``what`` can
+    reach in an int64 array, is below 2^63."""
+    if bound >= 2 ** 63:
+        raise InputError(f"{what} can reach {bound}, beyond int64 arrays")
+
+
 class WeylkitError(Exception):
     """Base class for all package errors."""
 

@@ -17,7 +17,8 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .errors import ENTRY_BUDGET, DefectError, InputError, PreconditionError, check_budget
+from .errors import (ENTRY_BUDGET, DefectError, InputError, PreconditionError, check_budget,
+                     check_int64)
 from .groups import FinAbGroup, GroupElement, Subgroup
 from .multipliers import (
     Bicharacter,
@@ -252,14 +253,30 @@ class SplittingData:
     c: PhaseMap
 
     def validate(self, m: Multiplier):
+        """m(a, b) = c(a + b) - c(a) - c(b) on A x A, decided on one ``pair_grid``.
+
+        ``PreconditionError`` names the first failing pair, a outer and b
+        inner in element order; ``InputError`` when c misses an element of A.
+        """
         A = self.subgroup
-        if self.c(A.ambient.zero()) != ZERO:
+        G = A.ambient
+        if self.c(G.zero()) != ZERO:
             raise PreconditionError("splitting must vanish at 0")
-        for a in A.elements():
-            for b in A.elements():
-                if m(a, b) != self.c(a + b) - self.c(a) - self.c(b):
-                    raise PreconditionError(
-                        f"splitting fails at {(a.coords, b.coords)}")
+        elems = A.elements()
+        check_budget("table entries", len(elems) ** 2)
+        cvals = [self.c(a) for a in elems]
+        d = lcm(m.den, *(v.den for v in cvals))
+        check_int64(f"a splitting sum over {d}", 3 * (d - 1))
+        cnum = np.array([v.numerator_at(d) for v in cvals], dtype=np.int64)
+        X = np.array([a.coords for a in elems], dtype=np.int64).reshape(len(elems), G.rank)
+        weights = np.array(G._weights, dtype=np.int64)
+        # a + b by its position among A's elements, which are sorted by rank
+        ab = np.searchsorted(X @ weights,
+                             (X[:, None] + X) % np.array(G.moduli, dtype=np.int64) @ weights)
+        bad = (m.pair_grid(X, X) * (d // m.den) - cnum[ab] + cnum[:, None] + cnum) % d != 0
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            raise PreconditionError(f"splitting fails at {(elems[i].coords, elems[j].coords)}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +430,10 @@ def check_rep_law(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
                   samples: int = 20_000, seed: int = 0) -> VerificationReport:
     """W(x) W(y) = e(m(x, y)) W(x + y): exactly over all pairs, or over a seeded sample.
 
-    Exact whenever W's ``monomial_arrays`` fit their budget and the pairs
-    (x, g), g in {0} and the generators, decide it (see ``_check_pairs``).
+    Exact whenever W's ``monomial_arrays`` fit their budget: for a proved
+    cocycle m, W at the pairs P that present the twisted group algebra
+    C^m[G] decides it, sum_l n_1 ... n_l + r(r - 1)/2 pairs read from the
+    kept rows (see ``_check_pairs`` and ``_presentation_holds``).
     """
     rep = VerificationReport(f"representation law for {W.label}")
     rep.add("identity", W.operator(W.group.zero()).equals(identity_operator(W.dim)),
@@ -438,21 +457,23 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
     R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  One kernel,
     ``_pairs_hold``, decides each pair set below exactly; only failing pairs
     are measured, by ``_pair_distance``.
-    1. The generator pairs (x, g), g in {0} and the generators, when W's
-       ``monomial_arrays`` (|G| dim entries) fit ``ENTRY_BUDGET``.  They decide
-       the law for a proved cocycle m: with W(y + g) = e(-m(y, g)) W(y) W(g),
-       the law at (x, y) and (x, g) gives it at (x, y + g), as
-       m(x, y) + m(x + y, g) - m(y, g) = m(x, y + g), and sums of generators
-       reach every y.  They decide the commutator for a bicharacter phase
-       once W's own law holds at every (x, g): then W(x) W(y) =
-       e(m(x, y) - m(y, x)) W(y) W(x), and two bimultiplicative phases that
-       agree at every (x, g) agree everywhere.
-       Witness: the first failing (x, g), g in generator order, x in rank order.
-    2. All |G|^2 pairs, one row x at a time, when these prove no pass and
-       |G|^2 fits the budget.  Witness: the first bad pair in rank order;
+    1. The pairs P of the presentation of C^m[G] (``_presentation_holds``),
+       when W's ``monomial_arrays`` (|G| dim entries) fit ``ENTRY_BUDGET``
+       and m, the phase for the law and W's own multiplier for the
+       commutator, is a proved cocycle: a bicharacter, or a table within the
+       budget that ``is_verified``.  Law at P proves the law at every pair.
+       It proves the commutator when the phase also equals m~ =
+       ``antisymmetrize(m)`` exactly: then W(x) W(y) = e(m(x, y)) W(x + y) =
+       e(m~(x, y)) W(y) W(x) at every pair.
+    2. When P proves no pass, all |G|^2 pairs, one row x at a time, if |G|^2
+       fits the budget.  Witness: the first bad pair in rank order;
        residual: the largest distance at the first bad y of each x.
-    3. Otherwise -- above the budget, for an unverified m, or for the
-       commutator when W's own law fails -- all |G|^2 pairs when at most
+    3. Above the budget, the pairs (x, g), g in {0} (the law only) and the
+       generators, x in rank order.  Witness: the first failing (x, g), g
+       in generator order.
+    4. Otherwise -- when W's kept rows would pass the budget, or every
+       (x, g) holds but P proves no pass (an unverified m, or the commutator
+       of a rep whose own law fails) -- all |G|^2 pairs when at most
        ``samples``, else a seeded sample.  Witness: the worst pair.
     Every tier fails on any pair that ``_pairs_hold`` rejects, however close
     its float distance.
@@ -463,31 +484,25 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
     decided = W.fits_arrays()
     if decided:
         W.monomial_arrays()     # kept, so _pairs_hold reads the rows by rank
-        X = G.coords_array()
-        gens = [G.zero()] + G.generators()
-        bad = None
-        for g in gens[1:] if swapped else gens:
-            xs = np.flatnonzero(~_pairs_hold(W, phase, swapped, X, X[g.rank:g.rank + 1]))
-            if xs.size:
-                bad = (G.element_by_rank(int(xs[0])), g)
-                break
         m = W.multiplier if swapped else phase
-        proved = bad is None and \
-            (m.bichar is not None or (n * n <= ENTRY_BUDGET and m.is_verified()))
-        if swapped:
-            proved = proved and phase.bichar is not None and \
-                all(_pairs_hold(W, m, False, X, X[g.rank:g.rank + 1]).all() for g in gens)
-        if n * n <= ENTRY_BUDGET and not proved:
+        proved = (m.bichar is not None or (n * n <= ENTRY_BUDGET and m.is_verified())) and \
+            (not swapped or antisymmetrize(m) == phase) and _presentation_holds(W, m)
+        X = G.coords_array()
+        if not proved and n * n <= ENTRY_BUDGET:
             for x in range(n):
                 ys = np.flatnonzero(~_pairs_hold(W, phase, swapped, X[x:x + 1], X))
                 if ys.size:
                     wx, wy = G.element_by_rank(x), G.element_by_rank(int(ys[0]))
                     worst = max(worst, _pair_distance(W, phase, swapped, wx, wy))
                     witness = witness or (wx.coords, wy.coords)
-        elif bad is not None:
-            witness, worst = tuple(e.coords for e in bad), _pair_distance(W, phase, swapped, *bad)
-        else:
-            decided = proved
+        elif not proved:
+            for g in G.generators() if swapped else [G.zero()] + G.generators():
+                xs = np.flatnonzero(~_pairs_hold(W, phase, swapped, X, X[g.rank:g.rank + 1]))
+                if xs.size:
+                    x = G.element_by_rank(int(xs[0]))
+                    witness, worst = (x.coords, g.coords), _pair_distance(W, phase, swapped, x, g)
+                    break
+            decided = witness is not None
     if not decided:
         if n * n <= samples:
             idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
@@ -505,6 +520,41 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Mu
             note=note)
 
 
+def _presentation_holds(W: ProjectiveRep, m: Multiplier) -> bool:
+    """Whether W's kept rows obey W(x) W(y) = e(m(x, y)) W(x + y) on the pairs P that present
+    the twisted group algebra C^m[G]; for a proved cocycle m they decide the law at every pair.
+
+    P holds the prefix pairs (y, g_l), y_{l+1} = ... = y_r = 0, for each
+    generator g_l (n_l > 1; a factor of modulus 1 has none), and the
+    commutation pairs (g_j, g_i), j > i: sum_l n_1 ... n_l + r(r - 1)/2
+    pairs.  The first coordinate has weight 1, so the y of the prefix pairs
+    are the ranks below n_1 ... n_l, a run of the kept rows, and so are the
+    y + g_l of a block that does not reach y_l = n_l - 1.
+    Why P decides the law, with W(0) = 1 and U_l = W(g_l):
+    * The prefix pairs give W(y + g_l) = e(-m(y, g_l)) W(y) U_l, so by
+      induction on the top coordinate W(x) = e(psi(x)) U_1^{x_1} ... U_r^{x_r},
+      with psi read off m alone.  The pairs with y_l = n_l - 1 then give the
+      power relations U_l^{n_l} = scalar.
+    * The commutation pair (g_j, g_i) with the prefix pair (g_i, g_j) gives
+      U_j U_i = e(m(g_j, g_i) - m(g_i, g_j)) U_i U_j.
+    * The same identities hold for the basis [x] of C^m[G], whose product is
+      [x][y] = e(m(x, y)) [x + y], so its [g_l] obey the same relations with
+      the same scalars.  The algebra these relations present is spanned by
+      the ordered monomials, so its dimension is at most |G|, and it maps
+      onto C^m[G], of dimension |G| as m is a cocycle: they present C^m[G].
+      So [g_l] -> U_l is a homomorphism, it sends [x] = e(psi(x)) [g_1]^{x_1}
+      ... [g_r]^{x_r} to W(x), and the law holds at every pair.
+    """
+    G = W.group
+    X = G.coords_array()
+    gens = [(n, w) for n, w in zip(G.moduli, G._weights) if n > 1]    # order and rank of g_l
+    pairs = [(X[:n * w], X[w:w + 1]) for n, w in gens]
+    if len(gens) > 1:
+        j, i = zip(*[(gj, gi) for k, (_, gj) in enumerate(gens) for _, gi in gens[:k]])
+        pairs.append((X[list(j)], X[list(i)]))
+    return all(_pairs_hold(W, m, False, Xs, Ys).all() for Xs, Ys in pairs)
+
+
 def _pair_distance(W: ProjectiveRep, phase: Multiplier, swapped: bool, x, y) -> float:
     lhs = W.operator(x).compose(W.operator(y))
     rhs = W.operator(y).compose(W.operator(x)) if swapped else W.operator(x + y)
@@ -517,8 +567,9 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
     ``_check_pairs`` holds exactly; either side may be one row, paired with every row of the other.
 
     Rows are read by rank from W's kept ``monomial_arrays`` when it has
-    them, else from ``W.rows``, max(1, BLOCK_ENTRIES // dim) pairs at a
-    time.  Each product is one row-wise gather; a single row is never
+    them, a run of consecutive ranks as a slice (a view) and any other rows
+    by one gather, else from ``W.rows``, max(1, BLOCK_ENTRIES // dim) pairs
+    at a time.  Each product is one row-wise gather; a single row is never
     copied to the other side's length.
     """
     G = W.group
@@ -529,6 +580,9 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
         if W._arrays is None:
             return W.rows(Z)[:2]
         r = Z @ weights
+        lo, hi = int(r[0]), int(r[-1]) + 1
+        if hi - lo == len(r) and (len(r) < 3 or (np.diff(r) == 1).all()):
+            return W._arrays[0][lo:hi], W._arrays[1][lo:hi]
         return W._arrays[0].take(r, axis=0), W._arrays[1].take(r, axis=0)
 
     def gather(A, I):

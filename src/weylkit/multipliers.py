@@ -24,7 +24,7 @@ from math import lcm
 import numpy as np
 
 from .errors import (ENTRY_BUDGET, DefectError, InputError, PreconditionError,
-                     UnsupportedOperationError, check_budget)
+                     UnsupportedOperationError, check_budget, check_int64)
 from .groups import FinAbGroup, GroupElement, Subgroup
 from .intmat import diagonal_of, smith_decompose
 from .phases import Phase, ZERO
@@ -285,6 +285,7 @@ class TableMultiplier(Multiplier):
         super().__init__(group)
         n = group.order
         check_budget("table entries", n * n)
+        check_int64(f"a table numerator over {den}", den - 1)
         num = np.asarray(num, dtype=np.int64) % den
         if num.shape != (n, n):
             raise InputError(f"table must be {n} x {n}")
@@ -354,6 +355,8 @@ def check_multiplier(m: Multiplier, *, triples: int = SAMPLED_TRIPLES,
     triple in z-major order as the witness.
     """
     G = m.group
+    # dm sums two numerators before it subtracts two
+    check_int64(f"a cocycle sum over {m.den}", 2 * (m.den - 1))
     rep = VerificationReport(f"multiplier on {G!r} ({m.backing()})")
     n = G.order
     if n * n <= ENTRY_BUDGET:

@@ -76,6 +76,25 @@ def test_verify_corrupted_table_exits_1(tmp_path, capsys):
     assert failing and failing[0].get("witness")
 
 
+# a table on Z/3 over a denominator past int64 sums: at 9 10^18 the cocycle sums
+# a + e - 1 = 2^64 - den of the entries m(1, 1) = a, m(2, 2) = e wrapped to a false pass;
+# at 2 10^19 no numerator fits int64
+OVERSIZED_DENOMINATORS = {
+    "cocycle-sums": (9 * 10 ** 18, 9 * 10 ** 18 - 1, 2 ** 64 - 18 * 10 ** 18 + 2),
+    "numerators": (2 * 10 ** 19, 2 * 10 ** 19 - 1, 3),
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED_DENOMINATORS, ids=list(OVERSIZED_DENOMINATORS))
+def test_verify_oversized_denominator_exits_2(tmp_path, capsys, case):
+    den, a, e = OVERSIZED_DENOMINATORS[case]
+    assert 0 < a < den and 0 < e < den
+    values = [["0", "0", "0"], ["0", f"{a}/{den}", f"1/{den}"], ["0", f"1/{den}", f"{e}/{den}"]]
+    sc = {"task": "verify", "group": {"moduli": [3]}, "multiplier": {"type": "table", "values": values}}
+    assert main(["verify", "--scenario", write(tmp_path, "v.json", sc)]) == 2
+    assert "beyond int64 arrays" in capsys.readouterr().err
+
+
 def test_isotropy_task(tmp_path, capsys):
     sc = {
         "task": "isotropy",

@@ -121,6 +121,42 @@ def test_induced_rejects_bad_splitting(z9):
         induced_model(G, m, L, bad)
 
 
+def first_splitting_failure(m, A, c):
+    """The first (a, b), a outer and b inner in element order, with
+    m(a, b) != c(a + b) - c(a) - c(b), by scalar calls; None when c splits m on A."""
+    return next(((a.coords, b.coords) for a in A.elements() for b in A.elements()
+                 if m(a, b) != c(a + b) - c(a) - c(b)), None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_splitting_validation_names_the_first_failing_pair(data):
+    # the canonical splitting of the vacuum-9595 Lagrangian, shifted at a few elements
+    W = block_symplectic_model(*VACUUM_9595)
+    G, m = W.group, W.multiplier
+    A = subgroup_span(G, [G.element(g) for g in VACUUM_9595[2]])
+    values = dict(split_symmetric(m, A).values)
+    elems = A.elements()
+    for i in data.draw(st.lists(st.integers(1, len(elems) - 1), max_size=3)):
+        values[elems[i].coords] += Phase(data.draw(st.integers(1, 44)), 45)
+    c = PhaseMap(G, values)
+    want = first_splitting_failure(m, A, c)
+    if want is None:
+        models.SplittingData(A, c).validate(m)
+    else:
+        with pytest.raises(PreconditionError) as exc:
+            models.SplittingData(A, c).validate(m)
+        assert str(exc.value) == f"splitting fails at {want}"
+
+
+def test_splitting_validation_refuses_a_missing_element(z9):
+    G, m, L, _ = z9
+    values = dict(split_symmetric(m, L).values)
+    del values[(3, 6)], values[(0, 3)]
+    with pytest.raises(InputError, match=r"undefined at \(0, 3\)"):
+        models.SplittingData(L, PhaseMap(G, values)).validate(m)
+
+
 def test_induced_nontrivial_splitting_f2_4():
     # on F_2^4 the maximal isotropic for m~ carries a symmetric but nonzero
     # restriction, so the splitting must grow denominators
@@ -339,6 +375,12 @@ def faulted_reps(draw):
             lambda ms: np.prod(ms) ** 4 <= ENTRY_BUDGET))
         W = schrodinger_model(FinAbGroup(sizes))
     assume(W.group.order ** 2 <= ENTRY_BUDGET)
+    return draw_fault(draw, W)
+
+
+def draw_fault(draw, W):
+    """(W, "none"), or W with one operator replaced by a random monomial one or one
+    phase of one operator shifted, and the kind of fault."""
     fault = draw(st.sampled_from(["none", "operator", "phase"]))
     if fault == "none" or W.group.order == 1:
         return W, "none"
@@ -362,6 +404,117 @@ def test_generator_decision_matches_full_scan(case):
     law, comm = assert_checks_match_oracle(W)
     if fault == "none":
         assert law.passed and comm.passed
+
+
+@st.composite
+def twisted_or_unit_factor_reps(draw):
+    """A Schrodinger or induced model over a coboundary-twisted table multiplier, on a
+    group with a factor of modulus 1, or both; maybe with a fault (``draw_fault``)."""
+    kind = draw(st.sampled_from(["twisted", "unit-factor", "both"]))
+    moduli = draw(st.lists(st.integers(2, 5), min_size=1, max_size=2).filter(
+        lambda ms: np.prod(ms) ** 4 <= ENTRY_BUDGET))
+    if kind != "twisted":
+        moduli.insert(draw(st.integers(0, len(moduli))), 1)
+    W = schrodinger_model(FinAbGroup(moduli))
+    if draw(st.booleans()):
+        line = extend_maximal(subgroup_span(W.group, []), antisymmetrize(W.multiplier))
+        W = induced_model(W.group, W.multiplier, line)
+    if kind != "unit-factor":
+        den = draw(st.sampled_from([2, 3, 4, 6]))
+        W = W.twisted(PhaseMap(W.group, {x.coords: Phase(draw(st.integers(0, den - 1)) if x.rank else 0,
+                                                          den) for x in W.group.elements()}))
+        assert W.multiplier.backing() == "table"
+    return draw_fault(draw, W)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=twisted_or_unit_factor_reps())
+def test_presentation_decision_matches_full_scan_on_tables_and_unit_factors(case):
+    W, fault = case
+    law, comm = assert_checks_match_oracle(W)
+    if fault == "none":
+        assert law.passed and comm.passed
+
+
+def normal_form_rep(m, U):
+    """The rep W(x) = e(psi(x)) U_1^{x_1} ... U_r^{x_r} of multiplier m, from one operator
+    U_l per coordinate: W(y + g_l) = e(-m(y, g_l)) W(y) U_l for the y with y_l < n_l - 1
+    and y_{l+1} = ... = y_r = 0, so the prefix pairs of P other than the power pairs hold
+    whatever the U_l are."""
+    G = m.group
+    dim = U[0].dim
+    den = lcm(m.den, *(u.den for u in U))
+    SRC = np.empty((G.order, dim), dtype=np.intp)
+    NUM = np.empty((G.order, dim), dtype=np.int64)
+    SRC[0], NUM[0] = np.arange(dim), 0
+    for x in range(1, G.order):
+        l = max(i for i, c in enumerate(G.coords_of(x)) if c)
+        y = x - G._weights[l]
+        g = G.element([int(i == l) for i in range(G.rank)])
+        s = SRC[y]
+        SRC[x] = U[l].src[s]
+        NUM[x] = (NUM[y] + U[l]._num_at(den)[s] - m(G.element_by_rank(y), g).numerator_at(den)) % den
+    weights = np.array(G._weights, dtype=np.int64)
+    return ProjectiveRep(G, m, dim, lambda Y: (SRC[Y @ weights], NUM[Y @ weights]), den)
+
+
+def presentation_pairs(G):
+    """The rank pairs of P by kind: "prefix" (y, g_l), y_{l+1..r} = 0 and y_l < n_l - 1;
+    "power" the same with y_l = n_l - 1; "commutation" (g_j, g_i), j > i."""
+    kinds = {"prefix": [], "power": [], "commutation": []}
+    gens = G.generators()
+    for g in gens:
+        l = g.coords.index(1)
+        w, n = G._weights[l], G.moduli[l]
+        kinds["prefix"] += [(y, w) for y in range(n * w - w)]
+        kinds["power"] += [(y, w) for y in range(n * w - w, n * w)]
+    kinds["commutation"] = [(gj.rank, gi.rank) for j, gj in enumerate(gens) for gi in gens[:j]]
+    return kinds
+
+
+def one_relation_broken(moduli, kind):
+    """A rep of the Schrodinger multiplier of Z/moduli at which only the pairs of P of
+    one ``kind`` fail: W(x) scaled at an x off the generators and their sums, whose top
+    coordinate l has 1 = x_l < n_l - 1; U_l scaled so that U_l^{n_l} moves; or the
+    generator operators of the Schrodinger model of the negated standard pairing."""
+    A = FinAbGroup(moduli)
+    W = schrodinger_model(A)
+    G = W.group
+    units = [G.element([int(i == l) for i in range(G.rank)]) for l in range(G.rank)]
+    if kind == "prefix":
+        l = max(i for i, n in enumerate(G.moduli) if n > 2)
+        x = G.element([2] + [int(i == l) for i in range(1, G.rank)])
+        return W.with_override(x, W.operator(x).scaled(Phase(1, 3)))
+    U = [W.operator(u) for u in units]
+    if kind == "power":
+        U[0] = U[0].scaled(Phase(1, 2 * G.moduli[0]))
+    else:
+        negated = Bicharacter(A, [[ZERO if i != j else Phase(-1, n) for j in range(A.rank)]
+                                  for i, n in enumerate(moduli)])
+        U = [schrodinger_model(A, negated).operator(u) for u in units]
+    return normal_form_rep(W.multiplier, U)
+
+
+@pytest.mark.parametrize("moduli", [(5,), (3, 4)])
+@pytest.mark.parametrize("kind", ["prefix", "power", "commutation"])
+def test_each_relation_of_the_presentation_is_needed(moduli, kind):
+    # every other pair of P holds, so P without its pairs of this kind would pass
+    # a rep whose law fails; the check reports what the full scan does
+    W = one_relation_broken(moduli, kind)
+    holds = all_pairs_hold(W, W.multiplier, False)
+    failing = {k for k, pairs in presentation_pairs(W.group).items()
+               if not all(holds[x, y] for x, y in pairs)}
+    assert failing == {kind}
+    law = check_rep_law(W)
+    assert not law.passed
+    assert law.checks[-1].to_dict() == full_scan_oracle(W, "law", W.multiplier, False)
+    assert not models._presentation_holds(W, W.multiplier)
+
+
+def test_presentation_pairs_count():
+    # sum_l n_1 ... n_l over the factors of modulus > 1, and r(r - 1)/2 commutation pairs
+    G = FinAbGroup([9, 5, 1, 9, 5])
+    assert sum(map(len, presentation_pairs(G).values())) == 9 + 45 + 405 + 2025 + 6
 
 
 def test_generator_decision_needs_a_cocycle():
@@ -461,6 +614,18 @@ def test_correct_model_beyond_table_cap_never_scans_pairs(monkeypatch):
     pairs = count_pairs(monkeypatch)
     for checker in (check_rep_law, commutator_scalar_check):
         assert_generator_pairs_only(checker, W, pairs)
+
+
+def test_presentation_reads_at_most_2490_pairs(monkeypatch):
+    # P on vacuum-9595: 9 + 45 + 405 + 2025 prefix pairs and 6 commutation pairs, against
+    # 5 x 2025 pairs (x, g) for the law; the commutator reads P once, for W's own law
+    W = block_symplectic_model(*VACUUM_9595)
+    pairs = count_pairs(monkeypatch)
+    for checker in (check_rep_law, commutator_scalar_check):
+        pairs.clear()
+        check = checker(W).checks[-1]
+        assert check.passed and check.note == "exhaustive over 2025^2 pairs"
+        assert 0 < sum(pairs) <= 2490
 
 
 def test_fault_beyond_table_cap_fails_at_a_generator_pair():

@@ -89,6 +89,18 @@ def test_large_moduli_exact_or_refused():
     assert check_multiplier(bs).passed
 
 
+def test_table_denominator_within_int64():
+    # a table keeps numerators below den, and the cocycle check adds two of them
+    G = FinAbGroup([2])
+    for den in (2 ** 63 + 1, 2 * 10 ** 19):
+        with pytest.raises(InputError, match="int64"):
+            TableMultiplier(G, den, [[0, 0], [0, den - 1]])
+    big = TableMultiplier(G, 2 ** 62 + 1, [[0, 0], [0, 0]])
+    with pytest.raises(InputError, match="int64"):
+        check_multiplier(big)
+    assert check_multiplier(TableMultiplier(G, 2 ** 62, [[0, 0], [0, 2 ** 62 - 1]])).passed
+
+
 def test_corrupted_table_fails_with_witness():
     G = FinAbGroup([3, 3])
     m = Bicharacter.weyl_product(G, 1, [[Phase(1, 3)]])
