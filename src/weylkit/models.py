@@ -12,7 +12,6 @@ normalised intertwiner, for sector bases and on request (``Operator.matrix``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import isqrt, lcm
 
 import numpy as np
@@ -111,6 +110,9 @@ class ProjectiveRep:
     ``monomial_arrays`` once they exist.  The formula must
     keep its int64 intermediates below 2^63; the window model's stay below
     3 d q^2 for an operator row of q^d entries within ``ENTRY_BUDGET``.
+    The multiplier must be a verified cocycle (else ``PreconditionError``)
+    and W(0) exactly 1 (else ``DefectError``): then the pairs that present
+    C^m[G] decide the law (``_presentation_fails``).
     """
 
     def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, fn, den: int,
@@ -118,6 +120,7 @@ class ProjectiveRep:
         if multiplier.group != group:
             raise InputError("multiplier lives on a different group")
         check_budget("operator row", dim)
+        multiplier.ensure_verified()
         self.group = group
         self.multiplier = multiplier
         self.dim = dim
@@ -368,7 +371,6 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     """
     if m.group != G or A.ambient != G:
         raise InputError("group, multiplier and subgroup do not match")
-    m.ensure_verified()
     if not is_maximal_isotropic(A, antisymmetrize(m)):
         raise PreconditionError("the inducing subgroup is not maximal isotropic "
                                 "for the antisymmetrized multiplier")
@@ -430,15 +432,14 @@ def check_rep_law(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
                   samples: int = 20_000, seed: int = 0) -> VerificationReport:
     """W(x) W(y) = e(m(x, y)) W(x + y): exactly over all pairs, or over a seeded sample.
 
-    Exact whenever W's ``monomial_arrays`` fit their budget: for a proved
-    cocycle m, W at the pairs P that present the twisted group algebra
-    C^m[G] decides it, sum_l n_1 ... n_l + r(r - 1)/2 pairs read from the
-    kept rows (see ``_check_pairs`` and ``_presentation_holds``).
+    Exact whenever W's ``monomial_arrays`` fit their budget: m is a verified
+    cocycle and W(0) = 1, both checked when W is built, so W at the pairs P
+    that present the twisted group algebra C^m[G] decides it, sum_l n_1 ...
+    n_l + r(r - 1)/2 pairs read from the kept rows (see ``_check_pairs`` and
+    ``_presentation_fails``).
     """
     rep = VerificationReport(f"representation law for {W.label}")
-    rep.add("identity", W.operator(W.group.zero()).equals(identity_operator(W.dim)),
-            tolerance=tolerance)
-    _check_pairs(rep, "law", W, W.multiplier, False, tolerance, samples, seed)
+    _check_pairs(rep, "law", W, False, tolerance, samples, seed)
     return rep
 
 
@@ -446,83 +447,73 @@ def commutator_scalar_check(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
                             samples: int = 20_000, seed: int = 0) -> VerificationReport:
     """W(x) W(y) = e(m~(x, y)) W(y) W(x): the commutator is the scalar m~(x, y)."""
     rep = VerificationReport(f"commutation rule for {W.label}")
-    _check_pairs(rep, "commutator", W, antisymmetrize(W.multiplier), True, tolerance, samples, seed)
+    _check_pairs(rep, "commutator", W, True, tolerance, samples, seed)
     return rep
 
 
-def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, phase: Multiplier,
-                 swapped: bool, tolerance: float, samples: int, seed: int):
+def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: bool,
+                 tolerance: float, samples: int, seed: int):
     """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for pairs x, y of G.
 
-    R(x, y) is W(y) W(x) when ``swapped``, else W(x + y).  One kernel,
-    ``_pairs_hold``, decides each pair set below exactly; only failing pairs
-    are measured, by ``_pair_distance``.
-    1. The pairs P of the presentation of C^m[G] (``_presentation_holds``),
-       when W's ``monomial_arrays`` (|G| dim entries) fit ``ENTRY_BUDGET``
-       and m, the phase for the law and W's own multiplier for the
-       commutator, is a proved cocycle: a bicharacter, or a table within the
-       budget that ``is_verified``.  Law at P proves the law at every pair.
-       It proves the commutator when the phase also equals m~ =
-       ``antisymmetrize(m)`` exactly: then W(x) W(y) = e(m(x, y)) W(x + y) =
-       e(m~(x, y)) W(y) W(x) at every pair.
-    2. When P proves no pass, all |G|^2 pairs, one row x at a time, if |G|^2
-       fits the budget.  Witness: the first bad pair in rank order;
-       residual: the largest distance at the first bad y of each x.
-    3. Above the budget, the pairs (x, g), g in {0} (the law only) and the
-       generators, x in rank order.  Witness: the first failing (x, g), g
-       in generator order.
-    4. Otherwise -- when W's kept rows would pass the budget, or every
-       (x, g) holds but P proves no pass (an unverified m, or the commutator
-       of a rep whose own law fails) -- all |G|^2 pairs when at most
-       ``samples``, else a seeded sample.  Witness: the worst pair.
+    For the law, R(x, y) = W(x + y) and the phase is W's multiplier m; when
+    ``swapped``, for the commutator, R(x, y) = W(y) W(x) and the phase is
+    m~ = ``antisymmetrize(m)``.  One kernel, ``_pairs_hold``, decides each
+    pair exactly and measures the distance of the two sides at failing pairs.
+    1. When W's ``monomial_arrays`` (|G| dim entries) fit ``ENTRY_BUDGET``,
+       the pairs P of the presentation of C^m[G] decide the law
+       (``_presentation_fails``).  Witness: the first failing pair of P.
+       A law that holds decides the commutator too, as then
+       W(x) W(y) = e(m(x, y)) W(x + y) = e(m~(x, y)) W(y) W(x).
+    2. The commutator of a rep whose law fails at P, when |G|^2 passes the
+       budget: the pairs (x, g), g a generator, x in rank order.  Witness:
+       the first failing (x, g), g in generator order.
+    3. Otherwise, or when every such (x, g) holds: all |G|^2 pairs when at
+       most ``samples``, or when W's rows are kept and |G|^2 fits the
+       budget; else a seeded sample.  Witness: the worst failing pair.
     Every tier fails on any pair that ``_pairs_hold`` rejects, however close
     its float distance.
     """
     G = W.group
     n = G.order
-    worst, witness, note = 0.0, None, f"exhaustive over {n}^2 pairs"
-    decided = W.fits_arrays()
-    if decided:
+    phase = antisymmetrize(W.multiplier) if swapped else W.multiplier
+    note = f"exhaustive over {n}^2 pairs"
+    bad, dist = [], []      # the failing pairs, as ranks, and their distances
+    decided = kept = W.fits_arrays()
+    if kept:
         W.monomial_arrays()     # kept, so _pairs_hold reads the rows by rank
-        m = W.multiplier if swapped else phase
-        proved = (m.bichar is not None or (n * n <= ENTRY_BUDGET and m.is_verified())) and \
-            (not swapped or antisymmetrize(m) == phase) and _presentation_holds(W, m)
-        X = G.coords_array()
-        if not proved and n * n <= ENTRY_BUDGET:
-            for x in range(n):
-                ys = np.flatnonzero(~_pairs_hold(W, phase, swapped, X[x:x + 1], X))
-                if ys.size:
-                    wx, wy = G.element_by_rank(x), G.element_by_rank(int(ys[0]))
-                    worst = max(worst, _pair_distance(W, phase, swapped, wx, wy))
-                    witness = witness or (wx.coords, wy.coords)
-        elif not proved:
-            for g in G.generators() if swapped else [G.zero()] + G.generators():
-                xs = np.flatnonzero(~_pairs_hold(W, phase, swapped, X, X[g.rank:g.rank + 1]))
-                if xs.size:
-                    x = G.element_by_rank(int(xs[0]))
-                    witness, worst = (x.coords, g.coords), _pair_distance(W, phase, swapped, x, g)
+        fail = _presentation_fails(W)
+        if fail is not None and not swapped:
+            bad, dist = [fail[:2]], [fail[2]]
+        decided = fail is None or not swapped
+        if not decided and n * n > ENTRY_BUDGET:
+            X = G.coords_array()
+            for g in G.generators():
+                ok, gdist = _pairs_hold(W, phase, True, X, X[g.rank:g.rank + 1])
+                if not ok.all():
+                    x = int(np.argmin(ok))
+                    bad, dist, decided = [(x, g.rank)], [gdist[x]], True
                     break
-            decided = witness is not None
     if not decided:
-        if n * n <= samples:
+        if n * n <= samples or (kept and n * n <= ENTRY_BUDGET):
             idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
         else:
             idx = np.random.default_rng(seed).integers(0, n, size=(samples, 2))
             note = f"sampled {samples} pairs, seed={seed}"
-        idx = idx[~_pairs_hold(W, phase, swapped, G.coords_at(idx[:, 0]), G.coords_at(idx[:, 1]))]
-        element = cache(G.element_by_rank)
-        for i, j in idx.tolist():
-            x, y = element(i), element(j)
-            dist = _pair_distance(W, phase, swapped, x, y)
-            if witness is None or dist > worst:
-                worst, witness = dist, (x.coords, y.coords)
+        ok, dist = _pairs_hold(W, phase, swapped, G.coords_at(idx[:, 0]), G.coords_at(idx[:, 1]))
+        bad, dist = idx[~ok], dist[~ok]
+    worst, witness = 0.0, None
+    if len(bad):
+        k = int(np.argmax(dist))
+        worst, witness = float(dist[k]), tuple(G.element_by_rank(int(r)).coords for r in bad[k])
     rep.add(name, witness is None, residual=worst, tolerance=tolerance, witness=witness,
             note=note)
 
 
-def _presentation_holds(W: ProjectiveRep, m: Multiplier) -> bool:
-    """Whether W's kept rows obey W(x) W(y) = e(m(x, y)) W(x + y) on the pairs P that present
-    the twisted group algebra C^m[G]; for a proved cocycle m they decide the law at every pair.
+def _presentation_fails(W: ProjectiveRep):
+    """The first pair of P, in P's order, at which W's kept rows break
+    W(x) W(y) = e(m(x, y)) W(x + y), m W's multiplier: ranks (x, g_l), g_l a
+    generator, and the distance of the two sides there (``_pairs_hold``).
+    None when every pair of P holds, and then so does the law.
 
     P holds the prefix pairs (y, g_l), y_{l+1} = ... = y_r = 0, for each
     generator g_l (n_l > 1; a factor of modulus 1 has none), and the
@@ -552,19 +543,20 @@ def _presentation_holds(W: ProjectiveRep, m: Multiplier) -> bool:
     if len(gens) > 1:
         j, i = zip(*[(gj, gi) for k, (_, gj) in enumerate(gens) for _, gi in gens[:k]])
         pairs.append((X[list(j)], X[list(i)]))
-    return all(_pairs_hold(W, m, False, Xs, Ys).all() for Xs, Ys in pairs)
-
-
-def _pair_distance(W: ProjectiveRep, phase: Multiplier, swapped: bool, x, y) -> float:
-    lhs = W.operator(x).compose(W.operator(y))
-    rhs = W.operator(y).compose(W.operator(x)) if swapped else W.operator(x + y)
-    return lhs.distance_to(rhs.scaled(phase(x, y)))
+    for Xs, Ys in pairs:
+        ok, dist = _pairs_hold(W, W.multiplier, False, Xs, Ys)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            return G.rank_of(Xs[k]), G.rank_of(Ys[k if len(Ys) > 1 else 0]), float(dist[k])
+    return None
 
 
 def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarray,
-                Y: np.ndarray) -> np.ndarray:
-    """Mask over the pairs (X[i], Y[i]) of coordinate rows where the identity of
-    ``_check_pairs`` holds exactly; either side may be one row, paired with every row of the other.
+                Y: np.ndarray):
+    """(holds, dist) over the pairs (X[i], Y[i]) of coordinate rows: where the identity of
+    ``_check_pairs`` holds exactly, and where it fails the distance of its two sides as
+    ``Operator.distance_to`` measures it (0.0 elsewhere); either side may be one row,
+    paired with every row of the other.
 
     Rows are read by rank from W's kept ``monomial_arrays`` when it has
     them, a run of consecutive ranks as a slice (a view) and any other rows
@@ -597,17 +589,27 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
 
     c = max(len(X), len(Y))
     step = max(1, BLOCK_ENTRIES // W.dim)
-    out = np.empty(c, dtype=bool)
+    holds, dist = np.empty(c, dtype=bool), np.zeros(c)
     for start in range(0, c, step):
         Xb, Yb = (Z if len(Z) == 1 else Z[start:start + step] for Z in (X, Y))
         (SX, NX), (SY, NY) = read(Xb), read(Yb)
         src1, num1 = compose(SX, NX, SY, NY)
         src2, num2 = compose(SY, NY, SX, NX) if swapped else read((Xb + Yb) % moduli)
+        p = (phase.pair_nums(Xb, Yb) * (d // phase.den))[:, None]
         num1 -= num2
         num1 *= d // W.den
-        num1 -= (phase.pair_nums(Xb, Yb) * (d // phase.den))[:, None]
-        out[start:start + step] = (src1 == src2).all(axis=1) & (num1 % d == 0).all(axis=1)
-    return out
+        num1 -= p
+        ok = (src1 == src2).all(axis=1) & (num1 % d == 0).all(axis=1)
+        holds[start:start + step] = ok
+        if not ok.all():
+            # e(phase) R(x, y) over d, and W(x) W(y) back over W.den, as the operators hold them
+            f = ~ok
+            rhs = num2[f] * (d // W.den) + p[f]
+            a = np.exp(2j * np.pi * ((num1[f] + rhs) // (d // W.den) % W.den) / W.den)
+            b = np.exp(2j * np.pi * (rhs % d) / d)
+            dist[start:start + step][f] = np.where(src1[f] == src2[f], np.abs(a - b),
+                                                   np.maximum(np.abs(a), np.abs(b))).max(axis=1)
+    return holds, dist
 
 
 def _orbit_walk(size: int, orders, edges, mods, width: int = 1):

@@ -221,9 +221,7 @@ class Bicharacter(Multiplier):
 
     def _int64_safe(self):
         # every term of x . B . y is >= 0 on reduced coordinates, so no partial sum passes the bound
-        if self._pair_bound >= 2 ** 63:
-            raise InputError(f"{self!r}: x . B . y can reach {self._pair_bound}, "
-                             "beyond int64 arrays")
+        check_int64(f"{self!r}: x . B . y", self._pair_bound)
 
     def pair_nums(self, XC: np.ndarray, YC: np.ndarray) -> np.ndarray:
         """Numerators of b(x_i, y_i) over den for rows of reduced coordinates; one row broadcasts."""
@@ -499,8 +497,8 @@ def split_symmetric(m: Multiplier, A: Subgroup | None = None) -> PhaseMap:
     E = A.exponent
     D = m.den * E
     # the cumulative sums of the tower reach E * D before they are reduced
-    if D * (E + 2) >= 2 ** 63 or max(G.moduli, default=1) >= 2 ** 63:
-        raise InputError(f"splitting over denominator {D} on {A!r} is beyond int64 arrays")
+    check_int64(f"a splitting over denominator {D} on {A!r}", D * (E + 2))
+    check_int64(f"a modulus of {G!r}", max(G.moduli, default=1))
     grid = FinAbGroup(orders)
     pos = A.grid_order()                        # element i of A is grid point pos[i]
     X = np.empty((n, G.rank), dtype=np.int64)

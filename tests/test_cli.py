@@ -207,6 +207,17 @@ def test_window_model_entry_is_checked(tmp_path, capsys, fault):
     assert message in capsys.readouterr().err
 
 
+def test_model_over_a_table_that_is_no_cocycle_exits_2(tmp_path, capsys):
+    # m(e1, e2) = 1/2 and 0 elsewhere on (Z/2)^2: the identity fails at (e1, e2, e1)
+    values = [["0"] * 4 for _ in range(4)]
+    values[1][2] = "1/2"
+    sc = {"task": "model", "group": {"moduli": [2, 2]},
+          "multiplier": {"type": "table", "values": values},
+          "subgroup": {"generators": [[1, 0]]}}
+    assert main(["model", "--scenario", write(tmp_path, "s.json", sc)]) == 2
+    assert "not a multiplier" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", sorted(UNREAD_FIELDS))
 def test_unread_fields_are_refused(tmp_path, capsys, field):
     sc, message = UNREAD_FIELDS[field]

@@ -205,11 +205,13 @@ def _window_312_case():
 
 
 # (case, checker, check name, witness, note, residual), each with the identity
-# operator, a monomial one, as the override.  The exact scan (|G| <= 512)
-# reports the first bad pair in rank order, the sampled pairwise scan the
-# worst pair; window (3,1,2) is too large for the exact scan.
+# operator, a monomial one, as the override.  The pairs of the presentation
+# decide the law of a rep with kept rows and report the first failing one in
+# their order; the commutator of a rep whose law fails scans all |G|^2 pairs
+# (within the budget) or a sample, and reports the worst pair.  Window (3,1,2)
+# keeps no rows, so both of its checks are sampled.
 FAULTS = [
-    (_z9_case, check_rep_law, "law", ((1, 0), (0, 2)),
+    (_z9_case, check_rep_law, "law", ((1, 1), (0, 1)),
      "exhaustive over 81^2 pairs", 1.0),
     (_z9_case, commutator_scalar_check, "commutator", ((1, 0), (1, 2)),
      "exhaustive over 81^2 pairs", 1.9696155060244163),
@@ -288,6 +290,13 @@ def test_batched_pair_scan_matches_pairwise(checker, wrong):
     assert got.passed == (not wrong)
 
 
+def pair_distance(W, phase, swapped, x, y):
+    """The largest entry of |W(x) W(y) - e(phase(x, y)) R(x, y)|, from the operators."""
+    lhs = W.operator(x).compose(W.operator(y))
+    rhs = W.operator(y).compose(W.operator(x)) if swapped else W.operator(x + y)
+    return lhs.distance_to(rhs.scaled(phase(x, y)))
+
+
 def sampled_pair_oracle(W, name, phase, swapped, samples, seed, tolerance=1e-9):
     """The sampled check ``name`` as a per-pair scan reports it: every seeded pair is
     composed from its operators, and the witness is the worst pair."""
@@ -295,7 +304,7 @@ def sampled_pair_oracle(W, name, phase, swapped, samples, seed, tolerance=1e-9):
     worst, witness = 0.0, None
     for i, j in np.random.default_rng(seed).integers(0, G.order, size=(samples, 2)).tolist():
         x, y = G.element_by_rank(i), G.element_by_rank(j)
-        dist = models._pair_distance(W, phase, swapped, x, y)
+        dist = pair_distance(W, phase, swapped, x, y)
         if dist > worst:
             worst = dist
             if dist > tolerance:
@@ -323,44 +332,44 @@ def test_batched_pair_scan_builds_no_operator(checker):
     assert 0 < sum(len(Y) for Y in seen if len(Y) > 1) <= 3 * 1000
 
 
-def full_scan_oracle(W, name, phase, swapped, tolerance=1e-9):
-    """The check ``name`` as the exhaustive scan over all |G|^2 pairs reports it (|G| <= 512).
+def presentation_order(G):
+    """The rank pairs of P in the order the law check reads them: the prefix pairs
+    (y, g_l) of each generator g_l, then the commutation pairs (g_j, g_i), j > i."""
+    gens = G.generators()
+    prefix = [(y, g.rank) for g in gens for y in range(G.moduli[g.coords.index(1)] * g.rank)]
+    return prefix + [(gj.rank, gi.rank) for j, gj in enumerate(gens) for gi in gens[:j]]
 
-    Row x at a time, the monomial data of W(x) W(y) and of R(x, y) are
-    compared for every y; the witness is the first bad pair in rank order and
-    the residual the largest distance at the first bad y of each row.
+
+def assert_checks_match_all_pairs(W):
+    """Law and commutator verdicts equal ``all_pairs_hold`` over all |G|^2 pairs (|G| <= 512).
+
+    Both checks are exhaustive, and each failing witness is a failing pair,
+    measured by ``pair_distance``.  A failing law's witness is the first
+    failing pair of P in P's order; a failing commutator's is the worst
+    failing pair, so its residual is at least the distance at the first one.
     """
     G = W.group
-    n = G.order
-    SRC, NUM, den0 = W.monomial_arrays()
-    pden, pnum = phase.num_table()
-    d = lcm(den0, pden)
-    NUM, pnum = NUM * (d // den0), pnum * (d // pden)
-    S = G.addition_table()
-    worst, witness = 0.0, None
-    for x in range(n):
-        sx, nx = SRC[x], NUM[x]
-        src1, num1 = SRC[:, sx], nx[None, :] + NUM[:, sx]
-        src2, num2 = (sx[SRC], NUM + nx[SRC]) if swapped else (SRC[S[x]], NUM[S[x]])
-        bad = (src1 != src2).any(axis=1) | ((num1 - num2 - pnum[x][:, None]) % d != 0).any(axis=1)
-        if bad.any():
-            wx, wy = G.element_by_rank(x), G.element_by_rank(int(np.flatnonzero(bad)[0]))
-            lhs = W.operator(wx).compose(W.operator(wy))
-            rhs = W.operator(wy).compose(W.operator(wx)) if swapped else W.operator(wx + wy)
-            worst = max(worst, lhs.distance_to(rhs.scaled(phase(wx, wy))))
-            witness = witness or (wx.coords, wy.coords)
-    rep = VerificationReport("oracle")
-    rep.add(name, witness is None and worst <= tolerance, residual=worst, tolerance=tolerance,
-            witness=witness, note=f"exhaustive over {n}^2 pairs")
-    return rep.checks[0].to_dict()
-
-
-def assert_checks_match_oracle(W):
-    law = check_rep_law(W)
-    assert law.checks[-1].to_dict() == full_scan_oracle(W, "law", W.multiplier, False)
-    comm = commutator_scalar_check(W)
     mt = antisymmetrize(W.multiplier)
-    assert [c.to_dict() for c in comm.checks] == [full_scan_oracle(W, "commutator", mt, True)]
+    law, comm = check_rep_law(W), commutator_scalar_check(W)
+    law_holds = all_pairs_hold(W, W.multiplier, False)
+    comm_holds = all_pairs_hold(W, mt, True)
+    for rep, holds, phase, swapped in ((law, law_holds, W.multiplier, False),
+                                       (comm, comm_holds, mt, True)):
+        [check] = rep.checks
+        assert check.passed == holds.all()
+        assert check.note == f"exhaustive over {G.order}^2 pairs"
+        if check.passed:
+            assert (check.witness, check.residual) == (None, 0.0)
+            continue
+        x, y = (G.element(c) for c in check.witness)
+        assert not holds[x.rank, y.rank]
+        assert check.residual == pair_distance(W, phase, swapped, x, y)
+        if swapped:
+            i, j = np.argwhere(~holds)[0].tolist()
+            first = pair_distance(W, phase, True, G.element_by_rank(i), G.element_by_rank(j))
+            assert check.residual >= first
+        else:
+            assert (x.rank, y.rank) == next(p for p in presentation_order(G) if not holds[p])
     return law, comm
 
 
@@ -399,9 +408,9 @@ def draw_fault(draw, W):
 @settings(max_examples=60, deadline=None)
 @given(case=faulted_reps())
 def test_generator_decision_matches_full_scan(case):
-    # the law and commutator reports equal the full scan's, faulted or not
+    # the law and commutator verdicts equal the scan of all pairs, faulted or not
     W, fault = case
-    law, comm = assert_checks_match_oracle(W)
+    law, comm = assert_checks_match_all_pairs(W)
     if fault == "none":
         assert law.passed and comm.passed
 
@@ -431,7 +440,7 @@ def twisted_or_unit_factor_reps(draw):
 @given(case=twisted_or_unit_factor_reps())
 def test_presentation_decision_matches_full_scan_on_tables_and_unit_factors(case):
     W, fault = case
-    law, comm = assert_checks_match_oracle(W)
+    law, comm = assert_checks_match_all_pairs(W)
     if fault == "none":
         assert law.passed and comm.passed
 
@@ -499,16 +508,16 @@ def one_relation_broken(moduli, kind):
 @pytest.mark.parametrize("kind", ["prefix", "power", "commutation"])
 def test_each_relation_of_the_presentation_is_needed(moduli, kind):
     # every other pair of P holds, so P without its pairs of this kind would pass
-    # a rep whose law fails; the check reports what the full scan does
+    # a rep whose law fails; the law fails at the first failing pair of this kind
     W = one_relation_broken(moduli, kind)
     holds = all_pairs_hold(W, W.multiplier, False)
-    failing = {k for k, pairs in presentation_pairs(W.group).items()
-               if not all(holds[x, y] for x, y in pairs)}
+    kinds = presentation_pairs(W.group)
+    failing = {k for k, pairs in kinds.items() if not all(holds[x, y] for x, y in pairs)}
     assert failing == {kind}
-    law = check_rep_law(W)
-    assert not law.passed
-    assert law.checks[-1].to_dict() == full_scan_oracle(W, "law", W.multiplier, False)
-    assert not models._presentation_holds(W, W.multiplier)
+    law, _ = assert_checks_match_all_pairs(W)
+    x, y = (W.group.element(c) for c in law.checks[0].witness)
+    assert (x.rank, y.rank) in kinds[kind]
+    assert models._presentation_fails(W)[:2] == (x.rank, y.rank)
 
 
 def test_presentation_pairs_count():
@@ -518,37 +527,31 @@ def test_presentation_pairs_count():
 
 
 def test_generator_decision_needs_a_cocycle():
-    # m vanishes on the columns of 0 and the generators, so the regular rep
-    # passes at every pair (x, g); m is no cocycle, so the full scan must run
+    # m vanishes on the columns of the generators, so the regular rep passes at
+    # every pair of P; m is no cocycle, so a rep over it is refused when it is built
     G = FinAbGroup([4, 3])
     R = regular_rep(G)
     num = np.zeros((G.order, G.order), dtype=np.int64)
     num[5:, 7] = 1
     num[3, 11] = 1
     m = TableMultiplier(G, 2, num)
-    W = ProjectiveRep(G, m, R.dim, R.fn, R.den)
-    assert not m.is_verified()
-    law = check_rep_law(W)
-    assert law.checks[-1].to_dict() == full_scan_oracle(W, "law", m, False)
-    assert not law.passed and law.checks[-1].witness == ((3, 0), (3, 2))
-    # with the precondition forged, the pairs (x, g) alone pass this rep
+    with pytest.raises(PreconditionError, match="not a multiplier: cocycle fails"):
+        ProjectiveRep(G, m, R.dim, R.fn, R.den)
+    # with the verification forged, the pairs of P alone would pass this rep
     forged = TableMultiplier(G, 2, num)
     forged._verified = True
-    rep = VerificationReport("forged cocycle")
-    models._check_pairs(rep, "law", W, forged, False, 1e-9, 20_000, 0)
-    assert rep.passed and rep.checks[0].note == "exhaustive over 12^2 pairs"
+    W = ProjectiveRep(G, forged, R.dim, R.fn, R.den)
+    assert check_rep_law(W).passed and not all_pairs_hold(W, forged, False).all()
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["law", "commutator"])
 def test_generator_decision_with_a_wrong_bicharacter(z9, swapped):
-    # the phase is a cocycle and a bicharacter but not W's own: the pairs
-    # (x, g) fail, and the full scan reports what the oracle does
+    # W's rows over a bicharacter that is not their multiplier: both checks fail,
+    # at the pairs that the scan of all pairs finds
     _, _, _, W = z9
     wrong = Bicharacter(W.group, [[ZERO, Phase(1, 9)], [ZERO, ZERO]])
-    rep = VerificationReport("wrong phase")
-    models._check_pairs(rep, "check", W, wrong, swapped, 1e-9, 20_000, 0)
-    assert not rep.passed
-    assert rep.checks[0].to_dict() == full_scan_oracle(W, "check", wrong, swapped)
+    law, comm = assert_checks_match_all_pairs(ProjectiveRep(W.group, wrong, W.dim, W.fn, W.den))
+    assert not (comm if swapped else law).passed
 
 
 @functools.cache
@@ -584,13 +587,13 @@ def count_pairs(monkeypatch) -> list:
 
 
 def assert_generator_pairs_only(checker, W, pairs):
-    # one pass of |G| pairs (x, g) per g in {0} and the generators, two sets of passes
-    # for the commutator (its own and W's law): far below the |G|^2 of a full scan
+    # one pass of the pairs P, sum_l n_1 ... n_l <= 2 |G| prefix pairs and r(r - 1)/2
+    # commutation pairs, for either check: far below the |G|^2 of a full scan
     pairs.clear()
     rep = checker(W)
     assert rep.passed
     assert rep.checks[-1].note == f"exhaustive over {W.group.order}^2 pairs"
-    assert 0 < sum(pairs) <= W.group.order * (W.group.rank + 1) * 2
+    assert 0 < sum(pairs) <= W.group.order * (W.group.rank + 1)
 
 
 # the vacuum-9595 model of the benchmark at seed 3: |G| = 2025, |G|^2 past ENTRY_BUDGET, dimension 45
@@ -634,7 +637,7 @@ def test_fault_beyond_table_cap_fails_at_a_generator_pair():
     W = block_symplectic_model(*VACUUM_9595)
     G = W.group
     x0 = G.element([3, 2, 0, 0])
-    gens = {g.coords for g in [G.zero()] + G.generators()}
+    gens = {g.coords for g in G.generators()}
 
     def assert_fails(check):
         assert not check.passed and check.residual > check.tolerance
@@ -658,7 +661,7 @@ def test_fault_beyond_table_cap_fails_at_a_generator_pair():
 
 def test_override_law_check_reads_whole_blocks():
     # the override patches the parent's formula, so the exact law check reads G in
-    # whole blocks once; only W(0) is a one-row call, as the witness pair's three
+    # whole blocks once and makes no one-row call: the witness pair's three
     # operators are read from the kept rows
     W = block_symplectic_model(*VACUUM_9595)
     G = W.group
@@ -667,13 +670,14 @@ def test_override_law_check_reads_whole_blocks():
     calls, fn = [], scaled.fn
     scaled.fn = lambda Y: calls.append(len(Y)) or fn(Y)
     check = check_rep_law(scaled).checks[-1]
+    # the first failing pair of P: the prefix pair (y, g_2) with y + g_2 = x0
     assert (check.passed, check.witness, check.note) == \
-        (False, ((2, 2, 0, 0), (1, 0, 0, 0)), "exhaustive over 2025^2 pairs")
+        (False, ((3, 1, 0, 0), (0, 1, 0, 0)), "exhaustive over 2025^2 pairs")
     assert check.residual == pytest.approx(3 ** 0.5, abs=1e-12)
     blocks = [n for n in calls if n > 1]
     assert sum(blocks) == G.order
     assert len(blocks) <= -(-G.order // (models.BLOCK_ENTRIES // W.dim))
-    assert calls.count(1) == 1
+    assert calls.count(1) == 0
 
 
 def lookup_rep(W, SRC, NUM, den):
@@ -693,7 +697,7 @@ def all_pairs_hold(W, phase, swapped):
     n = G.order
     SRC, NUM, den0 = W.monomial_arrays()
     X = G.coords_array()
-    moduli, weights = np.array(G.moduli), np.array(G._weights)
+    moduli, weights = (np.array(t, dtype=np.int64) for t in (G.moduli, G._weights))
     d = lcm(den0, phase.den)
     NUM = NUM * (d // den0)
     holds = np.empty((n, n), dtype=bool)
@@ -713,13 +717,12 @@ def all_pairs_hold(W, phase, swapped):
 def assert_verdicts_match_all_pairs(W):
     """Law and commutator verdicts equal ``all_pairs_hold`` over all |G|^2 pairs.
 
-    A failing check's witness is a failing pair (x, g), g in {0} and the
-    generators.  Only the commutator of a rep whose own law fails may be
-    sampled.
+    A failing check's witness is a failing pair (x, g), g a generator.  Only
+    the commutator of a rep whose own law fails may be sampled.
     """
     G = W.group
     n = G.order
-    gens = {g.coords for g in [G.zero()] + G.generators()}
+    gens = {g.coords for g in G.generators()}
     mt = antisymmetrize(W.multiplier)
     law_holds = all_pairs_hold(W, W.multiplier, False)
     comm_holds = all_pairs_hold(W, mt, True)
@@ -763,6 +766,47 @@ def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs_under_faults(data
         NUM[x] += data.draw(st.integers(1, den - 1))
     law, comm = assert_verdicts_match_all_pairs(lookup_rep(W, SRC, NUM % den, den))
     assert not law and comm == (fault == "scalar")
+
+
+def test_coverage_of_each_case(z9):
+    # a rep with kept rows: P decides the law, and the witness is P's first failing pair
+    G, _, _, W = z9
+    bad = W.with_override(G.element([1, 2]), identity_operator(W.dim))
+    law = check_rep_law(bad).checks[0]
+    holds = all_pairs_hold(bad, bad.multiplier, False)
+    x, g = next(p for p in presentation_order(G) if not holds[p])
+    assert law.note == "exhaustive over 81^2 pairs"
+    assert law.witness == (G.element_by_rank(x).coords, G.element_by_rank(g).coords)
+    # the commutator of a rep whose law fails, |G|^2 within ENTRY_BUDGET: every pair
+    assert commutator_scalar_check(bad).checks[0].note == "exhaustive over 81^2 pairs"
+    # ... and past it: a failing pair (x, g), g a generator
+    W5 = block_symplectic_model(*MODEL_5555)
+    x0 = W5.group.element([1, 2, 3, 4])
+    op = W5.operator(x0)
+    num = 3 * op.num
+    num[0] += 1
+    comm = commutator_scalar_check(W5.with_override(x0, Operator(W5.dim, 3 * op.den, op.src, num)),
+                                   samples=2000).checks[0]
+    assert (comm.passed, comm.note) == (False, "exhaustive over 625^2 pairs")
+    assert comm.witness[1] in {g.coords for g in W5.group.generators()}
+    # window (3,1,2) keeps no rows: both checks are sampled
+    W3 = window_model(3, 1, 2)
+    for checker in (check_rep_law, commutator_scalar_check):
+        assert checker(W3, samples=1000).checks[0].note == "sampled 1000 pairs, seed=0"
+
+
+@pytest.mark.parametrize("fill,failure", [((1, 2), "cocycle"), (None, "normalization")],
+                         ids=["not-a-cocycle", "not-normalized"])
+def test_rep_refuses_a_table_that_is_not_a_multiplier(fill, failure):
+    # m(e1, e2) = 1/2 alone, or the constant 1/2: a cocycle that is not normalized
+    G = FinAbGroup([2, 2])
+    R = regular_rep(G)
+    num = np.ones((4, 4), dtype=np.int64)
+    if fill:
+        num[:] = 0
+        num[fill] = 1
+    with pytest.raises(PreconditionError, match=f"not a multiplier: {failure} fails"):
+        ProjectiveRep(G, TableMultiplier(G, 2, num), R.dim, R.fn, R.den)
 
 
 def test_monomial_arrays_budget():

@@ -165,7 +165,7 @@ def test_p2_full_report_check_names(capsys):
     report = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in report["checks"]] == [
         "is_heisenberg matches parity", "vacuum dimension = 2^d", "|V2| = 2^(2d)",
-        "W0 identity", "W0 law", "n nondegenerate", "lift of n equals m~ on L/2",
+        "W0 law", "n nondegenerate", "lift of n equals m~ on L/2",
         "clifford residual", "clifford commutant is scalar",
         "descended m~ equals chi(b1.a2 - b2.a1)",
         "m0 equals chi(b1.a2) up to an explicit twist", "window model reducible",
