@@ -12,7 +12,7 @@ first coordinate varies fastest.  Every deterministic choice in the package
 
 from __future__ import annotations
 
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from .intmat import (
     column_hnf,
     columns_to_matrix,
     diagonal_of,
-    inverse_unimodular,
-    kernel_mod,
-    mat_vec,
     smith_decompose,
     solve_lower_triangular,
 )
@@ -384,16 +381,18 @@ class Subgroup:
         """Independent generators and their orders: A = (+) Z/d_j * h_j, d_1 | d_2 | ...
 
         Returns ``(gens, orders)`` with trivial factors dropped.  Read off the
-        quotient A/0: its projection is x |-> U t with U the Smith transform,
-        so the generators are the columns of H U^{-1} with d_j > 1.
+        quotient A/0: with H the lattice basis of A, N = diag(moduli) that of
+        0, C = H^{-1} N and U C V = D its Smith form, the projection is
+        x |-> U H^{-1} x and the generators are the columns of H U^{-1} with
+        d_j > 1.  H U^{-1} = N V D^{-1}, so h_j is column j of N V divided by
+        d_j: no inverse is formed.
         """
         if self._decomp is None:
             G = self.ambient
             q = Quotient(self, Subgroup.trivial(G))
-            r, orders = G.rank, list(q.group.moduli)
-            H = np.array(self.basis, dtype=object).reshape(r, r)
-            Uinv = np.array(inverse_unimodular(q._U), dtype=object).reshape(r, r)
-            gens = [G.element(col) for col in (H @ Uinv[:, r - len(orders):]).T.tolist()]
+            r, orders, V = G.rank, list(q.group.moduli), q._V
+            gens = [G.element(n * row[j] // d for n, row in zip(G.moduli, V))
+                    for j, d in zip(range(r - len(orders), r), orders)]
             self._decomp = (gens, orders, q)
         return self._decomp[:2]
 
@@ -439,22 +438,34 @@ def double_image(G: FinAbGroup, A: Subgroup) -> Subgroup:
 
 
 def double_preimage(G: FinAbGroup, A: Subgroup) -> Subgroup:
-    """A/2 = {x in G : 2x in A}."""
+    """A/2 = {x in G : 2x in A}, read off the Smith form U H V = D of A's lattice basis H.
+
+    H Z^r = H V Z^r = U^{-1} D Z^r, so {x : 2x in H Z^r} = U^{-1} diag(d_i / gcd(d_i, 2)) Z^r:
+    it is spanned by the columns of H V = U^{-1} D, column i divided by gcd(d_i, 2).
+    """
     if A.ambient != G:
         raise InputError("subgroup does not live in G")
     r = G.rank
-    if r == 0:
-        return A
-    H = [list(row) for row in A.basis]
-    # 2x in lattice(H)  <=>  x = H t / 2 with H t == 0 mod 2
-    kern = kernel_mod(H, 2)
-    cols = []
-    for t in kern:
-        col = mat_vec(H, t)
-        assert all(v % 2 == 0 for v in col)
-        cols.append([v // 2 for v in col])
-    gens = [G.element(c) for c in cols]
-    return Subgroup.span(G, gens)
+    _, D, V = smith_decompose(A.basis)
+    HV = np.array(A.basis, dtype=object).reshape(r, r) @ np.array(V, dtype=object).reshape(r, r)
+    return Subgroup.span(G, [G.element(HV[:, i] // gcd(D[i][i], 2)) for i in range(r)])
+
+
+def congruence_solution_subgroup(G: FinAbGroup, rows, modulus: int) -> Subgroup:
+    """{x in G : K x == 0 (mod M)} for the integer rows K and modulus M, read off the Smith
+    form U K V = D.
+
+    With x = V y, K x = U^{-1} D y, so the condition is d_i y_i == 0 (mod M), that is y_i in
+    (M / gcd(d_i, M)) Z, with d_i = 0 past the diagonal of D (gcd(0, M) = M: y_i is free).
+    The solutions are spanned by the columns of V, column i times M / gcd(d_i, M).
+    """
+    if not rows:
+        return Subgroup.full(G)
+    r = G.rank
+    _, D, V = smith_decompose(rows)
+    d = diagonal_of(D) + [0] * r
+    return Subgroup.span(G, [G.element(row[i] * (modulus // gcd(d[i], modulus)) for row in V)
+                             for i in range(r)])
 
 
 class Quotient:
@@ -466,14 +477,14 @@ class Quotient:
     The section maps each class to its rank-minimal element of B.
     """
 
-    __slots__ = ("numerator", "denominator", "group", "_H", "_U", "_sections")
+    __slots__ = ("numerator", "denominator", "group", "_H", "_U", "_V", "_sections")
 
     def __init__(self, numerator: Subgroup, denominator: Subgroup):
         r = numerator.ambient.rank
         H = [list(row) for row in numerator.basis]
         C = columns_to_matrix([solve_lower_triangular(H, [row[j] for row in denominator.basis])
                                for j in range(r)], r)
-        self._U, D, _ = smith_decompose(C)
+        self._U, D, self._V = smith_decompose(C)
         self.numerator, self.denominator = numerator, denominator
         self.group = FinAbGroup([D[i][i] for i in range(r) if D[i][i] > 1])
         self._H = np.array(H, dtype=object).reshape(r, r)

@@ -1,28 +1,22 @@
 """Exact integer-matrix normal forms.
 
 Everything here runs on arbitrary-precision Python integers (matrices are
-lists of row lists); there is no tolerance anywhere.  These routines back the
-subgroup lattices, quotients and polar computations.
+lists of row lists); there is no tolerance anywhere.  Two normal forms back
+every lattice question of ``groups``: the column Hermite form H (with its
+triangular solve and box reduction) decides membership and cosets, and the
+Smith form U M V = D answers the rest.  Because U and V are unimodular,
+M Z^n = U^{-1} D Z^n, so cyclic decompositions, double preimages and
+solutions of congruences are read off V and D column by column; no matrix
+inverse or modular elimination is needed.
 """
 
 from __future__ import annotations
 
-from .errors import DefectError, InputError
+from .errors import InputError
 
 
 def identity_matrix(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B):
-    if not A or not B:
-        return [[] for _ in A]
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def mat_vec(A, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
 
 
 def smith_decompose(M):
@@ -187,82 +181,6 @@ def box_reduce(H, x):
             for ii in range(i, n):
                 r[ii] -= q * H[ii][i]
     return tuple(r)
-
-
-def inverse_unimodular(Umat):
-    """Exact inverse of an integer matrix with determinant +-1.
-
-    Integer row reduction of [U | I]: Euclid's steps down each column leave
-    the gcd of its remaining entries on the diagonal, which is +-1 exactly
-    when det U = +-1, and back substitution then clears above it.
-    """
-    n = len(Umat)
-    A = [[int(v) for v in Umat[i]] + [int(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        while True:
-            rows = [r for r in range(col, n) if A[r][col]]
-            if not rows:
-                raise InputError("matrix is singular")
-            p = min(rows, key=lambda r: abs(A[r][col]))
-            A[col], A[p] = A[p], A[col]
-            piv = A[col]
-            for r in rows:
-                if r != col and A[r][col]:
-                    q = A[r][col] // piv[col]
-                    A[r] = [a - q * b for a, b in zip(A[r], piv)]
-            if not any(A[r][col] for r in range(col + 1, n)):
-                break
-        if abs(A[col][col]) != 1:
-            raise DefectError("inverse of unimodular matrix is not integral")
-        if A[col][col] < 0:
-            A[col] = [-a for a in A[col]]
-    for col in reversed(range(n)):
-        for r in range(col):
-            f = A[r][col]
-            if f:
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return [row[n:] for row in A]
-
-
-def kernel_mod(M, p):
-    """Basis of the lattice {t in Z^n : M t == 0 (mod p)} for prime p.
-
-    Returns integer column vectors (as lists); the lattice always contains
-    p * Z^n so the basis has full rank n.
-    """
-    rows = len(M)
-    n = len(M[0]) if rows else 0
-    A = [[v % p for v in row] for row in M]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, rows) if A[i][c]), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [(v * inv) % p for v in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    vecs = []
-    for c in free:
-        v = [0] * n
-        v[c] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-A[i][c]) % p
-        vecs.append(v)
-    for i in range(n):
-        v = [0] * n
-        v[i] = p
-        vecs.append(v)
-    return vecs
 
 
 def columns_to_matrix(cols, nrows):

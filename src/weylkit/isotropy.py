@@ -1,9 +1,9 @@
 """Polars, isotropic subgroups, maximality, and the polar relation for m~.
 
 Polars against a bicharacter are computed by integer linear algebra on the
-form matrix; for table multipliers the defining condition is scanned over the
-(necessarily small) group.  Enumeration doubles as a cross-check oracle in the
-test suite.
+form matrix; for table multipliers the defining condition is read off one
+``pair_grid`` over the (necessarily small) group.  Enumeration doubles as a
+cross-check oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DefectError, InputError, PreconditionError, check_budget
-from .groups import Subgroup, double_preimage, subgroup_span
-from .multipliers import antisymmetrize, congruence_solution_subgroup
+from .groups import Subgroup, congruence_solution_subgroup, double_preimage, subgroup_span
+from .multipliers import antisymmetrize
 
 
 def polar(A: Subgroup, m) -> Subgroup:
@@ -30,9 +30,9 @@ def polar(A: Subgroup, m) -> Subgroup:
             h = np.array([H[i][j] for i in range(r)], dtype=np.int64)
             rows.append(list(map(int, C @ h)))
         return congruence_solution_subgroup(G, rows, form.den)
-    # table backing (|G|^2 within ENTRY_BUDGET): scan the defining condition
-    members = [x for x in G.elements() if all(not m(x, a) for a in A.elements())]
-    return subgroup_span(G, members)
+    # table backing (|G|^2 within ENTRY_BUDGET): the defining condition on one pair grid
+    members = np.flatnonzero(~m.pair_grid(G.coords_array(), _coords(A)).any(axis=1))
+    return subgroup_span(G, [G.element_by_rank(int(i)) for i in members])
 
 
 def is_isotropic(A: Subgroup, m) -> bool:
@@ -45,7 +45,14 @@ def is_isotropic(A: Subgroup, m) -> bool:
         den = form.den
         B = np.array(H, dtype=np.int64) if r else np.zeros((0, 0), dtype=np.int64)
         return not ((B.T @ C @ B) % den).any()
-    return all(not m(a, b) for a in A.elements() for b in A.elements())
+    X = _coords(A)
+    return not m.pair_grid(X, X).any()
+
+
+def _coords(A: Subgroup) -> np.ndarray:
+    """(|A| x rank) int64 coordinates of A's elements, in rank order."""
+    elems = A.elements()
+    return np.array([a.coords for a in elems], dtype=np.int64).reshape(len(elems), A.ambient.rank)
 
 
 def is_maximal_isotropic(A: Subgroup, m) -> bool:

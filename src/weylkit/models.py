@@ -18,13 +18,12 @@ import numpy as np
 
 from .errors import (ENTRY_BUDGET, DefectError, InputError, PreconditionError, check_budget,
                      check_int64)
-from .groups import FinAbGroup, GroupElement, Subgroup
+from .groups import FinAbGroup, GroupElement, Subgroup, congruence_solution_subgroup
 from .multipliers import (
     Bicharacter,
     Multiplier,
     PhaseMap,
     antisymmetrize,
-    congruence_solution_subgroup,
     split_symmetric,
     twist,
     zero_multiplier,

@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import (ENTRY_BUDGET, DefectError, InputError, PreconditionError,
                      UnsupportedOperationError, check_budget, check_int64)
-from .groups import FinAbGroup, GroupElement, Subgroup
-from .intmat import diagonal_of, smith_decompose
+from .groups import FinAbGroup, GroupElement, Subgroup, congruence_solution_subgroup
 from .phases import Phase, ZERO
 from .reports import VerificationReport
 
@@ -61,30 +60,6 @@ class PhaseMap:
     @property
     def den(self) -> int:
         return lcm(*(v.den for v in self.values.values())) if self.values else 1
-
-
-def congruence_solution_subgroup(G: FinAbGroup, rows, modulus: int) -> Subgroup:
-    """The subgroup {x in G : row . x == 0 (mod modulus) for every row}."""
-    r = G.rank
-    if r == 0 or not rows:
-        return Subgroup.full(G)
-    K = [list(map(int, row)) for row in rows]
-    U, D, V = smith_decompose(K)
-    s = diagonal_of(D)
-    t = []
-    for i in range(r):
-        si = s[i] if i < len(s) else 0
-        if si == 0:
-            t.append(1)
-        else:
-            from math import gcd
-            t.append(modulus // gcd(si, modulus))
-    cols = []
-    for i in range(r):
-        col = [V[a][i] * t[i] for a in range(r)]
-        cols.append(col)
-    gens = [G.element(c) for c in cols]
-    return Subgroup.span(G, gens)
 
 
 class Multiplier:

@@ -1,4 +1,5 @@
 import random
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from weylkit.errors import ENTRY_BUDGET, InputError, ResourceLimitError, Unsuppo
 from weylkit.groups import (
     FinAbGroup,
     Subgroup,
+    congruence_solution_subgroup,
     double_image,
     double_preimage,
     halve,
@@ -16,7 +18,7 @@ from weylkit.groups import (
     subgroup_span,
     subquotient,
 )
-from weylkit.intmat import columns_to_matrix, mat_vec, smith_decompose, solve_lower_triangular
+from weylkit.intmat import columns_to_matrix, smith_decompose, solve_lower_triangular
 from weylkit.models import Operator, ProjectiveRep, intertwiner, regular_rep
 from weylkit.multipliers import TableMultiplier, zero_multiplier
 
@@ -147,6 +149,8 @@ def test_quotient_presentation_independent():
     ([4], [[2]], 4, 1),            # A/2 is everything, 2A = 0
     ([9], [[3]], 3, 3),            # doubling is a bijection on Z/9
     ([16], [[4]], 8, 2),           # multiples of 2 / multiples of 8
+    ([2, 8], [[1, 4]], 4, 1),      # A/2 is the 2-torsion, 2A = 0
+    ([1, 3 ** 21], [[0, 3]], 3 ** 20, 3 ** 20),   # doubling is a bijection on Z/3^21
 ])
 def test_double_maps_examples(moduli, gens, pre_order, im_order):
     G = FinAbGroup(moduli)
@@ -241,6 +245,10 @@ def test_addition_table_budget():
         FinAbGroup([513]).addition_table()
     assert (exc.value.budget, exc.value.limit, exc.value.size) == \
         ("ENTRY_BUDGET", 2 ** 18, 513 ** 2)
+
+
+def mat_vec(A, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in A]
 
 
 def scalar_projection(B, A):
@@ -394,3 +402,96 @@ def test_project_coords_is_exact_past_int64():
     B = subgroup_span(G, [G.element([2, 0]), G.element([0, 1])])
     with pytest.raises(InputError):
         subquotient(B, A).project_coords([[1, 0]])
+
+
+# -- lattice answers read off one Smith decomposition -------------------------
+
+BIG = 3 ** 21       # a factor too large to list: these cases are decided by orders alone
+MODULI = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, BIG])
+
+
+def element_order(x):
+    return lcm(*(n // gcd(c, n) for c, n in zip(x.coords, x.group.moduli)))
+
+
+def listed(S):
+    return {x.coords for x in S.elements()}
+
+
+@st.composite
+def subgroups(draw):
+    """A <= G, G of rank <= 3 with moduli of 1 and 3^21 among the choices."""
+    G = FinAbGroup(draw(st.lists(MODULI, max_size=3)))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, n - 1) | st.integers(0, 4).map(lambda k: 3 ** k)
+                                     for n in G.moduli]), max_size=3))
+    return Subgroup.span(G, [G.element(g) for g in gens])
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=subgroups(), data=st.data())
+@example(A=_pair([1, BIG, 6], [[0, 9, 2], [0, 3 ** 20, 3]], [])[0], data=None)
+def test_decomposition_is_a_cyclic_decomposition(A, data):
+    G = A.ambient
+    gens, orders = A.decomposition()
+    assert all(d > 1 for d in orders) and all(b % a == 0 for a, b in zip(orders, orders[1:]))
+    assert [element_order(h) for h in gens] == orders
+    # the h_j span A, and |A| = prod d_j: so (t_j) -> sum t_j h_j maps the grid onto A bijectively
+    assert Subgroup.span(G, gens) == A and prod(orders) == A.order
+    t = [data.draw(st.integers(0, d - 1)) if data else d // 3 for d in orders]
+    assert list(A.coordinates_of(sum((c * h for c, h in zip(t, gens)), G.zero()))) == t
+    if A.order <= 2000:
+        grid = [sum((c * h for c, h in zip(u, gens)), G.zero()).coords
+                for u in FinAbGroup(orders).coords_array().tolist()]
+        assert len(set(grid)) == len(grid) == A.order and set(grid) == listed(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=subgroups())
+@example(A=_pair([2, BIG, 4], [[1, 3, 2]], [])[0])
+def test_double_preimage_is_the_preimage_under_doubling(A):
+    G = A.ambient
+    P = double_preimage(G, A)
+    assert all(A.contains(2 * x) for x in P.generators)
+    # P is inside the kernel of x -> 2x + A, whose image (2G + A)/A the Hermite form counts
+    twice = Subgroup.span(G, [2 * g for g in G.generators()] + list(A.generators))
+    assert P.order * twice.order == G.order * A.order
+    if G.order <= 2000:
+        assert listed(P) == {x.coords for x in G.elements() if A.contains(2 * x)}
+
+
+@st.composite
+def congruences(draw):
+    """(G, rows K, modulus M) with x -> K x mod M well defined on G: M | n_i K_ji.  Rows may be
+    zero or repeated, so K can have rank below that of G."""
+    G = FinAbGroup(draw(st.lists(MODULI, max_size=3)))
+    M = draw(st.sampled_from([1, 2, 3, 4, 8, 9, 12, BIG, 2 * BIG]))
+    steps = [M // gcd(M, n) for n in G.moduli]
+    rows = []
+    for _ in range(draw(st.integers(0, G.rank + 1))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat"]))
+        if kind == "repeat" and rows:
+            rows.append([draw(st.integers(-3, 3)) * v for v in rows[-1]])
+        else:
+            rows.append([0 if kind == "zero" else draw(st.integers(-M, M)) * s for s in steps])
+    return G, rows, M
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=congruences())
+@example(case=(FinAbGroup([1, BIG, 4]), [[0, 0, 0], [8 * BIG, 4 * 3 ** 5, 3 * BIG], [0, 0, 0]],
+                   4 * BIG))
+def test_congruence_solutions_are_the_kernel(case):
+    G, rows, M = case
+    S = congruence_solution_subgroup(G, rows, M)
+
+    def image(x):
+        return [sum(k * c for k, c in zip(row, x)) % M for row in rows]
+
+    assert all(not any(image(x.coords)) for x in S.generators)
+    # S is inside the kernel of x -> K x mod M, whose image the Hermite form counts
+    target = FinAbGroup([M] * len(rows))
+    span = Subgroup.span(target, [target.element(col) for col in zip(*rows)])
+    assert S.order * span.order == G.order
+    if G.order <= 2000:
+        assert listed(S) == {x.coords for x in G.elements() if not any(image(x.coords))}
+

@@ -2,17 +2,11 @@ import random
 
 import pytest
 
-from weylkit.errors import DefectError, InputError
-from weylkit.intmat import (
-    box_reduce,
-    column_hnf,
-    identity_matrix,
-    inverse_unimodular,
-    kernel_mod,
-    mat_mul,
-    smith_decompose,
-    solve_lower_triangular,
-)
+from weylkit.intmat import box_reduce, column_hnf, smith_decompose, solve_lower_triangular
+
+
+def mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
 def det(M):
@@ -111,31 +105,3 @@ def test_box_reduce_is_canonical():
     assert len(seen) == 6
     # shifting by lattice vectors does not change the key
     assert box_reduce(H, [5, 7]) == box_reduce(H, [5 + 2, 7 + 1])
-
-
-def test_inverse_unimodular():
-    U = [[1, 2], [1, 3]]
-    Uinv = inverse_unimodular(U)
-    assert mat_mul(U, Uinv) == [[1, 0], [0, 1]]
-    # a product of elementary matrices, with a zero on the diagonal and a negative determinant
-    V = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-    V = mat_mul(V, [[1, 5, -3], [0, 1, 7], [0, 0, 1]])
-    V = mat_mul(V, [[1, 0, 0], [4, 1, 0], [-2, 9, 1]])
-    assert mat_mul(V, inverse_unimodular(V)) == identity_matrix(3)
-    with pytest.raises(DefectError):
-        inverse_unimodular([[2, 0], [0, 1]])
-    with pytest.raises(InputError):
-        inverse_unimodular([[1, 2], [2, 4]])
-
-
-def test_kernel_mod():
-    M = [[2, 0], [0, 1]]
-    basis = kernel_mod(M, 2)
-    # solutions mod 2 are spanned by (1, 0); lattice includes 2*I
-    sols = set()
-    for t in basis:
-        sols.add((t[0] % 2, t[1] % 2))
-    assert (1, 0) in sols
-    for t in basis:
-        assert (M[0][0] * t[0] + M[0][1] * t[1]) % 2 == 0
-        assert (M[1][0] * t[0] + M[1][1] * t[1]) % 2 == 0

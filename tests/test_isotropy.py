@@ -6,7 +6,7 @@ import pytest
 from weylkit.errors import PreconditionError
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.isotropy import extend_maximal, is_isotropic, is_maximal_isotropic, polar, polar_tilde
-from weylkit.multipliers import Bicharacter, antisymmetrize
+from weylkit.multipliers import Bicharacter, PhaseMap, TableMultiplier, antisymmetrize, twist
 from weylkit.phases import HALF, Phase, ZERO
 
 
@@ -202,9 +202,36 @@ def test_polar_tilde_randomized():
         assert lhs == rhs
 
 
-def test_polar_table_multiplier(f2):
-    G, m = f2
-    A = subgroup_span(G, [G.element([1, 0])])
-    # m vanishes on span{e1} and the polar against m~ is the line itself
-    assert is_isotropic(A, m)
-    assert polar(A, antisymmetrize(m)) == A
+def twisted_table(seed):
+    """A random alternating bicharacter on a small group as a table, twisted on odd seeds by
+    a random coboundary with values in (1/2)Z, with some subgroups to take polars of."""
+    rng = random.Random(seed)
+    G = FinAbGroup(rng.choice([[4, 4], [2, 4, 2], [6, 3], [3, 3, 3], [1, 4, 2], [6, 6]]))
+    mat = [[Phase(rng.randrange(0, gcd(a, b)), gcd(a, b)) for b in G.moduli] for a in G.moduli]
+    m = TableMultiplier.from_multiplier(antisymmetrize(Bicharacter(G, mat)))
+    if seed % 2:
+        m = twist(m, PhaseMap(G, {x.coords: Phase(rng.randrange(0, 2) * (not x.is_zero()), 2)
+                                  for x in G.elements()}))
+    elems = list(G.elements())
+    subgroups = [subgroup_span(G, []), Subgroup.full(G)]
+    subgroups += [subgroup_span(G, rng.sample(elems, min(k, len(elems)))) for k in (1, 1, 2)]
+    return G, m, subgroups
+
+
+@pytest.mark.parametrize("case", ["f2", *range(8)])
+def test_polar_table_multiplier(f2, case):
+    if case == "f2":
+        G, m = f2
+        A = subgroup_span(G, [G.element([1, 0])])
+        # m vanishes on span{e1} and the polar against m~ is the line itself
+        assert is_isotropic(A, m)
+        assert polar(A, antisymmetrize(m)) == A
+        m, subgroups = TableMultiplier.from_multiplier(m), [A]
+    else:
+        G, m, subgroups = twisted_table(case)
+    assert m.bichar is None
+    for A in subgroups:
+        # the table branches against the scalar definitions, generators included
+        P, want = polar(A, m), brute_polar(G, m, A)
+        assert P == want and P.generators == want.generators
+        assert is_isotropic(A, m) == all(m(a, b) == ZERO for a in A.elements() for b in A.elements())

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 from collections import Counter
@@ -735,6 +736,20 @@ def test_descend_section_is_canonical():
     D = descend(W, w.L)
     # rank-minimal representatives: exactly the 0/1 coordinate vectors
     assert set(D.section_coords) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+
+def test_descend_refuses_an_action_that_does_not_factor_through_L():
+    # a Weyl product on (Z/8)^2 with L isotropic but m~(L/2, L) != 0; the named pair is the
+    # first failing one over the generators of L/2 and of L: ((0, 1), (4, 0))
+    G = FinAbGroup([8, 8])
+    m = Bicharacter(G, [[ZERO, ZERO], [Phase(1, 8), ZERO]])
+    L = subgroup_span(G, [G.element([0, 2]), G.element([4, 0])])
+    with pytest.raises(PreconditionError, match="the action does not factor through L") as exc:
+        descend(induced_model(G, m, L), L)
+    x, a = (G.element(c) for c in ast.literal_eval(str(exc.value).split(" != 0")[0][2:]))
+    assert (x.coords, a.coords) == ((0, 1), (4, 0))
+    assert L.contains(2 * x) and L.contains(a)
+    assert m(x, a) - m(a, x) != ZERO
 
 
 def test_descent_never_lists_L2_nor_projects_one_element_at_a_time(monkeypatch):
