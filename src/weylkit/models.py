@@ -105,13 +105,15 @@ class ProjectiveRep:
     (c x rank) int64 block Y of reduced coordinate rows at once, giving
     (c x dim) source indices and phase numerators, all over the one
     denominator ``den``.  ``rows`` checks every row it takes from ``fn`` to
-    be a permutation, and ``operator(x)`` is one such row, read from the kept
-    ``monomial_arrays`` once they exist.  The formula must
-    keep its int64 intermediates below 2^63; the window model's stay below
-    3 d q^2 for an operator row of q^d entries within ``ENTRY_BUDGET``.
-    The multiplier must be a verified cocycle (else ``PreconditionError``)
-    and W(0) exactly 1 (else ``DefectError``): then the pairs that present
-    C^m[G] decide the law (``_presentation_fails``).
+    be a permutation and reduces its numerators.  Once ``monomial_arrays`` has
+    kept every row, those checked rows are the model: ``rows``,
+    ``operator`` and ``blocks`` gather from them, and ``fn`` is not called
+    again.  The formula must keep its int64 intermediates below 2^63; the
+    window model's stay below 3 d q^2 for an operator row of q^d entries
+    within ``ENTRY_BUDGET``.  The multiplier must be a verified cocycle (else
+    ``PreconditionError``) and W(0) exactly 1 (else ``DefectError``): then
+    the pairs that present C^m[G] decide the law (``_presentation_fails``),
+    and the rep keeps that verdict once its rows are kept.
     """
 
     def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, fn, den: int,
@@ -127,17 +129,22 @@ class ProjectiveRep:
         self.den = den
         self.label = label or f"rep(dim={dim})"
         self._arrays = None
+        self._law = None        # (first failing pair of P, or None) once decided on the kept rows
         if not self.operator(group.zero()).equals(identity_operator(dim)):
             raise DefectError("W(0) is not the identity")
 
     def rows(self, Y):
-        """(SRC, NUM, den): ``fn`` at the coordinate rows Y (or at a list of elements), NUM mod den.
+        """(SRC, NUM, den): W at the coordinate rows Y (or at a list of elements), NUM mod den.
 
-        Every SRC row is checked to be a permutation, with the ``InputError``
-        that ``Operator`` raises.
+        Gathered by rank from the kept ``monomial_arrays`` once they exist,
+        else one call of ``fn`` whose every SRC row is checked to be a
+        permutation, with the ``InputError`` that ``Operator`` raises.
         """
         if not isinstance(Y, np.ndarray):
             Y = np.array([y.coords for y in Y], dtype=np.int64).reshape(len(Y), self.group.rank)
+        if self._arrays is not None:
+            r = self._ranks(Y)
+            return self._arrays[0].take(r, axis=0), self._arrays[1].take(r, axis=0), self.den
         SRC, NUM = self.fn(Y)
         _check_permutations(SRC, self.dim)
         return SRC, NUM % self.den, self.den
@@ -145,10 +152,7 @@ class ProjectiveRep:
     def operator(self, x: GroupElement) -> Operator:
         if x.group != self.group:
             raise InputError("element does not belong to the representation's group")
-        if self._arrays is not None:
-            SRC, NUM, _ = self._arrays
-            return Operator(self.dim, self.den, SRC[x.rank], NUM[x.rank])
-        SRC, NUM = self.fn(np.array([x.coords], dtype=np.int64).reshape(1, self.group.rank))
+        SRC, NUM, _ = self.rows([x])
         return Operator(self.dim, self.den, SRC[0], NUM[0])     # which checks the row
 
     def _ranks(self, Y) -> np.ndarray:
@@ -159,7 +163,7 @@ class ProjectiveRep:
         den = lcm(self.den, op.den)
 
         def patched(Y):
-            SRC, NUM = self.fn(Y)
+            SRC, NUM, _ = self.rows(Y)
             at = (self._ranks(Y) == x.rank)[:, None]
             return np.where(at, op.src, SRC), np.where(at, op._num_at(den), NUM * (den // self.den))
 
@@ -171,7 +175,7 @@ class ProjectiveRep:
 
         Yields ``rows`` of each block: one checked call of the formula.  Once
         ``monomial_arrays`` has kept every row, they are yielded as one block
-        and nothing is evaluated.
+        and ``fn`` is not called.
         """
         if self._arrays is not None:
             yield self._arrays
@@ -186,18 +190,25 @@ class ProjectiveRep:
         return self.group.order * self.dim <= ENTRY_BUDGET
 
     def monomial_arrays(self):
-        """(SRC, NUM, den): stacked monomial data for every group element, rank order.
+        """(SRC, NUM, den): the monomial rows of every group element, rank order.
 
-        Read in one pass of ``blocks()`` and kept, so later checks and
-        ``blocks()`` itself reuse the rows.  Within the budget of
-        ``fits_arrays``, else ``ResourceLimitError`` naming ENTRY_BUDGET
-        and the |G| dim entries.
+        Read in one pass of ``blocks()`` into preallocated arrays and kept:
+        each row was checked to be a permutation and reduced mod den as it
+        was read, so from then on ``rows``, ``operator``, ``blocks`` and the
+        pair checks gather from these arrays and ``fn`` is not called again.
+        Within the budget of ``fits_arrays``, else ``ResourceLimitError``
+        naming ENTRY_BUDGET and the |G| dim entries.
         """
         if self._arrays is None:
-            check_budget("monomial entries", self.group.order * self.dim)
-            blocks = list(self.blocks())
-            self._arrays = (np.concatenate([S for S, _, _ in blocks]),
-                            np.concatenate([N for _, N, _ in blocks]), self.den)
+            n = self.group.order
+            check_budget("monomial entries", n * self.dim)
+            SRC = np.empty((n, self.dim), dtype=np.intp)
+            NUM = np.empty((n, self.dim), dtype=np.int64)
+            start = 0
+            for S, N, _ in self.blocks():
+                SRC[start:start + len(S)], NUM[start:start + len(S)] = S, N
+                start += len(S)
+            self._arrays = (SRC, NUM, self.den)
         return self._arrays
 
     def direct_sum(self, other: "ProjectiveRep") -> "ProjectiveRep":
@@ -208,7 +219,7 @@ class ProjectiveRep:
         den = lcm(self.den, other.den)
 
         def summed(Y):
-            (S1, N1), (S2, N2) = self.fn(Y), other.fn(Y)
+            (S1, N1, _), (S2, N2, _) = self.rows(Y), other.rows(Y)
             return (np.hstack([S1, S2 + self.dim]),
                     np.hstack([N1 * (den // self.den), N2 * (den // other.den)]))
 
@@ -223,7 +234,7 @@ class ProjectiveRep:
         anum = np.array([amap(x).numerator_at(den) for x in self.group.elements()], dtype=np.int64)
 
         def shifted(Y):
-            SRC, NUM = self.fn(Y)
+            SRC, NUM, _ = self.rows(Y)
             return SRC, NUM * (den // self.den) + anum[self._ranks(Y)][:, None]
 
         return ProjectiveRep(self.group, m2, self.dim, shifted, den, label=self.label + "~twist")
@@ -233,12 +244,17 @@ class ProjectiveRep:
 
 
 def _check_permutations(SRC: np.ndarray, dim: int):
-    """Raise InputError unless every row of the (c x dim) array SRC permutes range(dim)."""
+    """Raise InputError unless every row of the (c x dim) array SRC permutes range(dim).
+
+    With every entry in range, row k marks the c dim slots k dim + SRC[k]:
+    all are marked exactly when each row hits each of its dim slots once.
+    """
     c = SRC.shape[0]
-    ok = SRC.shape[1:] == (dim,) and bool(((SRC >= 0) & (SRC < dim)).all())
-    if ok and c:
-        hits = np.bincount((SRC + dim * np.arange(c)[:, None]).ravel(), minlength=c * dim)
-        ok = bool((hits == 1).all())
+    ok = SRC.shape[1:] == (dim,) and (not SRC.size or bool(SRC.min() >= 0 and SRC.max() < dim))
+    if ok and SRC.size:
+        seen = np.zeros(c * dim, dtype=bool)
+        seen[SRC + np.arange(0, c * dim, dim)[:, None]] = True
+        ok = bool(seen.all())
     if not ok:
         raise InputError("monomial source map is not a permutation")
 
@@ -360,17 +376,22 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     With a = a' + b this is the phase above by the cocycle identity at
     (r_i, r_k, b) and (r_j, a', b), the splitting
     c(a' + b) = c(a') + c(b) + m(a', b) and the bilinearity of
-    m~(x, y) = m(x, y) - m(y, x), which vanishes on A x A as c splits m there:
-    it holds for every verified multiplier.  A call materialises coset
-    indices and c (by rank among A's elements) for the c rows and the grid,
-    m on the grid, the c x dim grids m(r_i, b) and m(b, r_i)
-    (``Multiplier.pair_grid``) and m(b, r_k); each entry then costs a gather
-    and adds, with no coset reduction or multiplier call per entry.  It never
-    lists G or A x A.
+    m~(x, y) = m(x, y) - m(y, x) (``antisymmetrize``), which vanishes on
+    A x A as c splits m there: it holds for every verified multiplier.  So
+    W(b)'s phase m~(r_i, b) = sum_j b_j m~(r_i, e_j) is one product with the
+    dim x rank array m~(r_i, e_j), built with the model.  A call
+    materialises coset indices and c (by rank among A's elements) for the c
+    rows and the grid, m on the grid and m(b, r_k); each entry then costs a
+    gather and adds, with no coset reduction or multiplier call per entry.
+    It never lists G or A x A.  Its numerators are reduced by ``rows``; they
+    stay below den (2 + sum_j (n_j - 1)) in magnitude, which must fit int64
+    (else ``InputError``).  Once the law check has kept the model's rows
+    (``monomial_arrays``), the formula is not called again.
     """
     if m.group != G or A.ambient != G:
         raise InputError("group, multiplier and subgroup do not match")
-    if not is_maximal_isotropic(A, antisymmetrize(m)):
+    mt = antisymmetrize(m)
+    if not is_maximal_isotropic(A, mt):
         raise PreconditionError("the inducing subgroup is not maximal isotropic "
                                 "for the antisymmetrized multiplier")
     if c is None:
@@ -382,6 +403,8 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     R = A.transversal_coords()
     dim, rank = R.shape
     den = lcm(m.den, cmap.den)
+    # every numerator of the formula stays within den (2 + sum_j (n_j - 1)), see fn
+    check_int64(f"the induced formula over {den}", den * (2 + sum(n - 1 for n in G.moduli)))
     # c over den by rank among A's elements
     elems = A.elements()
     a_ranks = np.array([a.rank for a in elems], dtype=np.int64)
@@ -389,6 +412,8 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     moduli = np.array(G.moduli, dtype=np.int64)
     weights = np.array(G._weights, dtype=np.int64)
     scale = den // m.den
+    # (rank x dim): m~(r_i, e_j) over den at [j, i]
+    MT = mt.pair_grid(R, np.eye(rank, dtype=np.int64)).T * (den // mt.den)
 
     def fn(Y):
         # y = b + r_k with b in A, and W(y) = e(-m(b, r_k)) W(b) W(r_k)
@@ -409,10 +434,12 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
             raise InputError("a coset difference is missing from the subgroup")
         ca, cb = np.split(c_num[at], [len(a)])
         NK = ((m.pair_grid(R, R[K]).T.ravel() - m.pair_nums(a, R[J])) * scale - ca) % den
-        # W(b) is diagonal, e(m(r_i, b) - m(b, r_i) - c(b)) at i; the scalar -m(b, r_k) joins it
-        shift = (cb + m.pair_nums(b, R[k]) * scale) % den
-        NB = (m.pair_grid(R, b).T - m.pair_grid(b, R)) * scale - shift[:, None]
-        return J.reshape(len(K), dim)[row], (NK.reshape(len(K), dim)[row] + NB) % den
+        # W(b) is diagonal, e(m~(r_i, b) - c(b)) at i; the scalar -m(b, r_k) joins it.
+        # NK is in [0, den), the product in [0, den sum_j (n_j - 1)), the scalar in [0, 2 den)
+        NUM = NK.reshape(len(K), dim)[row]
+        NUM += b @ MT
+        NUM -= (cb + m.pair_nums(b, R[k]) * scale)[:, None]
+        return J.reshape(len(K), dim)[row], NUM
 
     rep = ProjectiveRep(G, m, dim, fn, den, label=f"induced(|A|={A.order})")
     if check:
@@ -435,7 +462,9 @@ def check_rep_law(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
     cocycle and W(0) = 1, both checked when W is built, so W at the pairs P
     that present the twisted group algebra C^m[G] decides it, sum_l n_1 ...
     n_l + r(r - 1)/2 pairs read from the kept rows (see ``_check_pairs`` and
-    ``_presentation_fails``).
+    ``_presentation_fails``).  The rows are kept on W and the verdict at P
+    too, so later readers of W gather from those rows without calling its
+    formula, and a later ``commutator_scalar_check`` reads no pair of P.
     """
     rep = VerificationReport(f"representation law for {W.label}")
     _check_pairs(rep, "law", W, False, tolerance, samples, seed)
@@ -460,7 +489,8 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
     pair exactly and measures the distance of the two sides at failing pairs.
     1. When W's ``monomial_arrays`` (|G| dim entries) fit ``ENTRY_BUDGET``,
        the pairs P of the presentation of C^m[G] decide the law
-       (``_presentation_fails``).  Witness: the first failing pair of P.
+       (``_presentation_fails``), once per rep: W keeps the verdict.
+       Witness: the first failing pair of P.
        A law that holds decides the commutator too, as then
        W(x) W(y) = e(m(x, y)) W(x + y) = e(m~(x, y)) W(y) W(x).
     2. The commutator of a rep whose law fails at P, when |G|^2 passes the
@@ -468,7 +498,8 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
        the first failing (x, g), g in generator order.
     3. Otherwise, or when every such (x, g) holds: all |G|^2 pairs when at
        most ``samples``, or when W's rows are kept and |G|^2 fits the
-       budget; else a seeded sample.  Witness: the worst failing pair.
+       budget, each x against every y in one run; else a seeded sample.
+       Witness: the worst failing pair.
     Every tier fails on any pair that ``_pairs_hold`` rejects, however close
     its float distance.
     """
@@ -480,7 +511,9 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
     decided = kept = W.fits_arrays()
     if kept:
         W.monomial_arrays()     # kept, so _pairs_hold reads the rows by rank
-        fail = _presentation_fails(W)
+        if W._law is None:      # P is read once per rep, by whichever check comes first
+            W._law = (_presentation_fails(W),)
+        fail, = W._law
         if fail is not None and not swapped:
             bad, dist = [fail[:2]], [fail[2]]
         decided = fail is None or not swapped
@@ -494,11 +527,16 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
                     break
     if not decided:
         if n * n <= samples or (kept and n * n <= ENTRY_BUDGET):
+            # each x against the run of every y in rank order, read as one slice
             idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
+            X = G.coords_array()
+            ok, dist = map(np.concatenate,
+                           zip(*[_pairs_hold(W, phase, swapped, X[x:x + 1], X) for x in range(n)]))
         else:
             idx = np.random.default_rng(seed).integers(0, n, size=(samples, 2))
             note = f"sampled {samples} pairs, seed={seed}"
-        ok, dist = _pairs_hold(W, phase, swapped, G.coords_at(idx[:, 0]), G.coords_at(idx[:, 1]))
+            ok, dist = _pairs_hold(W, phase, swapped, G.coords_at(idx[:, 0]),
+                                   G.coords_at(idx[:, 1]))
         bad, dist = idx[~ok], dist[~ok]
     worst, witness = 0.0, None
     if len(bad):
@@ -557,10 +595,10 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
     ``Operator.distance_to`` measures it (0.0 elsewhere); either side may be one row,
     paired with every row of the other.
 
-    Rows are read by rank from W's kept ``monomial_arrays`` when it has
-    them, a run of consecutive ranks as a slice (a view) and any other rows
-    by one gather, else from ``W.rows``, max(1, BLOCK_ENTRIES // dim) pairs
-    at a time.  Each product is one row-wise gather; a single row is never
+    Rows are read max(1, BLOCK_ENTRIES // dim) pairs at a time: a run of
+    consecutive ranks of W's kept ``monomial_arrays`` as a slice (a view),
+    any other rows by one ``W.rows`` call, which gathers from the kept rows
+    when W has them.  Each product is one row-wise gather; a single row is never
     copied to the other side's length.
     """
     G = W.group
@@ -568,13 +606,12 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
     d = lcm(W.den, phase.den)
 
     def read(Z):
-        if W._arrays is None:
-            return W.rows(Z)[:2]
-        r = Z @ weights
-        lo, hi = int(r[0]), int(r[-1]) + 1
-        if hi - lo == len(r) and (len(r) < 3 or (np.diff(r) == 1).all()):
-            return W._arrays[0][lo:hi], W._arrays[1][lo:hi]
-        return W._arrays[0].take(r, axis=0), W._arrays[1].take(r, axis=0)
+        if W._arrays is not None:
+            r = Z @ weights
+            lo, hi = int(r[0]), int(r[-1]) + 1
+            if hi - lo == len(r) and (len(r) < 3 or (np.diff(r) == 1).all()):
+                return W._arrays[0][lo:hi], W._arrays[1][lo:hi]
+        return W.rows(Z)[:2]
 
     def gather(A, I):
         # row-wise A[k][I[k]]; a single row is read with one 1-D gather, not broadcast
@@ -598,7 +635,11 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
         num1 -= num2
         num1 *= d // W.den
         num1 -= p
-        ok = (src1 == src2).all(axis=1) & (num1 % d == 0).all(axis=1)
+        # every numerator read is reduced mod W.den, so num1 lies in (-3d, 2d): it is 0 mod d
+        # exactly when it is one of -2d, -d, 0 and d, which is cheaper to test than the remainder
+        ok = src1 == src2
+        ok &= (num1 == 0) | (num1 == d) | (num1 == -d) | (num1 == -2 * d)
+        ok = ok.all(axis=1)
         holds[start:start + step] = ok
         if not ok.all():
             # e(phase) R(x, y) over d, and W(x) W(y) back over W.den, as the operators hold them

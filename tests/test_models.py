@@ -25,7 +25,7 @@ from weylkit.models import (
     schrodinger_model,
 )
 from weylkit.multipliers import (Bicharacter, Multiplier, PhaseMap, TableMultiplier, antisymmetrize,
-                                 split_symmetric, zero_multiplier)
+                                 split_symmetric, twist, zero_multiplier)
 from weylkit.phases import Phase, ZERO
 from weylkit.reports import VerificationReport
 from weylkit.vacuum import descend
@@ -567,6 +567,11 @@ def block_symplectic_model(moduli, units, gens):
     return induced_model(G, m, subgroup_span(G, [G.element(g) for g in gens]), check=False)
 
 
+def fresh_rep(W):
+    """A new rep of W's formula: no kept rows and no verdict of the law yet."""
+    return ProjectiveRep(W.group, W.multiplier, W.dim, W.fn, W.den, W.label)
+
+
 def count_pairs(monkeypatch) -> list:
     """Make every |G| x |G| table raise; returns the list that gets the number
     of pairs of each call of ``models._pairs_hold``."""
@@ -587,13 +592,22 @@ def count_pairs(monkeypatch) -> list:
 
 
 def assert_generator_pairs_only(checker, W, pairs):
-    # one pass of the pairs P, sum_l n_1 ... n_l <= 2 |G| prefix pairs and r(r - 1)/2
-    # commutation pairs, for either check: far below the |G|^2 of a full scan
+    # on a fresh rep either check reads the pairs P once: sum_l n_1 ... n_l <= 2 |G|
+    # prefix pairs and r(r - 1)/2 commutation pairs, far below the |G|^2 of a full scan
     pairs.clear()
     rep = checker(W)
     assert rep.passed
     assert rep.checks[-1].note == f"exhaustive over {W.group.order}^2 pairs"
-    assert 0 < sum(pairs) <= W.group.order * (W.group.rank + 1)
+    assert sum(pairs) == len(presentation_order(W.group)) <= W.group.order * (W.group.rank + 1)
+
+
+def assert_commutator_after_law_reads_no_pairs(W, pairs):
+    # the rep keeps the law's verdict at P, which decides the commutator too
+    assert check_rep_law(W).passed
+    pairs.clear()
+    check = commutator_scalar_check(W).checks[-1]
+    assert check.passed and check.note == f"exhaustive over {W.group.order}^2 pairs"
+    assert pairs == []
 
 
 # the vacuum-9595 model of the benchmark at seed 3: |G| = 2025, |G|^2 past ENTRY_BUDGET, dimension 45
@@ -604,31 +618,36 @@ def test_correct_model_never_scans_pairs(monkeypatch):
     # the generator pairs decide a correct bicharacter model: no |G|^2 scan,
     # no |G| x |G| multiplier table and no addition table
     W = block_symplectic_model((7, 3, 7, 3), (3, 2), ((1, 0, 0, 0), (0, 1, 0, 0)))
+    W1, W2, W3, W4 = (fresh_rep(W) for _ in range(4))
     pairs = count_pairs(monkeypatch)
-    assert_generator_pairs_only(check_rep_law, W, pairs)
-    assert_generator_pairs_only(commutator_scalar_check, W, pairs)
-    assert_generator_pairs_only(check_rep_law, W.direct_sum(W), pairs)
+    assert_generator_pairs_only(check_rep_law, W1, pairs)
+    assert_generator_pairs_only(commutator_scalar_check, W2, pairs)
+    assert_commutator_after_law_reads_no_pairs(W3, pairs)
+    assert_generator_pairs_only(check_rep_law, W4.direct_sum(W4), pairs)
 
 
 def test_correct_model_beyond_table_cap_never_scans_pairs(monkeypatch):
     # 2025 x 45 monomial entries fit ENTRY_BUDGET: the generator pairs decide
     # both checks exactly, with no sample of 20 000 pairs, |G|^2 scan or |G| x |G| table
-    W = block_symplectic_model(*VACUUM_9595)
+    W1, W2, W3 = (fresh_rep(block_symplectic_model(*VACUUM_9595)) for _ in range(3))
     pairs = count_pairs(monkeypatch)
-    for checker in (check_rep_law, commutator_scalar_check):
-        assert_generator_pairs_only(checker, W, pairs)
+    assert_generator_pairs_only(check_rep_law, W1, pairs)
+    assert_generator_pairs_only(commutator_scalar_check, W2, pairs)
+    assert_commutator_after_law_reads_no_pairs(W3, pairs)
 
 
 def test_presentation_reads_at_most_2490_pairs(monkeypatch):
     # P on vacuum-9595: 9 + 45 + 405 + 2025 prefix pairs and 6 commutation pairs, against
-    # 5 x 2025 pairs (x, g) for the law; the commutator reads P once, for W's own law
-    W = block_symplectic_model(*VACUUM_9595)
+    # 5 x 2025 pairs (x, g) for the law; on a fresh rep either check reads P once, and
+    # the commutator after the law on the same rep reads no pair
+    reps = [fresh_rep(block_symplectic_model(*VACUUM_9595)) for _ in range(3)]
     pairs = count_pairs(monkeypatch)
-    for checker in (check_rep_law, commutator_scalar_check):
+    for checker, W in zip((check_rep_law, commutator_scalar_check), reps):
         pairs.clear()
         check = checker(W).checks[-1]
         assert check.passed and check.note == "exhaustive over 2025^2 pairs"
-        assert 0 < sum(pairs) <= 2490
+        assert sum(pairs) == 2490
+    assert_commutator_after_law_reads_no_pairs(reps[2], pairs)
 
 
 def test_fault_beyond_table_cap_fails_at_a_generator_pair():
@@ -1178,3 +1197,143 @@ def test_operator_reads_kept_rows():
     SRC[5, 0] = SRC[5, 1]
     with pytest.raises(InputError, match="not a permutation"):
         W.operator(G.element_by_rank(5))
+
+
+# -- kept rows: the one copy of a model's rows --------------------------------
+
+def random_phase_map(G, dens, data):
+    """A phase map on G vanishing at 0, its values over a denominator drawn from ``dens``."""
+    den = data.draw(st.sampled_from(dens))
+    return PhaseMap(G, {x.coords: Phase(data.draw(st.integers(0, den - 1)) if x.rank else 0, den)
+                        for x in G.elements()})
+
+
+def induced_inputs(kind, moduli, data):
+    """(G, m, A, c) of an induced model over the Weyl product m of (+) Z/n_i: from a
+    random maximal isotropic A with c None (``split_symmetric``), or, for "induced-table",
+    with m twisted by a random coboundary (a table multiplier), A the position subgroup
+    and the explicit splitting c = -a."""
+    S = schrodinger_model(FinAbGroup(moduli))
+    G, m = S.group, S.multiplier
+    if kind == "induced":
+        seed = G.element([data.draw(st.integers(0, n - 1)) for n in G.moduli])
+        return G, m, extend_maximal(subgroup_span(G, [seed]), antisymmetrize(m)), None
+    a = random_phase_map(G, [2, 3, 4, 6], data)
+    r = len(moduli)
+    A = subgroup_span(G, [G.element([int(i == j) for i in range(2 * r)]) for j in range(r)])
+    return G, twist(m, a), A, PhaseMap(G, {x.coords: -a(x) for x in A.elements()})
+
+
+def kept_rows_model(kind, data):
+    """A model of the given kind, drawn small enough to keep its rows."""
+    moduli = data.draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=2))
+    if kind.startswith("induced"):
+        return induced_model(*induced_inputs(kind, moduli, data))
+    if kind == "window":
+        return window_model(*data.draw(st.sampled_from([(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)])))
+    if kind == "schrodinger":
+        return schrodinger_model(FinAbGroup(moduli))
+    W = fresh_rep(schrodinger_model(FinAbGroup(moduli)))
+    if data.draw(st.booleans()):
+        W.monomial_arrays()                 # the derived rep reads the parent's kept rows
+    if kind == "direct-sum":
+        return W.direct_sum(W)
+    return W.twisted(random_phase_map(W.group, [2, 3, 4], data))
+
+
+def coordinate_rows(G, data):
+    c = data.draw(st.integers(1, 6))
+    return np.array([[data.draw(st.integers(0, n - 1)) for n in G.moduli] for _ in range(c)],
+                    dtype=np.int64).reshape(c, G.rank)
+
+
+KEPT_KINDS = ["induced", "induced-table", "window", "schrodinger", "twisted", "direct-sum"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KEPT_KINDS), data=st.data())
+def test_kept_rows_equal_the_formula(kind, data):
+    # after monomial_arrays, rows gathers from the kept arrays and never calls fn, and
+    # they equal the formula of a fresh copy at any block of coordinate rows
+    W = kept_rows_model(kind, data)
+    kept, fresh = fresh_rep(W), fresh_rep(W)
+    kept.monomial_arrays()
+    kept.fn = None
+    Y = coordinate_rows(W.group, data)
+    SRC, NUM, den = kept.rows(Y)
+    S2, N2 = fresh.fn(Y)
+    assert den == W.den
+    assert (SRC == S2).all() and (NUM == N2 % den).all()
+
+
+@settings(max_examples=18, deadline=None)
+@given(kind=st.sampled_from(KEPT_KINDS), data=st.data())
+def test_kept_model_answers_without_its_formula(kind, data):
+    # fn set to None after monomial_arrays: rows, operator, blocks, the law and the
+    # commutator still answer, as the formula does
+    W = kept_rows_model(kind, data)
+    kept, fresh = fresh_rep(W), fresh_rep(W)
+    SRC, NUM, den = kept.monomial_arrays()
+    kept.fn = None
+    G = W.group
+    assert all(kept.operator(x).equals(fresh.operator(x)) for x in G.elements())
+    (block,) = kept.blocks()
+    assert block[0] is SRC and block[1] is NUM
+    assert (kept.rows(G.coords_array())[0] == SRC).all()
+    for checker in (check_rep_law, commutator_scalar_check):
+        assert checker(kept).checks[-1].to_dict() == checker(fresh).checks[-1].to_dict()
+
+
+def two_grid_rows(G, m, A, cmap, Y):
+    """The induced block formula with W(b)'s phase m(r_i, b) - m(b, r_i) read on two
+    c x dim ``pair_grid``s, reduced mod den: the oracle of the m~ product."""
+    R = A.transversal_coords()
+    dim, rank = R.shape
+    den = lcm(m.den, cmap.den)
+    elems = A.elements()
+    a_ranks = np.array([a.rank for a in elems], dtype=np.int64)
+    c_num = np.array([cmap(a).numerator_at(den) for a in elems], dtype=np.int64)
+    moduli, weights = (np.array(t, dtype=np.int64) for t in (G.moduli, G._weights))
+    scale = den // m.den
+    k = A.coset_index(Y)
+    b = (Y - R[k]) % moduli
+    Z = (R[k][:, None, :] + R).reshape(len(Y) * dim, rank) % moduli
+    J = A.coset_index(Z)
+    a = (Z - R[J]) % moduli
+    ca = c_num[np.searchsorted(a_ranks, a @ weights)]
+    cb = c_num[np.searchsorted(a_ranks, b @ weights)]
+    NK = ((m.pair_grid(R, R[k]).T.ravel() - m.pair_nums(a, R[J])) * scale - ca).reshape(len(Y), dim)
+    shift = cb + m.pair_nums(b, R[k]) * scale
+    NB = (m.pair_grid(R, b).T - m.pair_grid(b, R)) * scale - shift[:, None]
+    return J.reshape(len(Y), dim), (NK + NB) % den
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["induced", "induced-table"]), data=st.data())
+def test_induced_phase_from_antisymmetrization_matches_two_grids(kind, data):
+    moduli = data.draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=2))
+    G, m, A, c = induced_inputs(kind, moduli, data)
+    W = induced_model(G, m, A, c)
+    Y = coordinate_rows(G, data)
+    SRC, NUM = W.fn(Y)
+    S2, N2 = two_grid_rows(G, m, A, split_symmetric(m, A) if c is None else c, Y)
+    assert (SRC == S2).all() and (NUM % W.den == N2).all()
+
+
+def test_induced_formula_refuses_a_denominator_past_int64():
+    # (Z/3)^2 over a table twisted by a coboundary over den = 2^61 + 1: the table, its
+    # cocycle check and the splitting fit int64, but the formula's den (2 + 4) does not
+    S = schrodinger_model(FinAbGroup([3]))
+    G = S.group
+    den = 2 ** 61 + 1
+    a = PhaseMap(G, {x.coords: Phase(x.rank * (den // 9), den) for x in G.elements()})
+    m = twist(S.multiplier, a)
+    A = subgroup_span(G, [G.element([1, 0])])
+    c = PhaseMap(G, {x.coords: -a(x) for x in A.elements()})
+    with pytest.raises(InputError, match="induced formula over .* beyond int64"):
+        induced_model(G, m, A, c)
+    # the same twist over a smaller denominator builds a model whose law holds
+    small = 2 ** 20 + 1
+    a = PhaseMap(G, {x.coords: Phase(x.rank * (small // 9), small) for x in G.elements()})
+    c = PhaseMap(G, {x.coords: -a(x) for x in A.elements()})
+    assert check_rep_law(induced_model(G, twist(S.multiplier, a), A, c)).passed
