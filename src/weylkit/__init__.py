@@ -27,6 +27,7 @@ from .multipliers import (
     equivalent,
     sqrt_bicharacter,
     split_symmetric,
+    check_splitting,
     is_heisenberg,
     zero_multiplier,
 )
@@ -34,7 +35,6 @@ from .isotropy import polar, is_isotropic, is_maximal_isotropic, extend_maximal,
 from .models import (
     Operator,
     ProjectiveRep,
-    SplittingData,
     schrodinger_model,
     standard_pairing,
     regular_rep,

@@ -16,7 +16,7 @@ from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
-from .errors import InputError, UnsupportedOperationError, check_budget
+from .errors import InputError, UnsupportedOperationError, check_budget, check_int64
 from .intmat import (
     box_reduce,
     column_hnf,
@@ -78,6 +78,10 @@ class FinAbGroup:
 
     def rank_of(self, coords) -> int:
         return sum(int(c) * w for c, w in zip(coords, self._weights))
+
+    def ranks_of(self, X) -> np.ndarray:
+        """Rank of each reduced int64 coordinate row of X (the last axis)."""
+        return np.asarray(X) @ np.array(self._weights, dtype=np.int64)
 
     def coords_of(self, index: int):
         out = []
@@ -225,14 +229,14 @@ def _require_prime(p: int):
 class Subgroup:
     """Subgroup of a FinAbGroup, canonicalised by the column HNF of its preimage lattice."""
 
-    __slots__ = ("ambient", "generators", "basis", "_elems", "_grid", "_decomp", "_transversal",
-                 "_rhnf")
+    __slots__ = ("ambient", "generators", "basis", "_elems", "_coords", "_grid", "_decomp",
+                 "_transversal", "_rhnf")
 
     def __init__(self, ambient: FinAbGroup, generators, basis):
         self.ambient = ambient
         self.generators = tuple(generators)
         self.basis = tuple(tuple(row) for row in basis)
-        self._elems = None
+        self._elems = self._coords = None
         self._grid = None
         self._decomp = None
         self._transversal = None
@@ -306,8 +310,17 @@ class Subgroup:
             order = np.argsort(ranks, kind="stable")
             assert len(order) == self.order and (np.diff(ranks[order]) > 0).all()
             self._elems = [GroupElement(G, tuple(c)) for c in X[order].tolist()]
+            self._coords = X[order]
             self._grid = order
         return self._elems
+
+    def coords_array(self) -> np.ndarray:
+        """(|A| x rank) int64 coordinates of ``elements()`` (kept); refuses moduli past int64."""
+        self.elements()
+        if self._coords.dtype == object:      # Python ints, for a group past int64
+            check_int64(f"a modulus of {self.ambient!r}", max(self.ambient.moduli))
+            self._coords = self._coords.astype(np.int64)
+        return self._coords
 
     def grid_order(self) -> np.ndarray:
         """Rank in the coefficient grid of ``decomposition()`` of each element of ``elements()``."""
@@ -533,8 +546,7 @@ class Quotient:
             T = self.denominator.transversal_coords()
             T = T[self.numerator.box_codes(T) == 0]
             self._sections = np.empty_like(T)
-            ranks = self.project_coords(T) @ np.array(self.group._weights, dtype=np.int64)
-            self._sections[ranks] = T
+            self._sections[self.group.ranks_of(self.project_coords(T))] = T
         return self._sections
 
     def section(self, q: GroupElement) -> GroupElement:

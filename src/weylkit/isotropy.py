@@ -22,16 +22,11 @@ def polar(A: Subgroup, m) -> Subgroup:
         raise InputError("multiplier and subgroup live in different groups")
     form = m.bichar
     if form is not None:
-        r = G.rank
-        H = A.basis
-        C = form._cnum
-        rows = []
-        for j in range(r):
-            h = np.array([H[i][j] for i in range(r)], dtype=np.int64)
-            rows.append(list(map(int, C @ h)))
-        return congruence_solution_subgroup(G, rows, form.den)
+        # row j: the numerators of m(x, h_j) = x . C h_j, h_j column j of A's lattice basis
+        H = np.array(A.basis, dtype=np.int64).reshape(G.rank, G.rank)
+        return congruence_solution_subgroup(G, (form._cnum @ H).T.tolist(), form.den)
     # table backing (|G|^2 within ENTRY_BUDGET): the defining condition on one pair grid
-    members = np.flatnonzero(~m.pair_grid(G.coords_array(), _coords(A)).any(axis=1))
+    members = np.flatnonzero(~m.pair_grid(G.coords_array(), A.coords_array()).any(axis=1))
     return subgroup_span(G, [G.element_by_rank(int(i)) for i in members])
 
 
@@ -39,20 +34,10 @@ def is_isotropic(A: Subgroup, m) -> bool:
     """m vanishes on A x A."""
     form = m.bichar
     if form is not None:
-        H = A.basis
-        r = A.ambient.rank
-        C = form._cnum
-        den = form.den
-        B = np.array(H, dtype=np.int64) if r else np.zeros((0, 0), dtype=np.int64)
-        return not ((B.T @ C @ B) % den).any()
-    X = _coords(A)
+        B = np.array(A.basis, dtype=np.int64).reshape(A.ambient.rank, A.ambient.rank)
+        return not ((B.T @ form._cnum @ B) % form.den).any()
+    X = A.coords_array()
     return not m.pair_grid(X, X).any()
-
-
-def _coords(A: Subgroup) -> np.ndarray:
-    """(|A| x rank) int64 coordinates of A's elements, in rank order."""
-    elems = A.elements()
-    return np.array([a.coords for a in elems], dtype=np.int64).reshape(len(elems), A.ambient.rank)
 
 
 def is_maximal_isotropic(A: Subgroup, m) -> bool:

@@ -11,7 +11,6 @@ normalised intertwiner, for sector bases and on request (``Operator.matrix``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt, lcm
 
 import numpy as np
@@ -24,6 +23,7 @@ from .multipliers import (
     Multiplier,
     PhaseMap,
     antisymmetrize,
+    check_splitting,
     split_symmetric,
     twist,
     zero_multiplier,
@@ -143,7 +143,7 @@ class ProjectiveRep:
         if not isinstance(Y, np.ndarray):
             Y = np.array([y.coords for y in Y], dtype=np.int64).reshape(len(Y), self.group.rank)
         if self._arrays is not None:
-            r = self._ranks(Y)
+            r = self.group.ranks_of(Y)
             return self._arrays[0].take(r, axis=0), self._arrays[1].take(r, axis=0), self.den
         SRC, NUM = self.fn(Y)
         _check_permutations(SRC, self.dim)
@@ -155,16 +155,13 @@ class ProjectiveRep:
         SRC, NUM, _ = self.rows([x])
         return Operator(self.dim, self.den, SRC[0], NUM[0])     # which checks the row
 
-    def _ranks(self, Y) -> np.ndarray:
-        return Y @ np.array(self.group._weights, dtype=np.int64)
-
     def with_override(self, x: GroupElement, op: Operator) -> "ProjectiveRep":
         """Copy of the rep with W(x) replaced by ``op`` (fault injection in tests)."""
         den = lcm(self.den, op.den)
 
         def patched(Y):
             SRC, NUM, _ = self.rows(Y)
-            at = (self._ranks(Y) == x.rank)[:, None]
+            at = (self.group.ranks_of(Y) == x.rank)[:, None]
             return np.where(at, op.src, SRC), np.where(at, op._num_at(den), NUM * (den // self.den))
 
         return ProjectiveRep(self.group, self.multiplier, self.dim, patched, den,
@@ -226,16 +223,16 @@ class ProjectiveRep:
         return ProjectiveRep(self.group, self.multiplier, self.dim + other.dim, summed, den,
                              label=f"{self.label} (+) {other.label}")
 
-    def twisted(self, a) -> "ProjectiveRep":
-        """Scalar twist: operators gain e(a(x)); the multiplier is twisted consistently."""
-        amap = a if isinstance(a, PhaseMap) else PhaseMap.from_callable(self.group, a)
-        m2 = twist(self.multiplier, amap)
-        den = lcm(self.den, amap.den)
-        anum = np.array([amap(x).numerator_at(den) for x in self.group.elements()], dtype=np.int64)
+    def twisted(self, a: PhaseMap) -> "ProjectiveRep":
+        """Scalar twist: operators gain e(a(x)); the multiplier is twisted consistently.
+        A row's numerators stay below 2 den, which must fit int64."""
+        m2 = twist(self.multiplier, a)
+        den = lcm(self.den, a.den)
+        check_int64(f"a twisted row over {den}", 2 * (den - 1))
 
         def shifted(Y):
             SRC, NUM, _ = self.rows(Y)
-            return SRC, NUM * (den // self.den) + anum[self._ranks(Y)][:, None]
+            return SRC, NUM * (den // self.den) + a.nums_at(Y, den)[:, None]
 
         return ProjectiveRep(self.group, m2, self.dim, shifted, den, label=self.label + "~twist")
 
@@ -261,40 +258,6 @@ def _check_permutations(SRC: np.ndarray, dim: int):
 
 def identity_operator(dim: int) -> Operator:
     return Operator(dim, 1, np.arange(dim), np.zeros(dim, dtype=np.int64))
-
-
-@dataclass
-class SplittingData:
-    """A subgroup together with a phase map splitting the multiplier on it."""
-
-    subgroup: Subgroup
-    c: PhaseMap
-
-    def validate(self, m: Multiplier):
-        """m(a, b) = c(a + b) - c(a) - c(b) on A x A, decided on one ``pair_grid``.
-
-        ``PreconditionError`` names the first failing pair, a outer and b
-        inner in element order; ``InputError`` when c misses an element of A.
-        """
-        A = self.subgroup
-        G = A.ambient
-        if self.c(G.zero()) != ZERO:
-            raise PreconditionError("splitting must vanish at 0")
-        elems = A.elements()
-        check_budget("table entries", len(elems) ** 2)
-        cvals = [self.c(a) for a in elems]
-        d = lcm(m.den, *(v.den for v in cvals))
-        check_int64(f"a splitting sum over {d}", 3 * (d - 1))
-        cnum = np.array([v.numerator_at(d) for v in cvals], dtype=np.int64)
-        X = np.array([a.coords for a in elems], dtype=np.int64).reshape(len(elems), G.rank)
-        weights = np.array(G._weights, dtype=np.int64)
-        # a + b by its position among A's elements, which are sorted by rank
-        ab = np.searchsorted(X @ weights,
-                             (X[:, None] + X) % np.array(G.moduli, dtype=np.int64) @ weights)
-        bad = (m.pair_grid(X, X) * (d // m.den) - cnum[ab] + cnum[:, None] + cnum) % d != 0
-        if bad.any():
-            i, j = np.argwhere(bad)[0].tolist()
-            raise PreconditionError(f"splitting fails at {(elems[i].coords, elems[j].coords)}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +319,7 @@ def regular_rep(G: FinAbGroup) -> ProjectiveRep:
     return ProjectiveRep(G, zero_multiplier(G), dim, fn, 1, label=f"regular({G!r})")
 
 
-def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
-                  c: PhaseMap | SplittingData | None = None,
+def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup, c: PhaseMap | None = None,
                   check: bool = True) -> ProjectiveRep:
     """The model on functions over coset representatives of a maximal isotropic A.
 
@@ -366,7 +328,8 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     alternating bicharacter) and the action is (W(y) f)(x) = m(x, y) f(x + y).
     On the transversal r_0, r_1, ... (``Subgroup.transversal_coords``), W(y)
     reads f at r_j, where r_i + y = r_j + a with a in A, with the phase
-    m(r_i, y) - m(a, r_j) - c(a).
+    m(r_i, y) - m(a, r_j) - c(a).  A given splitting c must split m on A
+    (``check_splitting``); by default it is ``split_symmetric``'s.
 
     The block formula finds the coset of each row y once, y = b + r_k with b
     in A, and composes W(y) = e(-m(b, r_k)) W(b) W(r_k).  W(r_k), from
@@ -380,8 +343,8 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
     A x A as c splits m there: it holds for every verified multiplier.  So
     W(b)'s phase m~(r_i, b) = sum_j b_j m~(r_i, e_j) is one product with the
     dim x rank array m~(r_i, e_j), built with the model.  A call
-    materialises coset indices and c (by rank among A's elements) for the c
-    rows and the grid, m on the grid and m(b, r_k); each entry then costs a
+    materialises coset indices and c (``PhaseMap.nums_at``) for the c rows
+    and the grid, m on the grid and m(b, r_k); each entry then costs a
     gather and adds, with no coset reduction or multiplier call per entry.
     It never lists G or A x A.  Its numerators are reduced by ``rows``; they
     stay below den (2 + sum_j (n_j - 1)) in magnitude, which must fit int64
@@ -395,22 +358,16 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
         raise PreconditionError("the inducing subgroup is not maximal isotropic "
                                 "for the antisymmetrized multiplier")
     if c is None:
-        cmap = split_symmetric(m, A)
+        c = split_symmetric(m, A)
     else:
-        cmap = c.c if isinstance(c, SplittingData) else c
-        SplittingData(A, cmap).validate(m)
+        check_splitting(m, A, c)
 
     R = A.transversal_coords()
     dim, rank = R.shape
-    den = lcm(m.den, cmap.den)
+    den = lcm(m.den, c.den)
     # every numerator of the formula stays within den (2 + sum_j (n_j - 1)), see fn
     check_int64(f"the induced formula over {den}", den * (2 + sum(n - 1 for n in G.moduli)))
-    # c over den by rank among A's elements
-    elems = A.elements()
-    a_ranks = np.array([a.rank for a in elems], dtype=np.int64)
-    c_num = np.array([cmap(a).numerator_at(den) for a in elems], dtype=np.int64)
     moduli = np.array(G.moduli, dtype=np.int64)
-    weights = np.array(G._weights, dtype=np.int64)
     scale = den // m.den
     # (rank x dim): m~(r_i, e_j) over den at [j, i]
     MT = mt.pair_grid(R, np.eye(rank, dtype=np.int64)).T * (den // mt.den)
@@ -427,12 +384,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
         Z = (R[K][:, None, :] + R).reshape(len(K) * dim, rank) % moduli
         J = A.coset_index(Z)
         a = (Z - R[J]) % moduli
-        # c at the grid's a' and at the rows' b
-        ar = np.concatenate([a, b]) @ weights
-        at = np.minimum(np.searchsorted(a_ranks, ar), len(a_ranks) - 1)
-        if (a_ranks[at] != ar).any():
-            raise InputError("a coset difference is missing from the subgroup")
-        ca, cb = np.split(c_num[at], [len(a)])
+        ca, cb = np.split(c.nums_at(np.concatenate([a, b]), den), [len(a)])     # c at a' and b
         NK = ((m.pair_grid(R, R[K]).T.ravel() - m.pair_nums(a, R[J])) * scale - ca) % den
         # W(b) is diagonal, e(m~(r_i, b) - c(b)) at i; the scalar -m(b, r_k) joins it.
         # NK is in [0, den), the product in [0, den sum_j (n_j - 1)), the scalar in [0, 2 den)
@@ -446,7 +398,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
         report = check_rep_law(rep, samples=2000)
         if not report.passed:
             raise DefectError("induced model violates the representation law",
-                              witness=[c.witness for c in report.checks if not c.passed])
+                              witness=[ch.witness for ch in report.checks if not ch.passed])
     return rep
 
 
@@ -877,7 +829,7 @@ def commutant_d(W: ProjectiveRep) -> int:
         rowsR = (S, (N * E - lam * (E // np.array(ds)[:, None])) % (den * E), den * E)
         label, pot = _character_walk(rowsR, ds)
         _, U = _orbit_characters(rowsR, ds, np.flatnonzero(label == np.arange(W.dim)), pot)
-        dims = np.bincount(U @ np.array(FinAbGroup(ds)._weights, dtype=np.int64))
+        dims = np.bincount(FinAbGroup(ds).ranks_of(U))
     if (dims % r).any():
         raise DefectError(f"an eigenspace of W on the radical has a dimension not divisible by {r}")
     return int(((dims // r) ** 2).sum())

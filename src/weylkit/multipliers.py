@@ -19,27 +19,50 @@ denominator, so the cocycle identity is decided without tolerance.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import (ENTRY_BUDGET, DefectError, InputError, PreconditionError,
                      UnsupportedOperationError, check_budget, check_int64)
 from .groups import FinAbGroup, GroupElement, Subgroup, congruence_solution_subgroup
-from .phases import Phase, ZERO
+from .phases import Phase, ZERO, as_phase
 from .reports import VerificationReport
 
 SAMPLED_TRIPLES = 100_000
 
 
 class PhaseMap:
-    """A finite map from group elements to Q/Z, stored by coordinate tuple."""
+    """A finite map from group elements to Q/Z: numerators ``nums`` over one reduced ``den``
+    at the elements whose ranks are the sorted ``ranks``, both int64 arrays.
 
-    __slots__ = ("group", "values")
+    ``den`` is the lcm of the reduced values' denominators.  ``nums_at`` is the
+    one reader of the arrays.  The dict constructor, ``from_callable``,
+    ``__call__`` and ``values`` are the ``Phase`` boundary, the last two
+    through a {coordinates: Phase} view built on the first scalar read.
+    """
+
+    __slots__ = ("group", "den", "ranks", "nums", "_phases")
 
     def __init__(self, group: FinAbGroup, values: dict):
-        self.group = group
-        self.values = {tuple(k): v for k, v in values.items()}
+        phases = [as_phase(v) for v in values.values()]
+        den = lcm(*(v.den for v in phases))
+        check_int64(f"a phase map numerator over {den}", den - 1)
+        ranks = np.array([group.element(k).rank for k in values], dtype=np.int64)
+        nums = np.array([v.numerator_at(den) for v in phases], dtype=np.int64)
+        order = np.argsort(ranks)
+        self.group, self.den, self.ranks, self.nums, self._phases = \
+            group, den, ranks[order], nums[order], None
+
+    @classmethod
+    def of_arrays(cls, group: FinAbGroup, ranks: np.ndarray, nums: np.ndarray,
+                  den: int) -> "PhaseMap":
+        """The map rank -> nums / den for sorted ``ranks`` and numerators in [0, den), its den
+        reduced to the lcm of the values' denominators."""
+        g = gcd(den, *nums.tolist())
+        out = cls.__new__(cls)
+        out.group, out.den, out.ranks, out.nums, out._phases = group, den // g, ranks, nums // g, None
+        return out
 
     @classmethod
     def from_callable(cls, group: FinAbGroup, fn) -> "PhaseMap":
@@ -50,16 +73,35 @@ class PhaseMap:
     def zero(cls, group: FinAbGroup) -> "PhaseMap":
         return cls.from_callable(group, lambda x: ZERO)
 
+    def nums_at(self, X: np.ndarray, den: int) -> np.ndarray:
+        """Numerators over ``den``, a multiple of ``self.den`` below 2^63, at the (c x rank)
+        coordinate rows X; ``InputError`` names the first row where the map is undefined."""
+        if den % self.den:
+            raise ValueError(f"a phase map over {self.den} has no numerators over {den}")
+        r = self.group.ranks_of(X)
+        at = np.searchsorted(self.ranks, r)
+        found = self.ranks[np.minimum(at, len(self.ranks) - 1)] == r if len(self.ranks) else at < 0
+        if not found.all():
+            raise InputError(f"phase map is undefined at {tuple(X[np.argmin(found)].tolist())}")
+        return self.nums[at] * (den // self.den)
+
     def __call__(self, x) -> Phase:
         key = x.coords if isinstance(x, GroupElement) else tuple(x)
         try:
-            return self.values[key]
+            return self._view()[key]
         except KeyError:
             raise InputError(f"phase map is undefined at {key}") from None
 
     @property
-    def den(self) -> int:
-        return lcm(*(v.den for v in self.values.values())) if self.values else 1
+    def values(self) -> dict:
+        """{coordinates: Phase}, in rank order (a copy)."""
+        return dict(self._view())
+
+    def _view(self) -> dict:
+        if self._phases is None:
+            self._phases = {self.group.coords_of(r): Phase(n, self.den)
+                            for r, n in zip(self.ranks.tolist(), self.nums.tolist())}
+        return self._phases
 
 
 class Multiplier:
@@ -195,8 +237,10 @@ class Bicharacter(Multiplier):
     phase = __call__
 
     def _int64_safe(self):
-        # every term of x . B . y is >= 0 on reduced coordinates, so no partial sum passes the bound
-        check_int64(f"{self!r}: x . B . y", self._pair_bound)
+        # every term of x . B . y is >= 0 on reduced coordinates, so no partial sum passes the
+        # bound; the message, the form's repr, is built only when it refuses
+        if self._pair_bound >= 2 ** 63:
+            check_int64(f"{self!r}: x . B . y", self._pair_bound)
 
     def pair_nums(self, XC: np.ndarray, YC: np.ndarray) -> np.ndarray:
         """Numerators of b(x_i, y_i) over den for rows of reduced coordinates; one row broadcasts."""
@@ -268,10 +312,10 @@ class TableMultiplier(Multiplier):
 
     @classmethod
     def from_function(cls, group: FinAbGroup, fn) -> "TableMultiplier":
-        vals = [[fn(x, y) for y in group.elements()] for x in group.elements()]
-        den = lcm(*(v.den for row in vals for v in row))
-        num = np.array([[v.numerator_at(den) for v in row] for row in vals], dtype=np.int64)
-        return cls(group, den, num)
+        rows = [PhaseMap.from_callable(group, lambda y, x=x: fn(x, y)) for x in group.elements()]
+        den = lcm(*(a.den for a in rows))
+        check_int64(f"a table numerator over {den}", den - 1)
+        return cls(group, den, [a.nums_at(group.coords_array(), den) for a in rows])
 
     @classmethod
     def from_multiplier(cls, m: Multiplier) -> "TableMultiplier":
@@ -287,14 +331,11 @@ class TableMultiplier(Multiplier):
             raise InputError("elements do not belong to the multiplier's group")
         return Phase(int(self.num[x.rank, y.rank]), self._den)
 
-    def _ranks(self, XC) -> np.ndarray:
-        return XC @ np.array(self.group._weights, dtype=np.int64)
-
     def pair_nums(self, XC, YC):
-        return self.num[self._ranks(XC), self._ranks(YC)]
+        return self.num[self.group.ranks_of(XC), self.group.ranks_of(YC)]
 
     def pair_grid(self, X, Y):
-        return self.num[np.ix_(self._ranks(X), self._ranks(Y))]
+        return self.num[np.ix_(self.group.ranks_of(X), self.group.ranks_of(Y))]
 
     def backing(self):
         return "table"
@@ -408,20 +449,21 @@ def antisymmetrize(m: Multiplier) -> Bicharacter:
     return m._antisym
 
 
-def twist(m: Multiplier, a) -> Multiplier:
-    """The equivalent multiplier m'(x,y) = m(x,y) + a(x) + a(y) - a(x+y)."""
+def twist(m: Multiplier, a: PhaseMap) -> Multiplier:
+    """The equivalent multiplier m'(x,y) = m(x,y) + a(x) + a(y) - a(x+y), a read on all of G.
+
+    The coboundary is reduced before m is added, so no sum leaves (-d, 2d) for the common
+    denominator d, which int64 arrays must hold (else ``InputError``).
+    """
     G = m.group
     den0, num0 = m.num_table()
-    amap = a if isinstance(a, PhaseMap) else PhaseMap.from_callable(G, a) if callable(a) \
-        else PhaseMap(G, a)
-    if amap(G.zero()) != ZERO:
+    d = lcm(den0, a.den)
+    check_int64(f"a twisted numerator over {d}", 2 * (d - 1))
+    avec = a.nums_at(G.coords_array(), d)
+    if avec[0]:
         raise InputError("twist function must vanish at 0")
-    aden = amap.den
-    d = lcm(den0, aden)
-    avec = np.array([amap(x).numerator_at(d) for x in G.elements()], dtype=np.int64)
-    S = G.addition_table()
-    num = num0 * (d // den0) + avec[:, None] + avec[None, :] - avec[S]
-    return TableMultiplier(G, d, num % d)
+    num = (avec[:, None] - avec[G.addition_table()] + avec) % d + num0 * (d // den0)
+    return TableMultiplier(G, d, num)     # which reduces mod d
 
 
 def equivalent(m1: Multiplier, m2: Multiplier) -> bool:
@@ -452,12 +494,12 @@ def split_symmetric(m: Multiplier, A: Subgroup | None = None) -> PhaseMap:
     character of A) the one whose value vector, elements in rank order, is
     lexicographically least.  One pass over the numerator table of m on A,
     indexed by A's decomposition grid Z/d_1 x Z/d_2 x ...: the cyclic tower
-    extends c one generator at a time, the residual is re-verified exactly
-    through the grid's addition table (a nonzero residual is a defect, never
-    a data condition), and one lexsort over the |A| x |A| table of character
-    shifts picks the canonical one.  Every value is a numerator over
-    D = den * exponent(A), reduced mod D at each step; a D whose running sums
-    could leave int64 is refused with ``InputError``.
+    extends c one generator at a time, and one lexsort over the |A| x |A|
+    table of character shifts picks the canonical one, which
+    ``check_splitting`` re-verifies exactly (a failure is a defect, never a
+    data condition).  Every value is a numerator over D = den * exponent(A),
+    reduced mod D at each step; a D whose running sums could leave int64 is
+    refused with ``InputError``.  The map is returned as these numerators.
     """
     G = m.group
     if A is None:
@@ -465,26 +507,24 @@ def split_symmetric(m: Multiplier, A: Subgroup | None = None) -> PhaseMap:
     if A.ambient != G:
         raise InputError("subgroup does not live in the multiplier's group")
     m.ensure_verified()
-    elems = A.elements()
-    n = len(elems)
+    Xa = A.coords_array()
+    n = len(Xa)
     check_budget("table entries", n * n)
     _, orders = A.decomposition()
     E = A.exponent
     D = m.den * E
     # the cumulative sums of the tower reach E * D before they are reduced
     check_int64(f"a splitting over denominator {D} on {A!r}", D * (E + 2))
-    check_int64(f"a modulus of {G!r}", max(G.moduli, default=1))
     grid = FinAbGroup(orders)
     pos = A.grid_order()                        # element i of A is grid point pos[i]
     X = np.empty((n, G.rank), dtype=np.int64)
-    X[pos] = np.array([a.coords for a in elems], dtype=np.int64).reshape(n, G.rank)
+    X[pos] = Xa
     N = m.pair_grid(X, X) % m.den * E
     Ne = N[np.ix_(pos, pos)]
     asym = np.argwhere(np.triu(Ne != Ne.T))
     if asym.size:
-        i, j = asym[0]
-        raise PreconditionError(
-            f"multiplier is not symmetric on the subgroup at {(elems[i].coords, elems[j].coords)}")
+        pair = tuple(map(tuple, Xa[asym[0]].tolist()))
+        raise PreconditionError(f"multiplier is not symmetric on the subgroup at {pair}")
 
     # splitting on the cyclic factor <g> of order d at grid weight w, then
     # c(b + t g) = c(b) + sigma(t) + m(b, t g) for the b already covered
@@ -496,18 +536,37 @@ def split_symmetric(m: Multiplier, A: Subgroup | None = None) -> PhaseMap:
         sigma = np.concatenate(([0], np.cumsum((x + steps[:-1]) % D))) % D
         c[:d * w] = ((c[None, :w] + sigma[:, None] + N[:w, tg].T) % D).ravel()
 
-    bad = (c[grid.addition_table()] - c[:, None] - c[None, :] - N) % D != 0
-    if bad.any():
-        i, j = np.argwhere(bad[np.ix_(pos, pos)])[0]
-        raise DefectError("splitting residual is nonzero",
-                          witness=(elems[i].coords, elems[j].coords))
-
     # canonical representative among the shifts by characters u of A
     T = grid.coords_array()
     scale = np.array([E // d for d in orders], dtype=np.int64)
     shifts = (c[pos] + (T * scale) @ T[pos].T % E * m.den) % D
     best = shifts[np.lexsort(shifts.T[::-1])[0]]
-    return PhaseMap(G, {a.coords: Phase(int(v), D) for a, v in zip(elems, best)})
+    out = PhaseMap.of_arrays(G, G.ranks_of(Xa), best, D)
+    check_splitting(m, A, out, own=True)
+    return out
+
+
+def check_splitting(m: Multiplier, A: Subgroup, c: PhaseMap, own: bool = False):
+    """m(a, b) = c(a + b) - c(a) - c(b) on A x A, decided exactly on one ``pair_grid``.
+
+    The first failing pair, a outer and b inner in element order, raises
+    ``PreconditionError``, or ``DefectError`` with it as witness when ``own``
+    (``split_symmetric``'s output); ``InputError`` when c misses an element of A.
+    """
+    X = A.coords_array()
+    check_budget("table entries", len(X) ** 2)
+    d = lcm(m.den, c.den)
+    check_int64(f"a splitting sum over {d}", 3 * (d - 1))
+    cnum = c.nums_at(X, d)
+    G = A.ambient
+    # a + b by its position among A's elements, which are sorted by rank
+    ab = np.searchsorted(G.ranks_of(X), G.ranks_of((X[:, None] + X) % G.moduli))
+    bad = (m.pair_grid(X, X) * (d // m.den) - cnum[ab] + cnum[:, None] + cnum) % d != 0
+    if bad.any():
+        pair = tuple(map(tuple, X[np.argwhere(bad)[0]].tolist()))
+        if own:
+            raise DefectError("splitting residual is nonzero", witness=pair)
+        raise PreconditionError(f"splitting fails at {pair}")
 
 
 def is_heisenberg(m: Multiplier) -> bool:

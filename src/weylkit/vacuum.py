@@ -132,10 +132,8 @@ class SectorDecomposition:
             ok = codes is not None and np.count_nonzero(
                 np.bincount(codes, minlength=len(self._chars))) == self.L.index
             if ok and m.bichar is None:
-                A = np.array([a.coords for a in self.L.elements()], dtype=np.int64)
-                A = A.reshape(self.L.order, G.rank)
                 Y = self.L.transversal_coords()
-                nums = m.pair_grid(A, Y)
+                nums = m.pair_grid(self.L.coords_array(), Y)
                 E = self.char_exp
                 chi = self._tcoords @ self._chi[codes].T % E
                 ok = not ((nums * E - chi * m.den) % (m.den * E)).any()
@@ -255,16 +253,16 @@ class SectorDecomposition:
         n, E = self.L.order, self.char_exp
         pairs = self._pairs()
         own, t = self._vector(pairs), pairs % n
-        elems = self.L.elements()
+        X = self.L.coords_array()
         step = max(1, BLOCK_ENTRIES // max(len(pairs), self.rep.dim))
         witness = None
         for start in range(0, n, step):
-            part = elems[start:start + step]
+            part = X[start:start + step]
             src, num, d, bad = self._transport(self.rep.rows(part), pairs)
             D = lcm(d, E)
             chi = (self._tcoords[start:start + step] @ self._chi.T)[:, t]
             bad |= (src != own) | ((num * (D // d) - chi * (D // E)) % D != 0)
-            witness = _witness([a.coords for a in part], bad, pairs // n)
+            witness = _witness(part, bad, pairs // n)
             if witness is not None:
                 break
         rep.add("eigenvalue", witness is None, witness=witness,
@@ -288,7 +286,7 @@ def permute_check(S: SectorDecomposition, x: GroupElement) -> VerificationReport
     mt = antisymmetrize(S.rep.multiplier)
     shift = np.array([mt(h, x).numerator_at(d) for h, d in zip(S.gens, S.orders)], dtype=np.int64)
     C = FinAbGroup(S.orders)
-    dest = (S._chars + shift) % np.array(C.moduli, dtype=np.int64) @ np.array(C._weights, dtype=np.int64)
+    dest = C.ranks_of((S._chars + shift) % np.array(C.moduli, dtype=np.int64))
     pairs = S._pairs()
     bad = S._transport(S.rep.rows([x]), pairs, np.argsort(dest))[3]
     witness = _witness([x.coords], bad, pairs // C.order)
@@ -358,8 +356,7 @@ def normalizer_check(S: SectorDecomposition) -> VerificationReport:
     src = np.concatenate([v for v, _, _ in maps])
     num = np.concatenate([v * (d // dv) % d for _, v, dv in maps])
     # the least element of x + 2L, which lies in L/2 as 2L <= L, as a row position in X[inL2]
-    least = twoL.transversal_coords()[twoL.coset_index(X[inL2])]
-    least = least @ np.array(G._weights, dtype=np.int64)
+    least = G.ranks_of(twoL.transversal_coords()[twoL.coset_index(X[inL2])])
     coset = np.searchsorted(np.flatnonzero(inL2), least)
     period = _witness(X[inL2], (src != src[coset]) | (src >= 0) & (num != num[coset]), carriers)
     rep.add("2L-periodicity on vacuum", period is None, witness=period,
@@ -472,8 +469,7 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
         raise DefectError(f"W({witness[0]}) does not preserve the vacuum space", witness=witness)
     roots = pairs == S._label(pairs)
     SRC0, NUM0 = src[:, roots], num[:, roots]
-    weights = np.array(V2._weights, dtype=np.int64)
-    rep0 = ProjectiveRep(V2, m0, B0.shape[1], lambda Y: (SRC0[Y @ weights], NUM0[Y @ weights]),
+    rep0 = ProjectiveRep(V2, m0, B0.shape[1], lambda Y: (SRC0[V2.ranks_of(Y)], NUM0[V2.ranks_of(Y)]),
                          den0, label="descended")
 
     law = check_rep_law(rep0, tolerance=tol)

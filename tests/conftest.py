@@ -23,6 +23,13 @@ from weylkit import (
 from weylkit.isotropy import extend_maximal
 
 
+def first_splitting_failure(m, A, c):
+    """The first (a, b), a outer and b inner in element order, with
+    m(a, b) != c(a + b) - c(a) - c(b), by scalar calls; None when c splits m on A."""
+    return next(((a.coords, b.coords) for a in A.elements() for b in A.elements()
+                 if m(a, b) != c(a + b) - c(a) - c(b)), None)
+
+
 @functools.cache
 def window(p, k, d):
     return window_group(p, k, d)

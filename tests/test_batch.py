@@ -20,6 +20,7 @@ from weylkit.multipliers import (
     Bicharacter,
     PhaseMap,
     antisymmetrize,
+    check_splitting,
     split_symmetric,
     twist,
     zero_multiplier,
@@ -27,7 +28,6 @@ from weylkit.multipliers import (
 from weylkit.phases import Phase, ZERO
 from weylkit.models import (
     Operator,
-    SplittingData,
     induced_model,
     regular_rep,
     schrodinger_model,
@@ -179,7 +179,7 @@ def assert_induced_matches(G, m, A, c=None):
     and ``W.rows`` equals it on a shuffled block, on a block that repeats one coset and on
     a single row."""
     W = induced_model(G, m, A, c)
-    cmap = split_symmetric(m, A) if c is None else c.c if isinstance(c, SplittingData) else c
+    cmap = split_symmetric(m, A) if c is None else c
     oracle = per_coset_operators(G, m, A, cmap)
     assert W.den == oracle[0].den
     for x, want in zip(G.elements(), oracle):
@@ -262,7 +262,9 @@ def explicit_splitting():
     c = split_symmetric(m, L)
     shifted = {a.coords: c(a) + Phase(L.coordinates_of(a)[-1], L.decomposition()[1][-1])
                for a in L.elements()}
-    return G, m, L, SplittingData(L, PhaseMap(G, shifted))
+    c = PhaseMap(G, shifted)
+    check_splitting(m, L, c)
+    return G, m, L, c
 
 
 def full_subgroup():

@@ -495,3 +495,25 @@ def test_congruence_solutions_are_the_kernel(case):
     if G.order <= 2000:
         assert listed(S) == {x.coords for x in G.elements() if not any(image(x.coords))}
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(moduli=st.lists(st.sampled_from([1, 2, 3, 4, 6, 9]), max_size=3), data=st.data())
+def test_subgroup_coords_array_is_its_elements(moduli, data):
+    """The kept coordinate array lists ``elements()`` in order, on drawn, trivial and full
+    subgroups, rank 0 included."""
+    G = FinAbGroup(moduli)
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in moduli]), max_size=2))
+    for A in (subgroup_span(G, [G.element(g) for g in gens]), Subgroup.trivial(G), Subgroup.full(G)):
+        X = A.coords_array()
+        assert X.dtype == np.int64 and X.shape == (A.order, G.rank)
+        assert X.tolist() == [list(a.coords) for a in A.elements()]
+        assert A.coords_array() is X
+
+
+def test_subgroup_coords_array_refuses_moduli_past_int64():
+    G = FinAbGroup([2 ** 64])
+    A = subgroup_span(G, [G.element([2 ** 63])])
+    assert [a.coords for a in A.elements()] == [(0,), (2 ** 63,)]
+    with pytest.raises(InputError, match=rf"a modulus of .* can reach {2 ** 64}, beyond int64 arrays$"):
+        A.coords_array()

@@ -25,12 +25,13 @@ from weylkit.models import (
     schrodinger_model,
 )
 from weylkit.multipliers import (Bicharacter, Multiplier, PhaseMap, TableMultiplier, antisymmetrize,
-                                 split_symmetric, twist, zero_multiplier)
+                                 check_splitting, split_symmetric, twist, zero_multiplier)
 from weylkit.phases import Phase, ZERO
 from weylkit.reports import VerificationReport
 from weylkit.vacuum import descend
 
-from conftest import f2_setup, same_multiplier_pairs, window, window_model, z9_setup
+from conftest import (f2_setup, first_splitting_failure, same_multiplier_pairs, window, window_model,
+                      z9_setup)
 
 # the module, not a name that ``weylkit/__init__.py`` might rebind
 models = importlib.import_module("weylkit.models")
@@ -121,13 +122,6 @@ def test_induced_rejects_bad_splitting(z9):
         induced_model(G, m, L, bad)
 
 
-def first_splitting_failure(m, A, c):
-    """The first (a, b), a outer and b inner in element order, with
-    m(a, b) != c(a + b) - c(a) - c(b), by scalar calls; None when c splits m on A."""
-    return next(((a.coords, b.coords) for a in A.elements() for b in A.elements()
-                 if m(a, b) != c(a + b) - c(a) - c(b)), None)
-
-
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_splitting_validation_names_the_first_failing_pair(data):
@@ -142,10 +136,10 @@ def test_splitting_validation_names_the_first_failing_pair(data):
     c = PhaseMap(G, values)
     want = first_splitting_failure(m, A, c)
     if want is None:
-        models.SplittingData(A, c).validate(m)
+        check_splitting(m, A, c)
     else:
         with pytest.raises(PreconditionError) as exc:
-            models.SplittingData(A, c).validate(m)
+            check_splitting(m, A, c)
         assert str(exc.value) == f"splitting fails at {want}"
 
 
@@ -154,7 +148,7 @@ def test_splitting_validation_refuses_a_missing_element(z9):
     values = dict(split_symmetric(m, L).values)
     del values[(3, 6)], values[(0, 3)]
     with pytest.raises(InputError, match=r"undefined at \(0, 3\)"):
-        models.SplittingData(L, PhaseMap(G, values)).validate(m)
+        check_splitting(m, L, PhaseMap(G, values))
 
 
 def test_induced_nontrivial_splitting_f2_4():

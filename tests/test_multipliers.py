@@ -1,4 +1,5 @@
 import random
+import re
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -15,6 +16,7 @@ from weylkit.multipliers import (
     TableMultiplier,
     antisymmetrize,
     check_multiplier,
+    check_splitting,
     equivalent,
     is_heisenberg,
     split_symmetric,
@@ -25,7 +27,7 @@ from weylkit.multipliers import (
 from weylkit.phases import HALF, Phase, ZERO
 from weylkit.vacuum import descend
 
-from conftest import window, window_model
+from conftest import first_splitting_failure, window, window_model
 
 
 def random_bicharacter(rng, G):
@@ -87,6 +89,27 @@ def test_large_moduli_exact_or_refused():
     assert bs.pair_nums(XS, XS).tolist() == [1]
     assert bs.pair_grid(XS, XS).tolist() == [[1]]
     assert check_multiplier(bs).passed
+
+
+def test_bicharacter_int64_message_built_only_on_refusal(monkeypatch):
+    n = 3 ** 21
+    big = Bicharacter(FinAbGroup([n, n]), [[ZERO, Phase(1, n)], [ZERO, ZERO]])
+    XC = np.array([[n - 1, n - 1]], dtype=np.int64)
+    with pytest.raises(InputError) as exc:
+        big.pair_nums(XC, XC)
+    assert str(exc.value) == (
+        "Bicharacter(FinAbGroup(Z/10460353203 x Z/10460353203), den=10460353203): "
+        "x . B . y can reach 109418989110591652804, beyond int64 arrays")
+
+    def no_repr(self):
+        raise AssertionError("the form's repr was built for a safe form")
+
+    monkeypatch.setattr(Bicharacter, "__repr__", no_repr)
+    G = FinAbGroup([3, 3])
+    b = random_bicharacter(random.Random(4), G)
+    X = G.coords_array()
+    assert b.pair_grid(X, X).ravel().tolist() == b.pair_nums(np.repeat(X, 9, axis=0),
+                                                             np.tile(X, (9, 1))).tolist()
 
 
 def test_table_denominator_within_int64():
@@ -399,6 +422,27 @@ def test_twist_identity_and_composition():
     from math import lcm
     d = lcm(d1, d2)
     assert ((n1 * (d // d1) - n2 * (d // d2)) % d == 0).all()
+
+
+def test_twist_past_int64_sums():
+    # a coboundary table on Z/3 over d = 2^62 - 1, twisted by a: the unreduced sum
+    # m(x, y) + a(x) + a(y) - a(x + y) reaches 3 (d - 1) > 2^63
+    G = FinAbGroup([3])
+    for d in (2 ** 62 - 1, 2 ** 62 + 1):
+        b, a = [0, d - 1, d - 2], [0, d - 1, d - 1]
+        m = TableMultiplier(G, d, [[(b[x] + b[y] - b[(x + y) % 3]) % d for y in range(3)]
+                                   for x in range(3)])
+        amap = PhaseMap(G, {(x,): Phase(a[x], d) for x in range(3)})
+        oracle = [[(int(m.num[x, y]) + a[x] + a[y] - a[(x + y) % 3]) % d for y in range(3)]
+                  for x in range(3)]
+        try:
+            t = twist(m, amap)
+        except InputError as exc:
+            assert "beyond int64 arrays" in str(exc)
+            assert d > 2 ** 62         # 2 (d - 1) reaches 2^63
+        else:
+            assert t.den == d and t.num.tolist() == oracle
+            assert oracle[1][2] == 2 ** 62 - 6
 
 
 def test_twist_to_alternating_partner():
@@ -745,3 +789,66 @@ def test_trivial_group_everywhere():
     assert is_heisenberg(m)  # radical of the empty form is trivial
     c = split_symmetric(m)
     assert c(G.zero()) == ZERO
+
+
+@settings(max_examples=60, deadline=None)
+@given(moduli=st.lists(st.sampled_from([1, 2, 3, 4, 6]), max_size=3), data=st.data())
+def test_phase_map_nums_at_matches_call(moduli, data):
+    """``nums_at`` over a multiple of den equals ``__call__`` on a partial map, and both
+    name the first undefined row."""
+    G = FinAbGroup(moduli)
+    elems = list(G.elements())
+    den = data.draw(st.sampled_from([1, 2, 6, 12]))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(elems), max_size=len(elems)))
+    values = {x.coords: Phase(data.draw(st.integers(0, den - 1)), den)
+              for x, k in zip(elems, keep) if k}
+    a = PhaseMap(G, values)
+    assert a.values == values
+    assert a.den == lcm(*(v.den for v in values.values()))
+    multiple = a.den * data.draw(st.integers(1, 5))
+    ranks = data.draw(st.lists(st.integers(0, G.order - 1), max_size=8))
+    X = G.coords_at(np.array(ranks, dtype=np.int64))
+    undefined = [G.coords_of(r) for r in ranks if not keep[r]]
+    if undefined:
+        message = re.escape(f"phase map is undefined at {undefined[0]}")
+        with pytest.raises(InputError, match=message + "$"):
+            a.nums_at(X, multiple)
+        with pytest.raises(InputError, match=message + "$"):
+            a(G.element(undefined[0]))
+    else:
+        assert a.nums_at(X, multiple).tolist() == \
+            [a(G.element(x)).numerator_at(multiple) for x in X.tolist()]
+    if a.den > 1:
+        with pytest.raises(ValueError):
+            a.nums_at(X, a.den + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=split_inputs(), data=st.data())
+@example(case=edge_case([]), data=None)
+@example(case=edge_case([4, 6], []), data=None)
+def test_check_splitting_matches_scalar_oracle(case, data):
+    """The one splitting check against scalar calls, on bicharacters and coboundary-twisted
+    tables: the canonical splitting (or zero where m is not symmetric on A), shifted at a
+    few elements."""
+    m, A, _ = case
+    G = m.group
+    try:
+        values = dict(split_symmetric(m, A).values)
+    except PreconditionError:
+        values = {a.coords: ZERO for a in A.elements()}
+    elems = A.elements()
+    for i in data.draw(st.lists(st.integers(0, len(elems) - 1), max_size=2)) if data else []:
+        values[elems[i].coords] += Phase(data.draw(st.integers(1, 11)), 12)
+    c = PhaseMap(G, values)
+    want = first_splitting_failure(m, A, c)
+    if want is None:
+        check_splitting(m, A, c)
+        check_splitting(m, A, c, own=True)
+        return
+    with pytest.raises(PreconditionError) as exc:
+        check_splitting(m, A, c)
+    assert str(exc.value) == f"splitting fails at {want}"
+    with pytest.raises(DefectError) as exc:
+        check_splitting(m, A, c, own=True)
+    assert exc.value.witness == want

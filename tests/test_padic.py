@@ -159,6 +159,29 @@ def test_m0_twist_check_can_fail(monkeypatch):
     assert check.witness == ((1, 0), (0, 1))
 
 
+def test_clifford_residual_is_decided_exactly(monkeypatch, capsys):
+    # clifford_basis decides the relations exactly, so any nonzero residual fails the check,
+    # however far below the tolerance
+    import dataclasses
+
+    from weylkit import cli, padic
+    from weylkit.vacuum import clifford_basis
+
+    def off(D):
+        return dataclasses.replace(clifford_basis(D), residual_anticommute=1e-12)
+
+    monkeypatch.setattr(padic, "clifford_basis", off)
+    check = next(c for c in vacuum_profile(window(2, 1, 1))["report"].checks
+                 if c.name == "clifford residual")
+    assert not check.passed and check.residual == 1e-12 and check.tolerance == 1e-9
+    monkeypatch.setattr(cli, "clifford_basis", off)
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "fermion_window_2_1_1.json"
+    assert cli.main(["fermion", "--scenario", str(scenario)]) == 1
+    check = next(c for c in json.loads(capsys.readouterr().out)["checks"]
+                 if c["name"] == "clifford residual")
+    assert not check["pass"] and check["residual"] == 1e-12
+
+
 def test_p2_full_report_check_names(capsys):
     from weylkit import cli
     assert cli.main(["padic", "--p", "2", "--k", "1", "--d", "1", "--full-report"]) == 0
