@@ -431,7 +431,12 @@ class Subgroup:
 
 
 def _box_reduce(X, H: np.ndarray) -> np.ndarray:
-    """Copy of the int64 rows X box-reduced against the lower-triangular H: x_i in [0, H_ii)."""
+    """Copy of the int64 rows X box-reduced against the lower-triangular H: x_i in [0, H_ii).
+
+    A diagonal H reduces each coordinate on its own: X mod diag(H).
+    """
+    if not np.tril(H, -1).any():
+        return np.asarray(X, dtype=np.int64) % np.diag(H)
     X = np.array(X, dtype=np.int64)
     for i in range(len(H)):
         X[:, i:] -= (X[:, i] // H[i, i])[:, None] * H[i:, i]

@@ -113,7 +113,7 @@ class ProjectiveRep:
     within ``ENTRY_BUDGET``.  The multiplier must be a verified cocycle (else
     ``PreconditionError``) and W(0) exactly 1 (else ``DefectError``): then
     the pairs that present C^m[G] decide the law (``_presentation_fails``),
-    and the rep keeps that verdict once its rows are kept.
+    and the rep keeps that verdict once its rows are kept (``law_holds``).
     """
 
     def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, fn, den: int,
@@ -132,6 +132,13 @@ class ProjectiveRep:
         self._law = None        # (first failing pair of P, or None) once decided on the kept rows
         if not self.operator(group.zero()).equals(identity_operator(dim)):
             raise DefectError("W(0) is not the identity")
+
+    @property
+    def law_holds(self):
+        """The kept verdict of W's law at the pairs P (see ``check_rep_law``): True when it
+        holds, so W(x) W(y) = e(m(x, y)) W(x + y) at every pair, False when it fails, and
+        None while no law check has decided it on kept rows."""
+        return None if self._law is None else self._law[0] is None
 
     def rows(self, Y):
         """(SRC, NUM, den): W at the coordinate rows Y (or at a list of elements), NUM mod den.
@@ -575,6 +582,9 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
         # the rows of W1 W2: (W1 W2 f)[i] = e(N1[i] + N2[S1[i]]) f[S2[S1[i]]]
         return gather(S2, S1), N1 + gather(N2, S1)
 
+    # every numerator read is reduced mod W.den, so num1 below lies in (-3d, 2d) and the right
+    # side num2 (d // W.den) + p read at failing pairs in [0, 3d)
+    check_int64(f"a law numerator over {d}", 3 * d)
     c = max(len(X), len(Y))
     step = max(1, BLOCK_ENTRIES // W.dim)
     holds, dist = np.empty(c, dtype=bool), np.zeros(c)
@@ -587,8 +597,8 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
         num1 -= num2
         num1 *= d // W.den
         num1 -= p
-        # every numerator read is reduced mod W.den, so num1 lies in (-3d, 2d): it is 0 mod d
-        # exactly when it is one of -2d, -d, 0 and d, which is cheaper to test than the remainder
+        # num1 is 0 mod d exactly when it is one of -2d, -d, 0 and d, which is cheaper to test
+        # than the remainder
         ok = src1 == src2
         ok &= (num1 == 0) | (num1 == d) | (num1 == -d) | (num1 == -2 * d)
         ok = ok.all(axis=1)

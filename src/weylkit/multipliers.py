@@ -356,17 +356,22 @@ def check_multiplier(m: Multiplier, *, triples: int = SAMPLED_TRIPLES,
     by vectorised integer arithmetic; above it a seeded sample of at least ``triples``
     triples is tested.  On failure the report carries a witness triple.
 
-    The exhaustive check first tests only the rows x in {0} and the
-    generators of G, over all (y, z): (rank + 1) |G|^2 triples, which decide
-    all |G|^3.  The row dm(x, ., .) = 0 says that every X = (s, x) associates
-    with all P, Q in the extension Q/Z x G with product
-    (s, x)(t, y) = (s + t + m(x, y), x + y).  If X and T = (t, g) do, so
-    does XT, which lies over x + g:
-    (XT)(PQ) = X(T(PQ)) = X((TP)Q) = (X(TP))Q = ((XT)P)Q,
-    by associativity for X, for T, for X and for X again.  Sums of
-    generators reach every element of G, so every row vanishes.  Only when
-    that check fails does the full scan over z run, to report the first bad
-    triple in z-major order as the witness.
+    The exhaustive check is Light's associativity test with the generator in
+    the middle: it tests dm(y, g, z) = m(y+g, z) + m(y, g) - m(y, g+z) - m(g, z)
+    = 0 over all (y, z) only for the generators g of G, at most rank |G|^2
+    triples, which decide all |G|^3.  In C^m[G], with
+    [x][y] = e(m(x, y)) [x + y], dm(y, g, z) = 0 says ([y][g])[z] = [y]([g][z]).
+    The basis elements [a] with ([x][a])[y] = [x]([a][y]) for all x, y are
+    closed under products, as scalars pass through: for two of them, a and b,
+    ([x]([a][b]))[y] = (([x][a])[b])[y] = ([x][a])([b][y]) = [x]([a]([b][y]))
+    = [x](([a][b])[y]), moving brackets by a, b, a and b.  Sums of the
+    generators reach every element of G, 0 = n_1 g_1 included, and the one
+    triple of the trivial group associates, so every triple does.  Each
+    y + g is a row and a column permutation of the reduced numerator table,
+    so dm lies in (-2 den, 2 den) and vanishes mod den exactly when it is
+    -den, 0 or den.  Only when that test fails is ``FinAbGroup.addition_table``
+    built, for the full scan over z that reports the first bad triple in
+    z-major order as the witness.
     """
     G = m.group
     # dm sums two numerators before it subtracts two
@@ -384,20 +389,29 @@ def check_multiplier(m: Multiplier, *, triples: int = SAMPLED_TRIPLES,
             wit = G.coords_of(bad)
         rep.add("normalization", norm_ok, witness=wit)
 
-        S = G.addition_table()
-        rows = [G.zero().rank] + [g.rank for g in G.generators()]
-        # dm(x, y, z) = m(x+y, z) + m(x, y) - m(x, y+z) - m(y, z) on the (y, z) grid
-        reduced_ok = all(((num[S[x]] + num[x][:, None] - num[x][S] - num) % den == 0).all()
-                         for x in rows)
+        X = G.coords_array()
+        moduli = np.array(G.moduli, dtype=np.int64)
+
+        def associates(g) -> bool:
+            # dm(y, g, z) over the (y, z) grid; take keeps the column gather C-ordered
+            p = G.ranks_of((X + np.array(g.coords, dtype=np.int64)) % moduli)    # rank(y + g)
+            dm = num.take(p, axis=0)            # m(y+g, z)
+            dm -= num.take(p, axis=1)           # m(y, g+z)
+            dm += num[:, g.rank, None]
+            dm -= num[g.rank]
+            return bool(((dm == 0) | (dm == den) | (dm == -den)).all())
+
         witness = None
-        for z in range(0 if reduced_ok else n):
-            lhs = num[S, z] + num                             # m(x+y, z) + m(x, y)
-            rhs = num[:, S[:, z]] + num[:, z][None, :]        # m(x, y+z) + m(y, z)
-            bad = np.argwhere((lhs - rhs) % den != 0)
-            if bad.size:
-                x, y = map(int, bad[0])
-                witness = (G.coords_of(x), G.coords_of(y), G.coords_of(z))
-                break
+        if not all(associates(g) for g in G.generators()):
+            S = G.addition_table()
+            for z in range(n):
+                lhs = num[S, z] + num                             # m(x+y, z) + m(x, y)
+                rhs = num[:, S[:, z]] + num[:, z][None, :]        # m(x, y+z) + m(y, z)
+                bad = np.argwhere((lhs - rhs) % den != 0)
+                if bad.size:
+                    x, y = map(int, bad[0])
+                    witness = (G.coords_of(x), G.coords_of(y), G.coords_of(z))
+                    break
         rep.add("cocycle", witness is None, witness=witness,
                 note=f"exhaustive over {n}^3 triples")
         return rep
@@ -439,13 +453,15 @@ def antisymmetrize(m: Multiplier) -> Bicharacter:
     m~(x + x', y) = m~(x, y) + m~(x', y).  So the matrix
     B_ij = m(g_i, g_j) - m(g_j, g_i) decides m~ everywhere.  It is alternating
     by construction, and n_j B_ij = m~(g_i, n_j g_j) = 0, so it is well
-    defined on G.  Computed once per multiplier and kept on it.
+    defined on G.  Read with one ``pair_grid`` over the reduced unit rows;
+    computed once per multiplier and kept on it.
     """
     if m._antisym is None:
         m.ensure_verified()
         G = m.group
-        gens = [G.element([1 if j == i else 0 for j in range(G.rank)]) for i in range(G.rank)]
-        m._antisym = Bicharacter(G, [[m(gi, gj) - m(gj, gi) for gj in gens] for gi in gens])
+        E = np.eye(G.rank, dtype=np.int64) % np.array(G.moduli, dtype=np.int64)
+        N = m.pair_grid(E, E)
+        m._antisym = Bicharacter(G, [[Phase(b, m.den) for b in row] for row in (N - N.T).tolist()])
     return m._antisym
 
 

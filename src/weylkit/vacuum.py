@@ -8,8 +8,9 @@ trivial character gives the vacuum space; its fine structure (normalizer,
 descent to (L/2)/L, anticommuting generators) is what this module computes.
 
 The sector, permutation and normalizer checks are exact and exhaustive: they
-read W's monomial rows on the sectors' orbit bases, ``eigen_check`` at every
-element of L, ``permute_check(S, x)`` at x, ``normalizer_check`` at every x in G.
+read W's monomial rows on the sectors' orbit bases, ``permute_check(S, x)`` at
+x, ``eigen_check`` and ``normalizer_check`` at generators once W's law is proved
+(``ProjectiveRep.law_holds``), else at every element of L and of G.
 """
 
 from __future__ import annotations
@@ -244,27 +245,38 @@ class SectorDecomposition:
     def eigen_check(self) -> VerificationReport:
         """W(a) psi = chi(a) psi for every a in L and every sector basis vector psi, exactly.
 
-        W's rows at every element of L are read on every sector's basis
-        (``_transport``), a block of elements at a time; the witness is the
-        first element and carrier index where W(a) does not map the vector
-        through it to chi(a) times itself.
+        W's rows are read on every sector's basis (``_transport``).  Once W's
+        law is decided and holds (``ProjectiveRep.law_holds``), W on L is a
+        homomorphism, as m vanishes on L x L, so the rows at L's decomposition
+        generators h_k decide every a = sum_k t_k h_k.  Else, or when a
+        generator fails, the rows at every element of L are read, a block of
+        elements at a time; the witness is the first element and carrier
+        index where W(a) does not map the vector through it to chi(a) times
+        itself.
         """
         rep = VerificationReport("sector eigen-characterization")
         n, E = self.L.order, self.char_exp
         pairs = self._pairs()
         own, t = self._vector(pairs), pairs % n
-        X = self.L.coords_array()
-        step = max(1, BLOCK_ENTRIES // max(len(pairs), self.rep.dim))
-        witness = None
-        for start in range(0, n, step):
-            part = X[start:start + step]
-            src, num, d, bad = self._transport(self.rep.rows(part), pairs)
+
+        def bad_at(Y, T):
+            # W at the rows Y, whose coordinates against L's decomposition are the rows of T
+            src, num, d, bad = self._transport(self.rep.rows(Y), pairs)
             D = lcm(d, E)
-            chi = (self._tcoords[start:start + step] @ self._chi.T)[:, t]
-            bad |= (src != own) | ((num * (D // d) - chi * (D // E)) % D != 0)
-            witness = _witness(part, bad, pairs // n)
-            if witness is not None:
-                break
+            chi = (T @ self._chi.T)[:, t]
+            return bad | (src != own) | ((num * (D // d) - chi * (D // E)) % D != 0)
+
+        r = len(self.gens)
+        H = np.array([h.coords for h in self.gens], dtype=np.int64).reshape(r, self.rep.group.rank)
+        witness = None
+        if not (self.rep.law_holds and not bad_at(H, np.eye(r, dtype=np.int64)).any()):
+            X = self.L.coords_array()
+            step = max(1, BLOCK_ENTRIES // max(len(pairs), self.rep.dim))
+            for start in range(0, n, step):
+                part, T = X[start:start + step], self._tcoords[start:start + step]
+                witness = _witness(part, bad_at(part, T), pairs // n)
+                if witness is not None:
+                    break
         rep.add("eigenvalue", witness is None, witness=witness,
                 note=f"exhaustive over {n} elements of L and {len(self.dims)} sectors")
         return rep
@@ -312,13 +324,23 @@ def normalizer_check(S: SectorDecomposition) -> VerificationReport:
 
     The normalizer is computed as the m~-polar of L, which equals the double
     preimage L/2 whenever the multiplier is an alternating bicharacter (the
-    setting of the statement); the coincidence is asserted there.  One pass
-    of ``W.blocks()`` reads W's rows at every x in G on the vacuum basis
-    (``_transport``), or the rows the law check kept if it read them: every
-    x in L/2 must preserve the vacuum space, every x outside it must not,
-    and the vacuum rows of every x in L/2 must equal those of the least
-    element of x + 2L, which covers every pair of L/2 x 2L.  Witnesses are
-    (element, carrier index).
+    setting of the statement); the coincidence is asserted there.  W's rows
+    are read on the vacuum basis (``_transport``): every x in L/2 must
+    preserve the vacuum space, every x outside it must not, and the vacuum
+    rows of every x in L/2 must equal those of every x + a, a in 2L.
+
+    Once W's law is decided and holds (``ProjectiveRep.law_holds``),
+    W(x + y) is a scalar times W(x) W(y) and W(x) carries the chi-sector to
+    the chi + m~(., x) sector, so generators decide
+    (``_normalizer_by_generators``): "preserves" at L/2's generators,
+    "moves" at one representative of each nonzero coset of L/2 and, for a
+    bicharacter m, 2L-periodicity at the generator pairs of L/2 x 2L.
+    Otherwise, or when a generator read fails, one pass of ``W.blocks()``
+    reads every x in G, or the rows the law check kept, and the vacuum rows
+    of every x in L/2 are compared with those of the least element of
+    x + 2L, which covers every pair of L/2 x 2L; under a multiplier that is
+    not a bicharacter, that comparison reads the rows of L/2 after the
+    generators decided the rest.  Witnesses are (element, carrier index).
     """
     W, L = S.rep, S.L
     G = W.group
@@ -330,19 +352,24 @@ def normalizer_check(S: SectorDecomposition) -> VerificationReport:
     if form is not None and form.is_alternating:
         rep.add("normalizer equals L/2", L2 == double_preimage(G, L))
     twoL = double_image(G, L)
-    X = G.coords_array()
-    inL2 = L2.box_codes(X) == 0
     pairs = S._pairs(0)
     carriers = pairs // L.order
-    stay = move = None
-    maps, start = [], 0
-    for rows in W.blocks():
-        src, num, d, bad = S._transport(rows, pairs)
-        Y, keep = X[start:start + len(bad)], inL2[start:start + len(bad)]
-        start += len(bad)
-        stay = stay or _witness(Y[keep], bad[keep], carriers)
-        move = move or _witness(Y[~keep], ~bad[~keep].any(axis=1, keepdims=True), carriers)
-        maps.append((src[keep], num[keep], d))
+    stay = move = maps = None
+    by_generators = W.law_holds and _normalizer_by_generators(S, L2, twoL, pairs, form is not None)
+    if not by_generators or form is None:
+        X = G.coords_array()
+        inL2 = L2.box_codes(X) == 0
+    if not by_generators:
+        maps, start = [], 0
+        for rows in W.blocks():
+            src, num, d, bad = S._transport(rows, pairs)
+            Y, keep = X[start:start + len(bad)], inL2[start:start + len(bad)]
+            start += len(bad)
+            stay = stay or _witness(Y[keep], bad[keep], carriers)
+            move = move or _witness(Y[~keep], ~bad[~keep].any(axis=1, keepdims=True), carriers)
+            maps.append((src[keep], num[keep], d))
+    elif form is None:
+        maps = [S._transport(W.rows(X[inL2]), pairs)[:3]]
     rep.add("L/2 preserves vacuum", stay is None, witness=stay,
             note=f"exhaustive over {L2.order} elements of L/2")
     if L2.order == G.order:
@@ -351,17 +378,53 @@ def normalizer_check(S: SectorDecomposition) -> VerificationReport:
         rep.add("outside L/2 moves vacuum", move is None, witness=move,
                 note=f"exhaustive over {G.order - L2.order} elements outside L/2")
 
-    # the vacuum map of each x in L/2 against that of the least element of x + 2L
-    d = lcm(*(d for _, _, d in maps))
-    src = np.concatenate([v for v, _, _ in maps])
-    num = np.concatenate([v * (d // dv) % d for _, v, dv in maps])
-    # the least element of x + 2L, which lies in L/2 as 2L <= L, as a row position in X[inL2]
-    least = G.ranks_of(twoL.transversal_coords()[twoL.coset_index(X[inL2])])
-    coset = np.searchsorted(np.flatnonzero(inL2), least)
-    period = _witness(X[inL2], (src != src[coset]) | (src >= 0) & (num != num[coset]), carriers)
+    period = None
+    if maps is not None:
+        # the vacuum map of each x in L/2 against that of the least element of x + 2L
+        d = lcm(*(d for _, _, d in maps))
+        src = np.concatenate([v for v, _, _ in maps])
+        num = np.concatenate([v * (d // dv) % d for _, v, dv in maps])
+        # the least element of x + 2L, which lies in L/2 as 2L <= L, as a row position in X[inL2]
+        least = G.ranks_of(twoL.transversal_coords()[twoL.coset_index(X[inL2])])
+        coset = np.searchsorted(np.flatnonzero(inL2), least)
+        period = _witness(X[inL2], (src != src[coset]) | (src >= 0) & (num != num[coset]),
+                          carriers)
     rep.add("2L-periodicity on vacuum", period is None, witness=period,
             note=f"exhaustive over {L2.order} x {twoL.order} pairs of L/2 x 2L")
     return rep
+
+
+def _normalizer_by_generators(S: SectorDecomposition, L2: Subgroup, twoL: Subgroup, pairs,
+                              periodic: bool) -> bool:
+    """Whether W's rows at a few elements prove the first two checks of ``normalizer_check``
+    and, when ``periodic``, the third, for a W whose law holds; read on the vacuum ``pairs``.
+
+    * x in L/2 preserves the vacuum space: W(x + y) = e(-m(x, y)) W(x) W(y),
+      so the elements that preserve it are closed under sums and L/2's
+      generators decide.
+    * x outside L/2 moves it: for y in L/2, W(x + y) is a scalar times
+      W(x) W(y), and W(y) maps the vacuum basis onto itself up to phases,
+      so W(x + y) preserves the space exactly when W(x) does, and one
+      representative of each nonzero coset of L/2 decides.
+    * 2L-periodicity, for a bicharacter m: W is a homomorphism on 2L <= L,
+      so W(a) = 1 on the vacuum for every a in 2L once it is at 2L's
+      generators a_j; then W(x + a) = e(-m(x, a)) W(x) there, and m(x, a) = 0
+      on L/2 x 2L exactly when it is 0 at the generator pairs, so the rows at
+      x + a_j are compared with those at x for x in 0 and L/2's generators.
+    """
+    W, G = S.rep, S.rep.group
+    moduli = np.array(G.moduli, dtype=np.int64)
+    X0 = np.array([(0,) * G.rank] + [x.coords for x in L2.generators], dtype=np.int64)
+    reps = L2.transversal_coords()[1:]
+    gens = [a.coords for a in twoL.generators] if periodic else []
+    A = np.array(gens, dtype=np.int64).reshape(len(gens), G.rank)
+    XA = ((X0[:, None] + A) % moduli).reshape(len(X0) * len(A), G.rank)
+    src, num, _, bad = S._transport(W.rows(np.concatenate([X0, reps, XA])), pairs)
+    k, r = len(X0), len(reps)
+    if bad[:k].any() or not bad[k:k + r].any(axis=1).all():
+        return False
+    src0, num0 = np.repeat(src[:k], len(A), axis=0), np.repeat(num[:k], len(A), axis=0)
+    return not ((src[k + r:] != src0) | (num[k + r:] != num0)).any()
 
 
 def _witness(coords, bad, carriers):

@@ -9,6 +9,7 @@ from weylkit import (
     FinAbGroup,
     Phase,
     PhaseMap,
+    ProjectiveRep,
     Subgroup,
     ZERO,
     antisymmetrize,
@@ -28,6 +29,29 @@ def first_splitting_failure(m, A, c):
     m(a, b) != c(a + b) - c(a) - c(b), by scalar calls; None when c splits m on A."""
     return next(((a.coords, b.coords) for a in A.elements() for b in A.elements()
                  if m(a, b) != c(a + b) - c(a) - c(b)), None)
+
+
+def fresh_rep(W):
+    """A new rep of W's formula: no kept rows and no verdict of the law yet.
+
+    ``window_model``, ``z9_setup`` and ``block_symplectic_model`` are
+    cached, so a law verdict or kept rows that one test leaves on them would decide
+    another test's path; a test that asserts a path, a read count or a witness
+    builds its rep with this."""
+    return ProjectiveRep(W.group, W.multiplier, W.dim, W.fn, W.den, W.label)
+
+
+@functools.cache
+def block_symplectic_model(moduli, units, gens):
+    """The unchecked induced model of sum_i u_i (x_i y_{i+r} - x_{i+r} y_i) / n_i
+    on G = Z/moduli, r = len(units), over the subgroup spanned by ``gens``."""
+    G = FinAbGroup(moduli)
+    r = len(units)
+    mat = [[ZERO] * len(moduli) for _ in moduli]
+    for i, u in enumerate(units):
+        mat[i][i + r], mat[i + r][i] = Phase(u, moduli[i]), Phase(-u, moduli[i])
+    m = Bicharacter(G, mat)
+    return induced_model(G, m, subgroup_span(G, [G.element(g) for g in gens]), check=False)
 
 
 @functools.cache

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from weylkit.errors import ENTRY_BUDGET, InputError, ResourceLimitError, UnsupportedOperationError
 from weylkit.groups import (
     FinAbGroup,
+    _box_reduce,
     Subgroup,
     congruence_solution_subgroup,
     double_image,
@@ -385,6 +386,43 @@ def test_coset_index_finds_the_least_element_of_each_coset(pair):
     assert [tuple(T[i]) for i in index.tolist()] == least
     assert (A.coset_index(T) == np.arange(A.index)).all()
     assert (A.coset_index(X - 2 * np.array(G.moduli, dtype=np.int64)) == index).all()
+
+
+def box_reduce_loop(X, H):
+    """The column-by-column box reduction of int64 rows X against a lower-triangular H."""
+    X = np.array(X, dtype=np.int64)
+    for i in range(len(H)):
+        X[:, i:] -= (X[:, i] // H[i, i])[:, None] * H[i:, i]
+    return X
+
+
+@st.composite
+def box_inputs(draw):
+    """(X, H): int64 rows and a lower-triangular H with a positive diagonal, 1 included,
+    diagonal or with drawn entries below it."""
+    diag = draw(st.lists(st.integers(1, 9), max_size=4))
+    r = len(diag)
+    H = np.diag(np.array(diag, dtype=np.int64)).reshape(r, r)
+    if draw(st.booleans()):
+        k = r * (r - 1) // 2
+        H[np.tril_indices(r, -1)] = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k))
+    n = draw(st.integers(0, 6))
+    X = draw(st.lists(st.integers(-60, 60), min_size=n * r, max_size=n * r))
+    return np.array(X, dtype=np.int64).reshape(n, r), H
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=box_inputs())
+@example(case=(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)))
+@example(case=(np.array([[-7, 3, 12], [5, -1, 0]]), np.diag([1, 1, 5])))
+@example(case=(np.array([[-7, 3, 12], [5, -1, 0]]), np.array([[1, 0, 0], [4, 1, 0], [-3, 2, 5]])))
+def test_box_reduce_matches_the_loop(case):
+    # a diagonal H takes X mod diag(H); any other lower-triangular H keeps the loop
+    X, H = case
+    out = _box_reduce(X, H)
+    assert out.dtype == np.int64 and out is not X
+    assert (out == box_reduce_loop(X, H)).all()
+    assert ((0 <= out) & (out < np.diag(H))).all()
 
 
 def test_project_coords_is_exact_past_int64():

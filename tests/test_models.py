@@ -1,5 +1,5 @@
-import functools
 import importlib
+import random
 from math import lcm
 
 import numpy as np
@@ -30,8 +30,8 @@ from weylkit.phases import Phase, ZERO
 from weylkit.reports import VerificationReport
 from weylkit.vacuum import descend
 
-from conftest import (f2_setup, first_splitting_failure, same_multiplier_pairs, window, window_model,
-                      z9_setup)
+from conftest import (block_symplectic_model, f2_setup, first_splitting_failure, fresh_rep,
+                      same_multiplier_pairs, window, window_model, z9_setup)
 
 # the module, not a name that ``weylkit/__init__.py`` might rebind
 models = importlib.import_module("weylkit.models")
@@ -548,24 +548,6 @@ def test_generator_decision_with_a_wrong_bicharacter(z9, swapped):
     assert not (comm if swapped else law).passed
 
 
-@functools.cache
-def block_symplectic_model(moduli, units, gens):
-    """The unchecked induced model of sum_i u_i (x_i y_{i+r} - x_{i+r} y_i) / n_i
-    on G = Z/moduli, r = len(units), over the subgroup spanned by ``gens``."""
-    G = FinAbGroup(moduli)
-    r = len(units)
-    mat = [[ZERO] * len(moduli) for _ in moduli]
-    for i, u in enumerate(units):
-        mat[i][i + r], mat[i + r][i] = Phase(u, moduli[i]), Phase(-u, moduli[i])
-    m = Bicharacter(G, mat)
-    return induced_model(G, m, subgroup_span(G, [G.element(g) for g in gens]), check=False)
-
-
-def fresh_rep(W):
-    """A new rep of W's formula: no kept rows and no verdict of the law yet."""
-    return ProjectiveRep(W.group, W.multiplier, W.dim, W.fn, W.den, W.label)
-
-
 def count_pairs(monkeypatch) -> list:
     """Make every |G| x |G| table raise; returns the list that gets the number
     of pairs of each call of ``models._pairs_hold``."""
@@ -647,7 +629,7 @@ def test_presentation_reads_at_most_2490_pairs(monkeypatch):
 def test_fault_beyond_table_cap_fails_at_a_generator_pair():
     # the seed-0 sample of 2000 pairs misses every pair at which scaling
     # W(3, 2, 0, 0) breaks the law, so a sampled check passes it; the pairs (x, g) do not
-    W = block_symplectic_model(*VACUUM_9595)
+    W = fresh_rep(block_symplectic_model(*VACUUM_9595))
     G = W.group
     x0 = G.element([3, 2, 0, 0])
     gens = {g.coords for g in G.generators()}
@@ -676,7 +658,7 @@ def test_override_law_check_reads_whole_blocks():
     # the override patches the parent's formula, so the exact law check reads G in
     # whole blocks once and makes no one-row call: the witness pair's three
     # operators are read from the kept rows
-    W = block_symplectic_model(*VACUUM_9595)
+    W = fresh_rep(block_symplectic_model(*VACUUM_9595))
     G = W.group
     x0 = G.element([3, 2, 0, 0])
     scaled = W.with_override(x0, W.operator(x0).scaled(Phase(1, 3)))
@@ -755,7 +737,7 @@ MODEL_5555 = ((5, 5, 5, 5), (1, 2), ((1, 0, 0, 0), (0, 1, 0, 0)))
 
 
 def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs():
-    W = block_symplectic_model(*MODEL_5555)
+    W = fresh_rep(block_symplectic_model(*MODEL_5555))
     assert W.fits_arrays() and W.group.order ** 2 > ENTRY_BUDGET
     assert assert_verdicts_match_all_pairs(lookup_rep(W, *W.monomial_arrays())) == (True, True)
 
@@ -764,7 +746,7 @@ def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs():
 @given(data=st.data())
 def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs_under_faults(data):
     # one operator replaced by a random monomial one, one phase shifted, or a scalar applied
-    W = block_symplectic_model(*MODEL_5555)
+    W = fresh_rep(block_symplectic_model(*MODEL_5555))
     SRC, NUM, den0 = W.monomial_arrays()
     den = 2 * den0
     SRC, NUM = SRC.copy(), 2 * NUM
@@ -784,6 +766,7 @@ def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs_under_faults(data
 def test_coverage_of_each_case(z9):
     # a rep with kept rows: P decides the law, and the witness is P's first failing pair
     G, _, _, W = z9
+    W = fresh_rep(W)
     bad = W.with_override(G.element([1, 2]), identity_operator(W.dim))
     law = check_rep_law(bad).checks[0]
     holds = all_pairs_hold(bad, bad.multiplier, False)
@@ -793,7 +776,7 @@ def test_coverage_of_each_case(z9):
     # the commutator of a rep whose law fails, |G|^2 within ENTRY_BUDGET: every pair
     assert commutator_scalar_check(bad).checks[0].note == "exhaustive over 81^2 pairs"
     # ... and past it: a failing pair (x, g), g a generator
-    W5 = block_symplectic_model(*MODEL_5555)
+    W5 = fresh_rep(block_symplectic_model(*MODEL_5555))
     x0 = W5.group.element([1, 2, 3, 4])
     op = W5.operator(x0)
     num = 3 * op.num
@@ -803,7 +786,7 @@ def test_coverage_of_each_case(z9):
     assert (comm.passed, comm.note) == (False, "exhaustive over 625^2 pairs")
     assert comm.witness[1] in {g.coords for g in W5.group.generators()}
     # window (3,1,2) keeps no rows: both checks are sampled
-    W3 = window_model(3, 1, 2)
+    W3 = fresh_rep(window_model(3, 1, 2))
     for checker in (check_rep_law, commutator_scalar_check):
         assert checker(W3, samples=1000).checks[0].note == "sampled 1000 pairs, seed=0"
 
@@ -829,6 +812,51 @@ def test_monomial_arrays_budget():
     with pytest.raises(ResourceLimitError) as exc:
         W.monomial_arrays()
     assert (exc.value.budget, exc.value.size) == ("ENTRY_BUDGET", 531_441)
+
+
+def python_int_law(W) -> bool:
+    """W(x) W(y) = e(m(x, y)) W(x + y) at every pair, in Python integers."""
+    G, m = W.group, W.multiplier
+    den_m, table = m.num_table()
+    d = lcm(W.den, den_m)
+    ops = [W.operator(x) for x in G.elements()]
+    rows = [(op.src.tolist(), op.num.tolist(), d // op.den) for op in ops]
+    table = table.tolist()
+    for x, (sx, nx, kx) in enumerate(rows):
+        for y, (sy, ny, ky) in enumerate(rows):
+            sz, nz, kz = rows[G.rank_of((G.element_by_rank(x) + G.element_by_rank(y)).coords)]
+            for i in range(W.dim):
+                if sy[sx[i]] != sz[i] or (nx[i] * kx + ny[sx[i]] * ky - nz[i] * kz
+                                          - table[x][y] * (d // den_m)) % d:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("den", [3 * (2 ** 61 // 3), 3 * (2 ** 61 // 3) - 3,
+                                 3 * (3 * 2 ** 60 // 3), 3 * (2 ** 62 // 3) - 3])
+@pytest.mark.parametrize("fault", [False, True])
+def test_law_over_a_coboundary_twist_near_int64(den, fault):
+    # the Schrodinger model of Z/3 twisted by a coboundary over den, one phase of one
+    # operator shifted by 1/den when ``fault``: the exact law check gives the verdict of
+    # Python integers, or refuses with InputError once 3 den leaves int64
+    W = schrodinger_model(FinAbGroup([3]))
+    G = W.group
+    rng = random.Random(den)
+    a = PhaseMap(G, {x.coords: Phase(rng.randrange(den) if x.rank else 0, den)
+                     for x in G.elements()})
+    Wt = W.twisted(a)
+    assert Wt.den == den
+    if fault:
+        x = G.element([1, 2])
+        op = Wt.operator(x)
+        num = op.num.copy()
+        num[1] += 1
+        Wt = Wt.with_override(x, Operator(W.dim, op.den, op.src, num))
+    if 3 * den >= 2 ** 63:
+        with pytest.raises(InputError, match="a law numerator over"):
+            check_rep_law(Wt)
+    else:
+        assert check_rep_law(Wt).passed == python_int_law(Wt) == (not fault)
 
 
 def test_scalar_twisted_model_passes(z9):
@@ -1025,7 +1053,7 @@ def _phase_fault(W):
 def test_orbit_check_catches_phase_fault(z9):
     # the shifted phase gives every cycle through index 0 of one copy a nonzero
     # phase sum: the copies of W (+) W no longer intertwine, and W' no longer meets W
-    _, _, _, W = z9
+    W = fresh_rep(z9[3])
     WW = W.direct_sum(W)
     faulty = _phase_fault(WW)
     assert commutant_d(WW) == 4
@@ -1040,7 +1068,7 @@ def test_orbit_check_catches_phase_fault(z9):
 
 
 def test_orbit_solver_refuses_noncommuting_permutations(z9):
-    _, _, _, W = z9
+    W = fresh_rep(z9[3])
     g = W.group.generators()[0]
     op = W.operator(g)
     src = op.src.copy()

@@ -163,8 +163,9 @@ def drawn_table(G: FinAbGroup, kind: str, rng: np.random.Generator):
 
     ``cocycle``: a random bicharacter plus the coboundary of a with a(0) = 0;
     ``unnormalized``: the same with a(0) != 0, still a cocycle but not
-    normalized; ``corrupted``: a cocycle with one entry shifted; ``random``:
-    every entry drawn independently.
+    normalized; ``constant``: a cocycle plus a nonzero constant, also a
+    cocycle that is not normalized; ``corrupted``: a cocycle with one entry
+    shifted; ``random``: every entry drawn independently.
     """
     n = G.order
     if kind == "random":
@@ -182,6 +183,8 @@ def drawn_table(G: FinAbGroup, kind: str, rng: np.random.Generator):
     if kind == "corrupted":
         x, y = rng.integers(0, n, size=2)
         num[x, y] += int(rng.integers(1, den))
+    if kind == "constant":
+        num += int(rng.integers(1, den))
     return den, num % den
 
 
@@ -212,6 +215,51 @@ def test_cocycle_check_matches_full_scan(moduli, kind, seed):
         assert cocycle.passed
     if kind == "unnormalized" and G.order > 1:
         assert not norm.passed
+
+
+def brute_force_oracle(G, den, num):
+    """(passed, witness) of dm(x, y, z) = 0 over all |G|^3 triples by Python loops: the
+    first bad triple with z outermost, then x, then y."""
+    els = [x.coords for x in G.elements()]
+    rank = {c: r for r, c in enumerate(els)}
+
+    def add(a, b):
+        return rank[tuple((u + v) % k for u, v, k in zip(els[a], els[b], G.moduli))]
+
+    m = num.tolist()
+    for z in range(G.order):
+        for x in range(G.order):
+            for y in range(G.order):
+                if (m[add(x, y)][z] + m[x][y] - m[x][add(y, z)] - m[y][z]) % den:
+                    return False, (els[x], els[y], els[z])
+    return True, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(moduli=st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]), max_size=4)
+       .filter(lambda ms: prod(ms) <= 16),
+       kind=st.sampled_from(["cocycle", "unnormalized", "constant", "corrupted"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(moduli=[], kind="constant", seed=0)
+@example(moduli=[2, 2, 2, 2], kind="corrupted", seed=1)
+@example(moduli=[16], kind="corrupted", seed=2)
+@example(moduli=[4, 1, 4], kind="constant", seed=3)
+def test_cocycle_check_matches_brute_force_oracle(moduli, kind, seed):
+    # Light's test at {0} and the generators decides the identity: verdict and witness
+    # match the |G|^3 loop, and a passing check never builds the addition table
+    G = FinAbGroup(moduli)
+    den, num = drawn_table(G, kind, np.random.default_rng(seed))
+    m = TableMultiplier(G, den, num)
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FinAbGroup, "addition_table",
+                   lambda self, table=FinAbGroup.addition_table: built.append(1) or table(self))
+        cocycle = check_multiplier(m).checks[-1]
+    assert (cocycle.passed, cocycle.witness) == brute_force_oracle(G, den, num)
+    assert cocycle.note == f"exhaustive over {G.order}^3 triples"
+    assert built == ([] if cocycle.passed else [1])
+    if kind != "corrupted":
+        assert cocycle.passed
 
 
 def test_antisymmetrize_weyl_product():

@@ -17,7 +17,7 @@ from weylkit.cli import build_model, build_parser, parse_group, parse_multiplier
 from weylkit.models import (Operator, ProjectiveRep, _intertwining_orbits, check_rep_law,
                             identity_operator, induced_model, regular_rep)
 from weylkit.padic import window_weyl
-from weylkit.multipliers import Bicharacter, TableMultiplier, antisymmetrize
+from weylkit.multipliers import Bicharacter, PhaseMap, TableMultiplier, antisymmetrize
 from weylkit.phases import HALF, Phase, ZERO
 from weylkit.vacuum import (
     _jordan_wigner,
@@ -31,7 +31,7 @@ from weylkit.vacuum import (
     vacuum_normalizer,
 )
 
-from conftest import same_multiplier_pairs, window, window_model
+from conftest import block_symplectic_model, fresh_rep, same_multiplier_pairs, window, window_model
 
 
 # -- sector decomposition ----------------------------------------------------
@@ -493,7 +493,7 @@ def _faulty(W, x, row=None, phase=None):
 def _window_221():
     """(W, L, i0, i1): the (2,2,1) window and its L, with the vacuum's least index i0 and
     the second index i1 of the orbit through it, an index that no orbit starts at."""
-    W, L = window_model(2, 2, 1), window(2, 2, 1).L
+    W, L = fresh_rep(window_model(2, 2, 1)), window(2, 2, 1).L
     orbit = np.flatnonzero(sectors(W, L).vacuum_basis()[:, 0])
     return W, L, int(orbit[0]), int(orbit[1])
 
@@ -541,6 +541,115 @@ def test_normalizer_check_faults(kind):
         name, F, want = "2L-periodicity on vacuum", _faulty(W, x, phase=HALF), i0
     check = _check(normalizer_check(sectors(F, L)), name)
     assert not check.passed and check.witness == (x.coords, want)
+
+
+# -- the checks decided at generators once the law holds ----------------------
+
+def _law_checked(W):
+    """A fresh rep of W's formula whose law check has passed, its verdict kept."""
+    W = fresh_rep(W)
+    assert check_rep_law(W).passed
+    return W
+
+
+def _coset_twist(W, L):
+    """W twisted by a drawn map that is constant on the cosets of L and 0 on L, so that its
+    table multiplier still vanishes on L x L, with the twisted rep's law checked."""
+    G = W.group
+    codes = L.box_codes(G.coords_array()).tolist()
+    rng = np.random.default_rng(7)
+    value = {c: int(rng.integers(1, 5)) if c else 0 for c in set(codes)}
+    Wt = W.twisted(PhaseMap(G, {x.coords: Phase(value[c], 5) for x, c in zip(G.elements(), codes)}))
+    assert check_rep_law(Wt).passed
+    return Wt
+
+
+def _span(W, gens):
+    return subgroup_span(W.group, [W.group.element(g) for g in gens])
+
+
+def _law_proved_case(name):
+    """(W, L): a law-checked model, its verdict kept on it, with an isotropic L."""
+    if name == "window-2-2-1":
+        return _law_checked(window_model(2, 2, 1)), window(2, 2, 1).L
+    if name == "7373":
+        W = _law_checked(block_symplectic_model((7, 3, 7, 3), (3, 2), ((1, 0, 0, 0), (0, 1, 0, 0))))
+        return W, _span(W, ((0, 0, 1, 0), (0, 0, 0, 1)))
+    if name == "9595":
+        lagrangian = ((3, 0, 0, 0), (0, 0, 3, 0), (0, 1, 0, 0))
+        W = _law_checked(block_symplectic_model((9, 5, 9, 5), (7, 4), lagrangian))
+        return W, _span(W, lagrangian)
+    W = _law_checked(block_symplectic_model((9, 9), (1,), ((3, 0), (0, 3))))
+    L = _span(W, ((3, 0), (0, 3)))
+    return (_coset_twist(W, L) if name == "z9-table" else W), L
+
+
+def _spy_rows(W) -> list:
+    """Record the coordinate rows of every later ``W.rows`` call."""
+    read, rows = [], W.rows
+    W.rows = lambda Y: read.extend(map(tuple, np.asarray(Y).tolist())) or rows(Y)
+    return read
+
+
+def _summary(rep):
+    return [(c.name, c.passed, c.witness, c.note) for c in rep.checks]
+
+
+@pytest.mark.parametrize("case", ["z9", "7373", "9595", "window-2-2-1", "z9-table"])
+def test_law_proved_vacuum_checks_read_generators(case):
+    # once the law holds, eigen_check reads L's decomposition generators, and
+    # normalizer_check 0 and L/2's generators, a representative of each nonzero coset
+    # of L/2 and, for a bicharacter, x + a_j for those x and 2L's generators a_j; a
+    # table multiplier's periodicity reads the rows of L/2.  The reports equal the
+    # scans' on a fresh rep of the same formula, whose law is undecided.
+    W, L = _law_proved_case(case)
+    G = W.group
+    assert W.law_holds
+    S = sectors(W, L)
+    read = _spy_rows(W)
+    eigen, norm = S.eigen_check(), normalizer_check(S)
+    L2, twoL = vacuum_normalizer(W, L), double_image(G, L)
+    X0 = [G.zero()] + list(L2.generators)
+    want = [h.coords for h in S.gens] + [x.coords for x in X0] + \
+        [tuple(c) for c in L2.transversal_coords()[1:].tolist()]
+    if W.multiplier.bichar is not None:
+        want += [(x + a).coords for x in X0 for a in twoL.generators]
+    else:
+        want += [x.coords for x in L2.elements()]
+    assert read == want and len(set(read)) < G.order
+    F = fresh_rep(W)
+    assert F.law_holds is None
+    SF = sectors(F, L)
+    assert _summary(eigen) == _summary(SF.eigen_check()) and eigen.passed
+    assert _summary(norm) == _summary(normalizer_check(SF)) and norm.passed
+
+
+@pytest.mark.parametrize("case,fault", [("9595", "character"), ("window-2-2-1", "potential")])
+def test_fault_in_sector_data_fails_generators_with_the_scan_witness(case, fault):
+    # the planted fault fails a generator read, so the scans run and name their witness:
+    # the reports equal those of the same fault on a fresh rep, whose law is undecided
+    W, L = _law_proved_case(case)
+    reports = []
+    for rep in (W, fresh_rep(W)):
+        S = sectors(rep, L)
+        if fault == "character":
+            # chi(h_0) of an occurring nonzero character moves by 1/d_0; L fixes every index
+            j = FinAbGroup(S.orders).rank_of(max(S.dims))
+            S._chi = S._chi.copy()
+            S._chi[j, 0] = (S._chi[j, 0] + S.char_exp // S.orders[0]) % S.char_exp
+        else:
+            # a sign at the second index of the orbit through the least vacuum index
+            i = int(np.flatnonzero(S.vacuum_basis()[:, 0])[1])
+            S._ipot = S._ipot.copy()
+            S._ipot[i] += S._den // 2
+        read = _spy_rows(rep)
+        reports.append((_summary(S.eigen_check()), _summary(normalizer_check(S))))
+        assert len(read) > L.order         # the eigen scan reads every element of L
+    assert reports[0] == reports[1]
+    eigen, norm = reports[0]
+    assert not eigen[0][1] and eigen[0][2] is not None
+    assert dict((name, passed) for name, passed, _, _ in norm)["L/2 preserves vacuum"] == \
+        (fault == "character")
 
 
 # -- generated subspaces -------------------------------------------------------
@@ -706,7 +815,7 @@ def test_monomial_descent_matches_dense_oracle(case):
 @pytest.mark.parametrize("fault", ["phase", "index", "orbit"])
 def test_descend_refuses_leaking_section_operator(fault):
     # window (2,2,1): 16 carrier indices, a vacuum of two orbit sums over 4 indices each
-    W, L = window_model(2, 2, 1), window(2, 2, 1).L
+    W, L = fresh_rep(window_model(2, 2, 1)), window(2, 2, 1).L
     D = descend(W, L)
     s = D.quotient.section_list[1][1]
     orbits = [np.flatnonzero(D.vacuum_basis[:, k]) for k in range(D.rep0.dim)]
