@@ -165,8 +165,7 @@ def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args,
 
 
 def run_verify(scenario, args):
-    _expect_keys(scenario, "scenario", {"task", "group", "multiplier"},
-                 {"tolerance", "seed"})
+    _expect_keys(scenario, "scenario", {"task", "group", "multiplier"}, {"seed"})
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
     rep = check_multiplier(m, seed=args.seed)
@@ -177,8 +176,7 @@ def run_verify(scenario, args):
 
 
 def run_isotropy(scenario, args):
-    _expect_keys(scenario, "scenario", {"task", "group", "multiplier", "subgroup"},
-                 {"tolerance", "seed"})
+    _expect_keys(scenario, "scenario", {"task", "group", "multiplier", "subgroup"}, {"seed"})
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
     A = parse_subgroup(scenario["subgroup"], G)
@@ -203,7 +201,7 @@ def run_isotropy(scenario, args):
 def run_model(scenario, args):
     _expect_keys(scenario, "scenario",
                  {"task", "group", "multiplier"},
-                 {"subgroup", "splitting", "model", "tolerance", "seed"})
+                 {"subgroup", "splitting", "model", "seed"})
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
     # an induced model is law-checked on construction unless the report checks it
@@ -212,8 +210,8 @@ def run_model(scenario, args):
     rep = VerificationReport(f"model {W.label}")
     summary = {"dimension": W.dim}
     if law:
-        rep.extend(check_rep_law(W, tolerance=args.tolerance, seed=args.seed))
-        rep.extend(commutator_scalar_check(W, tolerance=args.tolerance, seed=args.seed))
+        rep.extend(check_rep_law(W, seed=args.seed))
+        rep.extend(commutator_scalar_check(W, seed=args.seed))
     if args.commutant:
         cd = commutant_d(W)
         summary["commutant_dimension"] = cd
@@ -230,7 +228,7 @@ def run_model(scenario, args):
 def run_vacuum(scenario, args):
     _expect_keys(scenario, "scenario",
                  {"task", "group", "multiplier", "subgroup"},
-                 {"model", "splitting", "tolerance", "seed"})
+                 {"model", "splitting", "seed"})
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
     W = build_model(scenario, G, m, args)
@@ -252,17 +250,16 @@ def run_vacuum(scenario, args):
 def run_fermion(scenario, args):
     _expect_keys(scenario, "scenario",
                  {"task", "group", "multiplier", "subgroup"},
-                 {"model", "splitting", "tolerance", "seed"})
+                 {"model", "splitting", "seed"})
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
     W = build_model(scenario, G, m, args)
-    D = descend(W, parse_subgroup(scenario["subgroup"], G), tol=args.tolerance)
+    D = descend(W, parse_subgroup(scenario["subgroup"], G))
     C = clifford_basis(D)
     rep = VerificationReport("fermionic structure")
     rep.extend(D.report)
     # clifford_basis decides the relations exactly: the residual is 0.0 iff they hold
-    rep.add("clifford residual", C.max_residual == 0.0,
-            residual=C.max_residual, tolerance=args.tolerance)
+    rep.add("clifford residual", C.max_residual == 0.0, residual=C.max_residual)
     summary = {
         "vacuum_dim": D.vacuum_basis.shape[1],
         "v2_order": D.v2.order,
@@ -276,7 +273,7 @@ def run_fermion(scenario, args):
 
 def run_padic(scenario, args):
     if scenario is not None:
-        _expect_keys(scenario, "scenario", {"task", "padic"}, {"tolerance", "seed"})
+        _expect_keys(scenario, "scenario", {"task", "padic"}, {"seed"})
         pd = scenario["padic"]
         _expect_keys(pd, "padic", {"p", "k", "d"})
         p, k, d = int(pd["p"]), int(pd["k"]), int(pd["d"])
@@ -286,7 +283,7 @@ def run_padic(scenario, args):
         p, k, d = args.p, args.k, args.d
     _check_dim(p ** (2 * k * d), args)
     w = window_group(p, k, d)
-    prof = vacuum_profile(w, tol=args.tolerance)
+    prof = vacuum_profile(w)
     rep: VerificationReport = prof["report"]
     if args.full_report and p == 2:
         rep.extend(window_reducibility_check(prof["descended"]))
@@ -312,9 +309,15 @@ def run_padic(scenario, args):
 
 
 def run_svn(scenario, args):
-    _expect_keys(scenario, "scenario",
-                 {"task", "group", "multiplier", "subgroups"},
-                 {"tolerance", "seed"})
+    """Stone-von Neumann uniqueness for two maximal isotropic subgroups: the induced models
+    have a one-dimensional intertwiner space, and its normalized element is unitary.
+
+    Both verdicts are exact.  The second is Schur's lemma, as ``intertwiner`` decides
+    it: T*T commutes with W1, whose commutant is 1, so T*T is a scalar and the
+    normalized T is unitary exactly when the dimensions agree; it passes when
+    ``unitary_defect`` is 0.0.
+    """
+    _expect_keys(scenario, "scenario", {"task", "group", "multiplier", "subgroups"}, {"seed"})
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
     subs = scenario["subgroups"]
@@ -333,13 +336,8 @@ def run_svn(scenario, args):
     rep = VerificationReport("uniqueness instance")
     rep.add("intertwiner dimension 1", res["dimension"] == 1,
             note=f"dimension {res['dimension']}")
-    ok_unitary = False
-    defect = None
-    if res["dimension"] == 1 and res.get("unitary_defect") is not None:
-        defect = res["unitary_defect"]
-        ok_unitary = defect <= args.tolerance
-    rep.add("normalized intertwiner unitary", ok_unitary, residual=defect,
-            tolerance=args.tolerance)
+    defect = res.get("unitary_defect")
+    rep.add("normalized intertwiner unitary", defect == 0.0, residual=defect)
     summary = {"dimensions": [W1.dim, W2.dim], "intertwiner_dimension": res["dimension"],
                "unitary_defect": defect}
     return rep, summary
@@ -363,7 +361,6 @@ def build_parser():
     ap.add_argument("--scenario", help="path to a scenario JSON file")
     ap.add_argument("--out", help="write the report here instead of stdout")
     ap.add_argument("--format", choices=("json", "text"), default="json")
-    ap.add_argument("--tolerance", type=float, default=1e-9)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-dim", type=int, default=MAX_DIM_DEFAULT)
     ap.add_argument("--timings", action="store_true",
@@ -390,12 +387,10 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.scenario)
             _expect_keys(scenario, "scenario", {"task"},
                          {"group", "multiplier", "subgroup", "subgroups", "splitting",
-                          "model", "padic", "tolerance", "seed"})
+                          "model", "padic", "seed"})
             if scenario["task"] != args.task:
                 raise SchemaError(
                     f"scenario task {scenario['task']!r} does not match {args.task!r}")
-            if "tolerance" in scenario:
-                args.tolerance = float(scenario["tolerance"])
             if "seed" in scenario:
                 args.seed = int(scenario["seed"])
         elif args.task != "padic":
@@ -423,8 +418,8 @@ def main(argv=None) -> int:
 
 
 def _provenance(args) -> dict:
-    """The leading fields of every JSON report: task, seed, tolerance and versions."""
-    return {"task": args.task, "seed": args.seed, "tolerance": args.tolerance,
+    """The leading fields of every JSON report: task, seed and versions."""
+    return {"task": args.task, "seed": args.seed,
             "versions": {"weylkit": __version__, "numpy": np.__version__}}
 
 

@@ -17,14 +17,8 @@ from math import gcd, isqrt, lcm, prod
 import numpy as np
 
 from .errors import InputError, UnsupportedOperationError, check_budget, check_int64
-from .intmat import (
-    box_reduce,
-    column_hnf,
-    columns_to_matrix,
-    diagonal_of,
-    smith_decompose,
-    solve_lower_triangular,
-)
+from .intmat import (column_hnf, columns_to_matrix, diagonal_of, smith_decompose,
+                     solve_lower_triangular)
 
 
 class FinAbGroup:
@@ -327,18 +321,10 @@ class Subgroup:
         self.elements()
         return self._grid
 
-    def coset_key(self, x: GroupElement) -> tuple:
-        """Canonical label of the coset x + A (box reduction against the lattice basis)."""
-        if x.group != self.ambient:
-            raise InputError("element does not belong to the ambient group")
-        if not self.basis:
-            return ()
-        return box_reduce([list(r) for r in self.basis], list(x.coords))
-
     def box_codes(self, X: np.ndarray) -> np.ndarray:
         """Coset codes of the (c x rank) int64 coordinate rows X, as a length-c array.
 
-        Each row is box-reduced against the lattice basis, as in ``coset_key``,
+        Each row is box-reduced against the lattice basis (``_box_reduce``),
         and the reduced row, with entries in [0, H_ii), is read in mixed radix
         over diag(H).  The code lies in [0, |G/A|) because prod H_ii = |G/A|,
         and two rows share a code exactly when they share a coset.

@@ -2,9 +2,9 @@
 
 Everything here runs on arbitrary-precision Python integers (matrices are
 lists of row lists); there is no tolerance anywhere.  Two normal forms back
-every lattice question of ``groups``: the column Hermite form H (with its
-triangular solve and box reduction) decides membership and cosets, and the
-Smith form U M V = D answers the rest.  Because U and V are unimodular,
+every lattice question of ``groups``: the column Hermite form H decides
+membership (with its triangular solve) and cosets (``groups._box_reduce``),
+and the Smith form U M V = D answers the rest.  Because U and V are unimodular,
 M Z^n = U^{-1} D Z^n, so cyclic decompositions, double preimages and
 solutions of congruences are read off V and D column by column; no matrix
 inverse or modular elimination is needed.
@@ -169,18 +169,6 @@ def solve_lower_triangular(H, x):
             return None
         t[i] = s // H[i][i]
     return t
-
-
-def box_reduce(H, x):
-    """Canonical representative of x + (column lattice of H) in the box prod [0, H[i][i])."""
-    r = list(x)
-    n = len(H)
-    for i in range(n):
-        q = r[i] // H[i][i]
-        if q:
-            for ii in range(i, n):
-                r[ii] -= q * H[ii][i]
-    return tuple(r)
 
 
 def columns_to_matrix(cols, nrows):

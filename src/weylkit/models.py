@@ -32,7 +32,6 @@ from .isotropy import is_maximal_isotropic
 from .phases import Phase, ZERO
 from .reports import VerificationReport
 
-DEFAULT_TOL = 1e-9
 BLOCK_ENTRIES = 2 ** 16   # a block of monomial data holds max(1, BLOCK_ENTRIES // dim) rows
 
 
@@ -163,8 +162,10 @@ class ProjectiveRep:
         return Operator(self.dim, self.den, SRC[0], NUM[0])     # which checks the row
 
     def with_override(self, x: GroupElement, op: Operator) -> "ProjectiveRep":
-        """Copy of the rep with W(x) replaced by ``op`` (fault injection in tests)."""
+        """Copy of the rep with W(x) replaced by ``op`` (fault injection in tests).
+        A row's numerators stay below lcm(W.den, op.den), which must fit int64."""
         den = lcm(self.den, op.den)
+        check_int64(f"an overridden row over {den}", den - 1)
 
         def patched(Y):
             SRC, NUM, _ = self.rows(Y)
@@ -221,6 +222,7 @@ class ProjectiveRep:
         if not _same_multiplier(self.multiplier, other.multiplier):
             raise InputError("direct sum needs equal multipliers")
         den = lcm(self.den, other.den)
+        check_int64(f"a direct sum row over {den}", den - 1)
 
         def summed(Y):
             (S1, N1, _), (S2, N2, _) = self.rows(Y), other.rows(Y)
@@ -413,8 +415,7 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup, c: PhaseMap | None 
 # verification
 
 
-def check_rep_law(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
-                  samples: int = 20_000, seed: int = 0) -> VerificationReport:
+def check_rep_law(W: ProjectiveRep, samples: int = 20_000, seed: int = 0) -> VerificationReport:
     """W(x) W(y) = e(m(x, y)) W(x + y): exactly over all pairs, or over a seeded sample.
 
     Exact whenever W's ``monomial_arrays`` fit their budget: m is a verified
@@ -426,20 +427,20 @@ def check_rep_law(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
     formula, and a later ``commutator_scalar_check`` reads no pair of P.
     """
     rep = VerificationReport(f"representation law for {W.label}")
-    _check_pairs(rep, "law", W, False, tolerance, samples, seed)
+    _check_pairs(rep, "law", W, False, samples, seed)
     return rep
 
 
-def commutator_scalar_check(W: ProjectiveRep, tolerance: float = DEFAULT_TOL,
-                            samples: int = 20_000, seed: int = 0) -> VerificationReport:
+def commutator_scalar_check(W: ProjectiveRep, samples: int = 20_000,
+                            seed: int = 0) -> VerificationReport:
     """W(x) W(y) = e(m~(x, y)) W(y) W(x): the commutator is the scalar m~(x, y)."""
     rep = VerificationReport(f"commutation rule for {W.label}")
-    _check_pairs(rep, "commutator", W, True, tolerance, samples, seed)
+    _check_pairs(rep, "commutator", W, True, samples, seed)
     return rep
 
 
 def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: bool,
-                 tolerance: float, samples: int, seed: int):
+                 samples: int, seed: int):
     """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for pairs x, y of G.
 
     For the law, R(x, y) = W(x + y) and the phase is W's multiplier m; when
@@ -501,8 +502,7 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
     if len(bad):
         k = int(np.argmax(dist))
         worst, witness = float(dist[k]), tuple(G.element_by_rank(int(r)).coords for r in bad[k])
-    rep.add(name, witness is None, residual=worst, tolerance=tolerance, witness=witness,
-            note=note)
+    rep.add(name, witness is None, residual=worst, witness=witness, note=note)
 
 
 def _presentation_fails(W: ProjectiveRep):
@@ -863,8 +863,15 @@ def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep) -> dict:
     index k < dimension of each entry's solution orbit, -1 off them) and
     ``phases`` over ``den``: basis element k is e(phases / den) where
     orbit == k and 0 elsewhere.  For two irreducible models of one Heisenberg
-    multiplier the space is one-dimensional; then ``normalized`` is its
-    element scaled to be unitary and ``unitary_defect`` measures that.
+    multiplier the space is one-dimensional, spanned by T; then ``normalized``
+    is T / sqrt(|support| / min(n1, n2)), and ``unitary_defect`` is 0.0 when it
+    is unitary and None otherwise, decided by Schur's lemma with no float
+    product.  T W1(g) = W2(g) T at the generators, with W1 and W2 unitary,
+    gives T*T W1(g) = W1(g) T*T.  So when ``commutant_d(W1)`` = 1,
+    T*T = c 1 with c = trace(T*T) / n1 = |support| / n1 (T's entries have
+    modulus 1 on its support), and the normalized T is unitary exactly when
+    n1 = n2.  When n1 = n2 and W1's commutant is larger, T is not invertible:
+    else X |-> T X would embed that commutant in the one-dimensional space.
     """
     if W1.group != W2.group:
         raise InputError("intertwiner needs a common group")
@@ -881,8 +888,6 @@ def intertwiner(W1: ProjectiveRep, W2: ProjectiveRep) -> dict:
     if len(good) == 1:
         support = orbit == 0
         T = np.where(support, np.exp(2j * np.pi * out["phases"] / den), 0)
-        That = T / np.sqrt(support.sum() / min(n1, n2))
-        out["normalized"] = That
-        out["unitary_defect"] = float(np.abs(That.conj().T @ That - np.eye(n1)).max()) \
-            if n1 == n2 else None
+        out["normalized"] = T / np.sqrt(support.sum() / min(n1, n2))
+        out["unitary_defect"] = 0.0 if n1 == n2 and commutant_d(W1) == 1 else None
     return out

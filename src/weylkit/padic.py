@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .groups import FinAbGroup, _require_prime, subgroup_span
 from .isotropy import polar
-from .models import DEFAULT_TOL, ProjectiveRep, commutant_d
+from .models import ProjectiveRep, commutant_d
 from .multipliers import Bicharacter, TableMultiplier, is_heisenberg, split_symmetric
 from .phases import Phase, ZERO
 from .reports import VerificationReport
@@ -107,7 +107,7 @@ def window_weyl(w: PAdicWindow) -> ProjectiveRep:
     return ProjectiveRep(w.group, w.m, dim, fn, q, label=f"window(p={w.p},k={w.k},d={w.d})")
 
 
-def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
+def vacuum_profile(w: PAdicWindow) -> dict:
     """Run the whole vacuum pipeline on a window and collect the findings.
 
     For p odd the vacuum is a line and every sector is one-dimensional; for
@@ -130,7 +130,7 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
                note=f"is_heisenberg={heis}, p={w.p}")
 
     # for p = 2 the descent decomposes W|_L; its checks are reported below
-    D = descend(W, w.L, tol) if w.p == 2 else None
+    D = descend(W, w.L) if w.p == 2 else None
     S = D.sectors if D is not None else sectors(W, w.L)
     out["vacuum_dim"] = S.vacuum_dim
     out["sector_dims"] = {str(k_): v for k_, v in sorted(S.coset_dims().items())} \
@@ -155,8 +155,7 @@ def vacuum_profile(w: PAdicWindow, tol: float = DEFAULT_TOL) -> dict:
     out["clifford_gram"] = C.gram
     out["section"] = D.section_coords
     # clifford_basis decides the relations exactly: the residual is 0.0 iff they hold
-    report.add("clifford residual", C.max_residual == 0.0, residual=C.max_residual,
-               tolerance=tol)
+    report.add("clifford residual", C.max_residual == 0.0, residual=C.max_residual)
     report.add("clifford commutant is scalar", C.commutant_dim == 1,
                note=f"dim={C.commutant_dim}")
 

@@ -10,7 +10,6 @@ class CheckResult:
     name: str
     passed: bool
     residual: float | None = None
-    tolerance: float | None = None
     witness: object = None
     note: str = ""
 
@@ -18,8 +17,6 @@ class CheckResult:
         out = {"name": self.name, "pass": self.passed}
         if self.residual is not None:
             out["residual"] = self.residual
-        if self.tolerance is not None:
-            out["tolerance"] = self.tolerance
         if self.witness is not None:
             out["witness"] = self.witness
         if self.note:
@@ -31,16 +28,15 @@ class CheckResult:
 class VerificationReport:
     title: str
     checks: list[CheckResult] = field(default_factory=list)
-    info: dict = field(default_factory=dict)
 
-    def add(self, name, passed, residual=None, tolerance=None, witness=None, note=""):
-        self.checks.append(CheckResult(name, bool(passed), residual, tolerance, witness, note))
+    def add(self, name, passed, residual=None, witness=None, note=""):
+        self.checks.append(CheckResult(name, bool(passed), residual, witness, note))
         return self.checks[-1]
 
     def extend(self, other: "VerificationReport", prefix: str = ""):
         for c in other.checks:
-            self.checks.append(CheckResult(prefix + c.name, c.passed, c.residual,
-                                           c.tolerance, c.witness, c.note))
+            self.checks.append(CheckResult(prefix + c.name, c.passed, c.residual, c.witness,
+                                           c.note))
 
     @property
     def passed(self) -> bool:
@@ -51,22 +47,12 @@ class VerificationReport:
         vals = [c.residual for c in self.checks if c.residual is not None]
         return max(vals) if vals else 0.0
 
-    def to_dict(self):
-        return {
-            "title": self.title,
-            "pass": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-            **({"info": self.info} if self.info else {}),
-        }
-
     def __str__(self):
         lines = [f"== {self.title}: {'PASS' if self.passed else 'FAIL'}"]
         for c in self.checks:
             bits = [f"[{'pass' if c.passed else 'FAIL'}] {c.name}"]
             if c.residual is not None:
                 bits.append(f"residual={c.residual:.3g}")
-            if c.tolerance is not None:
-                bits.append(f"tol={c.tolerance:.3g}")
             if c.witness is not None and not c.passed:
                 bits.append(f"witness={c.witness}")
             if c.note:

@@ -26,7 +26,6 @@ from .groups import FinAbGroup, GroupElement, Quotient, Subgroup, double_image, 
 from .isotropy import is_isotropic, polar
 from .models import (
     BLOCK_ENTRIES,
-    DEFAULT_TOL,
     ProjectiveRep,
     _character_walk,
     _orbit_characters,
@@ -40,6 +39,7 @@ from .phases import HALF, Phase, ZERO
 from .reports import VerificationReport
 
 SV_ZERO = 1e-8     # norms and singular values at or below this count as zero
+DEFAULT_TOL = 1e-9     # generated_subspace's bound on its float projector checks
 
 
 def _orthonormal_columns(M: np.ndarray, tol: float = SV_ZERO) -> np.ndarray:
@@ -494,7 +494,7 @@ class DescendedRep:
         return commutant_d(self.rep0)
 
 
-def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> DescendedRep:
+def descend(W: ProjectiveRep, L: Subgroup) -> DescendedRep:
     """Restrict W to the vacuum space and factor it through V2 = (L/2)/L.
 
     W0(v) = W(s(v))|_{H^L} for the rank-minimal section s.  W(s) commutes with
@@ -535,7 +535,7 @@ def descend(W: ProjectiveRep, L: Subgroup, tol: float = DEFAULT_TOL) -> Descende
     rep0 = ProjectiveRep(V2, m0, B0.shape[1], lambda Y: (SRC0[V2.ranks_of(Y)], NUM0[V2.ranks_of(Y)]),
                          den0, label="descended")
 
-    law = check_rep_law(rep0, tolerance=tol)
+    law = check_rep_law(rep0)
     report.extend(law, prefix="W0 ")
     if not law.passed:
         raise DefectError("descended operators violate the representation law for m0")

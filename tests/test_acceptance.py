@@ -87,7 +87,7 @@ def test_criterion_03_fermionic_relations():
     worst = 0.0
     for k, d in itertools.product((1, 2), (1, 2)):
         w = window(2, k, d)
-        D = descend(window_model(2, k, d), w.L, tol=TOL)
+        D = descend(window_model(2, k, d), w.L)
         C = clifford_basis(D)
         worst = max(worst, C.max_residual)
         ok &= C.max_residual <= TOL
@@ -283,8 +283,8 @@ def test_criterion_06_rep_law_and_commutator():
     models.append(("window(3,1,2)", wm))
     for name, W in models:
         n = W.group.order
-        law = check_rep_law(W, tolerance=TOL, samples=4000)
-        comm = commutator_scalar_check(W, tolerance=TOL, samples=4000)
+        law = check_rep_law(W, samples=4000)
+        comm = commutator_scalar_check(W, samples=4000)
         ok &= law.passed and comm.passed
         mode = "exhaustive" if n <= 512 else "sampled"
         details.append(f"{name}:{mode}")
@@ -366,7 +366,7 @@ def test_criterion_09_descended_multiplier_match():
     ok = True
     for k, d in itertools.product((1, 2), (1, 2)):
         w = window(2, k, d)
-        D = descend(window_model(2, k, d), w.L, tol=TOL)
+        D = descend(window_model(2, k, d), w.L)
         p_half = 2 ** (k - 1)
         gens = [w.group.element([p_half if j == i else 0 for j in range(2 * d)])
                 for i in range(2 * d)]
@@ -393,7 +393,7 @@ def test_criterion_10_negative_scope_checks():
         w = window(*key)
         W = window_model(*key)
         cd = commutant_d(W)
-        D = descend(W, w.L, tol=TOL)
+        D = descend(W, w.L)
         cd0 = commutant_d(D.rep0)
         ok &= cd > 1 and cd0 == 1
         details.append(f"{key}: window commutant={cd}, descended={cd0}")

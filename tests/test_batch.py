@@ -159,14 +159,14 @@ def per_coset_operators(G, m, A, c):
     with r_j the transversal element of its coset and a in A.
     """
     reps = A.transversal()
-    pos = {A.coset_key(r): i for i, r in enumerate(reps)}
+    pos = {(r + a).coords: i for i, r in enumerate(reps) for a in A.elements()}
     den = lcm(m.den, c.den)
     ops = []
     for y in G.elements():
         src, num = [], []
         for r in reps:
             z = r + y
-            j = pos[A.coset_key(z)]
+            j = pos[z.coords]
             a = z - reps[j]
             src.append(j)
             num.append((m(r, y) - m(a, reps[j]) - c(a)).numerator_at(den))
@@ -371,15 +371,14 @@ def test_elements_match_bfs_examples(moduli, gens):
 @settings(max_examples=100, deadline=None)
 @given(A=subgroups())
 def test_box_codes_label_cosets(A):
-    # one code per coset key, codes fill [0, |G/A|), and the transversal holds
-    # the rank-minimal element of every coset
+    # one code per coset, labelled by its rank-minimal element, codes fill [0, |G/A|),
+    # and the transversal holds the rank-minimal element of every coset
     G = A.ambient
     codes = A.box_codes(G.coords_array()).tolist()
-    keys = [A.coset_key(x) for x in G.elements()]
+    keys = [coset_minimum(A, x).coords for x in G.elements()]
     assert len(set(zip(codes, keys))) == len(set(codes)) == len(set(keys)) == A.index
     assert sorted(set(codes)) == list(range(A.index))
-    assert [x.coords for x in A.transversal()] == sorted(
-        {coset_minimum(A, x).coords for x in G.elements()}, key=G.rank_of)
+    assert [x.coords for x in A.transversal()] == sorted(set(keys), key=G.rank_of)
 
 
 def coset_minimum(A, x):

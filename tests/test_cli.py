@@ -184,6 +184,12 @@ UNREAD_FIELDS = {
                          "model": {"type": "window", "p": 2, "k": 1, "d": 1,
                                    "subgroup": {"generators": [[2, 0], [0, 2]]}}},
                         "model: unknown fields ['subgroup']"),
+    # every verdict is exact, so nothing reads a tolerance
+    "tolerance": ({"task": "svn", "group": {"moduli": [9, 9]},
+                   "multiplier": {"type": "bicharacter", "B": [["0", "1/9"], ["-1/9", "0"]]},
+                   "subgroups": [{"generators": [[3, 0], [0, 3]]}, {"generators": [[1, 0]]}],
+                   "tolerance": 1e-7},
+                  "scenario: unknown fields ['tolerance']"),
 }
 
 
@@ -295,6 +301,25 @@ def test_svn_distinct_subgroups_z9(tmp_path, capsys):
     assert code == 0
     assert rep["summary"]["intertwiner_dimension"] == 1
     assert rep["summary"]["unitary_defect"] <= 1e-9
+
+
+def test_svn_z9_decides_unitarity_exactly(capsys):
+    # Schur's lemma decides the record: its residual is 0.0, and no report field
+    # carries a tolerance
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "svn_z9.json"
+    code, rep = run(capsys, ["svn", "--scenario", str(scenario)])
+    assert code == 0 and rep["summary"]["unitary_defect"] == 0.0
+    assert rep["checks"][-1] == {"name": "normalized intertwiner unitary", "pass": True,
+                                 "residual": 0.0}
+    assert list(rep) == ["task", "seed", "versions", "summary", "checks", "pass", "timings"]
+    assert not any("tolerance" in c for c in rep["checks"])
+
+
+def test_tolerance_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["padic", "--p", "3", "--k", "1", "--d", "1", "--tolerance", "1e-7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance 1e-7" in capsys.readouterr().err
 
 
 def test_svn_rejects_non_maximal(tmp_path, capsys):
@@ -412,9 +437,9 @@ def test_defect_report_carries_provenance(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setitem(cli.RUNNERS, "padic", defect)
     code, rep = run(capsys, ["padic", "--p", "3", "--k", "1", "--d", "1",
-                             "--seed", "7", "--tolerance", "1e-7"])
+                             "--seed", "7"])
     assert code == 1
-    assert rep == {"task": "padic", "seed": 7, "tolerance": 1e-7,
+    assert rep == {"task": "padic", "seed": 7,
                    "versions": {"weylkit": __version__, "numpy": np.__version__},
                    "pass": False, "defect": "forced defect", "witness": [1, 2]}
 

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from weylkit.intmat import box_reduce, column_hnf, smith_decompose, solve_lower_triangular
+from weylkit.groups import _box_reduce
+from weylkit.intmat import column_hnf, smith_decompose, solve_lower_triangular
 
 
 def mat_mul(A, B):
@@ -97,11 +99,15 @@ def test_hnf_shape():
 
 
 def test_box_reduce_is_canonical():
-    H = [[2, 0], [1, 3]]
+    H = np.array([[2, 0], [1, 3]])
+
+    def key(x):
+        return tuple(_box_reduce(np.array([x]), H)[0].tolist())
+
     seen = set()
     for x in range(2):
         for y in range(3):
-            seen.add(box_reduce(H, [x, y]))
+            seen.add(key([x, y]))
     assert len(seen) == 6
     # shifting by lattice vectors does not change the key
-    assert box_reduce(H, [5, 7]) == box_reduce(H, [5 + 2, 7 + 1])
+    assert key([5, 7]) == key([5 + 2, 7 + 1])
