@@ -168,7 +168,7 @@ def run_verify(scenario, args):
     _expect_keys(scenario, "scenario", {"task", "group", "multiplier"}, {"seed"})
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
-    rep = check_multiplier(m, seed=args.seed)
+    rep = check_multiplier(m)
     summary = {"backing": m.backing(), "group": list(G.moduli)}
     if rep.passed:
         summary["is_heisenberg"] = is_heisenberg(m)

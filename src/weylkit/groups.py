@@ -321,18 +321,6 @@ class Subgroup:
         self.elements()
         return self._grid
 
-    def box_codes(self, X: np.ndarray) -> np.ndarray:
-        """Coset codes of the (c x rank) int64 coordinate rows X, as a length-c array.
-
-        Each row is box-reduced against the lattice basis (``_box_reduce``),
-        and the reduced row, with entries in [0, H_ii), is read in mixed radix
-        over diag(H).  The code lies in [0, |G/A|) because prod H_ii = |G/A|,
-        and two rows share a code exactly when they share a coset.
-        """
-        H = np.array(self.basis, dtype=np.int64).reshape(len(self.basis), self.ambient.rank)
-        diag = np.diag(H)
-        return _box_reduce(X, H) @ (np.cumprod(diag) // diag)       # radix prod_{j<i} H_jj
-
     def _reversed_hnf(self) -> np.ndarray:
         """Column HNF of A's lattice with the coordinates in reversed order (cached)."""
         if self._rhnf is None:
@@ -351,7 +339,6 @@ class Subgroup:
         reduced element is the coset's rank-minimal one, and the box
         prod [0, H'_ii) holds exactly one element per coset.  Listed in mixed
         radix, the box is in rank order: |G/A| steps, whatever |G| is.
-        ``box_codes`` keeps the forward HNF.
         """
         if self._transversal is None:
             check_budget("subgroup index", self.index)
@@ -529,13 +516,13 @@ class Quotient:
         """(|B/A| x r) rank-minimal representatives, in quotient rank order (cached).
 
         A's transversal holds the rank-minimal element of every A-coset of G,
-        and those with B-box code 0 are the cosets in B: one ``project_coords``
-        pass places them.  |G/A| steps, counted against ``ENTRY_BUDGET``; B is
-        never listed.
+        and those whose B-coset index is 0 are the cosets in B: one
+        ``project_coords`` pass places them.  |G/A| steps, counted against
+        ``ENTRY_BUDGET``; B is never listed.
         """
         if self._sections is None:
             T = self.denominator.transversal_coords()
-            T = T[self.numerator.box_codes(T) == 0]
+            T = T[self.numerator.coset_index(T) == 0]
             self._sections = np.empty_like(T)
             self._sections[self.group.ranks_of(self.project_coords(T))] = T
         return self._sections

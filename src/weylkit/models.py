@@ -44,6 +44,7 @@ class Operator:
     __slots__ = ("dim", "den", "src", "num")
 
     def __init__(self, dim: int, den: int, src, num):
+        check_int64(f"an operator numerator over {den}", den - 1)
         self.dim = dim
         self.den = den
         self.src = np.asarray(src, dtype=np.intp)
@@ -56,6 +57,12 @@ class Operator:
         """num over ``den``, a multiple of self.den."""
         return self.num * (den // self.den)
 
+    def _common_den(self, den: int) -> int:
+        """lcm(self.den, den), refused unless a sum of two numerators over it fits int64."""
+        d = lcm(self.den, den)
+        check_int64(f"a sum of operator numerators over {d}", 2 * (d - 1))
+        return d
+
     def _phases(self) -> np.ndarray:
         return np.exp(2j * np.pi * self.num / self.den)
 
@@ -67,11 +74,11 @@ class Operator:
         return M
 
     def compose(self, other: "Operator") -> "Operator":
-        d = lcm(self.den, other.den)
+        d = self._common_den(other.den)
         return Operator(self.dim, d, other.src[self.src], self._num_at(d) + other._num_at(d)[self.src])
 
     def scaled(self, ph: Phase) -> "Operator":
-        d = lcm(self.den, ph.den)
+        d = self._common_den(ph.den)
         return Operator(self.dim, d, self.src, self._num_at(d) + ph.numerator_at(d))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -80,7 +87,7 @@ class Operator:
         return ph * X[self.src] if X.ndim == 1 else ph[:, None] * X[self.src, :]
 
     def equals(self, other: "Operator") -> bool:
-        d = lcm(self.den, other.den)
+        d = self._common_den(other.den)
         return bool((self.src == other.src).all() and
                     ((self._num_at(d) - other._num_at(d)) % d == 0).all())
 
@@ -112,7 +119,7 @@ class ProjectiveRep:
     within ``ENTRY_BUDGET``.  The multiplier must be a verified cocycle (else
     ``PreconditionError``) and W(0) exactly 1 (else ``DefectError``): then
     the pairs that present C^m[G] decide the law (``_presentation_fails``),
-    and the rep keeps that verdict once its rows are kept (``law_holds``).
+    and the rep keeps that verdict once a law check has read it (``law_holds``).
     """
 
     def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, fn, den: int,
@@ -128,7 +135,7 @@ class ProjectiveRep:
         self.den = den
         self.label = label or f"rep(dim={dim})"
         self._arrays = None
-        self._law = None        # (first failing pair of P, or None) once decided on the kept rows
+        self._law = None        # (first failing pair of P, or None) once a law check decided it
         if not self.operator(group.zero()).equals(identity_operator(dim)):
             raise DefectError("W(0) is not the identity")
 
@@ -136,7 +143,7 @@ class ProjectiveRep:
     def law_holds(self):
         """The kept verdict of W's law at the pairs P (see ``check_rep_law``): True when it
         holds, so W(x) W(y) = e(m(x, y)) W(x + y) at every pair, False when it fails, and
-        None while no law check has decided it on kept rows."""
+        None while no law check has decided it."""
         return None if self._law is None else self._law[0] is None
 
     def rows(self, Y):
@@ -418,13 +425,14 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup, c: PhaseMap | None 
 def check_rep_law(W: ProjectiveRep, samples: int = 20_000, seed: int = 0) -> VerificationReport:
     """W(x) W(y) = e(m(x, y)) W(x + y): exactly over all pairs, or over a seeded sample.
 
-    Exact whenever W's ``monomial_arrays`` fit their budget: m is a verified
-    cocycle and W(0) = 1, both checked when W is built, so W at the pairs P
-    that present the twisted group algebra C^m[G] decides it, sum_l n_1 ...
-    n_l + r(r - 1)/2 pairs read from the kept rows (see ``_check_pairs`` and
-    ``_presentation_fails``).  The rows are kept on W and the verdict at P
-    too, so later readers of W gather from those rows without calling its
-    formula, and a later ``commutator_scalar_check`` reads no pair of P.
+    Exact whenever W's ``monomial_arrays`` fit their budget or P holds at most
+    ``samples`` pairs: m is a verified cocycle and W(0) = 1, both checked when
+    W is built, so W at the pairs P that present the twisted group algebra
+    C^m[G] decides it, sum_l n_1 ... n_l + r(r - 1)/2 pairs (see
+    ``_check_pairs`` and ``_presentation_fails``).  Rows that fit are kept on
+    W, and the verdict at P too, so later readers of W gather from those rows
+    without calling its formula, and a later ``commutator_scalar_check``
+    reads no pair of P.
     """
     rep = VerificationReport(f"representation law for {W.label}")
     _check_pairs(rep, "law", W, False, samples, seed)
@@ -448,14 +456,14 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
     m~ = ``antisymmetrize(m)``.  One kernel, ``_pairs_hold``, decides each
     pair exactly and measures the distance of the two sides at failing pairs.
     1. When W's ``monomial_arrays`` (|G| dim entries) fit ``ENTRY_BUDGET``,
-       the pairs P of the presentation of C^m[G] decide the law
-       (``_presentation_fails``), once per rep: W keeps the verdict.
-       Witness: the first failing pair of P.
+       or when P holds at most ``samples`` pairs, the pairs P of the
+       presentation of C^m[G] decide the law (``_presentation_fails``), once
+       per rep: W keeps the verdict.  Witness: the first failing pair of P.
        A law that holds decides the commutator too, as then
        W(x) W(y) = e(m(x, y)) W(x + y) = e(m~(x, y)) W(y) W(x).
-    2. The commutator of a rep whose law fails at P, when |G|^2 passes the
-       budget: the pairs (x, g), g a generator, x in rank order.  Witness:
-       the first failing (x, g), g in generator order.
+    2. The commutator of a rep whose law fails at P, when W's rows are kept
+       and |G|^2 passes the budget: the pairs (x, g), g a generator, x in
+       rank order.  Witness: the first failing (x, g), g in generator order.
     3. Otherwise, or when every such (x, g) holds: all |G|^2 pairs when at
        most ``samples``, or when W's rows are kept and |G|^2 fits the
        budget, each x against every y in one run; else a seeded sample.
@@ -471,13 +479,15 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
     decided = kept = W.fits_arrays()
     if kept:
         W.monomial_arrays()     # kept, so _pairs_hold reads the rows by rank
-        if W._law is None:      # P is read once per rep, by whichever check comes first
-            W._law = (_presentation_fails(W),)
+    runs = [n_l * w for n_l, w in zip(G.moduli, G._weights) if n_l > 1]    # n_1 ... n_l
+    if W._law is None and (kept or sum(runs) + len(runs) * (len(runs) - 1) // 2 <= samples):
+        W._law = (_presentation_fails(W),)      # P is read once per rep, by the first check
+    if W._law is not None:
         fail, = W._law
         if fail is not None and not swapped:
             bad, dist = [fail[:2]], [fail[2]]
         decided = fail is None or not swapped
-        if not decided and n * n > ENTRY_BUDGET:
+        if not decided and kept and n * n > ENTRY_BUDGET:
             X = G.coords_array()
             for g in G.generators():
                 ok, gdist = _pairs_hold(W, phase, True, X, X[g.rank:g.rank + 1])
@@ -506,7 +516,7 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
 
 
 def _presentation_fails(W: ProjectiveRep):
-    """The first pair of P, in P's order, at which W's kept rows break
+    """The first pair of P, in P's order, at which W's rows, kept or not, break
     W(x) W(y) = e(m(x, y)) W(x + y), m W's multiplier: ranks (x, g_l), g_l a
     generator, and the distance of the two sides there (``_pairs_hold``).
     None when every pair of P holds, and then so does the law.

@@ -23,13 +23,11 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import (ENTRY_BUDGET, DefectError, InputError, PreconditionError,
+from .errors import (DefectError, InputError, PreconditionError,
                      UnsupportedOperationError, check_budget, check_int64)
 from .groups import FinAbGroup, GroupElement, Subgroup, congruence_solution_subgroup
 from .phases import Phase, ZERO, as_phase
 from .reports import VerificationReport
-
-SAMPLED_TRIPLES = 100_000
 
 
 class PhaseMap:
@@ -167,8 +165,8 @@ class Bicharacter(Multiplier):
     """Phase-valued bilinear form b(x, y) = sum_ij x_i B_ij y_j on a finite abelian group.
 
     A bilinear form is a normalized cocycle identically, and the constructor
-    checks every entry against the moduli, so it is a verified multiplier by
-    construction: ``ensure_verified`` has nothing to do.
+    checks every entry against the moduli (``_ill_defined``), so it is a
+    verified multiplier by construction: ``ensure_verified`` has nothing to do.
     """
 
     _backing = "bicharacter"
@@ -178,13 +176,11 @@ class Bicharacter(Multiplier):
         self._verified = True
         r = group.rank
         matrix = tuple(tuple(matrix[i][j] for j in range(r)) for i in range(r))
-        for i in range(r):
-            for j in range(r):
-                b = matrix[i][j]
-                if (group.moduli[i] * b) or (group.moduli[j] * b):
-                    raise InputError(
-                        f"entry B[{i}][{j}]={b} is not killed by the moduli; "
-                        "the form is not well defined on the group")
+        bad = _ill_defined(group, matrix)
+        if bad is not None:
+            i, j = bad
+            raise InputError(f"entry B[{i}][{j}]={matrix[i][j]} is not killed by the moduli; "
+                             "the form is not well defined on the group")
         self.matrix = matrix
         self._den = lcm(*(b.den for row in matrix for b in row)) if r else 1
         nums = [[b.numerator_at(self._den) for b in row] for row in matrix]
@@ -348,99 +344,73 @@ class TableMultiplier(Multiplier):
 # operations
 
 
-def check_multiplier(m: Multiplier, *, triples: int = SAMPLED_TRIPLES,
-                     seed: int = 0) -> VerificationReport:
-    """Verify normalization and the cocycle identity, exactly.
+def _ill_defined(G: FinAbGroup, matrix):
+    """The first entry (i, j) of B, row by row, that n_i or n_j does not kill, or None: then
+    x . B . y is well defined on G, so a bilinear form on G and a normalized cocycle."""
+    n = G.moduli
+    return next(((i, j) for i, row in enumerate(matrix) for j, b in enumerate(row)
+                 if n[i] * b or n[j] * b), None)
 
-    Exhaustive over all |G|^3 triples when the |G|^2 table fits ``ENTRY_BUDGET``,
-    by vectorised integer arithmetic; above it a seeded sample of at least ``triples``
-    triples is tested.  On failure the report carries a witness triple.
 
-    The exhaustive check is Light's associativity test with the generator in
-    the middle: it tests dm(y, g, z) = m(y+g, z) + m(y, g) - m(y, g+z) - m(g, z)
-    = 0 over all (y, z) only for the generators g of G, at most rank |G|^2
-    triples, which decide all |G|^3.  In C^m[G], with
-    [x][y] = e(m(x, y)) [x + y], dm(y, g, z) = 0 says ([y][g])[z] = [y]([g][z]).
-    The basis elements [a] with ([x][a])[y] = [x]([a][y]) for all x, y are
-    closed under products, as scalars pass through: for two of them, a and b,
+def check_multiplier(m: Multiplier) -> VerificationReport:
+    """Verify normalization and the cocycle identity, exactly and without sampling.
+
+    A ``Bicharacter`` is decided on its r x r matrix: the matrix is a bilinear
+    form on G, so a normalized cocycle, exactly when it is well defined on G,
+    and both records read that condition (``_ill_defined``).  No table is
+    built and no triple is read, at any group order.
+
+    Any other multiplier is decided on its numerator table (``num_table``, so
+    past ``ENTRY_BUDGET`` its ``ResourceLimitError``): normalization on the
+    row and column of 0, the cocycle identity by Light's associativity test
+    with the generator in the middle.  It tests dm(y, g, z) = m(y+g, z) +
+    m(y, g) - m(y, g+z) - m(g, z) = 0 over all (y, z) only for the generators
+    g of G, at most rank |G|^2 triples, which decide all |G|^3.  In C^m[G],
+    with [x][y] = e(m(x, y)) [x + y], dm(y, g, z) = 0 says
+    ([y][g])[z] = [y]([g][z]).  The basis elements [a] with
+    ([x][a])[y] = [x]([a][y]) for all x, y are closed under products, as
+    scalars pass through: for two of them, a and b,
     ([x]([a][b]))[y] = (([x][a])[b])[y] = ([x][a])([b][y]) = [x]([a]([b][y]))
     = [x](([a][b])[y]), moving brackets by a, b, a and b.  Sums of the
     generators reach every element of G, 0 = n_1 g_1 included, and the one
     triple of the trivial group associates, so every triple does.  Each
     y + g is a row and a column permutation of the reduced numerator table,
     so dm lies in (-2 den, 2 den) and vanishes mod den exactly when it is
-    -den, 0 or den.  Only when that test fails is ``FinAbGroup.addition_table``
-    built, for the full scan over z that reports the first bad triple in
-    z-major order as the witness.
+    -den, 0 or den.  The witness is the test's own first failing triple
+    (y, g, z): g in generator order, then y and z in rank order.
     """
     G = m.group
+    rep = VerificationReport(f"multiplier on {G!r} ({m.backing()})")
+    if m.bichar is not None:
+        bad = _ill_defined(G, m.bichar.matrix)
+        note = f"bilinear, well defined on G: decided on its {G.rank} x {G.rank} matrix"
+        rep.add("normalization", bad is None, witness=bad, note=note)
+        rep.add("cocycle", bad is None, witness=bad, note=note)
+        return rep
     # dm sums two numerators before it subtracts two
     check_int64(f"a cocycle sum over {m.den}", 2 * (m.den - 1))
-    rep = VerificationReport(f"multiplier on {G!r} ({m.backing()})")
+    den, num = m.num_table()
     n = G.order
-    if n * n <= ENTRY_BUDGET:
-        den, num = m.num_table()
-        zr = G.zero().rank
-        norm_ok = not num[zr, :].any() and not num[:, zr].any()
-        wit = None
-        if not norm_ok:
-            bad = int(np.flatnonzero(num[zr, :])[0]) if num[zr, :].any() else \
-                int(np.flatnonzero(num[:, zr])[0])
-            wit = G.coords_of(bad)
-        rep.add("normalization", norm_ok, witness=wit)
+    edge = np.flatnonzero(np.concatenate([num[0], num[:, 0]]))     # the row of 0, then its column
+    wit = G.coords_of(int(edge[0]) % n) if edge.size else None
+    rep.add("normalization", wit is None, witness=wit)
 
-        X = G.coords_array()
-        moduli = np.array(G.moduli, dtype=np.int64)
-
-        def associates(g) -> bool:
-            # dm(y, g, z) over the (y, z) grid; take keeps the column gather C-ordered
-            p = G.ranks_of((X + np.array(g.coords, dtype=np.int64)) % moduli)    # rank(y + g)
-            dm = num.take(p, axis=0)            # m(y+g, z)
-            dm -= num.take(p, axis=1)           # m(y, g+z)
-            dm += num[:, g.rank, None]
-            dm -= num[g.rank]
-            return bool(((dm == 0) | (dm == den) | (dm == -den)).all())
-
-        witness = None
-        if not all(associates(g) for g in G.generators()):
-            S = G.addition_table()
-            for z in range(n):
-                lhs = num[S, z] + num                             # m(x+y, z) + m(x, y)
-                rhs = num[:, S[:, z]] + num[:, z][None, :]        # m(x, y+z) + m(y, z)
-                bad = np.argwhere((lhs - rhs) % den != 0)
-                if bad.size:
-                    x, y = map(int, bad[0])
-                    witness = (G.coords_of(x), G.coords_of(y), G.coords_of(z))
-                    break
-        rep.add("cocycle", witness is None, witness=witness,
-                note=f"exhaustive over {n}^3 triples")
-        return rep
-
-    # sampled path (structured backings only; tables are capped by construction)
-    rng = np.random.default_rng(seed)
+    X = G.coords_array()
     moduli = np.array(G.moduli, dtype=np.int64)
-    den = m.den
-
-    def sample(k):
-        return rng.integers(0, moduli, size=(k, G.rank), dtype=np.int64)
-
-    zeros = np.zeros((triples // 10, G.rank), dtype=np.int64)
-    xs = sample(triples // 10)
-    norm = (m.pair_nums(xs, zeros) % den).any() or (m.pair_nums(zeros, xs) % den).any()
-    rep.add("normalization", not norm, note="sampled")
-
-    X, Y, Z = sample(triples), sample(triples), sample(triples)
-    XY = (X + Y) % moduli
-    YZ = (Y + Z) % moduli
-    lhs = (m.pair_nums(XY, Z) + m.pair_nums(X, Y)) % den
-    rhs = (m.pair_nums(X, YZ) + m.pair_nums(Y, Z)) % den
-    bad = np.flatnonzero(lhs != rhs)
     witness = None
-    if bad.size:
-        i = int(bad[0])
-        witness = (tuple(X[i]), tuple(Y[i]), tuple(Z[i]))
-    rep.add("cocycle", witness is None, witness=witness,
-            note=f"sampled {triples} triples, seed={seed}")
+    for g in G.generators():
+        # dm(y, g, z) over the (y, z) grid; take keeps the column gather C-ordered
+        p = G.ranks_of((X + np.array(g.coords, dtype=np.int64)) % moduli)    # rank(y + g)
+        dm = num.take(p, axis=0)            # m(y+g, z)
+        dm -= num.take(p, axis=1)           # m(y, g+z)
+        dm += num[:, g.rank, None]
+        dm -= num[g.rank]
+        ok = (dm == 0) | (dm == den) | (dm == -den)
+        if not ok.all():
+            y, z = divmod(int(np.argmin(ok)), n)
+            witness = (G.coords_of(y), g.coords, G.coords_of(z))
+            break
+    rep.add("cocycle", witness is None, witness=witness, note=f"exhaustive over {n}^3 triples")
     return rep
 
 
@@ -453,14 +423,15 @@ def antisymmetrize(m: Multiplier) -> Bicharacter:
     m~(x + x', y) = m~(x, y) + m~(x', y).  So the matrix
     B_ij = m(g_i, g_j) - m(g_j, g_i) decides m~ everywhere.  It is alternating
     by construction, and n_j B_ij = m~(g_i, n_j g_j) = 0, so it is well
-    defined on G.  Read with one ``pair_grid`` over the reduced unit rows;
-    computed once per multiplier and kept on it.
+    defined on G.  Read with one ``pair_grid`` over the reduced unit rows, or
+    off a form's numerator matrix; computed once per multiplier and kept on it.
     """
     if m._antisym is None:
         m.ensure_verified()
         G = m.group
         E = np.eye(G.rank, dtype=np.int64) % np.array(G.moduli, dtype=np.int64)
-        N = m.pair_grid(E, E)
+        # a form's matrix is its values at the unit pairs, without pair_grid's int64 bound on G
+        N = m.pair_grid(E, E) if m.bichar is None else m.bichar._cnum
         m._antisym = Bicharacter(G, [[Phase(b, m.den) for b in row] for row in (N - N.T).tolist()])
     return m._antisym
 

@@ -21,7 +21,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import DefectError, InputError, PreconditionError, check_budget
+from .errors import DefectError, InputError, PreconditionError, check_budget, check_int64
 from .groups import FinAbGroup, GroupElement, Quotient, Subgroup, double_image, double_preimage, subquotient
 from .isotropy import is_isotropic, polar
 from .models import (
@@ -358,7 +358,7 @@ def normalizer_check(S: SectorDecomposition) -> VerificationReport:
     by_generators = W.law_holds and _normalizer_by_generators(S, L2, twoL, pairs, form is not None)
     if not by_generators or form is None:
         X = G.coords_array()
-        inL2 = L2.box_codes(X) == 0
+        inL2 = L2.coset_index(X) == 0
     if not by_generators:
         maps, start = [], 0
         for rows in W.blocks():
@@ -559,9 +559,11 @@ def descend(W: ProjectiveRep, L: Subgroup) -> DescendedRep:
 
 
 def _descended_multiplier(m, V2: FinAbGroup, sections) -> TableMultiplier:
-    """m0(v, w) = m(s_v, s_w) + m(s_v + s_w - s_{v+w}, s_{v+w}) over all pairs, in one pass."""
+    """m0(v, w) = m(s_v, s_w) + m(s_v + s_w - s_{v+w}, s_{v+w}) over all pairs, in one pass;
+    the sum of two numerators over m.den must fit int64 (else ``InputError``)."""
     k = V2.order
     check_budget("table entries", k * k)
+    check_int64(f"a descended numerator over {m.den}", 2 * (m.den - 1))
     r = m.group.rank
     Sc = np.array([s.coords for s in sections], dtype=np.int64).reshape(k, r)
     Z = Sc[V2.addition_table()]

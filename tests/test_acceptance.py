@@ -156,7 +156,9 @@ def test_criterion_04_exact_algebra_suite():
         G = _random_group(rng)
         b = _random_bicharacter(rng, G)
         m = b
+        # the form is decided on its matrix; its table goes through Light's test and pair_grid
         ok &= check_multiplier(m).passed
+        ok &= check_multiplier(TableMultiplier.from_multiplier(b)).passed
         mt = antisymmetrize(m)
         ok &= mt.is_alternating
         x = G.element([rng.randrange(0, n) for n in G.moduli])

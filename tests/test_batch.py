@@ -370,15 +370,16 @@ def test_elements_match_bfs_examples(moduli, gens):
 
 @settings(max_examples=100, deadline=None)
 @given(A=subgroups())
-def test_box_codes_label_cosets(A):
-    # one code per coset, labelled by its rank-minimal element, codes fill [0, |G/A|),
-    # and the transversal holds the rank-minimal element of every coset
+def test_coset_index_labels_cosets(A):
+    # one index per coset, labelled by its rank-minimal element, indices fill [0, |G/A|),
+    # the transversal holds the rank-minimal element of every coset, and index 0 is A
     G = A.ambient
-    codes = A.box_codes(G.coords_array()).tolist()
+    codes = A.coset_index(G.coords_array()).tolist()
     keys = [coset_minimum(A, x).coords for x in G.elements()]
     assert len(set(zip(codes, keys))) == len(set(codes)) == len(set(keys)) == A.index
     assert sorted(set(codes)) == list(range(A.index))
     assert [x.coords for x in A.transversal()] == sorted(set(keys), key=G.rank_of)
+    assert [c == 0 for c in codes] == [A.contains(x) for x in G.elements()]
 
 
 def coset_minimum(A, x):
@@ -387,9 +388,9 @@ def coset_minimum(A, x):
 
 
 def scan_transversal(A):
-    """Oracle: box codes of every element of G in rank order; the first hit of each code."""
+    """Oracle: coset indices of every element of G in rank order; the first hit of each."""
     G = A.ambient
-    _, first = np.unique(A.box_codes(G.coords_array()), return_index=True)
+    _, first = np.unique(A.coset_index(G.coords_array()), return_index=True)
     return G.coords_array()[np.sort(first)]
 
 

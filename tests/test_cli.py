@@ -95,6 +95,19 @@ def test_verify_oversized_denominator_exits_2(tmp_path, capsys, case):
     assert "beyond int64 arrays" in capsys.readouterr().err
 
 
+def test_verify_decides_a_bicharacter_past_int64_pair_sums(tmp_path, capsys):
+    # on (Z/3^21)^2, x . B . y reaches about 10^30, past int64; the form is decided on its
+    # matrix and its antisymmetrization read off it, so no pair is summed
+    n = 3 ** 21
+    sc = {"task": "verify", "group": {"moduli": [n, n]},
+          "multiplier": {"type": "bicharacter", "B": [["0", f"1/{n}"], [f"-1/{n}", "0"]]}}
+    code, rep = run(capsys, ["verify", "--scenario", write(tmp_path, "v.json", sc)])
+    assert code == 0 and rep["pass"] is True and rep["summary"]["is_heisenberg"] is True
+    assert [(c["name"], c["note"]) for c in rep["checks"]] == [
+        (name, "bilinear, well defined on G: decided on its 2 x 2 matrix")
+        for name in ("normalization", "cocycle")]
+
+
 def test_isotropy_task(tmp_path, capsys):
     sc = {
         "task": "isotropy",

@@ -352,7 +352,7 @@ def test_project_coords_is_a_homomorphism_with_kernel_A(pair):
     for shift in (1, 5):
         Y = np.roll(X, shift, axis=0)
         assert ((q.project_coords(X + Y) - P - q.project_coords(Y)) % moduli == 0).all()
-    assert ((P == 0).all(axis=1) == (A.box_codes(X) == 0)).all()
+    assert ((P == 0).all(axis=1) == (A.coset_index(X) == 0)).all()
     assert len({tuple(row) for row in P.tolist()}) == q.group.order
     # unreduced rows project as their reductions
     assert (q.project_coords(X + 3 * np.array(B.ambient.moduli, dtype=np.int64)) == P).all()

@@ -1250,6 +1250,61 @@ def test_lcm_of_two_denominators_is_bounded_by_int64(combine, dens, fits):
             combined()
 
 
+def _in_presentation(G, y, g):
+    """Whether (y, g) is a pair of P: a prefix pair (y, g_l) with y_{l+1} = ... = 0, or a
+    commutation pair (g_j, g_l) with j > l, for a generator g_l."""
+    units = [x.coords for x in G.generators()]
+    if g not in units:
+        return False
+    l = g.index(1)
+    return not any(y[l + 1:]) or (y in units and y.index(1) > l)
+
+
+def test_window_312_law_is_decided_at_its_presentation(monkeypatch):
+    # |G| dim = 6561 * 81 passes the row budget, but P holds 9 + 81 + 729 + 6561 + 6 = 7386
+    # pairs, fewer than the 20 000 samples: the law is decided exactly at P, streamed
+    # through the formula, and then the commutator follows from it without a pair
+    read = []
+    pairs_hold = models._pairs_hold
+
+    def counted(W, phase, swapped, X, Y):
+        read.append(max(len(X), len(Y)))
+        return pairs_hold(W, phase, swapped, X, Y)
+
+    monkeypatch.setattr(models, "_pairs_hold", counted)
+    W = fresh_rep(window_model(3, 1, 2))
+    G = W.group
+    law, = check_rep_law(W).checks
+    comm, = commutator_scalar_check(W).checks
+    assert sum(read) == 7386 and W._arrays is None and W.law_holds
+    for c in (law, comm):
+        assert c.passed and c.note == "exhaustive over 6561^2 pairs"
+    # a fault at a generator fails at a pair of P, which is the witness
+    F = W.with_override(G.element([0, 1, 0, 0]), identity_operator(W.dim))
+    fail, = check_rep_law(F).checks
+    assert not fail.passed and fail.note == "exhaustive over 6561^2 pairs"
+    assert _in_presentation(G, *fail.witness) and F.law_holds is False
+    # a sample no longer than P keeps the seeded tier
+    assert check_rep_law(fresh_rep(W), samples=7385).checks[0].note == "sampled 7385 pairs, seed=0"
+
+
+@pytest.mark.parametrize("site", ["init", "compose", "scaled", "equals"])
+def test_operator_numerators_are_bounded_by_int64(site):
+    # numerators over 2^64, or sums over the lcm of 2^61 - 1 and 2^31 - 1 (their product),
+    # are refused with InputError instead of a bare numpy OverflowError
+    a = Operator(2, 2 ** 61 - 1, [1, 0], [1, 2])
+    b = Operator(2, 2 ** 31 - 1, [0, 1], [3, 4])
+    act = {"init": lambda: Operator(2, 2 ** 64, [0, 1], [0, 0]),
+           "compose": lambda: a.compose(b),
+           "scaled": lambda: a.scaled(Phase(1, 2 ** 31 - 1)),
+           "equals": lambda: a.equals(b)}[site]
+    with pytest.raises(InputError, match="beyond int64"):
+        act()
+    # a common denominator whose sums fit is still exact
+    c = Operator(2, 2 ** 31 - 1, [1, 0], [5, 6])
+    assert b.compose(c).equals(Operator(2, 2 ** 31 - 1, [1, 0], [8, 10]))
+
+
 # -- operators --------------------------------------------------------------
 
 def test_monomial_dense_agreement(z9):

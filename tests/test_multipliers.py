@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit.errors import ENTRY_BUDGET, DefectError, InputError, PreconditionError, UnsupportedOperationError
+from weylkit.errors import (ENTRY_BUDGET, DefectError, InputError, PreconditionError,
+                            ResourceLimitError, UnsupportedOperationError)
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
 from weylkit.multipliers import (
     Bicharacter,
@@ -80,8 +81,10 @@ def test_large_moduli_exact_or_refused():
         b.pair_nums(XC, XC)
     with pytest.raises(InputError, match="int64"):
         b.pair_grid(XC, XC)
-    with pytest.raises(InputError, match="int64"):
-        check_multiplier(b)
+    # the form is decided on its matrix, which no int64 sum reads
+    rep = check_multiplier(b)
+    assert rep.passed and [c.note for c in rep.checks] == [
+        "bilinear, well defined on G: decided on its 2 x 2 matrix"] * 2
     # on (Z/3^19)^2 every x . B . y fits in int64, so arrays are still used
     small = FinAbGroup([3 ** 19, 3 ** 19])
     bs = Bicharacter(small, [[ZERO, Phase(1, 3 ** 19)], [ZERO, ZERO]])
@@ -135,12 +138,32 @@ def test_corrupted_table_fails_with_witness():
     rep = check_multiplier(bad)
     assert not rep.passed
     wit = next(c.witness for c in rep.checks if not c.passed)
-    assert wit is not None
-    xw = G.coords_of(x0)
-    assert any(tuple(w) == xw for w in wit)
+    # the corrupted cell is one of the four that dm(y, g, z) reads at the witness
+    y, g, z = (G.element(w) for w in wit)
+    read = {((y + g).rank, z.rank), (y.rank, g.rank), (y.rank, (g + z).rank), (g.rank, z.rank)}
+    assert (x0, y0) in read
 
 
 # -- the exhaustive cocycle check against the full scan ----------------------
+
+def light_oracle(G, den, num):
+    """The first triple (y, g, z) with dm(y, g, z) != 0 mod den by Python loops, in the
+    order of Light's test: g over the generators, then y, then z in rank order; None when
+    every such triple associates."""
+    els = [x.coords for x in G.elements()]
+    rank = {c: r for r, c in enumerate(els)}
+
+    def add(a, b):
+        return rank[tuple((u + v) % k for u, v, k in zip(els[a], els[b], G.moduli))]
+
+    m = num.tolist()
+    for g in (x.rank for x in G.generators()):
+        for y in range(G.order):
+            for z in range(G.order):
+                if (m[add(y, g)][z] + m[y][g] - m[y][add(g, z)] - m[g][z]) % den:
+                    return els[y], els[g], els[z]
+    return None
+
 
 def z_major_oracle(G, den, num):
     """(passed, witness) of the cocycle identity over all |G|^3 triples.
@@ -208,7 +231,8 @@ def test_cocycle_check_matches_full_scan(moduli, kind, seed):
     rep = check_multiplier(TableMultiplier(G, den, num))
     norm, cocycle = rep.checks
     assert cocycle.name == "cocycle"
-    assert (cocycle.passed, cocycle.witness) == z_major_oracle(G, den, num)
+    assert cocycle.passed == z_major_oracle(G, den, num)[0]
+    assert cocycle.witness == light_oracle(G, den, num)
     assert cocycle.note == f"exhaustive over {G.order}^3 triples"
     assert norm.passed == (not num[0].any() and not num[:, 0].any())
     if kind in ("cocycle", "unnormalized"):
@@ -245,8 +269,8 @@ def brute_force_oracle(G, den, num):
 @example(moduli=[16], kind="corrupted", seed=2)
 @example(moduli=[4, 1, 4], kind="constant", seed=3)
 def test_cocycle_check_matches_brute_force_oracle(moduli, kind, seed):
-    # Light's test at {0} and the generators decides the identity: verdict and witness
-    # match the |G|^3 loop, and a passing check never builds the addition table
+    # Light's test at {0} and the generators decides the identity: the verdict matches the
+    # |G|^3 loop, the witness is Light's own, and the addition table is never built
     G = FinAbGroup(moduli)
     den, num = drawn_table(G, kind, np.random.default_rng(seed))
     m = TableMultiplier(G, den, num)
@@ -255,11 +279,89 @@ def test_cocycle_check_matches_brute_force_oracle(moduli, kind, seed):
         mp.setattr(FinAbGroup, "addition_table",
                    lambda self, table=FinAbGroup.addition_table: built.append(1) or table(self))
         cocycle = check_multiplier(m).checks[-1]
-    assert (cocycle.passed, cocycle.witness) == brute_force_oracle(G, den, num)
+    assert cocycle.passed == brute_force_oracle(G, den, num)[0]
+    assert cocycle.witness == light_oracle(G, den, num)
     assert cocycle.note == f"exhaustive over {G.order}^3 triples"
-    assert built == ([] if cocycle.passed else [1])
+    assert built == []
     if kind != "corrupted":
         assert cocycle.passed
+
+
+def _dm(G, num, y, g, z):
+    """dm(y, g, z) over the table's denominator, by rank."""
+    def add(a, b):
+        return G.rank_of(tuple((u + v) % k for u, v, k in zip(G.coords_of(a), G.coords_of(b),
+                                                               G.moduli)))
+    return int(num[add(y, g), z] + num[y, g] - num[y, add(g, z)] - num[g, z])
+
+
+@settings(max_examples=60, deadline=None)
+@given(moduli=st.lists(st.sampled_from([1, 2, 3, 4, 6, 8]), max_size=3)
+       .filter(lambda ms: prod(ms) <= 24),
+       kind=st.sampled_from(["cocycle", "unnormalized", "corrupted", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(moduli=[4, 4], kind="corrupted", seed=0)
+@example(moduli=[2, 1, 3], kind="random", seed=1)
+def test_light_witness_is_its_own_first_failing_triple(moduli, kind, seed):
+    # the verdict agrees with both |G|^3 oracles; the witness is the first failing triple of
+    # Light's test, where dm is nonzero, and no addition table is built to find it
+    G = FinAbGroup(moduli)
+    den, num = drawn_table(G, kind, np.random.default_rng(seed))
+    m = TableMultiplier(G, den, num)
+
+    def refuse(self):
+        raise AssertionError("the cocycle check built an addition table")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FinAbGroup, "addition_table", refuse)
+        cocycle = check_multiplier(m).checks[-1]
+    passed = z_major_oracle(G, den, num)[0]
+    assert cocycle.passed == passed == brute_force_oracle(G, den, num)[0]
+    assert cocycle.witness == light_oracle(G, den, num)
+    if not passed:
+        y, g, z = (G.rank_of(w) for w in cocycle.witness)
+        assert _dm(G, num, y, g, z) % den != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(moduli=st.lists(st.sampled_from([1, 2, 3, 4, 6, 9]), max_size=3)
+       .filter(lambda ms: prod(ms) <= 216),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(moduli=[], seed=0)
+@example(moduli=[1, 4], seed=1)
+def test_bicharacter_is_decided_on_its_matrix(moduli, seed):
+    # no pair of the form is read, and Light's test on its table agrees
+    G = FinAbGroup(moduli)
+    b = random_bicharacter(random.Random(seed), G)
+
+    def refuse(self, X, Y):
+        raise AssertionError("a bicharacter record read a pair")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Bicharacter, "pair_nums", refuse)
+        mp.setattr(Bicharacter, "pair_grid", refuse)
+        rep = check_multiplier(b)
+    table = check_multiplier(TableMultiplier.from_multiplier(b))
+    assert [(c.name, c.passed) for c in rep.checks] == [(c.name, c.passed) for c in table.checks]
+    assert rep.passed and table.checks[-1].note == f"exhaustive over {G.order}^3 triples"
+    assert {c.note for c in rep.checks} == {
+        f"bilinear, well defined on G: decided on its {G.rank} x {G.rank} matrix"}
+
+
+def test_a_table_past_the_budget_is_refused_by_num_table():
+    # a multiplier that is not bilinear is decided on its table, which the budget refuses
+    class Sum(Multiplier):
+        den = 2
+
+        def backing(self):
+            return "sum"
+
+        def pair_nums(self, XC, YC):
+            return (XC.sum(axis=1) * YC.sum(axis=1)) % 2
+
+    G = FinAbGroup([2] * 10)
+    with pytest.raises(ResourceLimitError, match="table entries 1048576 exceeds ENTRY_BUDGET"):
+        check_multiplier(Sum(G))
 
 
 def test_antisymmetrize_weyl_product():

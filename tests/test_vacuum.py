@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.errors import DefectError, PreconditionError
+from weylkit.errors import DefectError, InputError, PreconditionError
 from weylkit.groups import FinAbGroup, Subgroup, double_image, double_preimage, subgroup_span
 from weylkit.isotropy import is_isotropic, polar
 from weylkit.cli import build_model, build_parser, parse_group, parse_multiplier, parse_subgroup
@@ -20,6 +20,7 @@ from weylkit.padic import window_weyl
 from weylkit.multipliers import Bicharacter, PhaseMap, TableMultiplier, antisymmetrize
 from weylkit.phases import HALF, Phase, ZERO
 from weylkit.vacuum import (
+    _descended_multiplier,
     _jordan_wigner,
     clifford_basis,
     coherent_states,
@@ -556,7 +557,7 @@ def _coset_twist(W, L):
     """W twisted by a drawn map that is constant on the cosets of L and 0 on L, so that its
     table multiplier still vanishes on L x L, with the twisted rep's law checked."""
     G = W.group
-    codes = L.box_codes(G.coords_array()).tolist()
+    codes = L.coset_index(G.coords_array()).tolist()
     rng = np.random.default_rng(7)
     value = {c: int(rng.integers(1, 5)) if c else 0 for c in set(codes)}
     Wt = W.twisted(PhaseMap(G, {x.coords: Phase(value[c], 5) for x, c in zip(G.elements(), codes)}))
@@ -876,6 +877,22 @@ def test_descent_never_lists_L2_nor_projects_one_element_at_a_time(monkeypatch):
     assert D.v2.order == 64 and L2 not in listed
     assert vacuum_profile(w)["report"].passed
     assert L2 not in listed and projected == []
+
+
+def test_descended_multiplier_sums_are_bounded_by_int64():
+    # m(s_v, s_w) + m(a(v, w), s_{v+w}) reaches 2 (den - 1), past int64 for den > 2^62: on
+    # Z/4 with the sections 0 and 1 of Z/2, m0(1, 1) = m(1, 1) + m(2, 0), both den - 1 here
+    den = 2 ** 62 + 3
+    G, V2 = FinAbGroup([4]), FinAbGroup([2])
+    num = np.zeros((4, 4), dtype=np.int64)
+    num[1, 1] = num[2, 0] = den - 1
+    m = TableMultiplier(G, den, num)
+    with pytest.raises(InputError, match="beyond int64"):
+        _descended_multiplier(m, V2, [G.element([0]), G.element([1])])
+    # over 2^62 the sum fits: m0(1, 1) = 2 (den - 1) mod den = den - 2
+    small = TableMultiplier(G, 2 ** 62, np.where(num, 2 ** 62 - 1, 0))
+    m0 = _descended_multiplier(small, V2, [G.element([0]), G.element([1])])
+    assert int(m0.num[1, 1]) == 2 ** 62 - 2
 
 
 # -- clifford extraction --------------------------------------------------------
