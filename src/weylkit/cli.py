@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from math import lcm
 
 import numpy as np
@@ -354,7 +355,11 @@ RUNNERS = {
 }
 
 
+@cache
 def build_parser():
+    """The one argument parser of the process, built on the first call: each
+    ``parse_args`` gives a fresh namespace, and help reads the terminal width when it
+    is formatted, so ``main`` can share it."""
     ap = argparse.ArgumentParser(prog="weylkit",
                                  description="finite Heisenberg group models and checks")
     ap.add_argument("task", choices=TASKS)

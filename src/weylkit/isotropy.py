@@ -16,15 +16,23 @@ from .multipliers import antisymmetrize
 
 
 def polar(A: Subgroup, m) -> Subgroup:
-    """A'_m = {x in G : m(x, a) = 0 for all a in A}."""
+    """A'_m = {x in G : m(x, a) = 0 for all a in A}.
+
+    Against a bicharacter it is solved once per subgroup and kept on the form,
+    keyed by A (which compares by its lattice), as ``antisymmetrize`` keeps m~.
+    """
     G = A.ambient
     if m.group != G:
         raise InputError("multiplier and subgroup live in different groups")
     form = m.bichar
     if form is not None:
-        # row j: the numerators of m(x, h_j) = x . C h_j, h_j column j of A's lattice basis
-        H = np.array(A.basis, dtype=np.int64).reshape(G.rank, G.rank)
-        return congruence_solution_subgroup(G, (form._cnum @ H).T.tolist(), form.den)
+        P = form._polars.get(A)
+        if P is None:
+            # row j: the numerators of m(x, h_j) = x . C h_j, h_j column j of A's lattice basis
+            H = np.array(A.basis, dtype=np.int64).reshape(G.rank, G.rank)
+            P = form._polars[A] = congruence_solution_subgroup(
+                G, (form._cnum @ H).T.tolist(), form.den)
+        return P
     # table backing (|G|^2 within ENTRY_BUDGET): the defining condition on one pair grid
     members = np.flatnonzero(~m.pair_grid(G.coords_array(), A.coords_array()).any(axis=1))
     return subgroup_span(G, [G.element_by_rank(int(i)) for i in members])

@@ -635,8 +635,12 @@ def _orbit_walk(size: int, orders, edges, mods, width: int = 1):
     map, of length dividing the generator's order, are walked by doubling; a
     longer cycle raises ``DefectError``, and so does an edge that leaves its
     orbit.  Returns ``(label, pot)``: the path from p to label[p] adds up to
-    pot[p].  Witnesses are points p written as divmod(p, width).
+    pot[p].  Witnesses are points p written as divmod(p, width).  Each c is
+    reduced, so a sum of two potentials stays below 2 (max mods - 1), which
+    int64 arrays must hold (else ``InputError``).
     """
+    top = int(np.max(mods))
+    check_int64(f"a path potential modulo {top}", 2 * (top - 1))
     mods = np.asarray(mods, dtype=np.int64)
     label = np.arange(size)
     pot = np.zeros((size, *mods.shape), dtype=np.int64)
@@ -697,11 +701,14 @@ def _orbit_characters(rows, orders, roots, pot):
     generator at a time: l_k u_k / d_k = psi(g_k) - sum_{j<k} g_kj u_j / d_j
     has l_k solutions u_k, so the rows grow to sum |O| = n.  The rows must be
     a representation of L (``_relation_scalars``, every scalar 0) for psi to
-    be a character.
+    be a character.  Over D = lcm(den, d_k), the sum for tau lies in
+    (-D sum_{j<k} (d_j - 1), 2D), which int64 arrays must hold (else
+    ``InputError``).
     """
     SRC, NUM, den = rows
     d = np.array(orders, dtype=np.int64)
     D = lcm(den, *orders)
+    check_int64(f"a character numerator sum over {D}", D * max(2, sum(n - 1 for n in orders[:-1])))
     orbit, U = np.arange(len(roots)), np.zeros((len(roots), 0), dtype=np.int64)
     for k in range(len(d)):
         s = SRC[k][roots]
@@ -710,7 +717,7 @@ def _orbit_characters(rows, orders, roots, pot):
         ell = g[orbit, k]
         tau = ((NUM[k][roots] + pot[s, 0])[orbit] * (D // den)
                - (g[orbit, :k] * U * (D // d[:k])).sum(axis=1)) % D
-        base = tau * d[k] // D // ell
+        base = tau // (D // d[k]) // ell
         start = np.repeat(np.cumsum(ell) - ell, ell)
         t = np.arange(len(start)) - start
         U = np.column_stack([np.repeat(U, ell, axis=0),
@@ -845,6 +852,7 @@ def commutant_d(W: ProjectiveRep) -> int:
             S[j], N[j] = PS[q][S[j]], (N[j] + PN[q][S[j]]) % den
         # over den E, divided by a d-th root of the scalar W(h)^d, so that W(h)^d = 1
         E = lcm(*ds)
+        check_int64(f"a radical row numerator over {den} * {E}", den * E)
         lam = _row_powers(S, N, ds, den)[1][:, :1]
         rowsR = (S, (N * E - lam * (E // np.array(ds)[:, None])) % (den * E), den * E)
         label, pot = _character_walk(rowsR, ds)

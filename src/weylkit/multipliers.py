@@ -193,6 +193,7 @@ class Bicharacter(Multiplier):
         alt = all(matrix[i][i] == ZERO for i in range(r)) and all(
             matrix[i][j] + matrix[j][i] == ZERO for i in range(r) for j in range(i + 1, r))
         self._alternating = alt
+        self._polars = {}       # subgroup -> its polar, kept by ``isotropy.polar``
 
     @classmethod
     def zero(cls, group: FinAbGroup) -> "Bicharacter":

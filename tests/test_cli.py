@@ -501,3 +501,46 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_main_is_reentrant(tmp_path, capsysbinary, monkeypatch):
+    """One process, one shared parser: every call of ``main`` writes the bytes and exits with
+    the code of the same argv in a fresh interpreter, whatever ran before it."""
+    from weylkit.cli import build_parser
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")        # argparse's usage lines read the width
+    seeded = write(tmp_path, "seeded.json", {"task": "padic", "seed": 7,
+                                             "padic": {"p": 3, "k": 1, "d": 1}})
+    out = tmp_path / "in-process.json"
+    sequence = [
+        ["padic", "--p", "3", "--k", "1", "--d", "1"],
+        ["padic", "--scenario", seeded],
+        ["padic", "--p", "5", "--k", "1", "--d", "1"],     # no seed: its own 0, not 7
+        ["padic", "--p", "three"],
+        ["padic", "--p", "3", "--k", "1", "--d", "1", "--format", "text"],
+        ["padic", "--p", "2", "--k", "1", "--d", "1", "--out", str(out)],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    outputs = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsysbinary.readouterr()
+        fresh_argv = argv
+        if "--out" in argv:
+            got = got._replace(out=out.read_bytes())
+            fresh_out = tmp_path / "fresh.json"
+            fresh_argv = argv[:-1] + [str(fresh_out)]
+        fresh = subprocess.run([sys.executable, "-m", "weylkit", *fresh_argv], env=env,
+                               capture_output=True, timeout=60)
+        if "--out" in argv:
+            fresh.stdout = fresh_out.read_bytes()
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        outputs.append((code, got.out))
+    assert [code for code, _ in outputs] == [0, 0, 0, 2, 0, 0]
+    assert [b'"seed": 7' in o for _, o in outputs[:3]] == [False, True, False]
+    assert b'"seed": 0' in outputs[2][1] and b'"seed": 0' in outputs[5][1]

@@ -1,7 +1,12 @@
+import contextlib
+import io
+import json
 import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit.errors import PreconditionError
 from weylkit.groups import FinAbGroup, Subgroup, subgroup_span
@@ -235,3 +240,111 @@ def test_polar_table_multiplier(f2, case):
         P, want = polar(A, m), brute_polar(G, m, A)
         assert P == want and P.generators == want.generators
         assert is_isotropic(A, m) == all(m(a, b) == ZERO for a in A.elements() for b in A.elements())
+
+
+# -- polars kept on the form ---------------------------------------------------
+
+@st.composite
+def forms_and_subgroups(draw):
+    """A bicharacter, alternating or not, on moduli 1, 2^k and odd, with two drawn subgroups."""
+    G = FinAbGroup(draw(st.lists(st.sampled_from([1, 2, 4, 8, 3, 9, 5]), min_size=1, max_size=3)))
+    n = G.moduli
+    entry = {(i, j): Phase(draw(st.integers(0, gcd(n[i], n[j]) - 1)), gcd(n[i], n[j]))
+             for i in range(G.rank) for j in range(G.rank)}
+    if draw(st.booleans()):
+        entry = {(i, j): ZERO if i == j else entry[min(i, j), max(i, j)] * (1 if i < j else -1)
+                 for i, j in entry}
+    m = Bicharacter(G, [[entry[i, j] for j in range(G.rank)] for i in range(G.rank)])
+
+    def subgroup():
+        gens = draw(st.lists(st.tuples(*[st.integers(0, k - 1) for k in n]), max_size=3))
+        return subgroup_span(G, [G.element(g) for g in gens])
+
+    return G, m, subgroup(), subgroup()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=forms_and_subgroups())
+def test_kept_polar_equals_a_fresh_solve(case):
+    G, m, A, B = case
+    first = polar(A, m)
+    polar(B, m)
+    kept = polar(A, m)
+    assert kept is first
+    fresh = polar(subgroup_span(G, list(A.generators)), Bicharacter(G, m.matrix))
+    assert kept == fresh and kept.generators == fresh.generators
+    if G.order <= 64:
+        assert kept == brute_polar(G, m, A)
+
+
+def test_two_forms_on_one_subgroup_keep_their_own_polars():
+    # on (Z/4)^2, m~ = 2m: the line <(1, 0)> is its own polar under m, of index 2 in its
+    # polar under m~
+    G = FinAbGroup([4, 4])
+    m = symplectic(G, 4)
+    mt = antisymmetrize(m)
+    A = subgroup_span(G, [G.element([1, 0])])
+    P, Pt = polar(A, m), polar(A, mt)
+    assert (P.order, Pt.order) == (4, 8)
+    assert polar(A, m) is P and polar(A, mt) is Pt
+    assert list(m._polars.values()) == [P] and list(mt._polars.values()) == [Pt]
+
+
+def test_equal_lattices_share_one_kept_polar():
+    G = FinAbGroup([4, 4])
+    m = symplectic(G, 4)
+    A1 = subgroup_span(G, [G.element([1, 0])])
+    A2 = subgroup_span(G, [G.element([3, 0]), G.element([2, 0])])
+    assert A1.generators != A2.generators and A1 == A2
+    assert polar(A2, m) is polar(A1, m)
+    assert len(m._polars) == 1
+
+
+def _block(moduli, units):
+    r = len(units)
+    B = [["0"] * (2 * r) for _ in range(2 * r)]
+    for i, (n, u) in enumerate(zip(moduli, units)):
+        B[i][i + r], B[i + r][i] = f"{u}/{n}", f"{-u % n}/{n}"
+    return {"type": "bicharacter", "B": B}
+
+
+POSITION = {"generators": [[1, 0, 0, 0], [0, 1, 0, 0]]}
+LAGRANGIAN_9595 = {"generators": [[3, 0, 0, 0], [0, 0, 3, 0], [0, 1, 0, 0]]}
+
+# the congruence solves of one CLI job: each (form, subgroup) polar is solved once
+SOLVES_PER_JOB = {
+    "padic-5-1-1": (["padic", "--p", "5", "--k", "1", "--d", "1"], None, 2),
+    "padic-2-1-3-full": (["padic", "--p", "2", "--k", "1", "--d", "3", "--full-report"], None, 5),
+    "isotropy-9595": (["isotropy"], {"task": "isotropy", "group": {"moduli": [9, 5, 9, 5]},
+                                     "multiplier": _block([9, 5], [7, 4]),
+                                     "subgroup": LAGRANGIAN_9595}, 2),
+    "svn-7373": (["svn"], {"task": "svn", "group": {"moduli": [7, 3, 7, 3]},
+                           "multiplier": _block([7, 3], [3, 2]),
+                           "subgroups": [POSITION, {"generators": [[0, 0, 1, 0], [0, 0, 0, 1]]}]},
+                 3),
+    "vacuum-9595": (["vacuum"], {"task": "vacuum", "group": {"moduli": [9, 5, 9, 5]},
+                                 "multiplier": _block([9, 5], [7, 4]),
+                                 "subgroup": LAGRANGIAN_9595}, 2),
+}
+
+
+@pytest.mark.parametrize("job", list(SOLVES_PER_JOB))
+def test_polar_solves_per_job(job, tmp_path, monkeypatch):
+    from weylkit import cli, groups, isotropy, models, multipliers
+    argv, scenario, want = SOLVES_PER_JOB[job]
+    if scenario is not None:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))
+        argv = argv + ["--scenario", str(path)]
+    calls = []
+    solve = groups.congruence_solution_subgroup
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    for module in (isotropy, models, multipliers):
+        monkeypatch.setattr(module, "congruence_solution_subgroup", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert len(calls) == want

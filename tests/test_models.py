@@ -1491,3 +1491,31 @@ def test_induced_formula_refuses_a_denominator_past_int64():
     a = PhaseMap(G, {x.coords: Phase(x.rank * (small // 9), small) for x in G.elements()})
     c = PhaseMap(G, {x.coords: -a(x) for x in A.elements()})
     assert check_rep_law(induced_model(G, twist(S.multiplier, a), A, c)).passed
+
+
+def _scalar_rep(moduli, den):
+    """W(x) = e(k (x_1 + ... + x_r) / den) 1 on C^2 with k = den - 3, its numerators read with
+    Python integers: a rep of G up to the scalars W(g_i)^{n_i}, so all 4 dimensions of 2 x 2
+    matrices commute with it."""
+    G = FinAbGroup(moduli)
+    k = den - 3
+
+    def fn(Y):
+        nums = [[sum(y) * k % den] * 2 for y in Y.tolist()]
+        return np.tile(np.arange(2), (len(Y), 1)), np.array(nums, dtype=np.int64)
+
+    return ProjectiveRep(G, zero_multiplier(G), 2, fn, den, label="scalar")
+
+
+@pytest.mark.parametrize("moduli", [[8], [8, 8]])
+@pytest.mark.parametrize("e", range(58, 63))
+def test_commutant_over_denominators_near_int64(moduli, e):
+    # the radical rows are rescaled over den E, which the walk and the characters sum;
+    # each either fits int64 and counts 4, or is refused, never wrapped
+    try:
+        W = _scalar_rep(moduli, 2 ** e + 1)
+        count = commutant_d(W)
+    except InputError as exc:
+        assert "beyond int64 arrays" in str(exc)
+    else:
+        assert count == 4
