@@ -290,7 +290,11 @@ class Subgroup:
         Enumerated in mixed radix over the decomposition A = (+) Z/d_j * h_j:
         the coefficient grid of Z/d_1 x Z/d_2 x ... times the generators,
         reduced mod the moduli, then sorted by rank.  Arithmetic is int64
-        while |G| * |A| * rank < 2^63 bounds every entry, else Python ints.
+        while |G| * |A| * rank < 2^63 bounds every entry, else Python ints:
+        the ranks that order the elements reach |G|, and elements are
+        ``GroupElement``s of Python ints, exact at any order, so a subgroup of
+        a group of order past 2^63 is listed exactly, not refused (its
+        ``coords_array`` refuses moduli past int64).
         """
         if self._elems is None:
             check_budget("subgroup order", self.order)
@@ -489,10 +493,14 @@ class Quotient:
         rows, then U t mod d_i over U's last rows, those with d_i > 1, with t
         and U reduced mod the exponent E of G (each d_i divides E).  |t| < E 2^r,
         so every running sum is below (r + 1) 2^r E^2: int64 while that is
-        below 2^63, else Python ints.  ``InputError`` for a row outside B.
+        below 2^63, else Python ints, as these sums pass int64 long before
+        the quotient's coordinates do (Z/24 from moduli near 2^41 and 2^33).
+        ``InputError`` for a row outside B, or when a modulus of the quotient
+        passes int64, so that its coordinates do not fit the int64 output.
         """
         G = self.denominator.ambient
         r, E = G.rank, G.exponent
+        check_int64(f"a coordinate of {self.group!r}", max(self.group.moduli, default=1) - 1)
         dtype = np.int64 if (r + 1) * 2 ** r * E * E < 2 ** 63 else object
         X = np.array(X, dtype=dtype)
         X = X.reshape(len(X), r) % np.array(G.moduli, dtype=dtype)

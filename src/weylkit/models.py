@@ -347,24 +347,27 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup, c: PhaseMap | None 
     m(r_i, y) - m(a, r_j) - c(a).  A given splitting c must split m on A
     (``check_splitting``); by default it is ``split_symmetric``'s.
 
-    The block formula finds the coset of each row y once, y = b + r_k with b
-    in A, and composes W(y) = e(-m(b, r_k)) W(b) W(r_k).  W(r_k), from
-    r_i + r_k = r_j + a', is read on a grid over the block's distinct cosets
-    k only (at most min(c, dim) x dim entries for c rows); W(b) is diagonal,
-    e(m(r_i, b) - m(b, r_i) - c(b)) at r_i, so it only adds to the phases.
-    With a = a' + b this is the phase above by the cocycle identity at
-    (r_i, r_k, b) and (r_j, a', b), the splitting
+    The model keeps a coset table: W(r_k) for every transversal element,
+    from r_i + r_k = r_j + a', as dim x dim source indices j and numerators
+    m(r_i, r_k) - m(a', r_j) - c(a').  It is built with the model in blocks
+    of ``BLOCK_ENTRIES // dim`` cosets and counted against ``ENTRY_BUDGET``;
+    dim <= |A|, so it fits wherever the splitting does.  The block formula
+    finds the coset of each row y once, y = b + r_k with b in A, and
+    composes W(y) = e(-m(b, r_k)) W(b) W(r_k): row k of the table, and W(b),
+    which is diagonal, e(m(r_i, b) - m(b, r_i) - c(b)) at r_i, so it only
+    adds to the phases.  With a = a' + b this is the phase above by the
+    cocycle identity at (r_i, r_k, b) and (r_j, a', b), the splitting
     c(a' + b) = c(a') + c(b) + m(a', b) and the bilinearity of
     m~(x, y) = m(x, y) - m(y, x) (``antisymmetrize``), which vanishes on
     A x A as c splits m there: it holds for every verified multiplier.  So
     W(b)'s phase m~(r_i, b) = sum_j b_j m~(r_i, e_j) is one product with the
-    dim x rank array m~(r_i, e_j), built with the model.  A call
-    materialises coset indices and c (``PhaseMap.nums_at``) for the c rows
-    and the grid, m on the grid and m(b, r_k); each entry then costs a
-    gather and adds, with no coset reduction or multiplier call per entry.
-    It never lists G or A x A.  Its numerators are reduced by ``rows``; they
-    stay below den (2 + sum_j (n_j - 1)) in magnitude, which must fit int64
-    (else ``InputError``).  Once the law check has kept the model's rows
+    dim x rank array m~(r_i, e_j), built with the model.  A call on c rows
+    runs one coset reduction, reads c(b) (``PhaseMap.nums_at``) and
+    m(b, r_k), and gathers c x dim entries of the table: no grid over the
+    cosets and no multiplier call per entry.  It never lists G or A x A.
+    Its numerators are reduced by ``rows``; they stay below
+    den (2 + sum_j (n_j - 1)) in magnitude, which must fit int64 (else
+    ``InputError``).  Once the law check has kept the model's rows
     (``monomial_arrays``), the formula is not called again.
     """
     if m.group != G or A.ambient != G:
@@ -388,26 +391,30 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup, c: PhaseMap | None 
     # (rank x dim): m~(r_i, e_j) over den at [j, i]
     MT = mt.pair_grid(R, np.eye(rank, dtype=np.int64)).T * (den // mt.den)
 
+    # the coset table: row k is W(r_k), r_i + r_k = r_j + a', num = m(r_i, r_k) - m(a', r_j) - c(a')
+    check_budget("coset table entries", dim * dim)
+    TS = np.empty((dim, dim), dtype=np.intp)
+    TN = np.empty((dim, dim), dtype=np.int64)
+    step = max(1, BLOCK_ENTRIES // dim)
+    for k0 in range(0, dim, step):
+        K = np.arange(k0, min(dim, k0 + step))
+        Z = (R[K][:, None, :] + R).reshape(len(K) * dim, rank) % moduli
+        J = A.coset_index(Z)
+        a = (Z - R[J]) % moduli
+        TS[K] = J.reshape(len(K), dim)
+        TN[K] = (m.pair_grid(R, R[K]).T * scale
+                 - (m.pair_nums(a, R[J]) * scale + c.nums_at(a, den)).reshape(len(K), dim)) % den
+
     def fn(Y):
         # y = b + r_k with b in A, and W(y) = e(-m(b, r_k)) W(b) W(r_k)
         k = A.coset_index(Y)
         b = (Y - R[k]) % moduli
-        seen = np.zeros(dim, dtype=bool)
-        seen[k] = True
-        K = np.flatnonzero(seen)
-        row = (np.cumsum(seen) - 1)[k]
-        # W(r_k) at the distinct k: r_i + r_k = r_j + a', num = m(r_i, r_k) - m(a', r_j) - c(a')
-        Z = (R[K][:, None, :] + R).reshape(len(K) * dim, rank) % moduli
-        J = A.coset_index(Z)
-        a = (Z - R[J]) % moduli
-        ca, cb = np.split(c.nums_at(np.concatenate([a, b]), den), [len(a)])     # c at a' and b
-        NK = ((m.pair_grid(R, R[K]).T.ravel() - m.pair_nums(a, R[J])) * scale - ca) % den
         # W(b) is diagonal, e(m~(r_i, b) - c(b)) at i; the scalar -m(b, r_k) joins it.
-        # NK is in [0, den), the product in [0, den sum_j (n_j - 1)), the scalar in [0, 2 den)
-        NUM = NK.reshape(len(K), dim)[row]
+        # TN is in [0, den), the product in [0, den sum_j (n_j - 1)), the scalar in [0, 2 den)
+        NUM = TN[k]
         NUM += b @ MT
-        NUM -= (cb + m.pair_nums(b, R[k]) * scale)[:, None]
-        return J.reshape(len(K), dim)[row], NUM
+        NUM -= (c.nums_at(b, den) + m.pair_nums(b, R[k]) * scale)[:, None]
+        return TS[k], NUM
 
     rep = ProjectiveRep(G, m, dim, fn, den, label=f"induced(|A|={A.order})")
     if check:
@@ -568,7 +575,8 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
     consecutive ranks of W's kept ``monomial_arrays`` as a slice (a view),
     any other rows by one ``W.rows`` call, which gathers from the kept rows
     when W has them.  Each product is one row-wise gather; a single row is never
-    copied to the other side's length.
+    copied to the other side's length.  A block is decided by one test of all
+    its entries, and read row by row only when some pair in it fails.
     """
     G = W.group
     moduli, weights = (np.array(t, dtype=np.int64) for t in (G.moduli, G._weights))
@@ -611,9 +619,11 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
         # than the remainder
         ok = src1 == src2
         ok &= (num1 == 0) | (num1 == d) | (num1 == -d) | (num1 == -2 * d)
-        ok = ok.all(axis=1)
-        holds[start:start + step] = ok
-        if not ok.all():
+        if ok.all():
+            holds[start:start + step] = True
+        else:
+            ok = ok.all(axis=1)
+            holds[start:start + step] = ok
             # e(phase) R(x, y) over d, and W(x) W(y) back over W.den, as the operators hold them
             f = ~ok
             rhs = num2[f] * (d // W.den) + p[f]

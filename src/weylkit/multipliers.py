@@ -535,26 +535,46 @@ def split_symmetric(m: Multiplier, A: Subgroup | None = None) -> PhaseMap:
 
 
 def check_splitting(m: Multiplier, A: Subgroup, c: PhaseMap, own: bool = False):
-    """m(a, b) = c(a + b) - c(a) - c(b) on A x A, decided exactly on one ``pair_grid``.
+    """m(a, b) = c(a + b) - c(a) - c(b) on A x A, decided exactly at A x {A's generators}.
 
-    The first failing pair, a outer and b inner in element order, raises
-    ``PreconditionError``, or ``DefectError`` with it as witness when ``own``
-    (``split_symmetric``'s output); ``InputError`` when c misses an element of A.
+    m must be a verified multiplier (else ``PreconditionError``).  Then
+    f(a, b) = m(a, b) - c(a + b) + c(a) + c(b), m plus a coboundary, is a
+    cocycle on A, and f(a, 0) = c(0).  Its identity
+    f(a, b + h) = f(a + b, h) + f(a, b) - f(b, h) gives f(., b + h) = f(., b)
+    wherever f(., h) = 0 on A.  So c(0) = 0 and f = 0 on A x {h}, h the
+    generators of A's decomposition, carry f(., 0) = 0 to every sum of
+    generators, that is f = 0 on A x A: |A| rank(A) pairs, not |A|^2.  Only
+    when they fail is one ``pair_grid`` over A x A read, within
+    ``ENTRY_BUDGET``: its first failing pair, a outer and b inner in element
+    order, raises ``PreconditionError``, or ``DefectError`` with it as
+    witness when ``own`` (``split_symmetric``'s output).  ``InputError`` when
+    c misses an element of A.
     """
+    m.ensure_verified()
     X = A.coords_array()
-    check_budget("table entries", len(X) ** 2)
     d = lcm(m.den, c.den)
     check_int64(f"a splitting sum over {d}", 3 * (d - 1))
     cnum = c.nums_at(X, d)
     G = A.ambient
-    # a + b by its position among A's elements, which are sorted by rank
-    ab = np.searchsorted(G.ranks_of(X), G.ranks_of((X[:, None] + X) % G.moduli))
-    bad = (m.pair_grid(X, X) * (d // m.den) - cnum[ab] + cnum[:, None] + cnum) % d != 0
-    if bad.any():
-        pair = tuple(map(tuple, X[np.argwhere(bad)[0]].tolist()))
-        if own:
-            raise DefectError("splitting residual is nonzero", witness=pair)
-        raise PreconditionError(f"splitting fails at {pair}")
+    ranks = G.ranks_of(X)
+
+    def failing(B):
+        # f(a, b) != 0 at a in A and b a row of B, an array of elements of A; a + b and b by
+        # their positions among A's elements, which are sorted by rank
+        ab = np.searchsorted(ranks, G.ranks_of((X[:, None] + B) % G.moduli))
+        b = np.searchsorted(ranks, G.ranks_of(B))
+        return (m.pair_grid(X, B) * (d // m.den) - cnum[ab] + cnum[:, None] + cnum[b]) % d != 0
+
+    gens, _ = A.decomposition()
+    H = np.array([h.coords for h in gens], dtype=np.int64).reshape(len(gens), G.rank)
+    if cnum[0] == 0 and not failing(H).any():
+        return
+    # (0, 0) and A x {h} lie in A x A, so the scan of every pair finds a failure
+    check_budget("table entries", len(X) ** 2)
+    pair = tuple(map(tuple, X[np.argwhere(failing(X))[0]].tolist()))
+    if own:
+        raise DefectError("splitting residual is nonzero", witness=pair)
+    raise PreconditionError(f"splitting fails at {pair}")
 
 
 def is_heisenberg(m: Multiplier) -> bool:

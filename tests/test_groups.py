@@ -10,6 +10,7 @@ from weylkit.errors import ENTRY_BUDGET, InputError, ResourceLimitError, Unsuppo
 from weylkit.groups import (
     FinAbGroup,
     _box_reduce,
+    Quotient,
     Subgroup,
     congruence_solution_subgroup,
     double_image,
@@ -440,6 +441,18 @@ def test_project_coords_is_exact_past_int64():
     B = subgroup_span(G, [G.element([2, 0]), G.element([0, 1])])
     with pytest.raises(InputError):
         subquotient(B, A).project_coords([[1, 0]])
+
+
+def test_project_coords_refuses_a_quotient_past_int64():
+    # G/0 = Z/2^64: the image of 2^63 + 1 has no int64 coordinate, so the projection is
+    # refused; past int64 only in the running sums, as above, it stays exact
+    G = FinAbGroup([2 ** 64])
+    q = Quotient(Subgroup.full(G), Subgroup.trivial(G))
+    with pytest.raises(InputError, match=rf"coordinate of .* can reach {2 ** 64 - 1}, beyond int64"):
+        q.project(G.element([2 ** 63 + 1]))
+    G = FinAbGroup([2 ** 63])
+    q = Quotient(Subgroup.full(G), Subgroup.trivial(G))
+    assert q.project(G.element([2 ** 63 - 1])).coords == (2 ** 63 - 1,)
 
 
 # -- lattice answers read off one Smith decomposition -------------------------

@@ -1068,6 +1068,18 @@ def test_orbit_check_catches_phase_fault(z9):
     assert intertwiner(bad, W)["dimension"] == kron_intertwiner_dim(bad, W) == 0
 
 
+def test_faulted_second_model_fails_the_uniqueness_intertwiner(z9):
+    # svn_z9's pair of models; W2 times e(1/2) at one generator of order 9 breaks
+    # W2(g)^9 = W1(g)^9, so no T has T W1(g) = W2'(g) T and svn's "intertwiner
+    # dimension 1" check fails
+    G, m, L, W1 = z9
+    W2 = induced_model(G, m, subgroup_span(G, [G.element([1, 0])]))
+    g = G.generators()[0]
+    faulted = W2.with_override(g, W2.operator(g).scaled(Phase(1, 2)))
+    assert intertwiner(W1, W2)["dimension"] == 1
+    assert intertwiner(W1, faulted)["dimension"] == 0
+
+
 def test_orbit_solver_refuses_noncommuting_permutations(z9):
     W = fresh_rep(z9[3])
     g = W.group.generators()[0]
@@ -1469,9 +1481,25 @@ def test_induced_phase_from_antisymmetrization_matches_two_grids(kind, data):
     G, m, A, c = induced_inputs(kind, moduli, data)
     W = induced_model(G, m, A, c)
     Y = coordinate_rows(G, data)
+    if data.draw(st.booleans()):
+        # a block that touches every coset: the transversal shifted by an element of A
+        a = np.array(data.draw(st.sampled_from(A.elements())).coords, dtype=np.int64)
+        Y = np.vstack([Y, (A.transversal_coords() + a) % np.array(G.moduli, dtype=np.int64)])
     SRC, NUM = W.fn(Y)
     S2, N2 = two_grid_rows(G, m, A, split_symmetric(m, A) if c is None else c, Y)
     assert (SRC == S2).all() and (NUM % W.den == N2).all()
+
+
+def test_induced_formula_reduces_each_row_to_its_coset_once(monkeypatch):
+    # the coset table is built with the model, so a one-row call of a fresh model runs
+    # one coset reduction, of the row itself, and no grid over the cosets
+    W = fresh_rep(block_symplectic_model(*VACUUM_9595))
+    calls = []
+    coset_index = Subgroup.coset_index
+    monkeypatch.setattr(Subgroup, "coset_index",
+                        lambda A, X: calls.append(len(X)) or coset_index(A, X))
+    SRC, NUM, _ = W.rows(W.group.coords_at(np.array([1234])))
+    assert calls == [1] and SRC.shape == NUM.shape == (1, W.dim)
 
 
 def test_induced_formula_refuses_a_denominator_past_int64():

@@ -973,23 +973,36 @@ def test_phase_map_nums_at_matches_call(moduli, data):
             a.nums_at(X, a.den + 1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(case=split_inputs(), data=st.data())
 @example(case=edge_case([]), data=None)
 @example(case=edge_case([4, 6], []), data=None)
 def test_check_splitting_matches_scalar_oracle(case, data):
-    """The one splitting check against scalar calls, on bicharacters and coboundary-twisted
-    tables: the canonical splitting (or zero where m is not symmetric on A), shifted at a
-    few elements."""
+    """The one splitting check, decided at A x {A's generators} and scanned only on failure,
+    against scalar calls over A x A: same verdict, exception type and message.  On
+    bicharacters and coboundary-twisted tables, drawn, trivial and full subgroups (moduli
+    of 1 included); the canonical splitting (or zero where m is not symmetric on A),
+    shifted at up to three elements, at 0, or where one decomposition coordinate is 1."""
     m, A, _ = case
     G = m.group
+    if data and data.draw(st.booleans()):
+        A = data.draw(st.sampled_from([Subgroup.trivial(G), Subgroup.full(G)]))
     try:
         values = dict(split_symmetric(m, A).values)
     except PreconditionError:
         values = {a.coords: ZERO for a in A.elements()}
     elems = A.elements()
-    for i in data.draw(st.lists(st.integers(0, len(elems) - 1), max_size=2)) if data else []:
+    for i in data.draw(st.lists(st.integers(0, len(elems) - 1), max_size=3)) if data else []:
         values[elems[i].coords] += Phase(data.draw(st.integers(1, 11)), 12)
+    if data and data.draw(st.booleans()):
+        values[elems[0].coords] += Phase(data.draw(st.integers(1, 11)), 12)     # c(0) != 0
+    if data and A.order > 1 and data.draw(st.booleans()):
+        # a shift that one generator h_j of A alone sees: s/12 where a's coordinate on h_j is 1
+        j = data.draw(st.integers(0, len(A.decomposition()[0]) - 1))
+        s = Phase(data.draw(st.integers(1, 11)), 12)
+        for a in elems:
+            if A.coordinates_of(a)[j] == 1:
+                values[a.coords] += s
     c = PhaseMap(G, values)
     want = first_splitting_failure(m, A, c)
     if want is None:
@@ -999,6 +1012,35 @@ def test_check_splitting_matches_scalar_oracle(case, data):
     with pytest.raises(PreconditionError) as exc:
         check_splitting(m, A, c)
     assert str(exc.value) == f"splitting fails at {want}"
-    with pytest.raises(DefectError) as exc:
+    with pytest.raises(DefectError, match="^splitting residual is nonzero$") as exc:
         check_splitting(m, A, c, own=True)
     assert exc.value.witness == want
+
+
+def test_check_splitting_is_decided_at_generators_past_the_pair_budget():
+    # A = (Z/2)^10 x 0 in (Z/2)^11 with the zero form: |A|^2 = 2^20 pairs pass
+    # ENTRY_BUDGET, so the splitting that holds is decided at the 1024 x 10 pairs of A x
+    # {generators}; one that fails needs the scan of A x A for its witness, which is refused
+    G = FinAbGroup([2] * 11)
+    m = zero_multiplier(G)
+    A = subgroup_span(G, G.generators()[:10])
+    ranks = G.ranks_of(A.coords_array())
+    check_splitting(m, A, PhaseMap.of_arrays(G, ranks, np.zeros(len(ranks), dtype=np.int64), 1))
+    shifted = np.zeros(len(ranks), dtype=np.int64)
+    shifted[5] = 1
+    with pytest.raises(ResourceLimitError, match=f"table entries {2 ** 20} exceeds ENTRY_BUDGET"):
+        check_splitting(m, A, PhaseMap.of_arrays(G, ranks, shifted, 2))
+
+
+def test_check_splitting_refuses_a_table_that_is_not_a_cocycle():
+    # on A = <(1, 0)> this table is 0, so the zero map splits it there; but the generator
+    # argument needs a cocycle, and the table is refused before any pair of A is read
+    G = FinAbGroup([2, 2])
+    num = np.zeros((4, 4), dtype=np.int64)
+    num[1, 2] = 1
+    m = TableMultiplier(G, 2, num)
+    A = subgroup_span(G, [G.element([1, 0])])
+    c = PhaseMap(G, {a.coords: ZERO for a in A.elements()})
+    assert first_splitting_failure(m, A, c) is None
+    with pytest.raises(PreconditionError, match="^not a multiplier: cocycle fails at"):
+        check_splitting(m, A, c)
