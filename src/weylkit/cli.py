@@ -126,8 +126,7 @@ def _check_dim(dim: int, args):
         raise ResourceLimitError("carrier dimension", dim, "--max-dim", args.max_dim)
 
 
-def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args,
-                check: bool = True) -> ProjectiveRep:
+def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args) -> ProjectiveRep:
     """The scenario's ``model`` entry, else the model induced over its ``subgroup`` and
     ``splitting``; the dimension is checked against ``--max-dim`` before the model is built."""
     model = scenario.get("model")
@@ -157,7 +156,7 @@ def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args,
         A = parse_subgroup(model["subgroup"], G)
         _check_dim(G.order // A.order, args)
         c = parse_splitting(model["splitting"], G) if "splitting" in model else None
-        return induced_model(G, m, A, c, check=check)
+        return induced_model(G, m, A, c)
     raise SchemaError(f"model: unknown type {kind!r}")
 
 
@@ -205,14 +204,13 @@ def run_model(scenario, args):
                  {"subgroup", "splitting", "model", "seed"})
     G = parse_group(scenario["group"])
     m = parse_multiplier(scenario["multiplier"], G)
-    # an induced model is law-checked on construction unless the report checks it
     law = args.check_law or not (args.commutant or args.dump_matrices)
-    W = build_model(scenario, G, m, args, check=not law)
+    W = build_model(scenario, G, m, args)
     rep = VerificationReport(f"model {W.label}")
     summary = {"dimension": W.dim}
     if law:
-        rep.extend(check_rep_law(W, seed=args.seed))
-        rep.extend(commutator_scalar_check(W, seed=args.seed))
+        rep.extend(check_rep_law(W))
+        rep.extend(commutator_scalar_check(W))
     if args.commutant:
         cd = commutant_d(W)
         summary["commutant_dimension"] = cd
@@ -366,7 +364,7 @@ def build_parser():
     ap.add_argument("--scenario", help="path to a scenario JSON file")
     ap.add_argument("--out", help="write the report here instead of stdout")
     ap.add_argument("--format", choices=("json", "text"), default="json")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0, help="recorded in the report; no verdict reads it")
     ap.add_argument("--max-dim", type=int, default=MAX_DIM_DEFAULT)
     ap.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-identical reports)")

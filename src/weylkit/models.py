@@ -119,7 +119,7 @@ class ProjectiveRep:
     within ``ENTRY_BUDGET``.  The multiplier must be a verified cocycle (else
     ``PreconditionError``) and W(0) exactly 1 (else ``DefectError``): then
     the pairs that present C^m[G] decide the law (``_presentation_fails``),
-    and the rep keeps that verdict once a law check has read it (``law_holds``).
+    and the rep keeps the verdict of a law check, or of its builder (``law_holds``).
     """
 
     def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, fn, den: int,
@@ -335,8 +335,8 @@ def regular_rep(G: FinAbGroup) -> ProjectiveRep:
     return ProjectiveRep(G, zero_multiplier(G), dim, fn, 1, label=f"regular({G!r})")
 
 
-def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup, c: PhaseMap | None = None,
-                  check: bool = True) -> ProjectiveRep:
+def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
+                  c: PhaseMap | None = None) -> ProjectiveRep:
     """The model on functions over coset representatives of a maximal isotropic A.
 
     Functions satisfy the covariance f(x + a) = m(a, x)^{-1} c(a)^{-1} f(x)
@@ -367,8 +367,19 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup, c: PhaseMap | None 
     cosets and no multiplier call per entry.  It never lists G or A x A.
     Its numerators are reduced by ``rows``; they stay below
     den (2 + sum_j (n_j - 1)) in magnitude, which must fit int64 (else
-    ``InputError``).  Once the law check has kept the model's rows
-    (``monomial_arrays``), the formula is not called again.
+    ``InputError``).
+
+    The law is decided when the model is built, at the dim x rank pairs
+    (r_k, g), g a generator of G: W(r_k) is row k of the table, W(g) is read
+    once, and W(r_k + g) comes from the formula, in blocks of pairs.  They
+    decide every pair.  The formula W(b + r_k) = e(-m(b, r_k)) W(b) W(r_k),
+    with W(b) diagonal and c a verified splitting, gives the law at every
+    (b, y), b in A, by the cocycle identity at (b, b', r_k), y = b' + r_k;
+    the identity at (b, r_k, g) carries (r_k, g) to every (b + r_k, g); and
+    the identity at (x, z, g) carries every (x, g) to all pairs, the step
+    Light's test takes for tables.  The rep keeps the verdict
+    (``law_holds``); a failing pair raises ``DefectError`` with witness
+    (r_k, g), the first in coset-then-generator order.
     """
     if m.group != G or A.ambient != G:
         raise InputError("group, multiplier and subgroup do not match")
@@ -417,11 +428,19 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup, c: PhaseMap | None 
         return TS[k], NUM
 
     rep = ProjectiveRep(G, m, dim, fn, den, label=f"induced(|A|={A.order})")
-    if check:
-        report = check_rep_law(rep, samples=2000)
-        if not report.passed:
+    gens = np.eye(rank, dtype=np.int64)[[i for i, n in enumerate(G.moduli) if n > 1]]
+    SG, NG, _ = rep.rows(gens)
+    MG = m.pair_grid(R, gens) * scale
+    for p0 in range(0, dim * len(gens), step):
+        k, g = np.divmod(np.arange(p0, min(dim * len(gens), p0 + step)), len(gens))
+        S, N, _ = rep.rows((R[k] + gens[g]) % moduli)
+        at = TS[k] + (g * dim)[:, None]     # W(r_k) W(g) reads W(g) at W(r_k)'s sources
+        ok = (SG.ravel()[at] == S) & ((TN[k] + NG.ravel()[at] - N - MG[k, g][:, None]) % den == 0)
+        if not ok.all():
+            i = int(np.argmin(ok.all(axis=1)))
             raise DefectError("induced model violates the representation law",
-                              witness=[ch.witness for ch in report.checks if not ch.passed])
+                              witness=(tuple(R[k[i]].tolist()), tuple(gens[g[i]].tolist())))
+    rep._law = (None,)
     return rep
 
 
@@ -429,97 +448,80 @@ def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup, c: PhaseMap | None 
 # verification
 
 
-def check_rep_law(W: ProjectiveRep, samples: int = 20_000, seed: int = 0) -> VerificationReport:
-    """W(x) W(y) = e(m(x, y)) W(x + y): exactly over all pairs, or over a seeded sample.
-
-    Exact whenever W's ``monomial_arrays`` fit their budget or P holds at most
-    ``samples`` pairs: m is a verified cocycle and W(0) = 1, both checked when
-    W is built, so W at the pairs P that present the twisted group algebra
-    C^m[G] decides it, sum_l n_1 ... n_l + r(r - 1)/2 pairs (see
-    ``_check_pairs`` and ``_presentation_fails``).  Rows that fit are kept on
-    W, and the verdict at P too, so later readers of W gather from those rows
-    without calling its formula, and a later ``commutator_scalar_check``
-    reads no pair of P.
-    """
+def check_rep_law(W: ProjectiveRep) -> VerificationReport:
+    """W(x) W(y) = e(m(x, y)) W(x + y) at every pair: W's kept verdict, else decided
+    exactly at the pairs P that present C^m[G] (``_check_pairs``)."""
     rep = VerificationReport(f"representation law for {W.label}")
-    _check_pairs(rep, "law", W, False, samples, seed)
+    _check_pairs(rep, "law", W, False)
     return rep
 
 
-def commutator_scalar_check(W: ProjectiveRep, samples: int = 20_000,
-                            seed: int = 0) -> VerificationReport:
+def commutator_scalar_check(W: ProjectiveRep) -> VerificationReport:
     """W(x) W(y) = e(m~(x, y)) W(y) W(x): the commutator is the scalar m~(x, y)."""
     rep = VerificationReport(f"commutation rule for {W.label}")
-    _check_pairs(rep, "commutator", W, True, samples, seed)
+    _check_pairs(rep, "commutator", W, True)
     return rep
 
 
-def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: bool,
-                 samples: int, seed: int):
-    """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for pairs x, y of G.
+def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: bool):
+    """Add check ``name``: W(x) W(y) = e(phase(x, y)) R(x, y) for all pairs x, y of G.
 
     For the law, R(x, y) = W(x + y) and the phase is W's multiplier m; when
     ``swapped``, for the commutator, R(x, y) = W(y) W(x) and the phase is
     m~ = ``antisymmetrize(m)``.  One kernel, ``_pairs_hold``, decides each
     pair exactly and measures the distance of the two sides at failing pairs.
-    1. When W's ``monomial_arrays`` (|G| dim entries) fit ``ENTRY_BUDGET``,
-       or when P holds at most ``samples`` pairs, the pairs P of the
-       presentation of C^m[G] decide the law (``_presentation_fails``), once
-       per rep: W keeps the verdict.  Witness: the first failing pair of P.
-       A law that holds decides the commutator too, as then
+    1. W's kept verdict of the law, else the pairs P that present C^m[G]
+       (``_presentation_fails``), read once: from W's ``monomial_arrays``
+       when they fit ``ENTRY_BUDGET``, else through the formula when |P|,
+       counted as exhaustive-scan pairs, does (else ``ResourceLimitError``).
+       W keeps the verdict.  Witness: the first failing pair of P.  A law that
+       holds decides the commutator too, as then
        W(x) W(y) = e(m(x, y)) W(x + y) = e(m~(x, y)) W(y) W(x).
-    2. The commutator of a rep whose law fails at P, when W's rows are kept
-       and |G|^2 passes the budget: the pairs (x, g), g a generator, x in
-       rank order.  Witness: the first failing (x, g), g in generator order.
-    3. Otherwise, or when every such (x, g) holds: all |G|^2 pairs when at
-       most ``samples``, or when W's rows are kept and |G|^2 fits the
-       budget, each x against every y in one run; else a seeded sample.
-       Witness: the worst failing pair.
+    2. The commutator of a rep whose law fails, when W's rows are kept and
+       |G|^2 passes the budget: the pairs (x, g), g a generator, x in rank
+       order.  Witness: the first failing (x, g), g in generator order.
+    3. Otherwise all |G|^2 pairs, each x against every y, within the budget
+       (else ``ResourceLimitError``).  Witness: the worst failing pair.
     Every tier fails on any pair that ``_pairs_hold`` rejects, however close
     its float distance.
     """
     G = W.group
     n = G.order
-    phase = antisymmetrize(W.multiplier) if swapped else W.multiplier
-    note = f"exhaustive over {n}^2 pairs"
+    kept = W.fits_arrays()
+    if W._law is None:
+        if kept:
+            W.monomial_arrays()     # kept, so _pairs_hold reads the rows by rank
+        else:
+            runs = [n_l * w for n_l, w in zip(G.moduli, G._weights) if n_l > 1]    # n_1 ... n_l
+            check_budget("presentation pairs", sum(runs) + len(runs) * (len(runs) - 1) // 2)
+        W._law = (_presentation_fails(W),)
+    fail, = W._law
     bad, dist = [], []      # the failing pairs, as ranks, and their distances
-    decided = kept = W.fits_arrays()
-    if kept:
-        W.monomial_arrays()     # kept, so _pairs_hold reads the rows by rank
-    runs = [n_l * w for n_l, w in zip(G.moduli, G._weights) if n_l > 1]    # n_1 ... n_l
-    if W._law is None and (kept or sum(runs) + len(runs) * (len(runs) - 1) // 2 <= samples):
-        W._law = (_presentation_fails(W),)      # P is read once per rep, by the first check
-    if W._law is not None:
-        fail, = W._law
-        if fail is not None and not swapped:
-            bad, dist = [fail[:2]], [fail[2]]
-        decided = fail is None or not swapped
-        if not decided and kept and n * n > ENTRY_BUDGET:
-            X = G.coords_array()
+    if fail is not None and not swapped:
+        bad, dist = [fail[:2]], [fail[2]]
+    elif fail is not None:
+        phase = antisymmetrize(W.multiplier)
+        X = G.coords_array()
+        if kept and n * n > ENTRY_BUDGET:
             for g in G.generators():
                 ok, gdist = _pairs_hold(W, phase, True, X, X[g.rank:g.rank + 1])
                 if not ok.all():
                     x = int(np.argmin(ok))
-                    bad, dist, decided = [(x, g.rank)], [gdist[x]], True
+                    bad, dist = [(x, g.rank)], [gdist[x]]
                     break
-    if not decided:
-        if n * n <= samples or (kept and n * n <= ENTRY_BUDGET):
+        if not bad:
+            check_budget("commutator pairs", n * n)
             # each x against the run of every y in rank order, read as one slice
             idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
-            X = G.coords_array()
             ok, dist = map(np.concatenate,
-                           zip(*[_pairs_hold(W, phase, swapped, X[x:x + 1], X) for x in range(n)]))
-        else:
-            idx = np.random.default_rng(seed).integers(0, n, size=(samples, 2))
-            note = f"sampled {samples} pairs, seed={seed}"
-            ok, dist = _pairs_hold(W, phase, swapped, G.coords_at(idx[:, 0]),
-                                   G.coords_at(idx[:, 1]))
-        bad, dist = idx[~ok], dist[~ok]
+                           zip(*[_pairs_hold(W, phase, True, X[x:x + 1], X) for x in range(n)]))
+            bad, dist = idx[~ok], dist[~ok]
     worst, witness = 0.0, None
     if len(bad):
         k = int(np.argmax(dist))
         worst, witness = float(dist[k]), tuple(G.element_by_rank(int(r)).coords for r in bad[k])
-    rep.add(name, witness is None, residual=worst, witness=witness, note=note)
+    rep.add(name, witness is None, residual=worst, witness=witness,
+            note=f"exhaustive over {n}^2 pairs")
 
 
 def _presentation_fails(W: ProjectiveRep):

@@ -16,7 +16,7 @@ from math import lcm
 import numpy as np
 
 from .errors import InputError
-from .groups import FinAbGroup, _require_prime, subgroup_span
+from .groups import FinAbGroup, Subgroup, _require_prime, subgroup_span
 from .isotropy import polar
 from .models import ProjectiveRep, commutant_d
 from .multipliers import Bicharacter, TableMultiplier, is_heisenberg, split_symmetric

@@ -51,7 +51,7 @@ def block_symplectic_model(moduli, units, gens):
     for i, u in enumerate(units):
         mat[i][i + r], mat[i + r][i] = Phase(u, moduli[i]), Phase(-u, moduli[i])
     m = Bicharacter(G, mat)
-    return induced_model(G, m, subgroup_span(G, [G.element(g) for g in gens]), check=False)
+    return induced_model(G, m, subgroup_span(G, [G.element(g) for g in gens]))
 
 
 @functools.cache

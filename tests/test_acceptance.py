@@ -284,12 +284,10 @@ def test_criterion_06_rep_law_and_commutator():
     wm = window_model(3, 1, 2)
     models.append(("window(3,1,2)", wm))
     for name, W in models:
-        n = W.group.order
-        law = check_rep_law(W, samples=4000)
-        comm = commutator_scalar_check(W, samples=4000)
+        law = check_rep_law(W)
+        comm = commutator_scalar_check(W)
         ok &= law.passed and comm.passed
-        mode = "exhaustive" if n <= 512 else "sampled"
-        details.append(f"{name}:{mode}")
+        assert law.checks[0].note == f"exhaustive over {W.group.order}^2 pairs"
         if not (law.passed and comm.passed):
             details.append(f"FAIL {name}")
     _line(6, "representation law and commutation rule at 1e-9 "

@@ -181,30 +181,27 @@ def test_rep_law_fault_injection():
 def _z9_case():
     """The (Z/9)^2 induced model, overridden at (1, 2)."""
     G, _, _, W = z9_setup()
-    return W, G.element([1, 2]), 20_000
+    return W, G.element([1, 2])
 
 
 def _descended_case():
     """The descended action of window (2,1,1), overridden at (1, 0)."""
     R = descend(window_model(2, 1, 1), window(2, 1, 1).L).rep0
-    return R, R.group.element([1, 0]), 20_000
+    return R, R.group.element([1, 0])
 
 
 def _window_312_case():
-    """Window (3,1,2), |G| = 6561 > 512, overridden at the first sampled element."""
+    """Window (3,1,2), |G| = 6561 > 512, overridden at (0, 8, 5, 7), off the generators."""
     W = window_model(3, 1, 2)
-    idx = np.random.default_rng(0).integers(0, W.group.order, size=(4000, 2))
-    x = W.group.element_by_rank(int(idx[0][0]))
-    assert x.coords == (0, 8, 5, 7)
-    return W, x, 4000
+    return W, W.group.element([0, 8, 5, 7])
 
 
 # (case, checker, check name, witness, note, residual), each with the identity
 # operator, a monomial one, as the override.  The pairs of the presentation
-# decide the law of a rep with kept rows and report the first failing one in
-# their order; the commutator of a rep whose law fails scans all |G|^2 pairs
-# (within the budget) or a sample, and reports the worst pair.  Window (3,1,2)
-# keeps no rows, so both of its checks are sampled.
+# decide the law and report the first failing one in their order; the
+# commutator of a rep whose law fails scans all |G|^2 pairs within the budget
+# and reports the worst pair.  Window (3,1,2) keeps no rows and its |G|^2 pairs
+# pass the budget, so that commutator is refused (note None), not sampled.
 FAULTS = [
     (_z9_case, check_rep_law, "law", ((1, 1), (0, 1)),
      "exhaustive over 81^2 pairs", 1.0),
@@ -214,10 +211,9 @@ FAULTS = [
      "exhaustive over 4^2 pairs", 1.0),
     (_descended_case, commutator_scalar_check, "commutator", ((1, 0), (0, 1)),
      "exhaustive over 4^2 pairs", 2.0),
-    (_window_312_case, check_rep_law, "law", ((0, 8, 5, 7), (3, 5, 6, 5)),
-     "sampled 4000 pairs, seed=0", 1.0),
-    (_window_312_case, commutator_scalar_check, "commutator",
-     ((0, 8, 5, 7), (3, 5, 6, 5)), "sampled 4000 pairs, seed=0", 1.285575219373079),
+    (_window_312_case, check_rep_law, "law", ((0, 8, 5, 6), (0, 0, 0, 1)),
+     "exhaustive over 6561^2 pairs", 1.0),
+    (_window_312_case, commutator_scalar_check, "commutator", None, None, None),
 ]
 
 
@@ -225,9 +221,14 @@ FAULTS = [
     "case,checker,name,witness,note,residual", FAULTS,
     ids=[f"{f[0].__name__.strip('_')}-monomial-{f[2]}" for f in FAULTS])
 def test_identity_fault_injection(case, checker, name, witness, note, residual):
-    W, x, samples = case()
-    assert checker(W, samples=samples).passed
-    rep = checker(W.with_override(x, identity_operator(W.dim)), samples=samples)
+    W, x = case()
+    assert checker(W).passed
+    faulty = W.with_override(x, identity_operator(W.dim))
+    if note is None:
+        with pytest.raises(ResourceLimitError, match="commutator pairs 43046721 exceeds"):
+            checker(faulty)
+        return
+    rep = checker(faulty)
     failed = [c for c in rep.checks if not c.passed]
     assert [c.name for c in failed] == [name]
     assert failed[0].witness == witness
@@ -246,42 +247,49 @@ def test_w0_must_be_the_identity_exactly():
 def _window_311_case():
     """Window (3,1,1), |G| = 81, small enough for the exhaustive tier."""
     W = window_model(3, 1, 1)
-    return W, W.group.element([2, 5]), 4000
+    return W, W.group.element([2, 5])
 
 
 @pytest.mark.parametrize("case,note", [
-    (_window_312_case, "sampled 4000 pairs, seed=0"),
+    (_window_312_case, "exhaustive over 6561^2 pairs"),
     (_window_311_case, "exhaustive over 81^2 pairs"),
-], ids=["3-1-2-sampled", "3-1-1-exhaustive"])
+], ids=["3-1-2-presentation", "3-1-1-exhaustive"])
 def test_near_scalar_fault_fails_every_tier(case, note):
     # W(x) scaled by e(1/10^10): every pair through x is off by a distance of
-    # 2 pi 10^-10, below the tolerance, and every tier must still fail it
-    W, x, samples = case()
+    # 2 pi 10^-10, below any float tolerance, and every tier must still fail it
+    W, x = case()
     faulty = W.with_override(x, W.operator(x).scaled(Phase(1, 10 ** 10)))
-    law = check_rep_law(faulty, samples=samples)
+    law = check_rep_law(faulty)
     assert [c.name for c in law.checks if not c.passed] == ["law"]
     bad = law.checks[-1]
     assert bad.note == note
     assert bad.residual == pytest.approx(2 * np.pi * 1e-10, rel=1e-3)
     wx, wy = (W.group.element(c) for c in bad.witness)
     assert x in (wx, wy, wx + wy)
-    # a scalar fault leaves every commutator as it was
-    assert commutator_scalar_check(faulty, samples=samples).passed
+    # a scalar fault leaves every commutator as it was; past the budget, with the
+    # law failing, no exact tier decides it, and it is refused
+    if W.group.order ** 2 <= ENTRY_BUDGET:
+        assert commutator_scalar_check(faulty).passed
+    else:
+        with pytest.raises(ResourceLimitError, match="ENTRY_BUDGET"):
+            commutator_scalar_check(faulty)
 
 
 @pytest.mark.parametrize("checker", [check_rep_law, commutator_scalar_check])
 @pytest.mark.parametrize("wrong", [False, True], ids=["own-multiplier", "zero-multiplier"])
 def test_batched_pair_scan_matches_pairwise(checker, wrong):
-    # window (3,1,2) is too large for the monomial scan; its batched sampled
-    # scan must report exactly what the pairwise scan of the same operators does
+    # window (3,1,2) keeps no rows: its pairs P are streamed through the formula in
+    # blocks and must report exactly what the pairwise scan of P's operators does; a law
+    # that holds decides the commutator, and the commutator of one that fails is refused
     W = window_model(3, 1, 2)
     m = zero_multiplier(W.group) if wrong else W.multiplier
     rep = ProjectiveRep(W.group, m, W.dim, W.fn, W.den)
-    got = checker(rep, samples=1000, seed=3)
-    swapped = checker is commutator_scalar_check
-    phase = antisymmetrize(m) if swapped else m
-    assert got.checks[-1].to_dict() == sampled_pair_oracle(
-        rep, got.checks[-1].name, phase, swapped, samples=1000, seed=3)
+    if wrong and checker is commutator_scalar_check:
+        with pytest.raises(ResourceLimitError, match="commutator pairs 43046721 exceeds"):
+            checker(rep)
+        return
+    got = checker(rep).checks[-1]
+    assert got.to_dict() == presentation_oracle(rep, got.name)
     assert got.passed == (not wrong)
 
 
@@ -292,27 +300,25 @@ def pair_distance(W, phase, swapped, x, y):
     return lhs.distance_to(rhs.scaled(phase(x, y)))
 
 
-def sampled_pair_oracle(W, name, phase, swapped, samples, seed, tolerance=1e-9):
-    """The sampled check ``name`` as a per-pair scan reports it: every seeded pair is
-    composed from its operators, and the witness is the worst pair."""
+def presentation_oracle(W, name):
+    """Check ``name`` as a per-pair scan of the law at P reports it: each pair of P, in
+    P's order, composed from its operators; the witness is the first failing pair."""
     G = W.group
-    worst, witness = 0.0, None
-    for i, j in np.random.default_rng(seed).integers(0, G.order, size=(samples, 2)).tolist():
-        x, y = G.element_by_rank(i), G.element_by_rank(j)
-        dist = pair_distance(W, phase, swapped, x, y)
-        if dist > worst:
-            worst = dist
-            if dist > tolerance:
-                witness = (x.coords, y.coords)
     rep = VerificationReport("oracle")
-    rep.add(name, worst <= tolerance, residual=worst, witness=witness,
-            note=f"sampled {samples} pairs, seed={seed}")
+    note = f"exhaustive over {G.order}^2 pairs"
+    for i, j in presentation_order(G):
+        x, y = G.element_by_rank(i), G.element_by_rank(j)
+        dist = pair_distance(W, W.multiplier, False, x, y)
+        if dist > 0:
+            rep.add(name, False, residual=dist, witness=(x.coords, y.coords), note=note)
+            return rep.checks[0].to_dict()
+    rep.add(name, True, residual=0.0, note=note)
     return rep.checks[0].to_dict()
 
 
 @pytest.mark.parametrize("checker", [check_rep_law, commutator_scalar_check])
 def test_batched_pair_scan_builds_no_operator(checker):
-    # on a correct batched model the block formula settles every sampled pair
+    # on a correct batched model the block formula settles every pair of P
     W = window_model(3, 1, 2)
     seen = []
 
@@ -321,10 +327,11 @@ def test_batched_pair_scan_builds_no_operator(checker):
         return W.fn(Y)
 
     strict = ProjectiveRep(W.group, W.multiplier, W.dim, counted, W.den)
-    assert checker(strict, samples=1000, seed=3).passed
-    # one-row calls (operators) only at 0; the sampled pairs are read in whole blocks
-    assert all(not Y.any() for Y in seen if len(Y) == 1)
-    assert 0 < sum(len(Y) for Y in seen if len(Y) > 1) <= 3 * 1000
+    assert checker(strict).passed
+    # one-row calls only at 0 and at the generators; the pairs of P are read in whole blocks
+    gens = {g.coords for g in W.group.generators()}
+    assert all(not Y.any() or tuple(Y[0].tolist()) in gens for Y in seen if len(Y) == 1)
+    assert 0 < sum(len(Y) for Y in seen if len(Y) > 1) <= 3 * len(presentation_order(W.group))
 
 
 def presentation_order(G):
@@ -627,9 +634,22 @@ def test_presentation_reads_at_most_2490_pairs(monkeypatch):
     assert_commutator_after_law_reads_no_pairs(reps[2], pairs)
 
 
+def test_induced_model_keeps_its_law_from_construction(monkeypatch):
+    # the model decides its law when it is built, so neither check reads a pair, calls
+    # the formula or keeps the |G| x dim rows
+    W = block_symplectic_model.__wrapped__(*VACUUM_9595)
+    pairs = count_pairs(monkeypatch)
+    calls, fn = [], W.fn
+    W.fn = lambda Y: calls.append(len(Y)) or fn(Y)
+    assert W.law_holds
+    for checker in (check_rep_law, commutator_scalar_check):
+        check, = checker(W).checks
+        assert check.passed and check.note == "exhaustive over 2025^2 pairs"
+    assert pairs == [] and calls == [] and W._arrays is None
+
+
 def test_fault_beyond_table_cap_fails_at_a_generator_pair():
-    # the seed-0 sample of 2000 pairs misses every pair at which scaling
-    # W(3, 2, 0, 0) breaks the law, so a sampled check passes it; the pairs (x, g) do not
+    # scaling W(3, 2, 0, 0) breaks the law at few pairs; P finds one, and so do the pairs (x, g)
     W = fresh_rep(block_symplectic_model(*VACUUM_9595))
     G = W.group
     x0 = G.element([3, 2, 0, 0])
@@ -641,18 +661,18 @@ def test_fault_beyond_table_cap_fails_at_a_generator_pair():
         assert check.note == "exhaustive over 2025^2 pairs"
 
     scaled = W.with_override(x0, W.operator(x0).scaled(Phase(1, 3)))
-    assert_fails(check_rep_law(scaled, samples=2000).checks[-1])
-    # a scalar cannot move a commutator, so that identity holds at every pair; W's
-    # own law fails, so the pairs (x, g) prove nothing and the pairs are sampled
-    comm = commutator_scalar_check(scaled, samples=2000).checks[-1]
-    assert comm.passed and comm.note == "sampled 2000 pairs, seed=0"
+    assert_fails(check_rep_law(scaled).checks[-1])
+    # a scalar cannot move a commutator, so that identity holds at every pair; W's own
+    # law fails, so the pairs (x, g) prove nothing, and the 2025^2 pairs are refused
+    with pytest.raises(ResourceLimitError, match="commutator pairs 4100625 exceeds ENTRY_BUDGET"):
+        commutator_scalar_check(scaled)
     # one shifted phase is no scalar, and both identities fail at a pair (x, g)
     op = W.operator(x0)
     num = 3 * op.num
     num[0] += 1
     shifted = W.with_override(x0, Operator(W.dim, 3 * op.den, op.src, num))
     for checker in (check_rep_law, commutator_scalar_check):
-        assert_fails(checker(shifted, samples=2000).checks[-1])
+        assert_fails(checker(shifted).checks[-1])
 
 
 def test_override_law_check_reads_whole_blocks():
@@ -714,7 +734,8 @@ def assert_verdicts_match_all_pairs(W):
     """Law and commutator verdicts equal ``all_pairs_hold`` over all |G|^2 pairs.
 
     A failing check's witness is a failing pair (x, g), g a generator.  Only
-    the commutator of a rep whose own law fails may be sampled.
+    the commutator of a rep whose own law fails, and which holds at every
+    (x, g), is refused, as |G|^2 passes the budget.
     """
     G = W.group
     n = G.order
@@ -723,13 +744,16 @@ def assert_verdicts_match_all_pairs(W):
     law_holds = all_pairs_hold(W, W.multiplier, False)
     comm_holds = all_pairs_hold(W, mt, True)
     for checker, holds in ((check_rep_law, law_holds), (commutator_scalar_check, comm_holds)):
+        if checker is commutator_scalar_check and holds.all() and not law_holds.all():
+            with pytest.raises(ResourceLimitError, match=f"commutator pairs {n * n} exceeds"):
+                checker(W)
+            continue
         check = checker(W).checks[-1]
         assert check.passed == holds.all()
+        assert check.note == f"exhaustive over {n}^2 pairs"
         if not check.passed:
             x, g = check.witness
             assert g in gens and not holds[G.rank_of(x), G.rank_of(g)]
-        sampled = checker is commutator_scalar_check and holds.all() and not law_holds.all()
-        assert (check.note == f"exhaustive over {n}^2 pairs") != sampled
     return law_holds.all(), comm_holds.all()
 
 
@@ -782,14 +806,14 @@ def test_coverage_of_each_case(z9):
     op = W5.operator(x0)
     num = 3 * op.num
     num[0] += 1
-    comm = commutator_scalar_check(W5.with_override(x0, Operator(W5.dim, 3 * op.den, op.src, num)),
-                                   samples=2000).checks[0]
+    comm = commutator_scalar_check(W5.with_override(x0, Operator(W5.dim, 3 * op.den, op.src, num))
+                                   ).checks[0]
     assert (comm.passed, comm.note) == (False, "exhaustive over 625^2 pairs")
     assert comm.witness[1] in {g.coords for g in W5.group.generators()}
-    # window (3,1,2) keeps no rows: both checks are sampled
+    # window (3,1,2) keeps no rows: P, streamed through the formula, decides both checks
     W3 = fresh_rep(window_model(3, 1, 2))
     for checker in (check_rep_law, commutator_scalar_check):
-        assert checker(W3, samples=1000).checks[0].note == "sampled 1000 pairs, seed=0"
+        assert checker(W3).checks[0].note == "exhaustive over 6561^2 pairs"
 
 
 @pytest.mark.parametrize("fill,failure", [((1, 2), "cocycle"), (None, "normalization")],
@@ -1126,12 +1150,12 @@ def test_intertwiner_of_bicharacters_beyond_table_cap():
         mat[i][i + 2], mat[i + 2][i] = Phase(1, 9), Phase(-1, 9)
     m = Bicharacter(G, mat)
     e = [G.element([int(i == j) for j in range(4)]) for i in range(4)]
-    W1 = induced_model(G, m, subgroup_span(G, e[:2]), check=False)
-    W2 = induced_model(G, m, subgroup_span(G, e[2:]), check=False)
+    W1 = induced_model(G, m, subgroup_span(G, e[:2]))
+    W2 = induced_model(G, m, subgroup_span(G, e[2:]))
     res = intertwiner(W1, W2)
     assert res["dimension"] == 1 and res["unitary_defect"] <= 1e-9
     other = Bicharacter(G, [[-b for b in row] for row in mat])
-    W3 = induced_model(G, other, subgroup_span(G, e[:2]), check=False)
+    W3 = induced_model(G, other, subgroup_span(G, e[:2]))
     with pytest.raises(InputError, match="multipliers differ"):
         intertwiner(W1, W3)
 
@@ -1274,8 +1298,8 @@ def _in_presentation(G, y, g):
 
 def test_window_312_law_is_decided_at_its_presentation(monkeypatch):
     # |G| dim = 6561 * 81 passes the row budget, but P holds 9 + 81 + 729 + 6561 + 6 = 7386
-    # pairs, fewer than the 20 000 samples: the law is decided exactly at P, streamed
-    # through the formula, and then the commutator follows from it without a pair
+    # pairs, within ENTRY_BUDGET: the law is decided exactly at P, streamed through the
+    # formula, and then the commutator follows from it without a pair
     read = []
     pairs_hold = models._pairs_hold
 
@@ -1296,8 +1320,13 @@ def test_window_312_law_is_decided_at_its_presentation(monkeypatch):
     fail, = check_rep_law(F).checks
     assert not fail.passed and fail.note == "exhaustive over 6561^2 pairs"
     assert _in_presentation(G, *fail.witness) and F.law_holds is False
-    # a sample no longer than P keeps the seeded tier
-    assert check_rep_law(fresh_rep(W), samples=7385).checks[0].note == "sampled 7385 pairs, seed=0"
+    # window (5,1,2): P holds 25 + 625 + 15625 + 390625 + 6 pairs, past the budget, so the
+    # law is refused before any pair is read
+    W5 = fresh_rep(window_model(5, 1, 2))
+    W5.fn = None
+    with pytest.raises(ResourceLimitError) as exc:
+        check_rep_law(W5)
+    assert (exc.value.budget, exc.value.size) == ("ENTRY_BUDGET", 406906)
 
 
 @pytest.mark.parametrize("site", ["init", "compose", "scaled", "equals"])
@@ -1488,6 +1517,54 @@ def test_induced_phase_from_antisymmetrization_matches_two_grids(kind, data):
     SRC, NUM = W.fn(Y)
     S2, N2 = two_grid_rows(G, m, A, split_symmetric(m, A) if c is None else c, Y)
     assert (SRC == S2).all() and (NUM % W.den == N2).all()
+
+
+def coset_table(W):
+    """(TS, TN), the coset table of an induced model, as its formula's closure holds it."""
+    cells = dict(zip(W.fn.__code__.co_freevars, W.fn.__closure__))
+    return cells["TS"].cell_contents, cells["TN"].cell_contents
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["induced", "induced-table"]), data=st.data())
+def test_induced_law_verdict_matches_the_presentation(kind, data):
+    # a coset-table entry corrupted once the model exists, before its law is decided: one
+    # numerator, or two sources of one row swapped (row 0, W(0), stays the identity); the
+    # verdict at the pairs (r_k, g) is the one the pairs P give on a fresh copy, and every
+    # corruption that changes the table fails
+    moduli = data.draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=2))
+    G, m, A, c = induced_inputs(kind, moduli, data)
+    dim = G.order // A.order
+    fault = data.draw(st.sampled_from(["none", "numerator", "swap"])) if dim > 1 else "none"
+    k, i, j = (data.draw(st.integers(lo, dim - 1)) for lo in (1, 0, 0)) if dim > 1 else (0, 0, 0)
+    built = []
+
+    class Faulted(ProjectiveRep):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+            TS, TN = coset_table(self)
+            if fault == "numerator":
+                TN[k, i] = (TN[k, i] + data.draw(st.integers(1, self.den - 1))) % self.den
+            elif fault == "swap":
+                TS[k, [i, j]] = TS[k, [j, i]]
+
+    raised = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "ProjectiveRep", Faulted)
+        try:
+            W = induced_model(G, m, A, c)
+        except DefectError as exc:
+            raised = exc
+    F = fresh_rep(built[0])
+    assert (raised is None) == (models._presentation_fails(F) is None)
+    assert (raised is None) == (fault == "none" or (fault == "swap" and i == j))
+    if raised is None:
+        assert W.law_holds
+        return
+    r, g = (G.element(x) for x in raised.witness)
+    assert r.coords in set(map(tuple, A.transversal_coords().tolist()))
+    assert g in G.generators() and pair_distance(F, m, False, r, g) > 0
 
 
 def test_induced_formula_reduces_each_row_to_its_coset_once(monkeypatch):

@@ -1,10 +1,15 @@
+import dataclasses
+import importlib
 import json
+import pkgutil
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weylkit
 from weylkit.errors import DefectError, InputError
 from weylkit.groups import double_image
 from weylkit.models import check_rep_law
@@ -56,6 +61,20 @@ def test_window_weyl_law_311_exhaustive():
     rep = check_rep_law(W)
     assert rep.passed
     assert rep.max_residual == 0.0
+
+
+def test_every_dataclass_resolves_its_type_hints():
+    # an annotation naming a class its module never imports raises NameError here
+    found = []
+    for info in pkgutil.iter_modules(weylkit.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"weylkit.{info.name}")
+        for cls in vars(mod).values():
+            if dataclasses.is_dataclass(cls) and cls.__module__ == mod.__name__:
+                typing.get_type_hints(cls)
+                found.append(cls.__name__)
+    assert "PAdicWindow" in found and len(found) >= 5
 
 
 def test_heisenberg_parity():
