@@ -26,29 +26,17 @@ from .groups import FinAbGroup, GroupElement, Quotient, Subgroup, double_image, 
 from .isotropy import is_isotropic, polar
 from .models import (
     BLOCK_ENTRIES,
+    Operator,
     ProjectiveRep,
     _character_walk,
     _orbit_characters,
     _relation_scalars,
     check_rep_law,
     commutant_d,
-    identity_operator,
 )
 from .multipliers import Bicharacter, TableMultiplier, antisymmetrize
-from .phases import HALF, Phase, ZERO
+from .phases import ZERO
 from .reports import VerificationReport
-
-SV_ZERO = 1e-8     # norms and singular values at or below this count as zero
-DEFAULT_TOL = 1e-9     # generated_subspace's bound on its float projector checks
-
-
-def _orthonormal_columns(M: np.ndarray, tol: float = SV_ZERO) -> np.ndarray:
-    """Orthonormal basis of the column space of M (SVD rank with absolute cutoff)."""
-    if M.size == 0:
-        return np.zeros((M.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
-    k = int((s > tol).sum())
-    return u[:, :k]
 
 
 class SectorDecomposition:
@@ -85,7 +73,8 @@ class SectorDecomposition:
         self._chars = C.coords_array()
         self._chi = self._chars * (self.char_exp // d)
         self._char_weights = np.array(C._weights, dtype=np.int64)
-        rows = rep.rows(self.gens)
+        self._H = np.array([h.coords for h in self.gens], dtype=np.int64).reshape(len(self.gens), G.rank)
+        rows = rep.rows(self._H)
         den = rows[2]
         self._den = D = lcm(den, self.char_exp)
         n = rep.dim
@@ -155,10 +144,8 @@ class SectorDecomposition:
     def _coset_chars(self):
         """Rank of the character a |-> m(a, y) for each transversal element y, from one
         ``pair_nums`` pass; None when some m(h_k, y) is not a multiple of 1/d_k."""
-        m, r = self.rep.multiplier, len(self.orders)
-        Y = self.L.transversal_coords()
-        H = np.array([h.coords for h in self.gens], dtype=np.int64).reshape(r, self.rep.group.rank)
-        nums = m.pair_grid(H, Y).T * np.array(self.orders, dtype=np.int64)
+        m, Y = self.rep.multiplier, self.L.transversal_coords()
+        nums = m.pair_grid(self._H, Y).T * np.array(self.orders, dtype=np.int64)
         return None if (nums % m.den).any() else (nums // m.den) @ self._char_weights
 
     # -- sectors ----------------------------------------------------------
@@ -266,10 +253,9 @@ class SectorDecomposition:
             chi = (T @ self._chi.T)[:, t]
             return bad | (src != own) | ((num * (D // d) - chi * (D // E)) % D != 0)
 
-        r = len(self.gens)
-        H = np.array([h.coords for h in self.gens], dtype=np.int64).reshape(r, self.rep.group.rank)
         witness = None
-        if not (self.rep.law_holds and not bad_at(H, np.eye(r, dtype=np.int64)).any()):
+        unit = np.eye(len(self.gens), dtype=np.int64)
+        if not (self.rep.law_holds and not bad_at(self._H, unit).any()):
             X = self.L.coords_array()
             step = max(1, BLOCK_ENTRIES // max(len(pairs), self.rep.dim))
             for start in range(0, n, step):
@@ -435,38 +421,49 @@ def _witness(coords, bad, carriers):
     return tuple(int(c) for c in coords[r]), int(carriers[k])
 
 
-def generated_subspace(W: ProjectiveRep, L: Subgroup, K: np.ndarray,
-                       tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Smallest W-invariant subspace containing K <= H^L; P projects it back onto K.
+def generated_subspace(W: ProjectiveRep, L: Subgroup, K) -> list:
+    """Smallest W-invariant subspace containing span K <= H^L, K a set of vacuum basis columns.
 
-    K must be contained in the vacuum space and invariant under the vacuum
-    normalizer (W(L/2) in the alternating setting); returns an orthonormal
-    basis of span{ W(x) K }, x over coset representatives of G/L.
+    W(x) maps each vacuum basis vector to a phase times a basis vector of the sector of m~(., x)
+    (``_transport``, a sector and a block of rows at a time), at the vacuum normalizer's
+    generators, which must map K into K (else ``PreconditionError``), and at L's coset
+    representatives: the basis vectors reached span the W(x) K, returned as sorted (character,
+    column of ``basis_of``) pairs.  ``DefectError`` when their vacuum columns (PH(K)) are not K,
+    or with witness (element, carrier index, -1 when a vector of K leaves the sector) when W(x)
+    does not carry K onto basis vectors of one sector.
     """
-    G = W.group
-    check_budget("dense entries", W.dim ** 2)          # the dim x dim projectors
-    B0 = sectors(W, L).vacuum_basis()
-    Kb = _orthonormal_columns(np.asarray(K, dtype=complex).reshape(W.dim, -1))
-    P0 = B0 @ B0.conj().T
-    if Kb.size and float(np.abs(Kb - P0 @ Kb).max()) > tol:
-        raise PreconditionError("K is not contained in the vacuum space")
-    L2 = vacuum_normalizer(W, L)
-    PK = Kb @ Kb.conj().T
-    for x in L2.generators:
-        img = W.operator(x).apply(Kb) if Kb.size else Kb
-        if Kb.size and float(np.abs(img - PK @ img).max()) > tol:
-            raise PreconditionError(
-                f"K is not invariant under the vacuum normalizer (witness {x.coords})")
-    if not Kb.size:
-        return np.zeros((W.dim, 0), dtype=complex)
-    cols = [W.operator(r).apply(Kb) for r in L.transversal()]
-    span = _orthonormal_columns(np.concatenate(cols, axis=1))
-    # the projection back to the vacuum space must return exactly K
-    back = _orthonormal_columns(P0 @ span)
-    PB = back @ back.conj().T
-    if float(np.abs(PB - PK).max()) > tol:
+    S = sectors(W, L)
+    K = np.unique(np.asarray(K, dtype=np.int64))
+    if K.size and not 0 <= K[0] <= K[-1] < S.vacuum_dim:
+        raise PreconditionError("K is not a set of vacuum basis columns")
+    gens = [x.coords for x in vacuum_normalizer(W, L).generators]
+    X = np.array(gens + L.transversal_coords().tolist(), dtype=np.int64)
+    # x's sector: t_k = d_k m~(h_k, x), m~(h_k, x)'s numerator a multiple of den / gcd(den, d_k)
+    mt, d = antisymmetrize(W.multiplier), np.array(S.orders, dtype=np.int64)
+    g = np.gcd(mt.den, d)
+    t = FinAbGroup(S.orders).ranks_of(mt.pair_grid(S._H, X).T // (mt.den // g) * (d // g))
+    img = np.empty((len(X), len(K)), dtype=np.int64)        # the basis vectors W(x) maps K to
+    step = max(1, BLOCK_ENTRIES // W.dim)
+    for col in np.unique(t).tolist() if K.size else []:
+        pairs = S._pairs(col)
+        roots = np.flatnonzero(pairs == S._label(pairs))
+        at = np.flatnonzero(t == col)
+        for block in np.split(at, range(step, len(at), step)):
+            src, _, _, bad = S._transport(W.rows(X[block]), pairs, np.zeros_like(S._counts))
+            hit = np.isin(src[:, roots], K)
+            lost = hit.sum(axis=1, keepdims=True) != len(K)
+            witness = _witness(X[block], np.hstack([bad, lost]), np.append(pairs // L.order, -1))
+            if witness is not None:
+                raise DefectError(f"W({witness[0]}) does not carry K onto basis vectors of one sector",
+                                  witness=witness)
+            img[block] = S._vector(pairs[roots])[np.nonzero(hit)[1]].reshape(len(block), len(K))
+    moved = np.flatnonzero(~np.isin(img[:len(gens)], K).all(axis=1))
+    if moved.size:
+        raise PreconditionError(f"K is not invariant under the vacuum normalizer (witness {gens[moved[0]]})")
+    reached = np.unique(np.column_stack([np.repeat(t, len(K)), img.ravel()])[len(gens) * len(K):], axis=0)
+    if not np.array_equal(reached[reached[:, 0] == 0, 1], K):
         raise DefectError("projection of the generated subspace differs from K")
-    return span
+    return [(tuple(S._chars[j].tolist()), k) for j, k in reached.tolist()]
 
 
 @dataclass
@@ -551,9 +548,8 @@ def descend(W: ProjectiveRep, L: Subgroup) -> DescendedRep:
     proj = [V2.element(c) for c in q.project_coords([x.coords for x in gens]).tolist()]
     witness = next(((x.coords, y.coords) for x, px in zip(gens, proj) for y, py in zip(gens, proj)
                     if n(px, py) != mt(x, y)), None)
-    lift_ok = witness is None
-    report.add("lift of n equals m~ on L/2", lift_ok, witness=witness)
-    if not lift_ok:
+    report.add("lift of n equals m~ on L/2", witness is None, witness=witness)
+    if witness is not None:
         raise DefectError("descended form does not lift to m~", witness=witness)
     return DescendedRep(W, L, q, V2, B0, rep0, m0, n, report, S)
 
@@ -620,36 +616,39 @@ def _jordan_wigner(n: Bicharacter) -> list:
 def clifford_basis(D: DescendedRep) -> CliffordBasis:
     """Extract 2d anticommuting involutions from the descended representation.
 
-    The elements gamma_i come from a symplectic F2 basis of n by
-    Jordan-Wigner (``_jordan_wigner``), and E_i = e(c_i) W0(gamma_i) with
-    c_i the root of 2 c_i = -m0(gamma_i, gamma_i) in [0, 1/2), so that
-    E_i^2 = 1.  E_i^2 = 1 and E_i E_j = -E_j E_i are checked exactly by
-    monomial composition; the residuals are 0.0 when they hold and the float
-    distance of the worst failing pair otherwise.
+    The gamma_i come from a symplectic F2 basis of n by Jordan-Wigner (``_jordan_wigner``, which
+    refuses an odd F2-dimension: n is then degenerate).  E_i = e(c_i) W0(gamma_i), c_i the root of
+    2 c_i = -m0(gamma_i, gamma_i) in [0, 1/2).  One read of W0 at the gamma_i decides every
+    relation (``_relation_scalars``, ``DefectError`` unless each is a scalar); a residual is 0.0
+    when its relations hold, else the largest |e(x) - 1| or |e(x) - e(1/2)| of a failing one.
     """
-    V2 = D.v2
-    if any(d != 2 for d in V2.moduli):
+    if any(n != 2 for n in D.v2.moduli):
         raise PreconditionError("descended group is not an elementary 2-group")
-    if V2.rank % 2:
-        raise DefectError("descended group has odd F2-dimension")
     basis = _jordan_wigner(D.n)
-    den = D.m0.den
-    ops = [D.rep0.operator(e).scaled(Phase(-int(D.m0.num[e.rank, e.rank]) % den, 2 * den))
-           for e in basis]
+    B = np.array([e.coords for e in basis], dtype=np.int64).reshape(len(basis), D.v2.rank)
+    SRC, NUM, den0 = rows = D.rep0.rows(B)
+    s, witness = _relation_scalars(rows, [2] * len(basis))
+    if witness is not None:
+        raise DefectError("a Clifford relation of the descended operators is not a scalar",
+                          witness=(basis[witness[0]].coords, basis[witness[1]].coords, witness[2]))
+    # every numerator over d; c_i = (-m0(gamma_i, gamma_i) mod den) / 2 den
+    den, d = D.m0.den, lcm(den0, 2 * D.m0.den)
+    check_int64(f"a Clifford numerator over {d}", 2 * (d - 1))
+    c = -D.m0.pair_nums(B, B) % den * (d // (2 * den))
+    ops = [Operator(D.rep0.dim, d, SRC[k], NUM[k] * (d // den0) + c[k]) for k in range(len(basis))]
 
-    # exact monomial identities, measured on the monomial rows
-    one = identity_operator(D.rep0.dim)
-    r_sq = max((E.compose(E).distance_to(one) for E in ops), default=0.0)
-    r_ac = max((ops[i].compose(ops[j]).distance_to(ops[j].compose(ops[i]).scaled(HALF))
-                for i in range(len(ops)) for j in range(i + 1, len(ops))), default=0.0)
-    gram = [[1 if D.n(a, b) == HALF else 0 for b in basis] for a in basis]
-    for i, row in enumerate(gram):
-        for j, g in enumerate(row):
-            if g != (0 if i == j else 1):
-                raise DefectError("Gram matrix of the found basis is wrong",
-                                  witness=(i, j))
+    def residual(num, target):      # 0.0 when num = target mod d everywhere
+        far = np.abs(np.exp(2j * np.pi * (num % d) / d) - np.exp(2j * np.pi * target / d))
+        return float(far.max()) if ((num - target) % d).any() else 0.0
+
+    r_sq = residual(np.diag(s) * (d // den0) + 2 * c, 0)
+    r_ac = residual(-s[np.tril_indices(len(basis), -1)] * (d // den0), d // 2)
+    gram = (2 * D.n.pair_grid(B, B) == D.n.den).astype(int)
+    wrong = np.argwhere(gram != 1 - np.eye(len(basis), dtype=int))
+    if wrong.size:
+        raise DefectError("Gram matrix of the found basis is wrong", witness=tuple(wrong[0].tolist()))
     # each E_i is a scalar times W0(gamma_i) and the gamma_i generate V2: same commutant
-    return CliffordBasis(basis, ops, gram, r_sq, r_ac, D.commutant_dim)
+    return CliffordBasis(basis, ops, gram.tolist(), r_sq, r_ac, D.commutant_dim)
 
 
 def coherent_states(W: ProjectiveRep, L: Subgroup) -> tuple[VerificationReport, np.ndarray | None]:
@@ -674,8 +673,7 @@ def coherent_states(W: ProjectiveRep, L: Subgroup) -> tuple[VerificationReport, 
     if cd == 1:
         all_one = all(d == 1 for d in S.dims.values())
         rep.add("all sectors one-dimensional", all_one, note=f"{len(S.dims)} sectors")
-        cols = [S.basis_of(u) for u in sorted(S.dims)]
-        basis = np.concatenate(cols, axis=1)
+        basis = np.concatenate([S.basis_of(u) for u in sorted(S.dims)], axis=1)
         rep.extend(S.eigen_check())
     else:
         rep.add("reducible as expected", vdim > 1, note=f"vacuum_dim={vdim}")

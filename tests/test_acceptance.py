@@ -343,8 +343,8 @@ def test_criterion_08_sector_structure():
         for x in xs:
             ok &= permute_check(S, x).passed
         ok &= normalizer_check(S).passed
-        B0 = S.vacuum_basis()
-        span = generated_subspace(W, L, B0, tol=TOL)
+        # the whole vacuum generates a subspace whose projection back is the vacuum
+        generated_subspace(W, L, range(S.vacuum_dim))
         details.append(f"{name}: ok")
     # the largest window: completeness and the vacuum eigen-characterization
     w = window(2, 2, 2)
@@ -354,10 +354,10 @@ def test_criterion_08_sector_structure():
     # orthogonality preservation needs a reducible model
     G9, m9, L9, W9 = z9_setup()
     WW = W9.direct_sum(W9)
-    B0 = sectors(WW, L9).vacuum_basis()
-    S1 = generated_subspace(WW, L9, B0[:, :1], tol=TOL)
-    S2 = generated_subspace(WW, L9, B0[:, 1:], tol=TOL)
-    ok &= float(np.abs(S1.conj().T @ S2).max()) <= TOL
+    # the two vacuum columns generate disjoint sets of orthonormal sector basis vectors
+    S1 = generated_subspace(WW, L9, [0])
+    S2 = generated_subspace(WW, L9, [1])
+    ok &= len(S1) == len(S2) == W9.dim and not set(S1) & set(S2)
     _line(8, "sector completeness, eigen characterization, permutation, "
              "normalizer, PH(K)=K, orthogonality", ok, f"{len(details) + 1} models")
 

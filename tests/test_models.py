@@ -237,7 +237,7 @@ def test_identity_fault_injection(case, checker, name, witness, note, residual):
 
 
 def test_w0_must_be_the_identity_exactly():
-    # e(1/10^10) is within DEFAULT_TOL of 1 as a float, but it is not 1
+    # e(1/10^10) is within 1e-9 of 1 as a float, but it is not 1
     G = FinAbGroup([3])
     near = identity_operator(3).scaled(Phase(1, 10 ** 10))
     with pytest.raises(DefectError, match=r"W\(0\) is not the identity"):

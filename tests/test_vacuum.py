@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import json
 from collections import Counter
 from math import lcm
@@ -16,7 +17,7 @@ from weylkit.isotropy import is_isotropic, polar
 from weylkit.cli import build_model, build_parser, parse_group, parse_multiplier, parse_subgroup
 from weylkit.models import (Operator, ProjectiveRep, _intertwining_orbits, check_rep_law,
                             identity_operator, induced_model, regular_rep)
-from weylkit.padic import window_weyl
+from weylkit.padic import vacuum_profile, window_weyl
 from weylkit.multipliers import Bicharacter, PhaseMap, TableMultiplier, antisymmetrize
 from weylkit.phases import HALF, Phase, ZERO
 from weylkit.vacuum import (
@@ -32,7 +33,8 @@ from weylkit.vacuum import (
     vacuum_normalizer,
 )
 
-from conftest import block_symplectic_model, fresh_rep, same_multiplier_pairs, window, window_model
+from conftest import (block_symplectic_model, fresh_rep, same_multiplier_pairs, window, window_model,
+                      z9_setup)
 
 
 # -- sector decomposition ----------------------------------------------------
@@ -655,48 +657,138 @@ def test_fault_in_sector_data_fails_generators_with_the_scan_witness(case, fault
 
 # -- generated subspaces -------------------------------------------------------
 
+def dense_generated_subspace(W, L, K, tol=1e-9):
+    """Oracle: the span of W(x) K over L's coset representatives by float SVDs, for K a
+    (dim x k) array in the vacuum space; its projection back onto H^L must be span K."""
+
+    def orthonormal_columns(M, cutoff=1e-8):
+        if M.size == 0:
+            return np.zeros((M.shape[0], 0), dtype=complex)
+        u, sv, _ = np.linalg.svd(M, full_matrices=False)
+        return u[:, :int((sv > cutoff).sum())]
+
+    B0 = sectors(W, L).vacuum_basis()
+    Kb = orthonormal_columns(np.asarray(K, dtype=complex).reshape(W.dim, -1))
+    P0 = B0 @ B0.conj().T
+    if Kb.size and float(np.abs(Kb - P0 @ Kb).max()) > tol:
+        raise PreconditionError("K is not contained in the vacuum space")
+    PK = Kb @ Kb.conj().T
+    for x in vacuum_normalizer(W, L).generators:
+        img = W.operator(x).apply(Kb) if Kb.size else Kb
+        if Kb.size and float(np.abs(img - PK @ img).max()) > tol:
+            raise PreconditionError(f"K is not invariant under the vacuum normalizer (witness {x.coords})")
+    if not Kb.size:
+        return np.zeros((W.dim, 0), dtype=complex)
+    span = orthonormal_columns(np.concatenate([W.operator(r).apply(Kb) for r in L.transversal()], axis=1))
+    back = orthonormal_columns(P0 @ span)
+    if float(np.abs(back @ back.conj().T - PK).max()) > tol:
+        raise DefectError("projection of the generated subspace differs from K")
+    return span
+
+
+def span_columns(W, L, span):
+    """The dense orthonormal columns of generated_subspace's (character, column) pairs."""
+    S = sectors(W, L)
+    return np.array([S.basis_of(u)[:, k] for u, k in span], dtype=complex).reshape(len(span), W.dim).T
+
+
 def test_generated_fills_space_z9(z9):
     G, m, L, W = z9
-    B0 = sectors(W, L).vacuum_basis()
-    span = generated_subspace(W, L, B0)
-    assert span.shape[1] == W.dim
+    span = generated_subspace(W, L, range(sectors(W, L).vacuum_dim))
+    assert len(span) == W.dim
+    assert sorted(u for u, _ in span) == sorted(sectors(W, L).dims)
 
 
 def test_generated_gap_p2_k1():
     W = window_model(2, 1, 1)
     w = window(2, 1, 1)
-    B0 = sectors(W, w.L).vacuum_basis()
-    span = generated_subspace(W, w.L, B0)
-    assert span.shape[1] == B0.shape[1] == 2  # generation stalls on the vacuum
+    assert sectors(W, w.L).vacuum_dim == 2
+    # generation stalls on the vacuum
+    assert generated_subspace(W, w.L, [0, 1]) == [((0, 0), 0), ((0, 0), 1)]
 
 
 def test_generated_zero():
     W = window_model(2, 1, 1)
     w = window(2, 1, 1)
-    K = np.zeros((W.dim, 0))
-    span = generated_subspace(W, w.L, K)
-    assert span.shape[1] == 0
+    assert generated_subspace(W, w.L, []) == []
 
 
 def test_generated_orthogonality_preserved(z9):
     G, m, L, W = z9
     WW = W.direct_sum(W)
-    B0 = sectors(WW, L).vacuum_basis()
-    assert B0.shape[1] == 2
-    K1 = B0[:, :1]
-    K2 = B0[:, 1:]
-    S1 = generated_subspace(WW, L, K1)
-    S2 = generated_subspace(WW, L, K2)
-    assert np.abs(S1.conj().T @ S2).max() < 1e-9
+    assert sectors(WW, L).vacuum_dim == 2
+    S1 = generated_subspace(WW, L, [0])
+    S2 = generated_subspace(WW, L, [1])
+    assert len(S1) == len(S2) == W.dim
+    # disjoint sets of orthonormal basis vectors span orthogonal subspaces
+    assert not set(S1) & set(S2)
 
 
 def test_generated_rejects_noninvariant():
     W = window_model(2, 2, 1)
     w = window(2, 2, 1)
-    B0 = sectors(W, w.L).vacuum_basis()
-    K = B0[:, :1]  # a single vacuum line is moved around by W(L/2) here
-    with pytest.raises(PreconditionError):
-        generated_subspace(W, w.L, K)
+    # a single vacuum line is moved around by W(L/2) here
+    with pytest.raises(PreconditionError, match="not invariant"):
+        generated_subspace(W, w.L, [0])
+
+
+def test_generated_rejects_columns_outside_the_vacuum(z9):
+    G, m, L, W = z9
+    with pytest.raises(PreconditionError, match="vacuum basis columns"):
+        generated_subspace(W, L, [1])
+
+
+def _generated_case(case):
+    if isinstance(case, tuple):
+        return window_model(*case), window(*case).L
+    G, m, L, W = z9_setup()
+    return (W if case == "z9" else W.direct_sum(W)), L
+
+
+@pytest.mark.parametrize("case", ["z9", "z9+z9", (2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1)], ids=str)
+def test_generated_subspace_matches_dense_oracle(case):
+    # every subset K of the vacuum columns: the same refusals, and the same span where both accept
+    W, L = _generated_case(case)
+    B0 = sectors(W, L).vacuum_basis()
+    n = B0.shape[1]
+    for size in range(n + 1):
+        for K in itertools.combinations(range(n), size):
+            try:
+                dense = dense_generated_subspace(W, L, B0[:, list(K)])
+            except PreconditionError:
+                dense = None
+            if dense is None:
+                with pytest.raises(PreconditionError):
+                    generated_subspace(W, L, K)
+                continue
+            span = generated_subspace(W, L, K)
+            assert len(span) == dense.shape[1], (case, K)
+            B = span_columns(W, L, span)
+            assert np.abs(B @ B.conj().T - dense @ dense.conj().T).max() <= 1e-9, (case, K)
+
+
+def test_generated_subspace_2_1_5_is_the_vacuum():
+    # L/2 = G, so every coset representative maps the vacuum to itself and the span is K;
+    # a dense check would need 1024 x 1024 projectors, past ENTRY_BUDGET
+    w = window(2, 1, 5)
+    W = window_model(2, 1, 5)
+    assert vacuum_normalizer(W, w.L).order == w.group.order
+    zero = (0,) * len(sectors(W, w.L).orders)
+    assert generated_subspace(W, w.L, range(32)) == [(zero, k) for k in range(32)]
+
+
+def test_generated_subspace_names_a_representative_that_breaks_a_vacuum_vector(z9):
+    G, m, L, W = z9
+    x = G.element([0, 1])
+    SRC, NUM, den = W.rows([x])
+    # the vacuum is the line of index 0, which W(x) maps to index 6; send it to index 7,
+    # where the sector of m~(., x) has no basis vector
+    src = SRC[0].copy()
+    assert src[6] == 0
+    src[[6, 7]] = src[[7, 6]]
+    with pytest.raises(DefectError, match="does not carry K") as exc:
+        generated_subspace(W.with_override(x, Operator(W.dim, den, src, NUM[0])), L, [0])
+    assert exc.value.witness == ((0, 1), 6)
 
 
 # -- descent -------------------------------------------------------------------
@@ -971,6 +1063,73 @@ def test_clifford_basis_neither_splits_nor_tabulates(monkeypatch):
     C = clifford_basis(D)
     assert len(C.elements) == 4 and C.max_residual == 0.0
     assert calls == Counter()
+
+
+def operator_clifford_residuals(D):
+    """Oracle: the residuals of E_i^2 = 1 and E_i E_j = -E_j E_i by monomial composition of
+    the operators E_i = e(c_i) W0(gamma_i), c_i = (-m0(gamma_i, gamma_i) mod den) / 2 den."""
+    den = D.m0.den
+    ops = [D.rep0.operator(e).scaled(Phase(-int(D.m0.num[e.rank, e.rank]) % den, 2 * den))
+           for e in _jordan_wigner(D.n)]
+    one = identity_operator(D.rep0.dim)
+    r_sq = max((E.compose(E).distance_to(one) for E in ops), default=0.0)
+    r_ac = max((ops[i].compose(ops[j]).distance_to(ops[j].compose(ops[i]).scaled(HALF))
+                for i in range(len(ops)) for j in range(i + 1, len(ops))), default=0.0)
+    return r_sq, r_ac
+
+
+def overridden_rep0(D, x, src, num, den):
+    """D.rep0 with its row at x replaced by the monomial row (src, num over den)."""
+    return D.rep0.with_override(x, Operator(D.rep0.dim, den, src, num))
+
+
+@pytest.mark.parametrize("key", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 1, 3)], ids=str)
+def test_clifford_residuals_match_operator_algebra(key):
+    D = descend(window_model(*key), window(*key).L)
+    C = clifford_basis(D)
+    assert (C.residual_squares, C.residual_anticommute) == operator_clifford_residuals(D) == (0.0, 0.0)
+    moved = set()
+    for s in (1, 3):
+        for x in D.v2.generators():
+            # W0(x) times the scalar e(s / 8 den): E_i^2 moves when x is some gamma_i
+            SRC, NUM, den = D.rep0.rows([x])
+            Df = dataclasses.replace(D, rep0=overridden_rep0(D, x, SRC[0], 8 * NUM[0] + s, 8 * den))
+            Cf = clifford_basis(Df)
+            got = (Cf.residual_squares, Cf.residual_anticommute)
+            assert got == operator_clifford_residuals(Df), (key, s, x)
+            moved.add(Cf.residual_squares)
+    assert len(moved - {0.0}) == 2
+    # W0(gamma_2) read at gamma_1 too: a scalar relation, but E_1 E_2 = E_2 E_1
+    g1, g2 = C.elements[:2]
+    SRC, NUM, den = D.rep0.rows([g2])
+    Df = dataclasses.replace(D, rep0=overridden_rep0(D, g1, SRC[0], NUM[0], den))
+    Cf = clifford_basis(Df)
+    assert Cf.residual_anticommute > 0
+    assert (Cf.residual_squares, Cf.residual_anticommute) == operator_clifford_residuals(Df)
+
+
+def test_clifford_names_a_relation_that_is_not_a_scalar():
+    D = descend(window_model(2, 1, 2), window(2, 1, 2).L)
+    g = clifford_basis(D).elements[0]
+    SRC, NUM, den = D.rep0.rows([g])
+    src = SRC[0].copy()
+    src[[0, 1]] = src[[1, 0]]
+    with pytest.raises(DefectError, match="not a scalar") as exc:
+        clifford_basis(dataclasses.replace(D, rep0=overridden_rep0(D, g, src, NUM[0], den)))
+    assert g.coords in exc.value.witness[:2]
+
+
+def test_vacuum_reads_w_only_through_its_exact_kernels(monkeypatch, z9):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense or Operator algebra in the vacuum pipeline")
+
+    for name in ("compose", "scaled", "distance_to", "apply"):
+        monkeypatch.setattr(Operator, name, refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    prof = vacuum_profile(window(2, 1, 2))
+    assert prof["report"].passed and prof["clifford_residual_max"] == 0.0
+    G, m, L, W = z9
+    assert len(generated_subspace(W.direct_sum(W), L, [0, 1])) == 2 * W.dim
 
 
 def f2_rank(M: np.ndarray) -> int:
