@@ -284,6 +284,9 @@ def run_padic(scenario, args):
     w = window_group(p, k, d)
     prof = vacuum_profile(w)
     rep: VerificationReport = prof["report"]
+    if args.full_report:
+        rep.add("window law", prof["model"].law_holds is True,
+                note="proved from the quadratic data of the window formula")
     if args.full_report and p == 2:
         rep.extend(window_reducibility_check(prof["descended"]))
     elif args.full_report:
@@ -376,8 +379,8 @@ def build_parser():
     ap.add_argument("--k", type=int, help="padic task: precision")
     ap.add_argument("--d", type=int, help="padic task: degrees of freedom")
     ap.add_argument("--full-report", action="store_true",
-                    help="padic task: include the window commutant (p = 2: the reducibility "
-                         "split; odd p: irreducibility)")
+                    help="padic task: include the window law and commutant (p = 2: the "
+                         "reducibility split; odd p: irreducibility)")
     return ap
 
 

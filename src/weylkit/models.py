@@ -12,6 +12,7 @@ normalised intertwiner, for sector bases and on request (``Operator.matrix``).
 from __future__ import annotations
 
 from math import isqrt, lcm
+from operator import mul
 
 import numpy as np
 
@@ -114,12 +115,13 @@ class ProjectiveRep:
     be a permutation and reduces its numerators.  Once ``monomial_arrays`` has
     kept every row, those checked rows are the model: ``rows``,
     ``operator`` and ``blocks`` gather from them, and ``fn`` is not called
-    again.  The formula must keep its int64 intermediates below 2^63; the
-    window model's stay below 3 d q^2 for an operator row of q^d entries
-    within ``ENTRY_BUDGET``.  The multiplier must be a verified cocycle (else
-    ``PreconditionError``) and W(0) exactly 1 (else ``DefectError``): then
-    the pairs that present C^m[G] decide the law (``_presentation_fails``),
-    and the rep keeps the verdict of a law check, or of its builder (``law_holds``).
+    again.  The formula must keep its int64 intermediates below 2^63 (a
+    quadratic model states its bound, ``from_quadratic``).  The multiplier
+    must be a verified cocycle (else ``PreconditionError``) and W(0) exactly 1
+    (else ``DefectError``): then the pairs that present C^m[G] decide the law
+    (``_presentation_fails``), and the rep keeps the verdict of a law check,
+    or of its builder (``law_holds``).  A quadratic model keeps its data
+    (``quadratic``), which may prove the law when it is built.
     """
 
     def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, fn, den: int,
@@ -136,8 +138,46 @@ class ProjectiveRep:
         self.label = label or f"rep(dim={dim})"
         self._arrays = None
         self._law = None        # (first failing pair of P, or None) once a law check decided it
+        self.quadratic = None   # (t, A, B, Q, den) of a model built by ``from_quadratic``
         if not self.operator(group.zero()).equals(identity_operator(dim)):
             raise DefectError("W(0) is not the identity")
+
+    @classmethod
+    def from_quadratic(cls, group: FinAbGroup, multiplier: Multiplier, t, A, B, Q, den: int,
+                       label: str = "") -> "ProjectiveRep":
+        """The model (W(y) f)(s) = e(NUM / den) f((s + A y) mod t), NUM = s^T B y + y^T Q y, on
+        the points s of (+) Z/t_j, with one row of A and of B per point coordinate.
+
+        A is reduced mod t, B and Q mod den, as lists of Python ints; the rep keeps them as
+        ``quadratic``, and keeps the law's verdict when they prove it (``_quadratic_law``).
+        Numerators stay below (t - 1)^T B (n - 1) + (n - 1)^T Q (n - 1) and points below
+        t - 1 + A (n - 1), which int64 must hold (else ``InputError``).
+        """
+        t, top = [int(v) for v in t], [ni - 1 for ni in group.moduli]
+        A = [[int(a) % tj for a in row] for row, tj in zip(A, t)]
+        B, Q = ([[int(v) % den for v in row] for row in M] for M in (B, Q))
+        ra, rb, rq = ([sum(map(mul, row, top)) for row in M] for M in (A, B, Q))   # M (n - 1)
+        check_int64(f"the quadratic formula over {den}", max(
+            [sum(map(mul, [tj - 1 for tj in t], rb)) + sum(map(mul, rq, top)),
+             *(tj - 1 + v for tj, v in zip(t, ra))]))
+        P = FinAbGroup(t)
+        S = P.coords_array()
+        Ai, Bi, Qi = (np.array(M, dtype=np.int64).reshape(len(M), len(top)) for M in (A, B, Q))
+
+        def fn(Y):
+            AY, BY = Y @ Ai.T, Y @ Bi.T
+            SRC = np.zeros((len(Y), P.order), dtype=np.int64)
+            NUM = np.repeat(np.einsum("ij,ij->i", Y @ Qi, Y)[:, None], P.order, axis=1)
+            for j in range(len(t)):
+                SRC += ((S[:, j] + AY[:, j, None]) % P.moduli[j]) * P._weights[j]
+                NUM += BY[:, j, None] * S[:, j]
+            return SRC, NUM     # below the bound; ``rows`` reduces it mod den
+
+        rep = cls(group, multiplier, P.order, fn, den, label)
+        rep.quadratic = (t, A, B, Q, den)
+        if _quadratic_law(group.moduli, multiplier, *rep.quadratic):
+            rep._law = (None,)
+        return rep
 
     @property
     def law_holds(self):
@@ -284,7 +324,10 @@ def schrodinger_model(A: FinAbGroup, pairing: Bicharacter | None = None) -> Proj
     """Weyl operators W(a, b) = U(a) V(b) on functions over A.
 
     (U(a) f)(t) = <a, t> f(t) and (V(b) f)(t) = f(t + b); the multiplier is the
-    product pairing m((a,b),(a',b')) = <a', b>.
+    product pairing m((a,b),(a',b')) = <a', b>.  The quadratic model
+    (``ProjectiveRep.from_quadratic``) on the points of A, with the pairing's numerators P
+    over its den: A = [0 I], B = [P^T 0] and Q = 0, so M = A^T B is the product pairing
+    and the data prove the law.  Numerators stay below sum_ij (n_i - 1) P_ji (n_j - 1).
     """
     if pairing is None:
         pairing = standard_pairing(A)
@@ -294,23 +337,11 @@ def schrodinger_model(A: FinAbGroup, pairing: Bicharacter | None = None) -> Proj
         raise InputError("pairing is degenerate")
     G = FinAbGroup(A.moduli + A.moduli)
     m = Bicharacter.weyl_product(G, A.rank, pairing.matrix)
-    dim = A.order
-    T = A.coords_array()
-    P = pairing._cnum
-    den = pairing.den
-    rA = A.rank
-
-    def fn(Y):
-        # row y = (a, b): num[t] = <a, t> = sum_i t_i (sum_j a_j P[j, i]) and src(t) = t + b
-        SRC = np.zeros((len(Y), dim), dtype=np.int64)
-        NUM = np.zeros((len(Y), dim), dtype=np.int64)
-        for i in range(rA):
-            coef = (Y[:, :rA] * P[:, i]).sum(axis=1) % den
-            NUM += coef[:, None] * T[:, i]
-            SRC += ((T[:, i] + Y[:, rA + i, None]) % A.moduli[i]) * A._weights[i]
-        return SRC, NUM % den
-
-    return ProjectiveRep(G, m, dim, fn, den, label=f"schrodinger({A!r})")
+    zero = np.zeros((A.rank, A.rank), dtype=np.int64)
+    return ProjectiveRep.from_quadratic(
+        G, m, A.moduli, np.hstack([zero, np.eye(A.rank, dtype=np.int64)]),
+        np.hstack([pairing._cnum.T, zero]), np.zeros((G.rank, G.rank), dtype=np.int64),
+        pairing.den, label=f"schrodinger({A!r})")
 
 
 def standard_pairing(A: FinAbGroup) -> Bicharacter:
@@ -321,18 +352,11 @@ def standard_pairing(A: FinAbGroup) -> Bicharacter:
 
 
 def regular_rep(G: FinAbGroup) -> ProjectiveRep:
-    """The translation representation on functions over G, with trivial multiplier."""
-    dim = G.order
-    X = G.coords_array()
-
-    def fn(Y):
-        # row y: src(x) = x + y, no phases
-        SRC = np.zeros((len(Y), dim), dtype=np.int64)
-        for j in range(G.rank):
-            SRC += ((X[:, j] + Y[:, j, None]) % G.moduli[j]) * G._weights[j]
-        return SRC, np.zeros_like(SRC)
-
-    return ProjectiveRep(G, zero_multiplier(G), dim, fn, 1, label=f"regular({G!r})")
+    """The translation representation on functions over G, with trivial multiplier: the
+    quadratic model (``ProjectiveRep.from_quadratic``) with A = I, B = Q = 0 and den 1."""
+    I, zero = np.eye(G.rank, dtype=np.int64), np.zeros((G.rank, G.rank), dtype=np.int64)
+    return ProjectiveRep.from_quadratic(G, zero_multiplier(G), G.moduli, I, zero, zero, 1,
+                                        label=f"regular({G!r})")
 
 
 def induced_model(G: FinAbGroup, m: Multiplier, A: Subgroup,
@@ -468,21 +492,21 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
 
     For the law, R(x, y) = W(x + y) and the phase is W's multiplier m; when
     ``swapped``, for the commutator, R(x, y) = W(y) W(x) and the phase is
-    m~ = ``antisymmetrize(m)``.  One kernel, ``_pairs_hold``, decides each
+    m~ = ``antisymmetrize(m)``.  One kernel, ``_block_holds``, decides each
     pair exactly and measures the distance of the two sides at failing pairs.
-    1. W's kept verdict of the law, else the pairs P that present C^m[G]
-       (``_presentation_fails``), read once: from W's ``monomial_arrays``
-       when they fit ``ENTRY_BUDGET``, else through the formula when |P|,
-       counted as exhaustive-scan pairs, does (else ``ResourceLimitError``).
-       W keeps the verdict.  Witness: the first failing pair of P.  A law that
-       holds decides the commutator too, as then
+    1. W's kept verdict of the law (its builder's, or its last check's), else
+       the pairs P that present C^m[G] (``_presentation_fails``), read once:
+       from W's ``monomial_arrays`` when they fit ``ENTRY_BUDGET``, else
+       through the formula when |P|, counted as exhaustive-scan pairs, does
+       (else ``ResourceLimitError``).  W keeps the verdict.  Witness: the first
+       failing pair of P.  A law that holds decides the commutator too, as then
        W(x) W(y) = e(m(x, y)) W(x + y) = e(m~(x, y)) W(y) W(x).
     2. The commutator of a rep whose law fails, when W's rows are kept and
        |G|^2 passes the budget: the pairs (x, g), g a generator, x in rank
        order.  Witness: the first failing (x, g), g in generator order.
     3. Otherwise all |G|^2 pairs, each x against every y, within the budget
        (else ``ResourceLimitError``).  Witness: the worst failing pair.
-    Every tier fails on any pair that ``_pairs_hold`` rejects, however close
+    Every tier fails on any pair that ``_block_holds`` rejects, however close
     its float distance.
     """
     G = W.group
@@ -490,7 +514,7 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
     kept = W.fits_arrays()
     if W._law is None:
         if kept:
-            W.monomial_arrays()     # kept, so _pairs_hold reads the rows by rank
+            W.monomial_arrays()     # kept, so the pair reads slice the rows by rank
         else:
             runs = [n_l * w for n_l, w in zip(G.moduli, G._weights) if n_l > 1]    # n_1 ... n_l
             check_budget("presentation pairs", sum(runs) + len(runs) * (len(runs) - 1) // 2)
@@ -527,15 +551,17 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
 def _presentation_fails(W: ProjectiveRep):
     """The first pair of P, in P's order, at which W's rows, kept or not, break
     W(x) W(y) = e(m(x, y)) W(x + y), m W's multiplier: ranks (x, g_l), g_l a
-    generator, and the distance of the two sides there (``_pairs_hold``).
+    generator, and the distance of the two sides there (``_block_holds``).
     None when every pair of P holds, and then so does the law.
 
     P holds the prefix pairs (y, g_l), y_{l+1} = ... = y_r = 0, for each
     generator g_l (n_l > 1; a factor of modulus 1 has none), and the
     commutation pairs (g_j, g_i), j > i: sum_l n_1 ... n_l + r(r - 1)/2
     pairs.  The first coordinate has weight 1, so the y of the prefix pairs
-    are the ranks below n_1 ... n_l, a run of the kept rows, and so are the
-    y + g_l of a block that does not reach y_l = n_l - 1.
+    are the ranks below n_1 ... n_l: n_l layers y_l = 0 .. n_l - 1 of w_l ranks, w_l the
+    rank of g_l, and y + g_l is y one layer up, the top layer wrapping to 0.  W is read once
+    at each run, a column block at a time, in tiles of at most max(1, BLOCK_ENTRIES // dim)
+    ranks: a tile's y + g_l are its rows past its first layer and the next tile's first.
     Why P decides the law, with W(0) = 1 and U_l = W(g_l):
     * The prefix pairs give W(y + g_l) = e(-m(y, g_l)) W(y) U_l, so by
       induction on the top coordinate W(x) = e(psi(x)) U_1^{x_1} ... U_r^{x_r},
@@ -552,18 +578,66 @@ def _presentation_fails(W: ProjectiveRep):
       ... [g_r]^{x_r} to W(x), and the law holds at every pair.
     """
     G = W.group
-    X = G.coords_array()
     gens = [(n, w) for n, w in zip(G.moduli, G._weights) if n > 1]    # order and rank of g_l
-    pairs = [(X[:n * w], X[w:w + 1]) for n, w in gens]
+    units = G.coords_at(np.array([w for _, w in gens], dtype=np.int64))
+    SU, NU, _ = W.rows(units)
+    step = max(1, BLOCK_ENTRIES // W.dim)
+    read = lambda lo, hi: W.rows(G.coords_range(lo, hi))[:2]
+    for l, (n, w) in enumerate(gens):
+        fail, bw = None, min(w, step)   # the first failing (rank of y, distance) of the run
+        for o in range(0, w, bw):
+            k, h = min(bw, w - o), step // bw      # a tile: h layers of the k columns from o
+            tiles = [(c * w + o, (min(n, c + h) - 1) * w + o + k) for c in range(0, n, h)]
+            rows = first = read(*tiles[0])
+            for t, (lo, hi) in enumerate(tiles):
+                after = read(*tiles[t + 1]) if t + 1 < len(tiles) else first
+                up = tuple(np.concatenate([a[k:], b[:k]]) for a, b in zip(rows, after))
+                ok, dist = _block_holds(W, W.multiplier, G.coords_range(lo, hi), units[l:l + 1],
+                                        rows, (SU[l:l + 1], NU[l:l + 1]), up)
+                if not ok.all():
+                    y = lo + int(np.argmin(ok)), float(dist[np.argmin(ok)])
+                    fail = min(fail or y, y)
+                    break
+                rows = after
+        if fail:
+            return fail[0], w, fail[1]
     if len(gens) > 1:
-        j, i = zip(*[(gj, gi) for k, (_, gj) in enumerate(gens) for _, gi in gens[:k]])
-        pairs.append((X[list(j)], X[list(i)]))
-    for Xs, Ys in pairs:
-        ok, dist = _pairs_hold(W, W.multiplier, False, Xs, Ys)
+        j, i = zip(*[(j, i) for j in range(len(gens)) for i in range(j)])
+        ok, dist = _pairs_hold(W, W.multiplier, False, units[list(j)], units[list(i)])
         if not ok.all():
             k = int(np.argmin(ok))
-            return G.rank_of(Xs[k]), G.rank_of(Ys[k if len(Ys) > 1 else 0]), float(dist[k])
+            return gens[j[k]][1], gens[i[k]][1], float(dist[k])
     return None
+
+
+def _quadratic_law(n, m: Multiplier, t, A, B, Q, den: int) -> bool:
+    """Whether the data of ``ProjectiveRep.from_quadratic`` on G = (+) Z/n_i, reduced lists of
+    Python ints, prove W(x) W(y) = e(m(x, y)) W(x + y) at every pair, on r x r data.
+
+    They do when m is a bicharacter whose matrix is M / den, M = A^T B - Q - Q^T, at every
+    pair of generator coordinates, and (1) n_i A[:, i] = 0 mod t, (2) t_j B[j, :] = 0,
+    (3) n_i B[:, i] = 0 and (5) n_i^2 Q_ii = 0 mod den.  Then (4) n_i (Q + Q^T)_ij = 0 mod den
+    at generator coordinates too: n_i (A^T B)_ij = 0 by (1) and (2), and n_i M_ij = 0 as m is
+    well defined.  Write x + y = z + n c, z reduced with carries c (0 where n_i = 1), and
+    s + A x = s' + t k, s' reduced: W(x) reads f at s', W(x) W(y) at s' + A y, and W(z) at
+    s + A x + A y - A n c, the same point by (1).  The phases differ by NUM(s, x) + NUM(s', y)
+    - NUM(s, z) = x^T M y - (t k)^T B y + s^T B (n c) + (n c)^T (Q + Q^T)(x + y)
+    - (n c)^T Q (n c).  (2) kills the second term, (3) the third, (4) the fourth, and (4)
+    with (5) the last, a sum of n_i^2 c_i^2 Q_ii and n_i n_j c_i c_j (Q_ij + Q_ji), i < j.  So
+    the difference is x^T M y / den = m(x, y).  The conditions are sufficient, not
+    necessary: if one fails, ``check_rep_law`` decides.
+    """
+    form = m.bichar
+    if form is None:
+        return False
+    C, cden, ax = form._cnum.tolist(), form.den, [i for i, ni in enumerate(n) if ni > 1]
+    At, Bt = ([[row[i] for row in M] for i in range(len(n))] for M in (A, B))     # columns
+    return (all(((sum(map(mul, At[i], Bt[j])) - Q[i][j] - Q[j][i]) * cden - C[i][j] * den)
+                % (den * cden) == 0 for i in ax for j in ax)
+            and not any([ni * a % tj for row, tj in zip(A, t) for a, ni in zip(row, n)]
+                        + [tj * v % den for row, tj in zip(B, t) for v in row]
+                        + [ni * v % den for row in B for v, ni in zip(row, n)]
+                        + [ni * ni * Q[i][i] % den for i, ni in enumerate(n)]))
 
 
 def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarray,
@@ -576,13 +650,10 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
     Rows are read max(1, BLOCK_ENTRIES // dim) pairs at a time: a run of
     consecutive ranks of W's kept ``monomial_arrays`` as a slice (a view),
     any other rows by one ``W.rows`` call, which gathers from the kept rows
-    when W has them.  Each product is one row-wise gather; a single row is never
-    copied to the other side's length.  A block is decided by one test of all
-    its entries, and read row by row only when some pair in it fails.
+    when W has them; each block is decided by ``_block_holds``.
     """
     G = W.group
     moduli, weights = (np.array(t, dtype=np.int64) for t in (G.moduli, G._weights))
-    d = lcm(W.den, phase.den)
 
     def read(Z):
         if W._arrays is not None:
@@ -592,6 +663,23 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
                 return W._arrays[0][lo:hi], W._arrays[1][lo:hi]
         return W.rows(Z)[:2]
 
+    c = max(len(X), len(Y))
+    step = max(1, BLOCK_ENTRIES // W.dim)
+    holds, dist = np.empty(c, dtype=bool), np.zeros(c)
+    for start in range(0, c, step):
+        Xb, Yb = (Z if len(Z) == 1 else Z[start:start + step] for Z in (X, Y))
+        holds[start:start + step], dist[start:start + step] = _block_holds(
+            W, phase, Xb, Yb, read(Xb), read(Yb), None if swapped else read((Xb + Yb) % moduli))
+    return holds, dist
+
+
+def _block_holds(W: ProjectiveRep, phase: Multiplier, Xb, Yb, x, y, right):
+    """(holds, dist) at the pairs (Xb[i], Yb[i]), either side possibly one row, from W's rows
+    x = (SRC, NUM) at Xb and y at Yb and the rows ``right`` of R(x, y) (None: W(y) W(x)), as
+    ``_pairs_hold`` defines them.  Each product is one row-wise gather; a single row is never
+    copied to the other side's length.  The block is decided by one test of all its entries,
+    and read row by row only when some pair in it fails.
+    """
     def gather(A, I):
         # row-wise A[k][I[k]]; a single row is read with one 1-D gather, not broadcast
         if len(A) == 1:
@@ -602,38 +690,31 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
         # the rows of W1 W2: (W1 W2 f)[i] = e(N1[i] + N2[S1[i]]) f[S2[S1[i]]]
         return gather(S2, S1), N1 + gather(N2, S1)
 
+    d = lcm(W.den, phase.den)
     # every numerator read is reduced mod W.den, so num1 below lies in (-3d, 2d) and the right
     # side num2 (d // W.den) + p read at failing pairs in [0, 3d)
     check_int64(f"a law numerator over {d}", 3 * d)
-    c = max(len(X), len(Y))
-    step = max(1, BLOCK_ENTRIES // W.dim)
-    holds, dist = np.empty(c, dtype=bool), np.zeros(c)
-    for start in range(0, c, step):
-        Xb, Yb = (Z if len(Z) == 1 else Z[start:start + step] for Z in (X, Y))
-        (SX, NX), (SY, NY) = read(Xb), read(Yb)
-        src1, num1 = compose(SX, NX, SY, NY)
-        src2, num2 = compose(SY, NY, SX, NX) if swapped else read((Xb + Yb) % moduli)
-        p = (phase.pair_nums(Xb, Yb) * (d // phase.den))[:, None]
-        num1 -= num2
-        num1 *= d // W.den
-        num1 -= p
-        # num1 is 0 mod d exactly when it is one of -2d, -d, 0 and d, which is cheaper to test
-        # than the remainder
-        ok = src1 == src2
-        ok &= (num1 == 0) | (num1 == d) | (num1 == -d) | (num1 == -2 * d)
-        if ok.all():
-            holds[start:start + step] = True
-        else:
-            ok = ok.all(axis=1)
-            holds[start:start + step] = ok
-            # e(phase) R(x, y) over d, and W(x) W(y) back over W.den, as the operators hold them
-            f = ~ok
-            rhs = num2[f] * (d // W.den) + p[f]
-            a = np.exp(2j * np.pi * ((num1[f] + rhs) // (d // W.den) % W.den) / W.den)
-            b = np.exp(2j * np.pi * (rhs % d) / d)
-            dist[start:start + step][f] = np.where(src1[f] == src2[f], np.abs(a - b),
-                                                   np.maximum(np.abs(a), np.abs(b))).max(axis=1)
-    return holds, dist
+    src1, num1 = compose(*x, *y)
+    src2, num2 = compose(*y, *x) if right is None else right
+    p = (phase.pair_nums(Xb, Yb) * (d // phase.den))[:, None]
+    num1 -= num2
+    num1 *= d // W.den
+    num1 -= p
+    # num1 is 0 mod d exactly when it is one of -2d, -d, 0 and d, which is cheaper to test
+    # than the remainder
+    ok = src1 == src2
+    ok &= (num1 == 0) | (num1 == d) | (num1 == -d) | (num1 == -2 * d)
+    if ok.all():
+        return np.ones(len(ok), dtype=bool), np.zeros(len(ok))
+    ok, dist = ok.all(axis=1), np.zeros(len(ok))
+    # e(phase) R(x, y) over d, and W(x) W(y) back over W.den, as the operators hold them
+    f = ~ok
+    rhs = num2[f] * (d // W.den) + p[f]
+    a = np.exp(2j * np.pi * ((num1[f] + rhs) // (d // W.den) % W.den) / W.den)
+    b = np.exp(2j * np.pi * (rhs % d) / d)
+    dist[f] = np.where(src1[f] == src2[f], np.abs(a - b),
+                       np.maximum(np.abs(a), np.abs(b))).max(axis=1)
+    return ok, dist
 
 
 def _orbit_walk(size: int, orders, edges, mods, width: int = 1):

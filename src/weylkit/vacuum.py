@@ -49,7 +49,9 @@ class SectorDecomposition:
     least index R and gives each index i the potential P(i) and the element
     a_i of L along its path to R.  W at the h_k must be a representation of
     L: the W(h_k) commute exactly and W(h_k)^d_k = 1.  Else the sector
-    dimensions sum to less than n, and ``DefectError`` says so.  Each
+    dimensions sum to less than n, and ``DefectError`` says so.  Once W's law
+    holds (``ProjectiveRep.law_holds``) this is not read: m vanishes on
+    L x L, so W is a homomorphism on L, as ``eigen_check`` uses too.  Each
     character chi on O (``_orbit_characters``) gives one basis vector of its
     sector, e((P(i) - chi(a_i)) / den) / sqrt(|O|) at i in O, so nothing has
     n |L| entries.  Pairs p = i |L| + j of a carrier index and a character
@@ -79,13 +81,14 @@ class SectorDecomposition:
         self._den = D = lcm(den, self.char_exp)
         n = rep.dim
         self._root, pot = _character_walk(rows, self.orders)
-        c, witness = _relation_scalars(rows, self.orders)
-        if witness is None and c.any():
-            witness = (*np.argwhere(c)[0], 0)
-        if witness is not None:
-            raise DefectError(f"sector dimensions sum to less than {n}: W at the generators "
-                              "of L is not a representation of L",
-                              witness=(self.gens[witness[0]].coords, witness[2]))
+        if not rep.law_holds:
+            c, witness = _relation_scalars(rows, self.orders)
+            if witness is None and c.any():
+                witness = (*np.argwhere(c)[0], 0)
+            if witness is not None:
+                raise DefectError(f"sector dimensions sum to less than {n}: W at the generators "
+                                  "of L is not a representation of L",
+                                  witness=(self.gens[witness[0]].coords, witness[2]))
         self._ipot, self._path = pot[:, 0] * (D // den), pot[:, 1:]
         roots = np.flatnonzero(self._root == np.arange(n))
         orbit, U = _orbit_characters(rows, self.orders, roots, pot)
@@ -502,7 +505,10 @@ def descend(W: ProjectiveRep, L: Subgroup) -> DescendedRep:
     of its basis.  The multiplier of W0 is
     m0(v, w) = m(s(v), s(w)) + m(a, s(v+w)) with a = s(v) + s(w) - s(v+w) in
     L, computed from m alone, and the law of W0 is checked exactly against
-    it.  Its antisymmetrization must descend from m~ and be nondegenerate on V2.
+    it, unless W's law holds and m is a bicharacter: then W0 keeps it by
+    argument, as W(s_v) W(s_w) = e(m(s_v, s_w) - m(a, s_{v+w})) W(a) W(s_{v+w}),
+    W(a) is 1 on the vacuum space and 2 m(a, s) = m(a, 2 s) = 0.  Its
+    antisymmetrization must descend from m~ and be nondegenerate on V2.
     """
     G = W.group
     m = W.multiplier
@@ -531,7 +537,8 @@ def descend(W: ProjectiveRep, L: Subgroup) -> DescendedRep:
     SRC0, NUM0 = src[:, roots], num[:, roots]
     rep0 = ProjectiveRep(V2, m0, B0.shape[1], lambda Y: (SRC0[V2.ranks_of(Y)], NUM0[V2.ranks_of(Y)]),
                          den0, label="descended")
-
+    if W.law_holds and m.bichar is not None:
+        rep0._law = (None,)
     law = check_rep_law(rep0)
     report.extend(law, prefix="W0 ")
     if not law.passed:
@@ -556,7 +563,14 @@ def descend(W: ProjectiveRep, L: Subgroup) -> DescendedRep:
 
 def _descended_multiplier(m, V2: FinAbGroup, sections) -> TableMultiplier:
     """m0(v, w) = m(s_v, s_w) + m(s_v + s_w - s_{v+w}, s_{v+w}) over all pairs, in one pass;
-    the sum of two numerators over m.den must fit int64 (else ``InputError``)."""
+    the sum of two numerators over m.den must fit int64 (else ``InputError``).
+
+    For a bicharacter m it is returned verified, by argument, under ``descend``'s
+    checks: s_0 = 0, 2 s_v and a(v, w) = s_v + s_w - s_{v+w} in L, m(L, L) = 0 and
+    m~(L/2, L) = 0.  The coboundary of m0 at (u, v, w) is then
+    2 m(a(u, v), s_w) - m(s_u, a(v, w)) - m(a(v, w), s_u), where the first term is
+    m(a, 2 s_w) = 0 and the others sum to -m~(s_u, a) - m(a, 2 s_u) = 0.
+    """
     k = V2.order
     check_budget("table entries", k * k)
     check_int64(f"a descended numerator over {m.den}", 2 * (m.den - 1))
@@ -565,7 +579,10 @@ def _descended_multiplier(m, V2: FinAbGroup, sections) -> TableMultiplier:
     Z = Sc[V2.addition_table()]
     A = (Sc[:, None] + Sc - Z) % np.array(m.group.moduli, dtype=np.int64)
     corr = m.pair_nums(A.reshape(k * k, r), Z.reshape(k * k, r)).reshape(k, k)
-    return TableMultiplier(V2, m.den, m.pair_grid(Sc, Sc) + corr)
+    m0 = TableMultiplier(V2, m.den, m.pair_grid(Sc, Sc) + corr)
+    if m.bichar is not None:
+        m0._verified = True     # a cocycle by the argument above
+    return m0
 
 
 @dataclass

@@ -1,7 +1,7 @@
 import functools
 import importlib
 import random
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from weylkit.multipliers import (Bicharacter, Multiplier, PhaseMap, TableMultipl
                                  check_splitting, split_symmetric, twist, zero_multiplier)
 from weylkit.phases import Phase, ZERO
 from weylkit.reports import VerificationReport
+from weylkit.padic import window_weyl
 from weylkit.vacuum import descend
 
 from conftest import (block_symplectic_model, f2_setup, first_splitting_failure, fresh_rep,
@@ -558,20 +559,20 @@ def test_generator_decision_with_a_wrong_bicharacter(z9, swapped):
 
 def count_pairs(monkeypatch) -> list:
     """Make every |G| x |G| table raise; returns the list that gets the number
-    of pairs of each call of ``models._pairs_hold``."""
+    of pairs of each call of ``models._block_holds``, which decides every pair read."""
     def refuse(*args, **kwargs):
         raise AssertionError("reached a |G| x |G| table")
 
     monkeypatch.setattr(Multiplier, "num_table", refuse)
     monkeypatch.setattr(FinAbGroup, "addition_table", refuse)
     pairs = []
-    kernel = models._pairs_hold
+    kernel = models._block_holds
 
-    def counted(W, phase, swapped, X, Y):
+    def counted(W, phase, X, Y, *rows):
         pairs.append(max(len(X), len(Y)))
-        return kernel(W, phase, swapped, X, Y)
+        return kernel(W, phase, X, Y, *rows)
 
-    monkeypatch.setattr(models, "_pairs_hold", counted)
+    monkeypatch.setattr(models, "_block_holds", counted)
     return pairs
 
 
@@ -1301,13 +1302,13 @@ def test_window_312_law_is_decided_at_its_presentation(monkeypatch):
     # pairs, within ENTRY_BUDGET: the law is decided exactly at P, streamed through the
     # formula, and then the commutator follows from it without a pair
     read = []
-    pairs_hold = models._pairs_hold
+    block_holds = models._block_holds
 
-    def counted(W, phase, swapped, X, Y):
+    def counted(W, phase, X, Y, *rows):
         read.append(max(len(X), len(Y)))
-        return pairs_hold(W, phase, swapped, X, Y)
+        return block_holds(W, phase, X, Y, *rows)
 
-    monkeypatch.setattr(models, "_pairs_hold", counted)
+    monkeypatch.setattr(models, "_block_holds", counted)
     W = fresh_rep(window_model(3, 1, 2))
     G = W.group
     law, = check_rep_law(W).checks
@@ -1624,3 +1625,157 @@ def test_commutant_over_denominators_near_int64(moduli, e):
         assert "beyond int64 arrays" in str(exc)
     else:
         assert count == 4
+
+
+# -- laws proved from the quadratic data of a formula --------------------------
+
+def fitting_windows():
+    """The windows with p in {2, 3, 5} whose pairs P fit ``ENTRY_BUDGET``."""
+    out = []
+    for p, k, d in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 1, 1),
+                    (3, 1, 2), (3, 2, 1), (5, 1, 1), (5, 1, 2)]:
+        runs = sum((p ** (2 * k)) ** l for l in range(1, 2 * d + 1))
+        if runs + d * (2 * d - 1) <= ENTRY_BUDGET:
+            out.append((p, k, d))
+    return out
+
+
+DATA_CASES = ([("window", key) for key in fitting_windows()]
+              + [("schrodinger", m) for m in ([2], [4], [2, 2], [3, 9], [1, 5])]
+              + [("regular", m) for m in ([], [1], [3], [2, 2], [4, 3], [1, 5])])
+
+
+@pytest.mark.parametrize("kind,key", DATA_CASES, ids=[f"{k}-{v}" for k, v in DATA_CASES])
+def test_quadratic_data_verdict_matches_the_presentation(kind, key):
+    # the builders keep their data and prove their law from it; the presentation of a data-less
+    # copy of the same formula agrees, and so do the rows
+    if kind == "window":
+        W = window_weyl(window(*key))
+    elif kind == "schrodinger":
+        W = schrodinger_model(FinAbGroup(key))
+    else:
+        W = regular_rep(FinAbGroup(key))
+    assert W.quadratic is not None and W.law_holds is True
+    F = fresh_rep(W)
+    assert F.law_holds is None and models._presentation_fails(F) is None
+    assert check_rep_law(W).checks[-1].to_dict() == check_rep_law(F).checks[-1].to_dict()
+
+
+@st.composite
+def quadratic_data(draw):
+    """(G, t, A, B, Q, den) that prove the law of M / den, each periodicity condition met by
+    construction with the least multiples it allows: A[j, i] of t_j / (n_i, t_j), B[j, i] of
+    the lcm of den / (den, t_j) and den / (den, n_i), Q_ij + Q_ji of the lcm of
+    den / (den, n_i) and den / (den, n_j), and Q_ii of the lcm of den / (den, 2 n_i) and
+    den / (den, n_i^2)."""
+    n = draw(st.lists(st.sampled_from([2, 3, 4, 6, 8]), min_size=1, max_size=2))
+    t = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=2))
+    den = draw(st.sampled_from([2, 4, 6, 8, 12]))
+    r, rs = len(n), len(t)
+    per = lambda *ms: lcm(*(den // gcd(den, m) for m in ms))
+    k = lambda: draw(st.integers(0, 3))
+    A = [[t[j] // gcd(n[i], t[j]) * k() for i in range(r)] for j in range(rs)]
+    B = [[per(t[j], n[i]) * k() for i in range(r)] for j in range(rs)]
+    Q = [[0] * r for _ in range(r)]
+    for i in range(r):
+        Q[i][i] = per(2 * n[i], n[i] ** 2) * k()
+        for j in range(i + 1, r):
+            Q[i][j] = draw(st.integers(0, den - 1))
+            Q[j][i] = per(n[i], n[j]) * k() - Q[i][j]
+    return FinAbGroup(n), t, A, B, Q, den
+
+
+def quadratic_multiplier(G, A, B, Q, den):
+    """The bicharacter M / den, M = A^T B - Q - Q^T."""
+    A, B, Q = (np.array(M, dtype=np.int64).reshape(-1, G.rank) for M in (A, B, Q))
+    M = A.T @ B - Q - Q.T
+    return Bicharacter(G, [[Phase(int(v), den) for v in row] for row in M.tolist()])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=quadratic_data(), data=st.data())
+def test_mutated_quadratic_data_never_proves_a_broken_law(case, data):
+    # one entry of A, B or Q, one point modulus or den moves by 1; whenever the data still
+    # prove the law, every pair holds; whenever the law breaks, check_rep_law fails at P
+    G, t, A, B, Q, den = case
+    m = quadratic_multiplier(G, A, B, Q, den)
+    W = ProjectiveRep.from_quadratic(G, m, t, A, B, Q, den)
+    assert W.law_holds is True and all_pairs_hold(fresh_rep(W), m, False).all()
+    what = data.draw(st.sampled_from(["A", "B", "Q", "t", "den"]))
+    A, B, Q, t = (np.array(M, dtype=np.int64) for M in (A, B, Q, t))
+    if what == "t":
+        t[data.draw(st.integers(0, len(t) - 1))] += 1
+    elif what == "den":
+        den += 1
+    else:
+        M = {"A": A, "B": B, "Q": Q}[what]
+        M[data.draw(st.integers(0, M.shape[0] - 1)), data.draw(st.integers(0, M.shape[1] - 1))] += 1
+    V = ProjectiveRep.from_quadratic(G, m, t, A, B, Q, den)
+    holds = all_pairs_hold(fresh_rep(V), m, False).all()
+    if V.law_holds:
+        assert holds
+    check = check_rep_law(V).checks[-1]
+    assert check.passed == holds
+    if not holds:
+        assert check.witness is not None and _in_presentation(G, *check.witness)
+
+
+def test_quadratic_data_refuse_a_formula_past_int64():
+    # the numerator bound (t - 1)^T B (n - 1) + (n - 1)^T Q (n - 1) is checked before any row
+    G = FinAbGroup([2 ** 32, 2 ** 32])
+    with pytest.raises(InputError, match="the quadratic formula over"):
+        ProjectiveRep.from_quadratic(G, zero_multiplier(G), [2 ** 32], [[1, 0]], [[0, 0]],
+                                     [[0, 1], [0, 0]], 2 ** 32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from([(3, 1, 1), (2, 2, 1), (2, 1, 2)]),
+       block=st.sampled_from([8, 20, 40, 81]), data=st.data())
+def test_presentation_reads_each_run_once_in_tiles(key, block, data):
+    # with small blocks a run splits into tiles of whole layers or into column blocks of
+    # one layer; the rows of each run are read once, the generators once, and a fault
+    # is named at the first failing pair of P, with the pairwise scan's distance
+    W = window_model(*key)
+    G = W.group
+    x = G.element_by_rank(data.draw(st.integers(1, G.order - 1)))
+    faults = [None, identity_operator(W.dim), W.operator(x).scaled(Phase(1, 3))]
+    op = faults[data.draw(st.integers(0, 2))]
+    F = fresh_rep(W) if op is None else fresh_rep(W).with_override(x, op)
+    read = []
+    fn = F.fn
+    F.fn = lambda Y: read.append(len(Y)) or fn(Y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "BLOCK_ENTRIES", block)
+        fail = models._presentation_fails(F)
+    r = sum(n > 1 for n in G.moduli)
+    runs = [n * w for n, w in zip(G.moduli, G._weights) if n > 1]
+    if fail is None:
+        assert sum(read) == sum(runs) + r + 3 * r * (r - 1) // 2
+    assert read[0] == r and max(read[1:]) <= max(1, block // W.dim)
+    want = presentation_oracle(F, "law")
+    if op is None or want["pass"]:
+        assert fail is None and want["pass"]
+    else:
+        wx, wy = (G.coords_of(v) for v in fail[:2])
+        assert (wx, wy) == want["witness"] and fail[2] == pytest.approx(want["residual"], abs=1e-12)
+
+
+# one point coordinate: data that break exactly one condition of the data decision, each
+# breaking the law; a check that dropped that condition would prove a broken law
+ONE_CONDITION_BROKEN = {
+    "1: n A = 0 mod t": ([2], [3], [[1]], [[0]], [[0]], 2),
+    "2: t B = 0 mod den": ([4], [2], [[1]], [[1]], [[0]], 4),
+    "3: n B = 0 mod den": ([2], [3], [[0]], [[1]], [[0]], 3),
+    "5: n^2 Q = 0 mod den": ([3], [2], [[0]], [[0]], [[1]], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_CONDITION_BROKEN))
+def test_each_condition_of_the_data_decision_is_needed(case):
+    n, t, A, B, Q, den = ONE_CONDITION_BROKEN[case]
+    G = FinAbGroup(n)
+    m = quadratic_multiplier(G, A, B, Q, den)
+    W = ProjectiveRep.from_quadratic(G, m, t, A, B, Q, den)
+    assert W.law_holds is None and not all_pairs_hold(fresh_rep(W), m, False).all()
+    check = check_rep_law(W).checks[-1]
+    assert not check.passed and _in_presentation(G, *check.witness)

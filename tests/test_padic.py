@@ -210,7 +210,7 @@ def test_p2_full_report_check_names(capsys):
         "W0 law", "n nondegenerate", "lift of n equals m~ on L/2",
         "clifford residual", "clifford commutant is scalar",
         "descended m~ equals chi(b1.a2 - b2.a1)",
-        "m0 equals chi(b1.a2) up to an explicit twist", "window model reducible",
+        "m0 equals chi(b1.a2) up to an explicit twist", "window law", "window model reducible",
         "descended vacuum action irreducible"]
     assert report["summary"]["m0_literal_match"] is False
 
@@ -333,16 +333,20 @@ def test_p2_window_full_report_counts_the_commutant(k, d, cd, capsys):
 
 
 def test_odd_window_full_report_proves_irreducibility(capsys):
-    # odd p: the full report adds the commutant of the window model, the scalars alone
+    # odd p: the full report adds the window law, proved from the formula's data, and the
+    # commutant of the window model, the scalars alone
     argv = ["padic", "--p", "3", "--k", "1", "--d", "2"]
     code, _, out = _main(argv + ["--full-report"], capsys)
     assert code == 0
     full = json.loads(out.out)
     assert full["pass"]
-    assert full["checks"][-1] == {"name": "window model irreducible", "pass": True, "note": "commutant=1"}
+    assert full["checks"][-2:] == [
+        {"name": "window law", "pass": True,
+         "note": "proved from the quadratic data of the window formula"},
+        {"name": "window model irreducible", "pass": True, "note": "commutant=1"}]
     code, _, out = _main(argv, capsys)
     assert code == 0
-    assert json.loads(out.out)["checks"] == full["checks"][:-1]
+    assert json.loads(out.out)["checks"] == full["checks"][:-2]
 
 
 def test_p2_window_215_exits_2_before_the_m0_table(capsys):

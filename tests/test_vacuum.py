@@ -16,7 +16,7 @@ from weylkit.groups import FinAbGroup, Subgroup, double_image, double_preimage, 
 from weylkit.isotropy import is_isotropic, polar
 from weylkit.cli import build_model, build_parser, parse_group, parse_multiplier, parse_subgroup
 from weylkit.models import (Operator, ProjectiveRep, _intertwining_orbits, check_rep_law,
-                            identity_operator, induced_model, regular_rep)
+                            identity_operator, induced_model, regular_rep, schrodinger_model)
 from weylkit.padic import vacuum_profile, window_weyl
 from weylkit.multipliers import Bicharacter, PhaseMap, TableMultiplier, antisymmetrize
 from weylkit.phases import HALF, Phase, ZERO
@@ -1199,3 +1199,99 @@ def test_coherent_states_requires_2_divisible():
     w = window(2, 1, 1)
     with pytest.raises(PreconditionError):
         coherent_states(W, w.L)
+
+
+# -- what a proved law implies: sectors, m0 and W0 by argument -------------------
+
+def _position_line(W):
+    """The position block A x 0 of a Schrodinger model, where its multiplier vanishes."""
+    r = W.group.rank // 2
+    return subgroup_span(W.group, [W.group.element([int(j == i) for j in range(2 * r)])
+                                   for i in range(r)])
+
+
+PROVED_SECTOR_CASES = {
+    **{f"window-{p}-{k}-{d}": (lambda key=(p, k, d): (window_model(*key), window(*key).L))
+       for p, k, d in [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 1, 3), (3, 1, 1), (3, 1, 2),
+                       (5, 1, 1)]},
+    **{f"schrodinger-{m}": (lambda m=m: (lambda W: (W, _position_line(W)))(
+        schrodinger_model(FinAbGroup(m)))) for m in ([4], [2, 2], [3, 9])},
+    "regular-4-3": lambda: (regular_rep(FinAbGroup([4, 3])), Subgroup.full(FinAbGroup([4, 3]))),
+    "induced-z9": lambda: (z9_setup()[3], z9_setup()[2]),
+}
+
+
+@pytest.mark.parametrize("case", list(PROVED_SECTOR_CASES))
+def test_sectors_of_a_proved_law_skip_the_relations_and_agree(case, monkeypatch):
+    # a rep whose law holds is a representation of L, so its generator relations are not
+    # read; the sectors equal those of a data-less copy, which reads and passes them
+    from weylkit import vacuum
+    W, L = PROVED_SECTOR_CASES[case]()
+    assert W.law_holds is True
+    calls, relations = [], vacuum._relation_scalars
+    monkeypatch.setattr(vacuum, "_relation_scalars",
+                        lambda *a: calls.append(1) or relations(*a))
+    S = sectors(W, L)
+    assert calls == []
+    F = sectors(fresh_rep(W), L)
+    assert calls == [1]
+    assert S.dims == F.dims
+    assert np.array_equal(S._good, F._good) and np.array_equal(S._col, F._col)
+    assert np.array_equal(S.vacuum_basis(), F.vacuum_basis())
+
+
+P2_WINDOWS = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 1), (2, 2, 2), (2, 3, 1),
+              (2, 2, 3), (2, 3, 2)]
+
+
+@pytest.mark.parametrize("key", P2_WINDOWS, ids=str)
+def test_m0_and_w0_laws_by_argument_match_their_checks(key):
+    # m0 comes verified by descend's argument and W0 keeps its law by argument; Light's test
+    # on a table copy of m0 and the presentation of a fresh copy of W0 agree
+    from weylkit import models
+    from weylkit.multipliers import check_multiplier
+    D = descend(window_model(*key), window(*key).L)
+    assert D.m0._verified is True and D.rep0.law_holds is True
+    assert check_multiplier(TableMultiplier(D.v2, D.m0.den, D.m0.num.copy())).passed
+    assert models._presentation_fails(fresh_rep(D.rep0)) is None
+
+
+@pytest.mark.parametrize("case", ["gauged-2-1-2", "coset-twist-2-1-2"])
+def test_descent_without_a_proved_law_or_bicharacter_checks_m0_and_w0(case, monkeypatch):
+    # with no law kept on W, or a multiplier that is not bilinear, W0's law is decided at its
+    # presentation, and under a table multiplier m0 gets Light's test
+    from weylkit import models, multipliers
+    if case == "gauged-2-1-2":
+        W, L = DESCENT_CASES[case]()
+    else:
+        W, L = _coset_twist(window_model(2, 1, 2), window(2, 1, 2).L), window(2, 1, 2).L
+    checked, presented = [], []
+    check, present = multipliers.check_multiplier, models._presentation_fails
+    monkeypatch.setattr(multipliers, "check_multiplier", lambda m: checked.append(m) or check(m))
+    monkeypatch.setattr(models, "_presentation_fails", lambda R: presented.append(R) or present(R))
+    D = descend(W, L)
+    assert D.report.passed and D.rep0.law_holds is True and presented == [D.rep0]
+    assert any(m is D.m0 for m in checked) == (W.multiplier.bichar is None)
+
+
+@pytest.mark.parametrize("check", ["eigen", "permute", "normalizer"])
+def test_overrides_of_a_proved_window_fail_every_vacuum_check(check):
+    # an override drops the quadratic data and the kept law, so each fault is found by the
+    # same reads as on a fresh copy, with the same witness
+    W, L = window_model(2, 2, 1), window(2, 2, 1).L
+    assert W.law_holds is True
+    G = W.group
+    i = int(np.flatnonzero(sectors(W, L).vacuum_basis()[:, 0])[1])
+    a = sum(L.decomposition()[0], G.zero())
+    x0 = next(x for x in double_preimage(G, L).elements() if not L.contains(x))
+    x = {"eigen": a, "permute": G.generators()[0], "normalizer": x0}[check]
+    reports = []
+    for base in (W, fresh_rep(W)):
+        F = _faulty(base, x, row=i)
+        assert F.law_holds is None and F.quadratic is None
+        S = sectors(F, L)
+        rep = {"eigen": S.eigen_check, "permute": lambda: permute_check(S, x),
+               "normalizer": lambda: normalizer_check(S)}[check]()
+        reports.append(_summary(rep))
+        assert not rep.passed
+    assert reports[0] == reports[1]
