@@ -65,6 +65,14 @@ def _expect_keys(obj: dict, where: str, required: set, optional: set = frozenset
         raise SchemaError(f"{where}: missing fields {sorted(missing)}")
 
 
+def _int_field(obj: dict, where: str, key: str) -> int:
+    """``obj[key]``, which must be a JSON integer: a bool, a float or a string is refused."""
+    v = obj[key]
+    if type(v) is not int:
+        raise SchemaError(f"{where}: {key} must be an integer, not {json.dumps(v)}")
+    return v
+
+
 def parse_group(obj) -> FinAbGroup:
     _expect_keys(obj, "group", {"moduli"})
     return FinAbGroup(obj["moduli"])
@@ -84,7 +92,7 @@ def parse_multiplier(obj, G: FinAbGroup) -> Multiplier:
     if kind == "weyl_product":
         if "pairing" not in obj or "left_rank" not in obj:
             raise SchemaError("multiplier: weyl_product needs pairing and left_rank")
-        return Bicharacter.weyl_product(G, int(obj["left_rank"]),
+        return Bicharacter.weyl_product(G, _int_field(obj, "multiplier", "left_rank"),
                                         parse_phase_matrix(obj["pairing"]))
     if kind == "table":
         if "values" not in obj:
@@ -121,9 +129,13 @@ def load_scenario(path: str) -> dict:
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
-def _check_dim(dim: int, args):
-    if dim > args.max_dim:
-        raise ResourceLimitError("carrier dimension", dim, "--max-dim", args.max_dim)
+def _check_dim(args, p: int, e: int):
+    """Refuse a carrier dimension p^e above --max-dim.  Once b = e (bits of |p| - 1) reaches
+    2^14 and the bits of --max-dim, |p|^e >= 2^b is too long to print and is not computed."""
+    if abs(p) > 1 and e * (abs(p).bit_length() - 1) >= max(2 ** 14, args.max_dim.bit_length()):
+        raise ResourceLimitError("carrier dimension", f"{p}^{e}", "--max-dim", args.max_dim)
+    if p ** e > args.max_dim:
+        raise ResourceLimitError("carrier dimension", p ** e, "--max-dim", args.max_dim)
 
 
 def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args) -> ProjectiveRep:
@@ -139,8 +151,8 @@ def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args) -> Projectiv
     if kind == "window":
         # the window fixes its own group and multiplier: the scenario's must be the same
         _expect_keys(model, "model", {"type", "p", "k", "d"})
-        p, k, d = int(model["p"]), int(model["k"]), int(model["d"])
-        _check_dim(p ** (2 * k * d), args)
+        p, k, d = (_int_field(model, "model", key) for key in "pkd")
+        _check_dim(args, p, 2 * k * d)
         w = window_group(p, k, d)
         if G.moduli != w.group.moduli:
             raise SchemaError(f"model: the window (p={p}, k={k}, d={d}) lives on the moduli "
@@ -154,7 +166,7 @@ def build_model(scenario: dict, G: FinAbGroup, m: Multiplier, args) -> Projectiv
         if "subgroup" not in model:
             raise SchemaError("an induced model needs a subgroup")
         A = parse_subgroup(model["subgroup"], G)
-        _check_dim(G.order // A.order, args)
+        _check_dim(args, G.order // A.order, 1)
         c = parse_splitting(model["splitting"], G) if "splitting" in model else None
         return induced_model(G, m, A, c)
     raise SchemaError(f"model: unknown type {kind!r}")
@@ -275,12 +287,12 @@ def run_padic(scenario, args):
         _expect_keys(scenario, "scenario", {"task", "padic"}, {"seed"})
         pd = scenario["padic"]
         _expect_keys(pd, "padic", {"p", "k", "d"})
-        p, k, d = int(pd["p"]), int(pd["k"]), int(pd["d"])
+        p, k, d = (_int_field(pd, "padic", key) for key in "pkd")
     else:
         if args.p is None or args.k is None or args.d is None:
             raise SchemaError("padic task needs --p, --k, --d or a scenario")
         p, k, d = args.p, args.k, args.d
-    _check_dim(p ** (2 * k * d), args)
+    _check_dim(args, p, 2 * k * d)
     w = window_group(p, k, d)
     prof = vacuum_profile(w)
     rep: VerificationReport = prof["report"]
@@ -331,7 +343,7 @@ def run_svn(scenario, args):
     for name, A in (("first", A1), ("second", A2)):
         if not is_maximal_isotropic(A, mt):
             raise SchemaError(f"{name} subgroup is not maximal isotropic")
-    _check_dim(G.order // A1.order, args)
+    _check_dim(args, G.order // A1.order, 1)
     W1 = induced_model(G, m, A1)
     W2 = induced_model(G, m, A2)
     res = intertwiner(W1, W2)
@@ -398,7 +410,7 @@ def main(argv=None) -> int:
                 raise SchemaError(
                     f"scenario task {scenario['task']!r} does not match {args.task!r}")
             if "seed" in scenario:
-                args.seed = int(scenario["seed"])
+                args.seed = _int_field(scenario, "scenario", "seed")
         elif args.task != "padic":
             raise SchemaError("this task needs --scenario")
         rep, summary = RUNNERS[args.task](scenario, args)

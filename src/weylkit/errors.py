@@ -1,9 +1,9 @@
 """Exception hierarchy and the one size budget shared by all modules."""
 
 # These count their entries against one budget: |G| listed elements, a
-# |G| x |G| table, the pairs of an exhaustive scan or of a law's presentation,
-# |G| x dim kept monomial rows, n1 x n2 index pairs, one operator row of dim
-# entries, a dim x dim dense rendering.  2^18 = 512^2.
+# |G| x |G| table, the pairs of an exhaustive scan or of a law's presentation, the
+# |G| x dim entries that bound the pair checks' reads, a coset table, n1 x n2 index
+# pairs, one operator row of dim entries, a dim x dim dense rendering.  2^18 = 512^2.
 ENTRY_BUDGET = 2 ** 18
 MAX_DIM_DEFAULT = 4096      # the default of the CLI's --max-dim; no library code reads it
 

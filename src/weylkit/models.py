@@ -108,20 +108,15 @@ class Operator:
 class ProjectiveRep:
     """Map from group elements to monomial unitaries, carrying its multiplier.
 
-    The rep is its block formula: ``fn(Y) -> (SRC, NUM)`` evaluates a
-    (c x rank) int64 block Y of reduced coordinate rows at once, giving
-    (c x dim) source indices and phase numerators, all over the one
-    denominator ``den``.  ``rows`` checks every row it takes from ``fn`` to
-    be a permutation and reduces its numerators.  Once ``monomial_arrays`` has
-    kept every row, those checked rows are the model: ``rows``,
-    ``operator`` and ``blocks`` gather from them, and ``fn`` is not called
-    again.  The formula must keep its int64 intermediates below 2^63 (a
-    quadratic model states its bound, ``from_quadratic``).  The multiplier
-    must be a verified cocycle (else ``PreconditionError``) and W(0) exactly 1
-    (else ``DefectError``): then the pairs that present C^m[G] decide the law
-    (``_presentation_fails``), and the rep keeps the verdict of a law check,
-    or of its builder (``law_holds``).  A quadratic model keeps its data
-    (``quadratic``), which may prove the law when it is built.
+    The rep is its block formula and its law verdict.  ``fn(Y) -> (SRC, NUM)`` gives the
+    (c x dim) source indices and phase numerators over ``den`` at a (c x rank) int64 block Y
+    of reduced coordinate rows, and every read is one call of it through ``rows``, which
+    checks each row to be a permutation; building a rep calls no formula.  The formula must
+    keep its int64 intermediates below 2^63 (``from_quadratic`` states a quadratic model's
+    bound).  The multiplier must be a verified cocycle (else ``PreconditionError``): then the
+    pairs that present C^m[G] decide the law, W(0) = 1 included (``_presentation_fails``),
+    and the rep keeps the verdict of a law check or of its builder (``law_holds``), and a
+    quadratic model its data (``quadratic``), which may prove the law when it is built.
     """
 
     def __init__(self, group: FinAbGroup, multiplier: Multiplier, dim: int, fn, den: int,
@@ -136,11 +131,8 @@ class ProjectiveRep:
         self.fn = fn
         self.den = den
         self.label = label or f"rep(dim={dim})"
-        self._arrays = None
         self._law = None        # (first failing pair of P, or None) once a law check decided it
         self.quadratic = None   # (t, A, B, Q, den) of a model built by ``from_quadratic``
-        if not self.operator(group.zero()).equals(identity_operator(dim)):
-            raise DefectError("W(0) is not the identity")
 
     @classmethod
     def from_quadratic(cls, group: FinAbGroup, multiplier: Multiplier, t, A, B, Q, den: int,
@@ -187,17 +179,10 @@ class ProjectiveRep:
         return None if self._law is None else self._law[0] is None
 
     def rows(self, Y):
-        """(SRC, NUM, den): W at the coordinate rows Y (or at a list of elements), NUM mod den.
-
-        Gathered by rank from the kept ``monomial_arrays`` once they exist,
-        else one call of ``fn`` whose every SRC row is checked to be a
-        permutation, with the ``InputError`` that ``Operator`` raises.
-        """
+        """(SRC, NUM, den): W at the coordinate rows Y (or at a list of elements), NUM mod den:
+        one call of ``fn``, each SRC row checked to be a permutation (else ``InputError``)."""
         if not isinstance(Y, np.ndarray):
             Y = np.array([y.coords for y in Y], dtype=np.int64).reshape(len(Y), self.group.rank)
-        if self._arrays is not None:
-            r = self.group.ranks_of(Y)
-            return self._arrays[0].take(r, axis=0), self._arrays[1].take(r, axis=0), self.den
         SRC, NUM = self.fn(Y)
         _check_permutations(SRC, self.dim)
         return SRC, NUM % self.den, self.den
@@ -223,45 +208,12 @@ class ProjectiveRep:
                              label=self.label + "+override")
 
     def blocks(self):
-        """Every operator's rows in rank order, max(1, BLOCK_ENTRIES // dim) elements at a time.
-
-        Yields ``rows`` of each block: one checked call of the formula.  Once
-        ``monomial_arrays`` has kept every row, they are yielded as one block
-        and ``fn`` is not called.
-        """
-        if self._arrays is not None:
-            yield self._arrays
-            return
+        """Every operator's rows in rank order, max(1, BLOCK_ENTRIES // dim) elements at a time:
+        ``rows`` of each block, one checked call of the formula."""
         G = self.group
         step = max(1, BLOCK_ENTRIES // self.dim)
         for start in range(0, G.order, step):
             yield self.rows(G.coords_range(start, min(G.order, start + step)))
-
-    def fits_arrays(self) -> bool:
-        """Whether ``monomial_arrays`` fits: |G| dim within ``ENTRY_BUDGET``."""
-        return self.group.order * self.dim <= ENTRY_BUDGET
-
-    def monomial_arrays(self):
-        """(SRC, NUM, den): the monomial rows of every group element, rank order.
-
-        Read in one pass of ``blocks()`` into preallocated arrays and kept:
-        each row was checked to be a permutation and reduced mod den as it
-        was read, so from then on ``rows``, ``operator``, ``blocks`` and the
-        pair checks gather from these arrays and ``fn`` is not called again.
-        Within the budget of ``fits_arrays``, else ``ResourceLimitError``
-        naming ENTRY_BUDGET and the |G| dim entries.
-        """
-        if self._arrays is None:
-            n = self.group.order
-            check_budget("monomial entries", n * self.dim)
-            SRC = np.empty((n, self.dim), dtype=np.intp)
-            NUM = np.empty((n, self.dim), dtype=np.int64)
-            start = 0
-            for S, N, _ in self.blocks():
-                SRC[start:start + len(S)], NUM[start:start + len(S)] = S, N
-                start += len(S)
-            self._arrays = (SRC, NUM, self.den)
-        return self._arrays
 
     def direct_sum(self, other: "ProjectiveRep") -> "ProjectiveRep":
         if other.group != self.group:
@@ -493,17 +445,18 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
     For the law, R(x, y) = W(x + y) and the phase is W's multiplier m; when
     ``swapped``, for the commutator, R(x, y) = W(y) W(x) and the phase is
     m~ = ``antisymmetrize(m)``.  One kernel, ``_block_holds``, decides each
-    pair exactly and measures the distance of the two sides at failing pairs.
+    pair exactly and measures the distance of the two sides at failing pairs.  Tiers 1
+    and 2 read |G| dim entries, which bound their cost and decide which may run.
     1. W's kept verdict of the law (its builder's, or its last check's), else
-       the pairs P that present C^m[G] (``_presentation_fails``), read once:
-       from W's ``monomial_arrays`` when they fit ``ENTRY_BUDGET``, else
-       through the formula when |P|, counted as exhaustive-scan pairs, does
+       the pairs P that present C^m[G] (``_presentation_fails``), read once
+       through the formula: with no further bound when |G| dim fits
+       ``ENTRY_BUDGET``, else when |P|, counted as presentation pairs, does
        (else ``ResourceLimitError``).  W keeps the verdict.  Witness: the first
        failing pair of P.  A law that holds decides the commutator too, as then
        W(x) W(y) = e(m(x, y)) W(x + y) = e(m~(x, y)) W(y) W(x).
-    2. The commutator of a rep whose law fails, when W's rows are kept and
-       |G|^2 passes the budget: the pairs (x, g), g a generator, x in rank
-       order.  Witness: the first failing (x, g), g in generator order.
+    2. The commutator of a rep whose law fails, when |G| dim fits the budget
+       and |G|^2 does not: the pairs (x, g), g a generator, x in rank order.
+       Witness: the first failing (x, g), g in generator order.
     3. Otherwise all |G|^2 pairs, each x against every y, within the budget
        (else ``ResourceLimitError``).  Witness: the worst failing pair.
     Every tier fails on any pair that ``_block_holds`` rejects, however close
@@ -511,11 +464,9 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
     """
     G = W.group
     n = G.order
-    kept = W.fits_arrays()
+    small = n * W.dim <= ENTRY_BUDGET
     if W._law is None:
-        if kept:
-            W.monomial_arrays()     # kept, so the pair reads slice the rows by rank
-        else:
+        if not small:
             runs = [n_l * w for n_l, w in zip(G.moduli, G._weights) if n_l > 1]    # n_1 ... n_l
             check_budget("presentation pairs", sum(runs) + len(runs) * (len(runs) - 1) // 2)
         W._law = (_presentation_fails(W),)
@@ -526,7 +477,7 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
     elif fail is not None:
         phase = antisymmetrize(W.multiplier)
         X = G.coords_array()
-        if kept and n * n > ENTRY_BUDGET:
+        if small and n * n > ENTRY_BUDGET:
             for g in G.generators():
                 ok, gdist = _pairs_hold(W, phase, True, X, X[g.rank:g.rank + 1])
                 if not ok.all():
@@ -535,7 +486,7 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
                     break
         if not bad:
             check_budget("commutator pairs", n * n)
-            # each x against the run of every y in rank order, read as one slice
+            # each x against every y, in rank order
             idx = np.stack(np.divmod(np.arange(n * n, dtype=np.int64), n), axis=1)
             ok, dist = map(np.concatenate,
                            zip(*[_pairs_hold(W, phase, True, X[x:x + 1], X) for x in range(n)]))
@@ -549,20 +500,22 @@ def _check_pairs(rep: VerificationReport, name: str, W: ProjectiveRep, swapped: 
 
 
 def _presentation_fails(W: ProjectiveRep):
-    """The first pair of P, in P's order, at which W's rows, kept or not, break
+    """The first pair of P, in P's order, at which W's rows break
     W(x) W(y) = e(m(x, y)) W(x + y), m W's multiplier: ranks (x, g_l), g_l a
     generator, and the distance of the two sides there (``_block_holds``).
     None when every pair of P holds, and then so does the law.
 
-    P holds the prefix pairs (y, g_l), y_{l+1} = ... = y_r = 0, for each
-    generator g_l (n_l > 1; a factor of modulus 1 has none), and the
-    commutation pairs (g_j, g_i), j > i: sum_l n_1 ... n_l + r(r - 1)/2
-    pairs.  The first coordinate has weight 1, so the y of the prefix pairs
-    are the ranks below n_1 ... n_l: n_l layers y_l = 0 .. n_l - 1 of w_l ranks, w_l the
-    rank of g_l, and y + g_l is y one layer up, the top layer wrapping to 0.  W is read once
-    at each run, a column block at a time, in tiles of at most max(1, BLOCK_ENTRIES // dim)
-    ranks: a tile's y + g_l are its rows past its first layer and the next tile's first.
-    Why P decides the law, with W(0) = 1 and U_l = W(g_l):
+    P holds the prefix pairs (y, g_l), y_{l+1} = ... = y_r = 0, for each generator g_l
+    (n_l > 1; a factor of modulus 1 has none), and the commutation pairs (g_j, g_i), j > i:
+    sum_l n_1 ... n_l + r(r - 1)/2 pairs; a group with no generator has the one pair (0, 0).
+    The first coordinate has weight 1, so the y of the prefix pairs are the ranks below
+    n_1 ... n_l: n_l layers y_l = 0 .. n_l - 1 of w_l ranks, w_l the rank of g_l, and
+    y + g_l is y one layer up, the top layer wrapping to 0.  W is read once at each run, a
+    column block at a time, in tiles of at most max(1, BLOCK_ENTRIES // dim) ranks: a
+    tile's y + g_l are its rows past its first layer and the next tile's first.
+    Why P decides the law, with U_l = W(g_l):
+    * P decides W(0) = 1: m is normalized, so its first pair (0, g_1) holds only when
+      W(0) U_1 = U_1, and with no generator (0, 0) gives W(0)^2 = W(0).
     * The prefix pairs give W(y + g_l) = e(-m(y, g_l)) W(y) U_l, so by
       induction on the top coordinate W(x) = e(psi(x)) U_1^{x_1} ... U_r^{x_r},
       with psi read off m alone.  The pairs with y_l = n_l - 1 then give the
@@ -579,6 +532,9 @@ def _presentation_fails(W: ProjectiveRep):
     """
     G = W.group
     gens = [(n, w) for n, w in zip(G.moduli, G._weights) if n > 1]    # order and rank of g_l
+    if not gens:
+        ok, dist = _pairs_hold(W, W.multiplier, False, G.coords_range(0, 1), G.coords_range(0, 1))
+        return None if ok[0] else (0, 0, float(dist[0]))
     units = G.coords_at(np.array([w for _, w in gens], dtype=np.int64))
     SU, NU, _ = W.rows(units)
     step = max(1, BLOCK_ENTRIES // W.dim)
@@ -645,24 +601,11 @@ def _pairs_hold(W: ProjectiveRep, phase: Multiplier, swapped: bool, X: np.ndarra
     """(holds, dist) over the pairs (X[i], Y[i]) of coordinate rows: where the identity of
     ``_check_pairs`` holds exactly, and where it fails the distance of its two sides as
     ``Operator.distance_to`` measures it (0.0 elsewhere); either side may be one row,
-    paired with every row of the other.
-
-    Rows are read max(1, BLOCK_ENTRIES // dim) pairs at a time: a run of
-    consecutive ranks of W's kept ``monomial_arrays`` as a slice (a view),
-    any other rows by one ``W.rows`` call, which gathers from the kept rows
-    when W has them; each block is decided by ``_block_holds``.
+    paired with every row of the other.  Rows are read max(1, BLOCK_ENTRIES // dim) pairs
+    at a time, each side by one ``W.rows`` call, and each block is decided by ``_block_holds``.
     """
-    G = W.group
-    moduli, weights = (np.array(t, dtype=np.int64) for t in (G.moduli, G._weights))
-
-    def read(Z):
-        if W._arrays is not None:
-            r = Z @ weights
-            lo, hi = int(r[0]), int(r[-1]) + 1
-            if hi - lo == len(r) and (len(r) < 3 or (np.diff(r) == 1).all()):
-                return W._arrays[0][lo:hi], W._arrays[1][lo:hi]
-        return W.rows(Z)[:2]
-
+    moduli = np.array(W.group.moduli, dtype=np.int64)
+    read = lambda Z: W.rows(Z)[:2]
     c = max(len(X), len(Y))
     step = max(1, BLOCK_ENTRIES // W.dim)
     holds, dist = np.empty(c, dtype=bool), np.zeros(c)

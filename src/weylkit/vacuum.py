@@ -325,11 +325,11 @@ def normalizer_check(S: SectorDecomposition) -> VerificationReport:
     "moves" at one representative of each nonzero coset of L/2 and, for a
     bicharacter m, 2L-periodicity at the generator pairs of L/2 x 2L.
     Otherwise, or when a generator read fails, one pass of ``W.blocks()``
-    reads every x in G, or the rows the law check kept, and the vacuum rows
-    of every x in L/2 are compared with those of the least element of
-    x + 2L, which covers every pair of L/2 x 2L; under a multiplier that is
-    not a bicharacter, that comparison reads the rows of L/2 after the
-    generators decided the rest.  Witnesses are (element, carrier index).
+    reads every x in G, and the vacuum rows of every x in L/2 are compared
+    with those of the least element of x + 2L, which covers every pair of
+    L/2 x 2L; under a multiplier that is not a bicharacter, that comparison
+    reads the rows of L/2 after the generators decided the rest.  Witnesses
+    are (element, carrier index).
     """
     W, L = S.rep, S.L
     G = W.group

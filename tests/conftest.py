@@ -32,13 +32,18 @@ def first_splitting_failure(m, A, c):
 
 
 def fresh_rep(W):
-    """A new rep of W's formula: no kept rows and no verdict of the law yet.
+    """A new rep of W's formula, with no verdict of the law yet.
 
     ``window_model``, ``z9_setup`` and ``block_symplectic_model`` are
-    cached, so a law verdict or kept rows that one test leaves on them would decide
+    cached, so a law verdict that one test leaves on them would decide
     another test's path; a test that asserts a path, a read count or a witness
     builds its rep with this."""
     return ProjectiveRep(W.group, W.multiplier, W.dim, W.fn, W.den, W.label)
+
+
+def all_rows(W):
+    """(SRC, NUM, den): W's rows at every element of its group, in rank order."""
+    return W.rows(W.group.coords_array())
 
 
 @functools.cache

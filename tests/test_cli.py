@@ -244,6 +244,52 @@ def test_unread_fields_are_refused(tmp_path, capsys, field):
     assert message in capsys.readouterr().err
 
 
+# integer fields take JSON integers only: a bool, a float or a string is refused, by name
+INT_FIELD_FAULTS = {
+    "padic-bool-and-float": ({"task": "padic", "padic": {"p": 3, "k": True, "d": 1.9}},
+                             "padic: k must be an integer, not true"),
+    "padic-string": ({"task": "padic", "padic": {"p": "3", "k": 1, "d": 1}},
+                     'padic: p must be an integer, not "3"'),
+    "window-float": ({"task": "model", "group": {"moduli": [4, 4]},
+                      "multiplier": {"type": "bicharacter", "B": [["0", "1/4"], ["-1/4", "0"]]},
+                      "model": {"type": "window", "p": 2, "k": 1, "d": 1.0}},
+                     "model: d must be an integer, not 1.0"),
+    "left_rank-bool": ({"task": "verify", "group": {"moduli": [3, 3]},
+                        "multiplier": {"type": "weyl_product", "left_rank": True,
+                                       "pairing": [["1/3"]]}},
+                       "multiplier: left_rank must be an integer, not true"),
+    "seed-float": ({"task": "padic", "seed": 7.0, "padic": {"p": 3, "k": 1, "d": 1}},
+                   "scenario: seed must be an integer, not 7.0"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INT_FIELD_FAULTS))
+def test_integer_fields_refuse_bools_floats_and_strings(tmp_path, capsys, fault):
+    sc, message = INT_FIELD_FAULTS[fault]
+    assert main([sc["task"], "--scenario", write(tmp_path, "s.json", sc)]) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+
+
+def test_huge_window_exponent_is_refused_before_its_power():
+    # 2^(2 k d) with d = 2^63 is never built: under a 2 GB address-space limit the window is
+    # refused with exit 2, naming the power, in well under a second
+    import resource
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys, time; from weylkit.cli import main; t = time.perf_counter(); "
+            "c = main(['padic', '--p', '2', '--k', '2', '--d', '9223372036854775808']); "
+            "print(time.perf_counter() - t); sys.exit(c)")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, preexec_fn=limit)
+    assert out.returncode == 2 and float(out.stdout) < 0.5
+    assert out.stderr == "error: carrier dimension 2^36893488147419103232 exceeds --max-dim = 4096\n"
+
+
 def test_fermion_task(tmp_path, capsys):
     sc = {
         "task": "fermion",

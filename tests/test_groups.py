@@ -207,7 +207,6 @@ def test_trivial_group():
 BUDGET_CASES = {
     "elements": (lambda: FinAbGroup([1024, 1024]).coords_array(), 1024 ** 2),
     "table": (lambda: TableMultiplier(FinAbGroup([1024]), 1, np.zeros((1024, 1024))), 1024 ** 2),
-    "kept_rows": (lambda: regular_rep(FinAbGroup([513])).monomial_arrays(), 513 ** 2),
     "index_pairs": (lambda: intertwiner(regular_rep(FinAbGroup([513])), regular_rep(FinAbGroup([513]))),
                     513 ** 2),
     "operator_row": (lambda: ProjectiveRep(FinAbGroup([]), zero_multiplier(FinAbGroup([])),

@@ -32,8 +32,8 @@ from weylkit.reports import VerificationReport
 from weylkit.padic import window_weyl
 from weylkit.vacuum import descend
 
-from conftest import (block_symplectic_model, f2_setup, first_splitting_failure, fresh_rep,
-                      same_multiplier_pairs, window, window_model, z9_setup)
+from conftest import (all_rows, block_symplectic_model, f2_setup, first_splitting_failure,
+                      fresh_rep, same_multiplier_pairs, window, window_model, z9_setup)
 
 # the module, not a name that ``weylkit/__init__.py`` might rebind
 models = importlib.import_module("weylkit.models")
@@ -201,7 +201,7 @@ def _window_312_case():
 # operator, a monomial one, as the override.  The pairs of the presentation
 # decide the law and report the first failing one in their order; the
 # commutator of a rep whose law fails scans all |G|^2 pairs within the budget
-# and reports the worst pair.  Window (3,1,2) keeps no rows and its |G|^2 pairs
+# and reports the worst pair.  Window (3,1,2) has |G| dim past the budget, and its |G|^2 pairs
 # pass the budget, so that commutator is refused (note None), not sampled.
 FAULTS = [
     (_z9_case, check_rep_law, "law", ((1, 1), (0, 1)),
@@ -238,11 +238,47 @@ def test_identity_fault_injection(case, checker, name, witness, note, residual):
 
 
 def test_w0_must_be_the_identity_exactly():
-    # e(1/10^10) is within 1e-9 of 1 as a float, but it is not 1
+    # e(1/10^10) is within 1e-9 of 1 as a float, but it is not 1: the law fails exactly, at
+    # the first pair (0, g_1) of P; building a rep reads no W(0), or any other row
     G = FinAbGroup([3])
+    assert ProjectiveRep(G, zero_multiplier(G), 2, None, 1).fn is None
     near = identity_operator(3).scaled(Phase(1, 10 ** 10))
-    with pytest.raises(DefectError, match=r"W\(0\) is not the identity"):
-        regular_rep(G).with_override(G.zero(), near)
+    W = regular_rep(G).with_override(G.zero(), near)
+    law, = check_rep_law(W).checks
+    assert (law.passed, law.witness) == (False, ((0,), (1,)))
+    assert law.residual == pytest.approx(2 * np.pi * 1e-10, rel=1e-3)
+
+
+@pytest.mark.parametrize("moduli", [[], [1]])
+def test_w0_of_a_group_with_no_generator_is_decided_at_0_0(moduli):
+    # P has no prefix pair there; the pair (0, 0) gives W(0)^2 = W(0), which -1 breaks
+    G = FinAbGroup(moduli)
+    W = regular_rep(G).with_override(G.zero(), identity_operator(1).scaled(Phase(1, 2)))
+    law, = check_rep_law(W).checks
+    assert (law.passed, law.witness, law.residual) == (False, (G.zero().coords,) * 2, 2.0)
+    assert check_rep_law(regular_rep(G)).passed
+
+
+@pytest.mark.parametrize("fault", ["scalar", "swap"])
+@pytest.mark.parametrize("build", [lambda: schrodinger_model(FinAbGroup([2])),
+                                   lambda: regular_rep(FinAbGroup([4, 3])),
+                                   lambda: fresh_rep(window_model(3, 1, 1))],
+                         ids=["z2-z2", "z4-z3", "window-3-1-1"])
+def test_w0_fault_fails_at_0_and_the_first_generator(build, fault):
+    # W(0) scaled by e(1/3), or with two sources swapped: the law fails at (0, g_1), and
+    # the pairwise operator product shows that pair broken
+    W = build()
+    G = W.group
+    op = identity_operator(W.dim)
+    if fault == "scalar":
+        op = op.scaled(Phase(1, 3))
+    else:
+        op = Operator(W.dim, 1, [1, 0, *range(2, W.dim)], np.zeros(W.dim, dtype=np.int64))
+    F = W.with_override(G.zero(), op)
+    g1 = G.generators()[0]
+    law, = check_rep_law(F).checks
+    assert (law.passed, law.witness) == (False, (G.zero().coords, g1.coords))
+    assert law.residual == pair_distance(F, F.multiplier, False, G.zero(), g1) > 0
 
 
 def _window_311_case():
@@ -279,7 +315,7 @@ def test_near_scalar_fault_fails_every_tier(case, note):
 @pytest.mark.parametrize("checker", [check_rep_law, commutator_scalar_check])
 @pytest.mark.parametrize("wrong", [False, True], ids=["own-multiplier", "zero-multiplier"])
 def test_batched_pair_scan_matches_pairwise(checker, wrong):
-    # window (3,1,2) keeps no rows: its pairs P are streamed through the formula in
+    # window (3,1,2), |G| dim past the budget: its pairs P are streamed through the formula in
     # blocks and must report exactly what the pairwise scan of P's operators does; a law
     # that holds decides the commutator, and the commutator of one that fails is refused
     W = window_model(3, 1, 2)
@@ -636,8 +672,8 @@ def test_presentation_reads_at_most_2490_pairs(monkeypatch):
 
 
 def test_induced_model_keeps_its_law_from_construction(monkeypatch):
-    # the model decides its law when it is built, so neither check reads a pair, calls
-    # the formula or keeps the |G| x dim rows
+    # the model decides its law when it is built, so neither check reads a pair or calls
+    # the formula
     W = block_symplectic_model.__wrapped__(*VACUUM_9595)
     pairs = count_pairs(monkeypatch)
     calls, fn = [], W.fn
@@ -646,7 +682,7 @@ def test_induced_model_keeps_its_law_from_construction(monkeypatch):
     for checker in (check_rep_law, commutator_scalar_check):
         check, = checker(W).checks
         assert check.passed and check.note == "exhaustive over 2025^2 pairs"
-    assert pairs == [] and calls == [] and W._arrays is None
+    assert pairs == [] and calls == []
 
 
 def test_fault_beyond_table_cap_fails_at_a_generator_pair():
@@ -662,7 +698,11 @@ def test_fault_beyond_table_cap_fails_at_a_generator_pair():
         assert check.note == "exhaustive over 2025^2 pairs"
 
     scaled = W.with_override(x0, W.operator(x0).scaled(Phase(1, 3)))
-    assert_fails(check_rep_law(scaled).checks[-1])
+    law = check_rep_law(scaled).checks[-1]
+    assert_fails(law)
+    # the first failing pair of P: the prefix pair (y, g_2) with y + g_2 = x0
+    assert law.witness == ((3, 1, 0, 0), (0, 1, 0, 0))
+    assert law.residual == pytest.approx(3 ** 0.5, abs=1e-12)
     # a scalar cannot move a commutator, so that identity holds at every pair; W's own
     # law fails, so the pairs (x, g) prove nothing, and the 2025^2 pairs are refused
     with pytest.raises(ResourceLimitError, match="commutator pairs 4100625 exceeds ENTRY_BUDGET"):
@@ -676,27 +716,6 @@ def test_fault_beyond_table_cap_fails_at_a_generator_pair():
         assert_fails(checker(shifted).checks[-1])
 
 
-def test_override_law_check_reads_whole_blocks():
-    # the override patches the parent's formula, so the exact law check reads G in
-    # whole blocks once and makes no one-row call: the witness pair's three
-    # operators are read from the kept rows
-    W = fresh_rep(block_symplectic_model(*VACUUM_9595))
-    G = W.group
-    x0 = G.element([3, 2, 0, 0])
-    scaled = W.with_override(x0, W.operator(x0).scaled(Phase(1, 3)))
-    calls, fn = [], scaled.fn
-    scaled.fn = lambda Y: calls.append(len(Y)) or fn(Y)
-    check = check_rep_law(scaled).checks[-1]
-    # the first failing pair of P: the prefix pair (y, g_2) with y + g_2 = x0
-    assert (check.passed, check.witness, check.note) == \
-        (False, ((3, 1, 0, 0), (0, 1, 0, 0)), "exhaustive over 2025^2 pairs")
-    assert check.residual == pytest.approx(3 ** 0.5, abs=1e-12)
-    blocks = [n for n in calls if n > 1]
-    assert sum(blocks) == G.order
-    assert len(blocks) <= -(-G.order // (models.BLOCK_ENTRIES // W.dim))
-    assert calls.count(1) == 0
-
-
 def lookup_rep(W, SRC, NUM, den):
     """A batched rep whose block formula reads the rows (SRC, NUM) over den, in rank order."""
     weights = np.array(W.group._weights, dtype=np.int64)
@@ -708,11 +727,11 @@ def all_pairs_hold(W, phase, swapped):
     """(|G| x |G|) mask of the pairs (x, y) where W(x) W(y) = e(phase(x, y)) R(x, y)
     holds exactly, R(x, y) = W(y) W(x) when ``swapped``, else W(x + y).
 
-    Row x at a time from W's kept monomial rows, with no |G| x |G| table.
+    Row x at a time from W's rows at every element, with no |G| x |G| table.
     """
     G = W.group
     n = G.order
-    SRC, NUM, den0 = W.monomial_arrays()
+    SRC, NUM, den0 = all_rows(W)
     X = G.coords_array()
     moduli, weights = (np.array(t, dtype=np.int64) for t in (G.moduli, G._weights))
     d = lcm(den0, phase.den)
@@ -764,8 +783,8 @@ MODEL_5555 = ((5, 5, 5, 5), (1, 2), ((1, 0, 0, 0), (0, 1, 0, 0)))
 
 def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs():
     W = fresh_rep(block_symplectic_model(*MODEL_5555))
-    assert W.fits_arrays() and W.group.order ** 2 > ENTRY_BUDGET
-    assert assert_verdicts_match_all_pairs(lookup_rep(W, *W.monomial_arrays())) == (True, True)
+    assert W.group.order * W.dim <= ENTRY_BUDGET < W.group.order ** 2
+    assert assert_verdicts_match_all_pairs(lookup_rep(W, *all_rows(W))) == (True, True)
 
 
 @settings(max_examples=4, deadline=None)
@@ -773,7 +792,7 @@ def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs():
 def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs_under_faults(data):
     # one operator replaced by a random monomial one, one phase shifted, or a scalar applied
     W = fresh_rep(block_symplectic_model(*MODEL_5555))
-    SRC, NUM, den0 = W.monomial_arrays()
+    SRC, NUM, den0 = all_rows(W)
     den = 2 * den0
     SRC, NUM = SRC.copy(), 2 * NUM
     x = data.draw(st.integers(1, W.group.order - 1))
@@ -790,7 +809,7 @@ def test_exhaustive_verdict_beyond_table_cap_matches_all_pairs_under_faults(data
 
 
 def test_coverage_of_each_case(z9):
-    # a rep with kept rows: P decides the law, and the witness is P's first failing pair
+    # P decides the law, and the witness is P's first failing pair
     G, _, _, W = z9
     W = fresh_rep(W)
     bad = W.with_override(G.element([1, 2]), identity_operator(W.dim))
@@ -811,7 +830,7 @@ def test_coverage_of_each_case(z9):
                                    ).checks[0]
     assert (comm.passed, comm.note) == (False, "exhaustive over 625^2 pairs")
     assert comm.witness[1] in {g.coords for g in W5.group.generators()}
-    # window (3,1,2) keeps no rows: P, streamed through the formula, decides both checks
+    # window (3,1,2), |G| dim past the budget: P, streamed through the formula, decides both
     W3 = fresh_rep(window_model(3, 1, 2))
     for checker in (check_rep_law, commutator_scalar_check):
         assert checker(W3).checks[0].note == "exhaustive over 6561^2 pairs"
@@ -829,15 +848,6 @@ def test_rep_refuses_a_table_that_is_not_a_multiplier(fill, failure):
         num[fill] = 1
     with pytest.raises(PreconditionError, match=f"not a multiplier: {failure} fails"):
         ProjectiveRep(G, TableMultiplier(G, 2, num), R.dim, R.fn, R.den)
-
-
-def test_monomial_arrays_budget():
-    # window (3,1,2): 6561 elements x dimension 81 = 531 441 entries
-    W = window_model(3, 1, 2)
-    assert not W.fits_arrays()
-    with pytest.raises(ResourceLimitError) as exc:
-        W.monomial_arrays()
-    assert (exc.value.budget, exc.value.size) == ("ENTRY_BUDGET", 531_441)
 
 
 def python_int_law(W) -> bool:
@@ -1037,7 +1047,7 @@ def test_batched_permutation_check_can_fail(fault):
     with pytest.raises(InputError, match="not a permutation"):
         commutant_d(B)
     with pytest.raises(InputError, match="not a permutation"):
-        B.monomial_arrays()
+        all_rows(B)
     with pytest.raises(InputError, match="not a permutation"):
         B.operator(B.group.element([1, 0]))
     assert commutant_d(models.ProjectiveRep(W.group, W.multiplier, W.dim, fn, W.den)) \
@@ -1313,7 +1323,7 @@ def test_window_312_law_is_decided_at_its_presentation(monkeypatch):
     G = W.group
     law, = check_rep_law(W).checks
     comm, = commutator_scalar_check(W).checks
-    assert sum(read) == 7386 and W._arrays is None and W.law_holds
+    assert sum(read) == 7386 and W.law_holds
     for c in (law, comm):
         assert c.passed and c.note == "exhaustive over 6561^2 pairs"
     # a fault at a generator fails at a pair of P, which is the witness
@@ -1372,30 +1382,7 @@ def test_distance_to_equals_dense_difference():
         assert a.distance_to(b) == float(np.abs(a.matrix - b.matrix).max())
 
 
-def test_monomial_arrays_cache(f2):
-    G, m = f2
-    W = induced_model(G, m, subgroup_span(G, [G.element([1, 0])]))
-    SRC, NUM, den = W.monomial_arrays()
-    assert SRC.shape == (4, 2)
-    assert NUM.shape == (4, 2)
-    # blocks() hands out the kept rows as one block, without the batch formula
-    assert all(a is b for a, b in zip(next(W.blocks()), (SRC, NUM, den)))
-
-
-def test_operator_reads_kept_rows():
-    # once monomial_arrays keeps every row, operator(x) is row x.rank, checked as an Operator
-    W = schrodinger_model(FinAbGroup([3, 2]))
-    G = W.group
-    want = [W.operator(x) for x in G.elements()]
-    SRC, NUM, _ = W.monomial_arrays()
-    W.fn = None                             # the formula is not called again
-    assert all(W.operator(x).equals(w) for x, w in zip(G.elements(), want))
-    SRC[5, 0] = SRC[5, 1]
-    with pytest.raises(InputError, match="not a permutation"):
-        W.operator(G.element_by_rank(5))
-
-
-# -- kept rows: the one copy of a model's rows --------------------------------
+# -- induced models: the formula against its oracles ---------------------------
 
 def random_phase_map(G, dens, data):
     """A phase map on G vanishing at 0, its values over a denominator drawn from ``dens``."""
@@ -1420,64 +1407,10 @@ def induced_inputs(kind, moduli, data):
     return G, twist(m, a), A, PhaseMap(G, {x.coords: -a(x) for x in A.elements()})
 
 
-def kept_rows_model(kind, data):
-    """A model of the given kind, drawn small enough to keep its rows."""
-    moduli = data.draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=2))
-    if kind.startswith("induced"):
-        return induced_model(*induced_inputs(kind, moduli, data))
-    if kind == "window":
-        return window_model(*data.draw(st.sampled_from([(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)])))
-    if kind == "schrodinger":
-        return schrodinger_model(FinAbGroup(moduli))
-    W = fresh_rep(schrodinger_model(FinAbGroup(moduli)))
-    if data.draw(st.booleans()):
-        W.monomial_arrays()                 # the derived rep reads the parent's kept rows
-    if kind == "direct-sum":
-        return W.direct_sum(W)
-    return W.twisted(random_phase_map(W.group, [2, 3, 4], data))
-
-
 def coordinate_rows(G, data):
     c = data.draw(st.integers(1, 6))
     return np.array([[data.draw(st.integers(0, n - 1)) for n in G.moduli] for _ in range(c)],
                     dtype=np.int64).reshape(c, G.rank)
-
-
-KEPT_KINDS = ["induced", "induced-table", "window", "schrodinger", "twisted", "direct-sum"]
-
-
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(KEPT_KINDS), data=st.data())
-def test_kept_rows_equal_the_formula(kind, data):
-    # after monomial_arrays, rows gathers from the kept arrays and never calls fn, and
-    # they equal the formula of a fresh copy at any block of coordinate rows
-    W = kept_rows_model(kind, data)
-    kept, fresh = fresh_rep(W), fresh_rep(W)
-    kept.monomial_arrays()
-    kept.fn = None
-    Y = coordinate_rows(W.group, data)
-    SRC, NUM, den = kept.rows(Y)
-    S2, N2 = fresh.fn(Y)
-    assert den == W.den
-    assert (SRC == S2).all() and (NUM == N2 % den).all()
-
-
-@settings(max_examples=18, deadline=None)
-@given(kind=st.sampled_from(KEPT_KINDS), data=st.data())
-def test_kept_model_answers_without_its_formula(kind, data):
-    # fn set to None after monomial_arrays: rows, operator, blocks, the law and the
-    # commutator still answer, as the formula does
-    W = kept_rows_model(kind, data)
-    kept, fresh = fresh_rep(W), fresh_rep(W)
-    SRC, NUM, den = kept.monomial_arrays()
-    kept.fn = None
-    G = W.group
-    assert all(kept.operator(x).equals(fresh.operator(x)) for x in G.elements())
-    (block,) = kept.blocks()
-    assert block[0] is SRC and block[1] is NUM
-    assert (kept.rows(G.coords_array())[0] == SRC).all()
-    for checker in (check_rep_law, commutator_scalar_check):
-        assert checker(kept).checks[-1].to_dict() == checker(fresh).checks[-1].to_dict()
 
 
 def two_grid_rows(G, m, A, cmap, Y):
